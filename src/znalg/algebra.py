@@ -150,14 +150,20 @@ def _shape_checked(modulus, rank, structure, unit, name):
         raise BadShape(f"modulus must be >= 2, got {modulus}")
     if rank < 1:
         raise BadShape(f"rank must be >= 1, got {rank}")
-    if len(structure) != rank or any(len(row) != rank for row in structure):
-        raise BadShape("structure table is not rank x rank")
-    for row in structure:
-        for cell in row:
-            if len(cell) != rank:
-                raise BadShape("structure entry has wrong length")
-    if len(unit) != rank:
-        raise BadShape("unit vector has wrong length")
+    try:
+        if len(structure) != rank or any(len(row) != rank for row in structure):
+            raise BadShape("structure table is not rank x rank")
+        for row in structure:
+            for cell in row:
+                if len(cell) != rank:
+                    raise BadShape("structure entry has wrong length")
+        if len(unit) != rank:
+            raise BadShape("unit vector has wrong length")
+        entries = [v for row in structure for cell in row for v in cell]
+    except TypeError as exc:
+        raise BadShape(f"structure table or unit is not an array: {exc}")
+    if not all(isinstance(v, int) for v in entries + list(unit)):
+        raise BadShape("structure table and unit entries must be integers")
     return FiniteAlgebra(modulus, rank, structure, unit, name)
 
 
@@ -230,18 +236,6 @@ def _matrix_units_algebra(n, pairs, name):
         name=name)
 
 
-def matrix_unit(alg_size, a, b, size):
-    """Coordinates of e_ab inside matrix_algebra(n, size)."""
-    pairs = [(x, y) for x in range(size) for y in range(size)]
-    return tuple(1 if p == (a, b) else 0 for p in pairs)
-
-
-def triangular_unit(a, b, size):
-    """Coordinates of e_ab inside triangular_algebra(n, size)."""
-    pairs = [(x, y) for x in range(size) for y in range(x, size)]
-    return tuple(1 if p == (a, b) else 0 for p in pairs)
-
-
 def direct_product(factors) -> FiniteAlgebra:
     """Block-diagonal product of algebras sharing one modulus."""
     factors = list(factors)
@@ -274,14 +268,6 @@ def direct_product(factors) -> FiniteAlgebra:
     return validate_algebra(
         {"modulus": n, "rank": rank, "structure": structure, "unit": unit},
         name=name)
-
-
-def embed_factor(factors, which, x):
-    """Coordinates of x (element of factors[which]) inside the direct product."""
-    coords = []
-    for idx, f in enumerate(factors):
-        coords.extend(x if idx == which else f.zero())
-    return tuple(coords)
 
 
 def algebra_to_doc(alg) -> dict:

@@ -80,8 +80,6 @@ def build_parser():
         description="exact verification workbench for finite Z_n-algebras")
     parser.add_argument("--cap", type=int, default=DEFAULT_CAP,
                         help="element-enumeration refusal threshold")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap (runs are deterministic regardless)")
     parser.add_argument("--report", help="write the JSON report to this path")
     parser.add_argument("--modulus-override", type=int, default=None,
                         help="reinterpret loaded algebras over this modulus "
@@ -195,20 +193,25 @@ def execute_job(ws, name, spec, args):
     if handler is None:
         raise ParseError(f"unknown job kind {kind!r}")
     cap = getattr(args, "cap", DEFAULT_CAP)
-    if getattr(args, "threads", 1) < 1:
-        raise ParseError("--threads must be at least 1")
     report = {
         "job": name,
         "kind": kind,
-        "settings": {"cap": cap, "threads": getattr(args, "threads", 1)},
+        "settings": {"cap": cap},
         "assertions": [],
         "results": {},
     }
     if getattr(args, "modulus_override", None):
         ws = _override_modulus(ws, args.modulus_override)
-    handler(ws, spec, cap, report)
+    handler(ws, JobSpec(spec), cap, report)
     report["timing"] = {"elapsed_s": round(time.monotonic() - start, 3)}
     return report
+
+
+class JobSpec(dict):
+    """A job's fields; reading a field the job lacks is a parse error."""
+
+    def __missing__(self, key):
+        raise ParseError(f"job needs the field {key!r}")
 
 
 def _override_modulus(ws, modulus):

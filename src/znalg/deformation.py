@@ -326,11 +326,6 @@ def flatten_element(D, f):
     return tuple(out)
 
 
-def unflatten_element(D, z):
-    r = D.base.rank
-    return tuple(tuple(z[j * r:(j + 1) * r]) for j in range(D.order))
-
-
 def lift_idempotent_newton(D, e):
     """Lift an idempotent of the base through the quadratic fixed-point
     iteration; defect order at least doubles each step, so the iteration

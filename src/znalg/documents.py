@@ -145,8 +145,8 @@ class Workspace:
         if name not in sec:
             raise ParseError(f"job {name!r} is not defined")
         spec = sec[name]
-        if "kind" not in spec:
-            raise ParseError(f"job {name!r} has no kind")
+        if not isinstance(spec, dict) or "kind" not in spec:
+            raise ParseError(f"job {name!r} is not an object with a kind")
         return spec
 
 

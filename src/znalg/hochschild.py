@@ -3,8 +3,9 @@
 Cochains are dense tables on basis tuples; multilinearity makes the table a
 lossless representation and turns cocycle/coboundary questions into exact
 linear algebra over Z_p.  The coboundary of a table is evaluated directly
-from the alternating-sum formula; for rank computations the same map is
-materialized as a sparse matrix over the cochain coordinate spaces.
+from the alternating-sum formula; for rank, kernel and span questions the
+same map is materialized as sparse rows over the cochain coordinate spaces
+and eliminated by linal for any prime p.
 """
 
 from __future__ import annotations
@@ -27,10 +28,6 @@ from . import linal
 # Ceiling on the dimension of the target cochain space in rank computations.
 # Sized so the sphere-poset degree-2 computation fits and degree 3 does not.
 DEFAULT_LINALG_CAP = 150_000
-
-# Odd primes use dense coefficient lists instead of bitsets; cap the total
-# cell count so the dense path refuses what only the packed path can afford.
-DENSE_CELL_CAP = 2 ** 25
 
 # Idempotent sweeps inside derived-identity checks stay below this element
 # count; is_cocycle2 declares no errors, so it narrows instead of refusing.
@@ -414,27 +411,6 @@ def vec_to_cochain(M, degree, vec) -> Cochain:
     return Cochain(degree, M, build(degree, 0))
 
 
-def _rows_to_bits(rows):
-    out = []
-    for row in rows:
-        v = 0
-        for pos, c in row.items():
-            if c % 2:
-                v |= 1 << pos
-        out.append(v)
-    return out
-
-
-def _rows_to_dense(rows, width, p):
-    out = []
-    for row in rows:
-        v = [0] * width
-        for pos, c in row.items():
-            v[pos] = c % p
-        out.append(v)
-    return out
-
-
 @dataclass
 class CohomologyDims:
     degree: int
@@ -460,8 +436,8 @@ def cohomology_dims(A: FiniteAlgebra, M: Bimodule, degree,
             f"degree {degree}: cochain space of dimension {dim_dst} exceeds "
             f"the cap {linalg_cap}")
 
-    rank_out = _delta_rank(M, degree, p)
-    rank_in = _delta_rank(M, degree - 1, p)
+    rank_out = linal.eliminate_modp(delta_matrix(M, degree)[0], p)[0]
+    rank_in = linal.eliminate_modp(delta_matrix(M, degree - 1)[0], p)[0]
     dim_z = dim_src - rank_out
     dim_b = rank_in
     dims = CohomologyDims(degree, dim_z, dim_b, dim_z - dim_b)
@@ -470,21 +446,28 @@ def cohomology_dims(A: FiniteAlgebra, M: Bimodule, degree,
     return dims
 
 
-def _delta_rank(M, degree, p):
+def _tagged_pivots(M, degree, p, linalg_cap):
+    """Sieve of the degree coboundary rows with row i tagged by the unit
+    column dst + i; returns (pivots, src, dst)."""
+    dst = M.rank * M.algebra.rank ** (degree + 1)
+    if dst > linalg_cap:
+        raise LinAlgCapExceeded(f"target dimension {dst} exceeds {linalg_cap}")
     rows, src, dst = delta_matrix(M, degree)
-    if p == 2:
-        rank, _, _ = linal.eliminate_gf2(_rows_to_bits(rows))
-    else:
-        _require_dense_budget(src, dst)
-        rank, _, _ = linal.eliminate_modp(_rows_to_dense(rows, dst, p), p)
-    return rank
+    for i, row in enumerate(rows):
+        row[dst + i] = 1
+    return linal.eliminate_modp(rows, p)[1], src, dst
 
 
-def _require_dense_budget(src, dst):
-    if src * dst > DENSE_CELL_CAP:
-        raise LinAlgCapExceeded(
-            f"dense elimination over an odd prime needs {src * dst} cells, "
-            f"above the budget {DENSE_CELL_CAP}")
+def _tag_part(row, src, dst, sign=1):
+    """The source vector a tagged row carries in its columns >= dst."""
+    vec = [0] * src
+    for c, x in row.items():
+        vec[c - dst] = sign * x
+    return vec
+
+
+def _sparse(f: Cochain):
+    return {c: x for c, x in enumerate(cochain_to_vec(f)) if x}
 
 
 def cocycle_space(A: FiniteAlgebra, M: Bimodule, degree=2,
@@ -493,26 +476,9 @@ def cocycle_space(A: FiniteAlgebra, M: Bimodule, degree=2,
     p = A.n
     if not linal.is_prime(p):
         raise NonPrimeModulus(f"cocycle space needs a prime modulus, got {p}")
-    rows, src, dst = delta_matrix(M, degree)
-    if dst > linalg_cap:
-        raise LinAlgCapExceeded(f"target dimension {dst} exceeds {linalg_cap}")
-    basis = []
-    if p == 2:
-        _, kernel, _ = linal.eliminate_gf2(_rows_to_bits(rows))
-        for combo in kernel:
-            vec = [0] * src
-            w = combo
-            while w:
-                low = (w & -w).bit_length() - 1
-                vec[low] = 1
-                w &= w - 1
-            basis.append(vec_to_cochain(M, degree, vec))
-    else:
-        _require_dense_budget(src, dst)
-        _, kernel, _ = linal.eliminate_modp(_rows_to_dense(rows, dst, p), p)
-        for combo in kernel:
-            basis.append(vec_to_cochain(M, degree, combo))
-    return basis
+    pivots, src, dst = _tagged_pivots(M, degree, p, linalg_cap)
+    return [vec_to_cochain(M, degree, _tag_part(row, src, dst))
+            for lead, row in pivots.items() if lead >= dst]
 
 
 def is_coboundary2(f: Cochain, linalg_cap=DEFAULT_LINALG_CAP):
@@ -527,33 +493,12 @@ def is_coboundary2(f: Cochain, linalg_cap=DEFAULT_LINALG_CAP):
     ok, violations = is_cocycle2(f)
     if not ok:
         raise NotACocycle(f"not a cocycle; first violation {violations[0]}")
-    rows, src, dst = delta_matrix(M, 1)
-    if dst > linalg_cap:
-        raise LinAlgCapExceeded(f"target dimension {dst} exceeds {linalg_cap}")
-    target = cochain_to_vec(f)
-    if p == 2:
-        tbits = 0
-        for pos, c in enumerate(target):
-            if c % 2:
-                tbits |= 1 << pos
-        combo = linal.solve_in_rowspan_gf2(_rows_to_bits(rows), tbits)
-        if combo is None:
-            return None
-        vec = [0] * src
-        w = combo
-        while w:
-            low = (w & -w).bit_length() - 1
-            vec[low] = 1
-            w &= w - 1
-    else:
-        _require_dense_budget(src, dst)
-        combo = linal.solve_in_rowspan_modp(_rows_to_dense(rows, dst, p),
-                                            list(target), p)
-        if combo is None:
-            return None
-        vec = combo
-    g = vec_to_cochain(M, 1, vec)
-    if cochain_to_vec(coboundary(g)) != tuple(c % p for c in target):
+    pivots, src, dst = _tagged_pivots(M, 1, p, linalg_cap)
+    residue = linal.reduce_modp(pivots, _sparse(f), p)
+    if residue and min(residue) < dst:
+        return None
+    g = vec_to_cochain(M, 1, _tag_part(residue, src, dst, -1))
+    if cochain_to_vec(coboundary(g)) != tuple(c % p for c in cochain_to_vec(f)):
         raise SelfCheckFailed("coboundary witness failed to re-verify")
     return g
 
@@ -562,25 +507,11 @@ def nontrivial_cocycle2(A: FiniteAlgebra, M: Bimodule,
                         linalg_cap=DEFAULT_LINALG_CAP):
     """A degree-2 cocycle that is not a coboundary, or None if H^2 = 0."""
     p = A.n
-    rows1, src1, dst1 = delta_matrix(M, 1)
-    if p == 2:
-        _, _, pivots = linal.eliminate_gf2(_rows_to_bits(rows1))
-        for f in cocycle_space(A, M, 2, linalg_cap):
-            vec = cochain_to_vec(f)
-            tbits = 0
-            for pos, c in enumerate(vec):
-                if c % 2:
-                    tbits |= 1 << pos
-            residue, _ = linal.reduce_against_gf2(pivots, tbits)
-            if residue:
-                return f
-    else:
-        _require_dense_budget(src1, dst1)
-        dense = _rows_to_dense(rows1, dst1, p)
-        _, _, pivots = linal.eliminate_modp(dense, p)
-        for f in cocycle_space(A, M, 2, linalg_cap):
-            residue, _ = linal.reduce_against_modp(
-                pivots, list(cochain_to_vec(f)), p)
-            if any(residue):
-                return f
+    if not linal.is_prime(p):
+        raise NonPrimeModulus(
+            f"nontrivial cocycle search needs a prime modulus, got {p}")
+    _, pivots = linal.eliminate_modp(delta_matrix(M, 1)[0], p)
+    for f in cocycle_space(A, M, 2, linalg_cap):
+        if linal.reduce_modp(pivots, _sparse(f), p):
+            return f
     return None

@@ -1,129 +1,49 @@
-"""Exact elimination over Z_p with combination tracking.
+"""Exact sparse elimination over Z_p for any prime p.
 
-Two row representations: int bitsets for p = 2 (fast XOR at widths in the
-10^5 range) and plain lists for odd primes (only ever used on small systems).
-Eliminations insert rows into a sieve keyed by leading position; a row that
-reduces to zero yields its combination over the original rows, so one pass
-produces both the rank and an explicit kernel basis.
+A row is a dict {column: coefficient}.  Elimination inserts rows into a
+sieve keyed by lead column (the smallest column of the reduced row), each
+stored with lead coefficient 1.  Kernels and span combinations come from tag
+columns: a caller that appends the unit column width + i to row i finds a
+kernel vector in every pivot whose lead is at least width, and a target
+whose residue has no column below width lies in the row span, with the
+negated tag part of the residue as its combination.
 """
 
 from __future__ import annotations
 
 
-def eliminate_gf2(rows):
-    """Sieve rows of int bitsets; returns (rank, kernel, pivots).
-
-    kernel entries are bitset combinations over the original row indices;
-    pivots maps leading-bit position -> (reduced row, combination).
-    """
-    pivots = {}
-    kernel = []
-    for idx, v in enumerate(rows):
-        combo = 1 << idx
-        while v:
-            low = (v & -v).bit_length() - 1
-            hit = pivots.get(low)
-            if hit is None:
-                pivots[low] = (v, combo)
-                break
-            v ^= hit[0]
-            combo ^= hit[1]
-        else:
-            kernel.append(combo)
-    return len(pivots), kernel, pivots
-
-
-def reduce_against_gf2(pivots, target):
-    """Reduce a bitset against a sieve; returns (residue, combination)."""
-    combo = 0
-    while target:
-        low = (target & -target).bit_length() - 1
-        hit = pivots.get(low)
-        if hit is None:
-            break
-        target ^= hit[0]
-        combo ^= hit[1]
-    return target, combo
-
-
 def eliminate_modp(rows, p):
-    """Sieve rows of coefficient lists mod p; returns (rank, kernel, pivots).
+    """Sieve sparse rows mod p; returns (rank, pivots).
 
-    kernel entries are coefficient lists over the original rows.
+    pivots maps each lead column to its reduced row, lead coefficient 1.
     """
-    nrows = len(rows)
     pivots = {}
-    kernel = []
-    for idx, row in enumerate(rows):
-        v = [c % p for c in row]
-        combo = [0] * nrows
-        combo[idx] = 1
-        while True:
-            lead = next((i for i, c in enumerate(v) if c), None)
-            if lead is None:
-                kernel.append(combo)
-                break
-            hit = pivots.get(lead)
-            if hit is None:
-                inv = pow(v[lead], -1, p)
-                v = [(inv * c) % p for c in v]
-                combo = [(inv * c) % p for c in combo]
-                pivots[lead] = (v, combo)
-                break
-            pv, pc = hit
-            c = v[lead]
-            v = [(a - c * b) % p for a, b in zip(v, pv)]
-            combo = [(a - c * b) % p for a, b in zip(combo, pc)]
-    return len(pivots), kernel, pivots
+    for row in rows:
+        v = reduce_modp(pivots, row, p)
+        if v:
+            lead = min(v)
+            inv = pow(v[lead], -1, p)
+            pivots[lead] = {c: (inv * x) % p for c, x in v.items()}
+    return len(pivots), pivots
 
 
-def reduce_against_modp(pivots, target, p):
-    """Reduce a coefficient list against a sieve; returns (residue, combination)."""
-    v = [c % p for c in target]
-    ncols = len(v)
-    combo = None
-    while True:
-        lead = next((i for i, c in enumerate(v) if c), None)
-        if lead is None or lead >= ncols:
-            break
+def reduce_modp(pivots, row, p):
+    """Clear lead columns of a sparse row against a sieve until the lead has
+    no pivot; returns the residue, empty when the row lies in the span."""
+    v = {c: x % p for c, x in row.items() if x % p}
+    while v:
+        lead = min(v)
         hit = pivots.get(lead)
         if hit is None:
             break
-        pv, pc = hit
-        c = v[lead]
-        v = [(a - c * b) % p for a, b in zip(v, pv)]
-        add = [(c * b) % p for b in pc]
-        combo = add if combo is None else [(a + b) % p for a, b in zip(combo, add)]
-    if combo is None:
-        combo = []
-    return v, combo
-
-
-def rank_modp(rows, p):
-    rank, _, _ = eliminate_modp(rows, p)
-    return rank
-
-
-def rank_gf2(rows):
-    rank, _, _ = eliminate_gf2(rows)
-    return rank
-
-
-def solve_in_rowspan_gf2(rows, target):
-    """Coefficients expressing target over rows, or None if outside the span."""
-    _, _, pivots = eliminate_gf2(rows)
-    residue, combo = reduce_against_gf2(pivots, target)
-    return None if residue else combo
-
-
-def solve_in_rowspan_modp(rows, target, p):
-    _, _, pivots = eliminate_modp(rows, p)
-    residue, combo = reduce_against_modp(pivots, target, p)
-    if any(residue):
-        return None
-    if not combo:
-        combo = [0] * len(rows)
-    return combo
+        f = v[lead]
+        for c, x in hit.items():
+            y = (v.get(c, 0) - f * x) % p
+            if y:
+                v[c] = y
+            else:
+                del v[c]
+    return v
 
 
 def is_prime(n):

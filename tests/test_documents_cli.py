@@ -43,6 +43,34 @@ def test_malformed_document_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+def run_document(tmp_path, doc, job="j"):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return main(["run", str(path), job])
+
+
+def classify_table(structure):
+    return {"algebras": {"A": {"modulus": 2, "rank": 1,
+                               "structure": structure, "unit": [1]}},
+            "jobs": {"j": {"kind": "classify", "algebra": "A"}}}
+
+
+def test_job_missing_field_is_parse_error(tmp_path, capsys):
+    code = run_document(tmp_path, {"jobs": {"j": {"kind": "classify"}}})
+    assert code == 2
+    assert "'algebra'" in capsys.readouterr().err
+
+
+def test_non_array_structure_is_validation_error(tmp_path, capsys):
+    assert run_document(tmp_path, classify_table(5)) == 3
+    assert "not an array" in capsys.readouterr().err
+
+
+def test_string_table_entry_is_validation_error(tmp_path, capsys):
+    assert run_document(tmp_path, classify_table([[["1"]]])) == 3
+    assert "integers" in capsys.readouterr().err
+
+
 def test_classify_job_exit_zero(catalog_doc, capsys):
     code = main(["classify", "--doc", str(catalog_doc),
                  "--algebra", "Z2[X]/(X^2)"])
@@ -192,12 +220,6 @@ def test_catalog_roundtrip_identical_reports(tmp_path):
     d1.pop("timing")
     d2.pop("timing")
     assert d1 == d2
-
-
-def test_threads_flag_validated(catalog_doc):
-    code = main(["--threads", "0", "classify", "--doc", str(catalog_doc),
-                 "--algebra", "Z2"])
-    assert code == 2
 
 
 def test_document_cochain_drives_extension(tmp_path):

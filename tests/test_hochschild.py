@@ -180,6 +180,13 @@ def test_coboundary_needs_prime_modulus():
         is_coboundary2(zero_cochain(M, 2))
 
 
+def test_nontrivial_cocycle_needs_prime_modulus():
+    # Z4[X]/(X^2) is refused before any elimination mod 4 is attempted
+    A = zn_poly_x2(4)
+    with pytest.raises(NonPrimeModulus):
+        nontrivial_cocycle2(A, regular_bimodule(A))
+
+
 def test_delta_matrix_matches_dense_coboundary():
     for A in (zn(3), zn_poly_x2(2)):
         M = regular_bimodule(A)

@@ -1,83 +1,152 @@
-"""Elimination kernels and spans, checked against tiny hand examples and a
-brute-force span oracle."""
+"""Sparse elimination over Z_p, checked against tiny hand examples and a
+brute-force span oracle; kernels and span combinations come from tag
+columns appended to the rows."""
 
+import random
 from itertools import product
 
-from znalg.linal import (
-    eliminate_gf2,
-    eliminate_modp,
-    is_prime,
-    rank_gf2,
-    rank_modp,
-    solve_in_rowspan_gf2,
-    solve_in_rowspan_modp,
-)
+from znalg.linal import eliminate_modp, is_prime, reduce_modp
+
+
+def sparse(dense):
+    return {c: x for c, x in enumerate(dense) if x}
+
+
+def rank(dense_rows, p):
+    return eliminate_modp([sparse(row) for row in dense_rows], p)[0]
+
+
+def tagged_pivots(dense_rows, p):
+    width = len(dense_rows[0])
+    rows = []
+    for i, row in enumerate(dense_rows):
+        tagged = sparse(row)
+        tagged[width + i] = 1
+        rows.append(tagged)
+    return eliminate_modp(rows, p)[1], width
+
+
+def kernel(dense_rows, p):
+    pivots, width = tagged_pivots(dense_rows, p)
+    out = []
+    for lead, row in pivots.items():
+        if lead >= width:
+            combo = [0] * len(dense_rows)
+            for c, x in row.items():
+                combo[c - width] = x
+            out.append(combo)
+    return out
+
+
+def solve(dense_rows, target, p):
+    """Combination of the rows equal to target, or None outside the span."""
+    pivots, width = tagged_pivots(dense_rows, p)
+    residue = reduce_modp(pivots, sparse(target), p)
+    if residue and min(residue) < width:
+        return None
+    combo = [0] * len(dense_rows)
+    for c, x in residue.items():
+        combo[c - width] = -x % p
+    return combo
+
+
+def combine(combo, dense_rows, p):
+    acc = [0] * len(dense_rows[0])
+    for c, row in zip(combo, dense_rows):
+        for k, v in enumerate(row):
+            acc[k] = (acc[k] + c * v) % p
+    return tuple(acc)
+
+
+def brute_span(dense_rows, p):
+    return {combine(combo, dense_rows, p)
+            for combo in product(range(p), repeat=len(dense_rows))}
+
+
+def random_sparse_matrix(rng, p, nrows, width):
+    return [[rng.randrange(1, p) if rng.random() < 0.35 else 0
+             for _ in range(width)] for _ in range(nrows)]
 
 
 def test_gf2_rank_hand_examples():
-    assert rank_gf2([0b01, 0b10]) == 2
-    assert rank_gf2([0b01, 0b01]) == 1
-    assert rank_gf2([0b11, 0b01, 0b10]) == 2
-    assert rank_gf2([0, 0]) == 0
+    assert rank([[1, 0], [0, 1]], 2) == 2
+    assert rank([[1, 0], [1, 0]], 2) == 1
+    assert rank([[1, 1], [1, 0], [0, 1]], 2) == 2
+    assert rank([[0, 0], [0, 0]], 2) == 0
 
 
 def test_gf2_kernel_combinations():
-    rows = [0b11, 0b01, 0b10]
-    rank, kernel, _ = eliminate_gf2(rows)
-    assert rank == 2 and len(kernel) == 1
-    combo = kernel[0]
-    # the combination XORs the original rows to zero
-    acc = 0
-    for i in range(len(rows)):
-        if (combo >> i) & 1:
-            acc ^= rows[i]
-    assert acc == 0 and combo
+    rows = [[1, 1], [1, 0], [0, 1]]
+    combos = kernel(rows, 2)
+    assert len(combos) == 1 and any(combos[0])
+    assert combine(combos[0], rows, 2) == (0, 0)
 
 
 def test_gf2_solve_in_rowspan():
-    rows = [0b011, 0b101]
-    combo = solve_in_rowspan_gf2(rows, 0b110)
-    assert combo == 0b11  # sum of both rows
-    assert solve_in_rowspan_gf2(rows, 0b001) is None
+    rows = [[1, 1, 0], [1, 0, 1]]
+    assert solve(rows, [0, 1, 1], 2) == [1, 1]  # sum of both rows
+    assert solve(rows, [1, 0, 0], 2) is None
 
 
 def test_modp_rank_hand_examples():
-    assert rank_modp([[1, 2], [2, 4]], 5) == 1
-    assert rank_modp([[1, 2], [2, 4]], 7) == 1
-    assert rank_modp([[1, 0], [0, 3]], 5) == 2
-    assert rank_modp([[0, 0]], 3) == 0
+    assert rank([[1, 2], [2, 4]], 5) == 1
+    assert rank([[1, 2], [2, 4]], 7) == 1
+    assert rank([[1, 0], [0, 3]], 5) == 2
+    assert rank([[0, 0]], 3) == 0
 
 
 def test_modp_kernel_reassembles():
     p = 3
     rows = [[1, 2, 0], [2, 1, 0], [0, 0, 1], [1, 1, 1]]
-    rank, kernel, _ = eliminate_modp(rows, p)
-    assert rank + len(kernel) == len(rows)
-    for combo in kernel:
-        acc = [0, 0, 0]
-        for c, row in zip(combo, rows):
-            for k, v in enumerate(row):
-                acc[k] = (acc[k] + c * v) % p
-        assert acc == [0, 0, 0]
+    combos = kernel(rows, p)
+    assert rank(rows, p) + len(combos) == len(rows)
+    for combo in combos:
+        assert combine(combo, rows, p) == (0, 0, 0)
 
 
 def test_modp_solve_against_brute_force():
     p = 3
     rows = [[1, 2, 0], [0, 1, 1]]
-    span = set()
-    for c1, c2 in product(range(p), repeat=2):
-        span.add(tuple((c1 * a + c2 * b) % p for a, b in zip(*rows)))
+    span = brute_span(rows, p)
     for target in product(range(p), repeat=3):
-        combo = solve_in_rowspan_modp(rows, list(target), p)
+        combo = solve(rows, list(target), p)
         if target in span:
-            assert combo is not None
-            acc = [0, 0, 0]
-            for c, row in zip(combo, rows):
-                for k, v in enumerate(row):
-                    acc[k] = (acc[k] + c * v) % p
-            assert tuple(acc) == target
+            assert combine(combo, rows, p) == target
         else:
             assert combo is None
+
+
+def test_seeded_sparse_matrices_against_span_oracle():
+    for p in (2, 3, 5):
+        rng = random.Random(p)
+        for _ in range(12):
+            nrows, width = rng.randint(1, 4), rng.randint(1, 4)
+            rows = random_sparse_matrix(rng, p, nrows, width)
+            span = brute_span(rows, p)
+            r = rank(rows, p)
+            assert p ** r == len(span)
+            combos = kernel(rows, p)
+            assert len(combos) == nrows - r
+            for combo in combos:
+                assert combine(combo, rows, p) == (0,) * width
+            if combos:  # and independent: p^k distinct combinations
+                assert len(brute_span(combos, p)) == p ** len(combos)
+            for target in product(range(p), repeat=width):
+                combo = solve(rows, list(target), p)
+                if target in span:
+                    assert combine(combo, rows, p) == target
+                else:
+                    assert combo is None
+
+
+def test_reduce_leaves_pivots_and_row_untouched():
+    p = 5
+    _, pivots = eliminate_modp([{0: 2, 3: 1}, {1: 4}], p)
+    before = {lead: dict(row) for lead, row in pivots.items()}
+    row = {0: 7, 1: 1, 2: 3}
+    residue = reduce_modp(pivots, row, p)
+    assert pivots == before and row == {0: 7, 1: 1, 2: 3}
+    assert min(residue) == 2
 
 
 def test_is_prime():
