@@ -5,6 +5,12 @@ coordinate vector of the product of basis elements i and j.  Elements are
 plain tuples of r residues mod n; all arithmetic is exact.  Every algebra in
 this package is built through validate_algebra, which certifies associativity
 and the unit laws on basis triples (bilinearity extends both to all elements).
+
+The same nested-table format carries bimodule actions, cochains, deformation
+corrections and restriction maps.  _check_table is the one shape and entry
+check for all of them, and _bilinear and _linear are the only code that
+evaluates a table; both stay private so that they are never timed as spans
+of their own when the hot methods built on them are traced.
 """
 
 from __future__ import annotations
@@ -89,20 +95,7 @@ class FiniteAlgebra:
         return tuple((c * a) % n for a in x)
 
     def mul(self, x, y):
-        n = self.n
-        table = self.table
-        acc = [0] * self.rank
-        for i, xi in enumerate(x):
-            if xi:
-                row = table[i]
-                for j, yj in enumerate(y):
-                    if yj:
-                        c = xi * yj
-                        cell = row[j]
-                        for k, v in enumerate(cell):
-                            if v:
-                                acc[k] = (acc[k] + c * v) % n
-        return tuple(acc)
+        return _bilinear(self.table, x, y, self.n, self.rank)
 
     def power(self, x, k):
         acc = self.unit
@@ -120,6 +113,77 @@ class FiniteAlgebra:
         if self.size > limit:
             raise CapExceeded(
                 f"{self.name}: {self.size} elements exceeds cap {limit}")
+
+    def inverse(self, x, cap=None):
+        """The two-sided inverse of x by scanning all elements, or None when
+        x is not a unit."""
+        one = self.unit
+        for y in self.elements(cap):
+            if self.mul(x, y) == one and self.mul(y, x) == one:
+                return y
+        return None
+
+    def nilpotency_index(self, x):
+        """The least k with x^k = 0, or None when the powers of x cycle
+        without reaching zero."""
+        if not any(x):
+            return 1
+        p, index, seen = x, 1, {x}
+        while True:
+            p = self.mul(p, x)
+            index += 1
+            if not any(p):
+                return index
+            if p in seen:
+                return None
+            seen.add(p)
+
+
+def _bilinear(table, x, y, n, width):
+    """Sum of x_i y_j table[i][j] mod n: the one bilinear product behind
+    algebra, bimodule, deformation and degree-2 cochain tables."""
+    acc = [0] * width
+    for i, xi in enumerate(x):
+        if xi:
+            row = table[i]
+            for j, yj in enumerate(y):
+                if yj:
+                    c = xi * yj
+                    for k, v in enumerate(row[j]):
+                        if v:
+                            acc[k] = (acc[k] + c * v) % n
+    return tuple(acc)
+
+
+def _linear(rows, x, n, width):
+    """Sum of x_i rows[i] mod n; rows at zero coordinates of x are never read."""
+    acc = [0] * width
+    for i, xi in enumerate(x):
+        if xi:
+            for k, v in enumerate(rows[i]):
+                if v:
+                    acc[k] = (acc[k] + xi * v) % n
+    return tuple(acc)
+
+
+def _check_table(table, shape, what):
+    """Require nested arrays of exactly the given shape with integer entries;
+    returns the entries in row-major order."""
+    level = [table]
+    for depth, size in enumerate(shape):
+        below = []
+        for node in level:
+            if not isinstance(node, (list, tuple)):
+                raise BadShape(f"{what} is not an array at depth {depth}")
+            if len(node) != size:
+                raise BadShape(
+                    f"{what} has an array of length {len(node)} at depth "
+                    f"{depth}, expected {size}")
+            below.extend(node)
+        level = below
+    if not all(isinstance(v, int) for v in level):
+        raise BadShape(f"{what} entries must be integers")
+    return level
 
 
 def validate_algebra(spec, name=None) -> FiniteAlgebra:
@@ -139,32 +203,16 @@ def validate_algebra(spec, name=None) -> FiniteAlgebra:
             unit = spec["unit"]
         except (KeyError, TypeError, ValueError) as exc:
             raise BadShape(f"algebra spec missing or malformed field: {exc}")
-        label = name or spec.get("name") or ""
-        alg = _shape_checked(modulus, rank, structure, unit, label)
+        if modulus < 2:
+            raise BadShape(f"modulus must be >= 2, got {modulus}")
+        if rank < 1:
+            raise BadShape(f"rank must be >= 1, got {rank}")
+        _check_table(structure, (rank, rank, rank), "structure table")
+        _check_table(unit, (rank,), "unit vector")
+        alg = FiniteAlgebra(modulus, rank, structure, unit,
+                            name or spec.get("name") or "")
     _certify(alg)
     return alg
-
-
-def _shape_checked(modulus, rank, structure, unit, name):
-    if modulus < 2:
-        raise BadShape(f"modulus must be >= 2, got {modulus}")
-    if rank < 1:
-        raise BadShape(f"rank must be >= 1, got {rank}")
-    try:
-        if len(structure) != rank or any(len(row) != rank for row in structure):
-            raise BadShape("structure table is not rank x rank")
-        for row in structure:
-            for cell in row:
-                if len(cell) != rank:
-                    raise BadShape("structure entry has wrong length")
-        if len(unit) != rank:
-            raise BadShape("unit vector has wrong length")
-        entries = [v for row in structure for cell in row for v in cell]
-    except TypeError as exc:
-        raise BadShape(f"structure table or unit is not an array: {exc}")
-    if not all(isinstance(v, int) for v in entries + list(unit)):
-        raise BadShape("structure table and unit entries must be integers")
-    return FiniteAlgebra(modulus, rank, structure, unit, name)
 
 
 def _certify(alg):

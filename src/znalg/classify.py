@@ -51,32 +51,20 @@ def classify_elements(A: FiniteAlgebra, cap=None) -> ClassificationReport:
 
 
 def _units_with_inverses(A, cap=None):
-    elems = list(A.elements(cap))
-    one = A.one()
     units = []
-    for x in elems:
-        for y in elems:
-            if A.mul(x, y) == one and A.mul(y, x) == one:
-                units.append((x, y))
-                break
+    for x in A.elements(cap):
+        y = A.inverse(x, cap)
+        if y is not None:
+            units.append((x, y))
     return units
 
 
 def _nilpotents_with_index(A, cap=None):
     out = []
-    bound = A.size
     for x in A.elements(cap):
-        p = x
-        seen = {x}
-        index = 1
-        while any(p) and index <= bound:
-            p = A.mul(p, x)
-            index += 1
-            if p in seen:
-                break
-            seen.add(p)
-        if not any(p):
-            out.append((x, 1 if not any(x) else index))
+        index = A.nilpotency_index(x)
+        if index is not None:
+            out.append((x, index))
     return out
 
 

@@ -13,7 +13,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .algebra import DEFAULT_CAP, FiniteAlgebra, validate_algebra, zn_poly_x2
+from .algebra import (
+    DEFAULT_CAP,
+    FiniteAlgebra,
+    _bilinear,
+    _check_table,
+    _linear,
+    validate_algebra,
+    zn_poly_x2,
+)
 from .classify import decomposition_report, jacobson_radical
 from .errors import (
     BadShape,
@@ -52,25 +60,14 @@ class TruncatedDeformation:
         A = self.base
         if m == 0:
             return A.mul(x, y)
-        table = self.cochains[m - 1]
-        n = A.n
-        acc = [0] * A.rank
-        for i, xi in enumerate(x):
-            if xi:
-                row = table[i]
-                for j, yj in enumerate(y):
-                    if yj:
-                        c = xi * yj
-                        for k, v in enumerate(row[j]):
-                            if v:
-                                acc[k] = (acc[k] + c * v) % n
-        return tuple(acc)
+        return _bilinear(self.cochains[m - 1], x, y, A.n, A.rank)
 
 
 def validate_deformation(spec, base=None, name=None) -> TruncatedDeformation:
     """Certify associativity at every order and the undeformed unit."""
     if isinstance(spec, TruncatedDeformation):
         D = spec
+        base, order, cochains = D.base, D.order, D.cochains
     else:
         if base is None:
             raise BadShape("validate_deformation needs the base algebra")
@@ -79,21 +76,14 @@ def validate_deformation(spec, base=None, name=None) -> TruncatedDeformation:
             cochains = spec["cochains"]
         except (KeyError, TypeError, ValueError) as exc:
             raise BadShape(f"deformation spec missing or malformed field: {exc}")
+    if order < 1:
+        raise BadShape("truncation order must be at least 1")
+    r = base.rank
+    _check_table(cochains, (order - 1, r, r, r), "deformation cochains")
+    if not isinstance(spec, TruncatedDeformation):
         D = TruncatedDeformation(base, order, cochains,
                                  name=name or spec.get("name", ""))
     A = D.base
-    if D.order < 1:
-        raise BadShape("truncation order must be at least 1")
-    if len(D.cochains) != D.order - 1:
-        raise BadShape(
-            f"expected {D.order - 1} cochain tables, got {len(D.cochains)}")
-    for table in D.cochains:
-        if len(table) != A.rank or any(len(row) != A.rank for row in table):
-            raise BadShape("cochain table is not rank x rank")
-        for row in table:
-            for cell in row:
-                if len(cell) != A.rank:
-                    raise BadShape("cochain entry has wrong length")
 
     one = A.one()
     zero = A.zero()
@@ -207,11 +197,7 @@ def invert_def(D, f):
     _check_order(D, f)
     A = D.base
     a0 = f[0]
-    a0inv = None
-    for y in A.elements():
-        if A.mul(a0, y) == A.one() and A.mul(y, a0) == A.one():
-            a0inv = y
-            break
+    a0inv = A.inverse(a0)
     if a0inv is None:
         raise ConstantTermNotUnit(f"constant term {a0} is not a unit")
 
@@ -488,9 +474,7 @@ def clean_decompose_def(D, h, cap=None, check_uniqueness=True):
         for cand in F.elements(cap):
             if F.mul(cand, cand) != cand:
                 continue
-            diff = F.sub(z, cand)
-            if any(F.mul(diff, y) == F.one() and F.mul(y, diff) == F.one()
-                   for y in F.elements(cap)):
+            if F.inverse(F.sub(z, cand), cap) is not None:
                 count += 1
         if count != 1:
             raise SelfCheckFailed(
@@ -527,13 +511,7 @@ def gauge_deformation(A, gmap, order, name=None) -> TruncatedDeformation:
         raise BadShape("gauge map must be a rank x rank matrix")
 
     def apply_g(x):
-        acc = [0] * r
-        for i, xi in enumerate(x):
-            if xi:
-                for k, v in enumerate(gmap[i]):
-                    if v:
-                        acc[k] = (acc[k] + xi * v) % A.n
-        return tuple(acc)
+        return _linear(gmap, x, A.n, r)
 
     if any(apply_g(A.one())):
         raise BadShape("gauge map must vanish on the unit")

@@ -133,7 +133,7 @@ class Workspace:
                 maps = {}
                 for key, table in spec.get("maps", {}).items():
                     h, i = key.split(",")
-                    maps[(int(h), int(i))] = tuple(tuple(v) for v in table)
+                    maps[(int(h), int(i))] = table
             except (KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"presheaf {name!r} malformed: {exc}")
             self._presheaves[name] = validate_presheaf(

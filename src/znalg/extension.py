@@ -163,11 +163,7 @@ def invert_extension_element(B: ExtensionAlgebra, d, p):
     A, M = B.base, B.module
     d = A.coerce(d)
     p = tuple(v % M.n for v in p)
-    dinv = None
-    for y in A.elements():
-        if A.mul(d, y) == A.one() and A.mul(y, d) == A.one():
-            dinv = y
-            break
+    dinv = A.inverse(d)
     if dinv is None:
         raise NotAUnit(f"{d} is not a unit of {A.name}")
     f = B.cocycle
@@ -191,7 +187,7 @@ def lift_clean_decomposition(B: ExtensionAlgebra, am, e, u):
     u = A.coerce(u)
     if A.mul(e, e) != e:
         raise BadDecomposition(f"{e} is not idempotent")
-    if not _is_unit(A, u):
+    if A.inverse(u) is None:
         raise BadDecomposition(f"{u} is not a unit")
     if A.add(e, u) != a:
         raise BadDecomposition("e + u != a")
@@ -214,7 +210,7 @@ def lift_nil_clean_decomposition(B: ExtensionAlgebra, am, e, x):
     x = A.coerce(x)
     if A.mul(e, e) != e:
         raise BadDecomposition(f"{e} is not idempotent")
-    index = _nilpotency_index(A, x)
+    index = A.nilpotency_index(x)
     if index is None:
         raise BadDecomposition(f"{x} is not nilpotent")
     if A.add(e, x) != a:
@@ -225,7 +221,7 @@ def lift_nil_clean_decomposition(B: ExtensionAlgebra, am, e, x):
     _certify_sum(B, am, first, second)
     if B.carrier.mul(first, first) != first:
         raise SelfCheckFailed("lifted idempotent part is not idempotent")
-    carrier_index = _nilpotency_index(B.carrier, second)
+    carrier_index = B.carrier.nilpotency_index(second)
     if carrier_index is None or carrier_index > 2 * index:
         raise SelfCheckFailed(
             f"lifted nilpotent part has index {carrier_index}, above twice "
@@ -238,27 +234,6 @@ def _certify_sum(B, am, first, second):
     target = B.pair(B.base.coerce(a), tuple(v % B.module.n for v in m))
     if B.carrier.add(first, second) != target:
         raise SelfCheckFailed("lifted parts do not sum to the element")
-
-
-def _is_unit(A, u):
-    return any(A.mul(u, y) == A.one() and A.mul(y, u) == A.one()
-               for y in A.elements())
-
-
-def _nilpotency_index(A, x):
-    p = x
-    index = 1
-    seen = {x}
-    if not any(x):
-        return 1
-    while True:
-        p = A.mul(p, x)
-        index += 1
-        if not any(p):
-            return index
-        if p in seen:
-            return None
-        seen.add(p)
 
 
 @dataclass

@@ -1,11 +1,14 @@
 """Bimodules, cochains, coboundaries, and low-degree cohomology dimensions.
 
-Cochains are dense tables on basis tuples; multilinearity makes the table a
-lossless representation and turns cocycle/coboundary questions into exact
-linear algebra over Z_p.  The coboundary of a table is evaluated directly
-from the alternating-sum formula; for rank, kernel and span questions the
-same map is materialized as sparse rows over the cochain coordinate spaces
-and eliminated by linal for any prime p.
+Bimodule actions and cochains are nested structure-constant tables in the
+format of algebra.py, checked by its _check_table and evaluated by its
+_bilinear and _linear kernels; a cochain contracts one argument at a time
+over that argument's support.  Multilinearity makes the table a lossless
+representation and turns cocycle/coboundary questions into exact linear
+algebra over Z_p.  The coboundary of a table is evaluated directly from the
+alternating-sum formula; for rank, kernel and span questions the same map is
+materialized as sparse rows over the cochain coordinate spaces and
+eliminated by linal for any prime p.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .algebra import FiniteAlgebra
+from .algebra import FiniteAlgebra, _bilinear, _check_table, _linear
 from .errors import (
     ActionNotAssociative,
     BadShape,
@@ -44,7 +47,7 @@ class Bimodule:
     def __init__(self, algebra: FiniteAlgebra, rank, left, right, name=""):
         self.algebra = algebra
         self.rank = int(rank)
-        n = algebra.n
+        self.n = n = algebra.n
         self.left = tuple(
             tuple(tuple(v % n for v in cell) for cell in row) for row in left)
         self.right = tuple(
@@ -53,10 +56,6 @@ class Bimodule:
 
     def __repr__(self):
         return f"Bimodule({self.name!r})"
-
-    @property
-    def n(self):
-        return self.algebra.n
 
     def zero(self):
         return (0,) * self.rank
@@ -83,33 +82,11 @@ class Bimodule:
 
     def lact(self, a, m):
         """Left action of algebra element a on module element m."""
-        n = self.n
-        acc = [0] * self.rank
-        for i, ai in enumerate(a):
-            if ai:
-                row = self.left[i]
-                for j, mj in enumerate(m):
-                    if mj:
-                        c = ai * mj
-                        for k, v in enumerate(row[j]):
-                            if v:
-                                acc[k] = (acc[k] + c * v) % n
-        return tuple(acc)
+        return _bilinear(self.left, a, m, self.n, self.rank)
 
     def ract(self, m, a):
         """Right action of algebra element a on module element m."""
-        n = self.n
-        acc = [0] * self.rank
-        for j, mj in enumerate(m):
-            if mj:
-                row = self.right[j]
-                for i, ai in enumerate(a):
-                    if ai:
-                        c = mj * ai
-                        for k, v in enumerate(row[i]):
-                            if v:
-                                acc[k] = (acc[k] + c * v) % n
-        return tuple(acc)
+        return _bilinear(self.right, m, a, self.n, self.rank)
 
 
 def validate_bimodule(spec, algebra=None, name=None) -> Bimodule:
@@ -125,10 +102,9 @@ def validate_bimodule(spec, algebra=None, name=None) -> Bimodule:
             right = spec["right_action"]
         except (KeyError, TypeError, ValueError) as exc:
             raise BadShape(f"bimodule spec missing or malformed field: {exc}")
-        if len(left) != algebra.rank or any(len(row) != rank for row in left):
-            raise BadShape("left action table is not r x s")
-        if len(right) != rank or any(len(row) != algebra.rank for row in right):
-            raise BadShape("right action table is not s x r")
+        r = algebra.rank
+        _check_table(left, (r, rank, rank), "left action table")
+        _check_table(right, (rank, r, rank), "right action table")
         M = Bimodule(algebra, rank, left, right, name=name or spec.get("name", ""))
     _certify_bimodule(M)
     return M
@@ -187,27 +163,9 @@ class Cochain:
         if len(args) != self.degree:
             raise BadShape(
                 f"cochain of degree {self.degree} applied to {len(args)} arguments")
-        M = self.module
-        n = M.n
-        if self.degree == 0:
+        if not args:
             return self.values
-        acc = [0] * M.rank
-        r = M.algebra.rank
-        for T in product(range(r), repeat=self.degree):
-            c = 1
-            for arg, idx in zip(args, T):
-                c = (c * arg[idx]) % n
-                if not c:
-                    break
-            if not c:
-                continue
-            cell = self.values
-            for idx in T:
-                cell = cell[idx]
-            for k, v in enumerate(cell):
-                if v:
-                    acc[k] = (acc[k] + c * v) % n
-        return tuple(acc)
+        return _contract(self.values, args, self.module.n, self.module.rank)
 
     def is_zero(self):
         def flat(v):
@@ -221,23 +179,25 @@ class Cochain:
                 and self.values == other.values)
 
 
+def _contract(table, args, n, width):
+    """A multilinear table evaluated on args: the first argument contracts
+    the table rows that its support selects, the rest recurse."""
+    if len(args) == 1:
+        return _linear(table, args[0], n, width)
+    if len(args) == 2:
+        return _bilinear(table, args[0], args[1], n, width)
+    head, rest = args[0], args[1:]
+    rows = [_contract(sub, rest, n, width) if c else None
+            for c, sub in zip(head, table)]
+    return _linear(rows, head, n, width)
+
+
 def cochain_from_table(M, degree, values) -> Cochain:
     """Normalize a nested table into a Cochain, checking its shape."""
-    n = M.n
-    s = M.rank
-    r = M.algebra.rank
-
-    def norm(v, depth):
-        if depth == 0:
-            t = tuple(int(c) % n for c in v)
-            if len(t) != s:
-                raise BadShape("cochain value has wrong module length")
-            return t
-        if len(v) != r:
-            raise BadShape("cochain table has wrong arity")
-        return tuple(norm(c, depth - 1) for c in v)
-
-    return Cochain(degree, M, norm(values, degree))
+    if degree < 0:
+        raise BadShape(f"cochain degree must be >= 0, got {degree}")
+    shape = (M.algebra.rank,) * degree + (M.rank,)
+    return vec_to_cochain(M, degree, _check_table(values, shape, "cochain values"))
 
 
 def zero_cochain(M, degree) -> Cochain:
@@ -510,8 +470,11 @@ def nontrivial_cocycle2(A: FiniteAlgebra, M: Bimodule,
     if not linal.is_prime(p):
         raise NonPrimeModulus(
             f"nontrivial cocycle search needs a prime modulus, got {p}")
-    _, pivots = linal.eliminate_modp(delta_matrix(M, 1)[0], p)
-    for f in cocycle_space(A, M, 2, linalg_cap):
-        if linal.reduce_modp(pivots, _sparse(f), p):
-            return f
+    _, boundaries = linal.eliminate_modp(delta_matrix(M, 1)[0], p)
+    pivots, src, dst = _tagged_pivots(M, 2, p, linalg_cap)
+    for lead, row in pivots.items():
+        if lead >= dst:
+            cocycle = {c - dst: x for c, x in row.items()}
+            if linal.reduce_modp(boundaries, cocycle, p):
+                return vec_to_cochain(M, 2, _tag_part(row, src, dst))
     return None

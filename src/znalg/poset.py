@@ -12,7 +12,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import FiniteAlgebra, direct_product, validate_algebra, zn, zn_poly_x2
+from .algebra import (
+    FiniteAlgebra,
+    _check_table,
+    _linear,
+    direct_product,
+    validate_algebra,
+    zn,
+    zn_poly_x2,
+)
 from .classify import (
     decomposition_report,
     jacobson_radical,
@@ -101,29 +109,22 @@ class Presheaf:
     """Stalk algebras on nodes plus restriction maps toward smaller nodes.
 
     maps[(h, i)] for h <= i is the image table of a unital homomorphism from
-    stalk i to stalk h, one coordinate tuple per basis element of stalk i.
+    stalk i to stalk h, one coordinate tuple per basis element of stalk i;
+    restriction reduces its entries mod n.
     """
 
     def __init__(self, poset: Poset, stalks, maps, name=""):
         self.poset = poset
         self.stalks = list(stalks)
-        self.maps = {
-            k: tuple(tuple(v % self.stalks[k[0]].n for v in img)
-                     for img in table)
-            for k, table in maps.items()}
+        self.maps = dict(maps)
         self.name = name or "presheaf"
 
     def restrict(self, h, i, x):
         """Apply the restriction map from stalk i into stalk h <= i."""
         if h == i:
             return tuple(x)
-        table = self.maps[(h, i)]
         S = self.stalks[h]
-        acc = S.zero()
-        for idx, c in enumerate(x):
-            if c:
-                acc = S.add(acc, S.smul(c, table[idx]))
-        return acc
+        return _linear(self.maps[(h, i)], x, S.n, S.rank)
 
     def __repr__(self):
         return f"Presheaf({self.name!r})"
@@ -146,8 +147,7 @@ def validate_presheaf(F: Presheaf) -> Presheaf:
                 raise PresheafInvalid(f"missing restriction map for {h} <= {i}")
             src, dst = F.stalks[i], F.stalks[h]
             table = F.maps[(h, i)]
-            if len(table) != src.rank or any(len(v) != dst.rank for v in table):
-                raise PresheafInvalid(f"map table for ({h},{i}) has wrong shape")
+            _check_table(table, (src.rank, dst.rank), f"map table for ({h},{i})")
             if F.restrict(h, i, src.one()) != dst.one():
                 raise PresheafInvalid(f"map for ({h},{i}) does not send 1 to 1")
             for a in range(src.rank):
@@ -427,29 +427,12 @@ def structural_decompose(PA: PosetAlgebra, z, mode="clean"):
     if carrier.mul(D, D) != D:
         raise SelfCheckFailed("diagonal part failed to be idempotent")
     if mode == "clean":
-        if not _carrier_is_unit(carrier, R):
+        if carrier.inverse(R) is None:
             raise SelfCheckFailed("triangular part failed to be invertible")
     else:
-        if not _carrier_is_nilpotent(carrier, R):
+        if carrier.nilpotency_index(R) is None:
             raise SelfCheckFailed("triangular part failed to be nilpotent")
     return D, R
-
-
-def _carrier_is_unit(A, z):
-    one = A.one()
-    return any(A.mul(z, y) == one and A.mul(y, z) == one
-               for y in A.elements())
-
-
-def _carrier_is_nilpotent(A, z):
-    p = z
-    seen = {z}
-    while any(p):
-        p = A.mul(p, z)
-        if p in seen:
-            return False
-        seen.add(p)
-    return True
 
 
 @dataclass

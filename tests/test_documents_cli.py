@@ -1,5 +1,6 @@
 """Workspace documents, job dispatch, exit codes, and report determinism."""
 
+import copy
 import json
 
 import pytest
@@ -69,6 +70,97 @@ def test_non_array_structure_is_validation_error(tmp_path, capsys):
 def test_string_table_entry_is_validation_error(tmp_path, capsys):
     assert run_document(tmp_path, classify_table([[["1"]]])) == 3
     assert "integers" in capsys.readouterr().err
+
+
+def table_document():
+    # Z2 x Z2 with the projection twist, the dual numbers D with their
+    # regular bimodule, a zero cochain and the order-2 x^2 = t deformation,
+    # and the constant Z2 presheaf on a two-element chain
+    return {
+        "algebras": {
+            "Z2": {"modulus": 2, "rank": 1, "unit": [1], "structure": [[[1]]]},
+            "P": {"modulus": 2, "rank": 2, "unit": [1, 1],
+                  "structure": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]},
+            "D": {"modulus": 2, "rank": 2, "unit": [1, 0],
+                  "structure": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]}},
+        "bimodules": {
+            "twist": {"algebra": "P", "rank": 1,
+                      "left_action": [[[1]], [[0]]],
+                      "right_action": [[[0], [1]]]},
+            "reg": {"algebra": "D", "regular": True, "rank": 2}},
+        "cochains": {"f": {"bimodule": "reg", "degree": 2,
+                           "values": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]}},
+        "deformations": {"x2t": {"algebra": "D", "order": 2, "cochains": [
+            [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]]}},
+        "posets": {"chain": {"size": 2, "covers": [[0, 1]]}},
+        "presheaves": {"chain": {"poset": "chain", "stalks": ["Z2", "Z2"],
+                                 "maps": {"0,1": [[1]]}}},
+        "jobs": {
+            "twist": {"kind": "extend", "algebra": "P", "bimodule": "twist"},
+            "f": {"kind": "extend", "algebra": "D", "bimodule": "reg",
+                  "cochain": "f"},
+            "x2t": {"kind": "deform-validate", "deformation": "x2t"},
+            "chain": {"kind": "shriek", "presheaf": "chain"}},
+    }
+
+
+def _cells_parent(table):
+    """The array whose items are the innermost integer cells of table."""
+    while isinstance(table[0][0], list):
+        table = table[0]
+    return table
+
+
+def _set_entry(make):
+    def mutate(table):
+        cell = _cells_parent(table)[0]
+        cell[0] = make(cell[0])
+        return table
+    return mutate
+
+
+def _set_cell(make):
+    def mutate(table):
+        cells = _cells_parent(table)
+        cells[0] = make(cells[0])
+        return table
+    return mutate
+
+
+# table name -> path to it in table_document(); the second step names the
+# object and the job that loads it
+TABLES = {
+    "left_action": ("bimodules", "twist", "left_action"),
+    "right_action": ("bimodules", "twist", "right_action"),
+    "values": ("cochains", "f", "values"),
+    "cochains": ("deformations", "x2t", "cochains"),
+    "maps": ("presheaves", "chain", "maps", "0,1"),
+}
+
+MUTATIONS = {
+    "intact": (lambda table: table, 0),
+    # an entry that would read back as the same integer if coerced
+    "string-entry": (_set_entry(str), 3),
+    "float-entry": (_set_entry(lambda v: v + 0.5), 3),
+    "scalar-cell": (_set_cell(lambda cell: 1), 3),
+    "long-cell": (_set_cell(lambda cell: cell + [0]), 3),
+    "non-array": (lambda table: "0", 3),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+@pytest.mark.parametrize("table", list(TABLES))
+def test_malformed_table_is_validation_error(tmp_path, capsys, table,
+                                             mutation):
+    mutate, expected = MUTATIONS[mutation]
+    doc = table_document()
+    *path, key = TABLES[table]
+    owner = doc
+    for step in path:
+        owner = owner[step]
+    owner[key] = mutate(copy.deepcopy(owner[key]))
+    assert run_document(tmp_path, doc, path[1]) == expected
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_classify_job_exit_zero(catalog_doc, capsys):

@@ -5,11 +5,13 @@ directly from the definitions (the cochain spaces involved have dimension at
 most a few dozen, so ranks can be found on paper)."""
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from znalg.algebra import direct_product, zn, zn_poly_x2
+from znalg.algebra import direct_product, triangular_algebra, zn, zn_poly_x2
+from znalg.deformation import gauge_deformation, seeded_gauge_map
 from znalg.errors import (
     ActionNotAssociative,
     NonPrimeModulus,
@@ -66,6 +68,53 @@ def test_twisted_projection_module_valid():
     e = (1, 0)
     assert M.lact(e, (1,)) == (1,)
     assert M.ract((1,), e) == (0,)
+
+
+def brute_force(table, args, n):
+    """A nested table evaluated on args by summing over every index tuple."""
+    acc = None
+    for idx in product(*(range(len(a)) for a in args)):
+        cell, c = table, 1
+        for a, i in zip(args, idx):
+            cell, c = cell[i], c * a[i]
+        acc = [c * v + (acc[k] if acc else 0) for k, v in enumerate(cell)]
+    return tuple(v % n for v in acc)
+
+
+def test_table_kernels_match_brute_force():
+    # every product and action the package evaluates from a table, on
+    # non-basis and zero arguments, including a module of rank s != r
+    rng = random.Random(17)
+    T = triangular_algebra(4, 2)
+    P = direct_product([zn(2), zn(2)])
+    G = triangular_algebra(3, 2)
+    cases = [(zn_poly_x2(3), regular_bimodule(zn_poly_x2(3))),
+             (T, regular_bimodule(T)),
+             (P, twisted_projection_module(P))]
+    for A, M in cases:
+        n = A.n
+
+        def samples(rank):
+            return [(0,) * rank] + [tuple(rng.randrange(n) for _ in range(rank))
+                                    for _ in range(3)]
+
+        xs, ms = samples(A.rank), samples(M.rank)
+        for x, y in product(xs, xs):
+            assert A.mul(x, y) == brute_force(A.table, (x, y), n)
+        for a, m in product(xs, ms):
+            assert M.lact(a, m) == brute_force(M.left, (a, m), n)
+            assert M.ract(m, a) == brute_force(M.right, (m, a), n)
+        for degree in range(4):
+            f = random_cochain(M, degree, rng.randrange(1000))
+            for args in product(xs, repeat=degree):
+                assert f.evaluate(*args) == brute_force(f.values, args, n)
+    D = gauge_deformation(G, seeded_gauge_map(G, 5), 3)
+    xs = [(0, 0, 0), (1, 2, 0), (2, 1, 1), (1, 1, 2)]
+    for m in (1, 2):
+        for x, y in product(xs, xs):
+            assert D.alpha(m, x, y) == brute_force(D.cochains[m - 1], (x, y), 3)
+    assert any(D.cochains[0][i][j] != (0, 0, 0)
+               for i in range(3) for j in range(3))
 
 
 def test_unit_acts_badly_detected():
