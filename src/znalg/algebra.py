@@ -17,7 +17,14 @@ from __future__ import annotations
 
 from itertools import product
 
-from .errors import BadShape, BadUnit, CapExceeded, ModulusMismatch, NonAssociative
+from .errors import (
+    BadShape,
+    BadUnit,
+    CapExceeded,
+    ModulusMismatch,
+    NonAssociative,
+    SelfCheckFailed,
+)
 
 # Refusal threshold for exhaustive element scans; operations that enumerate
 # n**rank elements raise CapExceeded above this unless the caller overrides.
@@ -114,14 +121,45 @@ class FiniteAlgebra:
             raise CapExceeded(
                 f"{self.name}: {self.size} elements exceeds cap {limit}")
 
-    def inverse(self, x, cap=None):
-        """The two-sided inverse of x by scanning all elements, or None when
-        x is not a unit."""
-        one = self.unit
+    def idempotents(self, cap=None):
+        """Every e with e*e = e, in lexicographic order."""
+        return [x for x in self.elements(cap) if self.mul(x, x) == x]
+
+    def right_divisors(self, x, targets, cap=None):
+        """{t: y} for every target t in xA, with y the lexicographically
+        first solution of x*y = t; the scan stops once every target is
+        found."""
+        return self._divisors(x, targets, cap, right=True)
+
+    def left_divisors(self, x, targets, cap=None):
+        """{t: y} for every target t in Ax, with y the lexicographically
+        first solution of y*x = t; the scan stops once every target is
+        found."""
+        return self._divisors(x, targets, cap, right=False)
+
+    def _divisors(self, x, targets, cap, right):
+        remaining = set(targets)
+        found = {}
+        mul = self.mul
         for y in self.elements(cap):
-            if self.mul(x, y) == one and self.mul(y, x) == one:
-                return y
-        return None
+            if not remaining:
+                break
+            t = mul(x, y) if right else mul(y, x)
+            if t in remaining:
+                remaining.remove(t)
+                found[t] = y
+        return found
+
+    def inverse(self, x, cap=None):
+        """The inverse of x, or None when x is not a unit.  Finite rings are
+        Dedekind-finite, so the first right inverse must also be a left
+        inverse; a failure raises SelfCheckFailed."""
+        one = self.unit
+        y = self.right_divisors(x, (one,), cap).get(one)
+        if y is not None and self.mul(y, x) != one:
+            raise SelfCheckFailed(
+                f"{self.name}: right inverse {y} of {x} is not a left inverse")
+        return y
 
     def nilpotency_index(self, x):
         """The least k with x^k = 0, or None when the powers of x cycle
@@ -186,6 +224,13 @@ def _check_table(table, shape, what):
     return level
 
 
+def _check_int(value, what):
+    """Require an integer; a float such as 2.5 is refused, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise BadShape(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def validate_algebra(spec, name=None) -> FiniteAlgebra:
     """Certify a raw algebra description and return a FiniteAlgebra.
 
@@ -197,11 +242,11 @@ def validate_algebra(spec, name=None) -> FiniteAlgebra:
         alg = spec
     else:
         try:
-            modulus = int(spec["modulus"])
-            rank = int(spec["rank"])
+            modulus = _check_int(spec["modulus"], "modulus")
+            rank = _check_int(spec["rank"], "rank")
             structure = spec["structure"]
             unit = spec["unit"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise BadShape(f"algebra spec missing or malformed field: {exc}")
         if modulus < 2:
             raise BadShape(f"modulus must be >= 2, got {modulus}")

@@ -2,9 +2,14 @@
 
 Everything here enumerates elements in lexicographic coordinate order and
 reads off definitions directly: idempotents satisfy a^2 = a, units have a
-two-sided inverse, nilpotents reach zero under power iteration, and the
-clean / nil-clean / exchange flags are decided by scanning all candidate
-decompositions.  Scans refuse with CapExceeded instead of sampling.
+two-sided inverse, nilpotents reach zero under power iteration.  The
+nil-clean flags and unique cleanness are decided by scanning all candidate
+decompositions.  Every finite ring is strongly clean and exchange
+(Camillo-Yu 1994, Nicholson 1977), so the clean, strongly clean and exchange
+flags are self-checks: each element's witness is found by the same scans,
+and a missing one raises SelfCheckFailed.  One-sided ideal membership goes
+through FiniteAlgebra.right_divisors and left_divisors.  Scans refuse with
+CapExceeded instead of sampling.
 """
 
 from __future__ import annotations
@@ -13,10 +18,10 @@ from dataclasses import dataclass, field
 
 from .algebra import FiniteAlgebra, validate_algebra
 from .errors import (
+    CapExceeded,
     IdealNotInRadical,
     QuotientNotFree,
     SelfCheckFailed,
-    SideMismatch,
 )
 
 
@@ -34,17 +39,14 @@ class ClassificationReport:
 @dataclass
 class ExchangeReport:
     algebra_name: str
-    is_exchange: bool
     witnesses: dict = field(default_factory=dict)    # a -> (e, r, s)
-    failures: list = field(default_factory=list)     # elements with no witness
-    sides_agree: bool = True
 
 
 def classify_elements(A: FiniteAlgebra, cap=None) -> ClassificationReport:
     """Idempotents, units (with inverses), and nilpotents (with index)."""
     A.require_within_cap(cap)
     rep = ClassificationReport(A.name)
-    rep.idempotents = [x for x in A.elements(cap) if A.mul(x, x) == x]
+    rep.idempotents = A.idempotents(cap)
     rep.units = _units_with_inverses(A, cap)
     rep.nilpotents = _nilpotents_with_index(A, cap)
     return rep
@@ -71,13 +73,15 @@ def _nilpotents_with_index(A, cap=None):
 def decomposition_report(A: FiniteAlgebra, cap=None) -> ClassificationReport:
     """Full flag report: clean, nil-clean, their unique variants, strongly
     clean, and exchange, each with per-element witnesses and, for every false
-    flag, one concrete failing element."""
+    flag, one concrete failing element.  Clean, strongly clean and exchange
+    hold in every finite ring; an element without a witness raises
+    SelfCheckFailed."""
     rep = classify_elements(A, cap)
     idem = rep.idempotents
     unit_inv = dict(rep.units)
     nil_index = dict(rep.nilpotents)
 
-    clean = nil_clean = uniquely_clean = uniquely_nil_clean = strongly_clean = True
+    nil_clean = True
     for a in A.elements(cap):
         clean_pairs = []
         strong_pair = None
@@ -93,103 +97,69 @@ def decomposition_report(A: FiniteAlgebra, cap=None) -> ClassificationReport:
             if x in nil_index:
                 nil_pairs.append((e, x))
 
-        rec = {
-            "clean": clean_pairs[0] if clean_pairs else None,
+        if strong_pair is None:
+            raise SelfCheckFailed(
+                f"{A.name}: {a} has no strongly clean decomposition (every "
+                "finite ring is strongly clean)")
+        rep.witnesses[a] = {
+            "clean": clean_pairs[0],
             "clean_count": len(clean_pairs),
             "nil_clean": nil_pairs[0] if nil_pairs else None,
             "nil_clean_count": len(nil_pairs),
             "strongly_clean": strong_pair,
         }
-        rep.witnesses[a] = rec
 
-        if not clean_pairs:
-            clean = False
-            uniquely_clean = False
-            strongly_clean = False
-            rep.failures.setdefault("clean", {"element": a})
-            rep.failures.setdefault("strongly_clean", {"element": a})
-            rep.failures.setdefault("uniquely_clean", {"element": a, "count": 0})
-        elif len(clean_pairs) > 1 and uniquely_clean:
-            uniquely_clean = False
+        if len(clean_pairs) > 1 and "uniquely_clean" not in rep.failures:
             rep.failures["uniquely_clean"] = {
                 "element": a, "count": len(clean_pairs),
                 "decompositions": clean_pairs[:2]}
-        if clean_pairs and strong_pair is None:
-            strongly_clean = False
-            rep.failures.setdefault("strongly_clean", {"element": a})
         if not nil_pairs:
             nil_clean = False
-            uniquely_nil_clean = False
             rep.failures.setdefault("nil_clean", {"element": a})
             rep.failures.setdefault("uniquely_nil_clean", {"element": a, "count": 0})
-        elif len(nil_pairs) > 1 and nil_clean:
-            if "uniquely_nil_clean" not in rep.failures:
-                rep.failures["uniquely_nil_clean"] = {
-                    "element": a, "count": len(nil_pairs),
-                    "decompositions": nil_pairs[:2]}
-    uniquely_clean = clean and "uniquely_clean" not in rep.failures
-    uniquely_nil_clean = nil_clean and "uniquely_nil_clean" not in rep.failures
+        elif len(nil_pairs) > 1 and "uniquely_nil_clean" not in rep.failures:
+            rep.failures["uniquely_nil_clean"] = {
+                "element": a, "count": len(nil_pairs),
+                "decompositions": nil_pairs[:2]}
 
     exchange = is_exchange(A, cap)
     rep.flags = {
-        "clean": clean,
+        "clean": True,
         "nil_clean": nil_clean,
-        "uniquely_clean": uniquely_clean,
-        "uniquely_nil_clean": uniquely_nil_clean,
-        "strongly_clean": strongly_clean,
-        "exchange": exchange.is_exchange,
+        "uniquely_clean": "uniquely_clean" not in rep.failures,
+        "uniquely_nil_clean":
+            nil_clean and "uniquely_nil_clean" not in rep.failures,
+        "strongly_clean": True,
+        "exchange": True,
     }
     for a, w in exchange.witnesses.items():
         rep.witnesses[a]["exchange"] = w
-    if not exchange.is_exchange:
-        rep.failures["exchange"] = {"element": exchange.failures[0]}
     return rep
 
 
 def is_exchange(A: FiniteAlgebra, cap=None) -> ExchangeReport:
-    """Decide the exchange property, recording (e, r, s) with e = a*r,
-    1 - e = (1-a)*s for every element; the left-sided variant is evaluated
-    independently and the two verdicts must agree."""
-    A.require_within_cap(cap)
-    elems = list(A.elements(cap))
+    """Record (e, r, s) with e idempotent, e = a*r and 1 - e = (1-a)*s for
+    every element a: the first such e in lexicographic order, with r and s
+    the first solutions.  Every finite ring is exchange on both sides, so an
+    element without a right or a left witness raises SelfCheckFailed."""
     one = A.one()
-    idem = [x for x in elems if A.mul(x, x) == x]
-
-    report = ExchangeReport(A.name, True)
-    left_ok = True
-    for a in elems:
-        right_a = {}
-        for b in elems:
-            right_a.setdefault(A.mul(a, b), b)
+    idem = A.idempotents(cap)
+    comp_of = {e: A.sub(one, e) for e in idem}
+    report = ExchangeReport(A.name)
+    for a in A.elements(cap):
         comp = A.sub(one, a)
-        right_comp = {}
-        for b in elems:
-            right_comp.setdefault(A.mul(comp, b), b)
-        witness = None
-        for e in idem:
-            if e in right_a:
-                ce = A.sub(one, e)
-                if ce in right_comp:
-                    witness = (e, right_a[e], right_comp[ce])
-                    break
-        if witness is None:
-            report.is_exchange = False
-            report.failures.append(a)
-        else:
-            report.witnesses[a] = witness
-
-        left_a = {A.mul(b, a) for b in elems}
-        left_comp = {A.mul(b, comp) for b in elems}
-        found_left = any(
-            e in left_a and A.sub(one, e) in left_comp for e in idem)
-        if not found_left:
-            left_ok = False
-        if found_left != (witness is not None):
-            raise SideMismatch(
-                f"{A.name}: left/right exchange witnesses disagree at {a}")
-    report.sides_agree = left_ok == report.is_exchange
-    if not report.sides_agree:
-        raise SideMismatch(f"{A.name}: left/right exchange verdicts disagree")
+        in_aA = A.right_divisors(a, idem, cap)
+        in_compA = A.right_divisors(comp, {comp_of[e] for e in in_aA}, cap)
+        in_Aa = A.left_divisors(a, idem, cap)
+        in_Acomp = A.left_divisors(comp, {comp_of[e] for e in in_Aa}, cap)
+        witness = next(((e, in_aA[e], in_compA[comp_of[e]]) for e in idem
+                        if e in in_aA and comp_of[e] in in_compA), None)
+        if witness is None or not in_Acomp:
+            side = "right" if witness is None else "left"
+            raise SelfCheckFailed(
+                f"{A.name}: {a} has no {side} exchange witness (every finite "
+                "ring is exchange)")
+        report.witnesses[a] = witness
     return report
 
 
@@ -384,19 +354,11 @@ def check_lifting_proposition(A: FiniteAlgebra, gens, cap=None) -> LiftingReport
     Q, project, _ = quotient_by_ideal(A, gens, cap)
     quotient_clean = decomposition_report(Q, cap).flags["clean"]
 
-    idem_A = [x for x in A.elements(cap) if A.mul(x, x) == x]
     preimages = {}
-    for e in idem_A:
+    for e in A.idempotents(cap):
         preimages.setdefault(project(e), e)
-    lift_witnesses = {}
-    lifts = True
-    for q in Q.elements(cap):
-        if Q.mul(q, q) == q:
-            if q in preimages:
-                lift_witnesses[q] = preimages[q]
-            else:
-                lifts = False
-                lift_witnesses[q] = None
+    lift_witnesses = {q: preimages.get(q) for q in Q.idempotents(cap)}
+    lifts = None not in lift_witnesses.values()
 
     holds = base_clean == (quotient_clean and lifts)
     if not holds:
@@ -417,35 +379,29 @@ class CounterexampleSearch:
 
 
 def search_exchange_counterexample(catalog, cap=None) -> CounterexampleSearch:
-    """Scan exchange rings for pairs (a, e) with e idempotent, e in aA, but
-    1 - e not in (1-a)A.  Pure evidence gathering: hits are recorded, nothing
-    is concluded from them."""
+    """Scan rings, each certified exchange by is_exchange, for pairs (a, e)
+    with e idempotent, e in aA, but 1 - e not in (1-a)A.  Pure evidence
+    gathering: hits are recorded, nothing is concluded from them."""
     report = CounterexampleSearch()
     for A in catalog:
         entry = {"algebra": A.name}
+        report.entries.append(entry)
         try:
             A.require_within_cap(cap)
-        except Exception as exc:
+        except CapExceeded as exc:
             entry["skipped"] = str(exc)
-            report.entries.append(entry)
             continue
-        ex = is_exchange(A, cap)
-        entry["exchange"] = ex.is_exchange
-        if not ex.is_exchange:
-            entry["skipped"] = "not an exchange ring"
-            report.entries.append(entry)
-            continue
-        elems = list(A.elements(cap))
+        is_exchange(A, cap)
+        entry["exchange"] = True
         one = A.one()
-        idem = [x for x in elems if A.mul(x, x) == x]
+        idem = A.idempotents(cap)
+        comp_of = {e: A.sub(one, e) for e in idem}
         hits = []
-        for a in elems:
-            in_aA = {A.mul(a, b) for b in elems}
-            comp = A.sub(one, a)
-            in_compA = {A.mul(comp, b) for b in elems}
-            for e in idem:
-                if e in in_aA and A.sub(one, e) not in in_compA:
-                    hits.append((a, e))
+        for a in A.elements(cap):
+            in_aA = A.right_divisors(a, idem, cap)
+            in_compA = A.right_divisors(
+                A.sub(one, a), {comp_of[e] for e in in_aA}, cap)
+            hits.extend((a, e) for e in idem
+                        if e in in_aA and comp_of[e] not in in_compA)
         entry["hits"] = hits
-        report.entries.append(entry)
     return report

@@ -25,7 +25,14 @@ from .deformation import (
     obstruction_probe,
     t_in_radical_check,
 )
-from .documents import Workspace, builtin_catalog_document, dump_report, key_str
+from .documents import (
+    JobSpec,
+    Workspace,
+    builtin_catalog_document,
+    dump_report,
+    integer_field,
+    key_str,
+)
 from .errors import (
     AssertionFailure,
     CapExceeded,
@@ -188,9 +195,9 @@ def command_to_job(args):
 
 def execute_job(ws, name, spec, args):
     start = time.monotonic()
+    spec = JobSpec(spec)
     kind = spec["kind"]
-    handler = JOB_HANDLERS.get(kind)
-    if handler is None:
+    if not isinstance(kind, str) or kind not in JOB_HANDLERS:
         raise ParseError(f"unknown job kind {kind!r}")
     cap = getattr(args, "cap", DEFAULT_CAP)
     report = {
@@ -202,25 +209,19 @@ def execute_job(ws, name, spec, args):
     }
     if getattr(args, "modulus_override", None):
         ws = _override_modulus(ws, args.modulus_override)
-    handler(ws, JobSpec(spec), cap, report)
+    JOB_HANDLERS[kind](ws, spec, cap, report)
     report["timing"] = {"elapsed_s": round(time.monotonic() - start, 3)}
     return report
-
-
-class JobSpec(dict):
-    """A job's fields; reading a field the job lacks is a parse error."""
-
-    def __missing__(self, key):
-        raise ParseError(f"job needs the field {key!r}")
 
 
 def _override_modulus(ws, modulus):
     from .algebra import validate_algebra
     doc = dict(ws.doc)
     algebras = {}
-    for aname, aspec in doc.get("algebras", {}).items():
-        new_spec = dict(aspec)
-        new_spec["modulus"] = modulus
+    for aname, aspec in ws._section("algebras").items():
+        if not isinstance(aspec, dict):
+            raise ParseError(f"algebra {aname!r} must be an object")
+        new_spec = dict(aspec, modulus=modulus)
         validate_algebra(new_spec, name=aname)  # raises if it breaks laws
         algebras[aname] = new_spec
     doc["algebras"] = algebras
@@ -288,15 +289,16 @@ def job_extend_verify(ws, spec, cap, report):
 
 def _resolve_deformation(ws, spec):
     D = ws.deformation(spec["deformation"])
-    if spec.get("order") and spec["order"] != D.order:
+    order = integer_field(spec, "order") if spec.get("order") else D.order
+    if order != D.order:
         from .deformation import TruncatedDeformation, validate_deformation
-        cochains = list(D.cochains[:spec["order"] - 1])
+        cochains = list(D.cochains[:order - 1])
         zero_table = [[[0] * D.base.rank for _ in range(D.base.rank)]
                       for _ in range(D.base.rank)]
-        while len(cochains) < spec["order"] - 1:
+        while len(cochains) < order - 1:
             cochains.append(zero_table)
         D = validate_deformation(TruncatedDeformation(
-            D.base, spec["order"], cochains, name=D.name))
+            D.base, order, cochains, name=D.name))
     return D
 
 
@@ -359,7 +361,9 @@ def job_deform_probe(ws, spec, cap, report):
         e = D.base.coerce(json.loads(spec["idempotent"]))
     except (ValueError, TypeError, ZnAlgError) as exc:
         raise ParseError(f"bad idempotent: {exc}")
-    rep = obstruction_probe(D, e, spec.get("depth"))
+    depth = (None if spec.get("depth") is None
+             else integer_field(spec, "depth"))
+    rep = obstruction_probe(D, e, depth)
     report["results"]["orders"] = [
         {"order": k, "commutes": c, "solves": s} for k, c, s in rep.orders]
     report["results"]["first_failure"] = rep.first_failure
@@ -406,8 +410,7 @@ def job_shriek(ws, spec, cap, report):
 
 
 def job_cohomology(ws, spec, cap, report):
-    degree = int(spec.get("degree", 2))
-    linalg_cap = spec.get("linalg_cap")
+    degree = integer_field(spec, "degree", 2)
     if spec.get("presheaf"):
         PA = build_shriek(ws.presheaf(spec["presheaf"]), cap)
         A = PA.carrier
@@ -416,7 +419,8 @@ def job_cohomology(ws, spec, cap, report):
     else:
         raise ParseError("cohomology needs --algebra or --presheaf")
     M = regular_bimodule(A)
-    kwargs = {} if linalg_cap is None else {"linalg_cap": linalg_cap}
+    kwargs = ({} if spec.get("linalg_cap") is None
+              else {"linalg_cap": integer_field(spec, "linalg_cap")})
     dims = cohomology_dims(A, M, degree, **kwargs)
     report["results"]["algebra"] = A.name
     report["results"]["degree"] = dims.degree
@@ -429,6 +433,8 @@ def job_cohomology(ws, spec, cap, report):
 
 
 def job_search_open_question(ws, spec, cap, report):
+    if not isinstance(spec["algebras"], list):
+        raise ParseError("search-open-question needs an array of algebras")
     algebras = [ws.algebra(name) for name in spec["algebras"]]
     result = search_exchange_counterexample(algebras, cap)
     entries = []

@@ -17,6 +17,7 @@ from .algebra import (
     DEFAULT_CAP,
     FiniteAlgebra,
     _bilinear,
+    _check_int,
     _check_table,
     _linear,
     validate_algebra,
@@ -25,7 +26,6 @@ from .algebra import (
 from .classify import decomposition_report, jacobson_radical
 from .errors import (
     BadShape,
-    BaseNotClean,
     CapExceeded,
     ConstantTermNotUnit,
     NoConvergence,
@@ -72,9 +72,9 @@ def validate_deformation(spec, base=None, name=None) -> TruncatedDeformation:
         if base is None:
             raise BadShape("validate_deformation needs the base algebra")
         try:
-            order = int(spec["order"])
+            order = _check_int(spec["order"], "truncation order")
             cochains = spec["cochains"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise BadShape(f"deformation spec missing or malformed field: {exc}")
     if order < 1:
         raise BadShape("truncation order must be at least 1")
@@ -460,8 +460,6 @@ def clean_decompose_def(D, h, cap=None, check_uniqueness=True):
     _check_order(D, h)
     A = D.base
     rep = decomposition_report(A, cap)
-    if not rep.flags["clean"]:
-        raise BaseNotClean(f"{A.name} is not clean")
     e, u = rep.witnesses[h[0]]["clean"]
     e_t, _ = lift_idempotent_newton(D, e)
     u_t = def_sub(D, h, e_t)
@@ -470,12 +468,8 @@ def clean_decompose_def(D, h, cap=None, check_uniqueness=True):
     if check_uniqueness and rep.flags["uniquely_clean"]:
         F = flatten(D, cap)
         z = flatten_element(D, h)
-        count = 0
-        for cand in F.elements(cap):
-            if F.mul(cand, cand) != cand:
-                continue
-            if F.inverse(F.sub(z, cand), cap) is not None:
-                count += 1
+        count = sum(1 for cand in F.idempotents(cap)
+                    if F.inverse(F.sub(z, cand), cap) is not None)
         if count != 1:
             raise SelfCheckFailed(
                 f"uniquely clean base but {count} decompositions in the "

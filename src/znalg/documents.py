@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 
-from .algebra import algebra_to_doc, validate_algebra
+from .algebra import _check_int, algebra_to_doc, validate_algebra
 from .catalog import catalog_algebras, twisted_projection_module, z2xz2
 from .deformation import validate_deformation
 from .errors import ParseError
@@ -31,12 +31,7 @@ class Workspace:
         if not isinstance(doc, dict):
             raise ParseError("workspace document must be a JSON object")
         self.doc = doc
-        self._algebras = {}
-        self._bimodules = {}
-        self._cochains = {}
-        self._deformations = {}
-        self._posets = {}
-        self._presheaves = {}
+        self._built = {}
 
     @classmethod
     def load(cls, path):
@@ -55,99 +50,100 @@ class Workspace:
             raise ParseError(f"section {key!r} must be an object")
         return sec
 
-    def algebra(self, name):
-        if name not in self._algebras:
-            sec = self._section("algebras")
+    def _object(self, section, what, name, build):
+        """The named object of a section, built from its spec on first use;
+        the reference must be a string and the spec a JSON object."""
+        if not isinstance(name, str):
+            raise ParseError(f"{what} reference {name!r} is not a string")
+        key = (section, name)
+        if key not in self._built:
+            sec = self._section(section)
             if name not in sec:
-                raise ParseError(f"algebra {name!r} is not defined")
-            self._algebras[name] = validate_algebra(sec[name], name=name)
-        return self._algebras[name]
+                raise ParseError(f"{what} {name!r} is not defined")
+            spec = sec[name]
+            if not isinstance(spec, dict):
+                raise ParseError(f"{what} {name!r} must be an object")
+            self._built[key] = build(JobSpec(spec, f"{what} {name!r}"))
+        return self._built[key]
+
+    def algebra(self, name):
+        return self._object("algebras", "algebra", name,
+                            lambda spec: validate_algebra(spec, name=name))
 
     def bimodule(self, name):
-        if name not in self._bimodules:
-            sec = self._section("bimodules")
-            if name not in sec:
-                raise ParseError(f"bimodule {name!r} is not defined")
-            spec = sec[name]
-            if "algebra" not in spec:
-                raise ParseError(f"bimodule {name!r} must reference an algebra")
+        def build(spec):
             A = self.algebra(spec["algebra"])
             if spec.get("regular"):
-                self._bimodules[name] = regular_bimodule(A)
-            else:
-                self._bimodules[name] = validate_bimodule(spec, algebra=A,
-                                                          name=name)
-        return self._bimodules[name]
+                return regular_bimodule(A)
+            return validate_bimodule(spec, algebra=A, name=name)
+        return self._object("bimodules", "bimodule", name, build)
 
     def cochain(self, name):
-        if name not in self._cochains:
-            sec = self._section("cochains")
-            if name not in sec:
-                raise ParseError(f"cochain {name!r} is not defined")
-            spec = sec[name]
-            try:
-                M = self.bimodule(spec["bimodule"])
-                degree = int(spec["degree"])
-                values = spec["values"]
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"cochain {name!r} malformed: {exc}")
-            self._cochains[name] = cochain_from_table(M, degree, values)
-        return self._cochains[name]
+        def build(spec):
+            return cochain_from_table(
+                self.bimodule(spec["bimodule"]),
+                integer_field(spec, "degree"), spec["values"])
+        return self._object("cochains", "cochain", name, build)
 
     def deformation(self, name):
-        if name not in self._deformations:
-            sec = self._section("deformations")
-            if name not in sec:
-                raise ParseError(f"deformation {name!r} is not defined")
-            spec = sec[name]
-            if "algebra" not in spec:
-                raise ParseError(f"deformation {name!r} must reference an algebra")
-            A = self.algebra(spec["algebra"])
-            self._deformations[name] = validate_deformation(
-                spec, base=A, name=name)
-        return self._deformations[name]
+        def build(spec):
+            return validate_deformation(
+                spec, base=self.algebra(spec["algebra"]), name=name)
+        return self._object("deformations", "deformation", name, build)
 
     def poset(self, name):
-        if name not in self._posets:
-            sec = self._section("posets")
-            if name not in sec:
-                raise ParseError(f"poset {name!r} is not defined")
-            spec = sec[name]
-            try:
-                size = int(spec["size"])
-                covers = [tuple(c) for c in spec["covers"]]
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"poset {name!r} malformed: {exc}")
-            self._posets[name] = Poset.from_covers(size, covers)
-        return self._posets[name]
+        def build(spec):
+            covers = spec["covers"]
+            if not isinstance(covers, list) or not all(
+                    isinstance(c, list) for c in covers):
+                raise ParseError(f"poset {name!r} covers must be an array "
+                                 "of arrays")
+            return Poset.from_covers(integer_field(spec, "size"), covers)
+        return self._object("posets", "poset", name, build)
 
     def presheaf(self, name):
-        if name not in self._presheaves:
-            sec = self._section("presheaves")
-            if name not in sec:
-                raise ParseError(f"presheaf {name!r} is not defined")
-            spec = sec[name]
-            try:
-                P = self.poset(spec["poset"])
-                stalks = [self.algebra(s) for s in spec["stalks"]]
-                maps = {}
-                for key, table in spec.get("maps", {}).items():
+        def build(spec):
+            P = self.poset(spec["poset"])
+            stalks, maps = spec["stalks"], spec.get("maps", {})
+            if not isinstance(stalks, list) or not isinstance(maps, dict):
+                raise ParseError(f"presheaf {name!r} needs an array of "
+                                 "stalks and an object of maps")
+            parsed = {}
+            for key, table in maps.items():
+                try:
                     h, i = key.split(",")
-                    maps[(int(h), int(i))] = table
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"presheaf {name!r} malformed: {exc}")
-            self._presheaves[name] = validate_presheaf(
-                Presheaf(P, stalks, maps, name=name))
-        return self._presheaves[name]
+                    parsed[(int(h), int(i))] = table
+                except ValueError:
+                    raise ParseError(f"presheaf {name!r} map key {key!r} is "
+                                     "not of the form 'h,i'")
+            return validate_presheaf(Presheaf(
+                P, [self.algebra(s) for s in stalks], parsed, name=name))
+        return self._object("presheaves", "presheaf", name, build)
 
     def job(self, name):
-        sec = self._section("jobs")
-        if name not in sec:
-            raise ParseError(f"job {name!r} is not defined")
-        spec = sec[name]
-        if not isinstance(spec, dict) or "kind" not in spec:
-            raise ParseError(f"job {name!r} is not an object with a kind")
-        return spec
+        return self._object("jobs", "job", name, lambda spec: spec)
+
+
+class JobSpec(dict):
+    """The fields of a job or a document object; reading a field it lacks is
+    a parse error."""
+
+    def __init__(self, fields, what="job"):
+        super().__init__(fields)
+        self.what = what
+
+    def __missing__(self, key):
+        raise ParseError(f"{self.what} needs the field {key!r}")
+
+
+def integer_field(spec, key, default=None):
+    """An integer field of a job or object: a value that is not a number is a
+    parse error, a number that is not an integer a validation error."""
+    value = spec[key] if default is None else spec.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"{spec.what} field {key!r} must be a number, "
+                         f"got {value!r}")
+    return _check_int(value, f"{spec.what} field {key!r}")
 
 
 def builtin_catalog_document() -> dict:

@@ -58,10 +58,6 @@ class QuotientNotFree(ZnAlgError):
     """The quotient's additive group is not a free module over any single Z_d."""
 
 
-class SideMismatch(SelfCheckFailed):
-    """Left- and right-sided exchange verdicts disagree (provably equivalent)."""
-
-
 # bimodules / cochains
 
 class ActionNotAssociative(ValidationFailure):
@@ -132,17 +128,9 @@ class NoConvergence(SelfCheckFailed):
     """Newton iteration failed to reach a fixed point within its proved bound."""
 
 
-class BaseNotClean(ValidationFailure):
-    pass
-
-
 # poset algebras
 
 class PresheafInvalid(ValidationFailure):
-    pass
-
-
-class StalkNotClean(ValidationFailure):
     pass
 
 

@@ -362,23 +362,17 @@ def probe_remark_second_half(B: ExtensionAlgebra, cap=None) -> SecondHalfProbe:
     carrier.require_within_cap(cap)
     ex = is_exchange(A, cap)
     probe = SecondHalfProbe(carrier.name)
-    if not ex.is_exchange:
-        return probe
     one = A.one()
     neg_f11 = M.neg(B.f11)
+    f = B.cocycle
     for a, (e, r, _s) in sorted(ex.witnesses.items()):
         for m in product(range(M.n), repeat=M.rank):
-            f = B.cocycle
             x = M.neg(M.add(f.evaluate(a, r), M.ract(m, r)))
             t = M.lact(A.sub(one, A.smul(2, e)), f.evaluate(e, e))
             t = M.add(t, M.sub(M.lact(e, x), M.ract(x, e)))
             target = B.pair(A.sub(one, e), M.sub(neg_f11, t))
             left = B.pair(A.sub(one, a), M.sub(neg_f11, m))
-            found = None
-            for z in carrier.elements(cap):
-                if carrier.mul(left, z) == target:
-                    found = z
-                    break
+            found = carrier.right_divisors(left, (target,), cap).get(target)
             probe.cases.append({
                 "a": a, "m": m, "e": e, "r": r,
                 "found": found is not None, "factor": found})

@@ -16,7 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .algebra import FiniteAlgebra, _bilinear, _check_table, _linear
+from .algebra import (
+    FiniteAlgebra,
+    _bilinear,
+    _check_int,
+    _check_table,
+    _linear,
+)
 from .errors import (
     ActionNotAssociative,
     BadShape,
@@ -97,10 +103,10 @@ def validate_bimodule(spec, algebra=None, name=None) -> Bimodule:
         if algebra is None:
             raise BadShape("validate_bimodule needs the underlying algebra")
         try:
-            rank = int(spec["rank"])
+            rank = _check_int(spec["rank"], "bimodule rank")
             left = spec["left_action"]
             right = spec["right_action"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise BadShape(f"bimodule spec missing or malformed field: {exc}")
         r = algebra.rank
         _check_table(left, (r, rank, rank), "left action table")
@@ -237,7 +243,7 @@ def coboundary(g: Cochain) -> Cochain:
     return Cochain(nu + 1, M, build(nu + 1, ()))
 
 
-def is_cocycle2(f: Cochain, idempotent_cap=DERIVED_CHECK_CAP):
+def is_cocycle2(f: Cochain):
     """Check the degree-2 cocycle identity on all basis triples.
 
     Returns (verdict, violations).  When the verdict is true the derived
@@ -275,8 +281,8 @@ def is_cocycle2(f: Cochain, idempotent_cap=DERIVED_CHECK_CAP):
             raise SelfCheckFailed("cocycle consequence f(d,1) = d f(1,1) failed")
         if f.evaluate(one, d) != M.ract(f11, d):
             raise SelfCheckFailed("cocycle consequence f(1,d) = f(1,1) d failed")
-    if A.size <= idempotent_cap:
-        idems = (x for x in A.elements(idempotent_cap) if A.mul(x, x) == x)
+    if A.size <= DERIVED_CHECK_CAP:
+        idems = A.idempotents(DERIVED_CHECK_CAP)
     else:
         idems = (A.zero(), one)
     for e in idems:

@@ -31,7 +31,6 @@ from .errors import (
     CapExceeded,
     PresheafInvalid,
     SelfCheckFailed,
-    StalkNotClean,
     StalkNotNilClean,
 )
 
@@ -47,8 +46,15 @@ class Poset:
     def from_covers(cls, size, covers):
         """Build from cover (or any generating) relations; the transitive
         closure is computed and the result validated."""
+        if size < 1:
+            raise BadShape(f"a poset needs at least one node, got {size}")
         leq = [[i == j for j in range(size)] for i in range(size)]
-        for i, j in covers:
+        for cover in covers:
+            if len(cover) != 2 or not all(
+                    isinstance(v, int) and 0 <= v < size for v in cover):
+                raise BadShape(
+                    f"cover {cover!r} is not a pair of nodes 0..{size - 1}")
+            i, j = cover
             leq[i][j] = True
         changed = True
         while changed:
@@ -139,6 +145,11 @@ def validate_presheaf(F: Presheaf) -> Presheaf:
     for S in F.stalks:
         if S.n != n:
             raise PresheafInvalid("stalks must share one modulus")
+    for h, i in F.maps:
+        if not (0 <= h < P.size and 0 <= i < P.size and h != i
+                and P.leq[h][i]):
+            raise PresheafInvalid(
+                f"restriction map for ({h},{i}) is not between nodes h < i")
     for h in range(P.size):
         for i in range(P.size):
             if h == i or not P.leq[h][i]:
@@ -223,7 +234,7 @@ class PosetAlgebra:
 MAX_CARRIER_RANK = 64
 
 
-def build_shriek(F: Presheaf, cap=None, rank_limit=MAX_CARRIER_RANK) -> PosetAlgebra:
+def build_shriek(F: Presheaf, cap=None) -> PosetAlgebra:
     """Assemble the poset-matrix algebra and certify it as a FiniteAlgebra."""
     validate_presheaf(F)
     P = F.poset
@@ -234,9 +245,10 @@ def build_shriek(F: Presheaf, cap=None, rank_limit=MAX_CARRIER_RANK) -> PosetAlg
         offsets[(i, j)] = (pos, F.stalks[i].rank)
         pos += F.stalks[i].rank
     rank = pos
-    if rank > rank_limit:
+    if rank > MAX_CARRIER_RANK:
         raise CapExceeded(
-            f"carrier rank {rank} exceeds the assembly limit {rank_limit}")
+            f"carrier rank {rank} exceeds the assembly limit "
+            f"{MAX_CARRIER_RANK}")
     n = F.stalks[0].n
 
     basis_index = []
@@ -412,8 +424,6 @@ def structural_decompose(PA: PosetAlgebra, z, mode="clean"):
         xi = PA.block(z, (i, i))
         rep = decomposition_report(S)
         if mode == "clean":
-            if not rep.flags["clean"]:
-                raise StalkNotClean(f"stalk {i} ({S.name}) is not clean")
             e, _u = rep.witnesses[xi]["clean"]
         elif mode == "nil-clean":
             if not rep.flags["nil_clean"]:

@@ -117,3 +117,41 @@ def test_triangular_random_associativity(data):
     elem = st.tuples(*[st.integers(0, 3)] * 3)
     x, y, z = (data.draw(elem) for _ in range(3))
     assert A.mul(A.mul(x, y), z) == A.mul(x, A.mul(y, z))
+
+
+def _brute_divisors(A, x, targets, right):
+    found = {}
+    for y in A.elements():
+        t = A.mul(x, y) if right else A.mul(y, x)
+        if t in targets:
+            found.setdefault(t, y)
+    return found
+
+
+def test_one_sided_divisors_match_brute_force():
+    from znalg.catalog import catalog_algebras
+    algebras = catalog_algebras() + [matrix_algebra(3, 2),
+                                     triangular_algebra(2, 3)]
+    for A in algebras:
+        assert A.size <= 81
+        elems = list(A.elements())
+        assert A.idempotents() == [x for x in elems if A.mul(x, x) == x]
+        # all elements (most lie outside a non-unit's ideal) and every
+        # other element, so the scan also stops early on a partial target set
+        for targets in (elems, elems[::2]):
+            for x in elems:
+                assert A.right_divisors(x, targets) == _brute_divisors(
+                    A, x, set(targets), right=True)
+                assert A.left_divisors(x, targets) == _brute_divisors(
+                    A, x, set(targets), right=False)
+
+
+def test_one_sided_inverse_fails_the_dedekind_self_check(monkeypatch):
+    from znalg.algebra import FiniteAlgebra
+    from znalg.errors import SelfCheckFailed
+    A = zn(3)
+    # pretend 1 solves 2*y = 1; then 1*2 != 1 must be caught
+    monkeypatch.setattr(FiniteAlgebra, "right_divisors",
+                        lambda self, x, targets, cap=None: {A.one(): (1,)})
+    with pytest.raises(SelfCheckFailed, match="not a left inverse"):
+        A.inverse((2,))

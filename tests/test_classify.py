@@ -124,12 +124,12 @@ def test_flag_implications_on_catalog():
 
 
 def test_exchange_z2x():
-    assert is_exchange(zn_poly_x2(2)).is_exchange
+    assert len(is_exchange(zn_poly_x2(2)).witnesses) == 4
 
 
 def test_exchange_witness_z3():
     rep = is_exchange(zn(3))
-    assert rep.is_exchange
+    assert len(rep.witnesses) == 3
     e, r, s = rep.witnesses[(2,)]
     A = zn(3)
     assert A.mul((2,), r) == e
@@ -142,7 +142,7 @@ def test_exchange_witness_z3():
 def test_exchange_witnesses_reverify_everywhere():
     for A in (zn(4), triangular_algebra(2, 2)):
         rep = is_exchange(A)
-        assert rep.is_exchange and rep.sides_agree
+        assert len(rep.witnesses) == A.size
         one = A.one()
         for a, (e, r, s) in rep.witnesses.items():
             assert A.mul(e, e) == e
@@ -271,3 +271,21 @@ def test_cap_refusal():
     A = zn(2)
     with pytest.raises(CapExceeded):
         classify_elements(A, cap=1)
+
+
+def test_missing_unit_fails_the_clean_self_check(monkeypatch):
+    from znalg.algebra import FiniteAlgebra
+    from znalg.errors import SelfCheckFailed
+    monkeypatch.setattr(FiniteAlgebra, "inverse",
+                        lambda self, x, cap=None: None)
+    with pytest.raises(SelfCheckFailed, match="strongly clean"):
+        decomposition_report(zn(3))
+
+
+def test_missing_left_witness_fails_the_exchange_self_check(monkeypatch):
+    from znalg.algebra import FiniteAlgebra
+    from znalg.errors import SelfCheckFailed
+    monkeypatch.setattr(FiniteAlgebra, "left_divisors",
+                        lambda self, x, targets, cap=None: {})
+    with pytest.raises(SelfCheckFailed, match="left exchange witness"):
+        is_exchange(zn(3))

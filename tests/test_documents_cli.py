@@ -2,8 +2,11 @@
 
 import copy
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from znalg.cli import main
 from znalg.documents import Workspace, builtin_catalog_document, dump_report
@@ -161,6 +164,108 @@ def test_malformed_table_is_validation_error(tmp_path, capsys, table,
     owner[key] = mutate(copy.deepcopy(owner[key]))
     assert run_document(tmp_path, doc, path[1]) == expected
     assert "Traceback" not in capsys.readouterr().err
+
+
+def _set(*path, value):
+    def mutate(doc):
+        owner = doc
+        for step in path[:-1]:
+            owner = owner[step]
+        owner[path[-1]] = value
+    return mutate
+
+
+CLASSIFY, EXTEND, SHRIEK = ("classify-dual-numbers", "extend-verify-twisted",
+                            "shriek-example-1")
+CIRCLE, SEARCH = "cohomology-circle", "search-open-question"
+
+# case -> (mutation of the catalog document, job to run, exit code): 2 for a
+# field of the wrong JSON type, 3 for a value the object cannot take
+MALFORMED = {
+    "kind-array": (_set("jobs", CLASSIFY, "kind", value=["classify"]),
+                   CLASSIFY, 2),
+    "reference-array": (_set("jobs", EXTEND, "algebra", value=["Z2 x Z2"]),
+                        EXTEND, 2),
+    "reference-object": (_set("jobs", EXTEND, "algebra",
+                              value={"name": "Z2 x Z2"}), EXTEND, 2),
+    "search-algebras-float": (_set("jobs", SEARCH, "algebras", value=2.5),
+                              SEARCH, 2),
+    "null-bimodule": (_set("bimodules", "twisted projection", value=None),
+                      EXTEND, 2),
+    "maps-array": (_set("presheaves", "example-1", "maps", value=[]),
+                   SHRIEK, 2),
+    "maps-int": (_set("presheaves", "example-1", "maps", value=5), SHRIEK, 2),
+    "degree-string": (_set("jobs", CIRCLE, "degree", value="x"), CIRCLE, 2),
+    "linalg-cap-string": (_set("jobs", CIRCLE, "linalg_cap", value="big"),
+                          CIRCLE, 2),
+    "cover-out-of-range": (_set("posets", "example-1", "covers", 0,
+                                value=[0, 9]), SHRIEK, 3),
+    "cover-negative": (_set("posets", "example-1", "covers", 0,
+                            value=[0, -1]), SHRIEK, 3),
+    "poset-size-negative": (_set("posets", "example-1", "size", value=-1),
+                            SHRIEK, 3),
+    "modulus-float": (_set("algebras", "Z2[X]/(X^2)", "modulus", value=2.5),
+                      CLASSIFY, 3),
+    "degree-float": (_set("jobs", CIRCLE, "degree", value=1.5), CIRCLE, 3),
+    "map-incomparable": (_set("presheaves", "example-1", "maps", "1,2",
+                              value=[[1]]), SHRIEK, 3),
+    "map-reversed": (_set("presheaves", "example-1", "maps", "1,0",
+                          value=[[1], [0]]), SHRIEK, 3),
+    "map-outside-poset": (_set("presheaves", "example-1", "maps", "0,5",
+                               value=[[1, 0]]), SHRIEK, 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_catalog_document_exit_code(tmp_path, capsys, case):
+    mutate, job, expected = MALFORMED[case]
+    doc = builtin_catalog_document()
+    mutate(doc)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--cap", "64", "run", str(path), job]) == expected
+    assert "Traceback" not in capsys.readouterr().err
+
+
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 12), st.floats(-3, 12),
+    st.text(max_size=3), st.lists(st.integers(-1, 3), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2))
+
+
+def _mutate(data, doc):
+    """Walk down from the root, one entry per level, then replace the leaf
+    reached by an arbitrary JSON value, or delete an object key on the way."""
+    delete = data.draw(st.booleans(), label="delete")
+    node = doc
+    while True:
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        key = data.draw(st.sampled_from(list(keys)), label="key")
+        child = node[key]
+        leaf = not isinstance(child, (dict, list)) or not child
+        if delete and isinstance(node, dict) and (
+                leaf or data.draw(st.booleans(), label="stop")):
+            del node[key]
+            return
+        if leaf:
+            node[key] = data.draw(JSON_VALUES, label="value")
+            return
+        node = child
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mutated_catalog_document_never_escapes(data):
+    doc = builtin_catalog_document()
+    _mutate(data, doc)
+    # cohomology-sphere takes about 0.8 s, fifty times any other catalog
+    # job; cohomology-circle runs the same code
+    jobs = sorted(set(doc.get("jobs", {})) - {"cohomology-sphere"})
+    job = data.draw(st.sampled_from(jobs or ["none"]), label="job")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert main(["--cap", "64", "run", str(path), job]) in (0, 2, 3, 4)
 
 
 def test_classify_job_exit_zero(catalog_doc, capsys):
@@ -347,3 +452,13 @@ def test_failed_assertion_exit_code(catalog_doc, monkeypatch):
     monkeypatch.setitem(cli.JOB_HANDLERS, "classify", stub)
     code = main(["classify", "--doc", str(catalog_doc), "--algebra", "Z2"])
     assert code == 1
+
+
+def test_modulus_override_rejects_non_object_algebra(tmp_path, capsys):
+    doc = builtin_catalog_document()
+    doc["algebras"]["Z4"] = None
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--modulus-override", "3", "classify", "--doc", str(path),
+                 "--algebra", "Z2"]) == 2
+    assert "Traceback" not in capsys.readouterr().err

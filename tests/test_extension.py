@@ -265,8 +265,6 @@ def test_half_witness_across_catalog():
         B = build_extension(A, M, f)
         from znalg.classify import is_exchange
         ex = is_exchange(A)
-        if not ex.is_exchange:
-            continue
         from itertools import product as iproduct
         for a, (e, r, _s) in sorted(ex.witnesses.items()):
             for m in iproduct(range(M.n), repeat=M.rank):

@@ -295,11 +295,11 @@ def test_sphere_over_odd_primes_h2_matches_nerve():
         assert dims.dim_h == 1 == nerve_cohomology(F.poset, p, 2)
 
 
-def test_build_shriek_rank_limit():
+def test_build_shriek_refuses_above_max_carrier_rank():
     from znalg.errors import CapExceeded
-    F = antichain_presheaf(3, zn(2))
+    F = chain_presheaf(11, zn(2))  # 66 comparable pairs, each a rank-1 block
     with pytest.raises(CapExceeded):
-        build_shriek(F, rank_limit=2)
+        build_shriek(F)
 
 
 def test_example_catalog_builders():
