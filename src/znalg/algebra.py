@@ -10,7 +10,9 @@ The same nested-table format carries bimodule actions, cochains, deformation
 corrections and restriction maps.  _check_table is the one shape and entry
 check for all of them, and _bilinear and _linear are the only code that
 evaluates a table; both stay private so that they are never timed as spans
-of their own when the hot methods built on them are traced.
+of their own when the hot methods built on them are traced.  For the same
+reason _refuse_above_cap, the one element-count refusal behind
+FiniteAlgebra.require_within_cap and every other enumeration, is private.
 """
 
 from __future__ import annotations
@@ -116,10 +118,7 @@ class FiniteAlgebra:
         return product(range(self.n), repeat=self.rank)
 
     def require_within_cap(self, cap=None):
-        limit = DEFAULT_CAP if cap is None else cap
-        if self.size > limit:
-            raise CapExceeded(
-                f"{self.name}: {self.size} elements exceeds cap {limit}")
+        _refuse_above_cap(self.size, cap, self.name)
 
     def idempotents(self, cap=None):
         """Every e with e*e = e, in lexicographic order."""
@@ -175,6 +174,17 @@ class FiniteAlgebra:
             if p in seen:
                 return None
             seen.add(p)
+
+
+def _refuse_above_cap(count, cap, what, shown=None):
+    """The one refusal rule for exhaustive work: more than cap elements
+    (DEFAULT_CAP when cap is None) raise CapExceeded, naming the count or
+    the estimate shown in its place."""
+    limit = DEFAULT_CAP if cap is None else cap
+    if count > limit:
+        raise CapExceeded(
+            f"{what}: {count if shown is None else shown} elements exceeds "
+            f"cap {limit}")
 
 
 def _bilinear(table, x, y, n, width):

@@ -12,7 +12,7 @@ import json
 import sys
 import time
 
-from .algebra import DEFAULT_CAP, algebra_to_doc
+from .algebra import DEFAULT_CAP, _refuse_above_cap, algebra_to_doc
 from .classify import decomposition_report, search_exchange_counterexample
 from .deformation import (
     clean_decompose_def,
@@ -287,9 +287,17 @@ def job_extend_verify(ws, spec, cap, report):
         _assert(report, clause.tag, clause.passed, **clause.details)
 
 
-def _resolve_deformation(ws, spec):
+def _resolve_deformation(ws, spec, cap=None):
+    """The named deformation, re-validated at the job's order when that
+    differs.  Actions that enumerate the flattened model pass their cap and
+    are refused on its n^(r*order) elements before the re-validation."""
     D = ws.deformation(spec["deformation"])
-    order = integer_field(spec, "order") if spec.get("order") else D.order
+    order = (D.order if spec.get("order") is None
+             else integer_field(spec, "order"))
+    if cap is not None:
+        n, r = D.base.n, D.base.rank
+        _refuse_above_cap(n ** (r * order), cap, "flattened model",
+                          shown=f"{n}^({r}*{order})")
     if order != D.order:
         from .deformation import TruncatedDeformation, validate_deformation
         cochains = list(D.cochains[:order - 1])
@@ -313,7 +321,7 @@ def _parse_def_element(D, text):
 
 
 def job_deform_validate(ws, spec, cap, report):
-    D = _resolve_deformation(ws, spec)
+    D = _resolve_deformation(ws, spec, cap)
     rc = t_in_radical_check(D, cap)
     report["results"]["deformation"] = D.name
     report["results"]["order"] = D.order
@@ -372,7 +380,7 @@ def job_deform_probe(ws, spec, cap, report):
 
 
 def job_deform_flatten(ws, spec, cap, report):
-    D = _resolve_deformation(ws, spec)
+    D = _resolve_deformation(ws, spec, cap)
     F = flatten(D, cap)
     report["results"]["carrier"] = algebra_to_doc(F)
     _assert(report, "flattened-model-certified", True, rank=F.rank)

@@ -6,6 +6,13 @@ t^0 .. t^{N-1}).  Validation certifies associativity order by order on basis
 triples and that the unit is undeformed; both extend to all elements by
 multilinearity.  Since t is nilpotent here, every lifting argument for
 complete rings applies verbatim to the truncation.
+
+_coefficient is the one series coefficient: coefficient k of f*g, the sum of
+alpha_m(f_a, g_b) over m + a + b = k.  def_mul, both inverse recursions and
+the idempotent recursion read the sum through it; the recursions pass partial
+series whose unknown coefficients are still zero.  flatten assembles the
+same sum into a plain structure table on its own, so the flattened model is
+the independent oracle for all of them.
 """
 
 from __future__ import annotations
@@ -14,19 +21,18 @@ import random
 from dataclasses import dataclass, field
 
 from .algebra import (
-    DEFAULT_CAP,
     FiniteAlgebra,
     _bilinear,
     _check_int,
     _check_table,
     _linear,
+    _refuse_above_cap,
     validate_algebra,
     zn_poly_x2,
 )
 from .classify import decomposition_report, jacobson_radical
 from .errors import (
     BadShape,
-    CapExceeded,
     ConstantTermNotUnit,
     NoConvergence,
     NotAssociativeAtOrder,
@@ -122,10 +128,6 @@ def validate_deformation(spec, base=None, name=None) -> TruncatedDeformation:
 
 # DefElement helpers: an element is a tuple of order coefficient tuples
 
-def def_zero(D):
-    return (D.base.zero(),) * D.order
-
-
 def def_one(D):
     return (D.base.one(),) + (D.base.zero(),) * (D.order - 1)
 
@@ -169,22 +171,25 @@ def _check_order(D, *fs):
                 f"{D.order}")
 
 
-def def_mul(D, f, g):
-    """Product mod t^order: coefficient k collects all split contributions."""
-    _check_order(D, f, g)
+def _coefficient(D, f, g, k):
+    """Coefficient k of f*g: alpha_m(f_a, g_b) summed over m + a + b = k.
+    Zero coefficients are skipped, so a recursion may pass a partial series
+    whose unknown coefficients are still zero."""
     A = D.base
-    out = []
-    for k in range(D.order):
-        acc = A.zero()
-        for m in range(k + 1):
-            for n2 in range(k - m + 1):
-                p = k - m - n2
-                fn = f[n2]
-                gp = g[p]
-                if any(fn) and any(gp):
-                    acc = A.add(acc, D.alpha(m, fn, gp))
-        out.append(acc)
-    return tuple(out)
+    acc = A.zero()
+    for m in range(k + 1):
+        for a in range(k - m + 1):
+            fa = f[a]
+            gb = g[k - m - a]
+            if any(fa) and any(gb):
+                acc = A.add(acc, D.alpha(m, fa, gb))
+    return acc
+
+
+def def_mul(D, f, g):
+    """Product mod t^order."""
+    _check_order(D, f, g)
+    return tuple(_coefficient(D, f, g, k) for k in range(D.order))
 
 
 def invert_def(D, f):
@@ -201,26 +206,12 @@ def invert_def(D, f):
     if a0inv is None:
         raise ConstantTermNotUnit(f"constant term {a0} is not a unit")
 
-    b = [a0inv]
+    b = [a0inv] + [A.zero()] * (D.order - 1)
+    c = list(b)
     for k in range(1, D.order):
-        acc = A.zero()
-        for m in range(k + 1):
-            for n2 in range(k - m + 1):
-                p = k - m - n2
-                if p < k:
-                    acc = A.add(acc, D.alpha(m, f[n2], b[p]))
-        b.append(A.mul(a0inv, A.neg(acc)))
+        b[k] = A.mul(a0inv, A.neg(_coefficient(D, f, b, k)))
+        c[k] = A.mul(A.neg(_coefficient(D, c, f, k)), a0inv)
     right = tuple(b)
-
-    c = [a0inv]
-    for k in range(1, D.order):
-        acc = A.zero()
-        for m in range(k + 1):
-            for n2 in range(k - m + 1):
-                p = k - m - n2
-                if n2 < k:
-                    acc = A.add(acc, D.alpha(m, c[n2], f[p]))
-        c.append(A.mul(A.neg(acc), a0inv))
     left = tuple(c)
 
     if left != right:
@@ -247,11 +238,7 @@ def t_in_radical_check(D, cap=None) -> RadicalCheck:
     if D.order < 2:
         raise OrderMismatch("t vanishes at truncation order 1")
     A = D.base
-    flat_size = A.n ** (A.rank * D.order)
-    limit = DEFAULT_CAP if cap is None else cap
-    if flat_size > limit:
-        raise CapExceeded(
-            f"truncated model has {flat_size} elements, above cap {limit}")
+    F = flatten(D, cap)
     t = def_t(D)
     one = def_one(D)
     structural_ok = True
@@ -267,7 +254,6 @@ def t_in_radical_check(D, cap=None) -> RadicalCheck:
             invert_def(D, def_sub(D, one, prod))  # certifies invertibility
             checked += 1
 
-    F = flatten(D, cap)
     t_flat = flatten_element(D, t)
     brute_ok = t_flat in set(jacobson_radical(F, cap))
     return RadicalCheck(structural_ok, brute_ok,
@@ -281,10 +267,7 @@ def flatten(D, cap=None) -> FiniteAlgebra:
     r = A.rank
     N = D.order
     rank = r * N
-    limit = DEFAULT_CAP if cap is None else cap
-    if A.n ** rank > limit:
-        raise CapExceeded(
-            f"flattened model has {A.n ** rank} elements, above cap {limit}")
+    _refuse_above_cap(A.n ** rank, cap, "flattened model")
     structure = [[[0] * rank for _ in range(rank)] for _ in range(rank)]
     for j in range(N):
         for i in range(r):
@@ -340,8 +323,9 @@ def lift_idempotent_newton(D, e):
 
 
 def lift_idempotent_central(D, e):
-    """Unique lift of a central idempotent by the order-by-order recursion;
-    certified idempotent and equal to the Newton lift."""
+    """Unique lift of a central idempotent: the obstruction probe run to full
+    depth, which must solve every order; certified idempotent and equal to
+    the Newton lift."""
     A = D.base
     e = A.coerce(e)
     if A.mul(e, e) != e:
@@ -350,35 +334,17 @@ def lift_idempotent_central(D, e):
         b = A.basis(i)
         if A.mul(e, b) != A.mul(b, e):
             raise NotCentral(f"{e} does not commute with basis element {i}")
-    one_minus_2e = A.sub(A.one(), A.smul(2, e))
-    coeffs = [e]
-    for k in range(1, D.order):
-        beta = _beta(D, coeffs, k)
-        coeffs.append(A.mul(one_minus_2e, beta))
-    g = tuple(coeffs)
+    probe = obstruction_probe(D, e)
+    if probe.first_failure is not None:
+        raise SelfCheckFailed(
+            f"central recursion fails at order {probe.first_failure}")
+    g = tuple(probe.coefficients)
     if def_mul(D, g, g) != g:
         raise SelfCheckFailed("central recursion produced a non-idempotent")
     newton, _ = lift_idempotent_newton(D, e)
     if g != newton:
         raise SelfCheckFailed("central recursion disagrees with Newton lift")
     return g
-
-
-def _beta(D, coeffs, k):
-    """Sum of all order-k interaction terms excluding the two involving the
-    unknown coefficient itself."""
-    A = D.base
-    acc = A.zero()
-    for m in range(k + 1):
-        for n2 in range(k - m + 1):
-            p = k - m - n2
-            if (n2, p) in ((0, k), (k, 0)):
-                continue
-            an = coeffs[n2]
-            ap = coeffs[p]
-            if any(an) and any(ap):
-                acc = A.add(acc, D.alpha(m, an, ap))
-    return acc
 
 
 @dataclass
@@ -402,9 +368,11 @@ def obstruction_probe(D, e, depth=None) -> ObstructionReport:
     depth = min(depth, D.order - 1)
     one_minus_2e = A.sub(A.one(), A.smul(2, e))
     report = ObstructionReport(coefficients=[e])
-    coeffs = [e]
     for k in range(1, depth + 1):
-        beta = _beta(D, coeffs, k)
+        # the unknown coefficient k enters as zero, so coefficient k of the
+        # square is exactly the sum of the terms that do not involve it
+        partial = report.coefficients + [A.zero()]
+        beta = _coefficient(D, partial, partial, k)
         commutes = A.mul(e, beta) == A.mul(beta, e)
         ak = A.mul(one_minus_2e, beta)
         solves = A.add(A.add(A.mul(e, ak), A.mul(ak, e)), beta) == ak
@@ -416,7 +384,6 @@ def obstruction_probe(D, e, depth=None) -> ObstructionReport:
         if not solves:
             report.first_failure = k
             break
-        coeffs.append(ak)
         report.coefficients.append(ak)
     return report
 

@@ -12,12 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 
-from .algebra import DEFAULT_CAP, FiniteAlgebra, validate_algebra
+from .algebra import FiniteAlgebra, _refuse_above_cap, validate_algebra
 from .classify import decomposition_report, is_exchange
 from .errors import (
     BadDecomposition,
     BadShape,
-    CapExceeded,
     NonAssociative,
     NotACocycle,
     NotAUnit,
@@ -109,10 +108,7 @@ def idempotent_equation_solutions(B: ExtensionAlgebra, e, cap=None):
     e = A.coerce(e)
     if A.mul(e, e) != e:
         raise NotIdempotent(f"{e} is not idempotent in {A.name}")
-    count = M.n ** M.rank
-    limit = DEFAULT_CAP if cap is None else cap
-    if count > limit:
-        raise CapExceeded(f"module has {count} elements, above cap {limit}")
+    _refuse_above_cap(M.n ** M.rank, cap, f"module {M.name}")
 
     fee = B.cocycle.evaluate(e, e)
     sols = []
@@ -133,12 +129,17 @@ def idempotent_equation_solutions(B: ExtensionAlgebra, e, cap=None):
             "solution set")
     if not sols:
         raise SelfCheckFailed("solution set is empty; a solution always exists")
-    central = all(M.lact(e, M.basis(j)) == M.ract(M.basis(j), e)
-                  for j in range(M.rank))
-    if (len(sols) == 1) != central:
+    if (len(sols) == 1) != _commute_with_module(M, [e]):
         raise SelfCheckFailed(
             "uniqueness of the lift must match e commuting with M")
     return sols
+
+
+def _commute_with_module(M, elements):
+    """Whether every given base element commutes with all of M; the module
+    basis suffices by linearity."""
+    return all(M.lact(e, M.basis(j)) == M.ract(M.basis(j), e)
+               for e in elements for j in range(M.rank))
 
 
 def lift_idempotent(B: ExtensionAlgebra, e, x=None):
@@ -191,12 +192,10 @@ def lift_clean_decomposition(B: ExtensionAlgebra, am, e, u):
         raise BadDecomposition(f"{u} is not a unit")
     if A.add(e, u) != a:
         raise BadDecomposition("e + u != a")
-    t = M.lact(A.sub(A.one(), A.smul(2, e)), B.cocycle.evaluate(e, e))
-    first = B.pair(e, t)
+    first = lift_idempotent(B, e)
+    t = B.split(first)[1]
     second = B.pair(u, M.sub(m, t))
     _certify_sum(B, am, first, second)
-    if B.carrier.mul(first, first) != first:
-        raise SelfCheckFailed("lifted idempotent part is not idempotent")
     invert_extension_element(B, u, M.sub(m, t))  # certifies unit
     return first, second
 
@@ -215,12 +214,10 @@ def lift_nil_clean_decomposition(B: ExtensionAlgebra, am, e, x):
         raise BadDecomposition(f"{x} is not nilpotent")
     if A.add(e, x) != a:
         raise BadDecomposition("e + x != a")
-    t = M.lact(A.sub(A.one(), A.smul(2, e)), B.cocycle.evaluate(e, e))
-    first = B.pair(e, t)
+    first = lift_idempotent(B, e)
+    t = B.split(first)[1]
     second = B.pair(x, M.sub(m, t))
     _certify_sum(B, am, first, second)
-    if B.carrier.mul(first, first) != first:
-        raise SelfCheckFailed("lifted idempotent part is not idempotent")
     carrier_index = B.carrier.nilpotency_index(second)
     if carrier_index is None or carrier_index > 2 * index:
         raise SelfCheckFailed(
@@ -301,9 +298,7 @@ def verify_extension_theorems(A, M, f, cap=None) -> ExtensionTheoremReport:
     rep_a = decomposition_report(A, cap)
     rep_b = decomposition_report(B.carrier, cap)
 
-    central = all(
-        M.lact(e, M.basis(j)) == M.ract(M.basis(j), e)
-        for e in rep_a.idempotents for j in range(M.rank))
+    central = _commute_with_module(M, rep_a.idempotents)
 
     clauses = [
         TheoremClause(
@@ -368,8 +363,7 @@ def probe_remark_second_half(B: ExtensionAlgebra, cap=None) -> SecondHalfProbe:
     for a, (e, r, _s) in sorted(ex.witnesses.items()):
         for m in product(range(M.n), repeat=M.rank):
             x = M.neg(M.add(f.evaluate(a, r), M.ract(m, r)))
-            t = M.lact(A.sub(one, A.smul(2, e)), f.evaluate(e, e))
-            t = M.add(t, M.sub(M.lact(e, x), M.ract(x, e)))
+            t = B.split(lift_idempotent(B, e, x))[1]
             target = B.pair(A.sub(one, e), M.sub(neg_f11, t))
             left = B.pair(A.sub(one, a), M.sub(neg_f11, m))
             found = carrier.right_divisors(left, (target,), cap).get(target)

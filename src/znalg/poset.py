@@ -35,6 +35,11 @@ from .errors import (
 )
 
 
+# Table assembly and certification cost rank^3 cells; above this the table
+# itself stops being a desk-scale object.
+MAX_CARRIER_RANK = 64
+
+
 class Poset:
     """A finite partial order on {0, .., size-1}, stored as a leq matrix."""
 
@@ -45,9 +50,15 @@ class Poset:
     @classmethod
     def from_covers(cls, size, covers):
         """Build from cover (or any generating) relations; the transitive
-        closure is computed and the result validated."""
+        closure is computed and the result validated.  Each node adds a
+        diagonal block of rank at least 1 to the poset algebra, so a size
+        above MAX_CARRIER_RANK is refused before the closure."""
         if size < 1:
             raise BadShape(f"a poset needs at least one node, got {size}")
+        if size > MAX_CARRIER_RANK:
+            raise CapExceeded(
+                f"poset size {size} exceeds the assembly limit "
+                f"{MAX_CARRIER_RANK}")
         leq = [[i == j for j in range(size)] for i in range(size)]
         for cover in covers:
             if len(cover) != 2 or not all(
@@ -56,16 +67,11 @@ class Poset:
                     f"cover {cover!r} is not a pair of nodes 0..{size - 1}")
             i, j = cover
             leq[i][j] = True
-        changed = True
-        while changed:
-            changed = False
+        for k in range(size):  # Warshall: paths through nodes 0..k
+            row_k = leq[k]
             for i in range(size):
-                for j in range(size):
-                    if leq[i][j]:
-                        for k in range(size):
-                            if leq[j][k] and not leq[i][k]:
-                                leq[i][k] = True
-                                changed = True
+                if leq[i][k]:
+                    leq[i] = [a or b for a, b in zip(leq[i], row_k)]
         return validate_poset(cls(size, leq))
 
     def pairs(self):
@@ -227,11 +233,6 @@ class PosetAlgebra:
 
     def __repr__(self):
         return f"PosetAlgebra({self.carrier.name!r})"
-
-
-# Table assembly and certification cost rank^3 cells; above this the table
-# itself stops being a desk-scale object.
-MAX_CARRIER_RANK = 64
 
 
 def build_shriek(F: Presheaf, cap=None) -> PosetAlgebra:

@@ -379,14 +379,37 @@ def test_flatten_x_squared_t_structural_flags():
 
 
 def test_flatten_respects_def_mul():
-    for D in catalog_deformations(3):
-        F = flatten(D)
-        rng = random.Random(7)
-        for _ in range(10):
-            f = random_def_element(D, rng.randrange(1 << 30))
-            g = random_def_element(D, rng.randrange(1 << 30))
-            assert (F.mul(flatten_element(D, f), flatten_element(D, g))
-                    == flatten_element(D, def_mul(D, f, g)))
+    # flatten assembles the series product on its own, so the flattened
+    # model checks def_mul and every recursion that shares its coefficient
+    for order in range(2, 6):
+        for D in catalog_deformations(order):
+            A = D.base
+            F = flatten(D)
+            rng = random.Random(7)
+            for _ in range(10):
+                f = random_def_element(D, rng.randrange(1 << 30))
+                g = random_def_element(D, rng.randrange(1 << 30))
+                flat_f = flatten_element(D, f)
+                assert (F.mul(flat_f, flatten_element(D, g))
+                        == flatten_element(D, def_mul(D, f, g)))
+                flat_inv = F.inverse(flat_f)
+                if A.inverse(f[0]) is None:
+                    assert flat_inv is None
+                    with pytest.raises(ConstantTermNotUnit):
+                        invert_def(D, f)
+                else:
+                    assert flatten_element(D, invert_def(D, f)) == flat_inv
+            lifts = {}
+            for z in F.idempotents():
+                lifts.setdefault(z[:A.rank], []).append(z)
+            for e in A.idempotents():
+                # the catalog bases are commutative, so every e is central
+                # and has exactly one idempotent lift
+                assert len(lifts[e]) == 1
+                assert flatten_element(D, lift_idempotent_central(D, e)) \
+                    == lifts[e][0]
+                newton, _ = lift_idempotent_newton(D, e)
+                assert flatten_element(D, newton) == lifts[e][0]
 
 
 def test_flatten_clean_transfer_catalog():

@@ -3,6 +3,7 @@
 import copy
 import json
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -178,6 +179,14 @@ def _set(*path, value):
 CLASSIFY, EXTEND, SHRIEK = ("classify-dual-numbers", "extend-verify-twisted",
                             "shriek-example-1")
 CIRCLE, SEARCH = "cohomology-circle", "search-open-question"
+DEFORM = "deform-validate"
+
+
+def _deform_job(order):
+    return _set("jobs", DEFORM, value={
+        "kind": "deform-validate", "deformation": "x^2=t over Z2 (N=4)",
+        "order": order})
+
 
 # case -> (mutation of the catalog document, job to run, exit code): 2 for a
 # field of the wrong JSON type, 3 for a value the object cannot take
@@ -213,6 +222,12 @@ MALFORMED = {
                           value=[[1], [0]]), SHRIEK, 3),
     "map-outside-poset": (_set("presheaves", "example-1", "maps", "0,5",
                                value=[[1, 0]]), SHRIEK, 3),
+    "deform-order-zero": (_deform_job(0), DEFORM, 3),
+    # 2^(2*800) elements: refused before validating 800 orders
+    "deform-order-800": (_deform_job(800), DEFORM, 4),
+    # more nodes than the carrier rank limit: refused before the closure
+    "poset-size-65": (_set("posets", "example-1", "size", value=65),
+                      SHRIEK, 4),
 }
 
 
@@ -223,7 +238,10 @@ def test_malformed_catalog_document_exit_code(tmp_path, capsys, case):
     mutate(doc)
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
+    start = time.monotonic()
     assert main(["--cap", "64", "run", str(path), job]) == expected
+    # every refusal comes before the work it refuses
+    assert time.monotonic() - start < 2
     assert "Traceback" not in capsys.readouterr().err
 
 
