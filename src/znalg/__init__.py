@@ -21,7 +21,6 @@ from .classify import (
     ClassificationReport,
     classify_elements,
     decomposition_report,
-    is_exchange,
     jacobson_radical,
     check_lifting_proposition,
     quotient_by_ideal,

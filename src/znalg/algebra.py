@@ -128,22 +128,13 @@ class FiniteAlgebra:
         """{t: y} for every target t in xA, with y the lexicographically
         first solution of x*y = t; the scan stops once every target is
         found."""
-        return self._divisors(x, targets, cap, right=True)
-
-    def left_divisors(self, x, targets, cap=None):
-        """{t: y} for every target t in Ax, with y the lexicographically
-        first solution of y*x = t; the scan stops once every target is
-        found."""
-        return self._divisors(x, targets, cap, right=False)
-
-    def _divisors(self, x, targets, cap, right):
         remaining = set(targets)
         found = {}
         mul = self.mul
         for y in self.elements(cap):
             if not remaining:
                 break
-            t = mul(x, y) if right else mul(y, x)
+            t = mul(x, y)
             if t in remaining:
                 remaining.remove(t)
                 found[t] = y

@@ -6,15 +6,18 @@ two-sided inverse, nilpotents reach zero under power iteration.  The
 nil-clean flags and unique cleanness are decided by scanning all candidate
 decompositions.  Every finite ring is strongly clean and exchange
 (Camillo-Yu 1994, Nicholson 1977), so the clean, strongly clean and exchange
-flags are self-checks: each element's witness is found by the same scans,
-and a missing one raises SelfCheckFailed.  One-sided ideal membership goes
-through FiniteAlgebra.right_divisors and left_divisors.  Scans refuse with
-CapExceeded instead of sampling.
+flags are self-checks: each element's clean witnesses are found by the same
+scans, and a missing one raises SelfCheckFailed.  The exchange witness is
+built from the strongly clean pair as in Nicholson's proof and re-checked by
+exact arithmetic; no divisor scan runs for it.  One-sided ideal membership
+goes through FiniteAlgebra.right_divisors.  Scans refuse with CapExceeded
+instead of sampling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import lcm
 
 from .algebra import FiniteAlgebra, validate_algebra
 from .errors import (
@@ -34,12 +37,6 @@ class ClassificationReport:
     flags: dict = field(default_factory=dict)
     witnesses: dict = field(default_factory=dict)    # element -> per-flag records
     failures: dict = field(default_factory=dict)     # false flag -> evidence
-
-
-@dataclass
-class ExchangeReport:
-    algebra_name: str
-    witnesses: dict = field(default_factory=dict)    # a -> (e, r, s)
 
 
 def classify_elements(A: FiniteAlgebra, cap=None) -> ClassificationReport:
@@ -75,8 +72,14 @@ def decomposition_report(A: FiniteAlgebra, cap=None) -> ClassificationReport:
     clean, and exchange, each with per-element witnesses and, for every false
     flag, one concrete failing element.  Clean, strongly clean and exchange
     hold in every finite ring; an element without a witness raises
-    SelfCheckFailed."""
+    SelfCheckFailed.
+
+    The exchange witness of a = e + u (eu = ue, v = u^-1) is (f, r, s) with
+    f = 1 - e, r = v f and s = -v e (Nicholson 1977): v commutes with e, so
+    a r = r a = f and (1-a) s = s (1-a) = 1 - f, which witnesses both sides.
+    Each identity is re-checked, and a failure raises SelfCheckFailed."""
     rep = classify_elements(A, cap)
+    one = A.one()
     idem = rep.idempotents
     unit_inv = dict(rep.units)
     nil_index = dict(rep.nilpotents)
@@ -101,12 +104,23 @@ def decomposition_report(A: FiniteAlgebra, cap=None) -> ClassificationReport:
             raise SelfCheckFailed(
                 f"{A.name}: {a} has no strongly clean decomposition (every "
                 "finite ring is strongly clean)")
+        e, u = strong_pair
+        v = unit_inv[u]
+        f, comp = A.sub(one, e), A.sub(one, a)
+        r, s = A.mul(v, f), A.neg(A.mul(v, e))
+        if not (A.mul(f, f) == f and A.mul(a, r) == f == A.mul(r, a)
+                and A.mul(comp, s) == e == A.mul(s, comp)):
+            raise SelfCheckFailed(
+                f"{A.name}: exchange witness {(f, r, s)} built from the "
+                f"strongly clean pair of {a} fails (every finite ring is "
+                "exchange)")
         rep.witnesses[a] = {
             "clean": clean_pairs[0],
             "clean_count": len(clean_pairs),
             "nil_clean": nil_pairs[0] if nil_pairs else None,
             "nil_clean_count": len(nil_pairs),
             "strongly_clean": strong_pair,
+            "exchange": (f, r, s),
         }
 
         if len(clean_pairs) > 1 and "uniquely_clean" not in rep.failures:
@@ -122,7 +136,6 @@ def decomposition_report(A: FiniteAlgebra, cap=None) -> ClassificationReport:
                 "element": a, "count": len(nil_pairs),
                 "decompositions": nil_pairs[:2]}
 
-    exchange = is_exchange(A, cap)
     rep.flags = {
         "clean": True,
         "nil_clean": nil_clean,
@@ -132,35 +145,7 @@ def decomposition_report(A: FiniteAlgebra, cap=None) -> ClassificationReport:
         "strongly_clean": True,
         "exchange": True,
     }
-    for a, w in exchange.witnesses.items():
-        rep.witnesses[a]["exchange"] = w
     return rep
-
-
-def is_exchange(A: FiniteAlgebra, cap=None) -> ExchangeReport:
-    """Record (e, r, s) with e idempotent, e = a*r and 1 - e = (1-a)*s for
-    every element a: the first such e in lexicographic order, with r and s
-    the first solutions.  Every finite ring is exchange on both sides, so an
-    element without a right or a left witness raises SelfCheckFailed."""
-    one = A.one()
-    idem = A.idempotents(cap)
-    comp_of = {e: A.sub(one, e) for e in idem}
-    report = ExchangeReport(A.name)
-    for a in A.elements(cap):
-        comp = A.sub(one, a)
-        in_aA = A.right_divisors(a, idem, cap)
-        in_compA = A.right_divisors(comp, {comp_of[e] for e in in_aA}, cap)
-        in_Aa = A.left_divisors(a, idem, cap)
-        in_Acomp = A.left_divisors(comp, {comp_of[e] for e in in_Aa}, cap)
-        witness = next(((e, in_aA[e], in_compA[comp_of[e]]) for e in idem
-                        if e in in_aA and comp_of[e] in in_compA), None)
-        if witness is None or not in_Acomp:
-            side = "right" if witness is None else "left"
-            raise SelfCheckFailed(
-                f"{A.name}: {a} has no {side} exchange witness (every finite "
-                "ring is exchange)")
-        report.witnesses[a] = witness
-    return report
 
 
 def jacobson_radical(A: FiniteAlgebra, cap=None) -> list:
@@ -244,7 +229,7 @@ def quotient_by_ideal(A: FiniteAlgebra, gens, cap=None):
             acc = coset_add(acc, x)
             k += 1
         orders[x] = k
-        d = d * k // _gcd(d, k)
+        d = lcm(d, k)
     s = 0
     t = qsize
     while t > 1:
@@ -324,12 +309,6 @@ def quotient_by_ideal(A: FiniteAlgebra, gens, cap=None):
     return Q, project, ideal
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
 @dataclass
 class LiftingReport:
     algebra_name: str
@@ -379,9 +358,9 @@ class CounterexampleSearch:
 
 
 def search_exchange_counterexample(catalog, cap=None) -> CounterexampleSearch:
-    """Scan rings, each certified exchange by is_exchange, for pairs (a, e)
-    with e idempotent, e in aA, but 1 - e not in (1-a)A.  Pure evidence
-    gathering: hits are recorded, nothing is concluded from them."""
+    """Scan rings, each certified exchange by decomposition_report, for pairs
+    (a, e) with e idempotent, e in aA, but 1 - e not in (1-a)A.  Pure
+    evidence gathering: hits are recorded, nothing is concluded from them."""
     report = CounterexampleSearch()
     for A in catalog:
         entry = {"algebra": A.name}
@@ -391,10 +370,9 @@ def search_exchange_counterexample(catalog, cap=None) -> CounterexampleSearch:
         except CapExceeded as exc:
             entry["skipped"] = str(exc)
             continue
-        is_exchange(A, cap)
+        idem = decomposition_report(A, cap).idempotents
         entry["exchange"] = True
         one = A.one()
-        idem = A.idempotents(cap)
         comp_of = {e: A.sub(one, e) for e in idem}
         hits = []
         for a in A.elements(cap):

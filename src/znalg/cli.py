@@ -207,7 +207,7 @@ def execute_job(ws, name, spec, args):
         "assertions": [],
         "results": {},
     }
-    if getattr(args, "modulus_override", None):
+    if getattr(args, "modulus_override", None) is not None:
         ws = _override_modulus(ws, args.modulus_override)
     JOB_HANDLERS[kind](ws, spec, cap, report)
     report["timing"] = {"elapsed_s": round(time.monotonic() - start, 3)}
@@ -387,7 +387,11 @@ def job_deform_flatten(ws, spec, cap, report):
 
 
 def job_deform_clean_decompose(ws, spec, cap, report):
-    D = _resolve_deformation(ws, spec)
+    # a uniquely clean base is certified in the flattened model, so its
+    # n^(r*order) elements are refused before re-validating at a new order
+    base = ws.deformation(spec["deformation"]).base
+    unique = decomposition_report(base, cap).flags["uniquely_clean"]
+    D = _resolve_deformation(ws, spec, cap if unique else None)
     h = _parse_def_element(D, spec.get("element"))
     e_t, u_t = clean_decompose_def(D, h, cap)
     report["results"]["idempotent_part"] = [list(c) for c in e_t]

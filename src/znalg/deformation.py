@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from math import gcd
 
 from .algebra import (
     FiniteAlgebra,
@@ -365,6 +366,8 @@ def obstruction_probe(D, e, depth=None) -> ObstructionReport:
         raise NotIdempotent(f"{e} is not idempotent in {A.name}")
     if depth is None:
         depth = D.order - 1
+    elif depth < 1:
+        raise BadShape(f"probe depth must be >= 1, got {depth}")
     depth = min(depth, D.order - 1)
     one_minus_2e = A.sub(A.one(), A.smul(2, e))
     report = ObstructionReport(coefficients=[e])
@@ -420,20 +423,21 @@ def remark2_series(A, e, x, order=4) -> SeriesVerdict:
     return SeriesVerdict(series, idempotent, any(a1))
 
 
-def clean_decompose_def(D, h, cap=None, check_uniqueness=True):
+def clean_decompose_def(D, h, cap=None):
     """Split h into a lifted idempotent plus a unit, using the base algebra's
     first clean witness; when the base is uniquely clean the decomposition is
-    also certified unique in the flattened model."""
+    also certified unique in the flattened model, which is built (or refused
+    on its element count) before any lifting."""
     _check_order(D, h)
     A = D.base
     rep = decomposition_report(A, cap)
+    F = flatten(D, cap) if rep.flags["uniquely_clean"] else None
     e, u = rep.witnesses[h[0]]["clean"]
     e_t, _ = lift_idempotent_newton(D, e)
     u_t = def_sub(D, h, e_t)
     invert_def(D, u_t)  # certifies invertibility; constant term is u
 
-    if check_uniqueness and rep.flags["uniquely_clean"]:
-        F = flatten(D, cap)
+    if F is not None:
         z = flatten_element(D, h)
         count = sum(1 for cand in F.idempotents(cap)
                     if F.inverse(F.sub(z, cand), cap) is not None)
@@ -509,11 +513,10 @@ def seeded_gauge_map(A, seed):
     r = A.rank
     rows = [[rng.randrange(A.n) for _ in range(r)] for _ in range(r)]
     unit = A.one()
-    pivot = next((i for i, c in enumerate(unit) if _invertible_mod(c, A.n)),
-                 None)
+    pivot = next((i for i, c in enumerate(unit) if gcd(c, A.n) == 1), None)
     if pivot is None:
         raise BadShape("no invertible unit coordinate to correct against")
-    inv = pow(unit[pivot], -1, A.n) if unit[pivot] != 1 else 1
+    inv = pow(unit[pivot], -1, A.n)
     total = [0] * r
     for i, c in enumerate(unit):
         if i != pivot and c:
@@ -521,15 +524,6 @@ def seeded_gauge_map(A, seed):
                 total[k] = (total[k] + c * rows[i][k]) % A.n
     rows[pivot] = [(-inv * v) % A.n for v in total]
     return [tuple(row) for row in rows]
-
-
-def _invertible_mod(c, n):
-    c %= n
-    if not c:
-        return False
-    while n:
-        c, n = n, c % n
-    return c == 1
 
 
 def catalog_deformations(order=4):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .algebra import FiniteAlgebra, _refuse_above_cap, validate_algebra
-from .classify import decomposition_report, is_exchange
+from .classify import decomposition_report
 from .errors import (
     BadDecomposition,
     BadShape,
@@ -355,12 +355,13 @@ def probe_remark_second_half(B: ExtensionAlgebra, cap=None) -> SecondHalfProbe:
     A, M = B.base, B.module
     carrier = B.carrier
     carrier.require_within_cap(cap)
-    ex = is_exchange(A, cap)
+    witnesses = decomposition_report(A, cap).witnesses
     probe = SecondHalfProbe(carrier.name)
     one = A.one()
     neg_f11 = M.neg(B.f11)
     f = B.cocycle
-    for a, (e, r, _s) in sorted(ex.witnesses.items()):
+    for a, rec in sorted(witnesses.items()):
+        e, r, _s = rec["exchange"]
         for m in product(range(M.n), repeat=M.rank):
             x = M.neg(M.add(f.evaluate(a, r), M.ract(m, r)))
             t = B.split(lift_idempotent(B, e, x))[1]

@@ -484,7 +484,7 @@ def classify_shriek(PA: PosetAlgebra, cap=None) -> ShriekReport:
 
 # ready-made examples
 
-def poset_v(name="2' >= 1 <= 2") -> Poset:
+def poset_v() -> Poset:
     """Three nodes: 0 below both 1 and 2."""
     return Poset.from_covers(3, [(0, 1), (0, 2)])
 

@@ -4,12 +4,17 @@ and are frozen; the library must reproduce them exactly."""
 
 import pytest
 
-from znalg.algebra import direct_product, triangular_algebra, zn, zn_poly_x2
+from znalg.algebra import (
+    direct_product,
+    matrix_algebra,
+    triangular_algebra,
+    zn,
+    zn_poly_x2,
+)
 from znalg.classify import (
     check_lifting_proposition,
     classify_elements,
     decomposition_report,
-    is_exchange,
     jacobson_radical,
     quotient_by_ideal,
     search_exchange_counterexample,
@@ -123,14 +128,19 @@ def test_flag_implications_on_catalog():
             assert rep.flags["nil_clean"]
 
 
+def _exchange_witnesses(A):
+    rep = decomposition_report(A)
+    return {a: rec["exchange"] for a, rec in rep.witnesses.items()}
+
+
 def test_exchange_z2x():
-    assert len(is_exchange(zn_poly_x2(2)).witnesses) == 4
+    assert len(_exchange_witnesses(zn_poly_x2(2))) == 4
 
 
 def test_exchange_witness_z3():
-    rep = is_exchange(zn(3))
-    assert len(rep.witnesses) == 3
-    e, r, s = rep.witnesses[(2,)]
+    witnesses = _exchange_witnesses(zn(3))
+    assert len(witnesses) == 3
+    e, r, s = witnesses[(2,)]
     A = zn(3)
     assert A.mul((2,), r) == e
     assert A.mul(A.sub(A.one(), (2,)), s) == A.sub(A.one(), e)
@@ -140,14 +150,16 @@ def test_exchange_witness_z3():
 
 
 def test_exchange_witnesses_reverify_everywhere():
-    for A in (zn(4), triangular_algebra(2, 2)):
-        rep = is_exchange(A)
-        assert len(rep.witnesses) == A.size
+    for A in (zn(4), triangular_algebra(2, 2), matrix_algebra(3, 2),
+              triangular_algebra(2, 3)):
+        witnesses = _exchange_witnesses(A)
+        assert len(witnesses) == A.size
         one = A.one()
-        for a, (e, r, s) in rep.witnesses.items():
+        for a, (e, r, s) in witnesses.items():
+            comp = A.sub(one, a)
             assert A.mul(e, e) == e
-            assert A.mul(a, r) == e
-            assert A.mul(A.sub(one, a), s) == A.sub(one, e)
+            assert A.mul(a, r) == e == A.mul(r, a)
+            assert A.mul(comp, s) == A.sub(one, e) == A.mul(s, comp)
 
 
 def test_units_form_a_group():
@@ -282,10 +294,14 @@ def test_missing_unit_fails_the_clean_self_check(monkeypatch):
         decomposition_report(zn(3))
 
 
-def test_missing_left_witness_fails_the_exchange_self_check(monkeypatch):
+def test_wrong_inverse_fails_the_exchange_self_check(monkeypatch):
     from znalg.algebra import FiniteAlgebra
     from znalg.errors import SelfCheckFailed
-    monkeypatch.setattr(FiniteAlgebra, "left_divisors",
-                        lambda self, x, targets, cap=None: {})
-    with pytest.raises(SelfCheckFailed, match="left exchange witness"):
-        is_exchange(zn(3))
+    inverse = FiniteAlgebra.inverse
+
+    # units stay units, but 1 is reported as every unit's inverse
+    def one_as_inverse(self, x, cap=None):
+        return None if inverse(self, x, cap) is None else self.one()
+    monkeypatch.setattr(FiniteAlgebra, "inverse", one_as_inverse)
+    with pytest.raises(SelfCheckFailed, match="exchange witness"):
+        decomposition_report(zn(3))

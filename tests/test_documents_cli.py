@@ -182,10 +182,26 @@ CIRCLE, SEARCH = "cohomology-circle", "search-open-question"
 DEFORM = "deform-validate"
 
 
-def _deform_job(order):
-    return _set("jobs", DEFORM, value={
-        "kind": "deform-validate", "deformation": "x^2=t over Z2 (N=4)",
-        "order": order})
+def _deform_job(order, kind="deform-validate",
+                deformation="x^2=t over Z2 (N=4)", **fields):
+    return _set("jobs", DEFORM, value=dict(
+        fields, kind=kind, deformation=deformation, order=order))
+
+
+def _probe_job(depth):
+    return _deform_job(None, "deform-probe", idempotent="[1, 0]", depth=depth)
+
+
+def _trivial_z3_clean_decompose(order):
+    add = _set("deformations", "Z3 trivial", value={
+        "algebra": "Z3", "order": 4, "cochains": [[[[0]]]] * 3})
+    job = _deform_job(order, "deform-clean-decompose", "Z3 trivial",
+                      element=json.dumps([[2]] + [[1]] * (order - 1)))
+
+    def mutate(doc):
+        add(doc)
+        job(doc)
+    return mutate
 
 
 # case -> (mutation of the catalog document, job to run, exit code): 2 for a
@@ -225,10 +241,25 @@ MALFORMED = {
     "deform-order-zero": (_deform_job(0), DEFORM, 3),
     # 2^(2*800) elements: refused before validating 800 orders
     "deform-order-800": (_deform_job(800), DEFORM, 4),
+    "probe-depth-zero": (_probe_job(0), DEFORM, 3),
+    "probe-depth-negative": (_probe_job(-3), DEFORM, 3),
+    # the uniquely clean base flattens: 2^(2*200) elements are refused
+    # before re-validating, lifting and inverting at order 200
+    "clean-decompose-order-200": (_deform_job(
+        200, "deform-clean-decompose",
+        element=json.dumps([[1, 1]] + [[0, 0]] * 199)), DEFORM, 4),
+    # Z3 is not uniquely clean, so it never flattens: 3^20 elements above
+    # the cap are no reason to refuse
+    "clean-decompose-z3-order-20": (_trivial_z3_clean_decompose(20),
+                                    DEFORM, 0),
     # more nodes than the carrier rank limit: refused before the closure
     "poset-size-65": (_set("posets", "example-1", "size", value=65),
                       SHRIEK, 4),
 }
+
+
+# seconds; every other case must finish in under 2 s
+TIME_LIMITS = {"clean-decompose-order-200": 0.5}
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -241,7 +272,7 @@ def test_malformed_catalog_document_exit_code(tmp_path, capsys, case):
     start = time.monotonic()
     assert main(["--cap", "64", "run", str(path), job]) == expected
     # every refusal comes before the work it refuses
-    assert time.monotonic() - start < 2
+    assert time.monotonic() - start < TIME_LIMITS.get(case, 2)
     assert "Traceback" not in capsys.readouterr().err
 
 
@@ -396,6 +427,12 @@ def test_modulus_override_rejected_when_invalid(tmp_path):
                  "--algebra", "mod4-twist"]) == 0
     code = main(["--modulus-override", "3", "classify",
                  "--doc", str(path), "--algebra", "mod4-twist"])
+    assert code == 3
+
+
+def test_modulus_override_zero_rejected(catalog_doc):
+    code = main(["--modulus-override", "0", "classify",
+                 "--doc", str(catalog_doc), "--algebra", "Z2"])
     assert code == 3
 
 

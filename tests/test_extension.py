@@ -263,10 +263,11 @@ def test_half_witness_z3_nonzero_cocycle():
 def test_half_witness_across_catalog():
     for label, A, M, f in catalog_extension_instances():
         B = build_extension(A, M, f)
-        from znalg.classify import is_exchange
-        ex = is_exchange(A)
+        from znalg.classify import decomposition_report
+        witnesses = decomposition_report(A).witnesses
         from itertools import product as iproduct
-        for a, (e, r, _s) in sorted(ex.witnesses.items()):
+        for a, rec in sorted(witnesses.items()):
+            e, r, _s = rec["exchange"]
             for m in iproduct(range(M.n), repeat=M.rank):
                 exchange_half_witness(B, (a, m), e, r)
 
