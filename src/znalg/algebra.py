@@ -5,6 +5,9 @@ coordinate vector of the product of basis elements i and j.  Elements are
 plain tuples of r residues mod n; all arithmetic is exact.  Every algebra in
 this package is built through validate_algebra, which certifies associativity
 and the unit laws on basis triples (bilinearity extends both to all elements).
+Units and nilpotents are decided by one walk over the powers of an element
+(FiniteAlgebra.inverse and nilpotency_index); the divisor scan is only for
+one-sided ideal membership.
 
 The same nested-table format carries bimodule actions, cochains, deformation
 corrections and restriction maps.  _check_table is the one shape and entry
@@ -106,12 +109,6 @@ class FiniteAlgebra:
     def mul(self, x, y):
         return _bilinear(self.table, x, y, self.n, self.rank)
 
-    def power(self, x, k):
-        acc = self.unit
-        for _ in range(k):
-            acc = self.mul(acc, x)
-        return acc
-
     def elements(self, cap=None):
         """All elements in lexicographic coordinate order; refuses above the cap."""
         self.require_within_cap(cap)
@@ -141,30 +138,34 @@ class FiniteAlgebra:
         return found
 
     def inverse(self, x, cap=None):
-        """The inverse of x, or None when x is not a unit.  Finite rings are
-        Dedekind-finite, so the first right inverse must also be a left
-        inverse; a failure raises SelfCheckFailed."""
-        one = self.unit
-        y = self.right_divisors(x, (one,), cap).get(one)
-        if y is not None and self.mul(y, x) != one:
+        """The inverse of x, or None when x is not a unit.  In a finite ring
+        x is a unit exactly when some power x^k is 1, and then x^(k-1) is
+        its inverse; the other side x*x^(k-1) = 1 is re-checked, and a
+        failure raises SelfCheckFailed."""
+        self.require_within_cap(cap)
+        y, last, _ = self._power_walk(x)
+        if last != self.unit:
+            return None
+        if self.mul(x, y) != self.unit:
             raise SelfCheckFailed(
-                f"{self.name}: right inverse {y} of {x} is not a left inverse")
+                f"{self.name}: {y} is a left inverse of {x} but not a right "
+                "inverse")
         return y
 
     def nilpotency_index(self, x):
-        """The least k with x^k = 0, or None when the powers of x cycle
-        without reaching zero."""
-        if not any(x):
-            return 1
-        p, index, seen = x, 1, {x}
-        while True:
-            p = self.mul(p, x)
-            index += 1
-            if not any(p):
-                return index
-            if p in seen:
-                return None
+        """The least k with x^k = 0, or None when x is not nilpotent."""
+        _, last, k = self._power_walk(x)
+        return None if any(last) else k
+
+    def _power_walk(self, x):
+        """(x^(k-1), x^k, k) for the first power x^k that is 0, 1 or a
+        repeat.  Each power is seen once, so the walk takes at most size
+        multiplications."""
+        prev, p, k, seen = self.unit, x, 1, set()
+        while any(p) and p != self.unit and p not in seen:
             seen.add(p)
+            prev, p, k = p, self.mul(p, x), k + 1
+        return prev, p, k
 
 
 def _refuse_above_cap(count, cap, what, shown=None):

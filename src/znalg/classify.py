@@ -1,16 +1,18 @@
 """Exhaustive ring-theoretic classification of finite Z_n-algebras.
 
 Everything here enumerates elements in lexicographic coordinate order and
-reads off definitions directly: idempotents satisfy a^2 = a, units have a
-two-sided inverse, nilpotents reach zero under power iteration.  The
+reads off definitions directly: idempotents satisfy a^2 = a, and units and
+nilpotents come from one walk over the powers of each element, which stops
+at 1 for a unit (the previous power is its inverse) and at 0 for a
+nilpotent (FiniteAlgebra.inverse and nilpotency_index).  The
 nil-clean flags and unique cleanness are decided by scanning all candidate
 decompositions.  Every finite ring is strongly clean and exchange
 (Camillo-Yu 1994, Nicholson 1977), so the clean, strongly clean and exchange
 flags are self-checks: each element's clean witnesses are found by the same
 scans, and a missing one raises SelfCheckFailed.  The exchange witness is
 built from the strongly clean pair as in Nicholson's proof and re-checked by
-exact arithmetic; no divisor scan runs for it.  One-sided ideal membership
-goes through FiniteAlgebra.right_divisors.  Scans refuse with CapExceeded
+exact arithmetic; no divisor scan runs for it.  FiniteAlgebra.right_divisors
+is only for one-sided ideal membership.  Scans refuse with CapExceeded
 instead of sampling.
 """
 
@@ -44,27 +46,14 @@ def classify_elements(A: FiniteAlgebra, cap=None) -> ClassificationReport:
     A.require_within_cap(cap)
     rep = ClassificationReport(A.name)
     rep.idempotents = A.idempotents(cap)
-    rep.units = _units_with_inverses(A, cap)
-    rep.nilpotents = _nilpotents_with_index(A, cap)
-    return rep
-
-
-def _units_with_inverses(A, cap=None):
-    units = []
     for x in A.elements(cap):
         y = A.inverse(x, cap)
         if y is not None:
-            units.append((x, y))
-    return units
-
-
-def _nilpotents_with_index(A, cap=None):
-    out = []
-    for x in A.elements(cap):
+            rep.units.append((x, y))
         index = A.nilpotency_index(x)
         if index is not None:
-            out.append((x, index))
-    return out
+            rep.nilpotents.append((x, index))
+    return rep
 
 
 def decomposition_report(A: FiniteAlgebra, cap=None) -> ClassificationReport:
@@ -153,7 +142,7 @@ def jacobson_radical(A: FiniteAlgebra, cap=None) -> list:
     A.require_within_cap(cap)
     elems = list(A.elements(cap))
     one = A.one()
-    units = {u for u, _ in _units_with_inverses(A, cap)}
+    units = {u for u in elems if A.inverse(u, cap) is not None}
     right = [x for x in elems
              if all(A.sub(one, A.mul(x, r)) in units for r in elems)]
     left = [x for x in elems

@@ -36,6 +36,7 @@ from .documents import (
 from .errors import (
     AssertionFailure,
     CapExceeded,
+    OrderMismatch,
     ParseError,
     SelfCheckFailed,
     ValidationFailure,
@@ -363,6 +364,9 @@ def job_deform_lift(ws, spec, cap, report):
 
 def job_deform_probe(ws, spec, cap, report):
     D = _resolve_deformation(ws, spec)
+    # order 1 leaves no order to probe, so the verdict would be vacuous
+    if D.order < 2:
+        raise OrderMismatch("t vanishes at truncation order 1")
     if not spec.get("idempotent"):
         raise ParseError("probe needs --idempotent")
     try:
@@ -389,11 +393,12 @@ def job_deform_flatten(ws, spec, cap, report):
 def job_deform_clean_decompose(ws, spec, cap, report):
     # a uniquely clean base is certified in the flattened model, so its
     # n^(r*order) elements are refused before re-validating at a new order
-    base = ws.deformation(spec["deformation"]).base
-    unique = decomposition_report(base, cap).flags["uniquely_clean"]
+    base_report = decomposition_report(
+        ws.deformation(spec["deformation"]).base, cap)
+    unique = base_report.flags["uniquely_clean"]
     D = _resolve_deformation(ws, spec, cap if unique else None)
     h = _parse_def_element(D, spec.get("element"))
-    e_t, u_t = clean_decompose_def(D, h, cap)
+    e_t, u_t = clean_decompose_def(D, h, cap, base_report)
     report["results"]["idempotent_part"] = [list(c) for c in e_t]
     report["results"]["unit_part"] = [list(c) for c in u_t]
     _assert(report, "decomposition-certified", True)

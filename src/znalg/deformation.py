@@ -423,14 +423,15 @@ def remark2_series(A, e, x, order=4) -> SeriesVerdict:
     return SeriesVerdict(series, idempotent, any(a1))
 
 
-def clean_decompose_def(D, h, cap=None):
+def clean_decompose_def(D, h, cap=None, base_report=None):
     """Split h into a lifted idempotent plus a unit, using the base algebra's
     first clean witness; when the base is uniquely clean the decomposition is
     also certified unique in the flattened model, which is built (or refused
-    on its element count) before any lifting."""
+    on its element count) before any lifting.  A caller that already holds
+    the base's decomposition_report passes it as base_report, so the base is
+    not classified twice."""
     _check_order(D, h)
-    A = D.base
-    rep = decomposition_report(A, cap)
+    rep = base_report or decomposition_report(D.base, cap)
     F = flatten(D, cap) if rep.flags["uniquely_clean"] else None
     e, u = rep.witnesses[h[0]]["clean"]
     e_t, _ = lift_idempotent_newton(D, e)

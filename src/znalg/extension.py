@@ -343,10 +343,6 @@ class SecondHalfProbe:
     carrier_name: str
     cases: list = field(default_factory=list)
 
-    @property
-    def unsolved(self):
-        return [c for c in self.cases if not c["found"]]
-
 
 def probe_remark_second_half(B: ExtensionAlgebra, cap=None) -> SecondHalfProbe:
     """Evidence-only probe: for each (a, m) with an exchange witness e = ar,

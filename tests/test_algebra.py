@@ -144,12 +144,43 @@ def test_one_sided_divisors_match_brute_force():
                     A, x, set(targets))
 
 
-def test_one_sided_inverse_fails_the_dedekind_self_check(monkeypatch):
+def _brute_inverse(A, x):
+    one = A.one()
+    for y in A.elements():
+        if A.mul(x, y) == one == A.mul(y, x):
+            return y
+    return None
+
+
+def _brute_nilpotency_index(A, x):
+    p = x
+    for k in range(1, A.size + 1):
+        if not any(p):
+            return k
+        p = A.mul(p, x)
+    return None
+
+
+def test_power_walk_matches_brute_force():
+    from znalg.catalog import catalog_algebras
+    # units of Z97 have multiplicative orders up to 96
+    algebras = catalog_algebras() + [
+        matrix_algebra(3, 2), triangular_algebra(2, 3),
+        triangular_algebra(4, 2), zn_poly_x2(16), zn(97)]
+    for A in algebras:
+        assert A.size <= 256
+        for x in A.elements():
+            assert A.inverse(x) == _brute_inverse(A, x)
+            assert A.nilpotency_index(x) == _brute_nilpotency_index(A, x)
+
+
+def test_wrong_power_walk_inverse_fails_the_self_check(monkeypatch):
     from znalg.algebra import FiniteAlgebra
     from znalg.errors import SelfCheckFailed
     A = zn(3)
-    # pretend 1 solves 2*y = 1; then 1*2 != 1 must be caught
-    monkeypatch.setattr(FiniteAlgebra, "right_divisors",
-                        lambda self, x, targets, cap=None: {A.one(): (1,)})
-    with pytest.raises(SelfCheckFailed, match="not a left inverse"):
+    # pretend 2^1 = 1, so that 2^0 = 1 is taken as the inverse of 2; then
+    # 2*1 != 1 must be caught
+    monkeypatch.setattr(FiniteAlgebra, "_power_walk",
+                        lambda self, x: (self.one(), self.one(), 1))
+    with pytest.raises(SelfCheckFailed, match="not a right inverse"):
         A.inverse((2,))

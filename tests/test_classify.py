@@ -162,6 +162,14 @@ def test_exchange_witnesses_reverify_everywhere():
             assert A.mul(comp, s) == A.sub(one, e) == A.mul(s, comp)
 
 
+def test_decomposition_report_at_1024_elements():
+    A = direct_product([zn_poly_x2(2)] * 5)
+    assert A.size == 1024
+    rep = decomposition_report(A)
+    assert all(rep.flags.values())
+    assert len(rep.idempotents) == len(rep.units) == len(rep.nilpotents) == 32
+
+
 def test_units_form_a_group():
     for A in (zn(4), zn_poly_x2(2), triangular_algebra(2, 2)):
         units = classify_elements(A).units

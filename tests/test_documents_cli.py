@@ -243,6 +243,15 @@ MALFORMED = {
     "deform-order-800": (_deform_job(800), DEFORM, 4),
     "probe-depth-zero": (_probe_job(0), DEFORM, 3),
     "probe-depth-negative": (_probe_job(-3), DEFORM, 3),
+    # order 1 leaves no order to probe, with or without a depth
+    "probe-order-one": (_deform_job(1, "deform-probe", idempotent="[1, 0]"),
+                        DEFORM, 3),
+    "probe-order-one-depth-5": (_deform_job(
+        1, "deform-probe", idempotent="[1, 0]", depth=5), DEFORM, 3),
+    # the lift reaches the probe through the central recursion and still
+    # decides order 1
+    "lift-order-one": (_deform_job(1, "deform-lift", idempotent="[1, 0]"),
+                       DEFORM, 0),
     # the uniquely clean base flattens: 2^(2*200) elements are refused
     # before re-validating, lifting and inverting at order 200
     "clean-decompose-order-200": (_deform_job(
