@@ -21,6 +21,7 @@ from .classify import (
     ClassificationReport,
     classify_elements,
     decomposition_report,
+    in_radical,
     jacobson_radical,
     check_lifting_proposition,
     quotient_by_ideal,

@@ -264,20 +264,16 @@ def validate_algebra(spec, name=None) -> FiniteAlgebra:
 
 def _certify(alg):
     """Associativity on all basis triples plus two-sided unit laws."""
-    r = alg.rank
-    for i in range(r):
-        ei = alg.basis(i)
-        if alg.mul(alg.unit, ei) != ei or alg.mul(ei, alg.unit) != ei:
+    r, table, mul = alg.rank, alg.table, alg.mul
+    basis = [alg.basis(i) for i in range(r)]
+    for i, ei in enumerate(basis):
+        if mul(alg.unit, ei) != ei or mul(ei, alg.unit) != ei:
             raise BadUnit(f"{alg.name}: unit law fails on basis element {i}")
-    for i in range(r):
-        ei = alg.basis(i)
+    for i, ei in enumerate(basis):
         for j in range(r):
-            ej = alg.basis(j)
-            ij = alg.table[i][j]
-            for k in range(r):
-                ek = alg.basis(k)
-                lhs = alg.mul(ij, ek)
-                rhs = alg.mul(ei, alg.mul(ej, ek))
+            for k, ek in enumerate(basis):
+                lhs = mul(table[i][j], ek)
+                rhs = mul(ei, table[j][k])
                 if lhs != rhs:
                     raise NonAssociative((i, j, k), lhs, rhs)
 

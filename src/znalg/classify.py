@@ -12,8 +12,10 @@ flags are self-checks: each element's clean witnesses are found by the same
 scans, and a missing one raises SelfCheckFailed.  The exchange witness is
 built from the strongly clean pair as in Nicholson's proof and re-checked by
 exact arithmetic; no divisor scan runs for it.  FiniteAlgebra.right_divisors
-is only for one-sided ideal membership.  Scans refuse with CapExceeded
-instead of sampling.
+is only for one-sided ideal membership.  Radical membership is asked per
+element (in_radical: 1 - xr and 1 - rx are units for every r); callers test
+the few elements they care about, and jacobson_radical is the same test on
+every element.  Scans refuse with CapExceeded instead of sampling.
 """
 
 from __future__ import annotations
@@ -137,21 +139,24 @@ def decomposition_report(A: FiniteAlgebra, cap=None) -> ClassificationReport:
     return rep
 
 
-def jacobson_radical(A: FiniteAlgebra, cap=None) -> list:
-    """{x : 1 - x*r is a unit for every r}, certified equal to the rx variant."""
-    A.require_within_cap(cap)
-    elems = list(A.elements(cap))
+def in_radical(A: FiniteAlgebra, x, cap=None) -> bool:
+    """x is in the Jacobson radical: 1 - x*r is a unit for every r, certified
+    equal to the r*x side.  Each side stops at its first non-unit."""
     one = A.one()
-    units = {u for u in elems if A.inverse(u, cap) is not None}
-    right = [x for x in elems
-             if all(A.sub(one, A.mul(x, r)) in units for r in elems)]
-    left = [x for x in elems
-            if all(A.sub(one, A.mul(r, x)) in units for r in elems)]
+    right = all(A.inverse(A.sub(one, A.mul(x, r)), cap) is not None
+                for r in A.elements(cap))
+    left = all(A.inverse(A.sub(one, A.mul(r, x)), cap) is not None
+               for r in A.elements(cap))
     if right != left:
         raise SelfCheckFailed(
-            f"{A.name}: one-sided quasi-regularity sets differ (finite rings "
-            "must agree)")
+            f"{A.name}: one-sided quasi-regularity differs at {x} (finite "
+            "rings must agree)")
     return right
+
+
+def jacobson_radical(A: FiniteAlgebra, cap=None) -> list:
+    """Every x with in_radical(A, x), in lexicographic order."""
+    return [x for x in A.elements(cap) if in_radical(A, x, cap)]
 
 
 def saturate_ideal(A: FiniteAlgebra, gens, cap=None) -> set:
@@ -312,20 +317,21 @@ def check_lifting_proposition(A: FiniteAlgebra, gens, cap=None) -> LiftingReport
     """For an ideal I inside the radical: A clean iff A/I is clean and every
     idempotent of A/I has an idempotent preimage."""
     ideal = saturate_ideal(A, gens, cap)
-    radical = set(jacobson_radical(A, cap))
-    if not ideal <= radical:
-        bad = sorted(ideal - radical)[0]
-        raise IdealNotInRadical(
-            f"{A.name}: generated ideal contains {bad} outside the radical")
+    for x in sorted(ideal):
+        if not in_radical(A, x, cap):
+            raise IdealNotInRadical(
+                f"{A.name}: generated ideal contains {x} outside the radical")
 
-    base_clean = decomposition_report(A, cap).flags["clean"]
+    base = decomposition_report(A, cap)
     Q, project, _ = quotient_by_ideal(A, gens, cap)
-    quotient_clean = decomposition_report(Q, cap).flags["clean"]
+    quotient = decomposition_report(Q, cap)
+    base_clean = base.flags["clean"]
+    quotient_clean = quotient.flags["clean"]
 
     preimages = {}
-    for e in A.idempotents(cap):
+    for e in base.idempotents:
         preimages.setdefault(project(e), e)
-    lift_witnesses = {q: preimages.get(q) for q in Q.idempotents(cap)}
+    lift_witnesses = {q: preimages.get(q) for q in quotient.idempotents}
     lifts = None not in lift_witnesses.values()
 
     holds = base_clean == (quotient_clean and lifts)

@@ -413,9 +413,8 @@ def job_shriek(ws, spec, cap, report):
     _assert(report, "ideal-nilpotency-within-chain-bound",
             facts.nilpotency_index <= facts.longest_chain,
             index=facts.nilpotency_index, chain=facts.longest_chain)
-    if facts.quotient_matches_product is not None:
-        _assert(report, "quotient-is-stalk-product",
-                facts.quotient_matches_product)
+    _assert(report, "quotient-is-stalk-product",
+            facts.quotient_matches_product)
     if facts.inside_radical is not None:
         _assert(report, "ideal-inside-radical", facts.inside_radical)
     shriek_rep = classify_shriek(PA, cap)

@@ -16,16 +16,11 @@ from .algebra import (
     FiniteAlgebra,
     _check_table,
     _linear,
-    direct_product,
     validate_algebra,
     zn,
     zn_poly_x2,
 )
-from .classify import (
-    decomposition_report,
-    jacobson_radical,
-    quotient_by_ideal,
-)
+from .classify import decomposition_report, in_radical
 from .errors import (
     BadShape,
     CapExceeded,
@@ -292,8 +287,10 @@ class TriangularIdealReport:
 
 def triangular_ideal_facts(PA: PosetAlgebra, cap=None) -> TriangularIdealReport:
     """The strictly-upper blocks form a nilpotent ideal; the quotient is the
-    product of the stalks via diagonal extraction; the ideal sits inside the
-    radical whenever the carrier is enumerable."""
+    product of the stalks via diagonal extraction, certified from the table
+    at any size; the ideal sits inside the radical, decided by testing each
+    strict basis element (J is a two-sided ideal) whenever the carrier is
+    enumerable, and None above the cap."""
     F = PA.presheaf
     P = F.poset
     carrier = PA.carrier
@@ -337,7 +334,7 @@ def triangular_ideal_facts(PA: PosetAlgebra, cap=None) -> TriangularIdealReport:
         raise SelfCheckFailed(
             f"nilpotency index {index} exceeds the longest chain {longest}")
 
-    quotient_ok = _verify_quotient_is_product(PA, cap)
+    quotient_ok = is_ideal and _verify_quotient_is_product(PA)
 
     inside_radical = None
     try:
@@ -345,9 +342,8 @@ def triangular_ideal_facts(PA: PosetAlgebra, cap=None) -> TriangularIdealReport:
     except CapExceeded:
         pass
     else:
-        radical = set(jacobson_radical(carrier, cap))
-        inside_radical = all(
-            carrier.basis(k) in radical for k in sorted(strict_coords))
+        inside_radical = all(in_radical(carrier, carrier.basis(k), cap)
+                             for k in sorted(strict_coords))
     return TriangularIdealReport(is_ideal, index, longest, quotient_ok,
                                  inside_radical)
 
@@ -362,53 +358,31 @@ def _longest_chain(P: Poset):
     return max(best)
 
 
-def _verify_quotient_is_product(PA: PosetAlgebra, cap=None):
-    """Certify the diagonal-extraction isomorphism from the coset algebra
-    onto the direct product of the stalks."""
+def _verify_quotient_is_product(PA: PosetAlgebra):
+    """Certify that diagonal extraction induces A/I = product of the stalks,
+    given that the strict span I is a two-sided ideal.
+
+    Diagonal extraction is a surjective coordinate projection with kernel I,
+    so it induces the isomorphism exactly when it is a unital ring map: the
+    unit projects to the stalk units, and each product of two diagonal basis
+    elements projects to the stalk's table entry in its own block and to zero
+    in every other block (products touching I vanish on both sides).
+    Bilinearity extends this to all elements."""
     F = PA.presheaf
     carrier = PA.carrier
-    strict_gens = []
-    for pair in PA.blocks:
-        if pair[0] != pair[1]:
-            start, width = PA.offsets[pair]
-            strict_gens.extend(carrier.basis(start + k) for k in range(width))
-    try:
-        carrier.require_within_cap(cap)
-    except CapExceeded:
-        return None
-    Q, project, ideal = quotient_by_ideal(carrier, strict_gens, cap)
-    prod = direct_product([F.stalks[i] for i in range(F.poset.size)]) \
-        if F.poset.size > 1 else F.stalks[0]
-
-    if Q.size != prod.size:
+    nodes = range(F.poset.size)
+    if any(PA.block(carrier.one(), (i, i)) != F.stalks[i].one()
+           for i in nodes):
         return False
-
-    def diag_embed(z):
-        coords = []
-        for i in range(F.poset.size):
-            coords.extend(PA.block(z, (i, i)))
-        return tuple(coords)
-
-    # project is surjective; build the induced map Q -> prod and check it is
-    # a bijective unital homomorphism
-    image_of = {}
-    for z in carrier.elements(cap):
-        q = project(z)
-        d = diag_embed(z)
-        if q in image_of and image_of[q] != d:
-            return False            # not well defined on cosets
-        image_of[q] = d
-    values = set(image_of.values())
-    if len(values) != prod.size:
-        return False
-    if image_of[Q.one()] != prod.one():
-        return False
-    for q1 in Q.elements(cap):
-        for q2 in Q.elements(cap):
-            if image_of[Q.mul(q1, q2)] != prod.mul(image_of[q1], image_of[q2]):
-                return False
-            if image_of[Q.add(q1, q2)] != prod.add(image_of[q1], image_of[q2]):
-                return False
+    diagonal_basis = [(i, u, PA.offsets[(i, i)][0] + u)
+                      for i in nodes for u in range(F.stalks[i].rank)]
+    for i, u, a in diagonal_basis:
+        for j, v, b in diagonal_basis:
+            for h in nodes:
+                want = (F.stalks[i].table[u][v] if h == i == j
+                        else F.stalks[h].zero())
+                if PA.block(carrier.table[a][b], (h, h)) != want:
+                    return False
     return True
 
 

@@ -15,6 +15,7 @@ from znalg.classify import (
     check_lifting_proposition,
     classify_elements,
     decomposition_report,
+    in_radical,
     jacobson_radical,
     quotient_by_ideal,
     search_exchange_counterexample,
@@ -185,6 +186,23 @@ def test_jacobson_radical_frozen():
     assert jacobson_radical(zn(4)) == [(0,), (2,)]
     assert jacobson_radical(zn_poly_x2(2)) == [(0, 0), (0, 1)]
     assert jacobson_radical(zn(2)) == [(0,)]
+
+
+def test_in_radical_matches_the_definition():
+    from znalg.catalog import catalog_algebras
+    algebras = catalog_algebras() + [
+        matrix_algebra(3, 2), triangular_algebra(2, 3),
+        triangular_algebra(4, 2), zn_poly_x2(16)]
+    for A in algebras:
+        elems = list(A.elements())
+        units = set(brute_units(A))
+        one = A.one()
+        radical = [x for x in elems
+                   if all(A.sub(one, A.mul(x, r)) in units for r in elems)
+                   and all(A.sub(one, A.mul(r, x)) in units for r in elems)]
+        # jacobson_radical asks in_radical about every element
+        assert jacobson_radical(A) == radical, A.name
+        assert in_radical(A, A.zero()) and not in_radical(A, one)
 
 
 def test_quotient_z4_by_two():

@@ -190,6 +190,14 @@ def test_t_in_radical_x_squared_t():
     assert check.structural_ok and check.brute_ok is True
 
 
+def test_t_in_radical_x_squared_t_at_order_6():
+    # 4096-element flattened model: t is tested for membership alone, so
+    # this stays in seconds where building all of J took minutes
+    check = t_in_radical_check(x_squared_t_deformation(2, 6))
+    assert check.structural_ok
+    assert check.brute_ok is True
+
+
 def test_t_in_radical_all_catalog():
     for D in catalog_deformations(3):
         check = t_in_radical_check(D)

@@ -393,6 +393,17 @@ def test_shriek_job(catalog_doc, capsys):
     assert "nil-clean-transfer" in out.replace("_", "-")
 
 
+def test_shriek_above_cap_still_certifies_the_quotient(catalog_doc, tmp_path):
+    report_path = tmp_path / "shriek.json"
+    code = main(["--cap", "64", "--report", str(report_path), "shriek",
+                 "--doc", str(catalog_doc), "--presheaf", "example-1"])
+    assert code == 0
+    clauses = {a["clause"]: a["passed"]
+               for a in json.loads(report_path.read_text())["assertions"]}
+    assert clauses["quotient-is-stalk-product"] is True
+    assert "ideal-inside-radical" not in clauses
+
+
 def test_cohomology_job_square(catalog_doc, tmp_path):
     report_path = tmp_path / "coh.json"
     code = main(["--report", str(report_path), "cohomology",

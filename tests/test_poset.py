@@ -6,12 +6,14 @@ from itertools import combinations
 
 import pytest
 
-from znalg.algebra import direct_product, triangular_algebra, zn
+from znalg.algebra import FiniteAlgebra, direct_product, triangular_algebra, zn
+from znalg.classify import quotient_by_ideal
 from znalg.errors import BadShape, PresheafInvalid, StalkNotNilClean
 from znalg.hochschild import cohomology_dims, regular_bimodule
 from znalg.linal import eliminate_modp
 from znalg.poset import (
     Poset,
+    PosetAlgebra,
     antichain_presheaf,
     build_shriek,
     chain_presheaf,
@@ -183,6 +185,100 @@ def test_triangular_ideal_facts_example_one():
     assert rep.nilpotency_index == 2
     assert rep.quotient_matches_product
     assert rep.inside_radical
+
+
+def enumerated_quotient_is_product(PA):
+    """Oracle for the table certificate: build the coset algebra A/I by
+    enumeration and check on every pair of cosets that diagonal extraction
+    is a bijective unital ring map onto the product of the stalks."""
+    F = PA.presheaf
+    carrier = PA.carrier
+    strict_gens = []
+    for pair in PA.blocks:
+        if pair[0] != pair[1]:
+            start, width = PA.offsets[pair]
+            strict_gens.extend(carrier.basis(start + k) for k in range(width))
+    Q, project, _ = quotient_by_ideal(carrier, strict_gens)
+    prod = direct_product([F.stalks[i] for i in range(F.poset.size)])
+    if Q.size != prod.size:
+        return False
+
+    def diag_embed(z):
+        coords = []
+        for i in range(F.poset.size):
+            coords.extend(PA.block(z, (i, i)))
+        return tuple(coords)
+
+    image_of = {}
+    for z in carrier.elements():
+        q = project(z)
+        d = diag_embed(z)
+        if q in image_of and image_of[q] != d:
+            return False            # not well defined on cosets
+        image_of[q] = d
+    if len(set(image_of.values())) != prod.size:
+        return False
+    if image_of[Q.one()] != prod.one():
+        return False
+    for q1 in Q.elements():
+        for q2 in Q.elements():
+            if image_of[Q.mul(q1, q2)] != prod.mul(image_of[q1], image_of[q2]):
+                return False
+            if image_of[Q.add(q1, q2)] != prod.add(image_of[q1], image_of[q2]):
+                return False
+    return True
+
+
+QUOTIENT_CASES = {
+    "chain(2) Z2": lambda: chain_presheaf(2, zn(2)),
+    "chain(3) Z2": lambda: chain_presheaf(3, zn(2)),
+    "antichain(2) Z3": lambda: antichain_presheaf(2, zn(3)),
+    "example-1": example_one_presheaf,
+    "square-circle": square_presheaf,
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUOTIENT_CASES))
+def test_quotient_certificate_matches_enumeration(name):
+    PA = build_shriek(QUOTIENT_CASES[name]())
+    assert enumerated_quotient_is_product(PA) is True
+    assert triangular_ideal_facts(PA).quotient_matches_product is True
+
+
+def _corrupted(PA, table=None, unit=None):
+    """The same block layout over an unvalidated carrier."""
+    c = PA.carrier
+    bad = FiniteAlgebra(c.n, c.rank, table or c.table, unit or c.unit,
+                        name=c.name)
+    return PosetAlgebra(PA.presheaf, bad, PA.blocks, PA.offsets)
+
+
+@pytest.mark.parametrize("name", sorted(QUOTIENT_CASES))
+def test_quotient_certificate_refuses_corrupted_carriers(name):
+    PA = build_shriek(QUOTIENT_CASES[name]())
+    c = PA.carrier
+    # one diagonal-block table cell: the square of the first basis element
+    # of node 0's diagonal block gains 1 in its own coordinate
+    start, _ = PA.offsets[(0, 0)]
+    table = [[list(cell) for cell in row] for row in c.table]
+    table[start][start][start] += 1
+    # the unit's coordinate there gains 1
+    unit = list(c.unit)
+    unit[start] += 1
+    corrupted = [_corrupted(PA, table=table), _corrupted(PA, unit=unit)]
+    strict = [pair for pair in PA.blocks if pair[0] != pair[1]]
+    if strict:
+        # a product with a strict block leaks into a diagonal coordinate, so
+        # the strict span is no ideal and the quotient is smaller
+        s, _ = PA.offsets[strict[0]]
+        leak = [[list(cell) for cell in row] for row in c.table]
+        leak[start][s][start] += 1
+        corrupted.append(_corrupted(PA, table=leak))
+    # cap=1 keeps every enumeration off: the certificate runs regardless
+    for bad in corrupted:
+        rep = triangular_ideal_facts(bad, cap=1)
+        assert rep.quotient_matches_product is False
+        assert rep.inside_radical is None
 
 
 def test_structural_decompose_antichain_componentwise():
