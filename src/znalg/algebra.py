@@ -12,8 +12,12 @@ one-sided ideal membership.
 The same nested-table format carries bimodule actions, cochains, deformation
 corrections and restriction maps.  _check_table is the one shape and entry
 check for all of them, and _bilinear and _linear are the only code that
-evaluates a table; both stay private so that they are never timed as spans
-of their own when the hot methods built on them are traced.  For the same
+evaluates a table.  They read sparse cells, not the dense table: each owner
+builds, once, the (k, v) pairs with v != 0 of every cell (_sparse_cells),
+so a product walks only the nonzero entries.  The dense tables stay the
+public form that equality, hashing, reports and documents read.  Both
+kernels stay private so that they are never timed as spans of their own
+when the hot methods built on them are traced.  For the same
 reason _refuse_above_cap, the one element-count refusal behind
 FiniteAlgebra.require_within_cap and every other enumeration, is private.
 """
@@ -53,6 +57,7 @@ class FiniteAlgebra:
         )
         self.unit = tuple(v % self.n for v in unit)
         self.name = name or f"algebra(n={self.n},r={self.rank})"
+        self._cells = _sparse_cells(self.table, 2)
 
     def __repr__(self):
         return f"FiniteAlgebra({self.name!r}, n={self.n}, rank={self.rank})"
@@ -107,7 +112,7 @@ class FiniteAlgebra:
         return tuple((c * a) % n for a in x)
 
     def mul(self, x, y):
-        return _bilinear(self.table, x, y, self.n, self.rank)
+        return _bilinear(self._cells, x, y, self.n, self.rank)
 
     def elements(self, cap=None):
         """All elements in lexicographic coordinate order; refuses above the cap."""
@@ -179,30 +184,39 @@ def _refuse_above_cap(count, cap, what, shown=None):
             f"cap {limit}")
 
 
-def _bilinear(table, x, y, n, width):
-    """Sum of x_i y_j table[i][j] mod n: the one bilinear product behind
-    algebra, bimodule, deformation and degree-2 cochain tables."""
+def _sparse_cells(table, depth):
+    """The table with every cell below depth levels of nesting replaced by
+    the tuple of its (k, v) pairs with v != 0, in coordinate order; depth 0
+    sparsifies a single vector."""
+    if depth == 0:
+        return tuple((k, v) for k, v in enumerate(table) if v)
+    return tuple(_sparse_cells(sub, depth - 1) for sub in table)
+
+
+def _bilinear(cells, x, y, n, width):
+    """Sum of x_i y_j table[i][j] mod n over the sparse cells of the table:
+    the one bilinear product behind algebra, bimodule, deformation and
+    degree-2 cochain tables."""
     acc = [0] * width
     for i, xi in enumerate(x):
         if xi:
-            row = table[i]
+            row = cells[i]
             for j, yj in enumerate(y):
                 if yj:
                     c = xi * yj
-                    for k, v in enumerate(row[j]):
-                        if v:
-                            acc[k] = (acc[k] + c * v) % n
+                    for k, v in row[j]:
+                        acc[k] = (acc[k] + c * v) % n
     return tuple(acc)
 
 
 def _linear(rows, x, n, width):
-    """Sum of x_i rows[i] mod n; rows at zero coordinates of x are never read."""
+    """Sum of x_i rows[i] mod n over sparse rows; rows at zero coordinates
+    of x are never read."""
     acc = [0] * width
     for i, xi in enumerate(x):
         if xi:
-            for k, v in enumerate(rows[i]):
-                if v:
-                    acc[k] = (acc[k] + xi * v) % n
+            for k, v in rows[i]:
+                acc[k] = (acc[k] + xi * v) % n
     return tuple(acc)
 
 

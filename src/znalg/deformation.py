@@ -10,9 +10,13 @@ complete rings applies verbatim to the truncation.
 _coefficient is the one series coefficient: coefficient k of f*g, the sum of
 alpha_m(f_a, g_b) over m + a + b = k.  def_mul, both inverse recursions and
 the idempotent recursion read the sum through it; the recursions pass partial
-series whose unknown coefficients are still zero.  flatten assembles the
-same sum into a plain structure table on its own, so the flattened model is
-the independent oracle for all of them.
+series whose unknown coefficients are still zero.  A deformation records the
+orders whose correction is not identically zero, and this sum and the
+order-k associativity sum of validate_deformation run over those orders
+only: every term they skip is exactly zero.  Each correction is evaluated
+through the sparse cells of its table.  flatten assembles the same sum over
+every order into a plain structure table on its own, so the flattened model
+is the independent oracle for all of them.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .algebra import (
     _check_table,
     _linear,
     _refuse_above_cap,
+    _sparse_cells,
     validate_algebra,
     zn_poly_x2,
 )
@@ -58,6 +63,12 @@ class TruncatedDeformation:
                   for row in table)
             for table in cochains)
         self.name = name or f"{base.name} deformed (N={self.order})"
+        self._cells = tuple(_sparse_cells(t, 2) for t in self.cochains)
+        # the orders m whose alpha_m is not identically zero, increasing;
+        # order 0, the base multiplication, always counts
+        self._support = (0,) + tuple(
+            m for m, cells in enumerate(self._cells, 1)
+            if any(any(row) for row in cells))
 
     def __repr__(self):
         return f"TruncatedDeformation({self.name!r})"
@@ -67,7 +78,7 @@ class TruncatedDeformation:
         A = self.base
         if m == 0:
             return A.mul(x, y)
-        return _bilinear(self.cochains[m - 1], x, y, A.n, A.rank)
+        return _bilinear(self._cells[m - 1], x, y, A.n, A.rank)
 
 
 def validate_deformation(spec, base=None, name=None) -> TruncatedDeformation:
@@ -102,6 +113,8 @@ def validate_deformation(spec, base=None, name=None) -> TruncatedDeformation:
                     f"order-{m} cochain moves the unit on basis element {j}")
 
     for k in range(D.order):
+        # only the orders m with both alpha_m and alpha_(k-m) nonzero
+        terms = [m for m in D._support if k - m in D._support]
         for i in range(A.rank):
             ei = A.basis(i)
             for j in range(A.rank):
@@ -110,7 +123,7 @@ def validate_deformation(spec, base=None, name=None) -> TruncatedDeformation:
                     el = A.basis(l)
                     lhs = zero
                     rhs = zero
-                    for m in range(k + 1):
+                    for m in terms:
                         lhs = A.add(lhs, D.alpha(m, D.alpha(k - m, ei, ej), el))
                         rhs = A.add(rhs, D.alpha(m, ei, D.alpha(k - m, ej, el)))
                     if lhs != rhs:
@@ -173,12 +186,15 @@ def _check_order(D, *fs):
 
 
 def _coefficient(D, f, g, k):
-    """Coefficient k of f*g: alpha_m(f_a, g_b) summed over m + a + b = k.
-    Zero coefficients are skipped, so a recursion may pass a partial series
-    whose unknown coefficients are still zero."""
+    """Coefficient k of f*g: alpha_m(f_a, g_b) summed over m + a + b = k,
+    for the orders m that carry a correction.  Zero coefficients are
+    skipped, so a recursion may pass a partial series whose unknown
+    coefficients are still zero."""
     A = D.base
     acc = A.zero()
-    for m in range(k + 1):
+    for m in D._support:
+        if m > k:
+            break
         for a in range(k - m + 1):
             fa = f[a]
             gb = g[k - m - a]
@@ -474,9 +490,10 @@ def gauge_deformation(A, gmap, order, name=None) -> TruncatedDeformation:
     gmap = tuple(tuple(v % A.n for v in row) for row in gmap)
     if len(gmap) != r or any(len(row) != r for row in gmap):
         raise BadShape("gauge map must be a rank x rank matrix")
+    gcells = _sparse_cells(gmap, 1)
 
     def apply_g(x):
-        return _linear(gmap, x, A.n, r)
+        return _linear(gcells, x, A.n, r)
 
     if any(apply_g(A.one())):
         raise BadShape("gauge map must vanish on the unit")

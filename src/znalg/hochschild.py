@@ -2,18 +2,23 @@
 
 Bimodule actions and cochains are nested structure-constant tables in the
 format of algebra.py, checked by its _check_table and evaluated by its
-_bilinear and _linear kernels; a cochain contracts one argument at a time
-over that argument's support.  Multilinearity makes the table a lossless
-representation and turns cocycle/coboundary questions into exact linear
-algebra over Z_p.  The coboundary of a table is evaluated directly from the
-alternating-sum formula; for rank, kernel and span questions the same map is
-materialized as sparse rows over the cochain coordinate spaces and
-eliminated by linal for any prime p.
+_bilinear and _linear kernels over sparse cells: a bimodule builds the cells
+of its action tables once, a cochain on its first evaluation, and a cochain
+of degree 3 or more contracts one argument at a time over that argument's
+support.  Multilinearity makes the table a lossless representation and
+turns cocycle/coboundary questions into exact linear algebra over Z_p.
+The coboundary of a table is evaluated directly from the alternating-sum
+formula; for rank, kernel and span questions the same map is materialized
+as sparse rows over the cochain coordinate spaces and eliminated by linal
+for any prime p.  delta_matrix assembles those rows from the sparse cells,
+reaching each merged pair (u, v) of a source tuple through one preimage
+list per basis index instead of a scan over all r^2 pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 from .algebra import (
@@ -22,6 +27,7 @@ from .algebra import (
     _check_int,
     _check_table,
     _linear,
+    _sparse_cells,
 )
 from .errors import (
     ActionNotAssociative,
@@ -59,6 +65,8 @@ class Bimodule:
         self.right = tuple(
             tuple(tuple(v % n for v in cell) for cell in row) for row in right)
         self.name = name or f"bimodule(s={self.rank}) over {algebra.name}"
+        self._left_cells = _sparse_cells(self.left, 2)
+        self._right_cells = _sparse_cells(self.right, 2)
 
     def __repr__(self):
         return f"Bimodule({self.name!r})"
@@ -88,11 +96,11 @@ class Bimodule:
 
     def lact(self, a, m):
         """Left action of algebra element a on module element m."""
-        return _bilinear(self.left, a, m, self.n, self.rank)
+        return _bilinear(self._left_cells, a, m, self.n, self.rank)
 
     def ract(self, m, a):
         """Right action of algebra element a on module element m."""
-        return _bilinear(self.right, m, a, self.n, self.rank)
+        return _bilinear(self._right_cells, m, a, self.n, self.rank)
 
 
 def validate_bimodule(spec, algebra=None, name=None) -> Bimodule:
@@ -171,7 +179,11 @@ class Cochain:
                 f"cochain of degree {self.degree} applied to {len(args)} arguments")
         if not args:
             return self.values
-        return _contract(self.values, args, self.module.n, self.module.rank)
+        return _contract(self._cells, args, self.module.n, self.module.rank)
+
+    @cached_property
+    def _cells(self):
+        return _sparse_cells(self.values, self.degree)
 
     def is_zero(self):
         def flat(v):
@@ -185,16 +197,17 @@ class Cochain:
                 and self.values == other.values)
 
 
-def _contract(table, args, n, width):
-    """A multilinear table evaluated on args: the first argument contracts
-    the table rows that its support selects, the rest recurse."""
+def _contract(cells, args, n, width):
+    """A multilinear table, given by its sparse cells, evaluated on args:
+    the first argument contracts the table rows that its support selects,
+    the rest recurse and come back as sparse rows."""
     if len(args) == 1:
-        return _linear(table, args[0], n, width)
+        return _linear(cells, args[0], n, width)
     if len(args) == 2:
-        return _bilinear(table, args[0], args[1], n, width)
+        return _bilinear(cells, args[0], args[1], n, width)
     head, rest = args[0], args[1:]
-    rows = [_contract(sub, rest, n, width) if c else None
-            for c, sub in zip(head, table)]
+    rows = [_sparse_cells(_contract(sub, rest, n, width), 0) if c else None
+            for c, sub in zip(head, cells)]
     return _linear(rows, head, n, width)
 
 
@@ -313,36 +326,36 @@ def delta_matrix(M: Bimodule, degree):
             idx = idx * r + t
         return idx * s + coord
 
+    # preimages[t]: every (u, v, coeff) with coordinate t of e_u e_v equal
+    # to coeff != 0, in (u, v) order
+    preimages = [[] for _ in range(r)]
+    for u, row in enumerate(A._cells):
+        for v, cell in enumerate(row):
+            for t, coeff in cell:
+                preimages[t].append((u, v, coeff))
+
     rows = []
     for T in src_tuples:
         for m0 in range(s):
             row = {}
             for l in range(r):
-                vec = M.left[l][m0]
                 T2 = (l,) + T
-                for k, v in enumerate(vec):
-                    if v:
-                        pos = flat(T2, k)
-                        row[pos] = (row.get(pos, 0) + v) % n
+                for k, v in M._left_cells[l][m0]:
+                    pos = flat(T2, k)
+                    row[pos] = (row.get(pos, 0) + v) % n
             sign = 1
             for i in range(1, nu + 1):
                 sign = -sign
-                ti = T[i - 1]
-                for u in range(r):
-                    for v in range(r):
-                        coeff = A.table[u][v][ti]
-                        if coeff:
-                            T2 = T[:i - 1] + (u, v) + T[i:]
-                            pos = flat(T2, m0)
-                            row[pos] = (row.get(pos, 0) + sign * coeff) % n
+                for u, v, coeff in preimages[T[i - 1]]:
+                    T2 = T[:i - 1] + (u, v) + T[i:]
+                    pos = flat(T2, m0)
+                    row[pos] = (row.get(pos, 0) + sign * coeff) % n
             sign = -sign
             for k in range(r):
-                vec = M.right[m0][k]
                 T2 = T + (k,)
-                for c2, v in enumerate(vec):
-                    if v:
-                        pos = flat(T2, c2)
-                        row[pos] = (row.get(pos, 0) + sign * v) % n
+                for c2, v in M._right_cells[m0][k]:
+                    pos = flat(T2, c2)
+                    row[pos] = (row.get(pos, 0) + sign * v) % n
             rows.append({p: c for p, c in row.items() if c})
     return rows, len(src_tuples) * s, dst_dim
 

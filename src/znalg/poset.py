@@ -16,6 +16,7 @@ from .algebra import (
     FiniteAlgebra,
     _check_table,
     _linear,
+    _sparse_cells,
     validate_algebra,
     zn,
     zn_poly_x2,
@@ -117,7 +118,8 @@ class Presheaf:
 
     maps[(h, i)] for h <= i is the image table of a unital homomorphism from
     stalk i to stalk h, one coordinate tuple per basis element of stalk i;
-    restriction reduces its entries mod n.
+    restriction reduces its entries mod n.  The sparse cells of a map are
+    built on its first use, after validate_presheaf has checked its shape.
     """
 
     def __init__(self, poset: Poset, stalks, maps, name=""):
@@ -125,13 +127,17 @@ class Presheaf:
         self.stalks = list(stalks)
         self.maps = dict(maps)
         self.name = name or "presheaf"
+        self._cells = {}
 
     def restrict(self, h, i, x):
         """Apply the restriction map from stalk i into stalk h <= i."""
         if h == i:
             return tuple(x)
         S = self.stalks[h]
-        return _linear(self.maps[(h, i)], x, S.n, S.rank)
+        cells = self._cells.get((h, i))
+        if cells is None:
+            cells = self._cells[(h, i)] = _sparse_cells(self.maps[(h, i)], 1)
+        return _linear(cells, x, S.n, S.rank)
 
     def __repr__(self):
         return f"Presheaf({self.name!r})"

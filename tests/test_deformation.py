@@ -2,13 +2,22 @@
 flattened-model bridges."""
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from znalg.algebra import direct_product, matrix_algebra, triangular_algebra, zn, zn_poly_x2
+from znalg.algebra import (
+    direct_product,
+    matrix_algebra,
+    triangular_algebra,
+    validate_algebra,
+    zn,
+    zn_poly_x2,
+)
 from znalg.classify import decomposition_report, jacobson_radical
 from znalg.deformation import (
+    TruncatedDeformation,
     catalog_deformations,
     clean_decompose_def,
     def_add,
@@ -71,7 +80,6 @@ def test_not_associative_at_order_rejected():
     # with a vanishing first-order term, order-2 associativity reduces to the
     # cocycle identity for the second term; alpha2(e01, e01) = e01 on T2(Z2)
     # fails it at the triple (e01, e00, e01)
-    from znalg.deformation import TruncatedDeformation
     from znalg.errors import NotAssociativeAtOrder
     T2 = triangular_algebra(2, 2)
     zero = [[[0, 0, 0]] * 3 for _ in range(3)]
@@ -386,38 +394,126 @@ def test_flatten_x_squared_t_structural_flags():
     assert rep.flags["exchange"]
 
 
+def assert_matches_flatten(D):
+    """flatten assembles the series product over every order on its own, so
+    the flattened model checks def_mul and every recursion that shares its
+    coefficient.  The base must be commutative, so that every idempotent is
+    central and has exactly one lift."""
+    A = D.base
+    F = flatten(D)
+    rng = random.Random(7)
+    for _ in range(10):
+        f = random_def_element(D, rng.randrange(1 << 30))
+        g = random_def_element(D, rng.randrange(1 << 30))
+        flat_f = flatten_element(D, f)
+        assert (F.mul(flat_f, flatten_element(D, g))
+                == flatten_element(D, def_mul(D, f, g)))
+        flat_inv = F.inverse(flat_f)
+        if A.inverse(f[0]) is None:
+            assert flat_inv is None
+            with pytest.raises(ConstantTermNotUnit):
+                invert_def(D, f)
+        else:
+            assert flatten_element(D, invert_def(D, f)) == flat_inv
+    lifts = {}
+    for z in F.idempotents():
+        lifts.setdefault(z[:A.rank], []).append(z)
+    for e in A.idempotents():
+        assert len(lifts[e]) == 1
+        assert flatten_element(D, lift_idempotent_central(D, e)) \
+            == lifts[e][0]
+        newton, _ = lift_idempotent_newton(D, e)
+        assert flatten_element(D, newton) == lifts[e][0]
+
+
 def test_flatten_respects_def_mul():
-    # flatten assembles the series product on its own, so the flattened
-    # model checks def_mul and every recursion that shares its coefficient
     for order in range(2, 6):
         for D in catalog_deformations(order):
-            A = D.base
-            F = flatten(D)
-            rng = random.Random(7)
-            for _ in range(10):
-                f = random_def_element(D, rng.randrange(1 << 30))
-                g = random_def_element(D, rng.randrange(1 << 30))
-                flat_f = flatten_element(D, f)
-                assert (F.mul(flat_f, flatten_element(D, g))
-                        == flatten_element(D, def_mul(D, f, g)))
-                flat_inv = F.inverse(flat_f)
-                if A.inverse(f[0]) is None:
-                    assert flat_inv is None
-                    with pytest.raises(ConstantTermNotUnit):
-                        invert_def(D, f)
-                else:
-                    assert flatten_element(D, invert_def(D, f)) == flat_inv
-            lifts = {}
-            for z in F.idempotents():
-                lifts.setdefault(z[:A.rank], []).append(z)
-            for e in A.idempotents():
-                # the catalog bases are commutative, so every e is central
-                # and has exactly one idempotent lift
-                assert len(lifts[e]) == 1
-                assert flatten_element(D, lift_idempotent_central(D, e)) \
-                    == lifts[e][0]
-                newton, _ = lift_idempotent_newton(D, e)
-                assert flatten_element(D, newton) == lifts[e][0]
+            assert_matches_flatten(D)
+
+
+def correction_orders(D):
+    return [m for m, table in enumerate(D.cochains, 1)
+            if any(any(cell) for row in table for cell in row)]
+
+
+def substitute_t_squared(D, order):
+    """D with t replaced by t^2, cut at the given order: the correction at
+    order 2m is D's at order m, and every odd order carries none."""
+    r = D.base.rank
+    zero = [[[0] * r for _ in range(r)] for _ in range(r)]
+    cochains = [D.cochains[m // 2 - 1] if m % 2 == 0 else zero
+                for m in range(1, order)]
+    return validate_deformation(TruncatedDeformation(
+        D.base, order, cochains, name=f"{D.name} at t^2"))
+
+
+def gapped_deformations(order):
+    """Deformations whose corrections skip orders: x^2 = t^2 (order 2
+    only), the gauge map [[1, 1], [1, 1]] on Z2 x Z2 (orders 1 and 2) and
+    the same gauge at t^2 (orders 2 and 4)."""
+    P = direct_product([zn(2), zn(2)])
+    gauge = gauge_deformation(P, [[1, 1], [1, 1]], order)
+    return [substitute_t_squared(x_squared_t_deformation(2, order), order),
+            gauge, substitute_t_squared(gauge, order)]
+
+
+def test_flatten_respects_def_mul_with_gapped_corrections():
+    # every catalog deformation corrects order 1 at most; these skip orders,
+    # so a sum that stops or indexes wrongly past a gap disagrees with the
+    # flattened model
+    assert [correction_orders(D) for D in gapped_deformations(6)] \
+        == [[2], [1, 2], [2, 4]]
+    for order in range(2, 7):
+        for D in gapped_deformations(order):
+            assert_matches_flatten(D)
+
+
+def test_non_cocycle_at_order_three_fails_where_the_dense_sum_does():
+    # on Z2[X]/(X^3) a correction with alpha3(x, x^2) = 1 and alpha3(x^2, x)
+    # = 0 breaks the cocycle identity at (x, x, x); with no correction at
+    # orders 1 and 2, associativity first fails at order 3
+    from znalg.errors import NotAssociativeAtOrder
+    r, n, order = 3, 2, 5
+    structure = [[[0] * r for _ in range(r)] for _ in range(r)]
+    for i in range(r):
+        for j in range(r - i):
+            structure[i][j][i + j] = 1
+    A = validate_algebra({"modulus": n, "rank": r, "structure": structure,
+                          "unit": [1, 0, 0]})
+    zero = [[[0] * r for _ in range(r)] for _ in range(r)]
+    alpha3 = [[[0] * r for _ in range(r)] for _ in range(r)]
+    alpha3[1][2] = [1, 0, 0]
+    cochains = [zero, zero, alpha3, zero]
+    tables = [structure] + cochains
+
+    def alpha(m, x, y):
+        return tuple(
+            sum(x[i] * y[j] * tables[m][i][j][k]
+                for i in range(r) for j in range(r)) % n
+            for k in range(r))
+
+    def add(x, y):
+        return tuple((a + b) % n for a, b in zip(x, y))
+
+    def first_dense_failure():
+        basis = [A.basis(i) for i in range(r)]
+        for k in range(order):
+            for i, j, l in product(range(r), repeat=3):
+                ei, ej, el = basis[i], basis[j], basis[l]
+                lhs = rhs = A.zero()
+                for m in range(k + 1):
+                    lhs = add(lhs, alpha(m, alpha(k - m, ei, ej), el))
+                    rhs = add(rhs, alpha(m, ei, alpha(k - m, ej, el)))
+                if lhs != rhs:
+                    return k, (i, j, l)
+        return None
+
+    expected = first_dense_failure()
+    assert expected is not None and expected[0] == 3
+    with pytest.raises(NotAssociativeAtOrder) as err:
+        validate_deformation({"order": order, "cochains": cochains}, base=A)
+    assert (err.value.order, err.value.triple) == expected
 
 
 def test_flatten_clean_transfer_catalog():

@@ -83,30 +83,51 @@ def brute_force(table, args, n):
 
 def test_table_kernels_match_brute_force():
     # every product and action the package evaluates from a table, on
-    # non-basis and zero arguments, including a module of rank s != r
+    # non-basis and zero arguments, including a module of rank s != r and
+    # two carriers whose cells are mostly empty: the sphere poset algebra
+    # (rank 18) and an extension of T3(Z2) by itself (rank 12)
+    from znalg.extension import build_extension
+    from znalg.poset import build_shriek, sphere_presheaf
     rng = random.Random(17)
     T = triangular_algebra(4, 2)
     P = direct_product([zn(2), zn(2)])
     G = triangular_algebra(3, 2)
+    S = build_shriek(sphere_presheaf(2)).carrier
+    T3 = triangular_algebra(2, 3)
+    R3 = regular_bimodule(T3)
+    E = build_extension(T3, R3, coboundary(random_cochain(R3, 1, 3))).carrier
     cases = [(zn_poly_x2(3), regular_bimodule(zn_poly_x2(3))),
              (T, regular_bimodule(T)),
-             (P, twisted_projection_module(P))]
+             (P, twisted_projection_module(P)),
+             (S, regular_bimodule(S)),
+             (E, regular_bimodule(E))]
     for A, M in cases:
         n = A.n
+        r = A.rank
 
         def samples(rank):
             return [(0,) * rank] + [tuple(rng.randrange(n) for _ in range(rank))
                                     for _ in range(3)]
 
         xs, ms = samples(A.rank), samples(M.rank)
-        for x, y in product(xs, xs):
+        basis = [A.basis(i) for i in rng.sample(range(r), min(r, 3))]
+        for x, y in product(xs + basis, repeat=2):
             assert A.mul(x, y) == brute_force(A.table, (x, y), n)
         for a, m in product(xs, ms):
             assert M.lact(a, m) == brute_force(M.left, (a, m), n)
             assert M.ract(m, a) == brute_force(M.right, (m, a), n)
+        if M.rank == r:
+            # the multiplication as a cochain is as sparse as the carrier
+            f = Cochain(2, M, A.table)
+            for x, y in product(xs + basis, repeat=2):
+                assert f.evaluate(x, y) == brute_force(A.table, (x, y), n)
         for degree in range(4):
             f = random_cochain(M, degree, rng.randrange(1000))
-            for args in product(xs, repeat=degree):
+            arg_sets = list(product(xs, repeat=degree))
+            if r > 8 and degree == 3:
+                # the brute force walks all r^3 index triples per call
+                arg_sets = rng.sample(arg_sets, 4)
+            for args in arg_sets:
                 assert f.evaluate(*args) == brute_force(f.values, args, n)
     D = gauge_deformation(G, seeded_gauge_map(G, 5), 3)
     xs = [(0, 0, 0), (1, 2, 0), (2, 1, 1), (1, 1, 2)]
@@ -115,6 +136,63 @@ def test_table_kernels_match_brute_force():
             assert D.alpha(m, x, y) == brute_force(D.cochains[m - 1], (x, y), 3)
     assert any(D.cochains[0][i][j] != (0, 0, 0)
                for i in range(3) for j in range(3))
+
+
+def dense_delta_rows(M, degree):
+    """The coboundary rows assembled by scanning all r^2 pairs (u, v) at
+    every source-tuple position, reading the dense tables."""
+    A = M.algebra
+    r, s, n = A.rank, M.rank, A.n
+
+    def flat(T, coord):
+        idx = 0
+        for t in T:
+            idx = idx * r + t
+        return idx * s + coord
+
+    rows = []
+    for T in product(range(r), repeat=degree):
+        for m0 in range(s):
+            row = {}
+
+            def put(T2, coord, coeff):
+                pos = flat(T2, coord)
+                row[pos] = (row.get(pos, 0) + coeff) % n
+
+            for l in range(r):
+                for k, v in enumerate(M.left[l][m0]):
+                    if v:
+                        put((l,) + T, k, v)
+            sign = 1
+            for i in range(1, degree + 1):
+                sign = -sign
+                for u in range(r):
+                    for v in range(r):
+                        coeff = A.table[u][v][T[i - 1]]
+                        if coeff:
+                            put(T[:i - 1] + (u, v) + T[i:], m0, sign * coeff)
+            sign = -sign
+            for k in range(r):
+                for c, v in enumerate(M.right[m0][k]):
+                    if v:
+                        put(T + (k,), c, sign * v)
+            rows.append({p: c for p, c in row.items() if c})
+    return rows
+
+
+def test_delta_matrix_matches_dense_scan():
+    # same rows with the same key order as the r^2 scan, on the sphere and
+    # circle carriers, whose tables are mostly zero
+    from znalg.poset import build_shriek, sphere_presheaf, square_presheaf
+    for F in (sphere_presheaf(2), square_presheaf(3)):
+        M = regular_bimodule(build_shriek(F).carrier)
+        for degree in range(3):
+            rows, src, dst = delta_matrix(M, degree)
+            expected = dense_delta_rows(M, degree)
+            assert [list(row.items()) for row in rows] \
+                == [list(row.items()) for row in expected]
+            assert (src, dst) == (M.rank * M.algebra.rank ** degree,
+                                  M.rank * M.algebra.rank ** (degree + 1))
 
 
 def test_unit_acts_badly_detected():
