@@ -12,13 +12,20 @@ one-sided ideal membership.
 The same nested-table format carries bimodule actions, cochains, deformation
 corrections and restriction maps.  _check_table is the one shape and entry
 check for all of them, and _bilinear and _linear are the only code that
-evaluates a table.  They read sparse cells, not the dense table: each owner
+evaluates a table on elements.  They read sparse cells, not the dense table: each owner
 builds, once, the (k, v) pairs with v != 0 of every cell (_sparse_cells),
 so a product walks only the nonzero entries.  The dense tables stay the
-public form that equality, hashing, reports and documents read.  Both
-kernels stay private so that they are never timed as spans of their own
-when the hot methods built on them are traced.  For the same
-reason _refuse_above_cap, the one element-count refusal behind
+public form that equality, hashing, reports and documents read.
+
+Every identity certified on basis triples (associativity here, the bimodule
+laws, the cocycle identity and order-k associativity of a deformation) goes
+through _triple_defects.  It reads the sparse cells of two tables composed
+as outer(inner(x, y), z) or outer(x, inner(y, z)) and walks only the nonzero
+paths of the composition; it evaluates no product, so a certificate costs
+the nonzero paths rather than r^3 products of basis vectors.  The kernels
+stay private so that they are never timed as spans of their own when the
+hot methods built on them are traced.  For the same reason
+_refuse_above_cap, the one element-count refusal behind
 FiniteAlgebra.require_within_cap and every other enumeration, is private.
 """
 
@@ -220,6 +227,58 @@ def _linear(rows, x, n, width):
     return tuple(acc)
 
 
+def _preimages(cells):
+    """{t: every (u, v, coeff) with coordinate t of cell (u, v) equal to
+    coeff != 0, in (u, v) order}, from the sparse cells of a bilinear
+    table."""
+    pre = {}
+    for u, row in enumerate(cells):
+        for v, cell in enumerate(row):
+            for t, coeff in cell:
+                pre.setdefault(t, []).append((u, v, coeff))
+    return pre
+
+
+def _triple_defects(terms, n, width):
+    """{(x, y, z): defect} for every basis triple whose defect is nonzero
+    mod n, the defect being the signed sum of the terms on e_x, e_y, e_z.
+
+    A term is (sign, form, outer, inner) over the sparse cells of two
+    bilinear tables: form "(xy)z" is outer(inner(x, y), z) and "x(yz)" is
+    outer(x, inner(y, z)).  Only nonzero paths are walked: "(xy)z" goes from
+    each entry (l, v) of an inner cell along the nonempty cells of outer's
+    row l, and "x(yz)" goes from each nonempty outer cell (x, l) along the
+    preimage list of l in inner.  No product is evaluated."""
+    acc = {}
+    for sign, form, outer, inner in terms:
+        if form == "(xy)z":
+            rows = [[(z, cell) for z, cell in enumerate(row) if cell]
+                    for row in outer]
+            paths = (((x, y, z), sign * v, cell)
+                     for x, irow in enumerate(inner)
+                     for y, icell in enumerate(irow)
+                     for l, v in icell
+                     for z, cell in rows[l])
+        else:
+            pre = _preimages(inner)
+            paths = (((x, y, z), sign * v, cell)
+                     for x, row in enumerate(outer)
+                     for l, cell in enumerate(row) if cell
+                     for y, z, v in pre.get(l, ()))
+        for key, c, cell in paths:
+            d = acc.get(key)
+            if d is None:
+                d = acc[key] = [0] * width
+            for t, w in cell:
+                d[t] += c * w
+    defects = {}
+    for key, d in acc.items():
+        d = tuple(v % n for v in d)
+        if any(d):
+            defects[key] = d
+    return defects
+
+
 def _check_table(table, shape, what):
     """Require nested arrays of exactly the given shape with integer entries;
     returns the entries in row-major order."""
@@ -277,19 +336,21 @@ def validate_algebra(spec, name=None) -> FiniteAlgebra:
 
 
 def _certify(alg):
-    """Associativity on all basis triples plus two-sided unit laws."""
-    r, table, mul = alg.rank, alg.table, alg.mul
-    basis = [alg.basis(i) for i in range(r)]
-    for i, ei in enumerate(basis):
+    """Two-sided unit laws, then associativity on all basis triples as the
+    defect (e_i e_j) e_k - e_i (e_j e_k) of the sparse cells; the first
+    failing triple in lexicographic order is reported with both sides."""
+    r, mul = alg.rank, alg.mul
+    for i in range(r):
+        ei = alg.basis(i)
         if mul(alg.unit, ei) != ei or mul(ei, alg.unit) != ei:
             raise BadUnit(f"{alg.name}: unit law fails on basis element {i}")
-    for i, ei in enumerate(basis):
-        for j in range(r):
-            for k, ek in enumerate(basis):
-                lhs = mul(table[i][j], ek)
-                rhs = mul(ei, table[j][k])
-                if lhs != rhs:
-                    raise NonAssociative((i, j, k), lhs, rhs)
+    cells = alg._cells
+    defects = _triple_defects(
+        [(1, "(xy)z", cells, cells), (-1, "x(yz)", cells, cells)], alg.n, r)
+    if defects:
+        i, j, k = min(defects)
+        raise NonAssociative((i, j, k), mul(alg.table[i][j], alg.basis(k)),
+                             mul(alg.basis(i), alg.table[j][k]))
 
 
 # helper constructors (tables spelled out in code; there is no parser)

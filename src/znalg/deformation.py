@@ -14,7 +14,9 @@ series whose unknown coefficients are still zero.  A deformation records the
 orders whose correction is not identically zero, and this sum and the
 order-k associativity sum of validate_deformation run over those orders
 only: every term they skip is exactly zero.  Each correction is evaluated
-through the sparse cells of its table.  flatten assembles the same sum over
+through the sparse cells of its table, and the order-k associativity
+defects on basis triples are read off those cells by algebra._triple_defects
+without evaluating a product.  flatten assembles the same sum over
 every order into a plain structure table on its own, so the flattened model
 is the independent oracle for all of them.
 """
@@ -33,6 +35,7 @@ from .algebra import (
     _linear,
     _refuse_above_cap,
     _sparse_cells,
+    _triple_defects,
     validate_algebra,
     zn_poly_x2,
 )
@@ -105,29 +108,29 @@ def validate_deformation(spec, base=None, name=None) -> TruncatedDeformation:
 
     one = A.one()
     zero = A.zero()
-    for m in range(1, D.order):
+    for m in D._support[1:]:
         for j in range(A.rank):
             ej = A.basis(j)
             if D.alpha(m, one, ej) != zero or D.alpha(m, ej, one) != zero:
                 raise UnitChanged(
                     f"order-{m} cochain moves the unit on basis element {j}")
 
+    cells = (A._cells,) + D._cells
     for k in range(D.order):
         # only the orders m with both alpha_m and alpha_(k-m) nonzero
         terms = [m for m in D._support if k - m in D._support]
-        for i in range(A.rank):
-            ei = A.basis(i)
-            for j in range(A.rank):
-                ej = A.basis(j)
-                for l in range(A.rank):
-                    el = A.basis(l)
-                    lhs = zero
-                    rhs = zero
-                    for m in terms:
-                        lhs = A.add(lhs, D.alpha(m, D.alpha(k - m, ei, ej), el))
-                        rhs = A.add(rhs, D.alpha(m, ei, D.alpha(k - m, ej, el)))
-                    if lhs != rhs:
-                        raise NotAssociativeAtOrder(k, (i, j, l), lhs, rhs)
+        defects = _triple_defects(
+            [(sign, form, cells[m], cells[k - m]) for m in terms
+             for sign, form in ((1, "(xy)z"), (-1, "x(yz)"))],
+            A.n, A.rank)
+        if defects:
+            i, j, l = min(defects)
+            ei, ej, el = A.basis(i), A.basis(j), A.basis(l)
+            lhs = rhs = zero
+            for m in terms:
+                lhs = A.add(lhs, D.alpha(m, D.alpha(k - m, ei, ej), el))
+                rhs = A.add(rhs, D.alpha(m, ei, D.alpha(k - m, ej, el)))
+            raise NotAssociativeAtOrder(k, (i, j, l), lhs, rhs)
 
     if D.order >= 2:
         M = regular_bimodule(A)

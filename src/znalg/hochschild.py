@@ -12,7 +12,10 @@ formula; for rank, kernel and span questions the same map is materialized
 as sparse rows over the cochain coordinate spaces and eliminated by linal
 for any prime p.  delta_matrix assembles those rows from the sparse cells,
 reaching each merged pair (u, v) of a source tuple through one preimage
-list per basis index instead of a scan over all r^2 pairs.
+list per basis index (algebra._preimages) instead of a scan over all r^2
+pairs.  The bimodule laws and the cocycle identity are certified on basis
+triples by algebra._triple_defects, which composes the sparse cells of the
+action, algebra and cochain tables and evaluates no product.
 """
 
 from __future__ import annotations
@@ -27,7 +30,9 @@ from .algebra import (
     _check_int,
     _check_table,
     _linear,
+    _preimages,
     _sparse_cells,
+    _triple_defects,
 )
 from .errors import (
     ActionNotAssociative,
@@ -125,36 +130,38 @@ def validate_bimodule(spec, algebra=None, name=None) -> Bimodule:
 
 
 def _certify_bimodule(M):
+    """Unit laws, the three associativity laws on basis triples (i, j, k)
+    with i, j algebra and k module indices, read off the sparse cells, and
+    scalar symmetry.  The first failing triple in lexicographic order is
+    reported, with the laws in the order below at a tie."""
     A = M.algebra
-    r, s = A.rank, M.rank
     one = A.one()
-    for j in range(s):
+    for j in range(M.rank):
         m = M.basis(j)
         if M.lact(one, m) != m:
             raise UnitActsBadly(f"{M.name}: 1*m != m on module basis {j}")
         if M.ract(m, one) != m:
             raise UnitActsBadly(f"{M.name}: m*1 != m on module basis {j}")
-    for i in range(r):
-        a = A.basis(i)
-        for j in range(r):
-            b = A.basis(j)
-            ab = A.table[i][j]
-            for k in range(s):
-                m = M.basis(k)
-                if M.lact(ab, m) != M.lact(a, M.lact(b, m)):
-                    raise ActionNotAssociative("(ab)m = a(bm)", (i, j, k))
-                if M.ract(m, ab) != M.ract(M.ract(m, a), b):
-                    raise ActionNotAssociative("m(ab) = (ma)b", (i, j, k))
-                if M.ract(M.lact(a, m), b) != M.lact(a, M.ract(m, b)):
-                    raise ActionNotAssociative("(am)b = a(mb)", (i, j, k))
-    # base-ring symmetry: scalars act the same on both sides (scalar
-    # multiples of 1 must commute with the module)
-    for c in range(A.n):
-        ca = A.smul(c, one)
-        for j in range(s):
-            m = M.basis(j)
-            if M.lact(ca, m) != M.ract(m, ca):
-                raise ActionNotAssociative("scalar symmetry", (c, j))
+    L, R, T = M._left_cells, M._right_cells, A._cells
+    # (law, positions of a, b and m among the arguments x, y, z, terms)
+    laws = (
+        ("(ab)m = a(bm)", (0, 1, 2), [(1, "(xy)z", L, T), (-1, "x(yz)", L, L)]),
+        ("m(ab) = (ma)b", (1, 2, 0), [(1, "x(yz)", R, T), (-1, "(xy)z", R, R)]),
+        ("(am)b = a(mb)", (0, 2, 1), [(1, "(xy)z", R, L), (-1, "x(yz)", L, R)]),
+    )
+    failures = [((t[p[0]], t[p[1]], t[p[2]]), rank, law)
+                for rank, (law, p, terms) in enumerate(laws)
+                for t in _triple_defects(terms, A.n, M.rank)]
+    if failures:
+        triple, _, law = min(failures)
+        raise ActionNotAssociative(law, triple)
+    # base-ring symmetry: scalars act the same on both sides.  By
+    # bilinearity c*1 acts as c times the action of 1 on either side, so
+    # c = 1 decides every scalar c of Z_n.
+    for j in range(M.rank):
+        m = M.basis(j)
+        if M.lact(one, m) != M.ract(m, one):
+            raise ActionNotAssociative("scalar symmetry", (1, j))
 
 
 def regular_bimodule(A: FiniteAlgebra) -> Bimodule:
@@ -268,21 +275,12 @@ def is_cocycle2(f: Cochain):
     M = f.module
     A = M.algebra
     r = A.rank
-    violations = []
-    for i in range(r):
-        a = A.basis(i)
-        for j in range(r):
-            b = A.basis(j)
-            ab = A.table[i][j]
-            for k in range(r):
-                c = A.basis(k)
-                bc = A.table[j][k]
-                total = M.lact(a, f.evaluate(b, c))
-                total = M.sub(total, f.evaluate(ab, c))
-                total = M.add(total, f.evaluate(a, bc))
-                total = M.sub(total, M.ract(f.evaluate(a, b), c))
-                if any(total):
-                    violations.append(((i, j, k), total))
+    F, T = f._cells, A._cells
+    # a f(b, c) - f(ab, c) + f(a, bc) - f(a, b) c on every basis triple
+    violations = sorted(_triple_defects(
+        [(1, "x(yz)", M._left_cells, F), (-1, "(xy)z", F, T),
+         (1, "x(yz)", F, T), (-1, "(xy)z", M._right_cells, F)],
+        A.n, M.rank).items())
     if violations:
         return False, violations
 
@@ -326,13 +324,7 @@ def delta_matrix(M: Bimodule, degree):
             idx = idx * r + t
         return idx * s + coord
 
-    # preimages[t]: every (u, v, coeff) with coordinate t of e_u e_v equal
-    # to coeff != 0, in (u, v) order
-    preimages = [[] for _ in range(r)]
-    for u, row in enumerate(A._cells):
-        for v, cell in enumerate(row):
-            for t, coeff in cell:
-                preimages[t].append((u, v, coeff))
+    preimages = _preimages(A._cells)
 
     rows = []
     for T in src_tuples:
@@ -346,7 +338,7 @@ def delta_matrix(M: Bimodule, degree):
             sign = 1
             for i in range(1, nu + 1):
                 sign = -sign
-                for u, v, coeff in preimages[T[i - 1]]:
+                for u, v, coeff in preimages.get(T[i - 1], ()):
                     T2 = T[:i - 1] + (u, v) + T[i:]
                     pos = flat(T2, m0)
                     row[pos] = (row.get(pos, 0) + sign * coeff) % n

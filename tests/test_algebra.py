@@ -1,9 +1,12 @@
 """Structure-table validation, element arithmetic, and constructors."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from znalg.algebra import (
+    FiniteAlgebra,
     direct_product,
     matrix_algebra,
     triangular_algebra,
@@ -11,7 +14,13 @@ from znalg.algebra import (
     zn,
     zn_poly_x2,
 )
-from znalg.errors import BadShape, BadUnit, ModulusMismatch, NonAssociative
+from znalg.errors import (
+    BadShape,
+    BadUnit,
+    ModulusMismatch,
+    NonAssociative,
+    ZnAlgError,
+)
 
 
 def test_zn_poly_x2_is_valid():
@@ -184,3 +193,101 @@ def test_wrong_power_walk_inverse_fails_the_self_check(monkeypatch):
                         lambda self, x: (self.one(), self.one(), 1))
     with pytest.raises(SelfCheckFailed, match="not a right inverse"):
         A.inverse((2,))
+
+
+def dense_certify(alg):
+    """The unit laws and associativity by products of dense basis vectors
+    on every basis triple: the oracle for the sparse-cell certificate."""
+    r, table, mul = alg.rank, alg.table, alg.mul
+    basis = [alg.basis(i) for i in range(r)]
+    for i, ei in enumerate(basis):
+        if mul(alg.unit, ei) != ei or mul(ei, alg.unit) != ei:
+            raise BadUnit(f"{alg.name}: unit law fails on basis element {i}")
+    for i, ei in enumerate(basis):
+        for j in range(r):
+            for k, ek in enumerate(basis):
+                lhs = mul(table[i][j], ek)
+                rhs = mul(ei, table[j][k])
+                if lhs != rhs:
+                    raise NonAssociative((i, j, k), lhs, rhs)
+
+
+def outcome(check, *args):
+    """"passes", or the class, arguments, message and attributes of the
+    error the check raised."""
+    try:
+        check(*args)
+    except ZnAlgError as exc:
+        return type(exc), exc.args, str(exc), vars(exc)
+    return "passes"
+
+
+def sheared(A, seed):
+    """A in the basis b_i = e_i + sum over j > i of P[i][j] e_j, with every
+    entry above the diagonal of P drawn (full shear)."""
+    rng = random.Random(seed)
+    n, r = A.n, A.rank
+    P = [[int(i == j) if j <= i else rng.randrange(n) for j in range(r)]
+         for i in range(r)]
+
+    def coords(v):
+        # v = sum of c_i P[i], solved by forward substitution
+        c = []
+        for j in range(r):
+            c.append((v[j] - sum(c[i] * P[i][j] for i in range(j))) % n)
+        return c
+
+    structure = [[coords(A.mul(P[i], P[j])) for j in range(r)]
+                 for i in range(r)]
+    return validate_algebra({"modulus": n, "rank": r, "structure": structure,
+                             "unit": coords(A.unit)}, name=f"{A.name} sheared")
+
+
+def corrupt(table, rng, n, free):
+    """The table with one entry moved by a nonzero amount; the entry's first
+    two indices come from free, so the unit laws may still hold."""
+    i, j = rng.choice(free), rng.choice(free)
+    k = rng.randrange(len(table[i][j]))
+    out = [[list(cell) for cell in row] for row in table]
+    out[i][j][k] = (out[i][j][k] + rng.randrange(1, n)) % n
+    return out
+
+
+def sphere_carriers():
+    """The sphere poset algebra over Z2 (rank 18) and its extension by the
+    coboundary of a seeded 1-cochain (rank 36)."""
+    from znalg.catalog import seeded_cochain
+    from znalg.extension import build_extension
+    from znalg.hochschild import coboundary, regular_bimodule
+    from znalg.poset import build_shriek, sphere_presheaf
+    S = build_shriek(sphere_presheaf(2)).carrier
+    M = regular_bimodule(S)
+    return S, build_extension(S, M, coboundary(seeded_cochain(M, 1, 7))).carrier
+
+
+def test_certificate_matches_dense_triple_loop():
+    # same verdict, and on failure the same error with the same first
+    # triple, lhs and rhs, as the dense loop, on intact tables and on
+    # seeded single-entry corruptions; most corruptions spare the unit's
+    # rows and columns, so associativity is what fails
+    from znalg.catalog import catalog_algebras
+    rng = random.Random(23)
+    S, E = sphere_carriers()
+    algebras = catalog_algebras() + [
+        matrix_algebra(3, 2), triangular_algebra(2, 3),
+        sheared(matrix_algebra(3, 2), 1), sheared(triangular_algebra(2, 3), 2),
+        sheared(triangular_algebra(4, 2), 3),
+        sheared(triangular_algebra(2, 4), 4), S, E]
+    seen = set()
+    for A in algebras:
+        assert outcome(validate_algebra, A) == "passes"
+        assert outcome(dense_certify, A) == "passes"
+        free = [i for i in range(A.rank) if not A.unit[i]] or [0]
+        for trial in range(2 if A.rank > 20 else 8):
+            cols = free if trial % 4 else list(range(A.rank))
+            B = FiniteAlgebra(A.n, A.rank, corrupt(A.table, rng, A.n, cols),
+                              A.unit, A.name)
+            got = outcome(validate_algebra, B)
+            assert got == outcome(dense_certify, B)
+            seen.add(got if got == "passes" else got[0])
+    assert {NonAssociative, BadUnit} <= seen

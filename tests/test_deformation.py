@@ -41,6 +41,7 @@ from znalg.deformation import (
 )
 from znalg.errors import (
     ConstantTermNotUnit,
+    NotAssociativeAtOrder,
     NotCentral,
     NotIdempotent,
     UnitChanged,
@@ -514,6 +515,60 @@ def test_non_cocycle_at_order_three_fails_where_the_dense_sum_does():
     with pytest.raises(NotAssociativeAtOrder) as err:
         validate_deformation({"order": order, "cochains": cochains}, base=A)
     assert (err.value.order, err.value.triple) == expected
+
+
+def dense_validate_deformation(D):
+    """The unit laws at every order and associativity at every order k,
+    summed over all m <= k, by products of dense basis vectors on every
+    basis triple: the oracle for the sparse-cell certificate."""
+    A = D.base
+    one, zero = A.one(), A.zero()
+    for m in range(1, D.order):
+        for j in range(A.rank):
+            ej = A.basis(j)
+            if D.alpha(m, one, ej) != zero or D.alpha(m, ej, one) != zero:
+                raise UnitChanged(
+                    f"order-{m} cochain moves the unit on basis element {j}")
+    for k in range(D.order):
+        for i, j, l in product(range(A.rank), repeat=3):
+            ei, ej, el = A.basis(i), A.basis(j), A.basis(l)
+            lhs = rhs = zero
+            for m in range(k + 1):
+                lhs = A.add(lhs, D.alpha(m, D.alpha(k - m, ei, ej), el))
+                rhs = A.add(rhs, D.alpha(m, ei, D.alpha(k - m, ej, el)))
+            if lhs != rhs:
+                raise NotAssociativeAtOrder(k, (i, j, l), lhs, rhs)
+
+
+def test_deformation_certificate_matches_dense_triple_loop():
+    # same verdict, and on failure the same order, first triple, lhs and
+    # rhs, as the dense loop, on the catalog, gapped and seeded gauge
+    # deformations and on seeded single-entry corruptions of one
+    # correction; most corruptions spare the unit's rows and columns
+    from test_algebra import outcome
+    rng = random.Random(41)
+    deformations = catalog_deformations(4) + gapped_deformations(5) + [
+        gauge_deformation(A, seeded_gauge_map(A, seed), 4)
+        for seed, A in enumerate((triangular_algebra(2, 2),
+                                  matrix_algebra(3, 2),
+                                  triangular_algebra(2, 3)))]
+    seen = set()
+    for D in deformations:
+        A, n = D.base, D.base.n
+        free = [i for i in range(A.rank) if not A.unit[i]] or [0]
+        for trial in range(8):
+            cochains = [[[list(cell) for cell in row] for row in table]
+                        for table in D.cochains]
+            cols = free if trial % 4 else list(range(A.rank))
+            i, j = rng.choice(cols), rng.choice(cols)
+            cell = cochains[rng.randrange(D.order - 1)][i][j]
+            k = rng.randrange(A.rank)
+            cell[k] = (cell[k] + rng.randrange(1, n)) % n
+            E = TruncatedDeformation(A, D.order, cochains, D.name)
+            got = outcome(validate_deformation, E)
+            assert got == outcome(dense_validate_deformation, E)
+            seen.add(got if got == "passes" else got[0])
+    assert {NotAssociativeAtOrder, UnitChanged, "passes"} <= seen
 
 
 def test_flatten_clean_transfer_catalog():

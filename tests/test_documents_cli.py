@@ -537,3 +537,19 @@ def test_modulus_override_rejects_non_object_algebra(tmp_path, capsys):
     assert main(["--modulus-override", "3", "classify", "--doc", str(path),
                  "--algebra", "Z2"]) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_rank_one_algebra_over_a_huge_prime_is_decided_quickly(tmp_path):
+    # the scalar-symmetry check is one residue, not all p of them
+    p = 2 ** 31 - 1
+    doc = {"algebras": {"Zp": {"modulus": p, "rank": 1,
+                               "structure": [[[1]]], "unit": [1]}},
+           "bimodules": {"R": {"algebra": "Zp", "regular": True}},
+           "jobs": {"extend": {"kind": "extend", "algebra": "Zp",
+                               "bimodule": "R"},
+                    "cohomology": {"kind": "cohomology", "algebra": "Zp",
+                                   "degree": 1}}}
+    for job in ("extend", "cohomology"):
+        start = time.perf_counter()
+        assert run_document(tmp_path, doc, job) == 0
+        assert time.perf_counter() - start < 2

@@ -339,3 +339,31 @@ def test_second_half_probe_noncommutative_carrier():
             target = B.pair(T2.sub(one, e), M.sub(neg_f11, t))
             left = B.pair(T2.sub(one, a), M.sub(neg_f11, m))
             assert carrier.mul(left, case["factor"]) == target
+
+
+def test_certificates_evaluate_no_product_per_basis_triple(monkeypatch):
+    # the sphere carrier (rank 18), its regular bimodule and the rank-36
+    # extension by a coboundary are certified from the sparse cells: only
+    # the unit laws and the derived cocycle checks evaluate products, O(r)
+    # of them; a product per basis pair or triple would make r^2 = 324 or
+    # r^3 = 5832 calls
+    from collections import Counter
+    from znalg.algebra import FiniteAlgebra
+    from znalg.hochschild import Bimodule, coboundary
+    from znalg.poset import build_shriek, sphere_presheaf
+    S = build_shriek(sphere_presheaf(2)).carrier
+    r = S.rank
+    calls = Counter()
+    for cls, name in ((FiniteAlgebra, "mul"), (Bimodule, "lact"),
+                      (Bimodule, "ract"), (Cochain, "evaluate")):
+        def counted(*args, _method=getattr(cls, name), _name=name):
+            calls[_name] += 1
+            return _method(*args)
+        monkeypatch.setattr(cls, name, counted)
+    M = regular_bimodule(S)
+    assert max(calls.values()) <= 4 * r
+    f = coboundary(seeded_cochain(M, 1, 7))
+    calls.clear()
+    B = build_extension(S, M, f)
+    assert B.carrier.rank == 2 * r
+    assert calls["evaluate"] >= 1 and max(calls.values()) <= 8 * r
