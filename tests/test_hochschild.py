@@ -470,23 +470,13 @@ def dense_cocycle_violations(f):
     return violations
 
 
-def moved_entry(table, rng, n, free):
-    """The table with one entry, whose first two indices come from free,
-    moved by a nonzero amount."""
-    i, j = rng.choice(free), rng.choice(free)
-    k = rng.randrange(len(table[i][j]))
-    out = [[list(cell) for cell in row] for row in table]
-    out[i][j][k] = (out[i][j][k] + rng.randrange(1, n)) % n
-    return tuple(tuple(tuple(cell) for cell in row) for row in out)
-
-
 def test_triple_certificates_match_dense_loops():
     # the bimodule laws and the cocycle identity agree with the dense loops
     # on the catalog algebras, M2(Z3), T3(Z2), a sheared T3(Z2) and the
     # sphere carrier (rank 18): same error, law and first triple for each
     # seeded single-entry corruption of an action table, and the same full
     # violations list for cocycles, their corruptions and random cochains
-    from test_algebra import outcome, sheared
+    from test_algebra import corrupt, outcome, sheared
     from znalg.algebra import matrix_algebra
     from znalg.catalog import catalog_algebras
     from znalg.poset import build_shriek, sphere_presheaf
@@ -507,9 +497,9 @@ def test_triple_certificates_match_dense_loops():
         for trial in range(6):
             left, right = M.left, M.right
             if trial % 2:
-                right = moved_entry(right, rng, n, list(range(M.rank)))
+                right = corrupt(right, rng, n, list(range(M.rank)))
             else:
-                left = moved_entry(left, rng, n, free)
+                left = corrupt(left, rng, n, free)
             B = Bimodule(A, M.rank, left, right, M.name)
             got = outcome(validate_bimodule, B)
             assert got == outcome(dense_certify_bimodule, B)
@@ -519,9 +509,9 @@ def test_triple_certificates_match_dense_loops():
         cochains = [coboundary(g), random_cochain(M, 2, rng.randrange(1000))]
         if M.rank == A.rank:
             cochains.append(Cochain(2, M, A.table))
-        free_m = list(range(A.rank))
-        cochains += [Cochain(2, M, moved_entry(cochains[0].values, rng, n,
-                                               free_m)) for _ in range(3)]
+        cochains += [Cochain(2, M, corrupt(cochains[0].values, rng, n,
+                                           list(range(A.rank))))
+                     for _ in range(3)]
         for f in cochains:
             violations = dense_cocycle_violations(f)
             assert is_cocycle2(f) == (not violations, violations)
