@@ -9,6 +9,12 @@ Units and nilpotents are decided by one walk over the powers of an element
 (FiniteAlgebra.inverse and nilpotency_index); the divisor scan is only for
 one-sided ideal membership.
 
+Work is refused, never sampled, by one rule with two measures: a scan over
+the elements refuses on their count (FiniteAlgebra.within_cap), and a power
+walk refuses after cap powers, so an algebra within the cap never refuses a
+walk and a larger one still answers every short walk.  Both raise
+CapExceeded through _refuse_above_cap; a cap of None means DEFAULT_CAP.
+
 The same nested-table format carries bimodule actions, cochains, deformation
 corrections and restriction maps.  _check_table is the one shape and entry
 check for all of them, and _bilinear and _linear are the only code that
@@ -25,8 +31,7 @@ paths of the composition; it evaluates no product, so a certificate costs
 the nonzero paths rather than r^3 products of basis vectors.  The kernels
 stay private so that they are never timed as spans of their own when the
 hot methods built on them are traced.  For the same reason
-_refuse_above_cap, the one element-count refusal behind
-FiniteAlgebra.require_within_cap and every other enumeration, is private.
+_refuse_above_cap, the one refusal behind every scan and walk, is private.
 """
 
 from __future__ import annotations
@@ -39,11 +44,12 @@ from .errors import (
     CapExceeded,
     ModulusMismatch,
     NonAssociative,
+    NotIdempotent,
     SelfCheckFailed,
 )
 
-# Refusal threshold for exhaustive element scans; operations that enumerate
-# n**rank elements raise CapExceeded above this unless the caller overrides.
+# Refusal threshold when the caller gives no cap: scans that enumerate
+# n**rank elements, and power walks, raise CapExceeded above this.
 DEFAULT_CAP = 2 ** 20
 
 Coords = tuple  # element of an algebra: tuple of rank residues mod n
@@ -126,8 +132,20 @@ class FiniteAlgebra:
         self.require_within_cap(cap)
         return product(range(self.n), repeat=self.rank)
 
+    def within_cap(self, cap=None):
+        """Whether the elements may be enumerated: at most cap of them."""
+        return self.size <= _cap_limit(cap)
+
     def require_within_cap(self, cap=None):
-        _refuse_above_cap(self.size, cap, self.name)
+        if not self.within_cap(cap):
+            _refuse_above_cap(self.size, cap, self.name)
+
+    def require_idempotent(self, e):
+        """e as an element, refused with NotIdempotent unless e*e = e."""
+        e = self.coerce(e)
+        if self.mul(e, e) != e:
+            raise NotIdempotent(f"{e} is not idempotent in {self.name}")
+        return e
 
     def idempotents(self, cap=None):
         """Every e with e*e = e, in lexicographic order."""
@@ -153,9 +171,9 @@ class FiniteAlgebra:
         """The inverse of x, or None when x is not a unit.  In a finite ring
         x is a unit exactly when some power x^k is 1, and then x^(k-1) is
         its inverse; the other side x*x^(k-1) = 1 is re-checked, and a
-        failure raises SelfCheckFailed."""
-        self.require_within_cap(cap)
-        y, last, _ = self._power_walk(x)
+        failure raises SelfCheckFailed.  A walk longer than cap powers is
+        refused."""
+        y, last, _ = self._power_walk(x, cap)
         if last != self.unit:
             return None
         if self.mul(x, y) != self.unit:
@@ -165,30 +183,39 @@ class FiniteAlgebra:
         return y
 
     def nilpotency_index(self, x):
-        """The least k with x^k = 0, or None when x is not nilpotent."""
+        """The least k with x^k = 0, or None when x is not nilpotent.  A
+        walk longer than DEFAULT_CAP powers is refused."""
         _, last, k = self._power_walk(x)
         return None if any(last) else k
 
-    def _power_walk(self, x):
+    def _power_walk(self, x, cap=None):
         """(x^(k-1), x^k, k) for the first power x^k that is 0, 1 or a
-        repeat.  Each power is seen once, so the walk takes at most size
-        multiplications."""
-        prev, p, k, seen = self.unit, x, 1, set()
-        while any(p) and p != self.unit and p not in seen:
+        repeat.  Each power is seen once, so the walk takes fewer than size
+        powers and can pass cap only when size does; after cap powers it
+        is refused with CapExceeded."""
+        limit = _cap_limit(cap)
+        prev, p, seen = self.unit, x, set()
+        for k in range(1, limit + 1):
+            if not any(p) or p == self.unit or p in seen:
+                return prev, p, k
             seen.add(p)
-            prev, p, k = p, self.mul(p, x), k + 1
-        return prev, p, k
+            prev, p = p, self.mul(p, x)
+        _refuse_above_cap(limit + 1, cap, f"{self.name}: power walk of {x}",
+                          shown=f"{limit + 1} powers")
+
+
+def _cap_limit(cap):
+    return DEFAULT_CAP if cap is None else cap
 
 
 def _refuse_above_cap(count, cap, what, shown=None):
-    """The one refusal rule for exhaustive work: more than cap elements
-    (DEFAULT_CAP when cap is None) raise CapExceeded, naming the count or
-    the estimate shown in its place."""
-    limit = DEFAULT_CAP if cap is None else cap
+    """The one refusal rule for exhaustive work: a count above cap
+    (DEFAULT_CAP when cap is None) raises CapExceeded, naming the count of
+    elements or the text shown in its place."""
+    limit = _cap_limit(cap)
     if count > limit:
         raise CapExceeded(
-            f"{what}: {count if shown is None else shown} elements exceeds "
-            f"cap {limit}")
+            f"{what}: {shown or f'{count} elements'} exceeds cap {limit}")
 
 
 def _sparse_cells(table, depth):

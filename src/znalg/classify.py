@@ -45,7 +45,6 @@ class ClassificationReport:
 
 def classify_elements(A: FiniteAlgebra, cap=None) -> ClassificationReport:
     """Idempotents, units (with inverses), and nilpotents (with index)."""
-    A.require_within_cap(cap)
     rep = ClassificationReport(A.name)
     rep.idempotents = A.idempotents(cap)
     for x in A.elements(cap):

@@ -32,7 +32,6 @@ from .documents import (
     key_str,
 )
 from .errors import (
-    AssertionFailure,
     CapExceeded,
     OrderMismatch,
     ParseError,
@@ -68,7 +67,7 @@ def main(argv=None):
     except ValidationFailure as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (AssertionFailure, SelfCheckFailed) as exc:
+    except SelfCheckFailed as exc:
         print(f"assertion failure: {exc}", file=sys.stderr)
         return EXIT_ASSERTION
     except ZnAlgError as exc:
@@ -296,7 +295,7 @@ def _resolve_deformation(ws, spec, cap=None):
     if cap is not None:
         n, r = D.base.n, D.base.rank
         _refuse_above_cap(n ** (r * order), cap, "flattened model",
-                          shown=f"{n}^({r}*{order})")
+                          shown=f"{n}^({r}*{order}) elements")
     if order != D.order:
         from .deformation import TruncatedDeformation, validate_deformation
         cochains = list(D.cochains[:order - 1])
@@ -309,14 +308,17 @@ def _resolve_deformation(ws, spec, cap=None):
     return D
 
 
-def _parse_def_element(D, text):
+def _json_field(spec, key, missing, convert):
+    """convert applied to the JSON text in spec[key]; an absent field raises
+    ParseError(missing), and text that does not parse or convert raises
+    ParseError("bad <key>: ...")."""
+    text = spec.get(key)
     if not text:
-        raise ParseError("this action needs --element")
+        raise ParseError(missing)
     try:
-        coeffs = json.loads(text)
-        return tuple(D.base.coerce(c) for c in coeffs)
+        return convert(json.loads(text))
     except (ValueError, TypeError, ZnAlgError) as exc:
-        raise ParseError(f"bad element: {exc}")
+        raise ParseError(f"bad {key}: {exc}")
 
 
 def job_deform_validate(ws, spec, cap, report):
@@ -331,7 +333,8 @@ def job_deform_validate(ws, spec, cap, report):
 
 def job_deform_invert(ws, spec, cap, report):
     D = _resolve_deformation(ws, spec)
-    f = _parse_def_element(D, spec.get("element"))
+    f = _json_field(spec, "element", "this action needs --element",
+                    lambda coeffs: tuple(map(D.base.coerce, coeffs)))
     g = invert_def(D, f)
     report["results"]["inverse"] = [list(c) for c in g]
     # invert_def certifies f*g = g*f = 1 and raises SelfCheckFailed otherwise
@@ -340,12 +343,8 @@ def job_deform_invert(ws, spec, cap, report):
 
 def job_deform_lift(ws, spec, cap, report):
     D = _resolve_deformation(ws, spec)
-    if not spec.get("idempotent"):
-        raise ParseError("lift needs --idempotent")
-    try:
-        e = D.base.coerce(json.loads(spec["idempotent"]))
-    except (ValueError, TypeError, ZnAlgError) as exc:
-        raise ParseError(f"bad idempotent: {exc}")
+    e = _json_field(spec, "idempotent", "lift needs --idempotent",
+                    D.base.coerce)
     g, iterations = lift_idempotent_newton(D, e)
     bound = (D.order - 1).bit_length() + 1
     report["results"]["lift"] = [list(c) for c in g]
@@ -364,12 +363,8 @@ def job_deform_probe(ws, spec, cap, report):
     # order 1 leaves no order to probe, so the verdict would be vacuous
     if D.order < 2:
         raise OrderMismatch("t vanishes at truncation order 1")
-    if not spec.get("idempotent"):
-        raise ParseError("probe needs --idempotent")
-    try:
-        e = D.base.coerce(json.loads(spec["idempotent"]))
-    except (ValueError, TypeError, ZnAlgError) as exc:
-        raise ParseError(f"bad idempotent: {exc}")
+    e = _json_field(spec, "idempotent", "probe needs --idempotent",
+                    D.base.coerce)
     depth = (None if spec.get("depth") is None
              else integer_field(spec, "depth"))
     rep = obstruction_probe(D, e, depth)
@@ -394,7 +389,8 @@ def job_deform_clean_decompose(ws, spec, cap, report):
         ws.deformation(spec["deformation"]).base, cap)
     unique = base_report.flags["uniquely_clean"]
     D = _resolve_deformation(ws, spec, cap if unique else None)
-    h = _parse_def_element(D, spec.get("element"))
+    h = _json_field(spec, "element", "this action needs --element",
+                    lambda coeffs: tuple(map(D.base.coerce, coeffs)))
     e_t, u_t = clean_decompose_def(D, h, cap, base_report)
     report["results"]["idempotent_part"] = [list(c) for c in e_t]
     report["results"]["unit_part"] = [list(c) for c in u_t]

@@ -46,7 +46,6 @@ from .errors import (
     NoConvergence,
     NotAssociativeAtOrder,
     NotCentral,
-    NotIdempotent,
     OrderMismatch,
     SelfCheckFailed,
     UnitChanged,
@@ -319,9 +318,7 @@ def lift_idempotent_newton(D, e):
     iteration; defect order at least doubles each step, so the iteration
     count stays within ceil(log2 N) + 1."""
     A = D.base
-    e = A.coerce(e)
-    if A.mul(e, e) != e:
-        raise NotIdempotent(f"{e} is not idempotent in {A.name}")
+    e = A.require_idempotent(e)
     bound = (D.order - 1).bit_length() + 1
     one = def_one(D)
     g = def_from_constant(D, e)
@@ -346,9 +343,7 @@ def lift_idempotent_central(D, e):
     depth, which must solve every order; certified idempotent and equal to
     the Newton lift."""
     A = D.base
-    e = A.coerce(e)
-    if A.mul(e, e) != e:
-        raise NotIdempotent(f"{e} is not idempotent in {A.name}")
+    e = A.require_idempotent(e)
     for i in range(A.rank):
         b = A.basis(i)
         if A.mul(e, b) != A.mul(b, e):
@@ -379,9 +374,7 @@ def obstruction_probe(D, e, depth=None) -> ObstructionReport:
     and solves the order equation.  Orders 1 and 2 are proved to work and are
     asserted; deeper orders are evidence only."""
     A = D.base
-    e = A.coerce(e)
-    if A.mul(e, e) != e:
-        raise NotIdempotent(f"{e} is not idempotent in {A.name}")
+    e = A.require_idempotent(e)
     if depth is None:
         depth = D.order - 1
     elif depth < 1:
@@ -420,10 +413,8 @@ def remark2_series(A, e, x, order=4) -> SeriesVerdict:
     """The explicit noncentral lifting series for the trivial deformation,
     through the cubic coefficient, squared and checked mod t^order."""
     A = validate_algebra(A) if not isinstance(A, FiniteAlgebra) else A
-    e = A.coerce(e)
     x = A.coerce(x)
-    if A.mul(e, e) != e:
-        raise NotIdempotent(f"{e} is not idempotent in {A.name}")
+    e = A.require_idempotent(e)
     if order < 1 or order > 4:
         raise BadShape("the displayed series stops at the cubic term")
     D = trivial_deformation(A, order)

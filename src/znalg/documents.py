@@ -212,10 +212,8 @@ def builtin_catalog_document() -> dict:
     return doc
 
 
-def dump_report(report: dict, strip_timing=False) -> str:
+def dump_report(report: dict) -> str:
     """Deterministic JSON text for a report dict."""
-    if strip_timing:
-        report = {k: v for k, v in report.items() if k != "timing"}
     return json.dumps(report, indent=2, sort_keys=True, default=_jsonable)
 
 

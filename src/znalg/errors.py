@@ -142,7 +142,3 @@ class StalkNotNilClean(ValidationFailure):
 
 class ParseError(ZnAlgError):
     """A workspace document could not be parsed or is missing required fields."""
-
-
-class AssertionFailure(ZnAlgError):
-    """A job-level verification assertion failed."""

@@ -108,9 +108,7 @@ def idempotent_equation_solutions(B: ExtensionAlgebra, e, cap=None):
     singleton exactly when e commutes with all of M.
     """
     A, M = B.base, B.module
-    e = A.coerce(e)
-    if A.mul(e, e) != e:
-        raise NotIdempotent(f"{e} is not idempotent in {A.name}")
+    e = A.require_idempotent(e)
     _refuse_above_cap(M.n ** M.rank, cap, f"module {M.name}")
 
     fee = B.cocycle.evaluate(e, e)
@@ -148,9 +146,7 @@ def _commute_with_module(M, elements):
 def lift_idempotent(B: ExtensionAlgebra, e, x=None):
     """The explicit lift (e, (1-2e)f(e,e) + ex - xe); certified idempotent."""
     A, M = B.base, B.module
-    e = A.coerce(e)
-    if A.mul(e, e) != e:
-        raise NotIdempotent(f"{e} is not idempotent in {A.name}")
+    e = A.require_idempotent(e)
     if x is None:
         x = M.zero()
     one_minus_2e = A.sub(A.one(), A.smul(2, e))

@@ -16,6 +16,10 @@ list per basis index (algebra._preimages) instead of a scan over all r^2
 pairs.  The bimodule laws and the cocycle identity are certified on basis
 triples by algebra._triple_defects, which composes the sparse cells of the
 action, algebra and cochain tables and evaluates no product.
+
+Every solver gets its eliminations from _sieve, the one place that refuses:
+a non-prime modulus (NonPrimeModulus) and a target cochain space of
+dimension above linalg_cap (LinAlgCapExceeded), before any assembly.
 """
 
 from __future__ import annotations
@@ -292,7 +296,7 @@ def is_cocycle2(f: Cochain):
             raise SelfCheckFailed("cocycle consequence f(d,1) = d f(1,1) failed")
         if f.evaluate(one, d) != M.ract(f11, d):
             raise SelfCheckFailed("cocycle consequence f(1,d) = f(1,1) d failed")
-    if A.size <= DERIVED_CHECK_CAP:
+    if A.within_cap(DERIVED_CHECK_CAP):
         idems = A.idempotents(DERIVED_CHECK_CAP)
     else:
         idems = (A.zero(), one)
@@ -390,43 +394,40 @@ class CohomologyDims:
     dim_h: int
 
 
-def cohomology_dims(A: FiniteAlgebra, M: Bimodule, degree,
-                    linalg_cap=DEFAULT_LINALG_CAP) -> CohomologyDims:
-    """Exact dimensions of Z, B, and H in the requested degree over Z_p."""
-    p = A.n
+def _sieve(M, degree, linalg_cap, tagged=False):
+    """Eliminate the rows of the degree coboundary map mod p, row i tagged
+    by the unit column dst + i when tagged; returns (rank, pivots, src,
+    dst).  Refuses a non-prime modulus and a target space of dimension
+    above linalg_cap before assembling the matrix."""
+    p = M.n
     if not linal.is_prime(p):
         raise NonPrimeModulus(
             f"cohomology dimensions need a prime modulus, got {p}")
+    dst = M.rank * M.algebra.rank ** (degree + 1)
+    if dst > linalg_cap:
+        raise LinAlgCapExceeded(
+            f"degree {degree}: cochain space of dimension {dst} exceeds "
+            f"the cap {linalg_cap}")
+    rows, src, dst = delta_matrix(M, degree)
+    if tagged:
+        for i, row in enumerate(rows):
+            row[dst + i] = 1
+    rank, pivots = linal.eliminate_modp(rows, p)
+    return rank, pivots, src, dst
+
+
+def cohomology_dims(A: FiniteAlgebra, M: Bimodule, degree,
+                    linalg_cap=DEFAULT_LINALG_CAP) -> CohomologyDims:
+    """Exact dimensions of Z, B, and H in the requested degree over Z_p."""
     if degree < 1 or degree > 3:
         raise BadShape("cohomology degree must be 1, 2, or 3")
-    r, s = A.rank, M.rank
-    dim_src = s * r ** degree
-    dim_dst = s * r ** (degree + 1)
-    if dim_dst > linalg_cap or dim_src > linalg_cap:
-        raise LinAlgCapExceeded(
-            f"degree {degree}: cochain space of dimension {dim_dst} exceeds "
-            f"the cap {linalg_cap}")
-
-    rank_out = linal.eliminate_modp(delta_matrix(M, degree)[0], p)[0]
-    rank_in = linal.eliminate_modp(delta_matrix(M, degree - 1)[0], p)[0]
+    rank_out, _, dim_src, _ = _sieve(M, degree, linalg_cap)
+    rank_in = _sieve(M, degree - 1, linalg_cap)[0]
     dim_z = dim_src - rank_out
-    dim_b = rank_in
-    dims = CohomologyDims(degree, dim_z, dim_b, dim_z - dim_b)
+    dims = CohomologyDims(degree, dim_z, rank_in, dim_z - rank_in)
     if dims.dim_h < 0:
         raise SelfCheckFailed("negative cohomology dimension")
     return dims
-
-
-def _tagged_pivots(M, degree, p, linalg_cap):
-    """Sieve of the degree coboundary rows with row i tagged by the unit
-    column dst + i; returns (pivots, src, dst)."""
-    dst = M.rank * M.algebra.rank ** (degree + 1)
-    if dst > linalg_cap:
-        raise LinAlgCapExceeded(f"target dimension {dst} exceeds {linalg_cap}")
-    rows, src, dst = delta_matrix(M, degree)
-    for i, row in enumerate(rows):
-        row[dst + i] = 1
-    return linal.eliminate_modp(rows, p)[1], src, dst
 
 
 def _tag_part(row, src, dst, sign=1):
@@ -444,10 +445,7 @@ def _sparse(f: Cochain):
 def cocycle_space(A: FiniteAlgebra, M: Bimodule, degree=2,
                   linalg_cap=DEFAULT_LINALG_CAP):
     """Basis of the cocycle space in the given degree, as Cochains."""
-    p = A.n
-    if not linal.is_prime(p):
-        raise NonPrimeModulus(f"cocycle space needs a prime modulus, got {p}")
-    pivots, src, dst = _tagged_pivots(M, degree, p, linalg_cap)
+    _, pivots, src, dst = _sieve(M, degree, linalg_cap, tagged=True)
     return [vec_to_cochain(M, degree, _tag_part(row, src, dst))
             for lead, row in pivots.items() if lead >= dst]
 
@@ -456,15 +454,11 @@ def is_coboundary2(f: Cochain, linalg_cap=DEFAULT_LINALG_CAP):
     """Solve the degree-1 coboundary equation for f; returns the witness
     cochain or None when f is not a coboundary.  Prime modulus only."""
     M = f.module
-    A = M.algebra
-    p = A.n
-    if not linal.is_prime(p):
-        raise NonPrimeModulus(
-            f"coboundary solving needs a prime modulus, got {p}")
+    p = M.n
+    _, pivots, src, dst = _sieve(M, 1, linalg_cap, tagged=True)
     ok, violations = is_cocycle2(f)
     if not ok:
         raise NotACocycle(f"not a cocycle; first violation {violations[0]}")
-    pivots, src, dst = _tagged_pivots(M, 1, p, linalg_cap)
     residue = linal.reduce_modp(pivots, _sparse(f), p)
     if residue and min(residue) < dst:
         return None
@@ -478,11 +472,8 @@ def nontrivial_cocycle2(A: FiniteAlgebra, M: Bimodule,
                         linalg_cap=DEFAULT_LINALG_CAP):
     """A degree-2 cocycle that is not a coboundary, or None if H^2 = 0."""
     p = A.n
-    if not linal.is_prime(p):
-        raise NonPrimeModulus(
-            f"nontrivial cocycle search needs a prime modulus, got {p}")
-    _, boundaries = linal.eliminate_modp(delta_matrix(M, 1)[0], p)
-    pivots, src, dst = _tagged_pivots(M, 2, p, linalg_cap)
+    _, pivots, src, dst = _sieve(M, 2, linalg_cap, tagged=True)
+    boundaries = _sieve(M, 1, linalg_cap)[1]
     for lead, row in pivots.items():
         if lead >= dst:
             cocycle = {c - dst: x for c, x in row.items()}

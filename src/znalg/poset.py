@@ -343,11 +343,7 @@ def triangular_ideal_facts(PA: PosetAlgebra, cap=None) -> TriangularIdealReport:
     quotient_ok = is_ideal and _verify_quotient_is_product(PA)
 
     inside_radical = None
-    try:
-        carrier.require_within_cap(cap)
-    except CapExceeded:
-        pass
-    else:
+    if carrier.within_cap(cap):
         inside_radical = all(in_radical(carrier, carrier.basis(k), cap)
                              for k in sorted(strict_coords))
     return TriangularIdealReport(is_ideal, index, longest, quotient_ok,
@@ -442,11 +438,7 @@ def classify_shriek(PA: PosetAlgebra, cap=None) -> ShriekReport:
     stalk_flags = [r.flags for r in stalk_reports]
 
     carrier_flags = None
-    try:
-        PA.carrier.require_within_cap(cap)
-    except CapExceeded:
-        pass
-    else:
+    if PA.carrier.within_cap(cap):
         carrier_flags = decomposition_report(PA.carrier, cap).flags
 
     bic = {}

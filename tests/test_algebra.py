@@ -17,6 +17,7 @@ from znalg.algebra import (
 from znalg.errors import (
     BadShape,
     BadUnit,
+    CapExceeded,
     ModulusMismatch,
     NonAssociative,
     ZnAlgError,
@@ -190,9 +191,27 @@ def test_wrong_power_walk_inverse_fails_the_self_check(monkeypatch):
     # pretend 2^1 = 1, so that 2^0 = 1 is taken as the inverse of 2; then
     # 2*1 != 1 must be caught
     monkeypatch.setattr(FiniteAlgebra, "_power_walk",
-                        lambda self, x: (self.one(), self.one(), 1))
+                        lambda self, x, cap=None: (self.one(), self.one(), 1))
     with pytest.raises(SelfCheckFailed, match="not a right inverse"):
         A.inverse((2,))
+
+
+def test_short_power_walk_answers_above_the_cap():
+    A = zn(2 ** 31 - 1)
+    assert A.inverse((2 ** 31 - 2,)) == (2 ** 31 - 2,)
+    assert A.nilpotency_index((0,)) == 1
+
+
+def test_power_walk_refuses_after_cap_powers(monkeypatch):
+    import znalg.algebra
+    monkeypatch.setattr(znalg.algebra, "DEFAULT_CAP", 50)
+    A = zn(101)  # 2 has multiplicative order 100 mod 101
+    with pytest.raises(CapExceeded, match="power walk of \\(2,\\): 51 powers"):
+        A.nilpotency_index((2,))
+    with pytest.raises(CapExceeded):
+        A.inverse((2,))
+    assert A.inverse((2,), cap=100) == (51,)
+    assert A.inverse((100,)) == (100,)
 
 
 def dense_certify(alg):

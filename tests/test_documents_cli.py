@@ -516,6 +516,45 @@ def test_cohomology_rejects_non_prime_modulus(catalog_doc):
     assert code == 3
 
 
+# refusals with their exit codes and exact messages; DOC stands for the
+# catalog document
+REFUSALS = {
+    "element-cap": (
+        ["--cap", "2", "classify", "--doc", "DOC", "--algebra", "Z4"], 4,
+        "cap exceeded: Z4: 4 elements exceeds cap 2\n"),
+    "linalg-cap": (
+        ["cohomology", "--doc", "DOC", "--presheaf", "example-2-sphere",
+         "--degree", "3"], 4,
+        "cap exceeded: degree 3: cochain space of dimension 1889568 exceeds "
+        "the cap 150000\n"),
+    "composite-modulus": (
+        ["cohomology", "--doc", "DOC", "--algebra", "Z4"], 3,
+        "validation error: cohomology dimensions need a prime modulus, "
+        "got 4\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refusal_messages_are_pinned(catalog_doc, capsys, case):
+    argv, code, err = REFUSALS[case]
+    argv = [str(catalog_doc) if a == "DOC" else a for a in argv]
+    assert main(argv) == code
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", err)
+
+
+def test_search_records_the_refusal_of_an_algebra_above_the_cap(
+        catalog_doc, tmp_path):
+    report_path = tmp_path / "search.json"
+    assert main(["--cap", "3", "--report", str(report_path),
+                 "search-open-question", "--doc", str(catalog_doc),
+                 "--algebras", "Z2", "Z4"]) == 0
+    entries = json.loads(report_path.read_text())["results"]["entries"]
+    assert entries == [
+        {"algebra": "Z2", "exchange": True, "hits": [["(1)", "(0)"]]},
+        {"algebra": "Z4", "skipped": "Z4: 4 elements exceeds cap 3"}]
+
+
 def test_failed_assertion_exit_code(catalog_doc, monkeypatch):
     # job assertions are theorems on valid input, so force a failing clause
     # through a stub handler to pin the exit-code contract

@@ -14,6 +14,7 @@ from znalg.algebra import direct_product, triangular_algebra, zn, zn_poly_x2
 from znalg.deformation import gauge_deformation, seeded_gauge_map
 from znalg.errors import (
     ActionNotAssociative,
+    LinAlgCapExceeded,
     NonPrimeModulus,
     UnitActsBadly,
 )
@@ -23,6 +24,7 @@ from znalg.hochschild import (
     coboundary,
     cochain_from_table,
     cochain_to_vec,
+    cocycle_space,
     cohomology_dims,
     delta_matrix,
     is_coboundary2,
@@ -313,6 +315,31 @@ def test_nontrivial_cocycle_needs_prime_modulus():
     A = zn_poly_x2(4)
     with pytest.raises(NonPrimeModulus):
         nontrivial_cocycle2(A, regular_bimodule(A))
+
+
+# each solver with the dimension of the largest coboundary target it
+# eliminates over Z3[X]/(X^2), of rank 2: 2 * 2^3 in degree 2, 2 * 2^2 in 1
+SOLVERS = {
+    "cohomology_dims": (
+        lambda A, M, **kw: cohomology_dims(A, M, 2, **kw), 16),
+    "cocycle_space": (lambda A, M, **kw: cocycle_space(A, M, 2, **kw), 16),
+    "is_coboundary2": (
+        lambda A, M, **kw: is_coboundary2(zero_cochain(M, 2), **kw), 8),
+    "nontrivial_cocycle2": (nontrivial_cocycle2, 16),
+}
+
+
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+def test_every_cohomology_solver_refuses_through_one_sieve(solver):
+    run, target = SOLVERS[solver]
+    Z4 = zn(4)
+    with pytest.raises(NonPrimeModulus):
+        run(Z4, regular_bimodule(Z4))
+    A = zn_poly_x2(3)
+    M = regular_bimodule(A)
+    run(A, M, linalg_cap=target)
+    with pytest.raises(LinAlgCapExceeded):
+        run(A, M, linalg_cap=target - 1)
 
 
 def test_delta_matrix_matches_dense_coboundary():

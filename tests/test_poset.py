@@ -323,6 +323,33 @@ def test_structural_decompose_chain_z3_clean():
                for y in carrier.elements())
 
 
+def test_structural_decompose_chain_z2_clean_above_the_cap():
+    # 2^21 carrier elements exceed the default cap, but the walk that
+    # certifies the triangular part invertible is a few powers long
+    PA = build_shriek(chain_presheaf(6, zn(2)))
+    carrier = PA.carrier
+    assert carrier.size == 2 ** 21
+    z = PA.inject({(0, 1): (1,), (1, 3): (1,), (2, 5): (1,)})
+    D, R = structural_decompose(PA, z, mode="clean")
+    assert D == carrier.one()  # 0 = 1 + 1 on every diagonal entry
+    assert carrier.add(D, R) == z
+    inverse = carrier.inverse(R)
+    assert carrier.mul(R, inverse) == carrier.one() == carrier.mul(inverse, R)
+
+
+def test_enumerated_facts_switch_on_exactly_at_the_cap():
+    PA = build_shriek(example_one_presheaf())
+    N = PA.carrier.size
+    assert triangular_ideal_facts(PA, cap=N - 1).inside_radical is None
+    assert triangular_ideal_facts(PA, cap=N).inside_radical is True
+    below = classify_shriek(PA, cap=N - 1)
+    assert below.carrier_flags is None
+    assert set(below.biconditionals.values()) == {None}
+    at = classify_shriek(PA, cap=N)
+    assert at.carrier_flags["clean"]
+    assert all(at.biconditionals.values())
+
+
 def test_structural_decompose_rejects_bad_stalk():
     F = chain_presheaf(2, zn(3))  # Z3 is not nil-clean
     PA = build_shriek(F)
