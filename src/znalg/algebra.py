@@ -182,10 +182,10 @@ class FiniteAlgebra:
                 "inverse")
         return y
 
-    def nilpotency_index(self, x):
+    def nilpotency_index(self, x, cap=None):
         """The least k with x^k = 0, or None when x is not nilpotent.  A
-        walk longer than DEFAULT_CAP powers is refused."""
-        _, last, k = self._power_walk(x)
+        walk longer than cap powers is refused."""
+        _, last, k = self._power_walk(x, cap)
         return None if any(last) else k
 
     def _power_walk(self, x, cap=None):

@@ -4,12 +4,16 @@ Everything here enumerates elements in lexicographic coordinate order and
 reads off definitions directly: idempotents satisfy a^2 = a, and units and
 nilpotents come from one walk over the powers of each element, which stops
 at 1 for a unit (the previous power is its inverse) and at 0 for a
-nilpotent (FiniteAlgebra.inverse and nilpotency_index).  The
-nil-clean flags and unique cleanness are decided by scanning all candidate
-decompositions.  Every finite ring is strongly clean and exchange
-(Camillo-Yu 1994, Nicholson 1977), so the clean, strongly clean and exchange
-flags are self-checks: each element's clean witnesses are found by the same
-scans, and a missing one raises SelfCheckFailed.  The exchange witness is
+nilpotent (FiniteAlgebra.inverse and nilpotency_index); a unit is never
+nilpotent, so units skip the second walk.  The decompositions a = e + u
+(u a unit) and a = e + x (x nilpotent) are formed forward, by adding each
+idempotent, in order, to every unit and every nilpotent: |E|(|U| + |Nil|)
+additions, and each element's pairs come out in idempotent order.  The
+nil-clean flags and unique cleanness are read off the pair counts.  Every
+finite ring is strongly clean and exchange (Camillo-Yu 1994, Nicholson
+1977), so the clean, strongly clean and exchange flags are self-checks:
+each element's clean witnesses come from the same pairing, and a missing
+one raises SelfCheckFailed.  The exchange witness is
 built from the strongly clean pair as in Nicholson's proof and re-checked by
 exact arithmetic; no divisor scan runs for it.  FiniteAlgebra.right_divisors
 is only for one-sided ideal membership.  Radical membership is asked per
@@ -44,17 +48,42 @@ class ClassificationReport:
 
 
 def classify_elements(A: FiniteAlgebra, cap=None) -> ClassificationReport:
-    """Idempotents, units (with inverses), and nilpotents (with index)."""
+    """Idempotents, units (with inverses), and nilpotents (with index).  A
+    unit of a nonzero ring is never nilpotent (validate_algebra certifies
+    1 != 0), so only non-units walk again for their nilpotency index."""
     rep = ClassificationReport(A.name)
     rep.idempotents = A.idempotents(cap)
     for x in A.elements(cap):
         y = A.inverse(x, cap)
         if y is not None:
             rep.units.append((x, y))
-        index = A.nilpotency_index(x)
+            continue
+        index = A.nilpotency_index(x, cap)
         if index is not None:
             rep.nilpotents.append((x, index))
     return rep
+
+
+def _sum_pairs(A: FiniteAlgebra, idempotents, partners, commuting=False):
+    """{a: [first two pairs, count, strong pair]} over every pair (e, p)
+    with e + p = a, e taken from idempotents in their order: each a's pairs
+    arrive in idempotent order, and the pairs are formed by
+    |idempotents|·|partners| additions.  With commuting, the strong pair is
+    the first with ep = pe, tested only until a has one; otherwise None."""
+    found = {}
+    add, mul = A.add, A.mul
+    for e in idempotents:
+        for p in partners:
+            a = add(e, p)
+            rec = found.get(a)
+            if rec is None:
+                rec = found[a] = [[], 0, None]
+            rec[1] += 1
+            if rec[1] <= 2:
+                rec[0].append((e, p))
+            if commuting and rec[2] is None and mul(e, p) == mul(p, e):
+                rec[2] = (e, p)
+    return found
 
 
 def decomposition_report(A: FiniteAlgebra, cap=None) -> ClassificationReport:
@@ -64,32 +93,27 @@ def decomposition_report(A: FiniteAlgebra, cap=None) -> ClassificationReport:
     hold in every finite ring; an element without a witness raises
     SelfCheckFailed.
 
+    The pairs are formed forward (_sum_pairs): each idempotent e, in
+    order, is added to every unit u and every nilpotent x, at a cost of
+    |E|(|U| + |Nil|) additions, and each element keeps only its first two
+    pairs, their count and its first commuting pair.  The witnesses,
+    counts and failures are those of scanning a - e for every idempotent e
+    in order.
+
     The exchange witness of a = e + u (eu = ue, v = u^-1) is (f, r, s) with
     f = 1 - e, r = v f and s = -v e (Nicholson 1977): v commutes with e, so
     a r = r a = f and (1-a) s = s (1-a) = 1 - f, which witnesses both sides.
     Each identity is re-checked, and a failure raises SelfCheckFailed."""
     rep = classify_elements(A, cap)
     one = A.one()
-    idem = rep.idempotents
     unit_inv = dict(rep.units)
-    nil_index = dict(rep.nilpotents)
+    clean = _sum_pairs(A, rep.idempotents, unit_inv, commuting=True)
+    nil = _sum_pairs(A, rep.idempotents, [x for x, _ in rep.nilpotents])
 
     nil_clean = True
     for a in A.elements(cap):
-        clean_pairs = []
-        strong_pair = None
-        for e in idem:
-            u = A.sub(a, e)
-            if u in unit_inv:
-                clean_pairs.append((e, u))
-                if strong_pair is None and A.mul(e, u) == A.mul(u, e):
-                    strong_pair = (e, u)
-        nil_pairs = []
-        for e in idem:
-            x = A.sub(a, e)
-            if x in nil_index:
-                nil_pairs.append((e, x))
-
+        clean_pairs, clean_count, strong_pair = clean.get(a, (None, 0, None))
+        nil_pairs, nil_count, _ = nil.get(a, ((), 0, None))
         if strong_pair is None:
             raise SelfCheckFailed(
                 f"{A.name}: {a} has no strongly clean decomposition (every "
@@ -106,25 +130,25 @@ def decomposition_report(A: FiniteAlgebra, cap=None) -> ClassificationReport:
                 "exchange)")
         rep.witnesses[a] = {
             "clean": clean_pairs[0],
-            "clean_count": len(clean_pairs),
+            "clean_count": clean_count,
             "nil_clean": nil_pairs[0] if nil_pairs else None,
-            "nil_clean_count": len(nil_pairs),
+            "nil_clean_count": nil_count,
             "strongly_clean": strong_pair,
             "exchange": (f, r, s),
         }
 
-        if len(clean_pairs) > 1 and "uniquely_clean" not in rep.failures:
+        if clean_count > 1 and "uniquely_clean" not in rep.failures:
             rep.failures["uniquely_clean"] = {
-                "element": a, "count": len(clean_pairs),
-                "decompositions": clean_pairs[:2]}
+                "element": a, "count": clean_count,
+                "decompositions": clean_pairs}
         if not nil_pairs:
             nil_clean = False
             rep.failures.setdefault("nil_clean", {"element": a})
             rep.failures.setdefault("uniquely_nil_clean", {"element": a, "count": 0})
-        elif len(nil_pairs) > 1 and "uniquely_nil_clean" not in rep.failures:
+        elif nil_count > 1 and "uniquely_nil_clean" not in rep.failures:
             rep.failures["uniquely_nil_clean"] = {
-                "element": a, "count": len(nil_pairs),
-                "decompositions": nil_pairs[:2]}
+                "element": a, "count": nil_count,
+                "decompositions": nil_pairs}
 
     rep.flags = {
         "clean": True,

@@ -12,6 +12,7 @@ from znalg.algebra import (
     zn_poly_x2,
 )
 from znalg.classify import (
+    ClassificationReport,
     check_lifting_proposition,
     classify_elements,
     decomposition_report,
@@ -20,7 +21,12 @@ from znalg.classify import (
     quotient_by_ideal,
     search_exchange_counterexample,
 )
-from znalg.errors import CapExceeded, IdealNotInRadical, QuotientNotFree
+from znalg.errors import (
+    CapExceeded,
+    IdealNotInRadical,
+    QuotientNotFree,
+    SelfCheckFailed,
+)
 
 
 def brute_idempotents(A):
@@ -331,3 +337,159 @@ def test_wrong_inverse_fails_the_exchange_self_check(monkeypatch):
     monkeypatch.setattr(FiniteAlgebra, "inverse", one_as_inverse)
     with pytest.raises(SelfCheckFailed, match="exchange witness"):
         decomposition_report(zn(3))
+
+
+def subtracting_decomposition_report(A):
+    """The pairing by subtraction: every unit and nilpotent walk, then
+    a - e tested against the units and the nilpotents for every element a
+    and idempotent e, 2·N·|E| subtractions; the oracle for the forward
+    pairing of decomposition_report."""
+    rep = ClassificationReport(A.name)
+    rep.idempotents = A.idempotents()
+    for x in A.elements():
+        y = A.inverse(x)
+        if y is not None:
+            rep.units.append((x, y))
+        index = A.nilpotency_index(x)
+        if index is not None:
+            rep.nilpotents.append((x, index))
+    one = A.one()
+    idem = rep.idempotents
+    unit_inv = dict(rep.units)
+    nil_index = dict(rep.nilpotents)
+
+    nil_clean = True
+    for a in A.elements():
+        clean_pairs = []
+        strong_pair = None
+        for e in idem:
+            u = A.sub(a, e)
+            if u in unit_inv:
+                clean_pairs.append((e, u))
+                if strong_pair is None and A.mul(e, u) == A.mul(u, e):
+                    strong_pair = (e, u)
+        nil_pairs = []
+        for e in idem:
+            x = A.sub(a, e)
+            if x in nil_index:
+                nil_pairs.append((e, x))
+        e, u = strong_pair
+        v = unit_inv[u]
+        f = A.sub(one, e)
+        rep.witnesses[a] = {
+            "clean": clean_pairs[0],
+            "clean_count": len(clean_pairs),
+            "nil_clean": nil_pairs[0] if nil_pairs else None,
+            "nil_clean_count": len(nil_pairs),
+            "strongly_clean": strong_pair,
+            "exchange": (f, A.mul(v, f), A.neg(A.mul(v, e))),
+        }
+        if len(clean_pairs) > 1 and "uniquely_clean" not in rep.failures:
+            rep.failures["uniquely_clean"] = {
+                "element": a, "count": len(clean_pairs),
+                "decompositions": clean_pairs[:2]}
+        if not nil_pairs:
+            nil_clean = False
+            rep.failures.setdefault("nil_clean", {"element": a})
+            rep.failures.setdefault("uniquely_nil_clean", {"element": a, "count": 0})
+        elif len(nil_pairs) > 1 and "uniquely_nil_clean" not in rep.failures:
+            rep.failures["uniquely_nil_clean"] = {
+                "element": a, "count": len(nil_pairs),
+                "decompositions": nil_pairs[:2]}
+    rep.flags = {
+        "clean": True,
+        "nil_clean": nil_clean,
+        "uniquely_clean": "uniquely_clean" not in rep.failures,
+        "uniquely_nil_clean":
+            nil_clean and "uniquely_nil_clean" not in rep.failures,
+        "strongly_clean": True,
+        "exchange": True,
+    }
+    return rep
+
+
+def z2_power(k):
+    return direct_product([zn(2)] * k)
+
+
+def test_forward_pairing_matches_the_subtracting_oracle():
+    from test_algebra import sheared
+    from znalg.catalog import catalog_algebras
+    from znalg.poset import build_shriek, example_one_presheaf
+    small = [matrix_algebra(3, 2), triangular_algebra(4, 2),
+             triangular_algebra(2, 3)]
+    algebras = catalog_algebras() + small + [
+        zn_poly_x2(16), z2_power(8), build_shriek(example_one_presheaf()).carrier]
+    algebras += [sheared(A, seed) for seed, A in enumerate(small, 11)]
+    for A in algebras:
+        rep, oracle = decomposition_report(A), subtracting_decomposition_report(A)
+        assert rep == oracle, A.name
+        # equal dicts may still differ in order, which reports print
+        assert list(rep.witnesses) == list(oracle.witnesses), A.name
+        assert list(rep.failures) == list(oracle.failures), A.name
+        assert list(rep.flags) == list(oracle.flags), A.name
+
+
+def _count_calls(monkeypatch, *names):
+    from znalg.algebra import FiniteAlgebra
+    counts = dict.fromkeys(names, 0)
+
+    def counted(name):
+        method = getattr(FiniteAlgebra, name)
+
+        def wrapper(self, *args):
+            counts[name] += 1
+            return method(self, *args)
+        return wrapper
+    for name in names:
+        monkeypatch.setattr(FiniteAlgebra, name, counted(name))
+    return counts
+
+
+def test_pairing_adds_each_idempotent_to_units_and_nilpotents(monkeypatch):
+    A = z2_power(8)
+    rep = classify_elements(A)
+    bound = len(rep.idempotents) * (len(rep.units) + len(rep.nilpotents))
+    assert bound == 512
+    counts = _count_calls(monkeypatch, "add", "sub")
+    decomposition_report(A)
+    assert counts["add"] <= bound
+    # 1 - e and 1 - a for each element's exchange witness, nothing per pair
+    assert counts["sub"] <= 2 * A.size
+
+
+def test_units_skip_the_nilpotency_walk(monkeypatch):
+    A = matrix_algebra(3, 2)
+    counts = _count_calls(monkeypatch, "mul")
+    rep = classify_elements(A)
+    assert (len(rep.idempotents), len(rep.units), len(rep.nilpotents)) \
+        == (14, 48, 9)
+    assert counts["mul"] <= 388
+
+
+def test_nilpotency_walk_takes_the_callers_cap(monkeypatch):
+    import znalg.algebra
+    monkeypatch.setattr(znalg.algebra, "DEFAULT_CAP", 50)
+    A = zn(202)
+    # 2 in Z202 = Z2 x Z101 walks 101 powers before a repeat
+    assert A.nilpotency_index((2,), cap=1000) is None
+    with pytest.raises(CapExceeded, match="51 powers exceeds cap 50"):
+        A.nilpotency_index((2,))
+    rep = classify_elements(A, cap=1000)
+    assert [x for x, _ in rep.nilpotents] == [(0,)]
+    assert len(rep.units) == 100
+
+
+def test_forward_pairing_keeps_the_strongly_clean_self_check(monkeypatch):
+    from znalg.algebra import FiniteAlgebra
+    mul = FiniteAlgebra.mul
+
+    # xy and yx differ unless x = y, so 0 = 1 + 2 in Z3 keeps its clean
+    # pair but loses the commuting one
+    def skewed(self, x, y):
+        z = mul(self, x, y)
+        return z if x <= y else self.add(z, self.one())
+    A = zn(3)
+    monkeypatch.setattr(FiniteAlgebra, "mul", skewed)
+    with pytest.raises(SelfCheckFailed, match="strongly clean"):
+        decomposition_report(A)
