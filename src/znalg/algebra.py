@@ -17,8 +17,10 @@ CapExceeded through _refuse_above_cap; a cap of None means DEFAULT_CAP.
 
 The same nested-table format carries bimodule actions, cochains, deformation
 corrections and restriction maps.  _check_table is the one shape and entry
-check for all of them, and _bilinear and _linear are the only code that
-evaluates a table on elements.  They read sparse cells, not the dense table: each owner
+check for all of them.  _bilinear and _linear evaluate a table on
+elements, and deformation._coefficient, the series kernel, sums one
+coefficient of a deformed product over the base and correction tables in a
+single pass.  All three read sparse cells, not the dense table: each owner
 builds, once, the (k, v) pairs with v != 0 of every cell (_sparse_cells),
 so a product walks only the nonzero entries.  The dense tables stay the
 public form that equality, hashing, reports and documents read.
@@ -101,8 +103,11 @@ class FiniteAlgebra:
         return tuple(1 if j == i else 0 for j in range(self.rank))
 
     def coerce(self, x):
-        """Normalize an iterable of ints into a valid element tuple."""
-        t = tuple(int(v) % self.n for v in x)
+        """Normalize an iterable of ints into a valid element tuple; an
+        entry that is not an integer (a float, a bool, a string) is refused
+        with BadShape, never truncated."""
+        n = self.n
+        t = tuple(_check_int(v, "element coordinate") % n for v in x)
         if len(t) != self.rank:
             raise BadShape(f"element of length {len(t)}, expected {self.rank}")
         return t

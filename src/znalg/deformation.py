@@ -7,10 +7,15 @@ triples and that the unit is undeformed; both extend to all elements by
 multilinearity.  Since t is nilpotent here, every lifting argument for
 complete rings applies verbatim to the truncation.
 
-_coefficient is the one series coefficient: coefficient k of f*g, the sum of
-alpha_m(f_a, g_b) over m + a + b = k.  def_mul, both inverse recursions and
-the idempotent recursion read the sum through it; the recursions pass partial
-series whose unknown coefficients are still zero.  A deformation records the
+_coefficient is the series kernel: coefficient k of f*g, the sum of
+alpha_m(f_a, g_b) over m + a + b = k, accumulated in one list over the
+sparse cells of the base table and of each correction, with one reduction
+mod n and no product or tuple per term.  def_mul, both inverse recursions
+and the idempotent recursion read the sum through it; the recursions pass
+partial series whose unknown coefficients are still zero.  invert_def
+certifies f*b = b*f = 1 from the partial sums its recursions already
+formed, since no later coefficient enters coefficient k of either product,
+so the certificate costs no second product.  A deformation records the
 orders whose correction is not identically zero, and this sum and the
 order-k associativity sum of validate_deformation run over those orders
 only: every term they skip is exactly zero.  Each correction is evaluated
@@ -189,20 +194,28 @@ def _check_order(D, *fs):
 
 def _coefficient(D, f, g, k):
     """Coefficient k of f*g: alpha_m(f_a, g_b) summed over m + a + b = k,
-    for the orders m that carry a correction.  Zero coefficients are
-    skipped, so a recursion may pass a partial series whose unknown
-    coefficients are still zero."""
+    for the orders m that carry a correction.  One accumulator of width r
+    collects c * v over the sparse cells of every term, reduced mod n once
+    at the end; zero coordinates are skipped, so a recursion may pass a
+    partial series whose unknown coefficients are still zero."""
     A = D.base
-    acc = A.zero()
+    acc = [0] * A.rank
     for m in D._support:
         if m > k:
             break
+        cells = D._cells[m - 1] if m else A._cells
         for a in range(k - m + 1):
-            fa = f[a]
             gb = g[k - m - a]
-            if any(fa) and any(gb):
-                acc = A.add(acc, D.alpha(m, fa, gb))
-    return acc
+            for i, x in enumerate(f[a]):
+                if x:
+                    row = cells[i]
+                    for j, y in enumerate(gb):
+                        if y:
+                            c = x * y
+                            for t, v in row[j]:
+                                acc[t] += c * v
+    n = A.n
+    return tuple(v % n for v in acc)
 
 
 def def_mul(D, f, g):
@@ -216,7 +229,11 @@ def invert_def(D, f):
 
     Coefficients are solved inductively (each order is linear in the next
     unknown); the symmetric left-inverse recursion must agree, and both
-    products with f are certified to be the unit.
+    products with f are certified to be the unit.  Coefficient k of f*b is
+    the right recursion's partial sum p_k plus f_0 b_k, and coefficient k
+    of c*f is the left one's q_k plus c_k f_0: no b_j or c_j with j > k
+    enters it, so these are the coefficients a full product would
+    recompute, and with c = b the second is b*f.
     """
     _check_order(D, f)
     A = D.base
@@ -227,16 +244,22 @@ def invert_def(D, f):
 
     b = [a0inv] + [A.zero()] * (D.order - 1)
     c = list(b)
+    fb = [A.mul(a0, a0inv)]
+    cf = [A.mul(a0inv, a0)]
     for k in range(1, D.order):
-        b[k] = A.mul(a0inv, A.neg(_coefficient(D, f, b, k)))
-        c[k] = A.mul(A.neg(_coefficient(D, c, f, k)), a0inv)
+        p = _coefficient(D, f, b, k)
+        b[k] = A.mul(a0inv, A.neg(p))
+        fb.append(A.add(p, A.mul(a0, b[k])))
+        q = _coefficient(D, c, f, k)
+        c[k] = A.mul(A.neg(q), a0inv)
+        cf.append(A.add(q, A.mul(c[k], a0)))
     right = tuple(b)
     left = tuple(c)
 
     if left != right:
         raise SelfCheckFailed("left and right inverse recursions disagree")
     one = def_one(D)
-    if def_mul(D, f, right) != one or def_mul(D, right, f) != one:
+    if tuple(fb) != one or tuple(cf) != one:
         raise SelfCheckFailed("inverse failed to certify by multiplication")
     return right
 

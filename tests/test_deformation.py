@@ -580,3 +580,230 @@ def test_flatten_clean_transfer_catalog():
         assert flat_rep.flags["exchange"] == base_rep.flags["exchange"]
         if base_rep.flags["uniquely_clean"]:
             assert flat_rep.flags["uniquely_clean"]
+
+
+def oracle_coefficient(D, f, g, k):
+    """Coefficient k of f*g summed as one alpha call and one tuple add per
+    pair of nonzero coefficients: the oracle for the fused kernel."""
+    A = D.base
+    acc = A.zero()
+    for m in D._support:
+        if m > k:
+            break
+        for a in range(k - m + 1):
+            fa = f[a]
+            gb = g[k - m - a]
+            if any(fa) and any(gb):
+                acc = A.add(acc, D.alpha(m, fa, gb))
+    return acc
+
+
+def oracle_mul(D, f, g):
+    return tuple(oracle_coefficient(D, f, g, k) for k in range(D.order))
+
+
+def oracle_invert_def(D, f):
+    """Both recursions through the oracle coefficient, then both products
+    with f recomputed in full: the oracle for the recursion-sum
+    certificate."""
+    from znalg.errors import SelfCheckFailed
+    A = D.base
+    a0inv = A.inverse(f[0])
+    if a0inv is None:
+        raise ConstantTermNotUnit(f"constant term {f[0]} is not a unit")
+    b = [a0inv] + [A.zero()] * (D.order - 1)
+    c = list(b)
+    for k in range(1, D.order):
+        b[k] = A.mul(a0inv, A.neg(oracle_coefficient(D, f, b, k)))
+        c[k] = A.mul(A.neg(oracle_coefficient(D, c, f, k)), a0inv)
+    if c != b:
+        raise SelfCheckFailed("left and right inverse recursions disagree")
+    one = def_one(D)
+    if oracle_mul(D, f, tuple(b)) != one or oracle_mul(D, tuple(b), f) != one:
+        raise SelfCheckFailed("inverse failed to certify by multiplication")
+    return tuple(b)
+
+
+def kernel_deformations():
+    """Catalog, long, trivial, gapped, Z4-based and rank-3 deformations."""
+    T2 = triangular_algebra(2, 2)
+    T2z4 = triangular_algebra(4, 2)
+    Dz4 = zn_poly_x2(4)
+    return catalog_deformations(4) + gapped_deformations(6) + [
+        x_squared_t_deformation(2, 32),
+        trivial_deformation(zn_poly_x2(3), 6),
+        gauge_deformation(T2, seeded_gauge_map(T2, 5), 6),
+        gauge_deformation(Dz4, seeded_gauge_map(Dz4, 8), 6),
+        gauge_deformation(T2z4, seeded_gauge_map(T2z4, 11), 5),
+    ]
+
+
+def result_or_error(run, *args):
+    """run(*args), or the outcome of the error it raised."""
+    from test_algebra import outcome
+    out = []
+    got = outcome(lambda: out.append(run(*args)))
+    return out[0] if got == "passes" else got
+
+
+def with_oracle_kernel(monkeypatch, run, *args):
+    """result_or_error of run(*args) with the fused kernel, then with the
+    oracle kernel in its place."""
+    import znalg.deformation as deformation
+    fused = result_or_error(run, *args)
+    with monkeypatch.context() as patch:
+        patch.setattr(deformation, "_coefficient", oracle_coefficient)
+        oracle = result_or_error(run, *args)
+    return fused, oracle
+
+
+def test_fused_coefficient_matches_the_oracle():
+    # every coefficient of full and partial series, so zero coefficients
+    # in any position are covered
+    from znalg.deformation import _coefficient
+    for D in kernel_deformations():
+        rng = random.Random(D.order * 31 + D.base.n)
+        for _ in range(4):
+            f = list(random_def_element(D, rng.randrange(1 << 30)))
+            g = list(random_def_element(D, rng.randrange(1 << 30)))
+            for k in rng.sample(range(D.order), D.order // 3):
+                g[k] = D.base.zero()
+            f[rng.randrange(D.order)] = D.base.zero()
+            for k in range(D.order):
+                assert _coefficient(D, f, g, k) \
+                    == oracle_coefficient(D, f, g, k), (D.name, k)
+            assert def_mul(D, tuple(f), tuple(g)) \
+                == oracle_mul(D, tuple(f), tuple(g))
+
+
+def test_recursion_sum_inverse_matches_the_oracle():
+    for D in kernel_deformations():
+        A = D.base
+        rng = random.Random(D.order * 17 + A.rank)
+        elements = list(A.elements())
+        inverted = 0
+        for _ in range(8):
+            f = list(random_def_element(D, rng.randrange(1 << 30)))
+            f[0] = rng.choice(elements)
+            f = tuple(f)
+            got = result_or_error(invert_def, D, f)
+            assert got == result_or_error(oracle_invert_def, D, f), D.name
+            inverted += A.inverse(f[0]) is not None
+        assert inverted, D.name
+
+
+def test_lifts_and_probes_match_the_oracle_kernel(monkeypatch):
+    for D in kernel_deformations():
+        for e in D.base.idempotents():
+            fused, oracle = with_oracle_kernel(
+                monkeypatch, lift_idempotent_newton, D, e)
+            assert fused == oracle, (D.name, e)
+            fused, oracle = with_oracle_kernel(
+                monkeypatch, obstruction_probe, D, e)
+            assert fused == oracle, (D.name, e)
+
+
+def test_wrong_constant_inverse_fails_the_certificate(monkeypatch):
+    # (1 + x)^-1 = 1 + 2x in Z3[X]/(X^2); a base that answers 1 + x passes
+    # the recursions, which agree, and only the certificate sees it
+    from znalg.errors import SelfCheckFailed
+    from test_algebra import outcome
+    for D in (x_squared_t_deformation(3, 6),
+              trivial_deformation(zn_poly_x2(3), 6)):
+        f = def_from_constant(D, (1, 1))
+        assert invert_def(D, f)[0] == (1, 2)
+        monkeypatch.setattr(D.base, "inverse", lambda x, cap=None: (1, 1))
+        got = outcome(invert_def, D, f)
+        assert got == outcome(oracle_invert_def, D, f)
+        assert got[0] is SelfCheckFailed
+        assert "certify by multiplication" in got[2]
+
+
+@pytest.mark.parametrize("lost", [((1, 1), (1, 2)), ((1, 2), (1, 1))])
+def test_one_sided_constant_inverse_fails_the_certificate(monkeypatch, lost):
+    # a base product that loses (1 + x)(1 + 2x) = 1 on one side only: both
+    # recursions still agree, so only the product on that side sees it
+    from znalg.algebra import FiniteAlgebra
+    from znalg.errors import SelfCheckFailed
+    from test_algebra import outcome
+    D = x_squared_t_deformation(3, 6)
+    A = D.base
+    f = def_add(D, def_from_constant(D, (1, 1)), def_t(D))
+
+    def lossy_mul(x, y):
+        if (x, y) == lost:
+            return A.zero()
+        return FiniteAlgebra.mul(A, x, y)
+    monkeypatch.setattr(A, "inverse", lambda x, cap=None: (1, 2))
+    monkeypatch.setattr(A, "mul", lossy_mul)
+    got = outcome(invert_def, D, f)
+    assert got == outcome(oracle_invert_def, D, f)
+    assert got[0] is SelfCheckFailed
+    assert "certify by multiplication" in got[2]
+
+
+def test_correction_perturbed_after_validation_fails_the_self_check():
+    # one coordinate of one cell of a validated correction is changed: the
+    # series product is then no longer associative, and every inverse the
+    # oracle refuses must be refused the same way
+    from znalg.errors import SelfCheckFailed
+    from test_algebra import outcome
+    T2 = triangular_algebra(2, 2)
+    refused = 0
+    for seed in range(6):
+        D = gauge_deformation(T2, seeded_gauge_map(T2, seed), 4)
+        rng = random.Random(seed)
+        m = rng.choice(D._support[1:])
+        cells = [[list(cell) for cell in row] for row in D._cells[m - 1]]
+        i, j = rng.randrange(3), rng.randrange(3)
+        cell = dict(cells[i][j])
+        k = rng.randrange(3)
+        cell[k] = (cell.get(k, 0) + 1) % 2
+        cells[i][j] = tuple((t, v) for t, v in sorted(cell.items()) if v)
+        D._cells = (D._cells[:m - 1] + (tuple(map(tuple, cells)),)
+                    + D._cells[m:])
+        for _ in range(4):
+            f = list(random_def_element(D, rng.randrange(1 << 30)))
+            f[0] = T2.one()
+            f = tuple(f)
+            got = outcome(invert_def, D, f)
+            assert got == outcome(oracle_invert_def, D, f)
+            if got != "passes":
+                assert got[0] is SelfCheckFailed
+                refused += 1
+    assert refused
+
+
+def test_inverse_sums_each_recursion_once(monkeypatch):
+    # 2(N - 1) coefficients and no full product; the kernel itself calls
+    # neither alpha nor a tuple add
+    import znalg.deformation as deformation
+    from znalg.algebra import FiniteAlgebra
+    counts = {"_coefficient": 0, "def_mul": 0, "alpha": 0, "add": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+    for name in ("_coefficient", "def_mul"):
+        monkeypatch.setattr(deformation, name,
+                            counted(name, getattr(deformation, name)))
+    for D in (x_squared_t_deformation(2, 32), gapped_deformations(6)[2]):
+        f = def_add(D, def_one(D), def_t(D))
+        counts.update(dict.fromkeys(counts, 0))
+        invert_def(D, f)
+        assert counts["_coefficient"] == 2 * (D.order - 1)
+        assert counts["def_mul"] == 0
+    deformations = kernel_deformations()
+    monkeypatch.setattr(TruncatedDeformation, "alpha",
+                        counted("alpha", TruncatedDeformation.alpha))
+    monkeypatch.setattr(FiniteAlgebra, "add",
+                        counted("add", FiniteAlgebra.add))
+    counts.update(dict.fromkeys(counts, 0))
+    for D in deformations:
+        f = random_def_element(D, 3)
+        for k in range(D.order):
+            deformation._coefficient(D, f, f, k)
+    assert counts["alpha"] == counts["add"] == 0
+    assert counts["_coefficient"] > 0

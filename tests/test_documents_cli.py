@@ -385,6 +385,45 @@ def test_deform_invert_rejects_bad_element(catalog_doc, capsys):
     assert code == 3  # constant term not a unit: validation failure
 
 
+GAUGE = "Z2 x Z2 gauge/coboundary (N=4)"
+# one bad coordinate each: a float, a bool, a string, a float that
+# truncates to 0 mod 2, the two non-finite floats, and a wrong rank
+BAD_COORDINATES = {"float": "[1.5, 0]", "bool": "[true, 0]",
+                   "string": '["1", 0]', "huge-float": "[1e300, 0]",
+                   "nan": "[NaN, 0]", "infinity": "[Infinity, 0]",
+                   "wrong-rank": "[1, 0, 0]"}
+
+
+@pytest.mark.parametrize("action,field,series", [
+    ("invert", "--element", True),
+    ("clean-decompose", "--element", True),
+    ("lift", "--idempotent", False),
+    ("probe", "--idempotent", False),
+])
+@pytest.mark.parametrize("bad", sorted(BAD_COORDINATES))
+def test_non_integer_coordinates_are_parse_errors(
+        catalog_doc, capsys, action, field, series, bad):
+    # a coordinate that is not an integer is refused, never truncated: exit
+    # 2 and a message, with no traceback
+    text = BAD_COORDINATES[bad]
+    if series:
+        text = f"[{text}, [0, 0], [0, 0], [0, 0]]"
+    code = main(["deform", action, "--doc", str(catalog_doc),
+                 "--deformation", GAUGE, field, text])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("parse error: bad ")
+    assert "Traceback" not in err
+
+
+def test_wrong_coefficient_count_stays_order_mismatch(catalog_doc, capsys):
+    code = main(["deform", "invert", "--doc", str(catalog_doc),
+                 "--deformation", GAUGE,
+                 "--element", "[[1, 0], [0, 0], [0, 0]]"])
+    assert code == 3
+    assert "3 coefficients" in capsys.readouterr().err
+
+
 def test_shriek_job(catalog_doc, capsys):
     code = main(["shriek", "--doc", str(catalog_doc),
                  "--presheaf", "example-1"])
