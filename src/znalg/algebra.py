@@ -194,16 +194,24 @@ class FiniteAlgebra:
         return None if any(last) else k
 
     def _power_walk(self, x, cap=None):
-        """(x^(k-1), x^k, k) for the first power x^k that is 0, 1 or a
-        repeat.  Each power is seen once, so the walk takes fewer than size
-        powers and can pass cap only when size does; after cap powers it
+        """(x^(k-1), x^k, k) for the first power x^k that is 0 or 1 or, for
+        k > 1, equal to x or to the anchor: the power x^j last kept at
+        j = 1, 2, 4, ... below L or at j = L = size.bit_length() - 1.  L
+        bounds the composition length of the algebra, so by Fitting's lemma
+        the powers from x^L on run round a cycle back to x^L; x and the
+        earlier anchors end most walks as early as a set of every power
+        would.  Only the anchor is kept, and a walk takes at most size
+        powers, so it can pass cap only when size does; after cap powers it
         is refused with CapExceeded."""
         limit = _cap_limit(cap)
-        prev, p, seen = self.unit, x, set()
+        last = self.size.bit_length() - 1
+        prev, p, anchor = self.unit, x, None
         for k in range(1, limit + 1):
-            if not any(p) or p == self.unit or p in seen:
+            if not any(p) or p == self.unit or (
+                    k > 1 and (p == x or p == anchor)):
                 return prev, p, k
-            seen.add(p)
+            if k == last or (k < last and not k & (k - 1)):
+                anchor = p
             prev, p = p, self.mul(p, x)
         _refuse_above_cap(limit + 1, cap, f"{self.name}: power walk of {x}",
                           shown=f"{limit + 1} powers")
@@ -326,7 +334,7 @@ def _check_table(table, shape, what):
                     f"{depth}, expected {size}")
             below.extend(node)
         level = below
-    if not all(isinstance(v, int) for v in level):
+    if not all(type(v) is int for v in level):  # bool is an int subclass
         raise BadShape(f"{what} entries must be integers")
     return level
 

@@ -1,6 +1,10 @@
 """Batch front door: ingest a workspace document, run verification jobs,
 emit human-readable lines plus a machine-readable JSON report.
 
+SUBCOMMANDS is the one place a subcommand, its help and its arguments are
+declared.  The parser is built from it once, at import, and a job
+subcommand's options are the fields of the document job it runs.
+
 Exit codes: 0 all assertions pass, 1 an assertion failed, 2 parse error,
 3 validation error, 4 an enumeration cap was exceeded.
 """
@@ -50,11 +54,51 @@ EXIT_VALIDATION = 3
 EXIT_CAP = 4
 
 
+# subcommand -> (help, arguments as (name, argparse keywords) in --help
+# order).  An option of a job subcommand is the job-spec field of the same
+# name (dashes as underscores), so a command line runs exactly as the
+# document job with those fields; --doc names the document, and deform's
+# action is part of the job kind.
+_DOC = ("--doc", {"required": True})
+_EXTENSION = [_DOC, ("--algebra", {"required": True}),
+              ("--bimodule", {"required": True}), ("--cochain", {})]
+SUBCOMMANDS = {
+    "run": ("run a named job from a document",
+            [("document", {}), ("job", {})]),
+    "catalog": ("emit the built-in examples document",
+                [("--out",
+                  {"help": "write the document here instead of stdout"})]),
+    "classify": ("full flag report for an algebra",
+                 [_DOC, ("--algebra", {"required": True})]),
+    "extend": ("build an extension carrier", _EXTENSION),
+    "extend-verify": ("run the transfer suites", _EXTENSION),
+    "deform": ("deformation operations", [
+        ("action", {"choices": ["validate", "invert", "lift", "probe",
+                                "flatten", "clean-decompose"]}),
+        _DOC,
+        ("--deformation", {"required": True}),
+        ("--element", {"help": "JSON coefficient list"}),
+        ("--idempotent", {"help": "JSON coordinate list"}),
+        ("--depth", {"type": int}),
+        ("--order", {"type": int, "help": "override the truncation order"}),
+    ]),
+    "shriek": ("assemble and verify a poset algebra",
+               [_DOC, ("--presheaf", {"required": True})]),
+    "cohomology": ("cocycle/coboundary dimensions", [
+        _DOC, ("--algebra", {}), ("--presheaf", {}),
+        ("--degree", {"type": int, "default": 2}),
+        ("--linalg-cap", {"type": int}),
+    ]),
+    "search-open-question": ("scan exchange rings for one-sided witnesses",
+                             [_DOC, ("--algebras",
+                                     {"nargs": "+", "required": True})]),
+}
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     if args.command is None:
-        parser.print_help()
+        PARSER.print_help()
         return EXIT_PARSE
     try:
         report = dispatch(args)
@@ -90,57 +134,10 @@ def build_parser():
                         help="reinterpret loaded algebras over this modulus "
                              "(rejected if validation fails)")
     sub = parser.add_subparsers(dest="command")
-
-    run = sub.add_parser("run", help="run a named job from a document")
-    run.add_argument("document")
-    run.add_argument("job")
-
-    cat = sub.add_parser("catalog", help="emit the built-in examples document")
-    cat.add_argument("--out", help="write the document here instead of stdout")
-
-    classify = sub.add_parser("classify", help="full flag report for an algebra")
-    classify.add_argument("--doc", required=True)
-    classify.add_argument("--algebra", required=True)
-
-    ext = sub.add_parser("extend", help="build an extension carrier")
-    ext.add_argument("--doc", required=True)
-    ext.add_argument("--algebra", required=True)
-    ext.add_argument("--bimodule", required=True)
-    ext.add_argument("--cochain")
-
-    extv = sub.add_parser("extend-verify", help="run the transfer suites")
-    extv.add_argument("--doc", required=True)
-    extv.add_argument("--algebra", required=True)
-    extv.add_argument("--bimodule", required=True)
-    extv.add_argument("--cochain")
-
-    deform = sub.add_parser("deform", help="deformation operations")
-    deform.add_argument("action", choices=[
-        "validate", "invert", "lift", "probe", "flatten", "clean-decompose"])
-    deform.add_argument("--doc", required=True)
-    deform.add_argument("--deformation", required=True)
-    deform.add_argument("--element", help="JSON coefficient list")
-    deform.add_argument("--idempotent", help="JSON coordinate list")
-    deform.add_argument("--depth", type=int, default=None)
-    deform.add_argument("--order", type=int, default=None,
-                        help="override the truncation order")
-
-    shriek = sub.add_parser("shriek", help="assemble and verify a poset algebra")
-    shriek.add_argument("--doc", required=True)
-    shriek.add_argument("--presheaf", required=True)
-
-    coh = sub.add_parser("cohomology", help="cocycle/coboundary dimensions")
-    coh.add_argument("--doc", required=True)
-    coh.add_argument("--algebra")
-    coh.add_argument("--presheaf")
-    coh.add_argument("--degree", type=int, default=2)
-    coh.add_argument("--linalg-cap", type=int, default=None)
-
-    search = sub.add_parser("search-open-question",
-                            help="scan exchange rings for one-sided witnesses")
-    search.add_argument("--doc", required=True)
-    search.add_argument("--algebras", nargs="+", required=True)
-
+    for command, (help_text, arguments) in SUBCOMMANDS.items():
+        cmd = sub.add_parser(command, help=help_text)
+        for name, kwargs in arguments:
+            cmd.add_argument(name, **kwargs)
     return parser
 
 
@@ -161,34 +158,15 @@ def dispatch(args):
         spec = ws.job(args.job)
         return execute_job(ws, args.job, spec, args)
 
-    ws = Workspace.load(getattr(args, "doc"))
-    spec = command_to_job(args)
+    ws = Workspace.load(args.doc)
+    spec = {"kind": args.command}
+    for name, _ in SUBCOMMANDS[args.command][1]:
+        field = name.lstrip("-").replace("-", "_")
+        if field == "action":
+            spec["kind"] = f"{args.command}-{args.action}"
+        elif field != "doc":
+            spec[field] = getattr(args, field)
     return execute_job(ws, args.command, spec, args)
-
-
-def command_to_job(args):
-    if args.command == "classify":
-        return {"kind": "classify", "algebra": args.algebra}
-    if args.command == "extend":
-        return {"kind": "extend", "algebra": args.algebra,
-                "bimodule": args.bimodule, "cochain": args.cochain}
-    if args.command == "extend-verify":
-        return {"kind": "extend-verify", "algebra": args.algebra,
-                "bimodule": args.bimodule, "cochain": args.cochain}
-    if args.command == "deform":
-        return {"kind": f"deform-{args.action}",
-                "deformation": args.deformation,
-                "element": args.element, "idempotent": args.idempotent,
-                "depth": args.depth, "order": args.order}
-    if args.command == "shriek":
-        return {"kind": "shriek", "presheaf": args.presheaf}
-    if args.command == "cohomology":
-        return {"kind": "cohomology", "algebra": args.algebra,
-                "presheaf": args.presheaf, "degree": args.degree,
-                "linalg_cap": getattr(args, "linalg_cap", None)}
-    if args.command == "search-open-question":
-        return {"kind": "search-open-question", "algebras": args.algebras}
-    raise ParseError(f"unknown command {args.command!r}")
 
 
 def execute_job(ws, name, spec, args):
@@ -494,6 +472,9 @@ def emit(report, args):
     if path:
         with open(path, "w") as fh:
             fh.write(dump_report(report) + "\n")
+
+
+PARSER = build_parser()
 
 
 if __name__ == "__main__":

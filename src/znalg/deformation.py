@@ -346,16 +346,17 @@ def lift_idempotent_newton(D, e):
     one = def_one(D)
     g = def_from_constant(D, e)
     iterations = 0
-    while def_mul(D, g, g) != g:
+    g2 = def_mul(D, g, g)
+    while g2 != g:
         if iterations >= bound:
             raise NoConvergence(
                 f"no fixed point within {bound} iterations at order {D.order}")
-        g2 = def_mul(D, g, g)
         factor1 = def_sub(D, def_smul(D, 2, g), one)
         factor2 = def_sub(D, def_sub(D, def_smul(D, 4, g2),
                                      def_smul(D, 4, g)), one)
         g = def_neg(D, def_mul(D, def_mul(D, g2, factor1), factor2))
         iterations += 1
+        g2 = def_mul(D, g, g)
     if g[0] != e:
         raise SelfCheckFailed("Newton lift moved the constant term")
     return g, iterations

@@ -58,7 +58,7 @@ class Poset:
         leq = [[i == j for j in range(size)] for i in range(size)]
         for cover in covers:
             if len(cover) != 2 or not all(
-                    isinstance(v, int) and 0 <= v < size for v in cover):
+                    type(v) is int and 0 <= v < size for v in cover):
                 raise BadShape(
                     f"cover {cover!r} is not a pair of nodes 0..{size - 1}")
             i, j = cover

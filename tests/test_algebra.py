@@ -182,6 +182,8 @@ def test_power_walk_matches_brute_force():
         for x in A.elements():
             assert A.inverse(x) == _brute_inverse(A, x)
             assert A.nilpotency_index(x) == _brute_nilpotency_index(A, x)
+            # a walk within the cap is never refused
+            assert A._power_walk(x, cap=A.size)[2] <= A.size
 
 
 def test_wrong_power_walk_inverse_fails_the_self_check(monkeypatch):
@@ -212,6 +214,19 @@ def test_power_walk_refuses_after_cap_powers(monkeypatch):
         A.inverse((2,))
     assert A.inverse((2,), cap=100) == (51,)
     assert A.inverse((100,)) == (100,)
+
+
+def test_refused_power_walk_keeps_no_set_of_powers():
+    import tracemalloc
+    A = zn(2 ** 31 - 1)  # 7 is a primitive root mod 2^31 - 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match="65537 powers exceeds cap"):
+            A.nilpotency_index((7,), cap=2 ** 16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def dense_certify(alg):

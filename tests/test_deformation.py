@@ -246,6 +246,26 @@ def test_newton_converges_on_gauge_deformation():
         assert iters <= 3
 
 
+def test_newton_squares_once_per_iteration(monkeypatch):
+    import znalg.deformation as deformation
+    calls = []
+
+    def counted(D, f, g):
+        calls.append(1)
+        return def_mul(D, f, g)
+
+    monkeypatch.setattr(deformation, "def_mul", counted)
+    P = direct_product([zn(2), zn(2)])
+    D = gauge_deformation(P, seeded_gauge_map(P, 300), 4)
+    total = 0
+    for e in (x for x in P.elements() if P.mul(x, x) == x):
+        calls.clear()
+        _, iters = lift_idempotent_newton(D, e)
+        assert len(calls) == 3 * iters + 1
+        total += iters
+    assert total > 0
+
+
 def test_newton_iteration_bound_catalog():
     for D in catalog_deformations(16):
         bound = (16 - 1).bit_length() + 1

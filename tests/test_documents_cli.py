@@ -146,6 +146,8 @@ MUTATIONS = {
     # an entry that would read back as the same integer if coerced
     "string-entry": (_set_entry(str), 3),
     "float-entry": (_set_entry(lambda v: v + 0.5), 3),
+    # JSON true and false are not the integers 1 and 0
+    "bool-entry": (_set_entry(bool), 3),
     "scalar-cell": (_set_cell(lambda cell: 1), 3),
     "long-cell": (_set_cell(lambda cell: cell + [0]), 3),
     "non-array": (lambda table: "0", 3),
@@ -197,10 +199,13 @@ def _trivial_z3_clean_decompose(order):
         "algebra": "Z3", "order": 4, "cochains": [[[[0]]]] * 3})
     job = _deform_job(order, "deform-clean-decompose", "Z3 trivial",
                       element=json.dumps([[2]] + [[1]] * (order - 1)))
+    return _then(add, job)
 
+
+def _then(*mutations):
     def mutate(doc):
-        add(doc)
-        job(doc)
+        for m in mutations:
+            m(doc)
     return mutate
 
 
@@ -238,6 +243,20 @@ MALFORMED = {
                           value=[[1], [0]]), SHRIEK, 3),
     "map-outside-poset": (_set("presheaves", "example-1", "maps", "0,5",
                                value=[[1, 0]]), SHRIEK, 3),
+    # JSON true is not the integer 1, in any table or cover
+    "structure-bool": (_set("algebras", "Z2[X]/(X^2)", "structure", 0, 0,
+                            value=[True, False]), CLASSIFY, 3),
+    "unit-bool": (_set("algebras", "Z2[X]/(X^2)", "unit",
+                       value=[True, False]), CLASSIFY, 3),
+    "action-bool": (_set("bimodules", "twisted projection", "left_action", 0,
+                         value=[[True]]), EXTEND, 3),
+    "deformation-cochain-bool": (_then(_deform_job(None), _set(
+        "deformations", "x^2=t over Z2 (N=4)", "cochains", 0, 1, 1,
+        value=[True, False])), DEFORM, 3),
+    "map-bool": (_set("presheaves", "example-1", "maps", "0,1",
+                      value=[[True, False]]), SHRIEK, 3),
+    "cover-bool": (_set("posets", "example-1", "covers", 0,
+                        value=[0, True]), SHRIEK, 3),
     "deform-order-zero": (_deform_job(0), DEFORM, 3),
     # 2^(2*800) elements: refused before validating 800 orders
     "deform-order-800": (_deform_job(800), DEFORM, 4),
@@ -631,3 +650,94 @@ def test_rank_one_algebra_over_a_huge_prime_is_decided_quickly(tmp_path):
         start = time.perf_counter()
         assert run_document(tmp_path, doc, job) == 0
         assert time.perf_counter() - start < 2
+
+
+X2T = "x^2=t over Z2 (N=4)"
+# a subcommand line without its --doc, and the document job with the same
+# fields
+SUBCOMMAND_JOBS = {
+    "classify": (["classify", "--algebra", "Z2[X]/(X^2)"],
+                 {"kind": "classify", "algebra": "Z2[X]/(X^2)"}),
+    "extend": (["extend", "--algebra", "Z2", "--bimodule", "Z2 regular"],
+               {"kind": "extend", "algebra": "Z2", "bimodule": "Z2 regular"}),
+    "extend-verify": (
+        ["extend-verify", "--algebra", "Z2 x Z2",
+         "--bimodule", "twisted projection"],
+        {"kind": "extend-verify", "algebra": "Z2 x Z2",
+         "bimodule": "twisted projection"}),
+    "deform-validate": (["deform", "validate", "--deformation", X2T],
+                        {"kind": "deform-validate", "deformation": X2T}),
+    "deform-invert": (
+        ["deform", "invert", "--deformation", X2T,
+         "--element", "[[1,1],[0,0],[0,0],[0,0]]"],
+        {"kind": "deform-invert", "deformation": X2T,
+         "element": "[[1,1],[0,0],[0,0],[0,0]]"}),
+    "deform-lift": (
+        ["deform", "lift", "--deformation", X2T, "--idempotent", "[1,0]"],
+        {"kind": "deform-lift", "deformation": X2T, "idempotent": "[1,0]"}),
+    "deform-probe": (
+        ["deform", "probe", "--deformation", X2T, "--idempotent", "[1,0]",
+         "--depth", "2"],
+        {"kind": "deform-probe", "deformation": X2T, "idempotent": "[1,0]",
+         "depth": 2}),
+    "deform-flatten": (
+        ["deform", "flatten", "--deformation", X2T, "--order", "2"],
+        {"kind": "deform-flatten", "deformation": X2T, "order": 2}),
+    "deform-clean-decompose": (
+        ["deform", "clean-decompose", "--deformation", X2T, "--order", "3",
+         "--element", "[[0,1],[0,0],[0,0]]"],
+        {"kind": "deform-clean-decompose", "deformation": X2T, "order": 3,
+         "element": "[[0,1],[0,0],[0,0]]"}),
+    "shriek": (["shriek", "--presheaf", "example-1"],
+               {"kind": "shriek", "presheaf": "example-1"}),
+    "cohomology-default-degree": (
+        ["cohomology", "--presheaf", "square-circle"],
+        {"kind": "cohomology", "presheaf": "square-circle"}),
+    "cohomology-linalg-cap": (
+        ["cohomology", "--algebra", "Z2[X]/(X^2)", "--degree", "1",
+         "--linalg-cap", "1000"],
+        {"kind": "cohomology", "algebra": "Z2[X]/(X^2)", "degree": 1,
+         "linalg_cap": 1000}),
+    "cohomology-linalg-cap-refused": (
+        ["cohomology", "--algebra", "Z2[X]/(X^2)", "--linalg-cap", "3"],
+        {"kind": "cohomology", "algebra": "Z2[X]/(X^2)", "linalg_cap": 3}),
+    "search-open-question": (
+        ["search-open-question", "--algebras", "Z2", "Z3", "Z4"],
+        {"kind": "search-open-question", "algebras": ["Z2", "Z3", "Z4"]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SUBCOMMAND_JOBS))
+def test_subcommand_runs_as_its_document_job(tmp_path, capsys, case):
+    argv, fields = SUBCOMMAND_JOBS[case]
+    doc = builtin_catalog_document()
+    doc["jobs"]["same"] = fields
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    outcomes = []
+    for args in (argv + ["--doc", str(path)], ["run", str(path), "same"]):
+        report_path = tmp_path / "report.json"
+        report_path.unlink(missing_ok=True)
+        code = main(["--report", str(report_path)] + args)
+        report = (json.loads(report_path.read_text())
+                  if report_path.exists() else None)
+        for key in ("timing", "job"):
+            (report or {}).pop(key, None)
+        outcomes.append((code, report, capsys.readouterr().err))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_main_reuses_one_parser(catalog_doc, monkeypatch):
+    import argparse
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for _ in range(2):
+        assert main(["classify", "--doc", str(catalog_doc),
+                     "--algebra", "Z2"]) == 0
+    assert built == []
