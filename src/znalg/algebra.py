@@ -57,7 +57,38 @@ DEFAULT_CAP = 2 ** 20
 Coords = tuple  # element of an algebra: tuple of rank residues mod n
 
 
-class FiniteAlgebra:
+class _ZnModule:
+    """Coordinate arithmetic of Z_n^rank, shared by algebras and bimodules."""
+
+    def __init__(self, modulus, rank):
+        self.n = int(modulus)
+        self.rank = int(rank)
+
+    def zero(self):
+        return (0,) * self.rank
+
+    def basis(self, i):
+        return tuple(1 if j == i else 0 for j in range(self.rank))
+
+    def add(self, x, y):
+        n = self.n
+        return tuple((a + b) % n for a, b in zip(x, y))
+
+    def sub(self, x, y):
+        n = self.n
+        return tuple((a - b) % n for a, b in zip(x, y))
+
+    def neg(self, x):
+        n = self.n
+        return tuple((-a) % n for a in x)
+
+    def smul(self, c, x):
+        n = self.n
+        c = c % n
+        return tuple((c * a) % n for a in x)
+
+
+class FiniteAlgebra(_ZnModule):
     """A finite associative unital algebra over Z_n, given by its table.
 
     Construct through validate_algebra (or the helper constructors below);
@@ -65,11 +96,8 @@ class FiniteAlgebra:
     """
 
     def __init__(self, modulus, rank, table, unit, name=""):
-        self.n = int(modulus)
-        self.rank = int(rank)
-        self.table = tuple(
-            tuple(tuple(v % self.n for v in cell) for cell in row) for row in table
-        )
+        super().__init__(modulus, rank)
+        self.table = _reduce_table(table, self.n)
         self.unit = tuple(v % self.n for v in unit)
         self.name = name or f"algebra(n={self.n},r={self.rank})"
         self._cells = _sparse_cells(self.table, 2)
@@ -93,14 +121,8 @@ class FiniteAlgebra:
     def size(self):
         return self.n ** self.rank
 
-    def zero(self):
-        return (0,) * self.rank
-
     def one(self):
         return self.unit
-
-    def basis(self, i):
-        return tuple(1 if j == i else 0 for j in range(self.rank))
 
     def coerce(self, x):
         """Normalize an iterable of ints into a valid element tuple; an
@@ -111,23 +133,6 @@ class FiniteAlgebra:
         if len(t) != self.rank:
             raise BadShape(f"element of length {len(t)}, expected {self.rank}")
         return t
-
-    def add(self, x, y):
-        n = self.n
-        return tuple((a + b) % n for a, b in zip(x, y))
-
-    def sub(self, x, y):
-        n = self.n
-        return tuple((a - b) % n for a, b in zip(x, y))
-
-    def neg(self, x):
-        n = self.n
-        return tuple((-a) % n for a in x)
-
-    def smul(self, c, x):
-        n = self.n
-        c = c % n
-        return tuple((c * a) % n for a in x)
 
     def mul(self, x, y):
         return _bilinear(self._cells, x, y, self.n, self.rank)
@@ -229,6 +234,12 @@ def _refuse_above_cap(count, cap, what, shown=None):
     if count > limit:
         raise CapExceeded(
             f"{what}: {shown or f'{count} elements'} exceeds cap {limit}")
+
+
+def _reduce_table(table, n):
+    """A table of cells as nested tuples, every entry reduced mod n."""
+    return tuple(tuple(tuple(v % n for v in cell) for cell in row)
+                 for row in table)
 
 
 def _sparse_cells(table, depth):

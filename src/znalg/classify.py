@@ -1,7 +1,7 @@
 """Exhaustive ring-theoretic classification of finite Z_n-algebras.
 
-Everything here enumerates elements in lexicographic coordinate order and
-reads off definitions directly: idempotents satisfy a^2 = a, and units and
+The scans here enumerate elements in lexicographic coordinate order and
+read off definitions directly: idempotents satisfy a^2 = a, and units and
 nilpotents come from one walk over the powers of each element, which stops
 at 1 for a unit (the previous power is its inverse) and at 0 for a
 nilpotent (FiniteAlgebra.inverse and nilpotency_index); a unit is never
@@ -19,21 +19,25 @@ exact arithmetic; no divisor scan runs for it.  FiniteAlgebra.right_divisors
 is only for one-sided ideal membership.  Radical membership is asked per
 element (in_radical: 1 - xr and 1 - rx are units for every r); callers test
 the few elements they care about, and jacobson_radical is the same test on
-every element.  Scans refuse with CapExceeded instead of sampling.
+every element.  Scans refuse with CapExceeded instead of sampling.  Ideals
+and quotients enumerate no more than the ideal: the Smith form over Z_n of
+its span (linal._smith) decides membership, freeness of A/I and the
+coordinates of the projection onto it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import lcm
+from itertools import product
 
-from .algebra import FiniteAlgebra, validate_algebra
+from .algebra import FiniteAlgebra, _linear, _sparse_cells, validate_algebra
 from .errors import (
     CapExceeded,
     IdealNotInRadical,
     QuotientNotFree,
     SelfCheckFailed,
 )
+from .linal import _smith
 
 
 @dataclass
@@ -182,148 +186,80 @@ def jacobson_radical(A: FiniteAlgebra, cap=None) -> list:
     return [x for x in A.elements(cap) if in_radical(A, x, cap)]
 
 
-def saturate_ideal(A: FiniteAlgebra, gens, cap=None) -> set:
-    """Close gens under addition and one-sided basis multiplications: the
-    two-sided ideal they generate."""
+def _ideal_lattice(A: FiniteAlgebra, gens, cap=None):
+    """(d, V, W, X): the Smith form over Z_n (linal._smith) of the two-sided
+    ideal generated by gens, and its module generators X, the d_i W_i with
+    d_i < n.  X is closed under b·x and x·b for every basis element b until
+    each product lies in the span (bilinearity extends this to all of A)."""
     A.require_within_cap(cap)
-    ideal = {A.zero()}
-    frontier = [A.coerce(g) for g in gens]
-    basis = [A.basis(i) for i in range(A.rank)]
-    while frontier:
-        x = frontier.pop()
-        if x in ideal:
-            continue
-        ideal.add(x)
-        for s in list(ideal):
-            y = A.add(x, s)
-            if y not in ideal:
-                frontier.append(y)
-        for b in basis:
-            for y in (A.mul(b, x), A.mul(x, b)):
-                if y not in ideal:
-                    frontier.append(y)
-    return ideal
+    n, r = A.n, A.rank
+    basis = [A.basis(i) for i in range(r)]
+    rows = [A.coerce(g) for g in gens]
+    while True:
+        d, V, W = _smith(rows, n, r)
+        rows = [A.smul(di, w) for di, w in zip(d, W) if di < n]
+        cells = _sparse_cells(V, 1)
+        new = [y for x in rows for b in basis for y in (A.mul(b, x), A.mul(x, b))
+               if any(c % di for c, di in zip(_linear(cells, y, n, r), d))]
+        if not new:
+            return d, V, W, rows
+        rows += new
+
+
+def saturate_ideal(A: FiniteAlgebra, gens, cap=None) -> set:
+    """The two-sided ideal generated by gens, as the set of its elements."""
+    d, _, W, _ = _ideal_lattice(A, gens, cap)
+    return _span(A, d, W)
+
+
+def _span(A, d, W):
+    """Every sum of c_i d_i W_i over 0 <= c_i < n / d_i; no two coincide."""
+    ideal = [A.zero()]
+    for di, w in zip(d, W):
+        x = A.smul(di, w)
+        ideal = [A.add(y, A.smul(c, x))
+                 for c in range(A.n // di) for y in ideal]
+    return set(ideal)
 
 
 def quotient_by_ideal(A: FiniteAlgebra, gens, cap=None):
-    """Coset algebra of the two-sided ideal generated by gens.
+    """(Q, project, ideal) for the two-sided ideal I generated by gens: Q
+    the validated quotient algebra over Z_d, project the map from A onto its
+    coordinates, and ideal the element set of I, the one set enumerated.
+    _quotient says when QuotientNotFree is raised."""
+    d, V, W, _ = _ideal_lattice(A, gens, cap)
+    return (*_quotient(A, d, V, W), _span(A, d, W))
 
-    Returns (Q, project, ideal) where Q is a validated FiniteAlgebra over
-    Z_d (d the additive exponent of the quotient), project maps an element
-    of A to its Q-coordinates, and ideal is the saturated element set.
-    Raises QuotientNotFree when the quotient's additive group is not a free
-    Z_d-module, which the structure-constant form cannot represent.
-    """
-    ideal = saturate_ideal(A, gens, cap)
-    size = A.size
-    if size % len(ideal):
-        raise SelfCheckFailed("ideal size does not divide algebra size")
-    qsize = size // len(ideal)
-    if qsize == 1:
+
+def _quotient(A, d, V, W):
+    """(Q, project) for the ideal I with I·V = ⊕ d_i Z_n e_i.  A table
+    carries A/I = ⊕ Z_(d_i) only as Z_d^s, so QuotientNotFree is raised
+    unless d = max d_i >= 2 and every other d_i is 1 or d.  Q has basis the
+    W_i with d_i = d, project(x) is (x·V)_i mod d there, and project must be
+    multiplicative on basis pairs of A (else SelfCheckFailed)."""
+    q = d[-1]
+    if q == 1 or any(1 < di < q for di in d):
         raise QuotientNotFree(
-            f"{A.name}: quotient by the whole ring has one element, below "
-            "the representable modulus 2")
-
-    rep_of = {}
-    reps = []
-    for x in A.elements(cap):
-        if x in rep_of:
-            continue
-        reps.append(x)          # lex-first member is the canonical rep
-        for i in ideal:
-            rep_of[A.add(x, i)] = x
-
-    def coset_add(x, y):
-        return rep_of[A.add(x, y)]
-
-    zero = A.zero()
-    # additive exponent of the quotient
-    d = 1
-    orders = {}
-    for x in reps:
-        acc, k = x, 1
-        while acc != zero:
-            acc = coset_add(acc, x)
-            k += 1
-        orders[x] = k
-        d = lcm(d, k)
-    s = 0
-    t = qsize
-    while t > 1:
-        if t % d:
-            raise QuotientNotFree(
-                f"{A.name}: quotient size {qsize} is not a power of the "
-                f"additive exponent {d}")
-        t //= d
-        s += 1
-
-    # greedy basis of order-d cosets with trivial span intersection; try the
-    # images of the original basis first so trivial quotients keep their
-    # coordinates
-    candidates = []
-    for i in range(A.rank):
-        r = rep_of[A.basis(i)]
-        if r not in candidates:
-            candidates.append(r)
-    seen_cand = set(candidates)
-    candidates.extend(x for x in reps if x not in seen_cand)
-    span = {zero}
-    gens_q = []
-    for g in candidates:
-        if len(span) == qsize:
-            break
-        if orders[g] != d:
-            continue
-        mult, multiples = g, []
-        ok = True
-        while mult != zero:
-            if mult in span:
-                ok = False
-                break
-            multiples.append(mult)
-            mult = coset_add(mult, g)
-        if not ok:
-            continue
-        gens_q.append(g)
-        grown = set(span)
-        for m in multiples:
-            grown.update(coset_add(h, m) for h in span)
-        span = grown
-    if len(span) != qsize or len(gens_q) != s:
-        raise QuotientNotFree(
-            f"{A.name}: quotient additive group is not free over Z_{d}")
-
-    # coordinates of every coset, certified bijective
-    coords_of = {zero: (0,) * s}
-    for axis, g in enumerate(gens_q):
-        new = {}
-        for x, cs in coords_of.items():
-            acc = x
-            for mult in range(1, d):
-                acc = coset_add(acc, g)
-                c2 = list(cs)
-                c2[axis] = mult
-                new[acc] = tuple(c2)
-        coords_of.update(new)
-    if len(coords_of) != qsize:
-        raise QuotientNotFree(
-            f"{A.name}: quotient coordinates are not bijective")
-
-    structure = [
-        [list(coords_of[rep_of[A.mul(gi, gj)]]) for gj in gens_q]
-        for gi in gens_q
-    ]
-    Q = validate_algebra({
-        "modulus": d,
-        "rank": s,
-        "structure": structure,
-        "unit": list(coords_of[rep_of[A.one()]]),
-    }, name=f"{A.name}/I")
+            f"{A.name}: the quotient's additive group has invariant factors "
+            f"{[di for di in d if di > 1]}, not one repeated factor d >= 2")
+    axes = [i for i, di in enumerate(d) if di == q]
+    cells = _sparse_cells(V, 1)
 
     def project(x):
-        return coords_of[rep_of[A.coerce(x)]]
+        coords = _linear(cells, A.coerce(x), A.n, A.rank)
+        return tuple(coords[i] % q for i in axes)
 
-    return Q, project, ideal
+    basis = [W[i] for i in axes]
+    Q = FiniteAlgebra(q, len(axes),
+                      [[project(A.mul(u, v)) for v in basis] for u in basis],
+                      project(A.one()), name=f"{A.name}/I")
+    images = [project(A.basis(i)) for i in range(A.rank)]
+    for i, j in product(range(A.rank), repeat=2):
+        if project(A.table[i][j]) != Q.mul(images[i], images[j]):
+            raise SelfCheckFailed(
+                f"{A.name}: the projection onto A/I is not multiplicative "
+                f"on basis pair {(i, j)}")
+    return validate_algebra(Q), project
 
 
 @dataclass
@@ -338,15 +274,17 @@ class LiftingReport:
 
 def check_lifting_proposition(A: FiniteAlgebra, gens, cap=None) -> LiftingReport:
     """For an ideal I inside the radical: A clean iff A/I is clean and every
-    idempotent of A/I has an idempotent preimage."""
-    ideal = saturate_ideal(A, gens, cap)
-    for x in sorted(ideal):
+    idempotent of A/I has an idempotent preimage.  I lies in the radical J
+    exactly when its module generators do, J being a Z_n-submodule."""
+    d, V, W, generators = _ideal_lattice(A, gens, cap)
+    for x in generators:
         if not in_radical(A, x, cap):
             raise IdealNotInRadical(
-                f"{A.name}: generated ideal contains {x} outside the radical")
+                f"{A.name}: generated ideal has the module generator {x} "
+                "outside the radical")
 
     base = decomposition_report(A, cap)
-    Q, project, _ = quotient_by_ideal(A, gens, cap)
+    Q, project = _quotient(A, d, V, W)
     quotient = decomposition_report(Q, cap)
     base_clean = base.flags["clean"]
     quotient_clean = quotient.flags["clean"]

@@ -102,6 +102,7 @@ def main(argv=None):
         return EXIT_PARSE
     try:
         report = dispatch(args)
+        emit(report, args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -118,7 +119,6 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ASSERTION
 
-    emit(report, args)
     failed = [a for a in report.get("assertions", []) if not a["passed"]]
     return EXIT_ASSERTION if failed else EXIT_OK
 
@@ -146,8 +146,7 @@ def dispatch(args):
         doc = builtin_catalog_document()
         text = json.dumps(doc, indent=2, sort_keys=True)
         if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
+            _write(args.out, text)
         else:
             print(text)
         return {"kind": "catalog", "assertions": [],
@@ -295,7 +294,7 @@ def _json_field(spec, key, missing, convert):
         raise ParseError(missing)
     try:
         return convert(json.loads(text))
-    except (ValueError, TypeError, ZnAlgError) as exc:
+    except (ValueError, TypeError, RecursionError, ZnAlgError) as exc:
         raise ParseError(f"bad {key}: {exc}")
 
 
@@ -470,8 +469,16 @@ def emit(report, args):
             print(f"{key}: {value}")
     path = getattr(args, "report", None)
     if path:
+        _write(path, dump_report(report))
+
+
+def _write(path, text):
+    """text and a newline into path; an unwritable path is a parse error."""
+    try:
         with open(path, "w") as fh:
-            fh.write(dump_report(report) + "\n")
+            print(text, file=fh)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}")
 
 
 PARSER = build_parser()

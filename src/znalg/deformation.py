@@ -38,6 +38,7 @@ from .algebra import (
     _check_int,
     _check_table,
     _linear,
+    _reduce_table,
     _refuse_above_cap,
     _sparse_cells,
     _triple_defects,
@@ -64,11 +65,7 @@ class TruncatedDeformation:
     def __init__(self, base: FiniteAlgebra, order, cochains, name=""):
         self.base = base
         self.order = int(order)
-        n = base.n
-        self.cochains = tuple(
-            tuple(tuple(tuple(v % n for v in cell) for cell in row)
-                  for row in table)
-            for table in cochains)
+        self.cochains = tuple(_reduce_table(t, base.n) for t in cochains)
         self.name = name or f"{base.name} deformed (N={self.order})"
         self._cells = tuple(_sparse_cells(t, 2) for t in self.cochains)
         # the orders m whose alpha_m is not identically zero, increasing;

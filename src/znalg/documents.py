@@ -40,7 +40,8 @@ class Workspace:
                 doc = json.load(fh)
         except OSError as exc:
             raise ParseError(f"cannot read document: {exc}")
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # bad JSON, bytes that are not UTF-8, integers past the digit limit
             raise ParseError(f"document is not valid JSON: {exc}")
         return cls(doc)
 
@@ -214,17 +215,7 @@ def builtin_catalog_document() -> dict:
 
 def dump_report(report: dict) -> str:
     """Deterministic JSON text for a report dict."""
-    return json.dumps(report, indent=2, sort_keys=True, default=_jsonable)
-
-
-def _jsonable(value):
-    if isinstance(value, tuple):
-        return list(value)
-    if isinstance(value, (set, frozenset)):
-        return sorted(value)
-    if hasattr(value, "__dict__"):
-        return vars(value)
-    raise TypeError(f"cannot serialize {type(value)!r}")
+    return json.dumps(report, indent=2, sort_keys=True)
 
 
 def key_str(element) -> str:

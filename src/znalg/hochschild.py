@@ -26,15 +26,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import chain, product, repeat
 
 from .algebra import (
     FiniteAlgebra,
+    _ZnModule,
     _bilinear,
     _check_int,
     _check_table,
     _linear,
     _preimages,
+    _reduce_table,
     _sparse_cells,
     _triple_defects,
 )
@@ -58,7 +60,7 @@ DEFAULT_LINALG_CAP = 150_000
 DERIVED_CHECK_CAP = 2 ** 12
 
 
-class Bimodule:
+class Bimodule(_ZnModule):
     """A finite bimodule over a FiniteAlgebra, with basis action tables.
 
     left[i][j] is basis element i of the algebra acting on module basis
@@ -66,42 +68,16 @@ class Bimodule:
     """
 
     def __init__(self, algebra: FiniteAlgebra, rank, left, right, name=""):
+        super().__init__(algebra.n, rank)
         self.algebra = algebra
-        self.rank = int(rank)
-        self.n = n = algebra.n
-        self.left = tuple(
-            tuple(tuple(v % n for v in cell) for cell in row) for row in left)
-        self.right = tuple(
-            tuple(tuple(v % n for v in cell) for cell in row) for row in right)
+        self.left = _reduce_table(left, self.n)
+        self.right = _reduce_table(right, self.n)
         self.name = name or f"bimodule(s={self.rank}) over {algebra.name}"
         self._left_cells = _sparse_cells(self.left, 2)
         self._right_cells = _sparse_cells(self.right, 2)
 
     def __repr__(self):
         return f"Bimodule({self.name!r})"
-
-    def zero(self):
-        return (0,) * self.rank
-
-    def basis(self, j):
-        return tuple(1 if i == j else 0 for i in range(self.rank))
-
-    def add(self, x, y):
-        n = self.n
-        return tuple((a + b) % n for a, b in zip(x, y))
-
-    def sub(self, x, y):
-        n = self.n
-        return tuple((a - b) % n for a, b in zip(x, y))
-
-    def neg(self, x):
-        n = self.n
-        return tuple((-a) % n for a in x)
-
-    def smul(self, c, x):
-        n = self.n
-        c = c % n
-        return tuple((c * a) % n for a in x)
 
     def lact(self, a, m):
         """Left action of algebra element a on module element m."""
@@ -223,10 +199,11 @@ def _contract(cells, args, n, width):
 
 
 def cochain_from_table(M, degree, values) -> Cochain:
-    """Normalize a nested table into a Cochain, checking its shape."""
+    """Normalize a nested table into a Cochain, checking its shape; the shape
+    is lazy, so a huge degree is refused at the first depth not an array."""
     if degree < 0:
         raise BadShape(f"cochain degree must be >= 0, got {degree}")
-    shape = (M.algebra.rank,) * degree + (M.rank,)
+    shape = chain(repeat(M.algebra.rank, degree), (M.rank,))
     return vec_to_cochain(M, degree, _check_table(values, shape, "cochain values"))
 
 

@@ -7,9 +7,14 @@ columns: a caller that appends the unit column width + i to row i finds a
 kernel vector in every pivot whose lead is at least width, and a target
 whose residue has no column below width lies in the row span, with the
 negated tag part of the residue as its combination.
+
+_smith is the dense Smith form over any Z_n: the invariant factors of a
+span decide membership in it and the shape of the quotient by it.
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 
 def eliminate_modp(rows, p):
@@ -44,6 +49,49 @@ def reduce_modp(pivots, row, p):
             else:
                 del v[c]
     return v
+
+
+def _smith(rows, n, width):
+    """Smith form (d, V, W) over Z_n of the span S of rows, vectors of
+    length width: each d_i divides d_(i+1) and n, V = W^-1 over Z_n, and
+    S·V = ⊕ d_i Z_n e_i.  So y is in S iff (y·V)_i = 0 mod d_i for all i,
+    the d_i W_i span S, and Z_n^width / S = ⊕ Z_(d_i).  The pivot is the
+    least nonzero entry left; row and column operations (columns mirrored
+    in V and W) reduce its row and column, and a remainder becomes the next
+    pivot.  A cleared pivot p gives d_t = gcd(p, n) once that divides every
+    row below; a row it does not divide is first added to the pivot row."""
+    M = [[x % n for x in row] for row in rows]
+    V = [[int(i == j) for j in range(width)] for i in range(width)]
+    W = [row[:] for row in V]
+    d = []
+    for t in range(width):
+        while True:
+            entries = [(x, i, j) for i, row in enumerate(M[t:], t)
+                       for j, x in enumerate(row[t:], t) if x]
+            if not entries:
+                return d + [n] * (width - t), V, W
+            p, i, j = min(entries)
+            M[t], M[i] = M[i], M[t]
+            for row in M[t:] + V:
+                row[t], row[j] = row[j], row[t]
+            W[t], W[j] = W[j], W[t]
+            for row in M[t + 1:]:
+                q = row[t] // p
+                row[t:] = [(a - q * b) % n for a, b in zip(row[t:], M[t][t:])]
+            for j in range(t + 1, width):
+                q = M[t][j] // p
+                for row in M[t:] + V:
+                    row[j] = (row[j] - q * row[t]) % n
+                W[t] = [(a + q * b) % n for a, b in zip(W[t], W[j])]
+            if any(row[t] for row in M[t + 1:]) or any(M[t][t + 1:]):
+                continue
+            g = gcd(p, n)
+            bad = [row for row in M[t + 1:] if any(x % g for x in row)]
+            if not bad:
+                d.append(g)
+                break
+            M[t] = [(a + b) % n for a, b in zip(M[t], bad[0])]
+    return d, V, W
 
 
 def is_prime(n):

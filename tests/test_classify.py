@@ -2,12 +2,18 @@
 enumeration from the definitions (the rings are small enough to do by hand)
 and are frozen; the library must reproduce them exactly."""
 
+import random
+import time
+from math import lcm
+
 import pytest
 
 from znalg.algebra import (
+    FiniteAlgebra,
     direct_product,
     matrix_algebra,
     triangular_algebra,
+    validate_algebra,
     zn,
     zn_poly_x2,
 )
@@ -19,6 +25,7 @@ from znalg.classify import (
     in_radical,
     jacobson_radical,
     quotient_by_ideal,
+    saturate_ideal,
     search_exchange_counterexample,
 )
 from znalg.errors import (
@@ -271,6 +278,230 @@ def test_quotient_not_free_detected():
     A = zn_poly_x2(4)
     with pytest.raises(QuotientNotFree):
         quotient_by_ideal(A, [(0, 2)])
+
+
+# Enumerated oracle for saturate_ideal and quotient_by_ideal: element-set
+# closure, coset table, greedy basis and coordinate walk.
+
+def enumerated_saturate_ideal(A: FiniteAlgebra, gens, cap=None) -> set:
+    """Close gens under addition and one-sided basis multiplications: the
+    two-sided ideal they generate."""
+    A.require_within_cap(cap)
+    ideal = {A.zero()}
+    frontier = [A.coerce(g) for g in gens]
+    basis = [A.basis(i) for i in range(A.rank)]
+    while frontier:
+        x = frontier.pop()
+        if x in ideal:
+            continue
+        ideal.add(x)
+        for s in list(ideal):
+            y = A.add(x, s)
+            if y not in ideal:
+                frontier.append(y)
+        for b in basis:
+            for y in (A.mul(b, x), A.mul(x, b)):
+                if y not in ideal:
+                    frontier.append(y)
+    return ideal
+
+
+def enumerated_quotient_by_ideal(A: FiniteAlgebra, gens, cap=None):
+    """Coset algebra of the two-sided ideal generated by gens.
+
+    Returns (Q, project, ideal) where Q is a validated FiniteAlgebra over
+    Z_d (d the additive exponent of the quotient), project maps an element
+    of A to its Q-coordinates, and ideal is the saturated element set.
+    Raises QuotientNotFree when the quotient's additive group is not a free
+    Z_d-module, which the structure-constant form cannot represent.
+    """
+    ideal = enumerated_saturate_ideal(A, gens, cap)
+    size = A.size
+    if size % len(ideal):
+        raise SelfCheckFailed("ideal size does not divide algebra size")
+    qsize = size // len(ideal)
+    if qsize == 1:
+        raise QuotientNotFree(
+            f"{A.name}: quotient by the whole ring has one element, below "
+            "the representable modulus 2")
+
+    rep_of = {}
+    reps = []
+    for x in A.elements(cap):
+        if x in rep_of:
+            continue
+        reps.append(x)          # lex-first member is the canonical rep
+        for i in ideal:
+            rep_of[A.add(x, i)] = x
+
+    def coset_add(x, y):
+        return rep_of[A.add(x, y)]
+
+    zero = A.zero()
+    # additive exponent of the quotient
+    d = 1
+    orders = {}
+    for x in reps:
+        acc, k = x, 1
+        while acc != zero:
+            acc = coset_add(acc, x)
+            k += 1
+        orders[x] = k
+        d = lcm(d, k)
+    s = 0
+    t = qsize
+    while t > 1:
+        if t % d:
+            raise QuotientNotFree(
+                f"{A.name}: quotient size {qsize} is not a power of the "
+                f"additive exponent {d}")
+        t //= d
+        s += 1
+
+    # greedy basis of order-d cosets with trivial span intersection; try the
+    # images of the original basis first so trivial quotients keep their
+    # coordinates
+    candidates = []
+    for i in range(A.rank):
+        r = rep_of[A.basis(i)]
+        if r not in candidates:
+            candidates.append(r)
+    seen_cand = set(candidates)
+    candidates.extend(x for x in reps if x not in seen_cand)
+    span = {zero}
+    gens_q = []
+    for g in candidates:
+        if len(span) == qsize:
+            break
+        if orders[g] != d:
+            continue
+        mult, multiples = g, []
+        ok = True
+        while mult != zero:
+            if mult in span:
+                ok = False
+                break
+            multiples.append(mult)
+            mult = coset_add(mult, g)
+        if not ok:
+            continue
+        gens_q.append(g)
+        grown = set(span)
+        for m in multiples:
+            grown.update(coset_add(h, m) for h in span)
+        span = grown
+    if len(span) != qsize or len(gens_q) != s:
+        raise QuotientNotFree(
+            f"{A.name}: quotient additive group is not free over Z_{d}")
+
+    # coordinates of every coset, certified bijective
+    coords_of = {zero: (0,) * s}
+    for axis, g in enumerate(gens_q):
+        new = {}
+        for x, cs in coords_of.items():
+            acc = x
+            for mult in range(1, d):
+                acc = coset_add(acc, g)
+                c2 = list(cs)
+                c2[axis] = mult
+                new[acc] = tuple(c2)
+        coords_of.update(new)
+    if len(coords_of) != qsize:
+        raise QuotientNotFree(
+            f"{A.name}: quotient coordinates are not bijective")
+
+    structure = [
+        [list(coords_of[rep_of[A.mul(gi, gj)]]) for gj in gens_q]
+        for gi in gens_q
+    ]
+    Q = validate_algebra({
+        "modulus": d,
+        "rank": s,
+        "structure": structure,
+        "unit": list(coords_of[rep_of[A.one()]]),
+    }, name=f"{A.name}/I")
+
+    def project(x):
+        return coords_of[rep_of[A.coerce(x)]]
+
+    return Q, project, ideal
+
+
+def _differential_algebras():
+    from znalg.poset import build_shriek, example_one_presheaf
+    return ([zn(4), zn(6), zn(8), zn(12)]
+            + [zn_poly_x2(n) for n in (2, 4, 6, 9)]
+            + [direct_product([zn(4)] * 2), direct_product([zn(6)] * 2)]
+            + [triangular_algebra(n, 2) for n in (2, 4, 6)]
+            + [triangular_algebra(2, 3), matrix_algebra(2, 2),
+               matrix_algebra(3, 2),
+               build_shriek(example_one_presheaf()).carrier])
+
+
+def _is_onto_ring_map(A, Q, project, ideal):
+    """project is additive (on x + e_i for every x and i, which forces
+    linearity), multiplicative on basis pairs, unital and onto Q, and its
+    kernel is ideal; each is read off the images of every element of A."""
+    images = {x: project(x) for x in A.elements()}
+    basis = [A.basis(i) for i in range(A.rank)]
+    return ({x for x, q in images.items() if q == Q.zero()} == ideal
+            and set(images.values()) == set(Q.elements())
+            and images[A.one()] == Q.one()
+            and all(images[A.add(x, b)] == Q.add(q, images[b])
+                    for x, q in images.items() for b in basis)
+            and all(images[A.mul(a, b)] == Q.mul(images[a], images[b])
+                    for a in basis for b in basis))
+
+
+def test_quotient_matches_the_enumerated_oracle():
+    rng = random.Random(15)
+    verdicts = []
+    for A in _differential_algebras():
+        elements = list(A.elements())
+        cases = ([[rng.choice(elements)] for _ in range(4)]
+                 + [rng.sample(elements, 2) for _ in range(4)])
+        for gens in cases:
+            try:
+                expected, _, ideal = enumerated_quotient_by_ideal(A, gens)
+            except QuotientNotFree:
+                verdicts.append(False)
+                assert saturate_ideal(A, gens) == \
+                    enumerated_saturate_ideal(A, gens), (A.name, gens)
+                with pytest.raises(QuotientNotFree):
+                    quotient_by_ideal(A, gens)
+                continue
+            verdicts.append(True)
+            assert saturate_ideal(A, gens) == ideal, (A.name, gens)
+            Q, project, got = quotient_by_ideal(A, gens)
+            assert got == ideal, (A.name, gens)
+            assert (Q.n, Q.rank) == (expected.n, expected.rank), (A.name, gens)
+            assert _is_onto_ring_map(A, Q, project, ideal), (A.name, gens)
+    # both verdicts occur, so neither side can pass by always refusing
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_sphere_quotient_by_strict_blocks_is_the_stalk_product():
+    from znalg.poset import build_shriek, sphere_presheaf
+    PA = build_shriek(sphere_presheaf(2))
+    carrier, size = PA.carrier, PA.presheaf.poset.size
+    strict = [carrier.basis(PA.offsets[pair][0] + k)
+              for pair in PA.blocks if pair[0] != pair[1]
+              for k in range(PA.offsets[pair][1])]
+    start = time.monotonic()
+    Q, project, ideal = quotient_by_ideal(carrier, strict)
+    assert time.monotonic() - start < 2
+    assert carrier.size == 2 ** 18 and len(ideal) == 2 ** 12
+    # the stalks are Z2: s -> project(s on the diagonal blocks) is a
+    # bijective unital ring map from Z2^6 onto Q
+    prod = direct_product([zn(2)] * size)
+    psi = {s: project(PA.inject({(i, i): (s[i],) for i in range(size)}))
+           for s in prod.elements()}
+    assert (Q.n, Q.rank) == (2, size)
+    assert len(set(psi.values())) == Q.size and psi[prod.one()] == Q.one()
+    for s in prod.elements():
+        for t in prod.elements():
+            assert psi[prod.mul(s, t)] == Q.mul(psi[s], psi[t])
+            assert psi[prod.add(s, t)] == Q.add(psi[s], psi[t])
 
 
 def test_lifting_proposition_z4():

@@ -283,6 +283,13 @@ MALFORMED = {
     # more nodes than the carrier rank limit: refused before the closure
     "poset-size-65": (_set("posets", "example-1", "size", value=65),
                       SHRIEK, 4),
+    # the shape of a degree-10^12 table is never spelled out: the values
+    # are refused at their first depth
+    "cochain-degree-10**12": (_then(
+        _set("cochains", value={"huge": {"bimodule": "twisted projection",
+                                         "degree": 10 ** 12,
+                                         "values": [[[0]]]}}),
+        _set("jobs", EXTEND, "cochain", value="huge")), EXTEND, 3),
 }
 
 
@@ -302,6 +309,42 @@ def test_malformed_catalog_document_exit_code(tmp_path, capsys, case):
     # every refusal comes before the work it refuses
     assert time.monotonic() - start < TIME_LIMITS.get(case, 2)
     assert "Traceback" not in capsys.readouterr().err
+
+
+def _run_bytes(content):
+    def argv(tmp_path, catalog):
+        path = tmp_path / "raw.json"
+        path.write_bytes(content)
+        return ["run", str(path), "j"]
+    return argv
+
+
+# case -> (argv from tmp_path and the catalog document's path, exit code)
+UNREADABLE = {
+    "document-not-utf8": (_run_bytes(b"\xff\xfe{}"), 2),
+    "number-past-the-digit-limit": (_run_bytes(
+        b'{"algebras": {"A": {"modulus": 1' + b"0" * 5000 + b"}}}"), 2),
+    "document-nested-100000-deep": (_run_bytes(
+        b"[" * 100000 + b"]" * 100000), 2),
+    "element-nested-5000-deep": (lambda tmp_path, catalog: [
+        "deform", "invert", "--doc", str(catalog),
+        "--deformation", "x^2=t over Z2 (N=4)",
+        "--element", "[" * 5000 + "]" * 5000], 2),
+    "report-into-missing-directory": (lambda tmp_path, catalog: [
+        "--report", str(tmp_path / "missing" / "r.json"),
+        "run", str(catalog), CLASSIFY], 2),
+    "catalog-into-missing-directory": (lambda tmp_path, catalog: [
+        "catalog", "--out", str(tmp_path / "missing" / "ws.json")], 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE))
+def test_unreadable_input_is_a_parse_error(tmp_path, catalog_doc, capsys,
+                                           case):
+    argv, expected = UNREADABLE[case]
+    assert main(argv(tmp_path, catalog_doc)) == expected
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and "Traceback" not in err
 
 
 JSON_VALUES = st.one_of(

@@ -1,11 +1,14 @@
 """Sparse elimination over Z_p, checked against tiny hand examples and a
 brute-force span oracle; kernels and span combinations come from tag
-columns appended to the rows."""
+columns appended to the rows.  The Smith form over Z_n is checked against
+the same kind of oracle."""
 
 import random
 from itertools import product
 
-from znalg.linal import eliminate_modp, is_prime, reduce_modp
+from hypothesis import given, settings, strategies as st
+
+from znalg.linal import _smith, eliminate_modp, is_prime, reduce_modp
 
 
 def sparse(dense):
@@ -152,3 +155,29 @@ def test_reduce_leaves_pivots_and_row_untouched():
 def test_is_prime():
     assert [n for n in range(2, 20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
     assert not is_prime(1)
+
+
+@st.composite
+def small_modules(draw):
+    n = draw(st.integers(2, 12))
+    width = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(st.integers(-n, 2 * n), min_size=width,
+                                  max_size=width), max_size=3))
+    return n, width, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_modules())
+def test_smith_form_against_brute_force_span(case):
+    n, width, rows = case
+    d, V, W = _smith(rows, n, width)
+    assert len(d) == width and all(n % di == 0 for di in d)
+    assert all(d[i + 1] % d[i] == 0 for i in range(width - 1))
+    identity = [[int(i == j) for j in range(width)] for i in range(width)]
+    assert [[sum(V[i][k] * W[k][j] for k in range(width)) % n
+             for j in range(width)] for i in range(width)] == identity
+    span = brute_span(rows, n) if rows else {(0,) * width}
+    for y in product(range(n), repeat=width):
+        coords = [sum(y[k] * V[k][i] for k in range(width)) % n
+                  for i in range(width)]
+        assert (y in span) == all(c % di == 0 for c, di in zip(coords, d))

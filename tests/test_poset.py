@@ -5,9 +5,9 @@ cross-check cohomology dimensions."""
 from itertools import combinations
 
 import pytest
+from test_classify import enumerated_quotient_by_ideal
 
 from znalg.algebra import FiniteAlgebra, direct_product, triangular_algebra, zn
-from znalg.classify import quotient_by_ideal
 from znalg.errors import BadShape, PresheafInvalid, StalkNotNilClean
 from znalg.hochschild import cohomology_dims, regular_bimodule
 from znalg.linal import eliminate_modp
@@ -198,7 +198,7 @@ def enumerated_quotient_is_product(PA):
         if pair[0] != pair[1]:
             start, width = PA.offsets[pair]
             strict_gens.extend(carrier.basis(start + k) for k in range(width))
-    Q, project, _ = quotient_by_ideal(carrier, strict_gens)
+    Q, project, _ = enumerated_quotient_by_ideal(carrier, strict_gens)
     prod = direct_product([F.stalks[i] for i in range(F.poset.size)])
     if Q.size != prod.size:
         return False
