@@ -144,7 +144,7 @@ def build_parser():
 def dispatch(args):
     if args.command == "catalog":
         doc = builtin_catalog_document()
-        text = json.dumps(doc, indent=2, sort_keys=True)
+        text = dump_report(doc)
         if args.out:
             _write(args.out, text)
         else:

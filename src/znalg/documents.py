@@ -2,14 +2,25 @@
 cochains, deformations, posets, presheaves, and jobs referencing them.
 
 Loading resolves every cross-reference and validates every object; the
-returned Workspace hands out certified values by name.  Reports are plain
-dicts with deterministic content; timing lives under a separate key so
-golden-file comparisons can drop it.
+returned Workspace hands out certified values by name.  Workspace.load
+decodes each document text once per process: it reads the file on every
+call and reuses the decoded dict while the text equals the last text it
+decoded.  Only the decoded dict is shared, never a built object, so every
+job still builds and validates what it uses.
+
+Reports are plain dicts with deterministic content; timing lives under a
+separate key so golden-file comparisons can drop it.  dump_report writes
+the bytes of json.dumps(report, indent=2, sort_keys=True) through the
+private writer _emit, which joins an array of integers in one call and
+quotes strings with the C string encoder; json.dumps with an indent would
+run the pure-Python encoder.  The helpers stay private so that a tracer
+timing the public functions sees one span per report.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 
 from .algebra import _check_int, algebra_to_doc, validate_algebra
 from .catalog import catalog_algebras, twisted_projection_module, z2xz2
@@ -33,17 +44,26 @@ class Workspace:
         self.doc = doc
         self._built = {}
 
+    # The last document text this process decoded, and its decoded dict.
+    _decoded = (None, None)
+
     @classmethod
     def load(cls, path):
+        """A workspace over the document at path.  The text is read on every
+        call but decoded only when it differs from the text decoded last;
+        jobs only read the decoded dict, so workspaces share it, and each
+        still builds and validates its own objects."""
         try:
             with open(path) as fh:
-                doc = json.load(fh)
+                text = fh.read()
+            if text != Workspace._decoded[0]:
+                Workspace._decoded = (text, json.loads(text))
         except OSError as exc:
             raise ParseError(f"cannot read document: {exc}")
         except (ValueError, RecursionError) as exc:
             # bad JSON, bytes that are not UTF-8, integers past the digit limit
             raise ParseError(f"document is not valid JSON: {exc}")
-        return cls(doc)
+        return cls(Workspace._decoded[1])
 
     def _section(self, key):
         sec = self.doc.get(key, {})
@@ -214,8 +234,61 @@ def builtin_catalog_document() -> dict:
 
 
 def dump_report(report: dict) -> str:
-    """Deterministic JSON text for a report dict."""
-    return json.dumps(report, indent=2, sort_keys=True)
+    """Deterministic JSON text for a report dict with string keys: the
+    bytes of json.dumps(report, indent=2, sort_keys=True), which with an
+    indent runs the pure-Python encoder, written by _emit instead."""
+    parts = []
+    _emit(report, parts, "\n")
+    return "".join(parts)
+
+
+def _emit(value, parts, newline):
+    """Append the indent-2, sorted-key JSON text of value to parts; newline
+    is a line break plus the indent of the line value starts on.  An array
+    of plain integers is one join, strings go through the C string encoder,
+    and a key that is not a string or a value JSON has no form for raises
+    TypeError."""
+    if isinstance(value, str):
+        parts.append(_quote(value))
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, float):
+        parts.append(json.dumps(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        if all(type(v) is int for v in value):  # bool is an int subclass
+            parts.append("[" + inner + ("," + inner).join(
+                map(int.__repr__, value)) + newline + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            parts.append(sep)
+            _emit(item, parts, inner)
+            sep = "," + inner
+        parts.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            parts.append(sep + _quote(key) + ": ")
+            _emit(value[key], parts, inner)
+            sep = "," + inner
+        parts.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} "
+                        "is not JSON serializable")
 
 
 def key_str(element) -> str:

@@ -20,13 +20,15 @@ action, algebra and cochain tables and evaluates no product.
 Every solver gets its eliminations from _sieve, the one place that refuses:
 a non-prime modulus (NonPrimeModulus) and a target cochain space of
 dimension above linalg_cap (LinAlgCapExceeded), before any assembly.
+cochain_from_table refuses a degree above MAX_COCHAIN_DEGREE, the highest
+the coboundary takes, before it reads the table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, product, repeat
+from itertools import product
 
 from .algebra import (
     FiniteAlgebra,
@@ -54,6 +56,10 @@ from . import linal
 # Ceiling on the dimension of the target cochain space in rank computations.
 # Sized so the sphere-poset degree-2 computation fits and degree 3 does not.
 DEFAULT_LINALG_CAP = 150_000
+
+# Highest degree of a cochain read from a table: the coboundary takes
+# degrees up to 3 and extensions take degree 2.
+MAX_COCHAIN_DEGREE = 3
 
 # Idempotent sweeps inside derived-identity checks stay below this element
 # count; is_cocycle2 declares no errors, so it narrows instead of refusing.
@@ -199,11 +205,12 @@ def _contract(cells, args, n, width):
 
 
 def cochain_from_table(M, degree, values) -> Cochain:
-    """Normalize a nested table into a Cochain, checking its shape; the shape
-    is lazy, so a huge degree is refused at the first depth not an array."""
-    if degree < 0:
-        raise BadShape(f"cochain degree must be >= 0, got {degree}")
-    shape = chain(repeat(M.algebra.rank, degree), (M.rank,))
+    """Normalize a nested table into a Cochain, checking its shape.  A
+    degree no consumer takes is refused before the table is read."""
+    if not 0 <= degree <= MAX_COCHAIN_DEGREE:
+        raise BadShape(f"cochain degree must be 0 to {MAX_COCHAIN_DEGREE} "
+                       f"(the coboundary's inputs), got {degree}")
+    shape = (M.algebra.rank,) * degree + (M.rank,)
     return vec_to_cochain(M, degree, _check_table(values, shape, "cochain values"))
 
 
@@ -221,8 +228,9 @@ def coboundary(g: Cochain) -> Cochain:
     A = M.algebra
     r = A.rank
     nu = g.degree
-    if nu > 3:
-        raise BadShape("coboundary evaluation is supported through degree 3")
+    if nu > MAX_COCHAIN_DEGREE:
+        raise BadShape("coboundary evaluation is supported through degree "
+                       f"{MAX_COCHAIN_DEGREE}")
 
     def value(T):
         args = [A.basis(i) for i in T]

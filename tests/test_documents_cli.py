@@ -290,6 +290,15 @@ MALFORMED = {
                                          "degree": 10 ** 12,
                                          "values": [[[0]]]}}),
         _set("jobs", EXTEND, "cochain", value="huge")), EXTEND, 3),
+    # a well-formed table nested 501 deep is refused on its degree alone,
+    # before the recursive build could run out of stack
+    "cochain-degree-500": (_then(
+        _set("cochains", value={"deep": {
+            "bimodule": "Z2 regular", "degree": 500,
+            "values": json.loads("[" * 501 + "0" + "]" * 501)}}),
+        _set("jobs", EXTEND, value={"kind": "extend-verify", "algebra": "Z2",
+                                    "bimodule": "Z2 regular",
+                                    "cochain": "deep"})), EXTEND, 3),
 }
 
 
@@ -784,3 +793,114 @@ def test_main_reuses_one_parser(catalog_doc, monkeypatch):
         assert main(["classify", "--doc", str(catalog_doc),
                      "--algebra", "Z2"]) == 0
     assert built == []
+
+
+def _count_decodes(monkeypatch):
+    decoded = []
+    loads = json.loads
+
+    def counted(text, *args, **kwargs):
+        decoded.append(len(text))
+        return loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counted)
+    return decoded
+
+
+def test_loading_the_same_text_twice_decodes_once(tmp_path, monkeypatch):
+    doc = classify_table([[[1]]])
+    doc["path"] = str(tmp_path)  # text no earlier test has loaded
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    decoded = _count_decodes(monkeypatch)
+    first, second = Workspace.load(path), Workspace.load(path)
+    assert len(decoded) == 1
+    assert first.doc is second.doc
+    # the decoded dict is shared, the built objects are not
+    assert first.algebra("A") is not second.algebra("A")
+
+
+def test_rewritten_text_of_the_same_length_is_decoded_again(
+        tmp_path, monkeypatch):
+    path = tmp_path / "doc.json"
+    texts = [json.dumps({"path": str(tmp_path), "x": x}) for x in (1, 2)]
+    assert len(texts[0]) == len(texts[1])
+    decoded = _count_decodes(monkeypatch)
+    for x, text in enumerate(texts, 1):
+        path.write_text(text)
+        assert Workspace.load(path).doc["x"] == x
+    assert len(decoded) == 2
+
+
+def test_text_that_is_not_json_exits_2_on_every_call(tmp_path, capsys):
+    path = tmp_path / "broken.json"
+    path.write_text("{nope")
+    errors = []
+    for _ in range(2):
+        assert main(["run", str(path), "anything"]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("parse error: document is not valid JSON")
+
+
+@pytest.fixture(scope="module")
+def catalog_runs(tmp_path_factory):
+    """Every catalog job run once from one document: the document's path
+    and each report dict as the CLI handed it to dump_report."""
+    import znalg.cli as cli
+    tmp = tmp_path_factory.mktemp("catalog")
+    path = tmp / "catalog.json"
+    doc = builtin_catalog_document()
+    path.write_text(json.dumps(doc))
+    reports = {}
+
+    def captured(report):
+        reports[report["job"]] = report
+        return dump_report(report)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "dump_report", captured)
+        for job in sorted(doc["jobs"]):
+            assert main(["--report", str(tmp / "r.json"),
+                         "run", str(path), job]) == 0
+    assert sorted(reports) == sorted(doc["jobs"])
+    return path, reports
+
+
+def test_catalog_jobs_leave_the_shared_document_unchanged(catalog_runs):
+    path, _ = catalog_runs
+    assert Workspace.load(path).doc == json.loads(path.read_text())
+
+
+def test_catalog_reports_match_json_dumps(catalog_runs):
+    _, reports = catalog_runs
+    for report in reports.values():
+        assert dump_report(report) == json.dumps(
+            report, indent=2, sort_keys=True)
+
+
+REPORT_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(),
+              st.floats(allow_nan=False, allow_infinity=False), st.text(),
+              st.lists(st.integers()), st.tuples(st.integers(), st.integers())),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(report=st.dictionaries(st.text(max_size=6), REPORT_VALUES))
+def test_dump_report_matches_json_dumps(report):
+    assert dump_report(report) == json.dumps(report, indent=2,
+                                             sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [{"a": {1}}, {"a": [1, b"x"]},
+                                   {(1,): 2}])
+def test_dump_report_refuses_what_json_cannot_write(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        dump_report(value)
