@@ -10,12 +10,15 @@ turns cocycle/coboundary questions into exact linear algebra over Z_p.
 The coboundary of a table is evaluated directly from the alternating-sum
 formula; for rank, kernel and span questions the same map is materialized
 as sparse rows over the cochain coordinate spaces and eliminated by linal
-for any prime p.  delta_matrix assembles those rows from the sparse cells,
-reaching each merged pair (u, v) of a source tuple through one preimage
-list per basis index (algebra._preimages) instead of a scan over all r^2
-pairs.  The bimodule laws and the cocycle identity are certified on basis
-triples by algebra._triple_defects, which composes the sparse cells of the
-action, algebra and cochain tables and evaluates no product.
+for any prime p.  delta_matrix assembles those rows from shifted templates
+built once with their signs: the left and right actions per module
+coordinate and, per tuple position and basis index, the merged pairs (u, v)
+from one preimage list per basis index (algebra._preimages) instead of a
+scan over all r^2 pairs.  A row adds offsets from the flat index of its
+source tuple to those templates, sums raw integers and reduces mod n once.
+The bimodule laws and the cocycle identity are certified on basis triples
+by algebra._triple_defects, which composes the sparse cells of the action,
+algebra and cochain tables and evaluates no product.
 
 Every solver gets its eliminations from _sieve, the one place that refuses:
 a non-prime modulus (NonPrimeModulus) and a target cochain space of
@@ -299,46 +302,50 @@ def delta_matrix(M: Bimodule, degree):
     Rows are indexed by the unit cochains of the source space in (tuple, module
     coordinate) order; each row maps flat target positions to coefficients.
     Returns (rows, source_dim, target_dim).
+
+    The row of (T, m0) is three sparse templates, built once with their
+    signs, shifted by the flat index idx of T: the left term at
+    (l·r^ν + idx)·s + k, merged term i at (u·r + v)·r^(ν-i)·s for each
+    preimage (u, v) of T[i-1] above the base
+    ((idx // r^(ν-i+1))·r^(ν-i+2) + idx mod r^(ν-i))·s + m0, and the right
+    term at (idx·r + k)·s + c.  A row sums raw integers, left term first,
+    then merged i = 1..ν, then the right term, and is reduced mod n once.
     """
     A = M.algebra
     r, s = A.rank, M.rank
     n = A.n
     nu = degree
-    src_tuples = list(product(range(r), repeat=nu))
-    dst_dim = s * r ** (nu + 1)
-
-    def flat(T, coord):
-        idx = 0
-        for t in T:
-            idx = idx * r + t
-        return idx * s + coord
-
+    src_dim = s * r ** nu
+    end_sign = (-1) ** (nu + 1)
+    left = [[(l * src_dim + k, v) for l in range(r)
+             for k, v in M._left_cells[l][m0]] for m0 in range(s)]
+    right = [[(k * s + c, end_sign * v) for k in range(r)
+              for c, v in M._right_cells[m0][k]] for m0 in range(s)]
     preimages = _preimages(A._cells)
+    merged = []
+    for i in range(1, nu + 1):
+        low = r ** (nu - i)
+        sign = (-1) ** i
+        merged.append((low * r, low, [
+            [((u * r + v) * low * s, sign * coeff)
+             for u, v, coeff in preimages.get(t, ())] for t in range(r)]))
 
     rows = []
-    for T in src_tuples:
+    for idx, T in enumerate(product(range(r), repeat=nu)):
+        mid = [(((idx // high) * high * r + idx % low) * s + q, v)
+               for (high, low, templates), t in zip(merged, T)
+               for q, v in templates[t]]
+        lo, hi = idx * s, idx * r * s
         for m0 in range(s):
-            row = {}
-            for l in range(r):
-                T2 = (l,) + T
-                for k, v in M._left_cells[l][m0]:
-                    pos = flat(T2, k)
-                    row[pos] = (row.get(pos, 0) + v) % n
-            sign = 1
-            for i in range(1, nu + 1):
-                sign = -sign
-                for u, v, coeff in preimages.get(T[i - 1], ()):
-                    T2 = T[:i - 1] + (u, v) + T[i:]
-                    pos = flat(T2, m0)
-                    row[pos] = (row.get(pos, 0) + sign * coeff) % n
-            sign = -sign
-            for k in range(r):
-                T2 = T + (k,)
-                for c2, v in M._right_cells[m0][k]:
-                    pos = flat(T2, c2)
-                    row[pos] = (row.get(pos, 0) + sign * v) % n
-            rows.append({p: c for p, c in row.items() if c})
-    return rows, len(src_tuples) * s, dst_dim
+            row = {lo + q: v for q, v in left[m0]}
+            for q, v in mid:
+                q += m0
+                row[q] = row.get(q, 0) + v
+            for q, v in right[m0]:
+                q += hi
+                row[q] = row.get(q, 0) + v
+            rows.append({q: y for q, x in row.items() if (y := x % n)})
+    return rows, src_dim, s * r ** (nu + 1)
 
 
 def cochain_to_vec(f: Cochain):

@@ -2,11 +2,13 @@
 
 A row is a dict {column: coefficient}.  Elimination inserts rows into a
 sieve keyed by lead column (the smallest column of the reduced row), each
-stored with lead coefficient 1.  Kernels and span combinations come from tag
-columns: a caller that appends the unit column width + i to row i finds a
-kernel vector in every pivot whose lead is at least width, and a target
-whose residue has no column below width lies in the row span, with the
-negated tag part of the residue as its combination.
+stored with lead coefficient 1; a residue that is already monic, as every
+residue over Z_2 is, is stored as it is rather than as a scaled copy.
+Kernels and span combinations come from tag columns: a caller that appends
+the unit column width + i to row i finds a kernel vector in every pivot
+whose lead is at least width, and a target whose residue has no column
+below width lies in the row span, with the negated tag part of the residue
+as its combination.
 
 _smith is the dense Smith form over any Z_n: the invariant factors of a
 span decide membership in it and the shape of the quotient by it.
@@ -21,21 +23,26 @@ def eliminate_modp(rows, p):
     """Sieve sparse rows mod p; returns (rank, pivots).
 
     pivots maps each lead column to its reduced row, lead coefficient 1.
+    A residue is the fresh dict reduce_modp builds, so no pivot is a
+    caller's row.
     """
     pivots = {}
     for row in rows:
         v = reduce_modp(pivots, row, p)
         if v:
             lead = min(v)
-            inv = pow(v[lead], -1, p)
-            pivots[lead] = {c: (inv * x) % p for c, x in v.items()}
+            f = v[lead]
+            if f != 1:
+                inv = pow(f, -1, p)
+                v = {c: (inv * x) % p for c, x in v.items()}
+            pivots[lead] = v
     return len(pivots), pivots
 
 
 def reduce_modp(pivots, row, p):
     """Clear lead columns of a sparse row against a sieve until the lead has
     no pivot; returns the residue, empty when the row lies in the span."""
-    v = {c: x % p for c, x in row.items() if x % p}
+    v = {c: y for c, x in row.items() if (y := x % p)}
     while v:
         lead = min(v)
         hit = pivots.get(lead)

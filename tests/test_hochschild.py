@@ -184,12 +184,19 @@ def dense_delta_rows(M, degree):
 
 
 def test_delta_matrix_matches_dense_scan():
-    # same rows with the same key order as the r^2 scan, on the sphere and
-    # circle carriers, whose tables are mostly zero
+    # same rows with the same key order as the r^2 scan: on the sphere and
+    # circle carriers, whose tables are mostly zero, through degree 2; on a
+    # bimodule of rank s = 1 over a rank r = 2 algebra, which separates r
+    # from s in the row offsets, and over the composite modulus 4, where
+    # 1 + 1 is not reduced away, through degree 3
+    from znalg.catalog import twisted_projection_module
     from znalg.poset import build_shriek, sphere_presheaf, square_presheaf
-    for F in (sphere_presheaf(2), square_presheaf(3)):
-        M = regular_bimodule(build_shriek(F).carrier)
-        for degree in range(3):
+    cases = [(regular_bimodule(build_shriek(F).carrier), 3)
+             for F in (sphere_presheaf(2), square_presheaf(3))]
+    cases += [(twisted_projection_module(), 4), (regular_bimodule(zn(4)), 4),
+              (regular_bimodule(zn_poly_x2(4)), 4)]
+    for M, degrees in cases:
+        for degree in range(degrees):
             rows, src, dst = delta_matrix(M, degree)
             expected = dense_delta_rows(M, degree)
             assert [list(row.items()) for row in rows] \

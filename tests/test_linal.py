@@ -152,6 +152,47 @@ def test_reduce_leaves_pivots_and_row_untouched():
     assert min(residue) == 2
 
 
+def scale_always_pivots(rows, p):
+    """Reference sieve: every residue is scaled into a new monic dict."""
+    pivots = {}
+    for row in rows:
+        v = {c: x % p for c, x in row.items() if x % p}
+        while v and min(v) in pivots:
+            f = v[min(v)]
+            for c, x in pivots[min(v)].items():
+                v[c] = (v.get(c, 0) - f * x) % p
+            v = {c: x for c, x in v.items() if x}
+        if v:
+            inv = pow(v[min(v)], -1, p)
+            pivots[min(v)] = {c: inv * x % p for c, x in v.items()}
+    return pivots
+
+
+@st.composite
+def sparse_systems(draw):
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    width = draw(st.integers(1, 6))
+    entries = st.dictionaries(st.integers(0, width - 1),
+                              st.integers(-3 * p, 3 * p), max_size=width)
+    return p, draw(st.lists(entries, max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_systems())
+def test_monic_residues_kept_as_the_scaled_pivots(case):
+    p, rows = case
+    before = [list(row.items()) for row in rows]
+    rank, pivots = eliminate_modp(rows, p)
+    expected = scale_always_pivots(rows, p)
+    assert rank == len(expected)
+    assert [(lead, sorted(row.items())) for lead, row in pivots.items()] \
+        == [(lead, sorted(row.items())) for lead, row in expected.items()]
+    for lead, row in pivots.items():
+        assert min(row) == lead and row[lead] == 1
+        assert all(row is not given_row for given_row in rows)
+    assert [list(row.items()) for row in rows] == before
+
+
 def test_is_prime():
     assert [n for n in range(2, 20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
     assert not is_prime(1)
