@@ -17,12 +17,14 @@ one raises SelfCheckFailed.  The exchange witness is
 built from the strongly clean pair as in Nicholson's proof and re-checked by
 exact arithmetic; no divisor scan runs for it.  FiniteAlgebra.right_divisors
 is only for one-sided ideal membership.  Radical membership is asked per
-element (in_radical: 1 - xr and 1 - rx are units for every r); callers test
-the few elements they care about, and jacobson_radical is the same test on
-every element.  Scans refuse with CapExceeded instead of sampling.  Ideals
-and quotients enumerate no more than the ideal: the Smith form over Z_n of
-its span (linal._smith) decides membership, freeness of A/I and the
-coordinates of the projection onto it.
+element (in_radical: 1 - y is a unit for every y in xA and for every y in
+Ax); each one-sided ideal is the span of x times the basis, listed lazily
+from its Smith form, so A is never listed.  Callers test the few elements
+they care about, and jacobson_radical is the same test on every element.
+Scans refuse with CapExceeded instead of sampling.  Ideals and quotients
+enumerate no more than the ideal: the Smith form over Z_n of its span
+(linal._smith) decides membership, freeness of A/I and the coordinates of
+the projection onto it.
 """
 
 from __future__ import annotations
@@ -167,13 +169,21 @@ def decomposition_report(A: FiniteAlgebra, cap=None) -> ClassificationReport:
 
 
 def in_radical(A: FiniteAlgebra, x, cap=None) -> bool:
-    """x is in the Jacobson radical: 1 - x*r is a unit for every r, certified
-    equal to the r*x side.  Each side stops at its first non-unit."""
-    one = A.one()
-    right = all(A.inverse(A.sub(one, A.mul(x, r)), cap) is not None
-                for r in A.elements(cap))
-    left = all(A.inverse(A.sub(one, A.mul(r, x)), cap) is not None
-               for r in A.elements(cap))
+    """x is in the Jacobson radical: 1 - y is a unit for every y in xA,
+    certified equal to the Ax side.  By bilinearity xA is the Z_n-span of
+    the x·e_i and Ax that of the e_i·x; each side walks its span (_span of
+    its Smith form) and stops at its first non-unit.  A is never listed."""
+    A.require_within_cap(cap)
+    one, n, r = A.one(), A.n, A.rank
+    basis = [A.basis(i) for i in range(r)]
+
+    def quasi_regular(products):
+        d, _, W = _smith(products, n, r)
+        return all(A.inverse(A.sub(one, y), cap) is not None
+                   for y in _span(A, d, W))
+
+    right = quasi_regular([A.mul(x, b) for b in basis])
+    left = quasi_regular([A.mul(b, x) for b in basis])
     if right != left:
         raise SelfCheckFailed(
             f"{A.name}: one-sided quasi-regularity differs at {x} (finite "
@@ -209,17 +219,28 @@ def _ideal_lattice(A: FiniteAlgebra, gens, cap=None):
 def saturate_ideal(A: FiniteAlgebra, gens, cap=None) -> set:
     """The two-sided ideal generated by gens, as the set of its elements."""
     d, _, W, _ = _ideal_lattice(A, gens, cap)
-    return _span(A, d, W)
+    return set(_span(A, d, W))
 
 
 def _span(A, d, W):
-    """Every sum of c_i d_i W_i over 0 <= c_i < n / d_i; no two coincide."""
-    ideal = [A.zero()]
-    for di, w in zip(d, W):
-        x = A.smul(di, w)
-        ideal = [A.add(y, A.smul(c, x))
-                 for c in range(A.n // di) for y in ideal]
-    return set(ideal)
+    """Every sum of c_i d_i W_i over 0 <= c_i < n / d_i, lazily and one
+    addition apart; no two coincide.  The c_i count like the digits of an
+    odometer, and a digit that wraps needs no correction, because n / d_i
+    copies of d_i W_i sum to 0."""
+    n, add = A.n, A.add
+    steps = [(A.smul(di, w), n // di) for di, w in zip(d, W) if di < n]
+    digits = [0] * len(steps)
+    y = A.zero()
+    while True:
+        yield y
+        for i, (x, k) in enumerate(steps):
+            y = add(y, x)
+            digits[i] += 1
+            if digits[i] < k:
+                break
+            digits[i] = 0
+        else:
+            return
 
 
 def quotient_by_ideal(A: FiniteAlgebra, gens, cap=None):
@@ -228,7 +249,7 @@ def quotient_by_ideal(A: FiniteAlgebra, gens, cap=None):
     coordinates, and ideal the element set of I, the one set enumerated.
     _quotient says when QuotientNotFree is raised."""
     d, V, W, _ = _ideal_lattice(A, gens, cap)
-    return (*_quotient(A, d, V, W), _span(A, d, W))
+    return (*_quotient(A, d, V, W), set(_span(A, d, W)))
 
 
 def _quotient(A, d, V, W):

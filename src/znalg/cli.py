@@ -220,13 +220,15 @@ def job_classify(ws, spec, cap, report):
         "units": len(rep.units),
         "nilpotents": len(rep.nilpotents),
     }
+    # every element has a witness record, so its label is made once here
+    label = {a: key_str(a) for a in rep.witnesses}
     report["results"]["failures"] = {
-        flag: {k: (key_str(v) if isinstance(v, tuple) else v)
+        flag: {k: (label[v] if isinstance(v, tuple) else v)
                for k, v in info.items() if k in ("element", "count")}
         for flag, info in rep.failures.items()}
     report["results"]["witnesses"] = {
-        key_str(a): {
-            k: ([key_str(part) for part in v] if isinstance(v, tuple) else v)
+        label[a]: {
+            k: ([label[part] for part in v] if isinstance(v, tuple) else v)
             for k, v in rec.items()}
         for a, rec in rep.witnesses.items()}
     _assert(report, "clean-implies-exchange",

@@ -245,9 +245,9 @@ def dump_report(report: dict) -> str:
 def _emit(value, parts, newline):
     """Append the indent-2, sorted-key JSON text of value to parts; newline
     is a line break plus the indent of the line value starts on.  An array
-    of plain integers is one join, strings go through the C string encoder,
-    and a key that is not a string or a value JSON has no form for raises
-    TypeError."""
+    of plain integers or of plain strings is one join, strings go through
+    the C string encoder, and a key that is not a string or a value JSON
+    has no form for raises TypeError."""
     if isinstance(value, str):
         parts.append(_quote(value))
     elif value is None:
@@ -265,9 +265,12 @@ def _emit(value, parts, newline):
             parts.append("[]")
             return
         inner = newline + "  "
-        if all(type(v) is int for v in value):  # bool is an int subclass
+        kinds = set(map(type, value))  # a bool is not of type int
+        show = (int.__repr__ if kinds == {int}
+                else _quote if kinds == {str} else None)
+        if show:
             parts.append("[" + inner + ("," + inner).join(
-                map(int.__repr__, value)) + newline + "]")
+                map(show, value)) + newline + "]")
             return
         sep = "[" + inner
         for item in value:

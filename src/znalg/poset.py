@@ -294,9 +294,10 @@ class TriangularIdealReport:
 def triangular_ideal_facts(PA: PosetAlgebra, cap=None) -> TriangularIdealReport:
     """The strictly-upper blocks form a nilpotent ideal; the quotient is the
     product of the stalks via diagonal extraction, certified from the table
-    at any size; the ideal sits inside the radical, decided by testing each
-    strict basis element (J is a two-sided ideal) whenever the carrier is
-    enumerable, and None above the cap."""
+    at any size; the ideal sits inside the radical, decided by in_radical on
+    each strict basis element (J is a two-sided ideal), which walks only
+    that element's one-sided ideals, whenever the carrier is within the
+    cap, and None above it."""
     F = PA.presheaf
     P = F.poset
     carrier = PA.carrier

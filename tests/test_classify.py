@@ -7,9 +7,12 @@ import time
 from math import lcm
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from test_algebra import sheared
 
 from znalg.algebra import (
     FiniteAlgebra,
+    _matrix_units_algebra,
     direct_product,
     matrix_algebra,
     triangular_algebra,
@@ -216,6 +219,60 @@ def test_in_radical_matches_the_definition():
         # jacobson_radical asks in_radical about every element
         assert jacobson_radical(A) == radical, A.name
         assert in_radical(A, A.zero()) and not in_radical(A, one)
+
+
+# Incidence algebras of at most 256 elements over Z4, Z6, Z8 and Z9, each
+# poset given by its order relation (pairs a <= b): a point, antichains of
+# 2-4 points, the 2-chain (T2) and the 2-chain beside a point.
+T2 = [(0, 0), (0, 1), (1, 1)]
+SMALL_INCIDENCE = [
+    (n, pairs) for n in (4, 6, 8, 9)
+    for pairs in ([(0, 0)], [(0, 0), (1, 1)], T2, [(0, 0), (1, 1), (2, 2)],
+                  T2 + [(2, 2)], [(0, 0), (1, 1), (2, 2), (3, 3)])
+    if n ** len(pairs) <= 256]
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(case=st.sampled_from(SMALL_INCIDENCE),
+       shear=st.none() | st.integers(0, 2 ** 16))
+@example(case=(4, T2), shear=None)  # |e00·A| = 16 but |A·e00| = 4
+@example(case=(4, T2), shear=7)
+@example(case=(6, T2), shear=3)
+def test_in_radical_against_the_definition_on_both_sides(case, shear):
+    """in_radical walks the one-sided ideals through their Smith forms
+    (invariant factors other than 1 and n over Z4, Z6, Z8 and Z9); the
+    oracle asks brute_units about 1 - xr and 1 - rx for every r in A."""
+    n, pairs = case
+    A = _matrix_units_algebra(n, pairs, f"incidence {pairs} over Z{n}")
+    if shear is not None:
+        A = sheared(A, shear)
+    elems = list(A.elements())
+    units = set(brute_units(A))
+    one = A.one()
+    for x in elems:
+        right = all(A.sub(one, A.mul(x, r)) in units for r in elems)
+        left = all(A.sub(one, A.mul(r, x)) in units for r in elems)
+        assert right == left == in_radical(A, x), (A.name, x)
+
+
+def test_in_radical_walks_the_span_of_one_lazily():
+    """1·A is all 2^18 elements of the sphere carrier; the span is listed
+    lazily, so the walk stops at its first non-unit instead of listing A."""
+    from znalg.poset import build_shriek, sphere_presheaf
+    carrier = build_shriek(sphere_presheaf(2)).carrier
+    start = time.monotonic()
+    assert not in_radical(carrier, carrier.one())
+    assert time.monotonic() - start < 1
+
+
+def test_strict_blocks_of_the_sphere_lie_in_the_radical_within_budget():
+    """Each strict basis element's one-sided ideals are small, so the 12
+    in_radical calls walk them and never the 2^18-element carrier."""
+    from znalg.poset import build_shriek, sphere_presheaf, triangular_ideal_facts
+    PA = build_shriek(sphere_presheaf(2))
+    start = time.monotonic()
+    assert triangular_ideal_facts(PA).inside_radical is True
+    assert time.monotonic() - start < 2
 
 
 def test_quotient_z4_by_two():

@@ -882,7 +882,8 @@ def test_catalog_reports_match_json_dumps(catalog_runs):
 REPORT_VALUES = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(),
               st.floats(allow_nan=False, allow_infinity=False), st.text(),
-              st.lists(st.integers()), st.tuples(st.integers(), st.integers())),
+              st.lists(st.integers()), st.lists(st.text()),
+              st.tuples(st.integers(), st.integers())),
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
