@@ -9,11 +9,12 @@ Units and nilpotents are decided by one walk over the powers of an element
 (FiniteAlgebra.inverse and nilpotency_index); the divisor scan is only for
 one-sided ideal membership.
 
-Work is refused, never sampled, by one rule with two measures: a scan over
-the elements refuses on their count (FiniteAlgebra.within_cap), and a power
+Work is refused, never sampled, by one rule with three measures: a scan
+over the elements refuses on their count (FiniteAlgebra.within_cap); a power
 walk refuses after cap powers, so an algebra within the cap never refuses a
-walk and a larger one still answers every short walk.  Both raise
-CapExceeded through _refuse_above_cap; a cap of None means DEFAULT_CAP.
+walk and a larger one still answers every short walk; and a coboundary
+matrix refuses on the entries it would assemble (hochschild._sieve).  All
+raise CapExceeded through _refuse_above_cap; None means DEFAULT_CAP.
 
 The same nested-table format carries bimodule actions, cochains, deformation
 corrections and restriction maps.  _check_table is the one shape and entry
@@ -226,13 +227,13 @@ def _cap_limit(cap):
     return DEFAULT_CAP if cap is None else cap
 
 
-def _refuse_above_cap(count, cap, what, shown=None):
+def _refuse_above_cap(count, cap, what, shown=None, error=CapExceeded):
     """The one refusal rule for exhaustive work: a count above cap
-    (DEFAULT_CAP when cap is None) raises CapExceeded, naming the count of
-    elements or the text shown in its place."""
+    (DEFAULT_CAP when cap is None) raises error, a CapExceeded, naming the
+    count of elements or the text shown in its place."""
     limit = _cap_limit(cap)
     if count > limit:
-        raise CapExceeded(
+        raise error(
             f"{what}: {shown or f'{count} elements'} exceeds cap {limit}")
 
 

@@ -19,6 +19,8 @@ import time
 from .algebra import DEFAULT_CAP, _refuse_above_cap, algebra_to_doc
 from .classify import decomposition_report, search_exchange_counterexample
 from .deformation import (
+    _newton_bound,
+    _noncommuting_basis,
     clean_decompose_def,
     flatten,
     invert_def,
@@ -87,7 +89,6 @@ SUBCOMMANDS = {
     "cohomology": ("cocycle/coboundary dimensions", [
         _DOC, ("--algebra", {}), ("--presheaf", {}),
         ("--degree", {"type": int, "default": 2}),
-        ("--linalg-cap", {"type": int}),
     ]),
     "search-open-question": ("scan exchange rings for one-sided witnesses",
                              [_DOC, ("--algebras",
@@ -128,7 +129,7 @@ def build_parser():
         prog="znalg",
         description="exact verification workbench for finite Z_n-algebras")
     parser.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                        help="element-enumeration refusal threshold")
+                        help="refusal threshold on elements, powers and entries")
     parser.add_argument("--report", help="write the JSON report to this path")
     parser.add_argument("--modulus-override", type=int, default=None,
                         help="reinterpret loaded algebras over this modulus "
@@ -325,14 +326,12 @@ def job_deform_lift(ws, spec, cap, report):
     e = _json_field(spec, "idempotent", "lift needs --idempotent",
                     D.base.coerce)
     g, iterations = lift_idempotent_newton(D, e)
-    bound = (D.order - 1).bit_length() + 1
+    bound = _newton_bound(D)
     report["results"]["lift"] = [list(c) for c in g]
     report["results"]["iterations"] = iterations
     _assert(report, "newton-within-bound", iterations <= bound,
             iterations=iterations, bound=bound)
-    central = all(D.base.mul(e, D.base.basis(i)) == D.base.mul(D.base.basis(i), e)
-                  for i in range(D.base.rank))
-    if central:
+    if _noncommuting_basis(D.base, e) is None:
         _assert(report, "central-recursion-matches-newton",
                 lift_idempotent_central(D, e) == g)
 
@@ -378,7 +377,7 @@ def job_deform_clean_decompose(ws, spec, cap, report):
 
 def job_shriek(ws, spec, cap, report):
     F = ws.presheaf(spec["presheaf"])
-    PA = build_shriek(F, cap)
+    PA = build_shriek(F)
     report["results"]["carrier"] = algebra_to_doc(PA.carrier)
     facts = triangular_ideal_facts(PA, cap)
     _assert(report, "strict-blocks-form-ideal", facts.is_ideal)
@@ -400,16 +399,14 @@ def job_shriek(ws, spec, cap, report):
 def job_cohomology(ws, spec, cap, report):
     degree = integer_field(spec, "degree", 2)
     if spec.get("presheaf"):
-        PA = build_shriek(ws.presheaf(spec["presheaf"]), cap)
+        PA = build_shriek(ws.presheaf(spec["presheaf"]))
         A = PA.carrier
     elif spec.get("algebra"):
         A = ws.algebra(spec["algebra"])
     else:
         raise ParseError("cohomology needs --algebra or --presheaf")
     M = regular_bimodule(A)
-    kwargs = ({} if spec.get("linalg_cap") is None
-              else {"linalg_cap": integer_field(spec, "linalg_cap")})
-    dims = cohomology_dims(A, M, degree, **kwargs)
+    dims = cohomology_dims(A, M, degree, cap)
     report["results"]["algebra"] = A.name
     report["results"]["degree"] = dims.degree
     report["results"]["dim_cocycles"] = dims.dim_cocycles

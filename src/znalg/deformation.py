@@ -333,13 +333,23 @@ def flatten_element(D, f):
     return tuple(out)
 
 
+def _newton_bound(D):
+    """ceil(log2 N) + 1: the defect order at least doubles each Newton step."""
+    return (D.order - 1).bit_length() + 1
+
+
+def _noncommuting_basis(A, e):
+    """The first basis index not commuting with e; None when e is central."""
+    return next((i for i in range(A.rank)
+                 if A.mul(e, A.basis(i)) != A.mul(A.basis(i), e)), None)
+
+
 def lift_idempotent_newton(D, e):
     """Lift an idempotent of the base through the quadratic fixed-point
-    iteration; defect order at least doubles each step, so the iteration
-    count stays within ceil(log2 N) + 1."""
+    iteration; the iteration count stays within _newton_bound(D)."""
     A = D.base
     e = A.require_idempotent(e)
-    bound = (D.order - 1).bit_length() + 1
+    bound = _newton_bound(D)
     one = def_one(D)
     g = def_from_constant(D, e)
     iterations = 0
@@ -365,10 +375,9 @@ def lift_idempotent_central(D, e):
     the Newton lift."""
     A = D.base
     e = A.require_idempotent(e)
-    for i in range(A.rank):
-        b = A.basis(i)
-        if A.mul(e, b) != A.mul(b, e):
-            raise NotCentral(f"{e} does not commute with basis element {i}")
+    i = _noncommuting_basis(A, e)
+    if i is not None:
+        raise NotCentral(f"{e} does not commute with basis element {i}")
     probe = obstruction_probe(D, e)
     if probe.first_failure is not None:
         raise SelfCheckFailed(

@@ -16,11 +16,11 @@ class ValidationFailure(ZnAlgError):
 
 
 class CapExceeded(ZnAlgError):
-    """An exhaustive operation would enumerate more elements than the cap allows."""
+    """An exhaustive operation would take more work than the cap allows."""
 
 
 class LinAlgCapExceeded(CapExceeded):
-    """A cochain-space rank computation would exceed the linear-algebra cap."""
+    """A coboundary matrix would be assembled from more entries than the cap."""
 
 
 class SelfCheckFailed(ZnAlgError):

@@ -21,8 +21,9 @@ by algebra._triple_defects, which composes the sparse cells of the action,
 algebra and cochain tables and evaluates no product.
 
 Every solver gets its eliminations from _sieve, the one place that refuses:
-a non-prime modulus (NonPrimeModulus) and a target cochain space of
-dimension above linalg_cap (LinAlgCapExceeded), before any assembly.
+a non-prime modulus (NonPrimeModulus) and a coboundary whose templates
+would place more entries than the cap of every scan (LinAlgCapExceeded),
+counted by _coboundary_entries from the sparse cells before any row is built.
 cochain_from_table refuses a degree above MAX_COCHAIN_DEGREE, the highest
 the coboundary takes, before it reads the table.
 """
@@ -42,6 +43,7 @@ from .algebra import (
     _linear,
     _preimages,
     _reduce_table,
+    _refuse_above_cap,
     _sparse_cells,
     _triple_defects,
 )
@@ -55,10 +57,6 @@ from .errors import (
     UnitActsBadly,
 )
 from . import linal
-
-# Ceiling on the dimension of the target cochain space in rank computations.
-# Sized so the sphere-poset degree-2 computation fits and degree 3 does not.
-DEFAULT_LINALG_CAP = 150_000
 
 # Highest degree of a cochain read from a table: the coboundary takes
 # degrees up to 3 and extensions take degree 2.
@@ -182,11 +180,7 @@ class Cochain:
         return _sparse_cells(self.values, self.degree)
 
     def is_zero(self):
-        def flat(v):
-            if isinstance(v, tuple) and v and isinstance(v[0], tuple):
-                return all(flat(c) for c in v)
-            return not any(v)
-        return flat(self.values)
+        return not any(cochain_to_vec(self))
 
     def __eq__(self, other):
         return (isinstance(other, Cochain) and self.degree == other.degree
@@ -218,11 +212,7 @@ def cochain_from_table(M, degree, values) -> Cochain:
 
 
 def zero_cochain(M, degree) -> Cochain:
-    def build(depth):
-        if depth == 0:
-            return M.zero()
-        return tuple(build(depth - 1) for _ in range(M.algebra.rank))
-    return Cochain(degree, M, build(degree))
+    return vec_to_cochain(M, degree, M.zero() * M.algebra.rank ** degree)
 
 
 def coboundary(g: Cochain) -> Cochain:
@@ -350,17 +340,10 @@ def delta_matrix(M: Bimodule, degree):
 
 def cochain_to_vec(f: Cochain):
     """Flat coefficient tuple in the same order delta_matrix uses."""
-    M = f.module
-    r = M.algebra.rank
-    out = []
-    if f.degree == 0:
-        return tuple(f.values)
-    for T in product(range(r), repeat=f.degree):
-        cell = f.values
-        for idx in T:
-            cell = cell[idx]
-        out.extend(cell)
-    return tuple(out)
+    cells = [f.values]
+    for _ in range(f.degree):
+        cells = [sub for cell in cells for sub in cell]
+    return tuple(x for cell in cells for x in cell)
 
 
 def vec_to_cochain(M, degree, vec) -> Cochain:
@@ -386,20 +369,28 @@ class CohomologyDims:
     dim_h: int
 
 
-def _sieve(M, degree, linalg_cap, tagged=False):
+def _coboundary_entries(M, degree):
+    """E = r^ν·(nnz L + nnz R) + s·ν·r^(ν-1)·nnz(A), read off the sparse
+    cells: the entries delta_matrix's templates place, before any cancels."""
+    r, s = M.algebra.rank, M.rank
+    left, right, alg = (sum(len(c) for row in cells for c in row) for cells
+                        in (M._left_cells, M._right_cells, M.algebra._cells))
+    return (r ** degree * (left + right)
+            + s * degree * r ** max(degree - 1, 0) * alg)
+
+
+def _sieve(M, degree, cap=None, tagged=False):
     """Eliminate the rows of the degree coboundary map mod p, row i tagged
     by the unit column dst + i when tagged; returns (rank, pivots, src,
-    dst).  Refuses a non-prime modulus and a target space of dimension
-    above linalg_cap before assembling the matrix."""
+    dst).  Refuses a non-prime modulus and, before assembling the matrix,
+    more coboundary entries than cap (DEFAULT_CAP when cap is None)."""
     p = M.n
     if not linal.is_prime(p):
         raise NonPrimeModulus(
             f"cohomology dimensions need a prime modulus, got {p}")
-    dst = M.rank * M.algebra.rank ** (degree + 1)
-    if dst > linalg_cap:
-        raise LinAlgCapExceeded(
-            f"degree {degree}: cochain space of dimension {dst} exceeds "
-            f"the cap {linalg_cap}")
+    entries = _coboundary_entries(M, degree)
+    _refuse_above_cap(entries, cap, f"degree {degree} coboundary",
+                      shown=f"{entries} entries", error=LinAlgCapExceeded)
     rows, src, dst = delta_matrix(M, degree)
     if tagged:
         for i, row in enumerate(rows):
@@ -409,12 +400,12 @@ def _sieve(M, degree, linalg_cap, tagged=False):
 
 
 def cohomology_dims(A: FiniteAlgebra, M: Bimodule, degree,
-                    linalg_cap=DEFAULT_LINALG_CAP) -> CohomologyDims:
+                    cap=None) -> CohomologyDims:
     """Exact dimensions of Z, B, and H in the requested degree over Z_p."""
     if degree < 1 or degree > 3:
         raise BadShape("cohomology degree must be 1, 2, or 3")
-    rank_out, _, dim_src, _ = _sieve(M, degree, linalg_cap)
-    rank_in = _sieve(M, degree - 1, linalg_cap)[0]
+    rank_out, _, dim_src, _ = _sieve(M, degree, cap)
+    rank_in = _sieve(M, degree - 1, cap)[0]
     dim_z = dim_src - rank_out
     dims = CohomologyDims(degree, dim_z, rank_in, dim_z - rank_in)
     if dims.dim_h < 0:
@@ -434,20 +425,19 @@ def _sparse(f: Cochain):
     return {c: x for c, x in enumerate(cochain_to_vec(f)) if x}
 
 
-def cocycle_space(A: FiniteAlgebra, M: Bimodule, degree=2,
-                  linalg_cap=DEFAULT_LINALG_CAP):
+def cocycle_space(A: FiniteAlgebra, M: Bimodule, degree=2, cap=None):
     """Basis of the cocycle space in the given degree, as Cochains."""
-    _, pivots, src, dst = _sieve(M, degree, linalg_cap, tagged=True)
+    _, pivots, src, dst = _sieve(M, degree, cap, tagged=True)
     return [vec_to_cochain(M, degree, _tag_part(row, src, dst))
             for lead, row in pivots.items() if lead >= dst]
 
 
-def is_coboundary2(f: Cochain, linalg_cap=DEFAULT_LINALG_CAP):
+def is_coboundary2(f: Cochain, cap=None):
     """Solve the degree-1 coboundary equation for f; returns the witness
     cochain or None when f is not a coboundary.  Prime modulus only."""
     M = f.module
     p = M.n
-    _, pivots, src, dst = _sieve(M, 1, linalg_cap, tagged=True)
+    _, pivots, src, dst = _sieve(M, 1, cap, tagged=True)
     ok, violations = is_cocycle2(f)
     if not ok:
         raise NotACocycle(f"not a cocycle; first violation {violations[0]}")
@@ -460,12 +450,11 @@ def is_coboundary2(f: Cochain, linalg_cap=DEFAULT_LINALG_CAP):
     return g
 
 
-def nontrivial_cocycle2(A: FiniteAlgebra, M: Bimodule,
-                        linalg_cap=DEFAULT_LINALG_CAP):
+def nontrivial_cocycle2(A: FiniteAlgebra, M: Bimodule, cap=None):
     """A degree-2 cocycle that is not a coboundary, or None if H^2 = 0."""
     p = A.n
-    _, pivots, src, dst = _sieve(M, 2, linalg_cap, tagged=True)
-    boundaries = _sieve(M, 1, linalg_cap)[1]
+    _, pivots, src, dst = _sieve(M, 2, cap, tagged=True)
+    boundaries = _sieve(M, 1, cap)[1]
     for lead, row in pivots.items():
         if lead >= dst:
             cocycle = {c - dst: x for c, x in row.items()}

@@ -236,7 +236,7 @@ class PosetAlgebra:
         return f"PosetAlgebra({self.carrier.name!r})"
 
 
-def build_shriek(F: Presheaf, cap=None) -> PosetAlgebra:
+def build_shriek(F: Presheaf) -> PosetAlgebra:
     """Assemble the poset-matrix algebra and certify it as a FiniteAlgebra."""
     validate_presheaf(F)
     P = F.poset

@@ -226,8 +226,6 @@ MALFORMED = {
                    SHRIEK, 2),
     "maps-int": (_set("presheaves", "example-1", "maps", value=5), SHRIEK, 2),
     "degree-string": (_set("jobs", CIRCLE, "degree", value="x"), CIRCLE, 2),
-    "linalg-cap-string": (_set("jobs", CIRCLE, "linalg_cap", value="big"),
-                          CIRCLE, 2),
     "cover-out-of-range": (_set("posets", "example-1", "covers", 0,
                                 value=[0, 9]), SHRIEK, 3),
     "cover-negative": (_set("posets", "example-1", "covers", 0,
@@ -387,9 +385,10 @@ def _mutate(data, doc):
 def test_mutated_catalog_document_never_escapes(data):
     doc = builtin_catalog_document()
     _mutate(data, doc)
-    # cohomology-sphere takes about 0.8 s, fifty times any other catalog
-    # job; cohomology-circle runs the same code
-    jobs = sorted(set(doc.get("jobs", {})) - {"cohomology-sphere"})
+    # under --cap 64 both cohomology jobs are refused before assembly: the
+    # circle's degree 1 needs 288 coboundary entries, the sphere's degree 2
+    # needs 49248
+    jobs = sorted(doc.get("jobs", {}))
     job = data.draw(st.sampled_from(jobs or ["none"]), label="job")
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "doc.json"
@@ -635,8 +634,8 @@ REFUSALS = {
     "linalg-cap": (
         ["cohomology", "--doc", "DOC", "--presheaf", "example-2-sphere",
          "--degree", "3"], 4,
-        "cap exceeded: degree 3: cochain space of dimension 1889568 exceeds "
-        "the cap 150000\n"),
+        "cap exceeded: degree 3 coboundary: 1108080 entries exceeds cap "
+        "1048576\n"),
     "composite-modulus": (
         ["cohomology", "--doc", "DOC", "--algebra", "Z4"], 3,
         "validation error: cohomology dimensions need a prime modulus, "
@@ -745,14 +744,6 @@ SUBCOMMAND_JOBS = {
     "cohomology-default-degree": (
         ["cohomology", "--presheaf", "square-circle"],
         {"kind": "cohomology", "presheaf": "square-circle"}),
-    "cohomology-linalg-cap": (
-        ["cohomology", "--algebra", "Z2[X]/(X^2)", "--degree", "1",
-         "--linalg-cap", "1000"],
-        {"kind": "cohomology", "algebra": "Z2[X]/(X^2)", "degree": 1,
-         "linalg_cap": 1000}),
-    "cohomology-linalg-cap-refused": (
-        ["cohomology", "--algebra", "Z2[X]/(X^2)", "--linalg-cap", "3"],
-        {"kind": "cohomology", "algebra": "Z2[X]/(X^2)", "linalg_cap": 3}),
     "search-open-question": (
         ["search-open-question", "--algebras", "Z2", "Z3", "Z4"],
         {"kind": "search-open-question", "algebras": ["Z2", "Z3", "Z4"]}),
@@ -777,6 +768,20 @@ def test_subcommand_runs_as_its_document_job(tmp_path, capsys, case):
             (report or {}).pop(key, None)
         outcomes.append((code, report, capsys.readouterr().err))
     assert outcomes[0] == outcomes[1]
+
+
+def test_cohomology_refuses_on_the_coboundary_entries_under_cap(
+        catalog_doc, capsys):
+    # Z2[X]/(X^2) in degree 1 assembles (1+2)*2*3 = 18 coboundary entries
+    # and 6 in degree 0; --cap is the only threshold
+    argv = ["cohomology", "--doc", str(catalog_doc),
+            "--algebra", "Z2[X]/(X^2)", "--degree", "1"]
+    assert main(["--cap", "17"] + argv) == 4
+    assert capsys.readouterr().err == (
+        "cap exceeded: degree 1 coboundary: 18 entries exceeds cap 17\n")
+    assert main(["--cap", "18"] + argv) == 0
+    with pytest.raises(SystemExit):
+        main(argv + ["--linalg-cap", "1000"])
 
 
 def test_main_reuses_one_parser(catalog_doc, monkeypatch):

@@ -10,6 +10,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from znalg import linal
 from znalg.algebra import direct_product, triangular_algebra, zn, zn_poly_x2
 from znalg.deformation import gauge_deformation, seeded_gauge_map
 from znalg.errors import (
@@ -20,6 +21,7 @@ from znalg.errors import (
 )
 from znalg.hochschild import (
     Bimodule,
+    _coboundary_entries,
     Cochain,
     coboundary,
     cochain_from_table,
@@ -324,15 +326,16 @@ def test_nontrivial_cocycle_needs_prime_modulus():
         nontrivial_cocycle2(A, regular_bimodule(A))
 
 
-# each solver with the dimension of the largest coboundary target it
-# eliminates over Z3[X]/(X^2), of rank 2: 2 * 2^3 in degree 2, 2 * 2^2 in 1
+# each solver with the most coboundary entries it assembles over
+# Z3[X]/(X^2), whose table has 3 nonzeros: (2+2)*2^2*3 = 48 in degree 2 and
+# (1+2)*2*3 = 18 in degree 1
 SOLVERS = {
     "cohomology_dims": (
-        lambda A, M, **kw: cohomology_dims(A, M, 2, **kw), 16),
-    "cocycle_space": (lambda A, M, **kw: cocycle_space(A, M, 2, **kw), 16),
+        lambda A, M, **kw: cohomology_dims(A, M, 2, **kw), 48),
+    "cocycle_space": (lambda A, M, **kw: cocycle_space(A, M, 2, **kw), 48),
     "is_coboundary2": (
-        lambda A, M, **kw: is_coboundary2(zero_cochain(M, 2), **kw), 8),
-    "nontrivial_cocycle2": (nontrivial_cocycle2, 16),
+        lambda A, M, **kw: is_coboundary2(zero_cochain(M, 2), **kw), 18),
+    "nontrivial_cocycle2": (nontrivial_cocycle2, 48),
 }
 
 
@@ -344,9 +347,56 @@ def test_every_cohomology_solver_refuses_through_one_sieve(solver):
         run(Z4, regular_bimodule(Z4))
     A = zn_poly_x2(3)
     M = regular_bimodule(A)
-    run(A, M, linalg_cap=target)
+    run(A, M, cap=target)
     with pytest.raises(LinAlgCapExceeded):
-        run(A, M, linalg_cap=target - 1)
+        run(A, M, cap=target - 1)
+
+
+def template_entries(M, degree):
+    """The entries of delta_matrix's row templates, counted row by row from
+    the dense tables: on row (T, m0), the nonzero left actions on m0, the
+    nonzero coordinates T[i-1] of A's products for each position i, and the
+    nonzero right actions on m0."""
+    A = M.algebra
+    r, s = A.rank, M.rank
+    left = [sum(1 for l in range(r) for v in M.left[l][m0] if v)
+            for m0 in range(s)]
+    right = [sum(1 for k in range(r) for v in M.right[m0][k] if v)
+             for m0 in range(s)]
+    preimages = [sum(1 for u in range(r) for v in range(r) if A.table[u][v][t])
+                 for t in range(r)]
+    return sum(left[m0] + sum(preimages[t] for t in T) + right[m0]
+               for T in product(range(r), repeat=degree) for m0 in range(s))
+
+
+def test_refusal_counts_the_entries_delta_matrix_assembles():
+    # the count the sieve refuses on is the per-row count of the templates,
+    # and no assembled matrix has more nonzeros; the sphere carrier's degree
+    # 3 is counted and refused, never assembled
+    from znalg.catalog import catalog_algebras, twisted_projection_module
+    from znalg.poset import build_shriek, sphere_presheaf, square_presheaf
+    algebras = catalog_algebras() + [
+        triangular_algebra(2, 3), build_shriek(square_presheaf(2)).carrier]
+    sphere = regular_bimodule(build_shriek(sphere_presheaf(2)).carrier)
+    modules = [regular_bimodule(A) for A in algebras] + [sphere]
+    for M in modules + [twisted_projection_module()]:
+        A = M.algebra
+        nnz = sum(1 for row in A.table for cell in row for v in cell if v)
+        for degree in range(4):
+            entries = template_entries(M, degree)
+            assert _coboundary_entries(M, degree) == entries, (A.name, degree)
+            if M in modules:
+                assert entries == (degree + 2) * A.rank ** degree * nnz
+            if linal.is_prime(A.n):
+                with pytest.raises(LinAlgCapExceeded, match=(
+                        f"^degree {degree} coboundary: {entries} entries "
+                        f"exceeds cap {entries - 1}$")):
+                    cocycle_space(A, M, degree, cap=entries - 1)
+            if M is not sphere or degree < 3:
+                rows, _, _ = delta_matrix(M, degree)
+                assert sum(map(len, rows)) <= entries, (A.name, degree)
+    assert [_coboundary_entries(sphere, d) for d in range(4)] \
+        == [76, 2052, 49248, 1108080]
 
 
 def test_delta_matrix_matches_dense_coboundary():
