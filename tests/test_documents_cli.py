@@ -744,9 +744,21 @@ SUBCOMMAND_JOBS = {
     "cohomology-default-degree": (
         ["cohomology", "--presheaf", "square-circle"],
         {"kind": "cohomology", "presheaf": "square-circle"}),
+    "cohomology-linalg-cap": (
+        ["cohomology", "--algebra", "Z2[X]/(X^2)", "--degree", "1"],
+        {"kind": "cohomology", "algebra": "Z2[X]/(X^2)", "degree": 1}),
+    "cohomology-linalg-cap-refused": (
+        ["cohomology", "--algebra", "Z2[X]/(X^2)", "--degree", "1"],
+        {"kind": "cohomology", "algebra": "Z2[X]/(X^2)", "degree": 1}),
     "search-open-question": (
         ["search-open-question", "--algebras", "Z2", "Z3", "Z4"],
         {"kind": "search-open-question", "algebras": ["Z2", "Z3", "Z4"]}),
+}
+# global options given before both forms; degree 1 of Z2[X]/(X^2) assembles
+# 18 coboundary entries, so the cap bounds the subcommand and the job alike
+SUBCOMMAND_OPTIONS = {
+    "cohomology-linalg-cap": ["--cap", "18"],
+    "cohomology-linalg-cap-refused": ["--cap", "17"],
 }
 
 
@@ -757,11 +769,12 @@ def test_subcommand_runs_as_its_document_job(tmp_path, capsys, case):
     doc["jobs"]["same"] = fields
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
+    options = SUBCOMMAND_OPTIONS.get(case, [])
     outcomes = []
     for args in (argv + ["--doc", str(path)], ["run", str(path), "same"]):
         report_path = tmp_path / "report.json"
         report_path.unlink(missing_ok=True)
-        code = main(["--report", str(report_path)] + args)
+        code = main(["--report", str(report_path)] + options + args)
         report = (json.loads(report_path.read_text())
                   if report_path.exists() else None)
         for key in ("timing", "job"):
