@@ -9,21 +9,24 @@ Units and nilpotents are decided by one walk over the powers of an element
 (FiniteAlgebra.inverse and nilpotency_index); the divisor scan is only for
 one-sided ideal membership.
 
-Work is refused, never sampled, by one rule with three measures: a scan
+Work is refused, never sampled, by one rule with four measures: a scan
 over the elements refuses on their count (FiniteAlgebra.within_cap); a power
 walk refuses after cap powers, so an algebra within the cap never refuses a
-walk and a larger one still answers every short walk; and a coboundary
-matrix refuses on the entries it would assemble (hochschild._sieve).  All
-raise CapExceeded through _refuse_above_cap; None means DEFAULT_CAP.
+walk and a larger one still answers every short walk; a coboundary matrix
+refuses on the entries it would assemble (hochschild._sieve); and a
+deformation's series recursion refuses on the cell visits it would make
+(deformation._series_work).  All raise CapExceeded through
+_refuse_above_cap; None means DEFAULT_CAP.
 
 The same nested-table format carries bimodule actions, cochains, deformation
 corrections and restriction maps.  _check_table is the one shape and entry
 check for all of them.  _bilinear and _linear evaluate a table on
-elements, and deformation._coefficient, the series kernel, sums one
-coefficient of a deformed product over the base and correction tables in a
-single pass.  All three read sparse cells, not the dense table: each owner
-builds, once, the (k, v) pairs with v != 0 of every cell (_sparse_cells),
-so a product walks only the nonzero entries.  The dense tables stay the
+elements; deformation._coefficient sums one coefficient of a deformed
+product over the base and correction tables in a single pass, and
+deformation._kronecker_product a whole product.  All of them read sparse
+cells, not the dense table: each owner builds, once, the (k, v) pairs with
+v != 0 of every cell (_sparse_cells), so a product walks only the nonzero
+entries.  The dense tables stay the
 public form that equality, hashing, reports and documents read.
 
 Every identity certified on basis triples (associativity here, the bimodule

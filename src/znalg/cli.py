@@ -21,6 +21,7 @@ from .classify import decomposition_report, search_exchange_counterexample
 from .deformation import (
     _newton_bound,
     _noncommuting_basis,
+    _series_work,
     clean_decompose_def,
     flatten,
     invert_def,
@@ -129,7 +130,8 @@ def build_parser():
         prog="znalg",
         description="exact verification workbench for finite Z_n-algebras")
     parser.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                        help="refusal threshold on elements, powers and entries")
+                        help="refusal threshold on elements, powers, entries "
+                             "and series cell visits")
     parser.add_argument("--report", help="write the JSON report to this path")
     parser.add_argument("--modulus-override", type=int, default=None,
                         help="reinterpret loaded algebras over this modulus "
@@ -315,7 +317,7 @@ def job_deform_invert(ws, spec, cap, report):
     D = _resolve_deformation(ws, spec)
     f = _json_field(spec, "element", "this action needs --element",
                     lambda coeffs: tuple(map(D.base.coerce, coeffs)))
-    g = invert_def(D, f)
+    g = invert_def(D, f, cap)
     report["results"]["inverse"] = [list(c) for c in g]
     # invert_def certifies f*g = g*f = 1 and raises SelfCheckFailed otherwise
     _assert(report, "inverse-two-sided", True)
@@ -323,17 +325,22 @@ def job_deform_invert(ws, spec, cap, report):
 
 def job_deform_lift(ws, spec, cap, report):
     D = _resolve_deformation(ws, spec)
-    e = _json_field(spec, "idempotent", "lift needs --idempotent",
-                    D.base.coerce)
+    e = D.base.require_idempotent(_json_field(
+        spec, "idempotent", "lift needs --idempotent", D.base.coerce))
+    central = _noncommuting_basis(D.base, e) is None
+    if central:
+        # the central recursion is quadratic in the order: its work is
+        # refused before the Newton lift runs
+        _series_work(D, D.order - 1, cap)
     g, iterations = lift_idempotent_newton(D, e)
     bound = _newton_bound(D)
     report["results"]["lift"] = [list(c) for c in g]
     report["results"]["iterations"] = iterations
     _assert(report, "newton-within-bound", iterations <= bound,
             iterations=iterations, bound=bound)
-    if _noncommuting_basis(D.base, e) is None:
+    if central:
         _assert(report, "central-recursion-matches-newton",
-                lift_idempotent_central(D, e) == g)
+                lift_idempotent_central(D, e, g, cap) == g)
 
 
 def job_deform_probe(ws, spec, cap, report):
@@ -345,7 +352,7 @@ def job_deform_probe(ws, spec, cap, report):
                     D.base.coerce)
     depth = (None if spec.get("depth") is None
              else integer_field(spec, "depth"))
-    rep = obstruction_probe(D, e, depth)
+    rep = obstruction_probe(D, e, depth, cap)
     report["results"]["orders"] = [
         {"order": k, "commutes": c, "solves": s} for k, c, s in rep.orders]
     report["results"]["first_failure"] = rep.first_failure

@@ -7,23 +7,34 @@ triples and that the unit is undeformed; both extend to all elements by
 multilinearity.  Since t is nilpotent here, every lifting argument for
 complete rings applies verbatim to the truncation.
 
-_coefficient is the series kernel: coefficient k of f*g, the sum of
-alpha_m(f_a, g_b) over m + a + b = k, accumulated in one list over the
-sparse cells of the base table and of each correction, with one reduction
-mod n and no product or tuple per term.  def_mul, both inverse recursions
-and the idempotent recursion read the sum through it; the recursions pass
-partial series whose unknown coefficients are still zero.  invert_def
-certifies f*b = b*f = 1 from the partial sums its recursions already
-formed, since no later coefficient enters coefficient k of either product,
-so the certificate costs no second product.  A deformation records the
-orders whose correction is not identically zero, and this sum and the
-order-k associativity sum of validate_deformation run over those orders
-only: every term they skip is exactly zero.  Each correction is evaluated
-through the sparse cells of its table, and the order-k associativity
-defects on basis triples are read off those cells by algebra._triple_defects
-without evaluating a product.  flatten assembles the same sum over
-every order into a plain structure table on its own, so the flattened model
-is the independent oracle for all of them.
+def_mul forms a full product by Kronecker substitution
+(_kronecker_product): each coordinate's N coefficients are packed into one
+integer, one big-integer product per pair of coordinates holds every
+convolution sum, and the sparse cells of each supported order add it in,
+shifted by that order, so a product costs O(r^2 M(N)) rather than
+O(N^2 nnz).  _coefficient is the kernel of the online recursions, the
+inverse and the idempotent probe, which need coefficient k before
+coefficient k + 1 is known: the sum of alpha_m(f_a, g_b) over
+m + a + b = k, accumulated in one list over the sparse cells of the base
+table and of each correction, with one reduction mod n and no product or
+tuple per term; the recursions pass partial series whose unknown
+coefficients are still zero.  invert_def certifies f*b = 1 from the
+partial sums its recursion already formed, since no later coefficient
+enters coefficient k, and b*f = 1 with one full product.  Each recursion
+is quadratic in N, so _series_work bounds its cell visits from N, r and
+the cells' nnz and refuses above the cap before it starts.  The kernels
+call no public function, so the benchmark tracer never nests a span in
+def_mul.
+
+A deformation records the orders whose correction is not identically
+zero, and both kernels and the order-k associativity sum of
+validate_deformation run over those orders only: every term they skip is
+exactly zero.  Each correction is evaluated through the sparse cells of
+its table, and the order-k associativity defects on basis triples are read
+off those cells by algebra._triple_defects without evaluating a product.
+flatten assembles the same sum over every order into a plain structure
+table on its own, so the flattened model is the independent oracle for all
+of them.
 """
 
 from __future__ import annotations
@@ -215,22 +226,110 @@ def _coefficient(D, f, g, k):
     return tuple(v % n for v in acc)
 
 
+def _series_work(D, depth, cap=None):
+    """E, the cell visits of one _coefficient recursion through orders
+    1..depth, refused with CapExceeded above cap before any of it runs.
+    Coefficient k reads, for each supported order m <= k and each of its
+    k - m + 1 coefficient pairs, at most the r^2 cells of alpha_m and
+    their nnz_m entries; E sums that over k, so it bounds the recursion's
+    work from N, r and the cells alone."""
+    A = D.base
+    r2 = A.rank ** 2
+    work = 0
+    for m in D._support:
+        if m > depth:
+            break
+        cells = D._cells[m - 1] if m else A._cells
+        pairs = depth - m + 1
+        work += (r2 + sum(len(cell) for row in cells for cell in row)) \
+            * pairs * (pairs + 1) // 2
+    _refuse_above_cap(work, cap, f"series recursion at order {D.order}",
+                      shown=f"{work} cell visits")
+    return work
+
+
+def _kronecker_product(D, f, g):
+    """f*g mod t^order by Kronecker substitution.  Coordinate i of f packs
+    into one integer F_i whose slot a, of wb bytes, holds f_a[i]; likewise
+    G_j.  One big-integer product F_i G_j then holds every convolution sum
+    of f[i] and g[j], and for each order m and each entry (t, v) of cell
+    (i, j) of alpha_m it is added, weighted by v and shifted m slots, into
+    coordinate t.  Slot k < N of coordinate t sums at most (n-1)^2 v over
+    N - m coefficient pairs per entry, so its largest value is (n-1)^2
+    times the (N - m)-weighted sum of the entries of t; wb holds that, no
+    kept slot spills into the next, slots N and up are dropped, and each
+    kept slot is reduced mod n once.  Packing and unpacking walk bytes, so
+    both are linear in N.  Coordinates must be reduced mod n."""
+    A = D.base
+    n, r, N = A.n, A.rank, D.order
+    tables = [(m, D._cells[m - 1] if m else A._cells) for m in D._support]
+    weight = [0] * r
+    for m, cells in tables:
+        for row in cells:
+            for cell in row:
+                for t, v in cell:
+                    weight[t] += (N - m) * v
+    wb = (((n - 1) ** 2 * max(weight)).bit_length() + 7) // 8
+    size = N * wb
+    digits = range(((n - 1).bit_length() + 7) // 8)
+
+    def pack(h):
+        out = []
+        for column in zip(*h):
+            buf = bytearray(size)
+            for q in digits:
+                buf[q::wb] = bytes([v >> 8 * q & 255 for v in column])
+            out.append(int.from_bytes(buf, "little"))
+        return out
+
+    F, G = pack(f), pack(g)
+    products = [[None] * r for _ in range(r)]
+    acc = [0] * r
+    for m, cells in tables:
+        part = [0] * r
+        for i, Fi in enumerate(F):
+            if Fi:
+                row, Pi = cells[i], products[i]
+                for j, Gj in enumerate(G):
+                    cell = row[j]
+                    if cell and Gj:
+                        p = Pi[j]
+                        if p is None:
+                            p = Pi[j] = Fi * Gj
+                        for t, v in cell:
+                            part[t] += v * p
+        shift = 8 * wb * m
+        for t, s in enumerate(part):
+            if s:
+                acc[t] += s << shift
+    mask = (1 << 8 * size) - 1
+    columns = []
+    for s in acc:
+        data = (s & mask).to_bytes(size, "little")
+        slots = list(data[::wb])
+        for q in range(1, wb):
+            slots = [v + (b << 8 * q) for v, b in zip(slots, data[q::wb])]
+        columns.append([v % n for v in slots])
+    return tuple(zip(*columns))
+
+
 def def_mul(D, f, g):
     """Product mod t^order."""
     _check_order(D, f, g)
-    return tuple(_coefficient(D, f, g, k) for k in range(D.order))
+    return _kronecker_product(D, f, g)
 
 
-def invert_def(D, f):
+def invert_def(D, f, cap=None):
     """Two-sided inverse mod t^order; the constant term must be a unit.
 
     Coefficients are solved inductively (each order is linear in the next
-    unknown); the symmetric left-inverse recursion must agree, and both
-    products with f are certified to be the unit.  Coefficient k of f*b is
-    the right recursion's partial sum p_k plus f_0 b_k, and coefficient k
-    of c*f is the left one's q_k plus c_k f_0: no b_j or c_j with j > k
-    enters it, so these are the coefficients a full product would
-    recompute, and with c = b the second is b*f.
+    unknown), and the recursion's work is refused above cap before it
+    starts (_series_work).  Coefficient k of f*b is the recursion's
+    partial sum p_k plus f_0 b_k, since no b_j with j > k enters it, so
+    the sums certify f*b = 1; one full product certifies b*f = 1.  That is
+    the left recursion's certificate too: over a validated base f_0 is a
+    unit, so c*f = 1 fixes each c_k in turn, and b*f = 1 holds exactly when
+    b solves the left recursion.
     """
     _check_order(D, f)
     A = D.base
@@ -238,27 +337,20 @@ def invert_def(D, f):
     a0inv = A.inverse(a0)
     if a0inv is None:
         raise ConstantTermNotUnit(f"constant term {a0} is not a unit")
+    _series_work(D, D.order - 1, cap)
 
     b = [a0inv] + [A.zero()] * (D.order - 1)
-    c = list(b)
     fb = [A.mul(a0, a0inv)]
-    cf = [A.mul(a0inv, a0)]
     for k in range(1, D.order):
         p = _coefficient(D, f, b, k)
         b[k] = A.mul(a0inv, A.neg(p))
         fb.append(A.add(p, A.mul(a0, b[k])))
-        q = _coefficient(D, c, f, k)
-        c[k] = A.mul(A.neg(q), a0inv)
-        cf.append(A.add(q, A.mul(c[k], a0)))
-    right = tuple(b)
-    left = tuple(c)
+    b = tuple(b)
 
-    if left != right:
-        raise SelfCheckFailed("left and right inverse recursions disagree")
     one = def_one(D)
-    if tuple(fb) != one or tuple(cf) != one:
+    if tuple(fb) != one or def_mul(D, b, f) != one:
         raise SelfCheckFailed("inverse failed to certify by multiplication")
-    return right
+    return b
 
 
 @dataclass
@@ -369,23 +461,25 @@ def lift_idempotent_newton(D, e):
     return g, iterations
 
 
-def lift_idempotent_central(D, e):
+def lift_idempotent_central(D, e, newton=None, cap=None):
     """Unique lift of a central idempotent: the obstruction probe run to full
     depth, which must solve every order; certified idempotent and equal to
-    the Newton lift."""
+    the Newton lift, which a caller that already holds it passes as newton.
+    The probe's work is refused above cap before it starts."""
     A = D.base
     e = A.require_idempotent(e)
     i = _noncommuting_basis(A, e)
     if i is not None:
         raise NotCentral(f"{e} does not commute with basis element {i}")
-    probe = obstruction_probe(D, e)
+    probe = obstruction_probe(D, e, cap=cap)
     if probe.first_failure is not None:
         raise SelfCheckFailed(
             f"central recursion fails at order {probe.first_failure}")
     g = tuple(probe.coefficients)
     if def_mul(D, g, g) != g:
         raise SelfCheckFailed("central recursion produced a non-idempotent")
-    newton, _ = lift_idempotent_newton(D, e)
+    if newton is None:
+        newton, _ = lift_idempotent_newton(D, e)
     if g != newton:
         raise SelfCheckFailed("central recursion disagrees with Newton lift")
     return g
@@ -398,11 +492,12 @@ class ObstructionReport:
     coefficients: list = field(default_factory=list)
 
 
-def obstruction_probe(D, e, depth=None) -> ObstructionReport:
+def obstruction_probe(D, e, depth=None, cap=None) -> ObstructionReport:
     """Run the central-style recursion for a possibly noncentral idempotent,
     recording at each order whether the candidate coefficient commutes with e
     and solves the order equation.  Orders 1 and 2 are proved to work and are
-    asserted; deeper orders are evidence only."""
+    asserted; deeper orders are evidence only.  The recursion's work is
+    refused above cap before it starts (_series_work)."""
     A = D.base
     e = A.require_idempotent(e)
     if depth is None:
@@ -410,6 +505,7 @@ def obstruction_probe(D, e, depth=None) -> ObstructionReport:
     elif depth < 1:
         raise BadShape(f"probe depth must be >= 1, got {depth}")
     depth = min(depth, D.order - 1)
+    _series_work(D, depth, cap)
     one_minus_2e = A.sub(A.one(), A.smul(2, e))
     report = ObstructionReport(coefficients=[e])
     for k in range(1, depth + 1):
@@ -466,16 +562,18 @@ def clean_decompose_def(D, h, cap=None, base_report=None):
     """Split h into a lifted idempotent plus a unit, using the base algebra's
     first clean witness; when the base is uniquely clean the decomposition is
     also certified unique in the flattened model, which is built (or refused
-    on its element count) before any lifting.  A caller that already holds
-    the base's decomposition_report passes it as base_report, so the base is
-    not classified twice."""
+    on its element count) before any lifting; the work of the unit part's
+    inverse recursion is refused above cap before the lift too.  A caller
+    that already holds the base's decomposition_report passes it as
+    base_report, so the base is not classified twice."""
     _check_order(D, h)
     rep = base_report or decomposition_report(D.base, cap)
     F = flatten(D, cap) if rep.flags["uniquely_clean"] else None
     e, u = rep.witnesses[h[0]]["clean"]
+    _series_work(D, D.order - 1, cap)  # the inverse's recursion, up front
     e_t, _ = lift_idempotent_newton(D, e)
     u_t = def_sub(D, h, e_t)
-    invert_def(D, u_t)  # certifies invertibility; constant term is u
+    invert_def(D, u_t, cap)  # certifies invertibility; constant term is u
 
     if F is not None:
         z = flatten_element(D, h)

@@ -5,9 +5,10 @@ import random
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from znalg.algebra import (
+    _sparse_cells,
     direct_product,
     matrix_algebra,
     triangular_algebra,
@@ -40,10 +41,12 @@ from znalg.deformation import (
     x_squared_t_deformation,
 )
 from znalg.errors import (
+    CapExceeded,
     ConstantTermNotUnit,
     NotAssociativeAtOrder,
     NotCentral,
     NotIdempotent,
+    SelfCheckFailed,
     UnitChanged,
 )
 from znalg.extension import build_extension, lift_idempotent
@@ -313,6 +316,19 @@ def test_central_lift_order1_matches_extension_lift():
     for e in (x for x in P.elements() if P.mul(x, x) == x):
         g = lift_idempotent_central(D, e)
         assert flatten_element(D, g) == lift_idempotent(B, e)
+
+
+def test_central_lift_compares_against_the_lift_it_is_given():
+    # the Newton lift a caller passes is compared, not recomputed: the
+    # right one is accepted and one wrong coefficient is refused
+    for D in catalog_deformations(4):
+        A = D.base
+        for e in A.idempotents():
+            newton, _ = lift_idempotent_newton(D, e)
+            assert lift_idempotent_central(D, e, newton) == newton
+            wrong = newton[:-1] + (A.add(newton[-1], A.one()),)
+            with pytest.raises(SelfCheckFailed, match="disagrees with Newton"):
+                lift_idempotent_central(D, e, wrong)
 
 
 def test_obstruction_probe_central_succeeds():
@@ -696,6 +712,69 @@ def test_fused_coefficient_matches_the_oracle():
                 == oracle_mul(D, tuple(f), tuple(g))
 
 
+def kernel_series(D, kind, rng):
+    """A series of D with every entry n - 1 ("full", the largest slot sums
+    the product can reach), zero, or drawn with about a third of its
+    coefficients zero."""
+    A = D.base
+    if kind == "full":
+        return ((A.n - 1,) * A.rank,) * D.order
+    if kind == "zero":
+        return (A.zero(),) * D.order
+    return tuple(A.zero() if rng.random() < 1 / 3
+                 else tuple(rng.randrange(A.n) for _ in range(A.rank))
+                 for _ in range(D.order))
+
+
+SERIES_KINDS = ("full", "zero", "random")
+
+
+def test_kronecker_product_matches_the_oracle():
+    for D in kernel_deformations():
+        rng = random.Random(D.order * 13 + D.base.n)
+        for kinds in product(SERIES_KINDS, repeat=2):
+            f, g = (kernel_series(D, kind, rng) for kind in kinds)
+            assert def_mul(D, f, g) == oracle_mul(D, f, g), (D.name, kinds)
+
+
+KERNEL_BASES = {1: zn, 2: zn_poly_x2, 3: lambda n: triangular_algebra(n, 2)}
+
+
+# Z9 at order 4 and T2(Z3) at order 4 with every correction full: the
+# largest slot sum of full series needs exactly 8k + 1 bits there, so one
+# bit less rounds down to a whole byte too few
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@example(n=9, rank=1, order=4, support=0, tables="full",
+         kinds=("full", "full"), seed=0)
+@example(n=3, rank=3, order=4, support=7, tables="full",
+         kinds=("full", "full"), seed=0)
+@given(n=st.sampled_from((2, 3, 4, 6, 9, 257)), rank=st.integers(1, 3),
+       order=st.integers(1, 40), support=st.integers(0, 2 ** 39 - 1),
+       tables=st.sampled_from(("full", "random")),
+       kinds=st.tuples(st.sampled_from(SERIES_KINDS),
+                       st.sampled_from(SERIES_KINDS)),
+       seed=st.integers(0, 2 ** 32))
+def test_kronecker_product_matches_the_oracle_on_any_tables(
+        n, rank, order, support, tables, kinds, seed):
+    # the product is a bilinear convolution over whatever tables it is
+    # given, so the corrections are not validated: bit m - 1 of support
+    # says whether order m carries one (gapped supports included), and
+    # "full" tables, every entry n - 1, give the largest slot sums; over
+    # Z257 a coefficient takes two bytes
+    rng = random.Random(seed)
+    A = KERNEL_BASES[rank](n)
+    r = A.rank
+
+    def table(m):
+        if not support >> (m - 1) & 1:
+            return [[[0] * r] * r] * r
+        return [[[n - 1 if tables == "full" else rng.randrange(n)
+                  for _ in range(r)] for _ in range(r)] for _ in range(r)]
+    D = TruncatedDeformation(A, order, [table(m) for m in range(1, order)])
+    f, g = (kernel_series(D, kind, rng) for kind in kinds)
+    assert def_mul(D, f, g) == oracle_mul(D, f, g)
+
+
 def test_recursion_sum_inverse_matches_the_oracle():
     for D in kernel_deformations():
         A = D.base
@@ -723,6 +802,62 @@ def test_lifts_and_probes_match_the_oracle_kernel(monkeypatch):
             assert fused == oracle, (D.name, e)
 
 
+def counting_visits(visits):
+    """_coefficient, with every cell it reads at a pair of nonzero
+    coordinates and every entry of that cell added to visits[0]."""
+    from znalg.deformation import _coefficient
+
+    def counted(D, f, g, k):
+        for m in D._support:
+            if m > k:
+                break
+            cells = D._cells[m - 1] if m else D.base._cells
+            for a in range(k - m + 1):
+                for i, x in enumerate(f[a]):
+                    for j, y in enumerate(g[k - m - a]):
+                        if x and y:
+                            visits[0] += 1 + len(cells[i][j])
+        return _coefficient(D, f, g, k)
+    return counted
+
+
+def test_series_work_bounds_the_recursions_it_refuses(monkeypatch):
+    # E is at least the cell visits the inverse and the probe make, on
+    # full series; at cap E - 1 each refuses before summing a coefficient,
+    # and so does the central lift through its probe
+    import znalg.deformation as deformation
+    from znalg.deformation import _series_work
+    visits = [0]
+    monkeypatch.setattr(deformation, "_coefficient", counting_visits(visits))
+
+    def refused(run, *args, **kwargs):
+        with pytest.raises(CapExceeded, match="cell visits"):
+            run(*args, **kwargs)
+        return visits[0] == 0
+
+    for D in kernel_deformations():
+        A = D.base
+        E = {d: _series_work(D, d, cap=10 ** 9)
+             for d in {D.order - 1, min(2, D.order - 1)}}
+        full = E[D.order - 1]
+        f = (A.one(),) + kernel_series(D, "full", None)[1:]
+        visits[0] = 0
+        invert_def(D, f, cap=full)
+        assert 0 < visits[0] <= full, D.name
+        visits[0] = 0
+        assert refused(invert_def, D, f, cap=full - 1)
+        for e in A.idempotents():
+            for d, work in E.items():
+                visits[0] = 0
+                obstruction_probe(D, e, d, cap=work)
+                assert visits[0] <= work, (D.name, e, d)
+                visits[0] = 0
+                assert refused(obstruction_probe, D, e, d, cap=work - 1)
+            if all(A.mul(e, A.basis(i)) == A.mul(A.basis(i), e)
+                   for i in range(A.rank)):
+                assert refused(lift_idempotent_central, D, e, cap=full - 1)
+
+
 def test_wrong_constant_inverse_fails_the_certificate(monkeypatch):
     # (1 + x)^-1 = 1 + 2x in Z3[X]/(X^2); a base that answers 1 + x passes
     # the recursions, which agree, and only the certificate sees it
@@ -741,21 +876,29 @@ def test_wrong_constant_inverse_fails_the_certificate(monkeypatch):
 
 @pytest.mark.parametrize("lost", [((1, 1), (1, 2)), ((1, 2), (1, 1))])
 def test_one_sided_constant_inverse_fails_the_certificate(monkeypatch, lost):
-    # a base product that loses (1 + x)(1 + 2x) = 1 on one side only: both
-    # recursions still agree, so only the product on that side sees it
-    from znalg.algebra import FiniteAlgebra
-    from znalg.errors import SelfCheckFailed
+    # the base table of Z3[X]/(X^2) is corrupted so that (1 + x)(1 + 2x) = 1
+    # fails on one side only, and the base answers 1 + 2x as the inverse of
+    # 1 + x.  The table is what the recursion's sums, the full product and
+    # the base product all read.  f is constant and the deformation
+    # trivial, so the recursion solves b = (1 + 2x, 0, ...) and only the
+    # product on the lost side sees it: f*b by the recursion's sums, b*f by
+    # the full product
     from test_algebra import outcome
-    D = x_squared_t_deformation(3, 6)
+    D = trivial_deformation(zn_poly_x2(3), 6)
     A = D.base
-    f = def_add(D, def_from_constant(D, (1, 1)), def_t(D))
-
-    def lossy_mul(x, y):
-        if (x, y) == lost:
-            return A.zero()
-        return FiniteAlgebra.mul(A, x, y)
+    f = def_from_constant(D, (1, 1))
+    # the corruption adds d1 to cell (1, x), d2 to cell (x, 1) and d3 to
+    # cell (x, x), all on the unit coordinate: x*y moves by
+    # x1 y2 d1 + x2 y1 d2 + x2 y2 d3, which is 1 on the lost side, 0 on
+    # the other
+    d1, d2, d3 = (2, 1, 1) if lost == ((1, 1), (1, 2)) else (1, 2, 1)
+    table = [[list(cell) for cell in row] for row in A.table]
+    for (i, j), d in (((0, 1), d1), ((1, 0), d2), ((1, 1), d3)):
+        table[i][j][0] = (table[i][j][0] + d) % 3
+    monkeypatch.setattr(A, "_cells", _sparse_cells(table, 2))
     monkeypatch.setattr(A, "inverse", lambda x, cap=None: (1, 2))
-    monkeypatch.setattr(A, "mul", lossy_mul)
+    assert A.mul(*lost) != A.one()
+    assert A.mul(*reversed(lost)) == A.one()
     got = outcome(invert_def, D, f)
     assert got == outcome(oracle_invert_def, D, f)
     assert got[0] is SelfCheckFailed
@@ -764,14 +907,16 @@ def test_one_sided_constant_inverse_fails_the_certificate(monkeypatch, lost):
 
 def test_correction_perturbed_after_validation_fails_the_self_check():
     # one coordinate of one cell of a validated correction is changed: the
-    # series product is then no longer associative, and every inverse the
-    # oracle refuses must be refused the same way
-    from znalg.errors import SelfCheckFailed
-    from test_algebra import outcome
+    # series product is then no longer associative.  The oracle refuses
+    # where its two recursions disagree or a product is not 1; the inverse
+    # must refuse exactly there, with the same class, and its certificate
+    # (the recursion's sums and one product) then names multiplication
     T2 = triangular_algebra(2, 2)
-    refused = 0
-    for seed in range(6):
-        D = gauge_deformation(T2, seeded_gauge_map(T2, seed), 4)
+    refused = passed = 0
+    for seed in range(12):
+        D = gauge_deformation(T2, seeded_gauge_map(T2, seed), 4 + seed % 3)
+        if D._support == (0,):
+            continue  # seed 8 draws the zero gauge map: nothing to perturb
         rng = random.Random(seed)
         m = rng.choice(D._support[1:])
         cells = [[list(cell) for cell in row] for row in D._cells[m - 1]]
@@ -786,17 +931,22 @@ def test_correction_perturbed_after_validation_fails_the_self_check():
             f = list(random_def_element(D, rng.randrange(1 << 30)))
             f[0] = T2.one()
             f = tuple(f)
-            got = outcome(invert_def, D, f)
-            assert got == outcome(oracle_invert_def, D, f)
-            if got != "passes":
-                assert got[0] is SelfCheckFailed
+            got = result_or_error(invert_def, D, f)
+            want = result_or_error(oracle_invert_def, D, f)
+            if isinstance(want[0], type):
+                assert want[0] is got[0] is SelfCheckFailed
+                assert got[2] == "inverse failed to certify by multiplication"
                 refused += 1
-    assert refused
+            else:
+                assert got == want
+                passed += 1
+    assert refused and passed
 
 
 def test_inverse_sums_each_recursion_once(monkeypatch):
-    # 2(N - 1) coefficients and no full product; the kernel itself calls
-    # neither alpha nor a tuple add
+    # N - 1 coefficients and one full product; the kernel itself calls
+    # neither alpha nor a tuple add, and the full product sums no
+    # coefficient
     import znalg.deformation as deformation
     from znalg.algebra import FiniteAlgebra
     counts = {"_coefficient": 0, "def_mul": 0, "alpha": 0, "add": 0}
@@ -813,8 +963,11 @@ def test_inverse_sums_each_recursion_once(monkeypatch):
         f = def_add(D, def_one(D), def_t(D))
         counts.update(dict.fromkeys(counts, 0))
         invert_def(D, f)
-        assert counts["_coefficient"] == 2 * (D.order - 1)
-        assert counts["def_mul"] == 0
+        assert counts["_coefficient"] == D.order - 1
+        assert counts["def_mul"] == 1
+        counts.update(dict.fromkeys(counts, 0))
+        deformation.def_mul(D, f, f)
+        assert counts["_coefficient"] == 0
     deformations = kernel_deformations()
     monkeypatch.setattr(TruncatedDeformation, "alpha",
                         counted("alpha", TruncatedDeformation.alpha))

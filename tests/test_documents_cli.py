@@ -275,9 +275,12 @@ MALFORMED = {
         200, "deform-clean-decompose",
         element=json.dumps([[1, 1]] + [[0, 0]] * 199)), DEFORM, 4),
     # Z3 is not uniquely clean, so it never flattens: 3^20 elements above
-    # the cap are no reason to refuse
+    # the cap are no reason to refuse, while the 420 cell visits of the
+    # unit part's inverse recursion are (see CAPS)
     "clean-decompose-z3-order-20": (_trivial_z3_clean_decompose(20),
                                     DEFORM, 0),
+    "clean-decompose-z3-order-20-over-work": (
+        _trivial_z3_clean_decompose(20), DEFORM, 4),
     # more nodes than the carrier rank limit: refused before the closure
     "poset-size-65": (_set("posets", "example-1", "size", value=65),
                       SHRIEK, 4),
@@ -302,6 +305,10 @@ MALFORMED = {
 
 # seconds; every other case must finish in under 2 s
 TIME_LIMITS = {"clean-decompose-order-200": 0.5}
+# --cap for the cases that are not run under 64: the Z3 decomposition at
+# order 20 estimates 420 cell visits for its series recursion
+CAPS = {"clean-decompose-z3-order-20": 420,
+        "clean-decompose-z3-order-20-over-work": 419}
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -312,7 +319,8 @@ def test_malformed_catalog_document_exit_code(tmp_path, capsys, case):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     start = time.monotonic()
-    assert main(["--cap", "64", "run", str(path), job]) == expected
+    assert main(["--cap", str(CAPS.get(case, 64)), "run", str(path),
+                 job]) == expected
     # every refusal comes before the work it refuses
     assert time.monotonic() - start < TIME_LIMITS.get(case, 2)
     assert "Traceback" not in capsys.readouterr().err
@@ -492,6 +500,55 @@ def test_wrong_coefficient_count_stays_order_mismatch(catalog_doc, capsys):
                  "--element", "[[1, 0], [0, 0], [0, 0]]"])
     assert code == 3
     assert "3 coefficients" in capsys.readouterr().err
+
+
+def test_lift_job_runs_newton_once(catalog_doc, tmp_path, monkeypatch):
+    # the central recursion is compared against the job's own Newton lift
+    import znalg.cli as cli
+    import znalg.deformation as deformation
+    calls = []
+    newton = deformation.lift_idempotent_newton
+
+    def counted(*args):
+        calls.append(args)
+        return newton(*args)
+    monkeypatch.setattr(cli, "lift_idempotent_newton", counted)
+    monkeypatch.setattr(deformation, "lift_idempotent_newton", counted)
+    report = tmp_path / "lift.json"
+    assert main(["--report", str(report), "deform", "lift", "--doc",
+                 str(catalog_doc), "--deformation", GAUGE, "--idempotent",
+                 "[1, 0]", "--order", "16"]) == 0
+    assert len(calls) == 1
+    passed = {a["clause"]: a["passed"]
+              for a in json.loads(report.read_text())["assertions"]}
+    assert passed["central-recursion-matches-newton"] is True
+
+
+@pytest.mark.parametrize("action, field, value", [
+    ("invert", "--element", json.dumps([[1, 1]] * 10000)),
+    ("lift", "--idempotent", "[1, 0]"),
+    ("probe", "--idempotent", "[1, 0]"),
+], ids=["invert", "lift", "probe"])
+def test_series_jobs_refuse_their_work_before_any_product(
+        catalog_doc, capsys, monkeypatch, action, field, value):
+    # x^2=t at order 10000: the recursion's estimate, about 6e8 cell
+    # visits, is refused at the default cap, naming the order and the
+    # estimate, before a coefficient is summed or a product formed
+    import znalg.cli as cli
+    import znalg.deformation as deformation
+
+    def ran(*args, **kwargs):
+        raise AssertionError("series work ran before the refusal")
+    for module, name in ((deformation, "_coefficient"),
+                         (deformation, "def_mul"),
+                         (cli, "lift_idempotent_newton")):
+        monkeypatch.setattr(module, name, ran)
+    assert main(["deform", action, "--doc", str(catalog_doc),
+                 "--deformation", X2T, "--order", "10000",
+                 field, value]) == 4
+    err = capsys.readouterr().err
+    assert "series recursion at order 10000:" in err
+    assert " cell visits exceeds cap 1048576" in err
 
 
 def test_shriek_job(catalog_doc, capsys):
