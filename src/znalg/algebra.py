@@ -29,6 +29,18 @@ v != 0 of every cell (_sparse_cells), so a product walks only the nonzero
 entries.  The dense tables stay the
 public form that equality, hashing, reports and documents read.
 
+A table that is multiplied gets a kernel of its own: _compile_bilinear
+writes its product out as one straight-line Python function over the
+coordinates, with the entries and the modulus as literals, so a product
+runs no loop and reduces each coordinate once.  FiniteAlgebra builds it on
+the first mul and keeps it as the private cached property _product, and
+Bimodule does the same per side, reusing the algebra's kernel for a side
+whose cells are the algebra's.  mul, lact and ract stay plain methods that
+call the kernel, so every product still goes through them.  The
+certificates, unit laws included, read the cells, so a table that is only
+certified is never compiled; _bilinear stays for one-off evaluations and as
+the oracle of the compiled kernel.
+
 Every identity certified on basis triples (associativity here, the bimodule
 laws, the cocycle identity and order-k associativity of a deformation) goes
 through _triple_defects.  It reads the sparse cells of two tables composed
@@ -42,7 +54,9 @@ _refuse_above_cap, the one refusal behind every scan and walk, is private.
 
 from __future__ import annotations
 
-from itertools import product
+import operator
+from functools import cached_property
+from itertools import chain, product
 
 from .errors import (
     BadShape,
@@ -76,15 +90,15 @@ class _ZnModule:
 
     def add(self, x, y):
         n = self.n
-        return tuple((a + b) % n for a, b in zip(x, y))
+        return tuple([c % n for c in map(operator.add, x, y)])
 
     def sub(self, x, y):
         n = self.n
-        return tuple((a - b) % n for a, b in zip(x, y))
+        return tuple([c % n for c in map(operator.sub, x, y)])
 
     def neg(self, x):
         n = self.n
-        return tuple((-a) % n for a in x)
+        return tuple([-c % n for c in x])
 
     def smul(self, c, x):
         n = self.n
@@ -139,7 +153,12 @@ class FiniteAlgebra(_ZnModule):
         return t
 
     def mul(self, x, y):
-        return _bilinear(self._cells, x, y, self.n, self.rank)
+        return self._product(x, y)
+
+    @cached_property
+    def _product(self):
+        """The compiled product of the table, built on the first mul."""
+        return _compile_bilinear(self._cells, self.n, self.rank)
 
     def elements(self, cap=None):
         """All elements in lexicographic coordinate order; refuses above the cap."""
@@ -241,8 +260,12 @@ def _refuse_above_cap(count, cap, what, shown=None, error=CapExceeded):
 
 
 def _reduce_table(table, n):
-    """A table of cells as nested tuples, every entry reduced mod n."""
-    return tuple(tuple(tuple(v % n for v in cell) for cell in row)
+    """A table of cells as nested tuples, every entry reduced mod n; an
+    entry that is not an int (a float, a bool) is refused with BadShape."""
+    if not set(map(type, chain.from_iterable(chain.from_iterable(table)))) \
+            <= {int}:
+        raise BadShape("table entries must be integers")
+    return tuple(tuple(tuple([v % n for v in cell]) for cell in row)
                  for row in table)
 
 
@@ -269,6 +292,54 @@ def _bilinear(cells, x, y, n, width):
                     for k, v in row[j]:
                         acc[k] = (acc[k] + c * v) % n
     return tuple(acc)
+
+
+def _compile_bilinear(cells, n, width):
+    """The bilinear product of the sparse cells as a compiled function
+    (x, y) -> tuple of width residues mod n, equal to _bilinear on the same
+    cells for x and y with as many coordinates as the table has rows and
+    columns.  Coordinate k is written out as the sum over i of
+    x_i * (sum of v * y_j over the entries (k, v) of cell (i, j)), reduced
+    mod n once.  Grouping the terms by i bounds the expression depth by the
+    rows plus the columns of the table, not by its nonzero entries, which
+    a flat chain would nest as deep as CPython's compiler refuses.  Only
+    integers are written into the source: n, the indices and the entries,
+    each checked to be an int first."""
+    rows = len(cells)
+    cols = len(cells[0]) if rows else 0
+    if type(n) is not int or type(width) is not int:
+        raise BadShape("kernel modulus and width must be integers")
+    groups = [[[] for _ in range(rows)] for _ in range(width)]
+    for i, row in enumerate(cells):
+        for j, cell in enumerate(row):
+            for k, v in cell:
+                if type(k) is not int or type(v) is not int \
+                        or not 0 <= k < width:
+                    raise BadShape(
+                        "kernel cells must hold int entries at coordinates "
+                        f"0 to {width - 1}")
+                groups[k][i].append(f"y{j}" if v == 1 else f"y{j}*{v}")
+    # parentheses only where precedence needs them: each one costs the
+    # parser more than the arithmetic it encloses
+    coords = []
+    for by_row in groups:
+        sums = [f"x{i}*{terms[0]}" if len(terms) == 1
+                else f"x{i}*({'+'.join(terms)})"
+                for i, terms in enumerate(by_row) if terms]
+        if not sums:
+            coords.append("0")
+        elif len(sums) == 1:
+            coords.append(f"{sums[0]}%{n}")
+        else:
+            coords.append(f"({'+'.join(sums)})%{n}")
+    source = "".join([
+        "def product(x, y):\n",
+        f" {''.join(f'x{i},' for i in range(rows))} = x\n" if rows else "",
+        f" {''.join(f'y{j},' for j in range(cols))} = y\n" if cols else "",
+        f" return {''.join(c + ',' for c in coords) or '()'}\n"])
+    namespace = {}
+    exec(source, namespace)
+    return namespace["product"]
 
 
 def _linear(rows, x, n, width):
@@ -393,15 +464,20 @@ def validate_algebra(spec, name=None) -> FiniteAlgebra:
 def _certify(alg):
     """Two-sided unit laws, then associativity on all basis triples as the
     defect (e_i e_j) e_k - e_i (e_j e_k) of the sparse cells; the first
-    failing triple in lexicographic order is reported with both sides."""
-    r, mul = alg.rank, alg.mul
+    failing triple in lexicographic order is reported with both sides.
+    Every product here goes through _bilinear on the cells, so a table that
+    is certified and never multiplied has no compiled kernel."""
+    r, n, cells = alg.rank, alg.n, alg._cells
+
+    def mul(x, y):
+        return _bilinear(cells, x, y, n, r)
+
     for i in range(r):
         ei = alg.basis(i)
         if mul(alg.unit, ei) != ei or mul(ei, alg.unit) != ei:
             raise BadUnit(f"{alg.name}: unit law fails on basis element {i}")
-    cells = alg._cells
     defects = _triple_defects(
-        [(1, "(xy)z", cells, cells), (-1, "x(yz)", cells, cells)], alg.n, r)
+        [(1, "(xy)z", cells, cells), (-1, "x(yz)", cells, cells)], n, r)
     if defects:
         i, j, k = min(defects)
         raise NonAssociative((i, j, k), mul(alg.table[i][j], alg.basis(k)),

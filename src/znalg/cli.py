@@ -267,13 +267,21 @@ def job_extend_verify(ws, spec, cap, report):
         _assert(report, clause.tag, clause.passed, **clause.details)
 
 
-def _resolve_deformation(ws, spec, cap=None):
-    """The named deformation, re-validated at the job's order when that
-    differs.  Actions that enumerate the flattened model pass their cap and
-    are refused on its n^(r*order) elements before the re-validation."""
+def _job_deformation(ws, spec):
+    """The named deformation and the job's order, its own unless the job
+    gives one."""
     D = ws.deformation(spec["deformation"])
     order = (D.order if spec.get("order") is None
              else integer_field(spec, "order"))
+    return D, order
+
+
+def _at_order(D, order, cap=None):
+    """D truncated or padded with zero corrections to order, re-validated
+    when that differs from its own.  Actions that enumerate the flattened
+    model pass their cap and are refused on its n^(r*order) elements before
+    the re-validation.  Series actions refuse their recursion's work
+    (_series_work, passed the order) before calling this."""
     if cap is not None:
         n, r = D.base.n, D.base.rank
         _refuse_above_cap(n ** (r * order), cap, "flattened model",
@@ -304,7 +312,7 @@ def _json_field(spec, key, missing, convert):
 
 
 def job_deform_validate(ws, spec, cap, report):
-    D = _resolve_deformation(ws, spec, cap)
+    D = _at_order(*_job_deformation(ws, spec), cap)
     rc = t_in_radical_check(D, cap)
     report["results"]["deformation"] = D.name
     report["results"]["order"] = D.order
@@ -314,7 +322,9 @@ def job_deform_validate(ws, spec, cap, report):
 
 
 def job_deform_invert(ws, spec, cap, report):
-    D = _resolve_deformation(ws, spec)
+    D, order = _job_deformation(ws, spec)
+    _series_work(D, order - 1, cap, order)
+    D = _at_order(D, order)
     f = _json_field(spec, "element", "this action needs --element",
                     lambda coeffs: tuple(map(D.base.coerce, coeffs)))
     g = invert_def(D, f, cap)
@@ -324,14 +334,15 @@ def job_deform_invert(ws, spec, cap, report):
 
 
 def job_deform_lift(ws, spec, cap, report):
-    D = _resolve_deformation(ws, spec)
+    D, order = _job_deformation(ws, spec)
     e = D.base.require_idempotent(_json_field(
         spec, "idempotent", "lift needs --idempotent", D.base.coerce))
     central = _noncommuting_basis(D.base, e) is None
     if central:
         # the central recursion is quadratic in the order: its work is
         # refused before the Newton lift runs
-        _series_work(D, D.order - 1, cap)
+        _series_work(D, order - 1, cap, order)
+    D = _at_order(D, order)
     g, iterations = lift_idempotent_newton(D, e)
     bound = _newton_bound(D)
     report["results"]["lift"] = [list(c) for c in g]
@@ -344,14 +355,18 @@ def job_deform_lift(ws, spec, cap, report):
 
 
 def job_deform_probe(ws, spec, cap, report):
-    D = _resolve_deformation(ws, spec)
+    D, order = _job_deformation(ws, spec)
+    depth = (None if spec.get("depth") is None
+             else integer_field(spec, "depth"))
+    reach = order - 1 if depth is None else min(depth, order - 1)
+    if reach >= 1:  # a probe with no order to reach is refused below
+        _series_work(D, reach, cap, order)
+    D = _at_order(D, order)
     # order 1 leaves no order to probe, so the verdict would be vacuous
     if D.order < 2:
         raise OrderMismatch("t vanishes at truncation order 1")
     e = _json_field(spec, "idempotent", "probe needs --idempotent",
                     D.base.coerce)
-    depth = (None if spec.get("depth") is None
-             else integer_field(spec, "depth"))
     rep = obstruction_probe(D, e, depth, cap)
     report["results"]["orders"] = [
         {"order": k, "commutes": c, "solves": s} for k, c, s in rep.orders]
@@ -361,7 +376,7 @@ def job_deform_probe(ws, spec, cap, report):
 
 
 def job_deform_flatten(ws, spec, cap, report):
-    D = _resolve_deformation(ws, spec, cap)
+    D = _at_order(*_job_deformation(ws, spec), cap)
     F = flatten(D, cap)
     report["results"]["carrier"] = algebra_to_doc(F)
     _assert(report, "flattened-model-certified", True, rank=F.rank)
@@ -373,7 +388,7 @@ def job_deform_clean_decompose(ws, spec, cap, report):
     base_report = decomposition_report(
         ws.deformation(spec["deformation"]).base, cap)
     unique = base_report.flags["uniquely_clean"]
-    D = _resolve_deformation(ws, spec, cap if unique else None)
+    D = _at_order(*_job_deformation(ws, spec), cap if unique else None)
     h = _json_field(spec, "element", "this action needs --element",
                     lambda coeffs: tuple(map(D.base.coerce, coeffs)))
     e_t, u_t = clean_decompose_def(D, h, cap, base_report)

@@ -226,13 +226,16 @@ def _coefficient(D, f, g, k):
     return tuple(v % n for v in acc)
 
 
-def _series_work(D, depth, cap=None):
+def _series_work(D, depth, cap=None, order=None):
     """E, the cell visits of one _coefficient recursion through orders
     1..depth, refused with CapExceeded above cap before any of it runs.
     Coefficient k reads, for each supported order m <= k and each of its
     k - m + 1 coefficient pairs, at most the r^2 cells of alpha_m and
     their nnz_m entries; E sums that over k, so it bounds the recursion's
-    work from N, r and the cells alone."""
+    work from N, r and the cells alone.  A caller about to truncate D or
+    pad it with zero corrections passes that order, with depth below it:
+    the cells up to depth are then D's own, so the estimate and its
+    refusal come before the deformation is re-built."""
     A = D.base
     r2 = A.rank ** 2
     work = 0
@@ -243,7 +246,9 @@ def _series_work(D, depth, cap=None):
         pairs = depth - m + 1
         work += (r2 + sum(len(cell) for row in cells for cell in row)) \
             * pairs * (pairs + 1) // 2
-    _refuse_above_cap(work, cap, f"series recursion at order {D.order}",
+    if order is None:
+        order = D.order
+    _refuse_above_cap(work, cap, f"series recursion at order {order}",
                       shown=f"{work} cell visits")
     return work
 
@@ -259,7 +264,8 @@ def _kronecker_product(D, f, g):
     times the (N - m)-weighted sum of the entries of t; wb holds that, no
     kept slot spills into the next, slots N and up are dropped, and each
     kept slot is reduced mod n once.  Packing and unpacking walk bytes, so
-    both are linear in N.  Coordinates must be reduced mod n."""
+    both are linear in N; a coefficient of one byte (n <= 256) is packed
+    with bytes(column) itself.  Coordinates must be reduced mod n."""
     A = D.base
     n, r, N = A.n, A.rank, D.order
     tables = [(m, D._cells[m - 1] if m else A._cells) for m in D._support]
@@ -277,8 +283,11 @@ def _kronecker_product(D, f, g):
         out = []
         for column in zip(*h):
             buf = bytearray(size)
-            for q in digits:
-                buf[q::wb] = bytes([v >> 8 * q & 255 for v in column])
+            if len(digits) == 1:
+                buf[::wb] = bytes(column)
+            else:
+                for q in digits:
+                    buf[q::wb] = bytes([v >> 8 * q & 255 for v in column])
             out.append(int.from_bytes(buf, "little"))
         return out
 

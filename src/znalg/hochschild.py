@@ -1,12 +1,16 @@
 """Bimodules, cochains, coboundaries, and low-degree cohomology dimensions.
 
 Bimodule actions and cochains are nested structure-constant tables in the
-format of algebra.py, checked by its _check_table and evaluated by its
-_bilinear and _linear kernels over sparse cells: a bimodule builds the cells
-of its action tables once, a cochain on its first evaluation, and a cochain
-of degree 3 or more contracts one argument at a time over that argument's
-support.  Multilinearity makes the table a lossless representation and
-turns cocycle/coboundary questions into exact linear algebra over Z_p.
+format of algebra.py, checked by its _check_table and evaluated over sparse
+cells: a bimodule builds the cells of its action tables once, and lact and
+ract call a kernel compiled from them (algebra._compile_bilinear) on first
+use, the algebra's own product kernel for a side whose cells are the
+algebra's, as on both sides of the regular bimodule.  A cochain builds its
+cells on its first evaluation and is evaluated by the _bilinear and _linear
+kernels; one of degree 3 or more contracts one argument at a time over
+that argument's support.  Multilinearity makes the table a lossless
+representation and turns cocycle/coboundary questions into exact linear
+algebra over Z_p.
 The coboundary of a table is evaluated directly from the alternating-sum
 formula; for rank, kernel and span questions the same map is materialized
 as sparse rows over the cochain coordinate spaces and eliminated by linal
@@ -40,6 +44,7 @@ from .algebra import (
     _bilinear,
     _check_int,
     _check_table,
+    _compile_bilinear,
     _linear,
     _preimages,
     _reduce_table,
@@ -77,22 +82,47 @@ class Bimodule(_ZnModule):
     def __init__(self, algebra: FiniteAlgebra, rank, left, right, name=""):
         super().__init__(algebra.n, rank)
         self.algebra = algebra
-        self.left = _reduce_table(left, self.n)
-        self.right = _reduce_table(right, self.n)
+        self.left, self._left_cells = self._side(left)
+        self.right, self._right_cells = self._side(right)
         self.name = name or f"bimodule(s={self.rank}) over {algebra.name}"
-        self._left_cells = _sparse_cells(self.left, 2)
-        self._right_cells = _sparse_cells(self.right, 2)
+
+    def _side(self, table):
+        """An action table reduced mod n and its sparse cells; the
+        algebra's own table (a side of the regular bimodule) is taken with
+        its cells as they are."""
+        A = self.algebra
+        if table is A.table:
+            return A.table, A._cells
+        table = _reduce_table(table, self.n)
+        return table, _sparse_cells(table, 2)
 
     def __repr__(self):
         return f"Bimodule({self.name!r})"
 
     def lact(self, a, m):
         """Left action of algebra element a on module element m."""
-        return _bilinear(self._left_cells, a, m, self.n, self.rank)
+        return self._left_product(a, m)
 
     def ract(self, m, a):
         """Right action of algebra element a on module element m."""
-        return _bilinear(self._right_cells, m, a, self.n, self.rank)
+        return self._right_product(m, a)
+
+    @cached_property
+    def _left_product(self):
+        return self._side_product(self._left_cells)
+
+    @cached_property
+    def _right_product(self):
+        return self._side_product(self._right_cells)
+
+    def _side_product(self, cells):
+        """The compiled kernel of one action table, built on its first use;
+        a side whose cells are the algebra's (both sides of the regular
+        bimodule) is the algebra's own product kernel."""
+        A = self.algebra
+        if cells == A._cells:
+            return A._product
+        return _compile_bilinear(cells, self.n, self.rank)
 
 
 def validate_bimodule(spec, algebra=None, name=None) -> Bimodule:
@@ -118,18 +148,21 @@ def validate_bimodule(spec, algebra=None, name=None) -> Bimodule:
 
 def _certify_bimodule(M):
     """Unit laws, the three associativity laws on basis triples (i, j, k)
-    with i, j algebra and k module indices, read off the sparse cells, and
-    scalar symmetry.  The first failing triple in lexicographic order is
-    reported, with the laws in the order below at a tie."""
+    with i, j algebra and k module indices, and scalar symmetry, all read
+    off the sparse cells (the unit laws and scalar symmetry through
+    _bilinear), so certifying a bimodule compiles no kernel.  The first
+    failing triple in lexicographic order is reported, with the laws in the
+    order below at a tie."""
     A = M.algebra
     one = A.one()
-    for j in range(M.rank):
-        m = M.basis(j)
-        if M.lact(one, m) != m:
-            raise UnitActsBadly(f"{M.name}: 1*m != m on module basis {j}")
-        if M.ract(m, one) != m:
-            raise UnitActsBadly(f"{M.name}: m*1 != m on module basis {j}")
+    n, s = M.n, M.rank
     L, R, T = M._left_cells, M._right_cells, A._cells
+    for j in range(s):
+        m = M.basis(j)
+        if _bilinear(L, one, m, n, s) != m:
+            raise UnitActsBadly(f"{M.name}: 1*m != m on module basis {j}")
+        if _bilinear(R, m, one, n, s) != m:
+            raise UnitActsBadly(f"{M.name}: m*1 != m on module basis {j}")
     # (law, positions of a, b and m among the arguments x, y, z, terms)
     laws = (
         ("(ab)m = a(bm)", (0, 1, 2), [(1, "(xy)z", L, T), (-1, "x(yz)", L, L)]),
@@ -138,26 +171,24 @@ def _certify_bimodule(M):
     )
     failures = [((t[p[0]], t[p[1]], t[p[2]]), rank, law)
                 for rank, (law, p, terms) in enumerate(laws)
-                for t in _triple_defects(terms, A.n, M.rank)]
+                for t in _triple_defects(terms, n, s)]
     if failures:
         triple, _, law = min(failures)
         raise ActionNotAssociative(law, triple)
     # base-ring symmetry: scalars act the same on both sides.  By
     # bilinearity c*1 acts as c times the action of 1 on either side, so
     # c = 1 decides every scalar c of Z_n.
-    for j in range(M.rank):
+    for j in range(s):
         m = M.basis(j)
-        if M.lact(one, m) != M.ract(m, one):
+        if _bilinear(L, one, m, n, s) != _bilinear(R, m, one, n, s):
             raise ActionNotAssociative("scalar symmetry", (1, j))
 
 
 def regular_bimodule(A: FiniteAlgebra) -> Bimodule:
-    """A acting on itself by multiplication on both sides."""
-    left = A.table
-    right = tuple(tuple(A.table[j][i] for i in range(A.rank))
-                  for j in range(A.rank))
+    """A acting on itself by multiplication on both sides: both action
+    tables are A's own, since e_i acting on e_j is e_i e_j on either side."""
     return validate_bimodule(
-        Bimodule(A, A.rank, left, right, name=f"{A.name} (regular)"))
+        Bimodule(A, A.rank, A.table, A.table, name=f"{A.name} (regular)"))
 
 
 @dataclass

@@ -3,10 +3,15 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import znalg.algebra
 from znalg.algebra import (
     FiniteAlgebra,
+    _bilinear,
+    _compile_bilinear,
+    _sparse_cells,
+    algebra_to_doc,
     direct_product,
     matrix_algebra,
     triangular_algebra,
@@ -325,3 +330,97 @@ def test_certificate_matches_dense_triple_loop():
             assert got == outcome(dense_certify, B)
             seen.add(got if got == "passes" else got[0])
     assert {NonAssociative, BadUnit} <= seen
+
+
+def random_table(rng, rows, cols, width, n, density):
+    """A rows x cols table of width-long cells, each entry nonzero with the
+    given probability; density 0 is the zero table."""
+    return [[[rng.randrange(1, n) if rng.random() < density else 0
+              for _ in range(width)] for _ in range(cols)]
+            for _ in range(rows)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(n=st.sampled_from((2, 3, 4, 6, 9, 257, 2 ** 61 - 1)),
+       rows=st.integers(1, 6), cols=st.integers(1, 6),
+       width=st.integers(1, 6), density=st.sampled_from((0, 0.15, 0.5, 1)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_compiled_kernel_matches_bilinear(n, rows, cols, width, density,
+                                          seed):
+    # square algebra tables and rectangular action tables (rows != cols),
+    # with empty cells, zero tables and dense ones; the arguments include
+    # zero vectors and unreduced coordinates, which both kernels must
+    # reduce mod n the same way
+    rng = random.Random(seed)
+    cells = _sparse_cells(random_table(rng, rows, cols, width, n, density), 2)
+    product = _compile_bilinear(cells, n, width)
+    for trial in range(8):
+        low = -3 * n if trial % 4 == 3 else 0
+        x = tuple(rng.randrange(low, n) if trial else 0 for _ in range(rows))
+        y = tuple(rng.randrange(low, n) for _ in range(cols))
+        assert product(x, y) == _bilinear(cells, x, y, n, width)
+
+
+def test_kernel_of_a_rank_100_table_with_dense_rows_compiles():
+    # every cell of every row is nonempty and coordinate 0 sums all 10^4
+    # cells: as one flat chain of terms it would nest deeper than CPython's
+    # compiler allows, grouped by x coordinate it is 100 groups of 100
+    r, n = 100, 5
+    table = [[[1 if k in (0, (i + j) % r) else 0 for k in range(r)]
+              for j in range(r)] for i in range(r)]
+    cells = _sparse_cells(table, 2)
+    product = _compile_bilinear(cells, n, r)
+    rng = random.Random(100)
+    for _ in range(3):
+        x = tuple(rng.randrange(n) for _ in range(r))
+        y = tuple(rng.randrange(n) for _ in range(r))
+        assert product(x, y) == _bilinear(cells, x, y, n, r)
+
+
+@pytest.mark.parametrize("entry", [1.0, 2.5, True, False])
+def test_non_int_entries_are_refused_before_any_kernel(monkeypatch, entry):
+    from znalg.hochschild import Bimodule
+
+    def compiled(*args):
+        raise AssertionError("a kernel was generated")
+    monkeypatch.setattr(znalg.algebra, "_compile_bilinear", compiled)
+    with pytest.raises(BadShape):
+        FiniteAlgebra(2, 1, [[[entry]]], [1])
+    with pytest.raises(BadShape):
+        Bimodule(zn(2), 1, [[[entry]]], [[[1]]])
+    with pytest.raises(BadShape):
+        _compile_bilinear(((((0, entry),),),), 2, 1)
+
+
+def test_regular_bimodule_reuses_the_algebra_kernel(monkeypatch):
+    import znalg.hochschild
+    from znalg.hochschild import regular_bimodule
+    A = triangular_algebra(2, 3)
+    kernel = A._product
+    built = []
+    for module in (znalg.algebra, znalg.hochschild):
+        monkeypatch.setattr(module, "_compile_bilinear",
+                            lambda *args: built.append(args))
+    M = regular_bimodule(A)
+    x, m = (1, 1, 0, 1, 0, 1), (0, 1, 1, 0, 1, 1)
+    assert M.lact(x, m) == A.mul(x, m) and M.ract(m, x) == A.mul(m, x)
+    assert M._left_product is kernel and M._right_product is kernel
+    assert not built
+
+
+def test_validating_an_algebra_builds_no_kernel(monkeypatch):
+    # the certificates read the cells, so a table that is certified and
+    # never multiplied, such as a cohomology carrier, is never compiled
+    from znalg.catalog import catalog_algebras
+    from znalg.hochschild import regular_bimodule
+    docs = [algebra_to_doc(A) for A in catalog_algebras()
+            + [matrix_algebra(3, 2), *sphere_carriers()]]
+
+    def compiled(*args):
+        raise AssertionError("a kernel was generated")
+    monkeypatch.setattr(znalg.algebra, "_compile_bilinear", compiled)
+    for doc in docs:
+        A = validate_algebra(doc)
+        M = regular_bimodule(A)
+        assert not {"_product", "_left_product",
+                    "_right_product"} & (set(vars(A)) | set(vars(M)))

@@ -878,11 +878,12 @@ def test_wrong_constant_inverse_fails_the_certificate(monkeypatch):
 def test_one_sided_constant_inverse_fails_the_certificate(monkeypatch, lost):
     # the base table of Z3[X]/(X^2) is corrupted so that (1 + x)(1 + 2x) = 1
     # fails on one side only, and the base answers 1 + 2x as the inverse of
-    # 1 + x.  The table is what the recursion's sums, the full product and
-    # the base product all read.  f is constant and the deformation
-    # trivial, so the recursion solves b = (1 + 2x, 0, ...) and only the
-    # product on the lost side sees it: f*b by the recursion's sums, b*f by
-    # the full product
+    # 1 + x.  The cells are what the recursion's sums and the full product
+    # read, and the base product reads them through its compiled kernel,
+    # which is dropped so that it is rebuilt from them.  f is constant and
+    # the deformation trivial, so the recursion solves b = (1 + 2x, 0, ...)
+    # and only the product on the lost side sees it: f*b by the recursion's
+    # sums, b*f by the full product
     from test_algebra import outcome
     D = trivial_deformation(zn_poly_x2(3), 6)
     A = D.base
@@ -896,6 +897,7 @@ def test_one_sided_constant_inverse_fails_the_certificate(monkeypatch, lost):
     for (i, j), d in (((0, 1), d1), ((1, 0), d2), ((1, 1), d3)):
         table[i][j][0] = (table[i][j][0] + d) % 3
     monkeypatch.setattr(A, "_cells", _sparse_cells(table, 2))
+    vars(A).pop("_product", None)
     monkeypatch.setattr(A, "inverse", lambda x, cap=None: (1, 2))
     assert A.mul(*lost) != A.one()
     assert A.mul(*reversed(lost)) == A.one()
