@@ -6,17 +6,16 @@ plain tuples of r residues mod n; all arithmetic is exact.  Every algebra in
 this package is built through validate_algebra, which certifies associativity
 and the unit laws on basis triples (bilinearity extends both to all elements).
 Units and nilpotents are decided by one walk over the powers of an element
-(FiniteAlgebra.inverse and nilpotency_index); the divisor scan is only for
-one-sided ideal membership.
+(FiniteAlgebra.inverse and nilpotency_index).
 
 Work is refused, never sampled, by one rule with four measures: a scan
-over the elements refuses on their count (FiniteAlgebra.within_cap); a power
-walk refuses after cap powers, so an algebra within the cap never refuses a
-walk and a larger one still answers every short walk; a coboundary matrix
-refuses on the entries it would assemble (hochschild._sieve); and a
-deformation's series recursion refuses on the cell visits it would make
-(deformation._series_work).  All raise CapExceeded through
-_refuse_above_cap; None means DEFAULT_CAP.
+over elements refuses on their count (FiniteAlgebra.within_cap, and
+classify.in_radical on |xA| + |Ax|); a power walk refuses after cap powers,
+so an algebra within the cap never refuses a walk and a larger one still
+answers every short walk; a coboundary matrix refuses on the entries it
+would assemble (hochschild._sieve); and a deformation's series recursion
+refuses on the cell visits it would make (deformation._series_work).  All
+raise CapExceeded through _refuse_above_cap; None means DEFAULT_CAP.
 
 The same nested-table format carries bimodule actions, cochains, deformation
 corrections and restriction maps.  _check_table is the one shape and entry
@@ -183,22 +182,6 @@ class FiniteAlgebra(_ZnModule):
     def idempotents(self, cap=None):
         """Every e with e*e = e, in lexicographic order."""
         return [x for x in self.elements(cap) if self.mul(x, x) == x]
-
-    def right_divisors(self, x, targets, cap=None):
-        """{t: y} for every target t in xA, with y the lexicographically
-        first solution of x*y = t; the scan stops once every target is
-        found."""
-        remaining = set(targets)
-        found = {}
-        mul = self.mul
-        for y in self.elements(cap):
-            if not remaining:
-                break
-            t = mul(x, y)
-            if t in remaining:
-                remaining.remove(t)
-                found[t] = y
-        return found
 
     def inverse(self, x, cap=None):
         """The inverse of x, or None when x is not a unit.  In a finite ring

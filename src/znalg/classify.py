@@ -13,33 +13,31 @@ nil-clean flags and unique cleanness are read off the pair counts.  Every
 finite ring is strongly clean and exchange (Camillo-Yu 1994, Nicholson
 1977), so the clean, strongly clean and exchange flags are self-checks:
 each element's clean witnesses come from the same pairing, and a missing
-one raises SelfCheckFailed.  The exchange witness is
-built from the strongly clean pair as in Nicholson's proof and re-checked by
-exact arithmetic; no divisor scan runs for it.  FiniteAlgebra.right_divisors
-is only for one-sided ideal membership.  Radical membership is asked per
-element (in_radical: 1 - y is a unit for every y in xA and for every y in
-Ax); each one-sided ideal is the span of x times the basis, listed lazily
-from its Smith form, so A is never listed.  Callers test the few elements
-they care about, and jacobson_radical is the same test on every element.
-Scans refuse with CapExceeded instead of sampling.  Ideals and quotients
-enumerate no more than the ideal: the Smith form over Z_n of its span
-(linal._smith) decides membership, freeness of A/I and the coordinates of
-the projection onto it.
+one raises SelfCheckFailed.  The exchange witness is built from the strongly
+clean pair as in Nicholson's proof and re-checked by exact arithmetic.  Every
+ideal question is answered from the Smith form over Z_n of the ideal's span
+(linal._smith), xA being the span of the x·e_i: membership, a factor y with
+x·y = t, freeness of A/I and the projection onto it.  Radical membership is
+asked per element (in_radical: 1 - y is a unit for every y in xA and for
+every y in Ax), each side listed lazily from its Smith form, never A.
+Callers test the few elements they care about, and jacobson_radical is the
+same test on every element.  Scans refuse with CapExceeded, never sample.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
+from math import prod
 
-from .algebra import FiniteAlgebra, _linear, _sparse_cells, validate_algebra
+from .algebra import FiniteAlgebra, _refuse_above_cap, validate_algebra
 from .errors import (
     CapExceeded,
     IdealNotInRadical,
     QuotientNotFree,
     SelfCheckFailed,
 )
-from .linal import _smith
+from .linal import _in_span, _smith
 
 
 @dataclass
@@ -170,20 +168,17 @@ def decomposition_report(A: FiniteAlgebra, cap=None) -> ClassificationReport:
 
 def in_radical(A: FiniteAlgebra, x, cap=None) -> bool:
     """x is in the Jacobson radical: 1 - y is a unit for every y in xA,
-    certified equal to the Ax side.  By bilinearity xA is the Z_n-span of
-    the x·e_i and Ax that of the e_i·x; each side walks its span (_span of
-    its Smith form) and stops at its first non-unit.  A is never listed."""
-    A.require_within_cap(cap)
+    certified equal to the Ax side.  xA is the Z_n-span of the x·e_i and Ax
+    of the e_i·x; each side walks its Smith form (_span) to its first
+    non-unit, after a refusal if |xA| + |Ax| (products of n/d_i) > cap."""
     one, n, r = A.one(), A.n, A.rank
     basis = [A.basis(i) for i in range(r)]
-
-    def quasi_regular(products):
-        d, _, W = _smith(products, n, r)
-        return all(A.inverse(A.sub(one, y), cap) is not None
-                   for y in _span(A, d, W))
-
-    right = quasi_regular([A.mul(x, b) for b in basis])
-    left = quasi_regular([A.mul(b, x) for b in basis])
+    sides = [_smith(products, n, r) for products in
+             ([A.mul(x, b) for b in basis], [A.mul(b, x) for b in basis])]
+    _refuse_above_cap(sum(prod(n // di for di in d) for d, *_ in sides),
+                      cap, f"{A.name}: xA and Ax of {x}")
+    right, left = (all(A.inverse(A.sub(one, y), cap) is not None
+                       for y in _span(A, d, W)) for d, _, W, _ in sides)
     if right != left:
         raise SelfCheckFailed(
             f"{A.name}: one-sided quasi-regularity differs at {x} (finite "
@@ -206,11 +201,10 @@ def _ideal_lattice(A: FiniteAlgebra, gens, cap=None):
     basis = [A.basis(i) for i in range(r)]
     rows = [A.coerce(g) for g in gens]
     while True:
-        d, V, W = _smith(rows, n, r)
+        d, V, W, _ = _smith(rows, n, r)
         rows = [A.smul(di, w) for di, w in zip(d, W) if di < n]
-        cells = _sparse_cells(V, 1)
         new = [y for x in rows for b in basis for y in (A.mul(b, x), A.mul(x, b))
-               if any(c % di for c, di in zip(_linear(cells, y, n, r), d))]
+               if not _in_span(d, V, y)]
         if not new:
             return d, V, W, rows
         rows += new
@@ -264,11 +258,10 @@ def _quotient(A, d, V, W):
             f"{A.name}: the quotient's additive group has invariant factors "
             f"{[di for di in d if di > 1]}, not one repeated factor d >= 2")
     axes = [i for i, di in enumerate(d) if di == q]
-    cells = _sparse_cells(V, 1)
 
     def project(x):
-        coords = _linear(cells, A.coerce(x), A.n, A.rank)
-        return tuple(coords[i] % q for i in axes)
+        x = A.coerce(x)
+        return tuple(sum(a * row[i] for a, row in zip(x, V)) % q for i in axes)
 
     basis = [W[i] for i in axes]
     Q = FiniteAlgebra(q, len(axes),
@@ -336,8 +329,9 @@ class CounterexampleSearch:
 
 def search_exchange_counterexample(catalog, cap=None) -> CounterexampleSearch:
     """Scan rings, each certified exchange by decomposition_report, for pairs
-    (a, e) with e idempotent, e in aA, but 1 - e not in (1-a)A.  Pure
-    evidence gathering: hits are recorded, nothing is concluded from them."""
+    (a, e) with e idempotent, e in aA, but 1 - e not in (1-a)A, testing every
+    e against one Smith form of aA and one of (1-a)A.  Pure evidence
+    gathering: hits are recorded, nothing is concluded from them."""
     report = CounterexampleSearch()
     for A in catalog:
         entry = {"algebra": A.name}
@@ -350,13 +344,11 @@ def search_exchange_counterexample(catalog, cap=None) -> CounterexampleSearch:
         idem = decomposition_report(A, cap).idempotents
         entry["exchange"] = True
         one = A.one()
-        comp_of = {e: A.sub(one, e) for e in idem}
-        hits = []
+        basis = [A.basis(i) for i in range(A.rank)]
+        entry["hits"] = hits = []
         for a in A.elements(cap):
-            in_aA = A.right_divisors(a, idem, cap)
-            in_compA = A.right_divisors(
-                A.sub(one, a), {comp_of[e] for e in in_aA}, cap)
-            hits.extend((a, e) for e in idem
-                        if e in in_aA and comp_of[e] not in in_compA)
-        entry["hits"] = hits
+            forms = [_smith([A.mul(x, b) for b in basis], A.n, A.rank)[:2]
+                     for x in (a, A.sub(one, a))]
+            hits.extend((a, e) for e in idem if _in_span(*forms[0], e)
+                        and not _in_span(*forms[1], A.sub(one, e)))
     return report

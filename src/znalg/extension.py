@@ -29,6 +29,7 @@ from .errors import (
     WitnessMismatch,
 )
 from .hochschild import Bimodule, Cochain, is_cocycle2
+from .linal import _solve
 
 
 class ExtensionAlgebra:
@@ -345,11 +346,12 @@ class SecondHalfProbe:
 
 def probe_remark_second_half(B: ExtensionAlgebra, cap=None) -> SecondHalfProbe:
     """Evidence-only probe: for each (a, m) with an exchange witness e = ar,
-    search for (p, q) with (1-e, -f(1,1)-t) = (1-a, -f(1,1)-m)(p, q).
-    Reports what the search finds; the general question stays open."""
+    solve (1-e, -f(1,1)-t) = (1-a, -f(1,1)-m)(p, q) over the carrier's
+    basis (linal._solve).  Reports what it finds; the question stays open."""
     A, M = B.base, B.module
     carrier = B.carrier
     carrier.require_within_cap(cap)
+    basis = [carrier.basis(i) for i in range(carrier.rank)]
     witnesses = decomposition_report(A, cap).witnesses
     probe = SecondHalfProbe(carrier.name)
     one = A.one()
@@ -362,7 +364,7 @@ def probe_remark_second_half(B: ExtensionAlgebra, cap=None) -> SecondHalfProbe:
             t = B.split(lift_idempotent(B, e, x))[1]
             target = B.pair(A.sub(one, e), M.sub(neg_f11, t))
             left = B.pair(A.sub(one, a), M.sub(neg_f11, m))
-            found = carrier.right_divisors(left, (target,), cap).get(target)
+            found = _solve([carrier.mul(left, b) for b in basis], target, A.n)
             probe.cases.append({
                 "a": a, "m": m, "e": e, "r": r,
                 "found": found is not None, "factor": found})

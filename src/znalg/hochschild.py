@@ -147,12 +147,12 @@ def validate_bimodule(spec, algebra=None, name=None) -> Bimodule:
 
 
 def _certify_bimodule(M):
-    """Unit laws, the three associativity laws on basis triples (i, j, k)
-    with i, j algebra and k module indices, and scalar symmetry, all read
-    off the sparse cells (the unit laws and scalar symmetry through
-    _bilinear), so certifying a bimodule compiles no kernel.  The first
-    failing triple in lexicographic order is reported, with the laws in the
-    order below at a tie."""
+    """Unit laws and the three associativity laws on basis triples (i, j, k)
+    with i, j algebra and k module indices, all read off the sparse cells
+    (the unit laws through _bilinear), so certifying a bimodule compiles no
+    kernel; the unit laws also make scalars act alike on both sides.  The
+    first failing triple in lexicographic order is reported, with the laws
+    in the order below at a tie."""
     A = M.algebra
     one = A.one()
     n, s = M.n, M.rank
@@ -175,13 +175,6 @@ def _certify_bimodule(M):
     if failures:
         triple, _, law = min(failures)
         raise ActionNotAssociative(law, triple)
-    # base-ring symmetry: scalars act the same on both sides.  By
-    # bilinearity c*1 acts as c times the action of 1 on either side, so
-    # c = 1 decides every scalar c of Z_n.
-    for j in range(s):
-        m = M.basis(j)
-        if _bilinear(L, one, m, n, s) != _bilinear(R, m, one, n, s):
-            raise ActionNotAssociative("scalar symmetry", (1, j))
 
 
 def regular_bimodule(A: FiniteAlgebra) -> Bimodule:

@@ -27,6 +27,7 @@ from znalg.errors import (
     NonAssociative,
     ZnAlgError,
 )
+from znalg.linal import _solve
 
 
 def test_zn_poly_x2_is_valid():
@@ -143,7 +144,9 @@ def _brute_divisors(A, x, targets):
     return found
 
 
-def test_one_sided_divisors_match_brute_force():
+def test_solve_matches_brute_force_divisors():
+    """t is in xA exactly when _solve finds c with sum c_j x·e_j = t, and
+    then x·c = t: c is a factor, though not the lexicographically first."""
     from znalg.catalog import catalog_algebras
     algebras = catalog_algebras() + [matrix_algebra(3, 2),
                                      triangular_algebra(2, 3)]
@@ -151,12 +154,13 @@ def test_one_sided_divisors_match_brute_force():
         assert A.size <= 81
         elems = list(A.elements())
         assert A.idempotents() == [x for x in elems if A.mul(x, x) == x]
-        # all elements (most lie outside a non-unit's ideal) and every
-        # other element, so the scan also stops early on a partial target set
-        for targets in (elems, elems[::2]):
-            for x in elems:
-                assert A.right_divisors(x, targets) == _brute_divisors(
-                    A, x, set(targets))
+        for x in elems:
+            rows = [A.mul(x, A.basis(j)) for j in range(A.rank)]
+            divisors = _brute_divisors(A, x, set(elems))
+            for t in elems:
+                c = _solve(rows, t, A.n)
+                assert (c is not None) == (t in divisors), (A.name, x, t)
+                assert c is None or A.mul(x, c) == t
 
 
 def _brute_inverse(A, x):

@@ -265,6 +265,24 @@ def test_in_radical_walks_the_span_of_one_lazily():
     assert time.monotonic() - start < 1
 
 
+def test_in_radical_refuses_on_its_two_one_sided_ideals():
+    """in_radical refuses on |xA| + |Ax|, the elements its walks would
+    list, not on the 2^18 elements of the sphere carrier: e_1 (block
+    (0, 2)) has |e_1 A| = 8 and |A e_1| = 2, and 1 has 2^18 on each side."""
+    from znalg.poset import build_shriek, sphere_presheaf
+    PA = build_shriek(sphere_presheaf(2))
+    carrier = PA.carrier
+    strict = [PA.offsets[pair][0] for pair in PA.blocks if pair[0] != pair[1]]
+    assert all(in_radical(carrier, carrier.basis(k), cap=1000)
+               for k in strict)
+    e1 = carrier.basis(1)
+    assert in_radical(carrier, e1, cap=10)
+    with pytest.raises(CapExceeded, match="10 elements exceeds cap 9"):
+        in_radical(carrier, e1, cap=9)
+    with pytest.raises(CapExceeded, match="524288 elements exceeds cap 1000"):
+        in_radical(carrier, carrier.one(), cap=1000)
+
+
 def test_strict_blocks_of_the_sphere_lie_in_the_radical_within_budget():
     """Each strict basis element's one-sided ideals are small, so the 12
     in_radical calls walk them and never the 2^18-element carrier."""
@@ -592,6 +610,23 @@ def test_counterexample_search_frozen_hits():
     assert by_name["Z2"]["hits"] == [((1,), (0,))]
     assert by_name["Z3"]["hits"] == [((1,), (0,))]
     assert by_name["Z4"]["hits"] == [((1,), (0,)), ((3,), (0,))]
+
+
+def test_counterexample_search_matches_brute_force_membership():
+    """The search decides e in aA and 1 - e in (1-a)A from two Smith forms
+    per a; the oracle lists both one-sided ideals as sets of products."""
+    A = direct_product([zn_poly_x2(2)] * 4)
+    report = search_exchange_counterexample([A])
+    elems = list(A.elements())
+    one = A.one()
+    hits = []
+    for a in elems:
+        aA = {A.mul(a, y) for y in elems}
+        compA = {A.mul(A.sub(one, a), y) for y in elems}
+        hits += [(a, e) for e in brute_idempotents(A)
+                 if e in aA and A.sub(one, e) not in compA]
+    assert len(hits) == 1040
+    assert report.entries[0]["hits"] == hits
 
 
 def test_counterexample_search_empty_catalog():

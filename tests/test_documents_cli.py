@@ -768,7 +768,7 @@ def test_modulus_override_rejects_non_object_algebra(tmp_path, capsys):
 
 
 def test_rank_one_algebra_over_a_huge_prime_is_decided_quickly(tmp_path):
-    # the scalar-symmetry check is one residue, not all p of them
+    # no certificate walks all p residues of the scalar ring
     p = 2 ** 31 - 1
     doc = {"algebras": {"Zp": {"modulus": p, "rank": 1,
                                "structure": [[[1]]], "unit": [1]}},

@@ -1,14 +1,16 @@
 """Sparse elimination over Z_p, checked against tiny hand examples and a
 brute-force span oracle; kernels and span combinations come from tag
-columns appended to the rows.  The Smith form over Z_n is checked against
-the same kind of oracle."""
+columns appended to the rows.  The Smith form over Z_n, its row transform
+and the solver built on them are checked against the same kind of
+oracle."""
 
 import random
 from itertools import product
+from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
-from znalg.linal import _smith, eliminate_modp, is_prime, reduce_modp
+from znalg.linal import _smith, _solve, eliminate_modp, is_prime, reduce_modp
 
 
 def sparse(dense):
@@ -210,8 +212,23 @@ def small_modules(draw):
 @settings(max_examples=300, deadline=None)
 @given(small_modules())
 def test_smith_form_against_brute_force_span(case):
+    """Besides d, V and W, the row transform: rows tagged with their unit
+    vectors end as [diag(p_i) | U] with U·rows·V = diag(p_i) and
+    gcd(p_i, n) = d_i, and the tags change neither d nor V nor W."""
     n, width, rows = case
-    d, V, W = _smith(rows, n, width)
+    m = len(rows)
+    tagged = [row + [int(i == j) for j in range(m)]
+              for i, row in enumerate(rows)]
+    d, V, W, D = _smith(tagged, n, width)
+    assert _smith(rows, n, width)[:3] == (d, V, W)
+    U = [row[width:] for row in D]
+    URV = [[sum(U[a][b] * rows[b][k] * V[k][j] for b in range(m)
+                for k in range(width)) % n for j in range(width)]
+           for a in range(m)]
+    assert URV == [row[:width] for row in D]
+    assert all(URV[i][j] == 0 for i in range(m) for j in range(width)
+               if i != j)
+    assert [gcd(URV[i][i] if i < m else 0, n) for i in range(width)] == d
     assert len(d) == width and all(n % di == 0 for di in d)
     assert all(d[i + 1] % d[i] == 0 for i in range(width - 1))
     identity = [[int(i == j) for j in range(width)] for i in range(width)]
@@ -222,3 +239,22 @@ def test_smith_form_against_brute_force_span(case):
         coords = [sum(y[k] * V[k][i] for k in range(width)) % n
                   for i in range(width)]
         assert (y in span) == all(c % di == 0 for c, di in zip(coords, d))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_modules(), st.data())
+def test_solve_against_brute_force_span(case, data):
+    """Over any Z_n, composite n included, _solve combines the rows to a
+    member of their span and returns None exactly outside it."""
+    n, width, rows = case
+    rows = rows or [[0] * width]
+    residues = st.integers(0, n - 1)
+    combo = data.draw(st.lists(residues, min_size=len(rows),
+                               max_size=len(rows)))
+    target = tuple(data.draw(st.lists(residues, min_size=width,
+                                      max_size=width)))
+    span = brute_span(rows, n)
+    for t in (combine(combo, rows, n), target):
+        c = _solve(rows, t, n)
+        assert (c is not None) == (t in span)
+        assert c is None or combine(c, rows, n) == t
