@@ -33,9 +33,9 @@ from .hochschild import (
     coboundary,
     cochain_from_table,
     cohomology_dims,
-    is_coboundary2,
     is_cocycle2,
     regular_bimodule,
+    solve_coboundary,
     validate_bimodule,
     zero_cochain,
 )
@@ -53,6 +53,7 @@ from .extension import (
 )
 from .deformation import (
     TruncatedDeformation,
+    at_order,
     catalog_deformations,
     clean_decompose_def,
     def_mul,

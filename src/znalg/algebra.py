@@ -8,10 +8,12 @@ and the unit laws on basis triples (bilinearity extends both to all elements).
 Units and nilpotents are decided by one walk over the powers of an element
 (FiniteAlgebra.inverse and nilpotency_index).
 
-Work is refused, never sampled, by one rule with four measures: a scan
-over elements refuses on their count (FiniteAlgebra.within_cap, and
-classify.in_radical on |xA| + |Ax|); a power walk refuses after cap powers,
-so an algebra within the cap never refuses a walk and a larger one still
+Work is refused, never sampled, by one rule with four measures, each
+applied once, by the function that does the work: a scan over elements
+refuses on the count it would list (FiniteAlgebra.within_cap, |xA| + |Ax|
+in classify.in_radical, an ideal's product of n/d_i, a flattened
+deformation's n^(r*N)); a power walk refuses after cap powers, so an
+algebra within the cap never refuses a walk and a larger one still
 answers every short walk; a coboundary matrix refuses on the entries it
 would assemble (hochschild._sieve); and a deformation's series recursion
 refuses on the cell visits it would make (deformation._series_work).  All

@@ -191,12 +191,12 @@ def jacobson_radical(A: FiniteAlgebra, cap=None) -> list:
     return [x for x in A.elements(cap) if in_radical(A, x, cap)]
 
 
-def _ideal_lattice(A: FiniteAlgebra, gens, cap=None):
+def _ideal_lattice(A: FiniteAlgebra, gens):
     """(d, V, W, X): the Smith form over Z_n (linal._smith) of the two-sided
     ideal generated by gens, and its module generators X, the d_i W_i with
     d_i < n.  X is closed under b·x and x·b for every basis element b until
-    each product lies in the span (bilinearity extends this to all of A)."""
-    A.require_within_cap(cap)
+    each product lies in the span (bilinearity extends this to all of A);
+    nothing is listed, so nothing is refused."""
     n, r = A.n, A.rank
     basis = [A.basis(i) for i in range(r)]
     rows = [A.coerce(g) for g in gens]
@@ -212,7 +212,14 @@ def _ideal_lattice(A: FiniteAlgebra, gens, cap=None):
 
 def saturate_ideal(A: FiniteAlgebra, gens, cap=None) -> set:
     """The two-sided ideal generated by gens, as the set of its elements."""
-    d, _, W, _ = _ideal_lattice(A, gens, cap)
+    d, _, W, _ = _ideal_lattice(A, gens)
+    return _ideal_elements(A, d, W, cap)
+
+
+def _ideal_elements(A, d, W, cap):
+    """The ideal's elements (_span), refused if the product of n/d_i > cap."""
+    _refuse_above_cap(prod(A.n // di for di in d), cap,
+                      f"{A.name}: generated ideal")
     return set(_span(A, d, W))
 
 
@@ -242,8 +249,8 @@ def quotient_by_ideal(A: FiniteAlgebra, gens, cap=None):
     the validated quotient algebra over Z_d, project the map from A onto its
     coordinates, and ideal the element set of I, the one set enumerated.
     _quotient says when QuotientNotFree is raised."""
-    d, V, W, _ = _ideal_lattice(A, gens, cap)
-    return (*_quotient(A, d, V, W), set(_span(A, d, W)))
+    d, V, W, _ = _ideal_lattice(A, gens)
+    return (*_quotient(A, d, V, W), _ideal_elements(A, d, W, cap))
 
 
 def _quotient(A, d, V, W):
@@ -290,7 +297,7 @@ def check_lifting_proposition(A: FiniteAlgebra, gens, cap=None) -> LiftingReport
     """For an ideal I inside the radical: A clean iff A/I is clean and every
     idempotent of A/I has an idempotent preimage.  I lies in the radical J
     exactly when its module generators do, J being a Z_n-submodule."""
-    d, V, W, generators = _ideal_lattice(A, gens, cap)
+    d, V, W, generators = _ideal_lattice(A, gens)
     for x in generators:
         if not in_radical(A, x, cap):
             raise IdealNotInRadical(

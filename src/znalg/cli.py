@@ -5,6 +5,10 @@ SUBCOMMANDS is the one place a subcommand, its help and its arguments are
 declared.  The parser is built from it once, at import, and a job
 subcommand's options are the fields of the document job it runs.
 
+A handler reads its job and calls the library, which refuses work above
+--cap before doing it; deformation.at_order moves a deformation job's
+deformation to its order, at the cost of its support.
+
 Exit codes: 0 all assertions pass, 1 an assertion failed, 2 parse error,
 3 validation error, 4 an enumeration cap was exceeded.
 """
@@ -16,12 +20,13 @@ import json
 import sys
 import time
 
-from .algebra import DEFAULT_CAP, _refuse_above_cap, algebra_to_doc
+from .algebra import DEFAULT_CAP, algebra_to_doc
 from .classify import decomposition_report, search_exchange_counterexample
 from .deformation import (
     _newton_bound,
     _noncommuting_basis,
     _series_work,
+    at_order,
     clean_decompose_def,
     flatten,
     invert_def,
@@ -268,34 +273,11 @@ def job_extend_verify(ws, spec, cap, report):
 
 
 def _job_deformation(ws, spec):
-    """The named deformation and the job's order, its own unless the job
-    gives one."""
+    """The named deformation at the job's order, its own unless given."""
     D = ws.deformation(spec["deformation"])
-    order = (D.order if spec.get("order") is None
-             else integer_field(spec, "order"))
-    return D, order
-
-
-def _at_order(D, order, cap=None):
-    """D truncated or padded with zero corrections to order, re-validated
-    when that differs from its own.  Actions that enumerate the flattened
-    model pass their cap and are refused on its n^(r*order) elements before
-    the re-validation.  Series actions refuse their recursion's work
-    (_series_work, passed the order) before calling this."""
-    if cap is not None:
-        n, r = D.base.n, D.base.rank
-        _refuse_above_cap(n ** (r * order), cap, "flattened model",
-                          shown=f"{n}^({r}*{order}) elements")
-    if order != D.order:
-        from .deformation import TruncatedDeformation, validate_deformation
-        cochains = list(D.cochains[:order - 1])
-        zero_table = [[[0] * D.base.rank for _ in range(D.base.rank)]
-                      for _ in range(D.base.rank)]
-        while len(cochains) < order - 1:
-            cochains.append(zero_table)
-        D = validate_deformation(TruncatedDeformation(
-            D.base, order, cochains, name=D.name))
-    return D
+    if spec.get("order") is None:
+        return D
+    return at_order(D, integer_field(spec, "order"))
 
 
 def _json_field(spec, key, missing, convert):
@@ -312,7 +294,7 @@ def _json_field(spec, key, missing, convert):
 
 
 def job_deform_validate(ws, spec, cap, report):
-    D = _at_order(*_job_deformation(ws, spec), cap)
+    D = _job_deformation(ws, spec)
     rc = t_in_radical_check(D, cap)
     report["results"]["deformation"] = D.name
     report["results"]["order"] = D.order
@@ -322,9 +304,7 @@ def job_deform_validate(ws, spec, cap, report):
 
 
 def job_deform_invert(ws, spec, cap, report):
-    D, order = _job_deformation(ws, spec)
-    _series_work(D, order - 1, cap, order)
-    D = _at_order(D, order)
+    D = _job_deformation(ws, spec)
     f = _json_field(spec, "element", "this action needs --element",
                     lambda coeffs: tuple(map(D.base.coerce, coeffs)))
     g = invert_def(D, f, cap)
@@ -334,15 +314,14 @@ def job_deform_invert(ws, spec, cap, report):
 
 
 def job_deform_lift(ws, spec, cap, report):
-    D, order = _job_deformation(ws, spec)
+    D = _job_deformation(ws, spec)
     e = D.base.require_idempotent(_json_field(
         spec, "idempotent", "lift needs --idempotent", D.base.coerce))
     central = _noncommuting_basis(D.base, e) is None
     if central:
         # the central recursion is quadratic in the order: its work is
         # refused before the Newton lift runs
-        _series_work(D, order - 1, cap, order)
-    D = _at_order(D, order)
+        _series_work(D, D.order - 1, cap)
     g, iterations = lift_idempotent_newton(D, e)
     bound = _newton_bound(D)
     report["results"]["lift"] = [list(c) for c in g]
@@ -355,13 +334,9 @@ def job_deform_lift(ws, spec, cap, report):
 
 
 def job_deform_probe(ws, spec, cap, report):
-    D, order = _job_deformation(ws, spec)
+    D = _job_deformation(ws, spec)
     depth = (None if spec.get("depth") is None
              else integer_field(spec, "depth"))
-    reach = order - 1 if depth is None else min(depth, order - 1)
-    if reach >= 1:  # a probe with no order to reach is refused below
-        _series_work(D, reach, cap, order)
-    D = _at_order(D, order)
     # order 1 leaves no order to probe, so the verdict would be vacuous
     if D.order < 2:
         raise OrderMismatch("t vanishes at truncation order 1")
@@ -376,22 +351,17 @@ def job_deform_probe(ws, spec, cap, report):
 
 
 def job_deform_flatten(ws, spec, cap, report):
-    D = _at_order(*_job_deformation(ws, spec), cap)
+    D = _job_deformation(ws, spec)
     F = flatten(D, cap)
     report["results"]["carrier"] = algebra_to_doc(F)
     _assert(report, "flattened-model-certified", True, rank=F.rank)
 
 
 def job_deform_clean_decompose(ws, spec, cap, report):
-    # a uniquely clean base is certified in the flattened model, so its
-    # n^(r*order) elements are refused before re-validating at a new order
-    base_report = decomposition_report(
-        ws.deformation(spec["deformation"]).base, cap)
-    unique = base_report.flags["uniquely_clean"]
-    D = _at_order(*_job_deformation(ws, spec), cap if unique else None)
+    D = _job_deformation(ws, spec)
     h = _json_field(spec, "element", "this action needs --element",
                     lambda coeffs: tuple(map(D.base.coerce, coeffs)))
-    e_t, u_t = clean_decompose_def(D, h, cap, base_report)
+    e_t, u_t = clean_decompose_def(D, h, cap)
     report["results"]["idempotent_part"] = [list(c) for c in e_t]
     report["results"]["unit_part"] = [list(c) for c in u_t]
     _assert(report, "decomposition-certified", True)
@@ -427,8 +397,7 @@ def job_cohomology(ws, spec, cap, report):
         A = ws.algebra(spec["algebra"])
     else:
         raise ParseError("cohomology needs --algebra or --presheaf")
-    M = regular_bimodule(A)
-    dims = cohomology_dims(A, M, degree, cap)
+    dims = cohomology_dims(regular_bimodule(A), degree, cap)
     report["results"]["algebra"] = A.name
     report["results"]["degree"] = dims.degree
     report["results"]["dim_cocycles"] = dims.dim_cocycles

@@ -27,14 +27,17 @@ call no public function, so the benchmark tracer never nests a span in
 def_mul.
 
 A deformation records the orders whose correction is not identically
-zero, and both kernels and the order-k associativity sum of
-validate_deformation run over those orders only: every term they skip is
-exactly zero.  Each correction is evaluated through the sparse cells of
-its table, and the order-k associativity defects on basis triples are read
-off those cells by algebra._triple_defects without evaluating a product.
-flatten assembles the same sum over every order into a plain structure
-table on its own, so the flattened model is the independent oracle for all
-of them.
+zero, as a mapping from each such order m to the table of alpha_m; with
+order 0 they are its support.  Both kernels run over the support only, and
+validate_deformation sums order-k associativity only at the k that two
+supported orders add up to: every term they skip is exactly zero.  So
+at_order, which keeps the corrections below a new order and certifies the
+result, costs the support, not N.  Each correction is evaluated through the
+sparse cells of its table, and the order-k associativity defects on basis
+triples are read off those cells by algebra._triple_defects without
+evaluating a product.  flatten assembles the same sum over every order
+into a plain structure table on its own, so the flattened model is the
+independent oracle for all of them.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from math import gcd
 from .algebra import (
     FiniteAlgebra,
     _bilinear,
+    _cap_limit,
     _check_int,
     _check_table,
     _linear,
@@ -71,36 +75,59 @@ from .hochschild import Cochain, is_cocycle2, regular_bimodule
 
 
 class TruncatedDeformation:
-    """Multiplication deformed by cochain corrections, modulo t^order."""
+    """Multiplication deformed by cochain corrections, modulo t^order: the
+    base and corrections, a mapping from each corrected order m to the
+    table of alpha_m.  Each table is reduced mod n and an all-zero one is
+    dropped, so every order left out carries no correction."""
 
-    def __init__(self, base: FiniteAlgebra, order, cochains, name=""):
+    def __init__(self, base: FiniteAlgebra, order, corrections, name=""):
         self.base = base
         self.order = int(order)
-        self.cochains = tuple(_reduce_table(t, base.n) for t in cochains)
         self.name = name or f"{base.name} deformed (N={self.order})"
-        self._cells = tuple(_sparse_cells(t, 2) for t in self.cochains)
+        tables = {m: _reduce_table(table, base.n)
+                  for m, table in sorted(corrections.items())}
+        cells = {m: _sparse_cells(table, 2) for m, table in tables.items()}
+        self._cells = {m: c for m, c in cells.items() if any(map(any, c))}
+        self.corrections = {m: tables[m] for m in self._cells}
         # the orders m whose alpha_m is not identically zero, increasing;
         # order 0, the base multiplication, always counts
-        self._support = (0,) + tuple(
-            m for m, cells in enumerate(self._cells, 1)
-            if any(any(row) for row in cells))
+        self._support = (0, *self._cells)
 
     def __repr__(self):
         return f"TruncatedDeformation({self.name!r})"
+
+    @property
+    def cochains(self):
+        """alpha_1 .. alpha_(order-1) as one dense tuple, an all-zero table
+        at every order without a correction: the form documents read."""
+        r = self.base.rank
+        zero = (((0,) * r,) * r,) * r
+        return tuple(self.corrections.get(m, zero)
+                     for m in range(1, self.order))
+
+    def _supported_cells(self):
+        """(m, the sparse cells of alpha_m) for every supported order m,
+        increasing; order 0's are read from the base on each call."""
+        return [(0, self.base._cells), *self._cells.items()]
 
     def alpha(self, m, x, y):
         """The order-m multiplication component, extended bilinearly."""
         A = self.base
         if m == 0:
             return A.mul(x, y)
-        return _bilinear(self._cells[m - 1], x, y, A.n, A.rank)
+        if m not in self._cells:
+            return A.zero()
+        return _bilinear(self._cells[m], x, y, A.n, A.rank)
 
 
 def validate_deformation(spec, base=None, name=None) -> TruncatedDeformation:
-    """Certify associativity at every order and the undeformed unit."""
+    """Certify the undeformed unit and associativity at every order, which
+    is checked where two supported orders sum to it: any other order has no
+    nonzero term.  A document's dense cochains list is checked for shape
+    before it becomes the mapping of its corrections."""
     if isinstance(spec, TruncatedDeformation):
         D = spec
-        base, order, cochains = D.base, D.order, D.cochains
+        base, order = D.base, D.order
     else:
         if base is None:
             raise BadShape("validate_deformation needs the base algebra")
@@ -112,9 +139,14 @@ def validate_deformation(spec, base=None, name=None) -> TruncatedDeformation:
     if order < 1:
         raise BadShape("truncation order must be at least 1")
     r = base.rank
-    _check_table(cochains, (order - 1, r, r, r), "deformation cochains")
-    if not isinstance(spec, TruncatedDeformation):
-        D = TruncatedDeformation(base, order, cochains,
+    if isinstance(spec, TruncatedDeformation):
+        for m, table in D.corrections.items():
+            if not 0 < m < order:
+                raise BadShape(f"correction at order {m} outside 1..{order - 1}")
+            _check_table(table, (r, r, r), f"order-{m} correction")
+    else:
+        _check_table(cochains, (order - 1, r, r, r), "deformation cochains")
+        D = TruncatedDeformation(base, order, dict(enumerate(cochains, 1)),
                                  name=name or spec.get("name", ""))
     A = D.base
 
@@ -127,10 +159,10 @@ def validate_deformation(spec, base=None, name=None) -> TruncatedDeformation:
                 raise UnitChanged(
                     f"order-{m} cochain moves the unit on basis element {j}")
 
-    cells = (A._cells,) + D._cells
-    for k in range(D.order):
+    cells = dict(D._supported_cells())
+    for k in sorted({a + b for a in cells for b in cells if a + b < order}):
         # only the orders m with both alpha_m and alpha_(k-m) nonzero
-        terms = [m for m in D._support if k - m in D._support]
+        terms = [m for m in cells if k - m in cells]
         defects = _triple_defects(
             [(sign, form, cells[m], cells[k - m]) for m in terms
              for sign, form in ((1, "(xy)z"), (-1, "x(yz)"))],
@@ -144,15 +176,27 @@ def validate_deformation(spec, base=None, name=None) -> TruncatedDeformation:
                 rhs = A.add(rhs, D.alpha(m, ei, D.alpha(k - m, ej, el)))
             raise NotAssociativeAtOrder(k, (i, j, l), lhs, rhs)
 
-    if D.order >= 2:
+    if 1 in D.corrections:
         M = regular_bimodule(A)
-        alpha1 = Cochain(2, M, D.cochains[0])
+        alpha1 = Cochain(2, M, D.corrections[1])
         ok, violations = is_cocycle2(alpha1)
         if not ok:
             raise SelfCheckFailed(
                 f"first-order cochain is not a cocycle despite associativity: "
                 f"{violations[0]}")
     return D
+
+
+def at_order(D, order) -> TruncatedDeformation:
+    """D truncated or extended with zero corrections to order, and
+    certified there by validate_deformation; D itself at its own order.
+    Only the corrections below order are kept, so the move and the
+    certificate of the orders it adds cost D's support, not the order."""
+    if order == D.order:
+        return D
+    return validate_deformation(TruncatedDeformation(
+        D.base, order, {m: t for m, t in D.corrections.items() if m < order},
+        name=D.name))
 
 
 # DefElement helpers: an element is a tuple of order coefficient tuples
@@ -208,10 +252,9 @@ def _coefficient(D, f, g, k):
     partial series whose unknown coefficients are still zero."""
     A = D.base
     acc = [0] * A.rank
-    for m in D._support:
+    for m, cells in D._supported_cells():
         if m > k:
             break
-        cells = D._cells[m - 1] if m else A._cells
         for a in range(k - m + 1):
             gb = g[k - m - a]
             for i, x in enumerate(f[a]):
@@ -226,29 +269,22 @@ def _coefficient(D, f, g, k):
     return tuple(v % n for v in acc)
 
 
-def _series_work(D, depth, cap=None, order=None):
+def _series_work(D, depth, cap=None):
     """E, the cell visits of one _coefficient recursion through orders
     1..depth, refused with CapExceeded above cap before any of it runs.
     Coefficient k reads, for each supported order m <= k and each of its
     k - m + 1 coefficient pairs, at most the r^2 cells of alpha_m and
     their nnz_m entries; E sums that over k, so it bounds the recursion's
-    work from N, r and the cells alone.  A caller about to truncate D or
-    pad it with zero corrections passes that order, with depth below it:
-    the cells up to depth are then D's own, so the estimate and its
-    refusal come before the deformation is re-built."""
-    A = D.base
-    r2 = A.rank ** 2
+    work from N, r and the cells alone, at the cost of the support."""
+    r2 = D.base.rank ** 2
     work = 0
-    for m in D._support:
+    for m, cells in D._supported_cells():
         if m > depth:
             break
-        cells = D._cells[m - 1] if m else A._cells
         pairs = depth - m + 1
         work += (r2 + sum(len(cell) for row in cells for cell in row)) \
             * pairs * (pairs + 1) // 2
-    if order is None:
-        order = D.order
-    _refuse_above_cap(work, cap, f"series recursion at order {order}",
+    _refuse_above_cap(work, cap, f"series recursion at order {D.order}",
                       shown=f"{work} cell visits")
     return work
 
@@ -268,7 +304,7 @@ def _kronecker_product(D, f, g):
     with bytes(column) itself.  Coordinates must be reduced mod n."""
     A = D.base
     n, r, N = A.n, A.rank, D.order
-    tables = [(m, D._cells[m - 1] if m else A._cells) for m in D._support]
+    tables = D._supported_cells()
     weight = [0] * r
     for m, cells in tables:
         for row in cells:
@@ -338,15 +374,15 @@ def invert_def(D, f, cap=None):
     the sums certify f*b = 1; one full product certifies b*f = 1.  That is
     the left recursion's certificate too: over a validated base f_0 is a
     unit, so c*f = 1 fixes each c_k in turn, and b*f = 1 holds exactly when
-    b solves the left recursion.
+    b solves the left recursion.  The work is refused before f is read.
     """
+    _series_work(D, D.order - 1, cap)
     _check_order(D, f)
     A = D.base
     a0 = f[0]
     a0inv = A.inverse(a0)
     if a0inv is None:
         raise ConstantTermNotUnit(f"constant term {a0} is not a unit")
-    _series_work(D, D.order - 1, cap)
 
     b = [a0inv] + [A.zero()] * (D.order - 1)
     fb = [A.mul(a0, a0inv)]
@@ -401,12 +437,16 @@ def t_in_radical_check(D, cap=None) -> RadicalCheck:
 
 def flatten(D, cap=None) -> FiniteAlgebra:
     """The truncation as a plain finite algebra of rank r * order; basis
-    element (i, j) represents basis i of the base times t^j."""
+    element (i, j) represents basis i of the base times t^j.  Its n^(r*N)
+    elements are refused above cap, and the power is formed with its
+    exponent cut at the cap's bit length plus one, which already exceeds
+    the cap."""
     A = D.base
     r = A.rank
     N = D.order
     rank = r * N
-    _refuse_above_cap(A.n ** rank, cap, "flattened model")
+    _refuse_above_cap(A.n ** min(rank, _cap_limit(cap).bit_length() + 1), cap,
+                      "flattened model", shown=f"{A.n}^({r}*{N}) elements")
     structure = [[[0] * rank for _ in range(rank)] for _ in range(rank)]
     for j in range(N):
         for i in range(r):
@@ -506,15 +546,14 @@ def obstruction_probe(D, e, depth=None, cap=None) -> ObstructionReport:
     recording at each order whether the candidate coefficient commutes with e
     and solves the order equation.  Orders 1 and 2 are proved to work and are
     asserted; deeper orders are evidence only.  The recursion's work is
-    refused above cap before it starts (_series_work)."""
+    refused above cap before it starts (_series_work) and before e is
+    checked."""
     A = D.base
-    e = A.require_idempotent(e)
-    if depth is None:
-        depth = D.order - 1
-    elif depth < 1:
+    if depth is not None and depth < 1:
         raise BadShape(f"probe depth must be >= 1, got {depth}")
-    depth = min(depth, D.order - 1)
+    depth = D.order - 1 if depth is None else min(depth, D.order - 1)
     _series_work(D, depth, cap)
+    e = A.require_idempotent(e)
     one_minus_2e = A.sub(A.one(), A.smul(2, e))
     report = ObstructionReport(coefficients=[e])
     for k in range(1, depth + 1):
@@ -567,19 +606,18 @@ def remark2_series(A, e, x, order=4) -> SeriesVerdict:
     return SeriesVerdict(series, idempotent, any(a1))
 
 
-def clean_decompose_def(D, h, cap=None, base_report=None):
+def clean_decompose_def(D, h, cap=None):
     """Split h into a lifted idempotent plus a unit, using the base algebra's
     first clean witness; when the base is uniquely clean the decomposition is
     also certified unique in the flattened model, which is built (or refused
     on its element count) before any lifting; the work of the unit part's
-    inverse recursion is refused above cap before the lift too.  A caller
-    that already holds the base's decomposition_report passes it as
-    base_report, so the base is not classified twice."""
-    _check_order(D, h)
-    rep = base_report or decomposition_report(D.base, cap)
+    inverse recursion is refused above cap before the lift too, and both
+    before h is read."""
+    rep = decomposition_report(D.base, cap)
     F = flatten(D, cap) if rep.flags["uniquely_clean"] else None
-    e, u = rep.witnesses[h[0]]["clean"]
     _series_work(D, D.order - 1, cap)  # the inverse's recursion, up front
+    _check_order(D, h)
+    e, u = rep.witnesses[h[0]]["clean"]
     e_t, _ = lift_idempotent_newton(D, e)
     u_t = def_sub(D, h, e_t)
     invert_def(D, u_t, cap)  # certifies invertibility; constant term is u
@@ -598,20 +636,16 @@ def clean_decompose_def(D, h, cap=None, base_report=None):
 # deformation builders
 
 def trivial_deformation(A, order, name=None) -> TruncatedDeformation:
-    zero_table = [[[0] * A.rank for _ in range(A.rank)] for _ in range(A.rank)]
     return validate_deformation(TruncatedDeformation(
-        A, order, [zero_table] * (order - 1),
-        name=name or f"{A.name} trivial (N={order})"))
+        A, order, {}, name=name or f"{A.name} trivial (N={order})"))
 
 
 def x_squared_t_deformation(n, order) -> TruncatedDeformation:
     """Deform Z_n[X]/(X^2) by making the square of x equal to t."""
     A = zn_poly_x2(n)
     table1 = [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]
-    zero_table = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
-    cochains = [table1] + [zero_table] * (order - 2)
     return validate_deformation(TruncatedDeformation(
-        A, order, cochains, name=f"x^2=t over Z{n} (N={order})"))
+        A, order, {1: table1}, name=f"x^2=t over Z{n} (N={order})"))
 
 
 def gauge_deformation(A, gmap, order, name=None) -> TruncatedDeformation:
@@ -634,7 +668,7 @@ def gauge_deformation(A, gmap, order, name=None) -> TruncatedDeformation:
             x = apply_g(x)
         return x
 
-    cochains = []
+    corrections = {}
     for k in range(1, order):
         table = []
         for i in range(r):
@@ -650,9 +684,9 @@ def gauge_deformation(A, gmap, order, name=None) -> TruncatedDeformation:
                                              k - 2))
                 row.append(val)
             table.append(row)
-        cochains.append(table)
+        corrections[k] = table
     return validate_deformation(TruncatedDeformation(
-        A, order, cochains, name=name or f"{A.name} gauge (N={order})"))
+        A, order, corrections, name=name or f"{A.name} gauge (N={order})"))
 
 
 def seeded_gauge_map(A, seed):

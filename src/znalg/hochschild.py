@@ -57,7 +57,6 @@ from .errors import (
     BadShape,
     LinAlgCapExceeded,
     NonPrimeModulus,
-    NotACocycle,
     SelfCheckFailed,
     UnitActsBadly,
 )
@@ -423,9 +422,9 @@ def _sieve(M, degree, cap=None, tagged=False):
     return rank, pivots, src, dst
 
 
-def cohomology_dims(A: FiniteAlgebra, M: Bimodule, degree,
-                    cap=None) -> CohomologyDims:
-    """Exact dimensions of Z, B, and H in the requested degree over Z_p."""
+def cohomology_dims(M: Bimodule, degree, cap=None) -> CohomologyDims:
+    """Exact dimensions of Z, B, and H in the requested degree over Z_p,
+    for cochains of M.algebra with values in M."""
     if degree < 1 or degree > 3:
         raise BadShape("cohomology degree must be 1, 2, or 3")
     rank_out, _, dim_src, _ = _sieve(M, degree, cap)
@@ -445,43 +444,29 @@ def _tag_part(row, src, dst, sign=1):
     return vec
 
 
-def _sparse(f: Cochain):
-    return {c: x for c, x in enumerate(cochain_to_vec(f)) if x}
-
-
-def cocycle_space(A: FiniteAlgebra, M: Bimodule, degree=2, cap=None):
+def cocycle_space(M: Bimodule, degree=2, cap=None):
     """Basis of the cocycle space in the given degree, as Cochains."""
     _, pivots, src, dst = _sieve(M, degree, cap, tagged=True)
     return [vec_to_cochain(M, degree, _tag_part(row, src, dst))
             for lead, row in pivots.items() if lead >= dst]
 
 
-def is_coboundary2(f: Cochain, cap=None):
-    """Solve the degree-1 coboundary equation for f; returns the witness
-    cochain or None when f is not a coboundary.  Prime modulus only."""
-    M = f.module
-    p = M.n
-    _, pivots, src, dst = _sieve(M, 1, cap, tagged=True)
-    ok, violations = is_cocycle2(f)
-    if not ok:
-        raise NotACocycle(f"not a cocycle; first violation {violations[0]}")
-    residue = linal.reduce_modp(pivots, _sparse(f), p)
+def solve_coboundary(f: Cochain, cap=None):
+    """g with coboundary(g) = f, re-verified, or None when f is not a
+    coboundary; f of degree 1 to 3 over a prime, reduced against the tagged
+    rows of the coboundary one degree below (_sieve).  f is in its image
+    exactly when only tag columns, which carry -g, are left."""
+    nu = f.degree
+    if not 1 <= nu <= MAX_COCHAIN_DEGREE:
+        raise BadShape(f"coboundary equations are solved in degrees 1 to "
+                       f"{MAX_COCHAIN_DEGREE}, got {nu}")
+    M, p, vec = f.module, f.module.n, cochain_to_vec(f)
+    _, pivots, src, dst = _sieve(M, nu - 1, cap, tagged=True)
+    target = {c: x for c, x in enumerate(vec) if x}
+    residue = linal.reduce_modp(pivots, target, p)
     if residue and min(residue) < dst:
         return None
-    g = vec_to_cochain(M, 1, _tag_part(residue, src, dst, -1))
-    if cochain_to_vec(coboundary(g)) != tuple(c % p for c in cochain_to_vec(f)):
+    g = vec_to_cochain(M, nu - 1, _tag_part(residue, src, dst, -1))
+    if cochain_to_vec(coboundary(g)) != tuple(c % p for c in vec):
         raise SelfCheckFailed("coboundary witness failed to re-verify")
     return g
-
-
-def nontrivial_cocycle2(A: FiniteAlgebra, M: Bimodule, cap=None):
-    """A degree-2 cocycle that is not a coboundary, or None if H^2 = 0."""
-    p = A.n
-    _, pivots, src, dst = _sieve(M, 2, cap, tagged=True)
-    boundaries = _sieve(M, 1, cap)[1]
-    for lead, row in pivots.items():
-        if lead >= dst:
-            cocycle = {c - dst: x for c, x in row.items()}
-            if linal.reduce_modp(boundaries, cocycle, p):
-                return vec_to_cochain(M, 2, _tag_part(row, src, dst))
-    return None

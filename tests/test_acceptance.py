@@ -232,15 +232,15 @@ def test_criterion_11_sphere_cohomology_dimension():
     assert A.rank == 18
     M = regular_bimodule(A)
     assert M.rank * A.rank ** 2 == 5832
-    dims = cohomology_dims(A, M, 2)
+    dims = cohomology_dims(M, 2)
     assert dims.dim_h == 1
     # degree 3 assembles 5 * 18^3 * 38 = 1108080 coboundary entries: the
     # default cap refuses it, and that many decide it, as the nerve does
     with pytest.raises(LinAlgCapExceeded, match="1108080 entries"):
-        cohomology_dims(A, M, 3)
+        cohomology_dims(M, 3)
     with pytest.raises(LinAlgCapExceeded):
-        cohomology_dims(A, M, 3, cap=1108079)
-    dims3 = cohomology_dims(A, M, 3, cap=1108080)
+        cohomology_dims(M, 3, cap=1108079)
+    dims3 = cohomology_dims(M, 3, cap=1108080)
     assert (dims3.dim_cocycles, dims3.dim_coboundaries, dims3.dim_h) \
         == (5524, 5524, 0)
     elapsed = _report(11, started, f"dims {dims}, {dims3}")

@@ -283,6 +283,26 @@ def test_in_radical_refuses_on_its_two_one_sided_ideals():
         in_radical(carrier, carrier.one(), cap=1000)
 
 
+def test_ideals_refuse_on_their_own_size():
+    """saturate_ideal and quotient_by_ideal refuse on the elements of the
+    ideal they list, the product of n/d_i, not on the 2^18 elements of the
+    sphere carrier: the ideal of e_1 has 8.  check_lifting_proposition
+    still refuses through the scans it runs on A."""
+    from znalg.poset import build_shriek, sphere_presheaf
+    carrier = build_shriek(sphere_presheaf(2)).carrier
+    e1 = carrier.basis(1)
+    ideal = saturate_ideal(carrier, [e1], cap=8)
+    assert len(ideal) == 8 and e1 in ideal
+    assert quotient_by_ideal(carrier, [e1], cap=1000)[2] == ideal
+    for run in (saturate_ideal, quotient_by_ideal):
+        with pytest.raises(CapExceeded,
+                           match="generated ideal: 8 elements exceeds cap 7"):
+            run(carrier, [e1], cap=7)
+    with pytest.raises(CapExceeded,
+                       match="262144 elements exceeds cap 1000"):
+        check_lifting_proposition(carrier, [e1], cap=1000)
+
+
 def test_strict_blocks_of_the_sphere_lie_in_the_radical_within_budget():
     """Each strict basis element's one-sided ideals are small, so the 12
     in_radical calls walk them and never the 2^18-element carrier."""

@@ -2,6 +2,7 @@
 flattened-model bridges."""
 
 import random
+import re
 from itertools import product
 
 import pytest
@@ -19,6 +20,7 @@ from znalg.algebra import (
 from znalg.classify import decomposition_report, jacobson_radical
 from znalg.deformation import (
     TruncatedDeformation,
+    at_order,
     catalog_deformations,
     clean_decompose_def,
     def_add,
@@ -90,7 +92,7 @@ def test_not_associative_at_order_rejected():
     alpha2 = [[[0, 0, 0]] * 3 for _ in range(3)]
     alpha2[1] = [[0, 0, 0], [0, 1, 0], [0, 0, 0]]
     with pytest.raises(NotAssociativeAtOrder) as err:
-        validate_deformation(TruncatedDeformation(T2, 3, [zero, alpha2]))
+        validate_deformation(TruncatedDeformation(T2, 3, {1: zero, 2: alpha2}))
     assert err.value.order == 2
 
 
@@ -222,6 +224,64 @@ def test_t_in_radical_refuses_over_cap():
     D = trivial_deformation(zn(2), 4)
     with pytest.raises(CapExceeded):
         t_in_radical_check(D, cap=8)
+
+
+def test_flatten_refuses_without_forming_its_element_count():
+    # 2^(2*8000) and 3^(2*3000) have more digits than Python formats: the
+    # refusal names the power and never forms it; at the boundary the
+    # count is formed and compared exactly
+    for D, cap, shown in (
+            (x_squared_t_deformation(2, 8000), 10 ** 6, "2^(2*8000)"),
+            (trivial_deformation(zn_poly_x2(3), 3000), None, "3^(2*3000)"),
+            (x_squared_t_deformation(2, 2), 15, "2^(2*2)")):
+        message = f"flattened model: {shown} elements exceeds cap "
+        with pytest.raises(CapExceeded, match="^" + re.escape(message)):
+            flatten(D, cap)
+        with pytest.raises(CapExceeded, match="flattened model"):
+            t_in_radical_check(D, cap)
+    assert flatten(x_squared_t_deformation(2, 2), cap=16).size == 16
+
+
+def radical_square_zero_deformation():
+    """<1, x, y> over Z2, every product of x and y zero, deformed at order
+    1 by alpha_1(x, x) = y and alpha_1(y, x) = x: a cocycle, so valid at
+    order 2, whose square alpha_1(alpha_1(x, x), x) = x differs from
+    alpha_1(x, alpha_1(x, x)) = 0."""
+    structure = [[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                 [[0, 1, 0], [0, 0, 0], [0, 0, 0]],
+                 [[0, 0, 1], [0, 0, 0], [0, 0, 0]]]
+    A = validate_algebra({"modulus": 2, "rank": 3, "structure": structure,
+                          "unit": [1, 0, 0]})
+    alpha1 = [[[0, 0, 0]] * 3, [[0, 0, 0], [0, 0, 1], [0, 0, 0]],
+              [[0, 0, 0], [0, 1, 0], [0, 0, 0]]]
+    return validate_deformation(TruncatedDeformation(A, 2, {1: alpha1}))
+
+
+def test_at_order_certifies_the_orders_it_adds():
+    # the order-2 defect of alpha_1 with no alpha_2 is nonzero, so moving
+    # the order-2 deformation to order 3 fails there, at the triple and
+    # with the sides the dense loop finds; moving it back down is free
+    from test_algebra import outcome
+    D = radical_square_zero_deformation()
+    assert at_order(D, 2) is D
+    got = outcome(at_order, D, 3)
+    assert got[0] is NotAssociativeAtOrder and got[3]["order"] == 2
+    assert got == outcome(dense_validate_deformation, TruncatedDeformation(
+        D.base, 3, D.corrections, D.name))
+    E = at_order(at_order(x_squared_t_deformation(2, 4), 8), 1)
+    assert (E.order, E.corrections, E._support) == (1, {}, (0,))
+
+
+def test_at_order_costs_the_support_not_the_order():
+    # x^2=t moves from order 4 to 10^6 without forming a table per order,
+    # and its corrections and support are the same
+    import time
+    D = x_squared_t_deformation(2, 4)
+    start = time.monotonic()
+    E = at_order(D, 10 ** 6)
+    assert time.monotonic() - start < 0.25
+    assert E.order == 10 ** 6 and E.corrections == D.corrections
+    assert E._support == (0, 1)
 
 
 def test_newton_fixed_point_trivial():
@@ -477,12 +537,10 @@ def correction_orders(D):
 def substitute_t_squared(D, order):
     """D with t replaced by t^2, cut at the given order: the correction at
     order 2m is D's at order m, and every odd order carries none."""
-    r = D.base.rank
-    zero = [[[0] * r for _ in range(r)] for _ in range(r)]
-    cochains = [D.cochains[m // 2 - 1] if m % 2 == 0 else zero
-                for m in range(1, order)]
+    corrections = {2 * m: table for m, table in D.corrections.items()
+                   if 2 * m < order}
     return validate_deformation(TruncatedDeformation(
-        D.base, order, cochains, name=f"{D.name} at t^2"))
+        D.base, order, corrections, name=f"{D.name} at t^2"))
 
 
 def gapped_deformations(order):
@@ -600,7 +658,8 @@ def test_deformation_certificate_matches_dense_triple_loop():
             cell = cochains[rng.randrange(D.order - 1)][i][j]
             k = rng.randrange(A.rank)
             cell[k] = (cell[k] + rng.randrange(1, n)) % n
-            E = TruncatedDeformation(A, D.order, cochains, D.name)
+            E = TruncatedDeformation(A, D.order, dict(enumerate(cochains, 1)),
+                                     D.name)
             got = outcome(validate_deformation, E)
             assert got == outcome(dense_validate_deformation, E)
             seen.add(got if got == "passes" else got[0])
@@ -770,7 +829,7 @@ def test_kronecker_product_matches_the_oracle_on_any_tables(
             return [[[0] * r] * r] * r
         return [[[n - 1 if tables == "full" else rng.randrange(n)
                   for _ in range(r)] for _ in range(r)] for _ in range(r)]
-    D = TruncatedDeformation(A, order, [table(m) for m in range(1, order)])
+    D = TruncatedDeformation(A, order, {m: table(m) for m in range(1, order)})
     f, g = (kernel_series(D, kind, rng) for kind in kinds)
     assert def_mul(D, f, g) == oracle_mul(D, f, g)
 
@@ -808,10 +867,9 @@ def counting_visits(visits):
     from znalg.deformation import _coefficient
 
     def counted(D, f, g, k):
-        for m in D._support:
+        for m, cells in D._supported_cells():
             if m > k:
                 break
-            cells = D._cells[m - 1] if m else D.base._cells
             for a in range(k - m + 1):
                 for i, x in enumerate(f[a]):
                     for j, y in enumerate(g[k - m - a]):
@@ -921,14 +979,13 @@ def test_correction_perturbed_after_validation_fails_the_self_check():
             continue  # seed 8 draws the zero gauge map: nothing to perturb
         rng = random.Random(seed)
         m = rng.choice(D._support[1:])
-        cells = [[list(cell) for cell in row] for row in D._cells[m - 1]]
+        cells = [[list(cell) for cell in row] for row in D._cells[m]]
         i, j = rng.randrange(3), rng.randrange(3)
         cell = dict(cells[i][j])
         k = rng.randrange(3)
         cell[k] = (cell.get(k, 0) + 1) % 2
         cells[i][j] = tuple((t, v) for t, v in sorted(cell.items()) if v)
-        D._cells = (D._cells[:m - 1] + (tuple(map(tuple, cells)),)
-                    + D._cells[m:])
+        D._cells[m] = tuple(map(tuple, cells))
         for _ in range(4):
             f = list(random_def_element(D, rng.randrange(1 << 30)))
             f[0] = T2.one()

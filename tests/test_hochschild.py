@@ -15,6 +15,7 @@ from znalg.algebra import direct_product, triangular_algebra, zn, zn_poly_x2
 from znalg.deformation import gauge_deformation, seeded_gauge_map
 from znalg.errors import (
     ActionNotAssociative,
+    BadShape,
     LinAlgCapExceeded,
     NonPrimeModulus,
     UnitActsBadly,
@@ -29,10 +30,9 @@ from znalg.hochschild import (
     cocycle_space,
     cohomology_dims,
     delta_matrix,
-    is_coboundary2,
     is_cocycle2,
-    nontrivial_cocycle2,
     regular_bimodule,
+    solve_coboundary,
     validate_bimodule,
     vec_to_cochain,
     zero_cochain,
@@ -293,63 +293,100 @@ def test_random_table_verdict_mechanical():
     assert hit_false
 
 
+def nontrivial_cocycle(M, cap=None):
+    """The first degree-2 cocycle of cocycle_space that solve_coboundary
+    rejects, or None when H^2 = 0."""
+    return next((f for f in cocycle_space(M, 2, cap)
+                 if solve_coboundary(f, cap) is None), None)
+
+
 def test_is_coboundary_roundtrip():
+    # coboundaries of random cochains in every degree the solver takes
+    for A in (zn_poly_x2(2), zn(3), triangular_algebra(2, 2)):
+        M = regular_bimodule(A)
+        for degree, seed in product((1, 2, 3), range(4)):
+            f = coboundary(random_cochain(M, degree - 1, seed))
+            g = solve_coboundary(f)
+            assert g is not None and g.degree == degree - 1
+            assert cochain_to_vec(coboundary(g)) == cochain_to_vec(f)
+
+
+def test_solver_matches_brute_force_on_dual_numbers():
+    # over Z2[X]/(X^2) every g of degree 0 to 2 is listed: f is a
+    # coboundary exactly when it is some coboundary(g), for every f of
+    # degree 1 and 2 and for every image and 300 drawn f of degree 3
     A = zn_poly_x2(2)
     M = regular_bimodule(A)
-    for seed in range(5):
-        g = random_cochain(M, 1, seed)
-        f = coboundary(g)
-        g2 = is_coboundary2(f)
-        assert g2 is not None
-        assert cochain_to_vec(coboundary(g2)) == cochain_to_vec(f)
+    rng = random.Random(7)
+    for degree in (1, 2, 3):
+        dim = M.rank * A.rank ** (degree - 1)
+        images = {cochain_to_vec(coboundary(vec_to_cochain(M, degree - 1, g)))
+                  for g in product(range(2), repeat=dim)}
+        size = M.rank * A.rank ** degree
+        if degree < 3:
+            targets = list(product(range(2), repeat=size))
+        else:
+            targets = sorted(images) + [
+                tuple(rng.randrange(2) for _ in range(size))
+                for _ in range(300)]
+        hits = 0
+        for vec in targets:
+            g = solve_coboundary(vec_to_cochain(M, degree, vec))
+            assert (g is not None) == (tuple(vec) in images), (degree, vec)
+            hits += g is not None
+        assert 0 < hits < len(targets), degree
+
+
+def test_solver_refuses_degrees_outside_one_to_three():
+    M = regular_bimodule(zn(2))
+    for degree in (0, 4):
+        with pytest.raises(BadShape, match="degrees 1 to 3"):
+            solve_coboundary(Cochain(degree, M, (0,)))
 
 
 def test_zero_cochain_is_coboundary():
     A = zn(3)
     M = regular_bimodule(A)
-    g = is_coboundary2(zero_cochain(M, 2))
-    assert g is not None
-    assert coboundary(g).is_zero()
+    for degree in (1, 2, 3):
+        g = solve_coboundary(zero_cochain(M, degree))
+        assert g is not None
+        assert coboundary(g).is_zero()
 
 
 def test_coboundary_needs_prime_modulus():
     A = zn(4)
     M = regular_bimodule(A)
     with pytest.raises(NonPrimeModulus):
-        is_coboundary2(zero_cochain(M, 2))
+        solve_coboundary(zero_cochain(M, 2))
 
 
 def test_nontrivial_cocycle_needs_prime_modulus():
     # Z4[X]/(X^2) is refused before any elimination mod 4 is attempted
     A = zn_poly_x2(4)
     with pytest.raises(NonPrimeModulus):
-        nontrivial_cocycle2(A, regular_bimodule(A))
+        nontrivial_cocycle(regular_bimodule(A))
 
 
 # each solver with the most coboundary entries it assembles over
 # Z3[X]/(X^2), whose table has 3 nonzeros: (2+2)*2^2*3 = 48 in degree 2 and
 # (1+2)*2*3 = 18 in degree 1
 SOLVERS = {
-    "cohomology_dims": (
-        lambda A, M, **kw: cohomology_dims(A, M, 2, **kw), 48),
-    "cocycle_space": (lambda A, M, **kw: cocycle_space(A, M, 2, **kw), 48),
-    "is_coboundary2": (
-        lambda A, M, **kw: is_coboundary2(zero_cochain(M, 2), **kw), 18),
-    "nontrivial_cocycle2": (nontrivial_cocycle2, 48),
+    "cohomology_dims": (lambda M, **kw: cohomology_dims(M, 2, **kw), 48),
+    "cocycle_space": (lambda M, **kw: cocycle_space(M, 2, **kw), 48),
+    "solve_coboundary": (
+        lambda M, **kw: solve_coboundary(zero_cochain(M, 2), **kw), 18),
 }
 
 
 @pytest.mark.parametrize("solver", sorted(SOLVERS))
 def test_every_cohomology_solver_refuses_through_one_sieve(solver):
     run, target = SOLVERS[solver]
-    Z4 = zn(4)
     with pytest.raises(NonPrimeModulus):
-        run(Z4, regular_bimodule(Z4))
-    A = zn_poly_x2(3)
-    M = regular_bimodule(A)
-    run(A, M, cap=target)
+        run(regular_bimodule(zn(4)))
+    M = regular_bimodule(zn_poly_x2(3))
+    run(M, cap=target)
     with pytest.raises(LinAlgCapExceeded):
-        run(A, M, cap=target - 1)
+        run(M, cap=target - 1)
 
 
 def template_entries(M, degree):
@@ -391,7 +428,7 @@ def test_refusal_counts_the_entries_delta_matrix_assembles():
                 with pytest.raises(LinAlgCapExceeded, match=(
                         f"^degree {degree} coboundary: {entries} entries "
                         f"exceeds cap {entries - 1}$")):
-                    cocycle_space(A, M, degree, cap=entries - 1)
+                    cocycle_space(M, degree, cap=entries - 1)
             if M is not sphere or degree < 3:
                 rows, _, _ = delta_matrix(M, degree)
                 assert sum(map(len, rows)) <= entries, (A.name, degree)
@@ -428,7 +465,7 @@ def test_h2_of_z2_is_zero():
     # rank-1 case: C^1 and C^2 are 1-dimensional, d1 has rank 1, d2 = 0
     A = zn(2)
     M = regular_bimodule(A)
-    dims = cohomology_dims(A, M, 2)
+    dims = cohomology_dims(M, 2)
     assert dims.dim_cocycles == 1
     assert dims.dim_coboundaries == 1
     assert dims.dim_h == 0
@@ -437,14 +474,14 @@ def test_h2_of_z2_is_zero():
 def test_h1_h2_of_z3():
     A = zn(3)
     M = regular_bimodule(A)
-    assert cohomology_dims(A, M, 1).dim_h == 0
-    assert cohomology_dims(A, M, 2).dim_h == 0
+    assert cohomology_dims(M, 1).dim_h == 0
+    assert cohomology_dims(M, 2).dim_h == 0
 
 
 def test_cohomology_dims_accounting():
     A = zn_poly_x2(2)
     M = regular_bimodule(A)
-    dims = cohomology_dims(A, M, 2)
+    dims = cohomology_dims(M, 2)
     assert dims.dim_h == dims.dim_cocycles - dims.dim_coboundaries
     assert dims.dim_h >= 0
 
@@ -454,23 +491,22 @@ def test_nontrivial_cocycle_consistent_with_dims():
     # and the returned representative must fail the coboundary test
     A = zn_poly_x2(2)
     M = regular_bimodule(A)
-    dims = cohomology_dims(A, M, 2)
-    f = nontrivial_cocycle2(A, M)
+    dims = cohomology_dims(M, 2)
+    f = nontrivial_cocycle(M)
     if dims.dim_h == 0:
         assert f is None
     else:
         assert f is not None
-        assert is_coboundary2(f) is None
+        assert is_cocycle2(f)[0]
 
 
 def test_membership_consistent_with_dims_when_h2_vanishes():
     # every cocycle must solve the coboundary equation when dim H^2 = 0
-    from znalg.hochschild import cocycle_space
     A = zn(3)
     M = regular_bimodule(A)
-    assert cohomology_dims(A, M, 2).dim_h == 0
-    for f in cocycle_space(A, M, 2):
-        assert is_coboundary2(f) is not None
+    assert cohomology_dims(M, 2).dim_h == 0
+    for f in cocycle_space(M, 2):
+        assert solve_coboundary(f) is not None
 
 
 def test_sphere_carrier_has_non_coboundary_cocycle():
@@ -479,11 +515,11 @@ def test_sphere_carrier_has_non_coboundary_cocycle():
     from znalg.poset import build_shriek, sphere_presheaf
     A = build_shriek(sphere_presheaf(2)).carrier
     M = regular_bimodule(A)
-    f = nontrivial_cocycle2(A, M)
+    f = nontrivial_cocycle(M)
     assert f is not None
     ok, _ = is_cocycle2(f)
     assert ok
-    assert is_coboundary2(f) is None
+    assert solve_coboundary(f) is None
 
 
 @settings(max_examples=25, deadline=None)

@@ -394,7 +394,7 @@ def test_square_circle_hochschild_h1_matches_nerve():
     PA = build_shriek(F)
     A = PA.carrier
     M = regular_bimodule(A)
-    dims = cohomology_dims(A, M, 1)
+    dims = cohomology_dims(M, 1)
     assert dims.dim_h == 1 == nerve_cohomology(F.poset, 2, 1)
 
 
@@ -405,7 +405,7 @@ def test_vee_poset_odd_prime_h1_matches_nerve():
     PA = build_shriek(F)
     A = PA.carrier
     M = regular_bimodule(A)
-    dims = cohomology_dims(A, M, 1)
+    dims = cohomology_dims(M, 1)
     assert dims.dim_h == 0 == nerve_cohomology(F.poset, 3, 1)
 
 
@@ -413,7 +413,7 @@ def test_sphere_over_odd_primes_h2_matches_nerve():
     for p in (3, 5):
         F = sphere_presheaf(p)
         A = build_shriek(F).carrier
-        dims = cohomology_dims(A, regular_bimodule(A), 2)
+        dims = cohomology_dims(regular_bimodule(A), 2)
         assert (dims.dim_cocycles, dims.dim_coboundaries) == (308, 307)
         assert dims.dim_h == 1 == nerve_cohomology(F.poset, p, 2)
 
