@@ -2,32 +2,36 @@
 
 An algebra of rank r over Z_n stores an r x r table whose (i, j) entry is the
 coordinate vector of the product of basis elements i and j.  Elements are
-plain tuples of r residues mod n; all arithmetic is exact.  Every algebra in
-this package is built through validate_algebra, which certifies associativity
-and the unit laws on basis triples (bilinearity extends both to all elements).
+plain tuples of r residues mod n; all arithmetic is exact.  Every algebra is
+built as a FiniteAlgebra, from a table spelled out in code or read from a
+document by documents.Workspace, and certified by validate_algebra, which
+takes only the object and checks associativity and the unit laws on basis
+triples (bilinearity extends both to all elements).
 Units and nilpotents are decided by one walk over the powers of an element
 (FiniteAlgebra.inverse and nilpotency_index).
 
-Work is refused, never sampled, by one rule with four measures, each
+Work is refused, never sampled, by one rule with five measures, each
 applied once, by the function that does the work: a scan over elements
 refuses on the count it would list (FiniteAlgebra.within_cap, |xA| + |Ax|
 in classify.in_radical, an ideal's product of n/d_i, a flattened
 deformation's n^(r*N)); a power walk refuses after cap powers, so an
 algebra within the cap never refuses a walk and a larger one still
 answers every short walk; a coboundary matrix refuses on the entries it
-would assemble (hochschild._sieve); and a deformation's series recursion
-refuses on the cell visits it would make (deformation._series_work).  All
-raise CapExceeded through _refuse_above_cap; None means DEFAULT_CAP.
+would assemble (hochschild._sieve); a deformation's series recursion
+refuses on the cell visits it would make (deformation._series_work); and
+a Newton lift refuses on the slot visits of its products
+(deformation._newton_work).  All raise CapExceeded through
+_refuse_above_cap; None means DEFAULT_CAP.
 
 The same nested-table format carries bimodule actions, cochains, deformation
 corrections and restriction maps.  _check_table is the one shape and entry
-check for all of them.  _bilinear and _linear evaluate a table on
-elements; deformation._coefficient sums one coefficient of a deformed
-product over the base and correction tables in a single pass, and
-deformation._kronecker_product a whole product.  All of them read sparse
-cells, not the dense table: each owner builds, once, the (k, v) pairs with
-v != 0 of every cell (_sparse_cells), so a product walks only the nonzero
-entries.  The dense tables stay the
+check for all of them, run where a table enters from a document.
+_bilinear and _linear evaluate a table on elements; deformation._coefficient
+sums one coefficient of a deformed product over the base and correction
+tables in a single pass, and deformation._kronecker_product a whole
+product.  All of them read sparse cells, not the dense table: each owner
+builds, once, the (k, v) pairs with v != 0 of every cell (_sparse_cells),
+so a product walks only the nonzero entries.  The dense tables stay the
 public form that equality, hashing, reports and documents read.
 
 A table that is multiplied gets a kernel of its own: _compile_bilinear
@@ -86,6 +90,17 @@ class _ZnModule:
     def zero(self):
         return (0,) * self.rank
 
+    def coerce(self, x):
+        """Normalize an iterable of ints into an element tuple of this
+        algebra or module; an entry that is not an integer (a float, a
+        bool, a string) or a length other than the rank is refused with
+        BadShape, never truncated."""
+        n = self.n
+        t = tuple(_check_int(v, "element coordinate") % n for v in x)
+        if len(t) != self.rank:
+            raise BadShape(f"element of length {len(t)}, expected {self.rank}")
+        return t
+
     def basis(self, i):
         return tuple(1 if j == i else 0 for j in range(self.rank))
 
@@ -110,8 +125,8 @@ class _ZnModule:
 class FiniteAlgebra(_ZnModule):
     """A finite associative unital algebra over Z_n, given by its table.
 
-    Construct through validate_algebra (or the helper constructors below);
-    the constructor itself only normalizes and stores.
+    The constructor only normalizes and stores; validate_algebra certifies
+    the result, as the helper constructors below do.
     """
 
     def __init__(self, modulus, rank, table, unit, name=""):
@@ -142,16 +157,6 @@ class FiniteAlgebra(_ZnModule):
 
     def one(self):
         return self.unit
-
-    def coerce(self, x):
-        """Normalize an iterable of ints into a valid element tuple; an
-        entry that is not an integer (a float, a bool, a string) is refused
-        with BadShape, never truncated."""
-        n = self.n
-        t = tuple(_check_int(v, "element coordinate") % n for v in x)
-        if len(t) != self.rank:
-            raise BadShape(f"element of length {len(t)}, expected {self.rank}")
-        return t
 
     def mul(self, x, y):
         return self._product(x, y)
@@ -417,41 +422,14 @@ def _check_int(value, what):
     return value
 
 
-def validate_algebra(spec, name=None) -> FiniteAlgebra:
-    """Certify a raw algebra description and return a FiniteAlgebra.
-
-    spec is a mapping with keys modulus, rank, structure (r x r array of
-    length-r integer arrays), unit (length-r array), and optionally name;
-    a FiniteAlgebra instance is re-certified as is.
-    """
-    if isinstance(spec, FiniteAlgebra):
-        alg = spec
-    else:
-        try:
-            modulus = _check_int(spec["modulus"], "modulus")
-            rank = _check_int(spec["rank"], "rank")
-            structure = spec["structure"]
-            unit = spec["unit"]
-        except (KeyError, TypeError) as exc:
-            raise BadShape(f"algebra spec missing or malformed field: {exc}")
-        if modulus < 2:
-            raise BadShape(f"modulus must be >= 2, got {modulus}")
-        if rank < 1:
-            raise BadShape(f"rank must be >= 1, got {rank}")
-        _check_table(structure, (rank, rank, rank), "structure table")
-        _check_table(unit, (rank,), "unit vector")
-        alg = FiniteAlgebra(modulus, rank, structure, unit,
-                            name or spec.get("name") or "")
-    _certify(alg)
-    return alg
-
-
-def _certify(alg):
-    """Two-sided unit laws, then associativity on all basis triples as the
-    defect (e_i e_j) e_k - e_i (e_j e_k) of the sparse cells; the first
-    failing triple in lexicographic order is reported with both sides.
-    Every product here goes through _bilinear on the cells, so a table that
-    is certified and never multiplied has no compiled kernel."""
+def validate_algebra(alg) -> FiniteAlgebra:
+    """Certify a FiniteAlgebra and return it: the two-sided unit laws
+    (which give 1 != 0 at rank >= 1), then associativity on all basis
+    triples as the defect (e_i e_j) e_k - e_i (e_j e_k) of the sparse
+    cells; the first failing triple in lexicographic order is reported with
+    both sides.  Every product here goes through _bilinear on the cells,
+    so a table that is certified and never multiplied has no compiled
+    kernel."""
     r, n, cells = alg.rank, alg.n, alg._cells
 
     def mul(x, y):
@@ -467,15 +445,14 @@ def _certify(alg):
         i, j, k = min(defects)
         raise NonAssociative((i, j, k), mul(alg.table[i][j], alg.basis(k)),
                              mul(alg.basis(i), alg.table[j][k]))
+    return alg
 
 
-# helper constructors (tables spelled out in code; there is no parser)
+# helper constructors (tables spelled out in code)
 
 def zn(n) -> FiniteAlgebra:
     """The ring Z_n as a rank-1 algebra over itself."""
-    return validate_algebra(
-        {"modulus": n, "rank": 1, "structure": [[[1]]], "unit": [1]},
-        name=f"Z{n}")
+    return validate_algebra(FiniteAlgebra(n, 1, [[[1]]], [1], f"Z{n}"))
 
 
 def zn_poly_x2(n) -> FiniteAlgebra:
@@ -485,8 +462,7 @@ def zn_poly_x2(n) -> FiniteAlgebra:
         [[0, 1], [0, 0]],
     ]
     return validate_algebra(
-        {"modulus": n, "rank": 2, "structure": structure, "unit": [1, 0]},
-        name=f"Z{n}[X]/(X^2)")
+        FiniteAlgebra(n, 2, structure, [1, 0], f"Z{n}[X]/(X^2)"))
 
 
 def matrix_algebra(n, size) -> FiniteAlgebra:
@@ -509,13 +485,8 @@ def _matrix_units_algebra(n, pairs, name):
         for (c, d), j in index.items():
             if b == c and (a, d) in index:
                 structure[i][j][index[(a, d)]] = 1
-    unit = [0] * rank
-    for a, b in pairs:
-        if a == b:
-            unit[index[(a, b)]] = 1
-    return validate_algebra(
-        {"modulus": n, "rank": rank, "structure": structure, "unit": unit},
-        name=name)
+    unit = [int(a == b) for a, b in pairs]
+    return validate_algebra(FiniteAlgebra(n, rank, structure, unit, name))
 
 
 def direct_product(factors) -> FiniteAlgebra:
@@ -531,33 +502,14 @@ def direct_product(factors) -> FiniteAlgebra:
     if len(factors) == 1:
         return factors[0]
     rank = sum(f.rank for f in factors)
-    offsets = []
-    pos = 0
-    for f in factors:
-        offsets.append(pos)
-        pos += f.rank
     structure = [[[0] * rank for _ in range(rank)] for _ in range(rank)]
-    unit = [0] * rank
-    for f, off in zip(factors, offsets):
+    unit = []
+    off = 0
+    for f in factors:
         for i in range(f.rank):
             for j in range(f.rank):
-                cell = f.table[i][j]
-                for k, v in enumerate(cell):
-                    structure[off + i][off + j][off + k] = v
-        for k, v in enumerate(f.unit):
-            unit[off + k] = v
+                structure[off + i][off + j][off:off + f.rank] = f.table[i][j]
+        unit += f.unit
+        off += f.rank
     name = " x ".join(f.name for f in factors)
-    return validate_algebra(
-        {"modulus": n, "rank": rank, "structure": structure, "unit": unit},
-        name=name)
-
-
-def algebra_to_doc(alg) -> dict:
-    """Structured-document form of an algebra (inverse of validate_algebra)."""
-    return {
-        "modulus": alg.n,
-        "rank": alg.rank,
-        "structure": [[list(cell) for cell in row] for row in alg.table],
-        "unit": list(alg.unit),
-        "name": alg.name,
-    }
+    return validate_algebra(FiniteAlgebra(n, rank, structure, unit, name))

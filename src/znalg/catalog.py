@@ -12,7 +12,14 @@ from __future__ import annotations
 import random
 
 from .algebra import direct_product, triangular_algebra, zn, zn_poly_x2
-from .hochschild import Cochain, coboundary, regular_bimodule, validate_bimodule, zero_cochain
+from .hochschild import (
+    Bimodule,
+    Cochain,
+    coboundary,
+    regular_bimodule,
+    validate_bimodule,
+    zero_cochain,
+)
 
 
 def catalog_algebras():
@@ -38,8 +45,7 @@ def twisted_projection_module(P=None):
     left = [[[1]], [[0]]]
     right = [[[0], [1]]]
     return validate_bimodule(
-        {"rank": 1, "left_action": left, "right_action": right},
-        algebra=P, name="projection twist")
+        Bimodule(P, 1, left, right, name="projection twist"))
 
 
 def seeded_cochain(M, degree, seed):

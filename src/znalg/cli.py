@@ -7,7 +7,10 @@ subcommand's options are the fields of the document job it runs.
 
 A handler reads its job and calls the library, which refuses work above
 --cap before doing it; deformation.at_order moves a deformation job's
-deformation to its order, at the cost of its support.
+deformation to its order, at the cost of its support.  Documents are read
+and written only by documents.py: a handler asks its Workspace for
+certified objects by name (Workspace.with_modulus under
+--modulus-override) and writes a carrier with documents.algebra_to_doc.
 
 Exit codes: 0 all assertions pass, 1 an assertion failed, 2 parse error,
 3 validation error, 4 an enumeration cap was exceeded.
@@ -20,7 +23,7 @@ import json
 import sys
 import time
 
-from .algebra import DEFAULT_CAP, algebra_to_doc
+from .algebra import DEFAULT_CAP
 from .classify import decomposition_report, search_exchange_counterexample
 from .deformation import (
     _newton_bound,
@@ -38,6 +41,7 @@ from .deformation import (
 from .documents import (
     JobSpec,
     Workspace,
+    algebra_to_doc,
     builtin_catalog_document,
     dump_report,
     integer_field,
@@ -191,24 +195,10 @@ def execute_job(ws, name, spec, args):
         "results": {},
     }
     if getattr(args, "modulus_override", None) is not None:
-        ws = _override_modulus(ws, args.modulus_override)
+        ws = ws.with_modulus(args.modulus_override)
     JOB_HANDLERS[kind](ws, spec, cap, report)
     report["timing"] = {"elapsed_s": round(time.monotonic() - start, 3)}
     return report
-
-
-def _override_modulus(ws, modulus):
-    from .algebra import validate_algebra
-    doc = dict(ws.doc)
-    algebras = {}
-    for aname, aspec in ws._section("algebras").items():
-        if not isinstance(aspec, dict):
-            raise ParseError(f"algebra {aname!r} must be an object")
-        new_spec = dict(aspec, modulus=modulus)
-        validate_algebra(new_spec, name=aname)  # raises if it breaks laws
-        algebras[aname] = new_spec
-    doc["algebras"] = algebras
-    return Workspace(doc)
 
 
 def _assert(report, clause, passed, **details):
@@ -322,7 +312,7 @@ def job_deform_lift(ws, spec, cap, report):
         # the central recursion is quadratic in the order: its work is
         # refused before the Newton lift runs
         _series_work(D, D.order - 1, cap)
-    g, iterations = lift_idempotent_newton(D, e)
+    g, iterations = lift_idempotent_newton(D, e, cap)
     bound = _newton_bound(D)
     report["results"]["lift"] = [list(c) for c in g]
     report["results"]["iterations"] = iterations

@@ -22,13 +22,17 @@ coefficients are still zero.  invert_def certifies f*b = 1 from the
 partial sums its recursion already formed, since no later coefficient
 enters coefficient k, and b*f = 1 with one full product.  Each recursion
 is quadratic in N, so _series_work bounds its cell visits from N, r and
-the cells' nnz and refuses above the cap before it starts.  The kernels
+the cells' nnz and refuses above the cap before it starts; the Newton lift
+bounds its products' slot visits the same way (_newton_work).  The kernels
 call no public function, so the benchmark tracer never nests a span in
 def_mul.
 
 A deformation records the orders whose correction is not identically
 zero, as a mapping from each such order m to the table of alpha_m; with
-order 0 they are its support.  Both kernels run over the support only, and
+order 0 they are its support.  Every deformation is built as a
+TruncatedDeformation, in code or by documents.Workspace from a document's
+dense list of corrections, and certified by validate_deformation, which
+takes only the object.  Both kernels run over the support only, and
 validate_deformation sums order-k associativity only at the k that two
 supported orders add up to: every term they skip is exactly zero.  So
 at_order, which keeps the corrections below a new order and certifies the
@@ -50,8 +54,6 @@ from .algebra import (
     FiniteAlgebra,
     _bilinear,
     _cap_limit,
-    _check_int,
-    _check_table,
     _linear,
     _reduce_table,
     _refuse_above_cap,
@@ -120,36 +122,18 @@ class TruncatedDeformation:
         return _bilinear(self._cells[m], x, y, A.n, A.rank)
 
 
-def validate_deformation(spec, base=None, name=None) -> TruncatedDeformation:
-    """Certify the undeformed unit and associativity at every order, which
-    is checked where two supported orders sum to it: any other order has no
-    nonzero term.  A document's dense cochains list is checked for shape
-    before it becomes the mapping of its corrections."""
-    if isinstance(spec, TruncatedDeformation):
-        D = spec
-        base, order = D.base, D.order
-    else:
-        if base is None:
-            raise BadShape("validate_deformation needs the base algebra")
-        try:
-            order = _check_int(spec["order"], "truncation order")
-            cochains = spec["cochains"]
-        except (KeyError, TypeError) as exc:
-            raise BadShape(f"deformation spec missing or malformed field: {exc}")
-    if order < 1:
+def validate_deformation(D) -> TruncatedDeformation:
+    """Certify a TruncatedDeformation and return it: its corrections lie at
+    orders 1..N-1, the unit is undeformed, and associativity holds at every
+    order, which is checked where two supported orders sum to it: any
+    other order has no nonzero term."""
+    if D.order < 1:
         raise BadShape("truncation order must be at least 1")
-    r = base.rank
-    if isinstance(spec, TruncatedDeformation):
-        for m, table in D.corrections.items():
-            if not 0 < m < order:
-                raise BadShape(f"correction at order {m} outside 1..{order - 1}")
-            _check_table(table, (r, r, r), f"order-{m} correction")
-    else:
-        _check_table(cochains, (order - 1, r, r, r), "deformation cochains")
-        D = TruncatedDeformation(base, order, dict(enumerate(cochains, 1)),
-                                 name=name or spec.get("name", ""))
-    A = D.base
+    for m in D.corrections:
+        if not 0 < m < D.order:
+            raise BadShape(f"correction at order {m} outside 1..{D.order - 1}")
 
+    A = D.base
     one = A.one()
     zero = A.zero()
     for m in D._support[1:]:
@@ -160,7 +144,8 @@ def validate_deformation(spec, base=None, name=None) -> TruncatedDeformation:
                     f"order-{m} cochain moves the unit on basis element {j}")
 
     cells = dict(D._supported_cells())
-    for k in sorted({a + b for a in cells for b in cells if a + b < order}):
+    N = D.order
+    for k in sorted({a + b for a in cells for b in cells if a + b < N}):
         # only the orders m with both alpha_m and alpha_(k-m) nonzero
         terms = [m for m in cells if k - m in cells]
         defects = _triple_defects(
@@ -460,10 +445,9 @@ def flatten(D, cap=None) -> FiniteAlgebra:
                         vec = D.alpha(m, ei, ek)
                         for w, v in enumerate(vec):
                             cell[q * r + w] = (cell[q * r + w] + v) % A.n
-    unit = list(A.one()) + [0] * (rank - r)
-    return validate_algebra({
-        "modulus": A.n, "rank": rank, "structure": structure, "unit": unit,
-    }, name=f"{D.name} flattened")
+    unit = A.one() + (0,) * (rank - r)
+    return validate_algebra(
+        FiniteAlgebra(A.n, rank, structure, unit, f"{D.name} flattened"))
 
 
 def flatten_element(D, f):
@@ -485,11 +469,29 @@ def _noncommuting_basis(A, e):
                  if A.mul(e, A.basis(i)) != A.mul(A.basis(i), e)), None)
 
 
-def lift_idempotent_newton(D, e):
+def _newton_work(D, cap=None):
+    """The slot visits of a Newton lift, refused with CapExceeded above cap
+    before its first product: it forms at most 3·_newton_bound(D) + 1
+    products, and a product visits, for each supported order m, the r^2
+    cells of alpha_m and its nnz_m entries, each across N coefficient
+    slots."""
+    r2 = D.base.rank ** 2
+    per_product = D.order * sum(
+        r2 + sum(len(cell) for row in cells for cell in row)
+        for _, cells in D._supported_cells())
+    work = (3 * _newton_bound(D) + 1) * per_product
+    _refuse_above_cap(work, cap, f"Newton lift at order {D.order}",
+                      shown=f"{work} slot visits")
+
+
+def lift_idempotent_newton(D, e, cap=None):
     """Lift an idempotent of the base through the quadratic fixed-point
-    iteration; the iteration count stays within _newton_bound(D)."""
+    iteration; the iteration count stays within _newton_bound(D), and the
+    work of that many steps is refused above cap before the first product
+    (_newton_work)."""
     A = D.base
     e = A.require_idempotent(e)
+    _newton_work(D, cap)
     bound = _newton_bound(D)
     one = def_one(D)
     g = def_from_constant(D, e)
@@ -514,7 +516,8 @@ def lift_idempotent_central(D, e, newton=None, cap=None):
     """Unique lift of a central idempotent: the obstruction probe run to full
     depth, which must solve every order; certified idempotent and equal to
     the Newton lift, which a caller that already holds it passes as newton.
-    The probe's work is refused above cap before it starts."""
+    The probe's work, and the Newton lift's when it runs here, is refused
+    above cap before it starts."""
     A = D.base
     e = A.require_idempotent(e)
     i = _noncommuting_basis(A, e)
@@ -528,7 +531,7 @@ def lift_idempotent_central(D, e, newton=None, cap=None):
     if def_mul(D, g, g) != g:
         raise SelfCheckFailed("central recursion produced a non-idempotent")
     if newton is None:
-        newton, _ = lift_idempotent_newton(D, e)
+        newton, _ = lift_idempotent_newton(D, e, cap)
     if g != newton:
         raise SelfCheckFailed("central recursion disagrees with Newton lift")
     return g
@@ -586,7 +589,6 @@ class SeriesVerdict:
 def remark2_series(A, e, x, order=4) -> SeriesVerdict:
     """The explicit noncentral lifting series for the trivial deformation,
     through the cubic coefficient, squared and checked mod t^order."""
-    A = validate_algebra(A) if not isinstance(A, FiniteAlgebra) else A
     x = A.coerce(x)
     e = A.require_idempotent(e)
     if order < 1 or order > 4:
@@ -612,13 +614,14 @@ def clean_decompose_def(D, h, cap=None):
     also certified unique in the flattened model, which is built (or refused
     on its element count) before any lifting; the work of the unit part's
     inverse recursion is refused above cap before the lift too, and both
-    before h is read."""
+    before h is read.  The Newton lift refuses its own work above cap
+    before its first product."""
     rep = decomposition_report(D.base, cap)
     F = flatten(D, cap) if rep.flags["uniquely_clean"] else None
     _series_work(D, D.order - 1, cap)  # the inverse's recursion, up front
     _check_order(D, h)
     e, u = rep.witnesses[h[0]]["clean"]
-    e_t, _ = lift_idempotent_newton(D, e)
+    e_t, _ = lift_idempotent_newton(D, e, cap)
     u_t = def_sub(D, h, e_t)
     invert_def(D, u_t, cap)  # certifies invertibility; constant term is u
 

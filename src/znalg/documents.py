@@ -1,8 +1,12 @@
 """Workspace documents: one JSON file holding named algebras, bimodules,
 cochains, deformations, posets, presheaves, and jobs referencing them.
 
-Loading resolves every cross-reference and validates every object; the
-returned Workspace hands out certified values by name.  Workspace.load
+This is the one module that reads or writes the document format.  A
+Workspace hands out certified objects by name: it checks a spec's fields,
+integers and table shapes where they enter, builds the object, and has the
+library certify it (validate_algebra, validate_bimodule,
+validate_deformation, which take only objects).  algebra_to_doc and
+builtin_catalog_document write the same format back.  Workspace.load
 decodes each document text once per process: it reads the file on every
 call and reuses the decoded dict while the text equals the last text it
 decoded.  Only the decoded dict is shared, never a built object, so every
@@ -22,11 +26,20 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring_ascii as _quote
 
-from .algebra import _check_int, algebra_to_doc, validate_algebra
+from .algebra import FiniteAlgebra, _check_int, _check_table, validate_algebra
 from .catalog import catalog_algebras, twisted_projection_module, z2xz2
-from .deformation import validate_deformation
-from .errors import ParseError
-from .hochschild import cochain_from_table, regular_bimodule, validate_bimodule
+from .deformation import (
+    TruncatedDeformation,
+    catalog_deformations,
+    validate_deformation,
+)
+from .errors import BadShape, ParseError
+from .hochschild import (
+    Bimodule,
+    cochain_from_table,
+    regular_bimodule,
+    validate_bimodule,
+)
 from .poset import (
     Poset,
     Presheaf,
@@ -87,16 +100,45 @@ class Workspace:
             self._built[key] = build(JobSpec(spec, f"{what} {name!r}"))
         return self._built[key]
 
+    def with_modulus(self, modulus):
+        """A workspace over the same document with every algebra read over
+        modulus instead of its own, each built and certified now, in
+        document order, so an algebra the new modulus breaks is refused
+        before any job runs."""
+        algebras = {name: dict(spec, modulus=modulus)
+                    if isinstance(spec, dict) else spec
+                    for name, spec in self._section("algebras").items()}
+        ws = Workspace(dict(self.doc, algebras=algebras))
+        for name in algebras:
+            ws.algebra(name)
+        return ws
+
     def algebra(self, name):
-        return self._object("algebras", "algebra", name,
-                            lambda spec: validate_algebra(spec, name=name))
+        def build(spec):
+            modulus = _check_int(spec["modulus"], "modulus")
+            rank = _check_int(spec["rank"], "rank")
+            structure, unit = spec["structure"], spec["unit"]
+            if modulus < 2:
+                raise BadShape(f"modulus must be >= 2, got {modulus}")
+            if rank < 1:
+                raise BadShape(f"rank must be >= 1, got {rank}")
+            _check_table(structure, (rank, rank, rank), "structure table")
+            _check_table(unit, (rank,), "unit vector")
+            return validate_algebra(FiniteAlgebra(
+                modulus, rank, structure, unit, name or spec.get("name")))
+        return self._object("algebras", "algebra", name, build)
 
     def bimodule(self, name):
         def build(spec):
             A = self.algebra(spec["algebra"])
             if spec.get("regular"):
                 return regular_bimodule(A)
-            return validate_bimodule(spec, algebra=A, name=name)
+            rank = _check_int(spec["rank"], "bimodule rank")
+            left, right = spec["left_action"], spec["right_action"]
+            _check_table(left, (A.rank, rank, rank), "left action table")
+            _check_table(right, (rank, A.rank, rank), "right action table")
+            return validate_bimodule(Bimodule(
+                A, rank, left, right, name=name or spec.get("name", "")))
         return self._object("bimodules", "bimodule", name, build)
 
     def cochain(self, name):
@@ -108,8 +150,16 @@ class Workspace:
 
     def deformation(self, name):
         def build(spec):
-            return validate_deformation(
-                spec, base=self.algebra(spec["algebra"]), name=name)
+            A = self.algebra(spec["algebra"])
+            order = _check_int(spec["order"], "truncation order")
+            cochains = spec["cochains"]
+            if order < 1:
+                raise BadShape("truncation order must be at least 1")
+            _check_table(cochains, (order - 1, A.rank, A.rank, A.rank),
+                         "deformation cochains")
+            return validate_deformation(TruncatedDeformation(
+                A, order, dict(enumerate(cochains, 1)),
+                name=name or spec.get("name", "")))
         return self._object("deformations", "deformation", name, build)
 
     def poset(self, name):
@@ -187,7 +237,6 @@ def builtin_catalog_document() -> dict:
         doc["bimodules"][f"{A.name} regular"] = {
             "algebra": A.name, "regular": True, "rank": A.rank}
 
-    from .deformation import catalog_deformations
     for D in catalog_deformations(4):
         doc["algebras"].setdefault(D.base.name, algebra_to_doc(D.base))
         doc["deformations"][D.name] = {
@@ -231,6 +280,17 @@ def builtin_catalog_document() -> dict:
                                  "algebras": ["Z2", "Z3", "Z4"]},
     }
     return doc
+
+
+def algebra_to_doc(alg) -> dict:
+    """The document form of an algebra, which Workspace.algebra reads back."""
+    return {
+        "modulus": alg.n,
+        "rank": alg.rank,
+        "structure": [[list(cell) for cell in row] for row in alg.table],
+        "unit": list(alg.unit),
+        "name": alg.name,
+    }
 
 
 def dump_report(report: dict) -> str:

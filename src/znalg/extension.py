@@ -8,7 +8,10 @@ re-certified mechanically, which is exactly the cocycle condition.  The
 carrier's f-block is copied from the cochain's table cells, and both the
 cocycle identity and the carrier's associativity are certified by
 algebra._triple_defects, which reads the sparse cells of the tables and
-evaluates no product.
+evaluates no product.  The lifting and inversion formulas coerce every base
+and module argument (FiniteAlgebra.coerce, Bimodule.coerce), so an entry
+that is not an integer or an element of the wrong length is refused with
+BadShape.
 """
 
 from __future__ import annotations
@@ -81,12 +84,11 @@ def build_extension(A: FiniteAlgebra, M: Bimodule, f: Cochain,
             structure[r + i][r + j] = [0] * rank
 
     f11 = f.evaluate(A.one(), A.one())
-    unit = list(A.one()) + list(M.neg(f11))
+    unit = A.one() + M.neg(f11)
     label = name or f"ext({A.name}; {M.name})"
     try:
-        carrier = validate_algebra({
-            "modulus": A.n, "rank": rank, "structure": structure,
-            "unit": unit}, name=label)
+        carrier = validate_algebra(
+            FiniteAlgebra(A.n, rank, structure, unit, label))
     except NonAssociative as exc:
         raise NotACocycle(
             f"carrier not associative at {exc.triple}") from exc
@@ -148,8 +150,7 @@ def lift_idempotent(B: ExtensionAlgebra, e, x=None):
     """The explicit lift (e, (1-2e)f(e,e) + ex - xe); certified idempotent."""
     A, M = B.base, B.module
     e = A.require_idempotent(e)
-    if x is None:
-        x = M.zero()
+    x = M.zero() if x is None else M.coerce(x)
     one_minus_2e = A.sub(A.one(), A.smul(2, e))
     t = M.lact(one_minus_2e, B.cocycle.evaluate(e, e))
     t = M.add(t, M.sub(M.lact(e, x), M.ract(x, e)))
@@ -163,7 +164,7 @@ def invert_extension_element(B: ExtensionAlgebra, d, p):
     """Inverse of (d, p) from the explicit formula, certified two-sided."""
     A, M = B.base, B.module
     d = A.coerce(d)
-    p = tuple(v % M.n for v in p)
+    p = M.coerce(p)
     dinv = A.inverse(d)
     if dinv is None:
         raise NotAUnit(f"{d} is not a unit of {A.name}")
@@ -183,7 +184,7 @@ def lift_clean_decomposition(B: ExtensionAlgebra, am, e, u):
     """Lift a = e + u to a clean decomposition of (a, m) in the carrier."""
     A, M = B.base, B.module
     a, m = am
-    a = A.coerce(a)
+    a, m = A.coerce(a), M.coerce(m)
     e = A.coerce(e)
     u = A.coerce(u)
     if A.mul(e, e) != e:
@@ -195,7 +196,7 @@ def lift_clean_decomposition(B: ExtensionAlgebra, am, e, u):
     first = lift_idempotent(B, e)
     t = B.split(first)[1]
     second = B.pair(u, M.sub(m, t))
-    _certify_sum(B, am, first, second)
+    _certify_sum(B, B.pair(a, m), first, second)
     invert_extension_element(B, u, M.sub(m, t))  # certifies unit
     return first, second
 
@@ -204,7 +205,7 @@ def lift_nil_clean_decomposition(B: ExtensionAlgebra, am, e, x):
     """Lift a = e + x (x nilpotent) to a nil-clean decomposition of (a, m)."""
     A, M = B.base, B.module
     a, m = am
-    a = A.coerce(a)
+    a, m = A.coerce(a), M.coerce(m)
     e = A.coerce(e)
     x = A.coerce(x)
     if A.mul(e, e) != e:
@@ -217,7 +218,7 @@ def lift_nil_clean_decomposition(B: ExtensionAlgebra, am, e, x):
     first = lift_idempotent(B, e)
     t = B.split(first)[1]
     second = B.pair(x, M.sub(m, t))
-    _certify_sum(B, am, first, second)
+    _certify_sum(B, B.pair(a, m), first, second)
     carrier_index = B.carrier.nilpotency_index(second)
     if carrier_index is None or carrier_index > 2 * index:
         raise SelfCheckFailed(
@@ -226,9 +227,7 @@ def lift_nil_clean_decomposition(B: ExtensionAlgebra, am, e, x):
     return first, second
 
 
-def _certify_sum(B, am, first, second):
-    a, m = am
-    target = B.pair(B.base.coerce(a), tuple(v % B.module.n for v in m))
+def _certify_sum(B, target, first, second):
     if B.carrier.add(first, second) != target:
         raise SelfCheckFailed("lifted parts do not sum to the element")
 
@@ -245,8 +244,7 @@ def exchange_half_witness(B: ExtensionAlgebra, am, e, r) -> HalfWitness:
     x equals (a, m) times (re, f(r,e) - 2rf(e,e) - rf(a,r) - rmr)."""
     A, M = B.base, B.module
     a, m = am
-    a = A.coerce(a)
-    m = tuple(v % M.n for v in m)
+    a, m = A.coerce(a), M.coerce(m)
     e = A.coerce(e)
     r = A.coerce(r)
     if A.mul(e, e) != e:

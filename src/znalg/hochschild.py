@@ -1,14 +1,17 @@
 """Bimodules, cochains, coboundaries, and low-degree cohomology dimensions.
 
 Bimodule actions and cochains are nested structure-constant tables in the
-format of algebra.py, checked by its _check_table and evaluated over sparse
-cells: a bimodule builds the cells of its action tables once, and lact and
-ract call a kernel compiled from them (algebra._compile_bilinear) on first
-use, the algebra's own product kernel for a side whose cells are the
-algebra's, as on both sides of the regular bimodule.  A cochain builds its
-cells on its first evaluation and is evaluated by the _bilinear and _linear
-kernels; one of degree 3 or more contracts one argument at a time over
-that argument's support.  Multilinearity makes the table a lossless
+format of algebra.py, evaluated over sparse cells.  A bimodule is built as
+a Bimodule object, in code or by documents.Workspace, which checks a
+document's action tables with algebra._check_table first, and
+validate_bimodule certifies the object; cochain_from_table checks a
+cochain's table itself.  A bimodule builds the cells of its action tables
+once, and lact and ract call a kernel compiled from them
+(algebra._compile_bilinear) on first use, the algebra's own product kernel
+for a side whose cells are the algebra's, as on both sides of the regular
+bimodule.  A cochain builds its cells on its first evaluation and is
+evaluated by the _bilinear and _linear kernels; one of degree 3 or more
+contracts one argument at a time over that argument's support.  Multilinearity makes the table a lossless
 representation and turns cocycle/coboundary questions into exact linear
 algebra over Z_p.
 The coboundary of a table is evaluated directly from the alternating-sum
@@ -42,7 +45,6 @@ from .algebra import (
     FiniteAlgebra,
     _ZnModule,
     _bilinear,
-    _check_int,
     _check_table,
     _compile_bilinear,
     _linear,
@@ -124,34 +126,14 @@ class Bimodule(_ZnModule):
         return _compile_bilinear(cells, self.n, self.rank)
 
 
-def validate_bimodule(spec, algebra=None, name=None) -> Bimodule:
-    """Certify the bimodule axioms on basis triples and return the Bimodule."""
-    if isinstance(spec, Bimodule):
-        M = spec
-    else:
-        if algebra is None:
-            raise BadShape("validate_bimodule needs the underlying algebra")
-        try:
-            rank = _check_int(spec["rank"], "bimodule rank")
-            left = spec["left_action"]
-            right = spec["right_action"]
-        except (KeyError, TypeError) as exc:
-            raise BadShape(f"bimodule spec missing or malformed field: {exc}")
-        r = algebra.rank
-        _check_table(left, (r, rank, rank), "left action table")
-        _check_table(right, (rank, r, rank), "right action table")
-        M = Bimodule(algebra, rank, left, right, name=name or spec.get("name", ""))
-    _certify_bimodule(M)
-    return M
-
-
-def _certify_bimodule(M):
-    """Unit laws and the three associativity laws on basis triples (i, j, k)
-    with i, j algebra and k module indices, all read off the sparse cells
-    (the unit laws through _bilinear), so certifying a bimodule compiles no
-    kernel; the unit laws also make scalars act alike on both sides.  The
-    first failing triple in lexicographic order is reported, with the laws
-    in the order below at a tie."""
+def validate_bimodule(M) -> Bimodule:
+    """Certify a Bimodule and return it: the unit laws and the three
+    associativity laws on basis triples (i, j, k) with i, j algebra and k
+    module indices, all read off the sparse cells (the unit laws through
+    _bilinear), so certifying a bimodule compiles no kernel; the unit laws
+    also make scalars act alike on both sides.  The first failing triple in
+    lexicographic order is reported, with the laws in the order below at a
+    tie."""
     A = M.algebra
     one = A.one()
     n, s = M.n, M.rank
@@ -174,6 +156,7 @@ def _certify_bimodule(M):
     if failures:
         triple, _, law = min(failures)
         raise ActionNotAssociative(law, triple)
+    return M
 
 
 def regular_bimodule(A: FiniteAlgebra) -> Bimodule:

@@ -274,11 +274,9 @@ def build_shriek(F: Presheaf) -> PosetAlgebra:
     unit = [0] * rank
     for i in range(P.size):
         start, width = offsets[(i, i)]
-        for k, c in enumerate(F.stalks[i].one()):
-            unit[start + k] = c
-    carrier = validate_algebra({
-        "modulus": n, "rank": rank, "structure": structure, "unit": unit,
-    }, name=f"{F.name}!")
+        unit[start:start + width] = F.stalks[i].one()
+    carrier = validate_algebra(
+        FiniteAlgebra(n, rank, structure, unit, f"{F.name}!"))
     return PosetAlgebra(F, carrier, blocks, offsets)
 
 

@@ -11,7 +11,6 @@ from znalg.algebra import (
     _bilinear,
     _compile_bilinear,
     _sparse_cells,
-    algebra_to_doc,
     direct_product,
     matrix_algebra,
     triangular_algebra,
@@ -19,6 +18,7 @@ from znalg.algebra import (
     zn,
     zn_poly_x2,
 )
+from znalg.documents import Workspace, algebra_to_doc
 from znalg.errors import (
     BadShape,
     BadUnit,
@@ -44,16 +44,14 @@ def test_checker_decides_modified_table():
         [[1, 0], [0, 1]],
         [[0, 1], [0, 1]],
     ]
-    spec = {"modulus": 2, "rank": 2, "structure": structure, "unit": [1, 0]}
     # (x x) x = x x = x and x (x x) = x: associative, so it validates
-    A = validate_algebra(spec)
+    A = validate_algebra(FiniteAlgebra(2, 2, structure, [1, 0]))
     assert A.mul((0, 1), (0, 1)) == (0, 1)
 
 
 def test_bad_unit_rejected():
-    spec = {"modulus": 2, "rank": 1, "structure": [[[0]]], "unit": [1]}
     with pytest.raises(BadUnit):
-        validate_algebra(spec)
+        validate_algebra(FiniteAlgebra(2, 1, [[[0]]], [1]))
 
 
 def test_non_associative_rejected_with_triple():
@@ -63,18 +61,22 @@ def test_non_associative_rejected_with_triple():
         [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
         [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
     ]
-    spec = {"modulus": 2, "rank": 3, "structure": structure, "unit": [1, 0, 0]}
     with pytest.raises(NonAssociative) as err:
-        validate_algebra(spec)
+        validate_algebra(FiniteAlgebra(2, 3, structure, [1, 0, 0]))
     assert err.value.triple == (1, 1, 1)
+
+
+def document_algebra(spec):
+    """The algebra a one-algebra document defines, read by a Workspace."""
+    return Workspace({"algebras": {"A": spec}}).algebra("A")
 
 
 def test_shape_errors():
     with pytest.raises(BadShape):
-        validate_algebra({"modulus": 2, "rank": 2, "structure": [[[1]]],
+        document_algebra({"modulus": 2, "rank": 2, "structure": [[[1]]],
                           "unit": [1, 0]})
     with pytest.raises(BadShape):
-        validate_algebra({"modulus": 1, "rank": 1, "structure": [[[1]]],
+        document_algebra({"modulus": 1, "rank": 1, "structure": [[[1]]],
                           "unit": [1]})
 
 
@@ -282,8 +284,8 @@ def sheared(A, seed):
 
     structure = [[coords(A.mul(P[i], P[j])) for j in range(r)]
                  for i in range(r)]
-    return validate_algebra({"modulus": n, "rank": r, "structure": structure,
-                             "unit": coords(A.unit)}, name=f"{A.name} sheared")
+    return validate_algebra(FiniteAlgebra(n, r, structure, coords(A.unit),
+                                          f"{A.name} sheared"))
 
 
 def corrupt(table, rng, n, free):
@@ -424,7 +426,7 @@ def test_validating_an_algebra_builds_no_kernel(monkeypatch):
         raise AssertionError("a kernel was generated")
     monkeypatch.setattr(znalg.algebra, "_compile_bilinear", compiled)
     for doc in docs:
-        A = validate_algebra(doc)
+        A = document_algebra(doc)
         M = regular_bimodule(A)
         assert not {"_product", "_left_product",
                     "_right_product"} & (set(vars(A)) | set(vars(M)))

@@ -509,12 +509,8 @@ def enumerated_quotient_by_ideal(A: FiniteAlgebra, gens, cap=None):
         [list(coords_of[rep_of[A.mul(gi, gj)]]) for gj in gens_q]
         for gi in gens_q
     ]
-    Q = validate_algebra({
-        "modulus": d,
-        "rank": s,
-        "structure": structure,
-        "unit": list(coords_of[rep_of[A.one()]]),
-    }, name=f"{A.name}/I")
+    Q = validate_algebra(FiniteAlgebra(
+        d, s, structure, coords_of[rep_of[A.one()]], f"{A.name}/I"))
 
     def project(x):
         return coords_of[rep_of[A.coerce(x)]]

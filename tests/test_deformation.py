@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from znalg.algebra import (
+    FiniteAlgebra,
     _sparse_cells,
     direct_product,
     matrix_algebra,
@@ -79,7 +80,7 @@ def test_unit_changed_rejected():
     A = zn_poly_x2(2)
     bad = [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]  # alpha1(1, x) = 1
     with pytest.raises(UnitChanged):
-        validate_deformation({"order": 2, "cochains": [bad]}, base=A)
+        validate_deformation(TruncatedDeformation(A, 2, {1: bad}))
 
 
 def test_not_associative_at_order_rejected():
@@ -250,8 +251,7 @@ def radical_square_zero_deformation():
     structure = [[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
                  [[0, 1, 0], [0, 0, 0], [0, 0, 0]],
                  [[0, 0, 1], [0, 0, 0], [0, 0, 0]]]
-    A = validate_algebra({"modulus": 2, "rank": 3, "structure": structure,
-                          "unit": [1, 0, 0]})
+    A = validate_algebra(FiniteAlgebra(2, 3, structure, [1, 0, 0]))
     alpha1 = [[[0, 0, 0]] * 3, [[0, 0, 0], [0, 0, 1], [0, 0, 0]],
               [[0, 0, 0], [0, 1, 0], [0, 0, 0]]]
     return validate_deformation(TruncatedDeformation(A, 2, {1: alpha1}))
@@ -282,6 +282,40 @@ def test_at_order_costs_the_support_not_the_order():
     assert time.monotonic() - start < 0.25
     assert E.order == 10 ** 6 and E.corrections == D.corrections
     assert E._support == (0, 1)
+
+
+@pytest.mark.parametrize("order, estimate", [(2000, 3256000),
+                                             (20000, 43120000)])
+def test_newton_lift_refuses_its_work_before_the_first_product(
+        monkeypatch, order, estimate):
+    # the gauge deformation of T2(Z2) by seeded map 5 corrects orders 1 and
+    # 2; e_00 does not commute with e_01, so only the Newton lift runs.  At
+    # order 20000 it may form 3 * 16 + 1 products of 20000 * 44 slot
+    # visits: refused before any product, naming the estimate
+    import time
+    import znalg.deformation as deformation
+    T2 = triangular_algebra(2, 2)
+    D = at_order(gauge_deformation(T2, seeded_gauge_map(T2, 5), 4), order)
+
+    def ran(*args):
+        raise AssertionError("a product ran before the refusal")
+    monkeypatch.setattr(deformation, "def_mul", ran)
+    start = time.monotonic()
+    with pytest.raises(CapExceeded, match=f"Newton lift at order {order}: "
+                       f"{estimate} slot visits exceeds cap 1048576"):
+        lift_idempotent_newton(D, (1, 0, 0))
+    assert time.monotonic() - start < 1
+
+
+def test_newton_lift_admits_the_workload_orders():
+    # the three rank-2 deformations at order 32 (estimates 7296, 4256 and
+    # 8512) and x^2=t at order 64 (16896) lift under the default cap
+    P = direct_product([zn(2), zn(2)])
+    for D in (x_squared_t_deformation(2, 32), x_squared_t_deformation(2, 64),
+              trivial_deformation(zn_poly_x2(3), 32),
+              gauge_deformation(P, seeded_gauge_map(P, 300), 32)):
+        g, _ = lift_idempotent_newton(D, (1, 0))
+        assert def_mul(D, g, g) == g and g[0] == (1, 0)
 
 
 def test_newton_fixed_point_trivial():
@@ -574,8 +608,7 @@ def test_non_cocycle_at_order_three_fails_where_the_dense_sum_does():
     for i in range(r):
         for j in range(r - i):
             structure[i][j][i + j] = 1
-    A = validate_algebra({"modulus": n, "rank": r, "structure": structure,
-                          "unit": [1, 0, 0]})
+    A = validate_algebra(FiniteAlgebra(n, r, structure, [1, 0, 0]))
     zero = [[[0] * r for _ in range(r)] for _ in range(r)]
     alpha3 = [[[0] * r for _ in range(r)] for _ in range(r)]
     alpha3[1][2] = [1, 0, 0]
@@ -607,7 +640,8 @@ def test_non_cocycle_at_order_three_fails_where_the_dense_sum_does():
     expected = first_dense_failure()
     assert expected is not None and expected[0] == 3
     with pytest.raises(NotAssociativeAtOrder) as err:
-        validate_deformation({"order": order, "cochains": cochains}, base=A)
+        validate_deformation(
+            TruncatedDeformation(A, order, dict(enumerate(cochains, 1))))
     assert (err.value.order, err.value.triple) == expected
 
 

@@ -256,6 +256,24 @@ MALFORMED = {
     "cover-bool": (_set("posets", "example-1", "covers", 0,
                         value=[0, True]), SHRIEK, 3),
     "deform-order-zero": (_deform_job(0), DEFORM, 3),
+    # the ranges of a document's own integers are checked before its tables
+    "algebra-rank-zero": (_set("algebras", "Z2[X]/(X^2)", "rank", value=0),
+                          CLASSIFY, 3),
+    "algebra-modulus-one": (_set("algebras", "Z2[X]/(X^2)", "modulus",
+                                 value=1), CLASSIFY, 3),
+    "bimodule-rank-negative": (_set("bimodules", "twisted projection",
+                                    "rank", value=-1), EXTEND, 3),
+    "bimodule-without-left-action": (_set(
+        "bimodules", "twisted projection", value={
+            "algebra": "Z2 x Z2", "rank": 1, "right_action": [[[0], [1]]]}),
+        EXTEND, 2),
+    "deformation-order-zero": (_then(_deform_job(None), _set(
+        "deformations", "x^2=t over Z2 (N=4)", "order", value=0)),
+        DEFORM, 3),
+    # three correction tables for a document order of 5
+    "deformation-cochains-short": (_then(_deform_job(None), _set(
+        "deformations", "x^2=t over Z2 (N=4)", "order", value=5)),
+        DEFORM, 3),
     # 2^(2*800) elements: refused before validating 800 orders
     "deform-order-800": (_deform_job(800), DEFORM, 4),
     "probe-depth-zero": (_probe_job(0), DEFORM, 3),
@@ -276,10 +294,13 @@ MALFORMED = {
         element=json.dumps([[1, 1]] + [[0, 0]] * 199)), DEFORM, 4),
     # Z3 is not uniquely clean, so it never flattens: 3^20 elements above
     # the cap are no reason to refuse, while the 420 cell visits of the
-    # unit part's inverse recursion are (see CAPS)
+    # unit part's inverse recursion and the 760 slot visits of the Newton
+    # lift are (see CAPS)
     "clean-decompose-z3-order-20": (_trivial_z3_clean_decompose(20),
                                     DEFORM, 0),
     "clean-decompose-z3-order-20-over-work": (
+        _trivial_z3_clean_decompose(20), DEFORM, 4),
+    "clean-decompose-z3-order-20-over-newton": (
         _trivial_z3_clean_decompose(20), DEFORM, 4),
     # more nodes than the carrier rank limit: refused before the closure
     "poset-size-65": (_set("posets", "example-1", "size", value=65),
@@ -306,9 +327,11 @@ MALFORMED = {
 # seconds; every other case must finish in under 2 s
 TIME_LIMITS = {"clean-decompose-order-200": 0.5}
 # --cap for the cases that are not run under 64: the Z3 decomposition at
-# order 20 estimates 420 cell visits for its series recursion
-CAPS = {"clean-decompose-z3-order-20": 420,
-        "clean-decompose-z3-order-20-over-work": 419}
+# order 20 estimates 420 cell visits for its series recursion and 760 slot
+# visits for its Newton lift
+CAPS = {"clean-decompose-z3-order-20": 760,
+        "clean-decompose-z3-order-20-over-work": 419,
+        "clean-decompose-z3-order-20-over-newton": 759}
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -570,6 +593,38 @@ def test_series_jobs_refuse_before_padding_to_the_order(
     assert time.monotonic() - start < 1
     assert ("series recursion at order 1000000: 6000001000000 cell visits "
             "exceeds cap 1048576") in capsys.readouterr().err
+
+
+def test_lift_refuses_the_newton_estimate_and_admits_small_orders(
+        tmp_path, capsys):
+    # the T2(Z2) gauge deformation (seeded map 5) is written at order 4;
+    # lifting the noncentral e_00 at order 20000 exits 4 within a second,
+    # naming the Newton estimate, while x^2=t at order 64 and the gauge
+    # deformation at order 32 lift and match the central recursion
+    from znalg.algebra import triangular_algebra
+    from znalg.deformation import gauge_deformation, seeded_gauge_map
+    from znalg.documents import algebra_to_doc
+    T2 = triangular_algebra(2, 2)
+    D = gauge_deformation(T2, seeded_gauge_map(T2, 5), 4)
+    doc = builtin_catalog_document()
+    doc["algebras"][T2.name] = algebra_to_doc(T2)
+    doc["deformations"]["T2 gauge"] = {
+        "algebra": T2.name, "order": D.order,
+        "cochains": [[[list(c) for c in row] for row in table]
+                     for table in D.cochains]}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    start = time.monotonic()
+    assert main(["deform", "lift", "--doc", str(path), "--deformation",
+                 "T2 gauge", "--idempotent", "[1,0,0]", "--order",
+                 "20000"]) == 4
+    assert time.monotonic() - start < 1
+    err = capsys.readouterr().err
+    assert err == ("cap exceeded: Newton lift at order 20000: 43120000 slot "
+                   "visits exceeds cap 1048576\n")
+    for name, order in ((X2T, "64"), (GAUGE, "32")):
+        assert main(["deform", "lift", "--doc", str(path), "--deformation",
+                     name, "--idempotent", "[1,0]", "--order", order]) == 0
 
 
 def test_shriek_job(catalog_doc, capsys):

@@ -11,7 +11,12 @@ from znalg.catalog import (
     z2xz2,
 )
 from znalg.classify import classify_elements
-from znalg.errors import BadDecomposition, NotACocycle, NotIdempotent
+from znalg.errors import (
+    BadDecomposition,
+    BadShape,
+    NotACocycle,
+    NotIdempotent,
+)
 from znalg.extension import (
     build_extension,
     exchange_half_witness,
@@ -171,6 +176,27 @@ def test_inverse_formula_matches_brute_force_everywhere():
             d, p = B.split(z)
             if d in base_units:
                 assert invert_extension_element(B, d, p) == zinv
+
+
+def test_module_arguments_are_coerced_like_algebra_arguments():
+    # a float or a wrong-length module element is refused with BadShape by
+    # every formula that takes one, as an algebra element is; a residue
+    # outside 0..n-1 is reduced, never certified as it stands
+    A = zn_poly_x2(2)
+    B = trivial_self_extension(A)
+    one, zero = A.one(), A.zero()
+    for m in ((0.5, 0), (1, 0, 0), (1,)):
+        for call in (
+                lambda: invert_extension_element(B, one, m),
+                lambda: lift_clean_decomposition(
+                    B, (zero, m), one, A.sub(zero, one)),
+                lambda: lift_nil_clean_decomposition(B, (one, m), one, zero),
+                lambda: exchange_half_witness(B, (one, m), one, one),
+                lambda: lift_idempotent(B, one, m)):
+            with pytest.raises(BadShape):
+                call()
+    assert invert_extension_element(B, one, (3, -1)) \
+        == invert_extension_element(B, one, (1, 1))
 
 
 def test_carrier_units_are_exactly_unit_constant_parts():

@@ -45,8 +45,7 @@ def twisted_projection_module(P):
     left = [[[1]], [[0]]]
     right = [[[0], [1]]]
     return validate_bimodule(
-        {"rank": 1, "left_action": left, "right_action": right},
-        algebra=P, name="projection twist")
+        Bimodule(P, 1, left, right, name="projection twist"))
 
 
 def random_cochain(M, degree, seed):
@@ -210,17 +209,14 @@ def test_delta_matrix_matches_dense_scan():
 def test_unit_acts_badly_detected():
     A = zn(2)
     with pytest.raises(UnitActsBadly):
-        validate_bimodule({"rank": 1, "left_action": [[[0]]],
-                           "right_action": [[[1]]]}, algebra=A)
+        validate_bimodule(Bimodule(A, 1, [[[0]]], [[[1]]]))
 
 
 def test_action_not_associative_detected():
     # left action of x on Z2 as if x were 1: (x*x)m = 0 but x(xm) = m
     A = zn_poly_x2(2)
     with pytest.raises((ActionNotAssociative, UnitActsBadly)):
-        validate_bimodule({"rank": 1,
-                           "left_action": [[[1]], [[1]]],
-                           "right_action": [[[1], [0]]]}, algebra=A)
+        validate_bimodule(Bimodule(A, 1, [[[1]], [[1]]], [[[1], [0]]]))
 
 
 def test_delta_of_delta_is_zero_exhaustively():
