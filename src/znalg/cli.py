@@ -380,6 +380,8 @@ def job_shriek(ws, spec, cap, report):
 
 def job_cohomology(ws, spec, cap, report):
     degree = integer_field(spec, "degree", 2)
+    if spec.get("presheaf") and spec.get("algebra"):
+        raise ParseError("cohomology takes --algebra or --presheaf, not both")
     if spec.get("presheaf"):
         PA = build_shriek(ws.presheaf(spec["presheaf"]))
         A = PA.carrier

@@ -21,11 +21,14 @@ for any prime p.  delta_matrix assembles those rows from shifted templates
 built once with their signs: the left and right actions per module
 coordinate and, per tuple position and basis index, the merged pairs (u, v)
 from one preimage list per basis index (algebra._preimages) instead of a
-scan over all r^2 pairs.  A row adds offsets from the flat index of its
-source tuple to those templates, sums raw integers and reduces mod n once.
+scan over all r^2 pairs, each reduced mod n.  A row adds offsets from the
+flat index of its source tuple to those templates; it is kept as built
+when no two entries land on one column, and only a row with merged entries
+is summed and reduced mod n again.
 The bimodule laws and the cocycle identity are certified on basis triples
 by algebra._triple_defects, which composes the sparse cells of the action,
-algebra and cochain tables and evaluates no product.
+algebra and cochain tables and evaluates no product; for the regular
+bimodule one walk of the associativity defect serves all three laws.
 
 Every solver gets its eliminations from _sieve, the one place that refuses:
 a non-prime modulus (NonPrimeModulus) and a coboundary whose templates
@@ -131,7 +134,10 @@ def validate_bimodule(M) -> Bimodule:
     associativity laws on basis triples (i, j, k) with i, j algebra and k
     module indices, all read off the sparse cells (the unit laws through
     _bilinear), so certifying a bimodule compiles no kernel; the unit laws
-    also make scalars act alike on both sides.  The first failing triple in
+    also make scalars act alike on both sides.  When both sides are the
+    algebra's own cells, as in the regular bimodule, the three laws are the
+    algebra's associativity defect up to sign, and one _triple_defects walk
+    gives every law's failing triples.  The first failing triple in
     lexicographic order is reported, with the laws in the order below at a
     tie."""
     A = M.algebra
@@ -150,9 +156,11 @@ def validate_bimodule(M) -> Bimodule:
         ("m(ab) = (ma)b", (1, 2, 0), [(1, "x(yz)", R, T), (-1, "(xy)z", R, R)]),
         ("(am)b = a(mb)", (0, 2, 1), [(1, "(xy)z", R, L), (-1, "x(yz)", L, R)]),
     )
+    walks = ([_triple_defects(laws[0][2], n, s)] * 3 if L == T == R
+             else [_triple_defects(terms, n, s) for _, _, terms in laws])
     failures = [((t[p[0]], t[p[1]], t[p[2]]), rank, law)
-                for rank, (law, p, terms) in enumerate(laws)
-                for t in _triple_defects(terms, n, s)]
+                for rank, ((law, p, _), defects) in enumerate(zip(laws, walks))
+                for t in defects]
     if failures:
         triple, _, law = min(failures)
         raise ActionNotAssociative(law, triple)
@@ -300,12 +308,15 @@ def delta_matrix(M: Bimodule, degree):
     Returns (rows, source_dim, target_dim).
 
     The row of (T, m0) is three sparse templates, built once with their
-    signs, shifted by the flat index idx of T: the left term at
-    (l·r^ν + idx)·s + k, merged term i at (u·r + v)·r^(ν-i)·s for each
-    preimage (u, v) of T[i-1] above the base
+    signs and reduced mod n, shifted by the flat index idx of T: the left
+    term at (l·r^ν + idx)·s + k, merged term i at (u·r + v)·r^(ν-i)·s for
+    each preimage (u, v) of T[i-1] above the base
     ((idx // r^(ν-i+1))·r^(ν-i+2) + idx mod r^(ν-i))·s + m0, and the right
-    term at (idx·r + k)·s + c.  A row sums raw integers, left term first,
-    then merged i = 1..ν, then the right term, and is reduced mod n once.
+    term at (idx·r + k)·s + c.  A row places the left term first, then
+    merged i = 1..ν, then the right term.  A row in which no two placed
+    entries share a column is kept as built, its values residues 1..n-1;
+    only a row with merged entries is summed and reduced mod n again,
+    dropping the entries that cancel.
     """
     A = M.algebra
     r, s = A.rank, M.rank
@@ -313,9 +324,9 @@ def delta_matrix(M: Bimodule, degree):
     nu = degree
     src_dim = s * r ** nu
     end_sign = (-1) ** (nu + 1)
-    left = [[(l * src_dim + k, v) for l in range(r)
+    left = [[(l * src_dim + k, v % n) for l in range(r)
              for k, v in M._left_cells[l][m0]] for m0 in range(s)]
-    right = [[(k * s + c, end_sign * v) for k in range(r)
+    right = [[(k * s + c, end_sign * v % n) for k in range(r)
               for c, v in M._right_cells[m0][k]] for m0 in range(s)]
     preimages = _preimages(A._cells)
     merged = []
@@ -323,7 +334,7 @@ def delta_matrix(M: Bimodule, degree):
         low = r ** (nu - i)
         sign = (-1) ** i
         merged.append((low * r, low, [
-            [((u * r + v) * low * s, sign * coeff)
+            [((u * r + v) * low * s, sign * coeff % n)
              for u, v, coeff in preimages.get(t, ())] for t in range(r)]))
 
     rows = []
@@ -340,7 +351,9 @@ def delta_matrix(M: Bimodule, degree):
             for q, v in right[m0]:
                 q += hi
                 row[q] = row.get(q, 0) + v
-            rows.append({q: y for q, x in row.items() if (y := x % n)})
+            if len(row) < len(left[m0]) + len(mid) + len(right[m0]):
+                row = {q: y for q, x in row.items() if (y := x % n)}
+            rows.append(row)
     return rows, src_dim, s * r ** (nu + 1)
 
 

@@ -3,7 +3,9 @@
 A row is a dict {column: coefficient}.  Elimination inserts rows into a
 sieve keyed by lead column (the smallest column of the reduced row), each
 stored with lead coefficient 1; a residue that is already monic, as every
-residue over Z_2 is, is stored as it is rather than as a scaled copy.
+residue over Z_2 is, is stored as it is rather than as a scaled copy.  A
+row that is already reduced mod p and whose lead column has no pivot yet,
+as many coboundary rows are, is stored as a copy without a reduction.
 Kernels and span combinations come from tag columns: a caller that appends
 the unit column width + i to row i finds a kernel vector in every pivot
 whose lead is at least width, and a target whose residue has no column
@@ -25,19 +27,28 @@ def eliminate_modp(rows, p):
     """Sieve sparse rows mod p; returns (rank, pivots).
 
     pivots maps each lead column to its reduced row, lead coefficient 1.
-    A residue is the fresh dict reduce_modp builds, so no pivot is a
-    caller's row.
+    A row already reduced (every value in 1..p-1) whose lead column has no
+    pivot is stored without a reduction, as a copy or, when its lead is
+    not 1, as one scaled copy; every other row is reduced by reduce_modp.
+    Either way no pivot is a caller's row, and rows is not changed.
     """
     pivots = {}
     for row in rows:
-        v = reduce_modp(pivots, row, p)
-        if v:
+        if (row and (lead := min(row)) not in pivots
+                and min(row.values()) > 0 and max(row.values()) < p):
+            v = row
+        else:
+            v = reduce_modp(pivots, row, p)
+            if not v:
+                continue
             lead = min(v)
-            f = v[lead]
-            if f != 1:
-                inv = pow(f, -1, p)
-                v = {c: (inv * x) % p for c, x in v.items()}
-            pivots[lead] = v
+        f = v[lead]
+        if f != 1:
+            inv = pow(f, -1, p)
+            v = {c: (inv * x) % p for c, x in v.items()}
+        elif v is row:
+            v = row.copy()
+        pivots[lead] = v
     return len(pivots), pivots
 
 

@@ -226,6 +226,9 @@ MALFORMED = {
                    SHRIEK, 2),
     "maps-int": (_set("presheaves", "example-1", "maps", value=5), SHRIEK, 2),
     "degree-string": (_set("jobs", CIRCLE, "degree", value="x"), CIRCLE, 2),
+    # a job that names its algebra twice is refused, not read as one of them
+    "cohomology-algebra-and-presheaf": (_set("jobs", CIRCLE, "algebra",
+                                             value="Z2"), CIRCLE, 2),
     "cover-out-of-range": (_set("posets", "example-1", "covers", 0,
                                 value=[0, 9]), SHRIEK, 3),
     "cover-negative": (_set("posets", "example-1", "covers", 0,
@@ -773,6 +776,10 @@ REFUSALS = {
         ["cohomology", "--doc", "DOC", "--algebra", "Z4"], 3,
         "validation error: cohomology dimensions need a prime modulus, "
         "got 4\n"),
+    "cohomology-algebra-and-presheaf": (
+        ["cohomology", "--doc", "DOC", "--algebra", "Z2", "--presheaf",
+         "square-circle"], 2,
+        "parse error: cohomology takes --algebra or --presheaf, not both\n"),
 }
 
 
@@ -883,6 +890,9 @@ SUBCOMMAND_JOBS = {
     "cohomology-linalg-cap-refused": (
         ["cohomology", "--algebra", "Z2[X]/(X^2)", "--degree", "1"],
         {"kind": "cohomology", "algebra": "Z2[X]/(X^2)", "degree": 1}),
+    "cohomology-algebra-and-presheaf": (
+        ["cohomology", "--algebra", "Z2", "--presheaf", "square-circle"],
+        {"kind": "cohomology", "algebra": "Z2", "presheaf": "square-circle"}),
     "search-open-question": (
         ["search-open-question", "--algebras", "Z2", "Z3", "Z4"],
         {"kind": "search-open-question", "algebras": ["Z2", "Z3", "Z4"]}),

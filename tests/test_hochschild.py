@@ -8,10 +8,18 @@ import random
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
+from test_algebra import outcome
 
 from znalg import linal
-from znalg.algebra import direct_product, triangular_algebra, zn, zn_poly_x2
+from znalg.algebra import (
+    FiniteAlgebra,
+    direct_product,
+    matrix_algebra,
+    triangular_algebra,
+    zn,
+    zn_poly_x2,
+)
 from znalg.deformation import gauge_deformation, seeded_gauge_map
 from znalg.errors import (
     ActionNotAssociative,
@@ -204,6 +212,40 @@ def test_delta_matrix_matches_dense_scan():
                 == [list(row.items()) for row in expected]
             assert (src, dst) == (M.rank * M.algebra.rank ** degree,
                                   M.rank * M.algebra.rank ** (degree + 1))
+
+
+@st.composite
+def raw_bimodules(draw):
+    """Tables drawn without any law, over prime and composite moduli, with
+    entries 1 and n - 1 frequent so that placed entries merge and cancel."""
+    n = draw(st.sampled_from((2, 3, 4, 5, 6, 9)))
+    r, s = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    entry = st.sampled_from((0, 0, 1, n - 1)) | st.integers(0, n - 1)
+
+    def table(rows, cols, width):
+        return draw(st.lists(st.lists(st.lists(
+            entry, min_size=width, max_size=width),
+            min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+
+    A = FiniteAlgebra(n, r, table(r, r, r), [1] + [0] * (r - 1))
+    M = Bimodule(A, s, table(r, s, s), table(s, r, s))
+    return M, draw(st.integers(0, 3 if r < 3 else 2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw_bimodules())
+# the regular Z2 in degree 2 places 1 - 1 + 1 - 1 on one column and cancels;
+# the regular Z4 in degree 1 merges 1 - 1 + 1 into the residue 1
+@example((regular_bimodule(zn(2)), 2))
+@example((regular_bimodule(zn(4)), 1))
+def test_delta_matrix_rows_are_reduced_and_match_dense_scan(case):
+    # a row kept as built and a merged row summed and reduced again both
+    # hold only residues 1..n-1, in the dense scan's key order
+    M, degree = case
+    rows, _, _ = delta_matrix(M, degree)
+    assert all(0 < x < M.n for row in rows for x in row.values())
+    assert [list(row.items()) for row in rows] \
+        == [list(row.items()) for row in dense_delta_rows(M, degree)]
 
 
 def test_unit_acts_badly_detected():
@@ -592,8 +634,7 @@ def test_triple_certificates_match_dense_loops():
     # sphere carrier (rank 18): same error, law and first triple for each
     # seeded single-entry corruption of an action table, and the same full
     # violations list for cocycles, their corruptions and random cochains
-    from test_algebra import corrupt, outcome, sheared
-    from znalg.algebra import matrix_algebra
+    from test_algebra import corrupt, sheared
     from znalg.catalog import catalog_algebras
     from znalg.poset import build_shriek, sphere_presheaf
     rng = random.Random(31)
@@ -632,3 +673,35 @@ def test_triple_certificates_match_dense_loops():
             violations = dense_cocycle_violations(f)
             assert is_cocycle2(f) == (not violations, violations)
     assert laws == {"(ab)m = a(bm)", "m(ab) = (ma)b", "(am)b = a(mb)"}
+
+
+@st.composite
+def corrupted_tables(draw):
+    """An associative table with a few entries off the unit's row and
+    column moved, as a FiniteAlgebra that nothing certifies."""
+    A = draw(st.sampled_from((
+        zn_poly_x2(2), zn_poly_x2(3), triangular_algebra(2, 2),
+        triangular_algebra(2, 3), triangular_algebra(3, 2),
+        matrix_algebra(2, 2))))
+    free = [i for i in range(A.rank) if not A.unit[i]]
+    table = [[list(cell) for cell in row] for row in A.table]
+    for _ in range(draw(st.integers(1, 3))):
+        i, j = draw(st.sampled_from(free)), draw(st.sampled_from(free))
+        k = draw(st.integers(0, A.rank - 1))
+        table[i][j][k] = draw(st.integers(0, A.n - 1))
+    return FiniteAlgebra(A.n, A.rank, table, A.unit, f"{A.name} corrupted")
+
+
+@settings(max_examples=100, deadline=None)
+@given(corrupted_tables(), st.booleans())
+def test_regular_bimodule_of_corrupted_table_fails_as_three_walks(B, copied):
+    # the one associativity walk reports the law and the triple of the
+    # dense loops, which check all three laws on every triple; an action
+    # table equal to the algebra's without being it takes the same walk
+    table = [list(row) for row in B.table] if copied else B.table
+    M = Bimodule(B, B.rank, table, table)
+    expected = outcome(dense_certify_bimodule, M)
+    assume(expected != "passes")
+    assert expected[0] is ActionNotAssociative
+    assert outcome(validate_bimodule, M) == expected
+

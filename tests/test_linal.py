@@ -195,6 +195,51 @@ def test_monic_residues_kept_as_the_scaled_pivots(case):
     assert [list(row.items()) for row in rows] == before
 
 
+def reduce_then_scale(rows, p):
+    """Reference sieve in which every row, reduced or not, goes through
+    reduce_modp before it is stored."""
+    pivots = {}
+    for row in rows:
+        v = reduce_modp(pivots, row, p)
+        if v:
+            inv = pow(v[min(v)], -1, p)
+            pivots[min(v)] = {c: inv * x % p for c, x in v.items()}
+    return pivots
+
+
+@st.composite
+def reduced_systems(draw):
+    """Rows whose values are all residues 1..p-1, over so few columns that
+    leads repeat, with monic and non-monic leads and empty rows."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    width = draw(st.integers(1, 5))
+    entries = st.dictionaries(st.integers(0, width - 1),
+                              st.integers(1, p - 1), max_size=width)
+    return p, draw(st.lists(entries, max_size=8))
+
+
+@settings(max_examples=100, deadline=None)
+@given(reduced_systems())
+def test_reduced_rows_with_free_leads_are_stored_as_the_sieve_would(case):
+    # a reduced row whose lead is free is stored without reduce_modp: the
+    # pivots equal both references, in key order too where every row is
+    # reduced first, and no pivot is, or changes, a caller's row
+    p, rows = case
+    before = [list(row.items()) for row in rows]
+    rank, pivots = eliminate_modp(rows, p)
+    assert [(lead, sorted(row.items())) for lead, row in pivots.items()] \
+        == [(lead, sorted(row.items()))
+            for lead, row in scale_always_pivots(rows, p).items()]
+    assert [(lead, list(row.items())) for lead, row in pivots.items()] \
+        == [(lead, list(row.items()))
+            for lead, row in reduce_then_scale(rows, p).items()]
+    assert rank == len(pivots)
+    assert all(row is not pivot for row in rows for pivot in pivots.values())
+    for pivot in pivots.values():
+        pivot.clear()
+    assert [list(row.items()) for row in rows] == before
+
+
 def test_is_prime():
     assert [n for n in range(2, 20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
     assert not is_prime(1)
