@@ -30,9 +30,10 @@ _bilinear and _linear evaluate a table on elements; deformation._coefficient
 sums one coefficient of a deformed product over the base and correction
 tables in a single pass, and deformation._kronecker_product a whole
 product.  All of them read sparse cells, not the dense table: each owner
-builds, once, the (k, v) pairs with v != 0 of every cell (_sparse_cells),
-so a product walks only the nonzero entries.  The dense tables stay the
-public form that equality, hashing, reports and documents read.
+builds, once, the (k, v) pairs with v != 0 of every cell (_sparse_cells,
+which passes over an all-zero cell with one any(cell)), so a product walks
+only the nonzero entries.  The dense tables stay the public form that
+equality, hashing, reports and documents read.
 
 A table that is multiplied gets a kernel of its own: _compile_bilinear
 writes its product out as one straight-line Python function over the
@@ -50,16 +51,21 @@ Every identity certified on basis triples (associativity here, the bimodule
 laws, the cocycle identity and order-k associativity of a deformation) goes
 through _triple_defects.  It reads the sparse cells of two tables composed
 as outer(inner(x, y), z) or outer(x, inner(y, z)) and walks only the nonzero
-paths of the composition; it evaluates no product, so a certificate costs
-the nonzero paths rather than r^3 products of basis vectors.  The kernels
-stay private so that they are never timed as spans of their own when the
-hot methods built on them are traced.  For the same reason
+paths of the composition; it evaluates no product.  The walk adds each
+nonzero entry on a path, as an integer, into one flat accumulator keyed by
+the triple and the output coordinate, and reduces mod n only the entries it
+touched; a defect vector is built only for a triple that fails.  So a
+certificate costs the nonzero entries on its paths, neither r^3 products
+of basis vectors nor width reductions for every triple a path touches.
+The kernels stay private so that they are never timed as spans of their
+own when the hot methods built on them are traced.  For the same reason
 _refuse_above_cap, the one refusal behind every scan and walk, is private.
 """
 
 from __future__ import annotations
 
 import operator
+from collections import defaultdict
 from functools import cached_property
 from itertools import chain, product
 
@@ -262,9 +268,13 @@ def _reduce_table(table, n):
 def _sparse_cells(table, depth):
     """The table with every cell below depth levels of nesting replaced by
     the tuple of its (k, v) pairs with v != 0, in coordinate order; depth 0
-    sparsifies a single vector."""
+    sparsifies a single vector.  An all-zero cell becomes () after one
+    any(cell), without a walk over its coordinates."""
     if depth == 0:
         return tuple((k, v) for k, v in enumerate(table) if v)
+    if depth == 1:
+        return tuple(tuple((k, v) for k, v in enumerate(cell) if v)
+                     if any(cell) else () for cell in table)
     return tuple(_sparse_cells(sub, depth - 1) for sub in table)
 
 
@@ -364,35 +374,67 @@ def _triple_defects(terms, n, width):
     outer(x, inner(y, z)).  Only nonzero paths are walked: "(xy)z" goes from
     each entry (l, v) of an inner cell along the nonempty cells of outer's
     row l, and "x(yz)" goes from each nonempty outer cell (x, l) along the
-    preimage list of l in inner.  No product is evaluated."""
-    acc = {}
+    preimages of l in inner.  No product is evaluated.
+
+    Each nonzero entry on a path is added, as an integer, into one flat
+    accumulator keyed by ((x*Y + y)*Z + z)*width + t, where Y and Z are the
+    largest y and z index ranges of the terms' tables.  Only the entries
+    touched are reduced mod n, and a width-tuple is built only for a
+    triple that fails, so a walk costs the nonzero entries on its paths,
+    not width reductions for every triple it touches."""
+    Y = Z = 0
+    for _, form, outer, inner in terms:
+        if form == "(xy)z":
+            Y = max(Y, len(inner[0]) if inner else 0)
+            Z = max(Z, len(outer[0]) if outer else 0)
+        else:
+            Y = max(Y, len(inner))
+            Z = max(Z, len(inner[0]) if inner else 0)
+    ZW = Z * width
+    YZW = Y * ZW
+    acc = defaultdict(int)
     for sign, form, outer, inner in terms:
         if form == "(xy)z":
-            rows = [[(z, cell) for z, cell in enumerate(row) if cell]
-                    for row in outer]
-            paths = (((x, y, z), sign * v, cell)
-                     for x, irow in enumerate(inner)
-                     for y, icell in enumerate(irow)
-                     for l, v in icell
-                     for z, cell in rows[l])
+            # outer's row l as its entries' offsets z*width + t
+            rows = [[(z * width + t, w) for z, cell in enumerate(row)
+                     for t, w in cell] for row in outer]
+            for x, irow in enumerate(inner):
+                xbase = x * YZW
+                for y, icell in enumerate(irow):
+                    if icell:
+                        base = xbase + y * ZW
+                        for l, v in icell:
+                            c = sign * v
+                            for offset, w in rows[l]:
+                                acc[base + offset] += c * w
         else:
-            pre = _preimages(inner)
-            paths = (((x, y, z), sign * v, cell)
-                     for x, row in enumerate(outer)
-                     for l, cell in enumerate(row) if cell
-                     for y, z, v in pre.get(l, ()))
-        for key, c, cell in paths:
-            d = acc.get(key)
-            if d is None:
-                d = acc[key] = [0] * width
-            for t, w in cell:
-                d[t] += c * w
+            # the preimages of l in inner as offsets (y*Z + z)*width
+            pre = defaultdict(list)
+            for y, row in enumerate(inner):
+                for z, cell in enumerate(row):
+                    offset = y * ZW + z * width
+                    for l, v in cell:
+                        pre[l].append((offset, sign * v))
+            for x, row in enumerate(outer):
+                xbase = x * YZW
+                for l, cell in enumerate(row):
+                    if cell and l in pre:
+                        for offset, c in pre[l]:
+                            base = xbase + offset
+                            for t, w in cell:
+                                acc[base + t] += c * w
     defects = {}
-    for key, d in acc.items():
-        d = tuple(v % n for v in d)
-        if any(d):
-            defects[key] = d
-    return defects
+    for key, v in acc.items():
+        v %= n
+        if v:
+            triple, t = divmod(key, width)
+            x, yz = divmod(triple, Y * Z)
+            triple = (x, *divmod(yz, Z))
+            d = defects.get(triple)
+            if d is None:
+                d = defects[triple] = [0] * width
+            d[t] = v
+    return {triple: tuple(d) for triple, d in defects.items()}
 
 
 def _check_table(table, shape, what):

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import chain
 from math import gcd
 
 from .algebra import (
@@ -80,7 +81,8 @@ class TruncatedDeformation:
     """Multiplication deformed by cochain corrections, modulo t^order: the
     base and corrections, a mapping from each corrected order m to the
     table of alpha_m.  Each table is reduced mod n and an all-zero one is
-    dropped, so every order left out carries no correction."""
+    dropped before its sparse cells are built, so every order left out
+    carries no correction."""
 
     def __init__(self, base: FiniteAlgebra, order, corrections, name=""):
         self.base = base
@@ -88,9 +90,10 @@ class TruncatedDeformation:
         self.name = name or f"{base.name} deformed (N={self.order})"
         tables = {m: _reduce_table(table, base.n)
                   for m, table in sorted(corrections.items())}
-        cells = {m: _sparse_cells(table, 2) for m, table in tables.items()}
-        self._cells = {m: c for m, c in cells.items() if any(map(any, c))}
-        self.corrections = {m: tables[m] for m in self._cells}
+        self.corrections = {m: table for m, table in tables.items()
+                            if any(map(any, chain.from_iterable(table)))}
+        self._cells = {m: _sparse_cells(table, 2)
+                       for m, table in self.corrections.items()}
         # the orders m whose alpha_m is not identically zero, increasing;
         # order 0, the base multiplication, always counts
         self._support = (0, *self._cells)

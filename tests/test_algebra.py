@@ -10,7 +10,9 @@ from znalg.algebra import (
     FiniteAlgebra,
     _bilinear,
     _compile_bilinear,
+    _preimages,
     _sparse_cells,
+    _triple_defects,
     direct_product,
     matrix_algebra,
     triangular_algebra,
@@ -365,6 +367,161 @@ def test_compiled_kernel_matches_bilinear(n, rows, cols, width, density,
         x = tuple(rng.randrange(low, n) if trial else 0 for _ in range(rows))
         y = tuple(rng.randrange(low, n) for _ in range(cols))
         assert product(x, y) == _bilinear(cells, x, y, n, width)
+
+
+# The triple kernel before its flat accumulator, kept as the oracle: a
+# dense list of width integers per touched triple, every coordinate reduced.
+def dense_triple_defects(terms, n, width):
+    """{(x, y, z): defect} for every basis triple whose defect is nonzero
+    mod n, the defect being the signed sum of the terms on e_x, e_y, e_z.
+
+    A term is (sign, form, outer, inner) over the sparse cells of two
+    bilinear tables: form "(xy)z" is outer(inner(x, y), z) and "x(yz)" is
+    outer(x, inner(y, z)).  Only nonzero paths are walked: "(xy)z" goes from
+    each entry (l, v) of an inner cell along the nonempty cells of outer's
+    row l, and "x(yz)" goes from each nonempty outer cell (x, l) along the
+    preimage list of l in inner.  No product is evaluated."""
+    acc = {}
+    for sign, form, outer, inner in terms:
+        if form == "(xy)z":
+            rows = [[(z, cell) for z, cell in enumerate(row) if cell]
+                    for row in outer]
+            paths = (((x, y, z), sign * v, cell)
+                     for x, irow in enumerate(inner)
+                     for y, icell in enumerate(irow)
+                     for l, v in icell
+                     for z, cell in rows[l])
+        else:
+            pre = _preimages(inner)
+            paths = (((x, y, z), sign * v, cell)
+                     for x, row in enumerate(outer)
+                     for l, cell in enumerate(row) if cell
+                     for y, z, v in pre.get(l, ()))
+        for key, c, cell in paths:
+            d = acc.get(key)
+            if d is None:
+                d = acc[key] = [0] * width
+            for t, w in cell:
+                d[t] += c * w
+    defects = {}
+    for key, d in acc.items():
+        d = tuple(v % n for v in d)
+        if any(d):
+            defects[key] = d
+    return defects
+
+
+def random_terms(rng, forms, dims, n, density):
+    """Signed terms of the given forms over fresh random tables, all on the
+    index ranges X, Y, Z into width W; the middle index of each term has a
+    range of its own (U), so no two tables need be square."""
+    X, Y, Z, W = dims
+    terms = []
+    for form in forms:
+        U = rng.randint(1, 5)
+        if form == "(xy)z":
+            inner = random_table(rng, X, Y, U, n, density)
+            outer = random_table(rng, U, Z, W, n, density)
+        else:
+            inner = random_table(rng, Y, Z, U, n, density)
+            outer = random_table(rng, X, U, W, n, density)
+        terms.append((rng.choice((1, -1)), form, _sparse_cells(outer, 2),
+                      _sparse_cells(inner, 2)))
+    return terms
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(n=st.sampled_from((2, 3, 4, 6, 9, 257)),
+       density=st.sampled_from((0, 0.15, 0.5, 1)),
+       law=st.sampled_from(("associativity", "bimodule", "cocycle",
+                            "rectangular")),
+       r=st.integers(1, 5), more=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_triple_kernel_matches_the_dense_oracle(n, density, law, r, more,
+                                                seed):
+    # the flat accumulator returns the dense kernel's dict: on the 2-term
+    # associativity of a square table, the three bimodule laws and the
+    # 4-term cocycle identity over an algebra of rank r and a module of
+    # rank s > r, and on 2- and 4-term mixes of both forms whose X, Y, Z
+    # and width all differ
+    rng = random.Random(seed)
+    s = r + more
+
+    def table(rows, cols, width):
+        return _sparse_cells(random_table(rng, rows, cols, width, n,
+                                          density), 2)
+    T = table(r, r, r)
+    L, R, F = table(r, s, s), table(s, r, s), table(r, r, s)
+    if law == "associativity":
+        cases = [([(1, "(xy)z", T, T), (-1, "x(yz)", T, T)], r)]
+    elif law == "bimodule":
+        cases = [([(1, "(xy)z", L, T), (-1, "x(yz)", L, L)], s),
+                 ([(1, "x(yz)", R, T), (-1, "(xy)z", R, R)], s),
+                 ([(1, "(xy)z", R, L), (-1, "x(yz)", L, R)], s)]
+    elif law == "cocycle":
+        cases = [([(1, "x(yz)", L, F), (-1, "(xy)z", F, T),
+                   (1, "x(yz)", F, T), (-1, "(xy)z", R, F)], s)]
+    else:
+        dims = rng.sample(range(1, 7), 4)
+        forms = [rng.choice(("(xy)z", "x(yz)"))
+                 for _ in range(2 if more == 1 else 4)]
+        cases = [(random_terms(rng, forms, dims, n, density), dims[3])]
+    for terms, width in cases:
+        got = _triple_defects(terms, n, width)
+        assert got == dense_triple_defects(terms, n, width)
+        assert all(len(d) == width and any(d) for d in got.values())
+        if density == 0:
+            assert got == {}
+
+
+def test_triple_kernel_cancels_sums_that_are_multiples_of_n():
+    # on (e0 e0) e0 the two terms sum to 4 and 5 over the integers: over
+    # Z4 the first coordinate cancels and the second is 1, over Z5 the
+    # other way round, and over Z2 only the first is left
+    inner = ((((0, 1),),),)
+    terms = [(1, "(xy)z", ((((0, 3), (1, 2)),),), inner),
+             (1, "x(yz)", ((((0, 1), (1, 3)),),), inner)]
+    assert dense_triple_defects(terms, 10 ** 9, 2) == {(0, 0, 0): (4, 5)}
+    for n, want in ((4, {(0, 0, 0): (0, 1)}), (5, {(0, 0, 0): (4, 0)}),
+                    (2, {(0, 0, 0): (0, 1)})):
+        assert _triple_defects(terms, n, 2) == want
+        assert dense_triple_defects(terms, n, 2) == want
+    # with the second term taken -3 times the sums are 3 - 3 and 2 - 9:
+    # the first cancels over the integers, the second only mod 7
+    terms[1] = (-3, "x(yz)", ((((0, 1), (1, 3)),),), inner)
+    assert dense_triple_defects(terms, 10 ** 9, 2) == {
+        (0, 0, 0): (0, 10 ** 9 - 7)}
+    assert _triple_defects(terms, 7, 2) == dense_triple_defects(
+        terms, 7, 2) == {}
+
+
+def recursive_sparse_cells(table, depth):
+    """The sparse cells as defined before empty cells were skipped:
+    the table with every cell below depth levels of nesting replaced by
+    the tuple of its (k, v) pairs with v != 0, in coordinate order; depth 0
+    sparsifies a single vector."""
+    if depth == 0:
+        return tuple((k, v) for k, v in enumerate(table) if v)
+    return tuple(recursive_sparse_cells(sub, depth - 1) for sub in table)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(n=st.sampled_from((2, 3, 4, 257)),
+       density=st.sampled_from((0, 0.15, 0.5, 1)),
+       shape=st.tuples(st.integers(1, 5), st.integers(1, 5),
+                       st.integers(1, 5)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_sparse_cells_skip_empty_cells_as_the_recursion_does(
+        n, density, shape, seed):
+    # one cell of every table is all zero, and density 0 empties them all
+    rng = random.Random(seed)
+    rows, cols, width = shape
+    table = random_table(rng, rows, cols, width, n, density)
+    table[rng.randrange(rows)][rng.randrange(cols)] = [0] * width
+    for depth, sub in ((2, table), (1, table[-1]), (0, table[-1][-1])):
+        assert _sparse_cells(sub, depth) == recursive_sparse_cells(sub, depth)
+    if density == 0:
+        assert _sparse_cells(table, 2) == (((),) * cols,) * rows
 
 
 def test_kernel_of_a_rank_100_table_with_dense_rows_compiles():

@@ -284,6 +284,30 @@ def test_at_order_costs_the_support_not_the_order():
     assert E._support == (0, 1)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 9])
+def test_a_correction_that_reduces_to_zero_is_dropped(monkeypatch, n):
+    # every entry of alpha_2 is n, nonzero as an integer and 0 mod n: the
+    # table is dropped before it is sparsified, from the corrections, the
+    # cells and the support, and cochains still writes a zero table at
+    # order 2; alpha_3, x*x = t^3 with one nonzero entry, is kept
+    import znalg.deformation
+    sparsified = []
+    monkeypatch.setattr(znalg.deformation, "_sparse_cells",
+                        lambda table, depth: sparsified.append(table)
+                        or _sparse_cells(table, depth))
+    A = zn_poly_x2(n)
+    multiples = [[[n, n], [n, n]], [[n, n], [n, n]]]
+    x_squared = [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]
+    D = validate_deformation(TruncatedDeformation(
+        A, 4, {2: multiples, 3: x_squared}))
+    assert list(D.corrections) == list(D._cells) == [3]
+    assert D._support == (0, 3)
+    assert sparsified == [D.corrections[3]]
+    assert D._cells[3] == (((), ()), ((), ((0, 1),)))
+    zero = (((0, 0), (0, 0)), ((0, 0), (0, 0)))
+    assert D.cochains == (zero, zero, (((0, 0), (0, 0)), ((0, 0), (1, 0))))
+
+
 @pytest.mark.parametrize("order, estimate", [(2000, 3256000),
                                              (20000, 43120000)])
 def test_newton_lift_refuses_its_work_before_the_first_product(
