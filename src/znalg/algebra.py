@@ -23,29 +23,19 @@ a Newton lift refuses on the slot visits of its products
 (deformation._newton_work).  All raise CapExceeded through
 _refuse_above_cap; None means DEFAULT_CAP.
 
-The same nested-table format carries bimodule actions, cochains, deformation
-corrections and restriction maps.  _check_table is the one shape and entry
-check for all of them, run where a table enters from a document.
-_bilinear and _linear evaluate a table on elements; deformation._coefficient
-sums one coefficient of a deformed product over the base and correction
-tables in a single pass, and deformation._kronecker_product a whole
-product.  All of them read sparse cells, not the dense table: each owner
-builds, once, the (k, v) pairs with v != 0 of every cell (_sparse_cells,
-which passes over an all-zero cell with one any(cell)), so a product walks
-only the nonzero entries.  The dense tables stay the public form that
-equality, hashing, reports and documents read.
-
-A table that is multiplied gets a kernel of its own: _compile_bilinear
-writes its product out as one straight-line Python function over the
-coordinates, with the entries and the modulus as literals, so a product
-runs no loop and reduces each coordinate once.  FiniteAlgebra builds it on
-the first mul and keeps it as the private cached property _product, and
-Bimodule does the same per side, reusing the algebra's kernel for a side
-whose cells are the algebra's.  mul, lact and ract stay plain methods that
-call the kernel, so every product still goes through them.  The
-certificates, unit laws included, read the cells, so a table that is only
-certified is never compiled; _bilinear stays for one-off evaluations and as
-the oracle of the compiled kernel.
+Every structure table is a multilinear map over Z_n on basis tuples, held
+as one Multilinear: an algebra's product (FiniteAlgebra.mult), the sides of
+a bimodule, a cochain, each deformation correction, each presheaf
+restriction and a gauge map.  It checks and reduces its table once and
+keeps dense, the nested tuples that equality, hashing, reports and
+documents read, and cells, the (k, v) pairs with v != 0 of each cell, which
+every kernel walks.  Its product is its compiled kernel: _compile_bilinear
+writes it, on first use, as one straight-line function with the entries
+and the modulus as literals, so a product runs no loop and reduces each
+coordinate once.  An owner given an existing map keeps it, so the regular
+bimodule's sides are its algebra's mult and share its kernel.  mul, lact
+and ract stay plain methods that call the kernel; the certificates read
+the cells, so a table that is only certified is never compiled.
 
 Every identity certified on basis triples (associativity here, the bimodule
 laws, the cocycle identity and order-k associativity of a deformation) goes
@@ -68,6 +58,7 @@ import operator
 from collections import defaultdict
 from functools import cached_property
 from itertools import chain, product
+from math import prod
 
 from .errors import (
     BadShape,
@@ -137,10 +128,14 @@ class FiniteAlgebra(_ZnModule):
 
     def __init__(self, modulus, rank, table, unit, name=""):
         super().__init__(modulus, rank)
-        self.table = _reduce_table(table, self.n)
+        self.mult = _multilinear(table, self.n, 2)
         self.unit = tuple(v % self.n for v in unit)
         self.name = name or f"algebra(n={self.n},r={self.rank})"
-        self._cells = _sparse_cells(self.table, 2)
+        self._certified = None  # the map validate_algebra certified
+
+    @property
+    def table(self):
+        return self.mult.dense
 
     def __repr__(self):
         return f"FiniteAlgebra({self.name!r}, n={self.n}, rank={self.rank})"
@@ -165,12 +160,7 @@ class FiniteAlgebra(_ZnModule):
         return self.unit
 
     def mul(self, x, y):
-        return self._product(x, y)
-
-    @cached_property
-    def _product(self):
-        """The compiled product of the table, built on the first mul."""
-        return _compile_bilinear(self._cells, self.n, self.rank)
+        return self.mult.product(x, y)
 
     def elements(self, cap=None):
         """All elements in lexicographic coordinate order; refuses above the cap."""
@@ -255,27 +245,84 @@ def _refuse_above_cap(count, cap, what, shown=None, error=CapExceeded):
             f"{what}: {shown or f'{count} elements'} exceeds cap {limit}")
 
 
-def _reduce_table(table, n):
-    """A table of cells as nested tuples, every entry reduced mod n; an
-    entry that is not an int (a float, a bool) is refused with BadShape."""
-    if not set(map(type, chain.from_iterable(chain.from_iterable(table)))) \
-            <= {int}:
+class Multilinear:
+    """A multilinear map over Z_n, given by its table on basis tuples: depth
+    arrays, one per argument, above its cells (2 for a bilinear table, 0
+    for one vector).  An entry that is not an int (a float, a bool, a
+    string) or a level that is not an array is refused with BadShape.  flat
+    is the entries in row-major order, delta_matrix's coordinates."""
+
+    def __init__(self, table, n, depth):
+        self.n, self.depth = n, depth
+        (self.dense,), (self.cells,) = _ingest((table,), n, depth + 1)
+        node = self.dense
+        for _ in range(depth):
+            node = node[0] if node else ()
+        self.width = len(node)
+
+    @classmethod
+    def from_flat(cls, vec, n, shape):
+        """The map whose table has shape, its index ranges then its width,
+        and whose flat is vec reduced mod n."""
+        *ranges, width = shape
+        table = [vec[i * width:(i + 1) * width] for i in range(prod(ranges))]
+        for size in reversed(ranges):
+            table = [table[i * size:(i + 1) * size]
+                     for i in range(len(table) // size)]
+        return cls(table[0], n, len(ranges))
+
+    @cached_property
+    def flat(self):
+        entries = self.dense
+        for _ in range(self.depth):
+            entries = chain.from_iterable(entries)
+        return tuple(entries)
+
+    @cached_property
+    def nnz(self):
+        return len(self.flat) - self.flat.count(0)
+
+    def evaluate(self, *args):
+        """The map on one element per argument; at depth 0, its vector."""
+        return _contract(self.cells, args, self.n, self.width) if args \
+            else self.dense
+
+    @cached_property
+    def product(self):
+        """The compiled bilinear kernel of the cells, built on first use."""
+        return _compile_bilinear(self.cells, self.n, self.width)
+
+
+def _multilinear(table, n, depth):
+    """The map of a table at modulus n and depth; a Multilinear built there
+    already is kept as it is, so its owners share its kernel."""
+    if isinstance(table, Multilinear):
+        if (table.n, table.depth) == (n, depth):
+            return table
+        table = table.dense
+    return Multilinear(table, n, depth)
+
+
+_ARRAYS, _INT = {list, tuple}, {int}  # a bool is not of type int
+
+
+def _ingest(table, n, depth):
+    """(dense, cells) of a table nested depth >= 1 levels above its cells:
+    per row one type check of its cells and one of their entries, then the
+    row reduced mod n and each cell sparsified, an all-zero one to () after
+    one any(cell)."""
+    if type(table) not in _ARRAYS:
+        raise BadShape("table levels must be arrays")
+    if depth > 1:
+        parts = [_ingest(sub, n, depth - 1) for sub in table]
+        return tuple([d for d, _ in parts]), tuple([c for _, c in parts])
+    if not set(map(type, table)) <= _ARRAYS:
+        raise BadShape("table levels must be arrays")
+    if not set(map(type, chain.from_iterable(table))) <= _INT:
         raise BadShape("table entries must be integers")
-    return tuple(tuple(tuple([v % n for v in cell]) for cell in row)
-                 for row in table)
-
-
-def _sparse_cells(table, depth):
-    """The table with every cell below depth levels of nesting replaced by
-    the tuple of its (k, v) pairs with v != 0, in coordinate order; depth 0
-    sparsifies a single vector.  An all-zero cell becomes () after one
-    any(cell), without a walk over its coordinates."""
-    if depth == 0:
-        return tuple((k, v) for k, v in enumerate(table) if v)
-    if depth == 1:
-        return tuple(tuple((k, v) for k, v in enumerate(cell) if v)
-                     if any(cell) else () for cell in table)
-    return tuple(_sparse_cells(sub, depth - 1) for sub in table)
+    dense = tuple([tuple([v % n for v in cell]) for cell in table])
+    return dense, tuple([tuple([(k, v) for k, v in enumerate(cell) if v])
+                         if any(cell) else () for cell in dense])
 
 
 def _bilinear(cells, x, y, n, width):
@@ -340,6 +387,21 @@ def _compile_bilinear(cells, n, width):
     namespace = {}
     exec(source, namespace)
     return namespace["product"]
+
+
+def _contract(cells, args, n, width):
+    """A multilinear table, given by its sparse cells, evaluated on args:
+    the first argument contracts the table rows that its support selects,
+    the rest recurse and come back as sparse rows."""
+    if len(args) == 1:
+        return _linear(cells, args[0], n, width)
+    if len(args) == 2:
+        return _bilinear(cells, args[0], args[1], n, width)
+    head, rest = args[0], args[1:]
+    rows = [tuple((k, v) for k, v in enumerate(_contract(sub, rest, n, width))
+                  if v) if c else None
+            for c, sub in zip(head, cells)]
+    return _linear(rows, head, n, width)
 
 
 def _linear(rows, x, n, width):
@@ -469,14 +531,11 @@ def validate_algebra(alg) -> FiniteAlgebra:
     (which give 1 != 0 at rank >= 1), then associativity on all basis
     triples as the defect (e_i e_j) e_k - e_i (e_j e_k) of the sparse
     cells; the first failing triple in lexicographic order is reported with
-    both sides.  Every product here goes through _bilinear on the cells,
+    both sides.  Every product here is the map's evaluate on the cells,
     so a table that is certified and never multiplied has no compiled
-    kernel."""
-    r, n, cells = alg.rank, alg.n, alg._cells
-
-    def mul(x, y):
-        return _bilinear(cells, x, y, n, r)
-
+    kernel.  The certified map is recorded as alg._certified."""
+    r, n, cells = alg.rank, alg.n, alg.mult.cells
+    mul = alg.mult.evaluate
     for i in range(r):
         ei = alg.basis(i)
         if mul(alg.unit, ei) != ei or mul(ei, alg.unit) != ei:
@@ -487,6 +546,7 @@ def validate_algebra(alg) -> FiniteAlgebra:
         i, j, k = min(defects)
         raise NonAssociative((i, j, k), mul(alg.table[i][j], alg.basis(k)),
                              mul(alg.basis(i), alg.table[j][k]))
+    alg._certified = alg.mult
     return alg
 
 

@@ -18,6 +18,7 @@ from .hochschild import (
     coboundary,
     regular_bimodule,
     validate_bimodule,
+    vec_to_cochain,
     zero_cochain,
 )
 
@@ -49,15 +50,10 @@ def twisted_projection_module(P=None):
 
 
 def seeded_cochain(M, degree, seed):
+    """A cochain of seeded random entries, drawn in row-major order."""
     rng = random.Random(seed)
-    r = M.algebra.rank
-
-    def build(depth):
-        if depth == 0:
-            return tuple(rng.randrange(M.n) for _ in range(M.rank))
-        return tuple(build(depth - 1) for _ in range(r))
-
-    return Cochain(degree, M, build(degree))
+    size = M.algebra.rank ** degree * M.rank
+    return vec_to_cochain(M, degree, [rng.randrange(M.n) for _ in range(size)])
 
 
 def catalog_extension_instances():
@@ -67,7 +63,7 @@ def catalog_extension_instances():
     for idx, A in enumerate(catalog_algebras()):
         M = regular_bimodule(A)
         instances.append((f"{A.name}|regular|zero", A, M, zero_cochain(M, 2)))
-        instances.append((f"{A.name}|regular|mul", A, M, Cochain(2, M, A.table)))
+        instances.append((f"{A.name}|regular|mul", A, M, Cochain(2, M, A.mult)))
         instances.append(
             (f"{A.name}|regular|coboundary", A, M,
              coboundary(seeded_cochain(M, 1, 100 + idx))))

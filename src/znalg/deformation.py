@@ -27,20 +27,19 @@ bounds its products' slot visits the same way (_newton_work).  The kernels
 call no public function, so the benchmark tracer never nests a span in
 def_mul.
 
-A deformation records the orders whose correction is not identically
-zero, as a mapping from each such order m to the table of alpha_m; with
-order 0 they are its support.  Every deformation is built as a
+A deformation holds alphas, the algebra.Multilinear map of alpha_m at each
+order m whose correction is not all zero mod n (a zero table is dropped,
+its entry types checked, before a map is built); with order 0, the base's
+mult, they are its support.  Every deformation is built as a
 TruncatedDeformation, in code or by documents.Workspace from a document's
 dense list of corrections, and certified by validate_deformation, which
 takes only the object.  Both kernels run over the support only, and
-validate_deformation sums order-k associativity only at the k that two
-supported orders add up to: every term they skip is exactly zero.  So
-at_order, which keeps the corrections below a new order and certifies the
-result, costs the support, not N.  Each correction is evaluated through the
-sparse cells of its table, and the order-k associativity defects on basis
-triples are read off those cells by algebra._triple_defects without
-evaluating a product.  flatten assembles the same sum over every order
-into a plain structure table on its own, so the flattened model is the
+validate_deformation sums order-k associativity, on the maps' cells by
+algebra._triple_defects, only at the k that two supported orders add up
+to: every term they skip is exactly zero.  So at_order, which passes the
+maps below a new order on as they are and certifies the result, costs the
+support, not N.  flatten assembles the same sum over every order into a
+plain structure table on its own, so the flattened model is the
 independent oracle for all of them.
 """
 
@@ -48,17 +47,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import chain
 from math import gcd
 
 from .algebra import (
     FiniteAlgebra,
+    Multilinear,
     _bilinear,
     _cap_limit,
-    _linear,
-    _reduce_table,
+    _multilinear,
     _refuse_above_cap,
-    _sparse_cells,
     _triple_defects,
     validate_algebra,
     zn_poly_x2,
@@ -80,26 +77,26 @@ from .hochschild import Cochain, is_cocycle2, regular_bimodule
 class TruncatedDeformation:
     """Multiplication deformed by cochain corrections, modulo t^order: the
     base and corrections, a mapping from each corrected order m to the
-    table of alpha_m.  Each table is reduced mod n and an all-zero one is
-    dropped before its sparse cells are built, so every order left out
-    carries no correction."""
+    table of alpha_m or to its map, which is kept as it is."""
 
     def __init__(self, base: FiniteAlgebra, order, corrections, name=""):
         self.base = base
         self.order = int(order)
         self.name = name or f"{base.name} deformed (N={self.order})"
-        tables = {m: _reduce_table(table, base.n)
-                  for m, table in sorted(corrections.items())}
-        self.corrections = {m: table for m, table in tables.items()
-                            if any(map(any, chain.from_iterable(table)))}
-        self._cells = {m: _sparse_cells(table, 2)
-                       for m, table in self.corrections.items()}
+        alphas = ((m, _correction(table, base.n))
+                  for m, table in sorted(corrections.items()))
+        self.alphas = {m: alpha for m, alpha in alphas if alpha is not None}
         # the orders m whose alpha_m is not identically zero, increasing;
         # order 0, the base multiplication, always counts
-        self._support = (0, *self._cells)
+        self._support = (0, *self.alphas)
 
     def __repr__(self):
         return f"TruncatedDeformation({self.name!r})"
+
+    @property
+    def corrections(self):
+        """{m: the dense table of alpha_m} over the corrected orders."""
+        return {m: alpha.dense for m, alpha in self.alphas.items()}
 
     @property
     def cochains(self):
@@ -107,22 +104,39 @@ class TruncatedDeformation:
         at every order without a correction: the form documents read."""
         r = self.base.rank
         zero = (((0,) * r,) * r,) * r
-        return tuple(self.corrections.get(m, zero)
+        return tuple(self.alphas[m].dense if m in self.alphas else zero
                      for m in range(1, self.order))
 
-    def _supported_cells(self):
-        """(m, the sparse cells of alpha_m) for every supported order m,
-        increasing; order 0's are read from the base on each call."""
-        return [(0, self.base._cells), *self._cells.items()]
+    def _supported(self):
+        """(m, the map of alpha_m) for every supported order m, increasing;
+        order 0's is the base's mult, read on each call."""
+        return [(0, self.base.mult), *self.alphas.items()]
 
     def alpha(self, m, x, y):
         """The order-m multiplication component, extended bilinearly."""
         A = self.base
         if m == 0:
             return A.mul(x, y)
-        if m not in self._cells:
+        if m not in self.alphas:
             return A.zero()
-        return _bilinear(self._cells[m], x, y, A.n, A.rank)
+        return _bilinear(self.alphas[m].cells, x, y, A.n, A.rank)
+
+
+def _correction(table, n):
+    """The map of a correction table at modulus n, or None when it is all
+    zero.  A table of int entries, all 0 mod n, is dropped before any map
+    is built; any other goes to Multilinear, which refuses a malformed one
+    with BadShape."""
+    if not isinstance(table, Multilinear):
+        try:
+            entries = [v for row in table for cell in row for v in cell]
+        except TypeError:  # a level that is not an array
+            entries = [None]
+        if set(map(type, entries)) <= {int} and not any(
+                v % n for v in entries):
+            return None
+    alpha = _multilinear(table, n, 2)
+    return alpha if alpha.nnz else None
 
 
 def validate_deformation(D) -> TruncatedDeformation:
@@ -132,7 +146,7 @@ def validate_deformation(D) -> TruncatedDeformation:
     other order has no nonzero term."""
     if D.order < 1:
         raise BadShape("truncation order must be at least 1")
-    for m in D.corrections:
+    for m in D.alphas:
         if not 0 < m < D.order:
             raise BadShape(f"correction at order {m} outside 1..{D.order - 1}")
 
@@ -146,7 +160,7 @@ def validate_deformation(D) -> TruncatedDeformation:
                 raise UnitChanged(
                     f"order-{m} cochain moves the unit on basis element {j}")
 
-    cells = dict(D._supported_cells())
+    cells = {m: alpha.cells for m, alpha in D._supported()}
     N = D.order
     for k in sorted({a + b for a in cells for b in cells if a + b < N}):
         # only the orders m with both alpha_m and alpha_(k-m) nonzero
@@ -164,9 +178,9 @@ def validate_deformation(D) -> TruncatedDeformation:
                 rhs = A.add(rhs, D.alpha(m, ei, D.alpha(k - m, ej, el)))
             raise NotAssociativeAtOrder(k, (i, j, l), lhs, rhs)
 
-    if 1 in D.corrections:
+    if 1 in D.alphas:
         M = regular_bimodule(A)
-        alpha1 = Cochain(2, M, D.corrections[1])
+        alpha1 = Cochain(2, M, D.alphas[1])
         ok, violations = is_cocycle2(alpha1)
         if not ok:
             raise SelfCheckFailed(
@@ -183,7 +197,7 @@ def at_order(D, order) -> TruncatedDeformation:
     if order == D.order:
         return D
     return validate_deformation(TruncatedDeformation(
-        D.base, order, {m: t for m, t in D.corrections.items() if m < order},
+        D.base, order, {m: a for m, a in D.alphas.items() if m < order},
         name=D.name))
 
 
@@ -240,9 +254,10 @@ def _coefficient(D, f, g, k):
     partial series whose unknown coefficients are still zero."""
     A = D.base
     acc = [0] * A.rank
-    for m, cells in D._supported_cells():
+    for m, alpha in D._supported():
         if m > k:
             break
+        cells = alpha.cells
         for a in range(k - m + 1):
             gb = g[k - m - a]
             for i, x in enumerate(f[a]):
@@ -266,12 +281,11 @@ def _series_work(D, depth, cap=None):
     work from N, r and the cells alone, at the cost of the support."""
     r2 = D.base.rank ** 2
     work = 0
-    for m, cells in D._supported_cells():
+    for m, alpha in D._supported():
         if m > depth:
             break
         pairs = depth - m + 1
-        work += (r2 + sum(len(cell) for row in cells for cell in row)) \
-            * pairs * (pairs + 1) // 2
+        work += (r2 + alpha.nnz) * pairs * (pairs + 1) // 2
     _refuse_above_cap(work, cap, f"series recursion at order {D.order}",
                       shown=f"{work} cell visits")
     return work
@@ -292,7 +306,7 @@ def _kronecker_product(D, f, g):
     with bytes(column) itself.  Coordinates must be reduced mod n."""
     A = D.base
     n, r, N = A.n, A.rank, D.order
-    tables = D._supported_cells()
+    tables = [(m, alpha.cells) for m, alpha in D._supported()]
     weight = [0] * r
     for m, cells in tables:
         for row in cells:
@@ -479,9 +493,8 @@ def _newton_work(D, cap=None):
     cells of alpha_m and its nnz_m entries, each across N coefficient
     slots."""
     r2 = D.base.rank ** 2
-    per_product = D.order * sum(
-        r2 + sum(len(cell) for row in cells for cell in row)
-        for _, cells in D._supported_cells())
+    per_product = D.order * sum(r2 + alpha.nnz
+                                for _, alpha in D._supported())
     work = (3 * _newton_bound(D) + 1) * per_product
     _refuse_above_cap(work, cap, f"Newton lift at order {D.order}",
                       shown=f"{work} slot visits")
@@ -658,14 +671,10 @@ def gauge_deformation(A, gmap, order, name=None) -> TruncatedDeformation:
     """Pull the base multiplication back through the invertible coordinate
     change 1 - t*g; the first-order cochain is then a coboundary."""
     r = A.rank
-    gmap = tuple(tuple(v % A.n for v in row) for row in gmap)
-    if len(gmap) != r or any(len(row) != r for row in gmap):
+    g = Multilinear(gmap, A.n, 1)
+    if len(g.dense) != r or any(len(row) != r for row in g.dense):
         raise BadShape("gauge map must be a rank x rank matrix")
-    gcells = _sparse_cells(gmap, 1)
-
-    def apply_g(x):
-        return _linear(gcells, x, A.n, r)
-
+    apply_g = g.evaluate
     if any(apply_g(A.one())):
         raise BadShape("gauge map must vanish on the unit")
 

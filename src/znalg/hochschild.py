@@ -1,19 +1,16 @@
 """Bimodules, cochains, coboundaries, and low-degree cohomology dimensions.
 
-Bimodule actions and cochains are nested structure-constant tables in the
-format of algebra.py, evaluated over sparse cells.  A bimodule is built as
-a Bimodule object, in code or by documents.Workspace, which checks a
-document's action tables with algebra._check_table first, and
-validate_bimodule certifies the object; cochain_from_table checks a
-cochain's table itself.  A bimodule builds the cells of its action tables
-once, and lact and ract call a kernel compiled from them
-(algebra._compile_bilinear) on first use, the algebra's own product kernel
-for a side whose cells are the algebra's, as on both sides of the regular
-bimodule.  A cochain builds its cells on its first evaluation and is
-evaluated by the _bilinear and _linear kernels; one of degree 3 or more
-contracts one argument at a time over that argument's support.  Multilinearity makes the table a lossless
-representation and turns cocycle/coboundary questions into exact linear
-algebra over Z_p.
+The two sides of a bimodule and a cochain are algebra.Multilinear maps.
+A bimodule is built as a Bimodule object, in code or by documents.Workspace,
+which checks a document's action tables with algebra._check_table first,
+and validate_bimodule certifies it.  The regular bimodule's sides are its
+algebra's mult, so lact and ract run the algebra's kernel, and the laws
+of a certified algebra's regular bimodule are not walked again.  A Cochain
+ingests its table when built (cochain_from_table checks its shape first);
+its map evaluates it, one argument at a time from degree 3 on, and its
+map's flat is its coordinate vector in delta_matrix.  Multilinearity makes
+the table a lossless representation and turns cocycle/coboundary
+questions into exact linear algebra over Z_p.
 The coboundary of a table is evaluated directly from the alternating-sum
 formula; for rank, kernel and span questions the same map is materialized
 as sparse rows over the cochain coordinate spaces and eliminated by linal
@@ -27,13 +24,12 @@ when no two entries land on one column, and only a row with merged entries
 is summed and reduced mod n again.
 The bimodule laws and the cocycle identity are certified on basis triples
 by algebra._triple_defects, which composes the sparse cells of the action,
-algebra and cochain tables and evaluates no product; for the regular
-bimodule one walk of the associativity defect serves all three laws.
+algebra and cochain maps and evaluates no product.
 
 Every solver gets its eliminations from _sieve, the one place that refuses:
 a non-prime modulus (NonPrimeModulus) and a coboundary whose templates
 would place more entries than the cap of every scan (LinAlgCapExceeded),
-counted by _coboundary_entries from the sparse cells before any row is built.
+counted by _coboundary_entries from the maps' nnz before any row is built.
 cochain_from_table refuses a degree above MAX_COCHAIN_DEGREE, the highest
 the coboundary takes, before it reads the table.
 """
@@ -41,20 +37,16 @@ the coboundary takes, before it reads the table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import product
+from itertools import chain, product
 
 from .algebra import (
     FiniteAlgebra,
+    Multilinear,
     _ZnModule,
-    _bilinear,
     _check_table,
-    _compile_bilinear,
-    _linear,
+    _multilinear,
     _preimages,
-    _reduce_table,
     _refuse_above_cap,
-    _sparse_cells,
     _triple_defects,
 )
 from .errors import (
@@ -81,74 +73,54 @@ class Bimodule(_ZnModule):
 
     left[i][j] is basis element i of the algebra acting on module basis
     element j; right[j][i] is module basis j acted on by algebra basis i.
+    The sides are held as Multilinear maps, left_map and right_map, and an
+    existing map is kept as it is.
     """
 
     def __init__(self, algebra: FiniteAlgebra, rank, left, right, name=""):
         super().__init__(algebra.n, rank)
         self.algebra = algebra
-        self.left, self._left_cells = self._side(left)
-        self.right, self._right_cells = self._side(right)
+        self.left_map = _multilinear(left, self.n, 2)
+        self.right_map = _multilinear(right, self.n, 2)
         self.name = name or f"bimodule(s={self.rank}) over {algebra.name}"
 
-    def _side(self, table):
-        """An action table reduced mod n and its sparse cells; the
-        algebra's own table (a side of the regular bimodule) is taken with
-        its cells as they are."""
-        A = self.algebra
-        if table is A.table:
-            return A.table, A._cells
-        table = _reduce_table(table, self.n)
-        return table, _sparse_cells(table, 2)
+    @property
+    def left(self):
+        return self.left_map.dense
+
+    @property
+    def right(self):
+        return self.right_map.dense
 
     def __repr__(self):
         return f"Bimodule({self.name!r})"
 
     def lact(self, a, m):
         """Left action of algebra element a on module element m."""
-        return self._left_product(a, m)
+        return self.left_map.product(a, m)
 
     def ract(self, m, a):
         """Right action of algebra element a on module element m."""
-        return self._right_product(m, a)
-
-    @cached_property
-    def _left_product(self):
-        return self._side_product(self._left_cells)
-
-    @cached_property
-    def _right_product(self):
-        return self._side_product(self._right_cells)
-
-    def _side_product(self, cells):
-        """The compiled kernel of one action table, built on its first use;
-        a side whose cells are the algebra's (both sides of the regular
-        bimodule) is the algebra's own product kernel."""
-        A = self.algebra
-        if cells == A._cells:
-            return A._product
-        return _compile_bilinear(cells, self.n, self.rank)
+        return self.right_map.product(m, a)
 
 
 def validate_bimodule(M) -> Bimodule:
     """Certify a Bimodule and return it: the unit laws and the three
     associativity laws on basis triples (i, j, k) with i, j algebra and k
     module indices, all read off the sparse cells (the unit laws through
-    _bilinear), so certifying a bimodule compiles no kernel; the unit laws
-    also make scalars act alike on both sides.  When both sides are the
-    algebra's own cells, as in the regular bimodule, the three laws are the
-    algebra's associativity defect up to sign, and one _triple_defects walk
-    gives every law's failing triples.  The first failing triple in
+    evaluate), so certifying a bimodule compiles no kernel; the unit laws
+    also make scalars act alike on both sides.  The first failing triple in
     lexicographic order is reported, with the laws in the order below at a
     tie."""
     A = M.algebra
     one = A.one()
     n, s = M.n, M.rank
-    L, R, T = M._left_cells, M._right_cells, A._cells
+    L, R, T = M.left_map.cells, M.right_map.cells, A.mult.cells
     for j in range(s):
         m = M.basis(j)
-        if _bilinear(L, one, m, n, s) != m:
+        if M.left_map.evaluate(one, m) != m:
             raise UnitActsBadly(f"{M.name}: 1*m != m on module basis {j}")
-        if _bilinear(R, m, one, n, s) != m:
+        if M.right_map.evaluate(m, one) != m:
             raise UnitActsBadly(f"{M.name}: m*1 != m on module basis {j}")
     # (law, positions of a, b and m among the arguments x, y, z, terms)
     laws = (
@@ -156,11 +128,9 @@ def validate_bimodule(M) -> Bimodule:
         ("m(ab) = (ma)b", (1, 2, 0), [(1, "x(yz)", R, T), (-1, "(xy)z", R, R)]),
         ("(am)b = a(mb)", (0, 2, 1), [(1, "(xy)z", R, L), (-1, "x(yz)", L, R)]),
     )
-    walks = ([_triple_defects(laws[0][2], n, s)] * 3 if L == T == R
-             else [_triple_defects(terms, n, s) for _, _, terms in laws])
     failures = [((t[p[0]], t[p[1]], t[p[2]]), rank, law)
-                for rank, ((law, p, _), defects) in enumerate(zip(laws, walks))
-                for t in defects]
+                for rank, (law, p, terms) in enumerate(laws)
+                for t in _triple_defects(terms, n, s)]
     if failures:
         triple, _, law = min(failures)
         raise ActionNotAssociative(law, triple)
@@ -168,51 +138,38 @@ def validate_bimodule(M) -> Bimodule:
 
 
 def regular_bimodule(A: FiniteAlgebra) -> Bimodule:
-    """A acting on itself by multiplication on both sides: both action
-    tables are A's own, since e_i acting on e_j is e_i e_j on either side."""
-    return validate_bimodule(
-        Bimodule(A, A.rank, A.table, A.table, name=f"{A.name} (regular)"))
+    """A acting on itself by multiplication on both sides: both sides are
+    A.mult itself, since e_i acting on e_j is e_i e_j on either side.  Its
+    unit and associativity laws are A's own, so for an algebra that
+    validate_algebra certified nothing is walked again."""
+    M = Bimodule(A, A.rank, A.mult, A.mult, name=f"{A.name} (regular)")
+    return M if A._certified is A.mult else validate_bimodule(M)
 
 
-@dataclass
 class Cochain:
-    """A multilinear map A^degree -> M, stored as its basis-tuple table."""
-    degree: int
-    module: Bimodule
-    values: tuple
+    """A multilinear map A^degree -> M; values is its map's dense table."""
+
+    def __init__(self, degree, module: Bimodule, values):
+        self.degree = degree
+        self.module = module
+        self.map = _multilinear(values, module.n, degree)
+
+    @property
+    def values(self):
+        return self.map.dense
 
     def evaluate(self, *args):
         if len(args) != self.degree:
             raise BadShape(
                 f"cochain of degree {self.degree} applied to {len(args)} arguments")
-        if not args:
-            return self.values
-        return _contract(self._cells, args, self.module.n, self.module.rank)
-
-    @cached_property
-    def _cells(self):
-        return _sparse_cells(self.values, self.degree)
+        return self.map.evaluate(*args)
 
     def is_zero(self):
-        return not any(cochain_to_vec(self))
+        return not self.map.nnz
 
     def __eq__(self, other):
         return (isinstance(other, Cochain) and self.degree == other.degree
                 and self.values == other.values)
-
-
-def _contract(cells, args, n, width):
-    """A multilinear table, given by its sparse cells, evaluated on args:
-    the first argument contracts the table rows that its support selects,
-    the rest recurse and come back as sparse rows."""
-    if len(args) == 1:
-        return _linear(cells, args[0], n, width)
-    if len(args) == 2:
-        return _bilinear(cells, args[0], args[1], n, width)
-    head, rest = args[0], args[1:]
-    rows = [_sparse_cells(_contract(sub, rest, n, width), 0) if c else None
-            for c, sub in zip(head, cells)]
-    return _linear(rows, head, n, width)
 
 
 def cochain_from_table(M, degree, values) -> Cochain:
@@ -251,12 +208,8 @@ def coboundary(g: Cochain) -> Cochain:
         acc = M.add(acc, M.smul(sign, M.ract(g.evaluate(*args[:-1]), args[-1])))
         return acc
 
-    def build(depth, prefix):
-        if depth == 0:
-            return value(prefix)
-        return tuple(build(depth - 1, prefix + (i,)) for i in range(r))
-
-    return Cochain(nu + 1, M, build(nu + 1, ()))
+    flat = chain.from_iterable(map(value, product(range(r), repeat=nu + 1)))
+    return vec_to_cochain(M, nu + 1, tuple(flat))
 
 
 def is_cocycle2(f: Cochain):
@@ -271,11 +224,11 @@ def is_cocycle2(f: Cochain):
     M = f.module
     A = M.algebra
     r = A.rank
-    F, T = f._cells, A._cells
+    F, T = f.map.cells, A.mult.cells
     # a f(b, c) - f(ab, c) + f(a, bc) - f(a, b) c on every basis triple
     violations = sorted(_triple_defects(
-        [(1, "x(yz)", M._left_cells, F), (-1, "(xy)z", F, T),
-         (1, "x(yz)", F, T), (-1, "(xy)z", M._right_cells, F)],
+        [(1, "x(yz)", M.left_map.cells, F), (-1, "(xy)z", F, T),
+         (1, "x(yz)", F, T), (-1, "(xy)z", M.right_map.cells, F)],
         A.n, M.rank).items())
     if violations:
         return False, violations
@@ -325,10 +278,10 @@ def delta_matrix(M: Bimodule, degree):
     src_dim = s * r ** nu
     end_sign = (-1) ** (nu + 1)
     left = [[(l * src_dim + k, v % n) for l in range(r)
-             for k, v in M._left_cells[l][m0]] for m0 in range(s)]
+             for k, v in M.left_map.cells[l][m0]] for m0 in range(s)]
     right = [[(k * s + c, end_sign * v % n) for k in range(r)
-              for c, v in M._right_cells[m0][k]] for m0 in range(s)]
-    preimages = _preimages(A._cells)
+              for c, v in M.right_map.cells[m0][k]] for m0 in range(s)]
+    preimages = _preimages(A.mult.cells)
     merged = []
     for i in range(1, nu + 1):
         low = r ** (nu - i)
@@ -357,27 +310,10 @@ def delta_matrix(M: Bimodule, degree):
     return rows, src_dim, s * r ** (nu + 1)
 
 
-def cochain_to_vec(f: Cochain):
-    """Flat coefficient tuple in the same order delta_matrix uses."""
-    cells = [f.values]
-    for _ in range(f.degree):
-        cells = [sub for cell in cells for sub in cell]
-    return tuple(x for cell in cells for x in cell)
-
-
 def vec_to_cochain(M, degree, vec) -> Cochain:
-    r = M.algebra.rank
-    s = M.rank
-    if degree == 0:
-        return Cochain(0, M, tuple(v % M.n for v in vec))
-
-    def build(depth, base):
-        if depth == 0:
-            return tuple(v % M.n for v in vec[base:base + s])
-        step = s * r ** (depth - 1)
-        return tuple(build(depth - 1, base + i * step) for i in range(r))
-
-    return Cochain(degree, M, build(degree, 0))
+    """The cochain whose flat, in delta_matrix's order, is vec."""
+    shape = (M.algebra.rank,) * degree + (M.rank,)
+    return Cochain(degree, M, Multilinear.from_flat(vec, M.n, shape))
 
 
 @dataclass
@@ -389,13 +325,11 @@ class CohomologyDims:
 
 
 def _coboundary_entries(M, degree):
-    """E = r^ν·(nnz L + nnz R) + s·ν·r^(ν-1)·nnz(A), read off the sparse
-    cells: the entries delta_matrix's templates place, before any cancels."""
+    """E = r^ν·(nnz L + nnz R) + s·ν·r^(ν-1)·nnz(A), read off the maps: the
+    entries delta_matrix's templates place, before any cancels."""
     r, s = M.algebra.rank, M.rank
-    left, right, alg = (sum(len(c) for row in cells for c in row) for cells
-                        in (M._left_cells, M._right_cells, M.algebra._cells))
-    return (r ** degree * (left + right)
-            + s * degree * r ** max(degree - 1, 0) * alg)
+    return (r ** degree * (M.left_map.nnz + M.right_map.nnz)
+            + s * degree * r ** max(degree - 1, 0) * M.algebra.mult.nnz)
 
 
 def _sieve(M, degree, cap=None, tagged=False):
@@ -456,13 +390,13 @@ def solve_coboundary(f: Cochain, cap=None):
     if not 1 <= nu <= MAX_COCHAIN_DEGREE:
         raise BadShape(f"coboundary equations are solved in degrees 1 to "
                        f"{MAX_COCHAIN_DEGREE}, got {nu}")
-    M, p, vec = f.module, f.module.n, cochain_to_vec(f)
+    M, p, vec = f.module, f.module.n, f.map.flat
     _, pivots, src, dst = _sieve(M, nu - 1, cap, tagged=True)
     target = {c: x for c, x in enumerate(vec) if x}
     residue = linal.reduce_modp(pivots, target, p)
     if residue and min(residue) < dst:
         return None
     g = vec_to_cochain(M, nu - 1, _tag_part(residue, src, dst, -1))
-    if cochain_to_vec(coboundary(g)) != tuple(c % p for c in vec):
+    if coboundary(g).map.flat != vec:
         raise SelfCheckFailed("coboundary witness failed to re-verify")
     return g

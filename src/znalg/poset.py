@@ -14,9 +14,8 @@ from dataclasses import dataclass, field
 
 from .algebra import (
     FiniteAlgebra,
+    Multilinear,
     _check_table,
-    _linear,
-    _sparse_cells,
     validate_algebra,
     zn,
     zn_poly_x2,
@@ -118,8 +117,8 @@ class Presheaf:
 
     maps[(h, i)] for h <= i is the image table of a unital homomorphism from
     stalk i to stalk h, one coordinate tuple per basis element of stalk i;
-    restriction reduces its entries mod n.  The sparse cells of a map are
-    built on its first use, after validate_presheaf has checked its shape.
+    restriction reduces its entries mod n.  A map's Multilinear is built
+    on its first use, after validate_presheaf has checked its shape.
     """
 
     def __init__(self, poset: Poset, stalks, maps, name=""):
@@ -127,17 +126,17 @@ class Presheaf:
         self.stalks = list(stalks)
         self.maps = dict(maps)
         self.name = name or "presheaf"
-        self._cells = {}
+        self._restrictions = {}
 
     def restrict(self, h, i, x):
         """Apply the restriction map from stalk i into stalk h <= i."""
         if h == i:
             return tuple(x)
-        S = self.stalks[h]
-        cells = self._cells.get((h, i))
-        if cells is None:
-            cells = self._cells[(h, i)] = _sparse_cells(self.maps[(h, i)], 1)
-        return _linear(cells, x, S.n, S.rank)
+        f = self._restrictions.get((h, i))
+        if f is None:
+            f = self._restrictions[(h, i)] = Multilinear(
+                self.maps[(h, i)], self.stalks[h].n, 1)
+        return f.evaluate(x)
 
     def __repr__(self):
         return f"Presheaf({self.name!r})"

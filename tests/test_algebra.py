@@ -1,6 +1,7 @@
 """Structure-table validation, element arithmetic, and constructors."""
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 import znalg.algebra
 from znalg.algebra import (
     FiniteAlgebra,
+    Multilinear,
     _bilinear,
     _compile_bilinear,
     _preimages,
-    _sparse_cells,
     _triple_defects,
     direct_product,
     matrix_algebra,
@@ -360,7 +361,8 @@ def test_compiled_kernel_matches_bilinear(n, rows, cols, width, density,
     # zero vectors and unreduced coordinates, which both kernels must
     # reduce mod n the same way
     rng = random.Random(seed)
-    cells = _sparse_cells(random_table(rng, rows, cols, width, n, density), 2)
+    cells = Multilinear(random_table(rng, rows, cols, width, n, density), n,
+                        2).cells
     product = _compile_bilinear(cells, n, width)
     for trial in range(8):
         low = -3 * n if trial % 4 == 3 else 0
@@ -425,8 +427,9 @@ def random_terms(rng, forms, dims, n, density):
         else:
             inner = random_table(rng, Y, Z, U, n, density)
             outer = random_table(rng, X, U, W, n, density)
-        terms.append((rng.choice((1, -1)), form, _sparse_cells(outer, 2),
-                      _sparse_cells(inner, 2)))
+        terms.append((rng.choice((1, -1)), form,
+                      Multilinear(outer, n, 2).cells,
+                      Multilinear(inner, n, 2).cells))
     return terms
 
 
@@ -448,8 +451,8 @@ def test_triple_kernel_matches_the_dense_oracle(n, density, law, r, more,
     s = r + more
 
     def table(rows, cols, width):
-        return _sparse_cells(random_table(rng, rows, cols, width, n,
-                                          density), 2)
+        return Multilinear(random_table(rng, rows, cols, width, n, density),
+                           n, 2).cells
     T = table(r, r, r)
     L, R, F = table(r, s, s), table(s, r, s), table(r, r, s)
     if law == "associativity":
@@ -519,9 +522,96 @@ def test_sparse_cells_skip_empty_cells_as_the_recursion_does(
     table = random_table(rng, rows, cols, width, n, density)
     table[rng.randrange(rows)][rng.randrange(cols)] = [0] * width
     for depth, sub in ((2, table), (1, table[-1]), (0, table[-1][-1])):
-        assert _sparse_cells(sub, depth) == recursive_sparse_cells(sub, depth)
+        assert Multilinear(sub, n, depth).cells == recursive_sparse_cells(
+            sub, depth)
     if density == 0:
-        assert _sparse_cells(table, 2) == (((),) * cols,) * rows
+        assert Multilinear(table, n, 2).cells == (((),) * cols,) * rows
+
+
+def random_nested(rng, shape, n, density):
+    """A table of the given shape, its index ranges then its width, as
+    nested lists; an entry is nonzero with the given probability and lies
+    in -n..2n-1, so some nonzero entries vanish mod n."""
+    if len(shape) == 1:
+        return [rng.randrange(-n, 2 * n) if rng.random() < density else 0
+                for _ in range(shape[0])]
+    return [random_nested(rng, shape[1:], n, density)
+            for _ in range(shape[0])]
+
+
+def reduced(table, n):
+    """The table as nested tuples with every entry reduced mod n."""
+    if isinstance(table, int):
+        return table % n
+    return tuple(reduced(sub, n) for sub in table)
+
+
+def row_major(table):
+    if isinstance(table, int):
+        return [table]
+    return [v for sub in table for v in row_major(sub)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(n=st.sampled_from((2, 3, 4, 6, 9, 257)),
+       density=st.sampled_from((0, 0.15, 0.5, 1)),
+       shape=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_multilinear_map_matches_its_dense_table(n, density, shape, seed):
+    # depths 0 to 3 over index ranges that differ from each other and from
+    # the width, as the two sides of a bimodule with r != s do
+    rng = random.Random(seed)
+    depth, width = len(shape) - 1, shape[-1]
+    table = random_nested(rng, shape, n, density)
+    dense = reduced(table, n)
+    f = Multilinear(table, n, depth)
+    assert (f.n, f.depth, f.width) == (n, depth, width)
+    assert f.dense == dense
+    assert f.cells == recursive_sparse_cells(dense, depth)
+    assert f.flat == tuple(row_major(dense))
+    assert f.nnz == sum(1 for v in row_major(dense) if v)
+    g = Multilinear.from_flat(f.flat, n, shape)
+    assert (g.dense, g.cells, g.width) == (f.dense, f.cells, f.width)
+    for _ in range(3):
+        args = [tuple(rng.randrange(-n, 2 * n) for _ in range(size))
+                for size in shape[:-1]]
+        want = [0] * width
+        for index in product(*map(range, shape[:-1])):
+            c = 1
+            for x, i in zip(args, index):
+                c *= x[i]
+            cell = dense
+            for i in index:
+                cell = cell[i]
+            want = [w + c * v for w, v in zip(want, cell)]
+        assert f.evaluate(*args) == tuple(w % n for w in want)
+        if depth == 2:
+            assert f.product(*args) == _bilinear(f.cells, *args, n, width)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(shape=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+       bad=st.sampled_from((1.0, 2.5, True, False, "1", None, 7, "ab",
+                            {0: 1})),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_multilinear_refuses_what_is_not_an_int_table(shape, bad, seed):
+    # one entry or one array at any level is replaced: a float, a bool, a
+    # string or None as an entry, and any of those, an int or a dict as a
+    # level, is refused with BadShape and never escapes as a TypeError
+    rng = random.Random(seed)
+    table = random_nested(rng, shape, 5, 0.5)
+    level = rng.randrange(len(shape) + 1)
+    if level == 0:
+        table = bad
+    else:
+        node = table
+        for _ in range(level - 1):
+            node = node[rng.randrange(len(node))]
+        node[rng.randrange(len(node))] = bad
+    if level == len(shape) and type(bad) is int:
+        return  # an int entry is well formed
+    with pytest.raises(BadShape):
+        Multilinear(table, 5, len(shape) - 1)
 
 
 def test_kernel_of_a_rank_100_table_with_dense_rows_compiles():
@@ -531,7 +621,7 @@ def test_kernel_of_a_rank_100_table_with_dense_rows_compiles():
     r, n = 100, 5
     table = [[[1 if k in (0, (i + j) % r) else 0 for k in range(r)]
               for j in range(r)] for i in range(r)]
-    cells = _sparse_cells(table, 2)
+    cells = Multilinear(table, n, 2).cells
     product = _compile_bilinear(cells, n, r)
     rng = random.Random(100)
     for _ in range(3):
@@ -556,19 +646,30 @@ def test_non_int_entries_are_refused_before_any_kernel(monkeypatch, entry):
 
 
 def test_regular_bimodule_reuses_the_algebra_kernel(monkeypatch):
+    # both sides of the regular bimodule are A.mult itself, so lact and
+    # ract run A's kernel; for a certified algebra, building it compiles
+    # nothing and walks no triple.  The same table in an algebra that was
+    # never certified is walked once per bimodule law
     import znalg.hochschild
     from znalg.hochschild import regular_bimodule
     A = triangular_algebra(2, 3)
-    kernel = A._product
-    built = []
-    for module in (znalg.algebra, znalg.hochschild):
-        monkeypatch.setattr(module, "_compile_bilinear",
-                            lambda *args: built.append(args))
+    kernel = A.mult.product
+    built, walks = [], []
+    walk = znalg.hochschild._triple_defects
+    monkeypatch.setattr(znalg.algebra, "_compile_bilinear",
+                        lambda *args: built.append(args))
+    monkeypatch.setattr(znalg.hochschild, "_triple_defects",
+                        lambda *args: walks.append(args) or walk(*args))
     M = regular_bimodule(A)
+    assert M.left_map is A.mult and M.right_map is A.mult
     x, m = (1, 1, 0, 1, 0, 1), (0, 1, 1, 0, 1, 1)
     assert M.lact(x, m) == A.mul(x, m) and M.ract(m, x) == A.mul(m, x)
-    assert M._left_product is kernel and M._right_product is kernel
-    assert not built
+    assert M.left_map.product is kernel and M.right_map.product is kernel
+    assert not built and not walks
+    B = FiniteAlgebra(A.n, A.rank, A.mult, A.unit, "never certified")
+    assert B.mult is A.mult
+    assert regular_bimodule(B).left_map is A.mult
+    assert len(walks) == 3 and not built
 
 
 def test_validating_an_algebra_builds_no_kernel(monkeypatch):
@@ -585,5 +686,5 @@ def test_validating_an_algebra_builds_no_kernel(monkeypatch):
     for doc in docs:
         A = document_algebra(doc)
         M = regular_bimodule(A)
-        assert not {"_product", "_left_product",
-                    "_right_product"} & (set(vars(A)) | set(vars(M)))
+        assert not any("product" in vars(f)
+                       for f in (A.mult, M.left_map, M.right_map))

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from znalg.algebra import (
     FiniteAlgebra,
-    _sparse_cells,
+    Multilinear,
     direct_product,
     matrix_algebra,
     triangular_algebra,
@@ -287,23 +287,25 @@ def test_at_order_costs_the_support_not_the_order():
 @pytest.mark.parametrize("n", [2, 3, 4, 9])
 def test_a_correction_that_reduces_to_zero_is_dropped(monkeypatch, n):
     # every entry of alpha_2 is n, nonzero as an integer and 0 mod n: the
-    # table is dropped before it is sparsified, from the corrections, the
-    # cells and the support, and cochains still writes a zero table at
+    # table is dropped before its map is built, from the corrections, the
+    # maps and the support, and cochains still writes a zero table at
     # order 2; alpha_3, x*x = t^3 with one nonzero entry, is kept
-    import znalg.deformation
-    sparsified = []
-    monkeypatch.setattr(znalg.deformation, "_sparse_cells",
-                        lambda table, depth: sparsified.append(table)
-                        or _sparse_cells(table, depth))
     A = zn_poly_x2(n)
+    built = []
+    ingest = Multilinear.__init__
+
+    def recorded(self, table, n, depth):
+        built.append(table)
+        ingest(self, table, n, depth)
+    monkeypatch.setattr(Multilinear, "__init__", recorded)
     multiples = [[[n, n], [n, n]], [[n, n], [n, n]]]
     x_squared = [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]
     D = validate_deformation(TruncatedDeformation(
         A, 4, {2: multiples, 3: x_squared}))
-    assert list(D.corrections) == list(D._cells) == [3]
+    assert list(D.corrections) == list(D.alphas) == [3]
     assert D._support == (0, 3)
-    assert sparsified == [D.corrections[3]]
-    assert D._cells[3] == (((), ()), ((), ((0, 1),)))
+    assert built == [x_squared]
+    assert D.alphas[3].cells == (((), ()), ((), ((0, 1),)))
     zero = (((0, 0), (0, 0)), ((0, 0), (0, 0)))
     assert D.cochains == (zero, zero, (((0, 0), (0, 0)), ((0, 0), (1, 0))))
 
@@ -925,9 +927,10 @@ def counting_visits(visits):
     from znalg.deformation import _coefficient
 
     def counted(D, f, g, k):
-        for m, cells in D._supported_cells():
+        for m, alpha in D._supported():
             if m > k:
                 break
+            cells = alpha.cells
             for a in range(k - m + 1):
                 for i, x in enumerate(f[a]):
                     for j, y in enumerate(g[k - m - a]):
@@ -994,9 +997,9 @@ def test_wrong_constant_inverse_fails_the_certificate(monkeypatch):
 def test_one_sided_constant_inverse_fails_the_certificate(monkeypatch, lost):
     # the base table of Z3[X]/(X^2) is corrupted so that (1 + x)(1 + 2x) = 1
     # fails on one side only, and the base answers 1 + 2x as the inverse of
-    # 1 + x.  The cells are what the recursion's sums and the full product
-    # read, and the base product reads them through its compiled kernel,
-    # which is dropped so that it is rebuilt from them.  f is constant and
+    # 1 + x.  The base's map is what the recursion's sums and the full
+    # product read, and the base product reads it through its compiled
+    # kernel, which the new map builds from its cells.  f is constant and
     # the deformation trivial, so the recursion solves b = (1 + 2x, 0, ...)
     # and only the product on the lost side sees it: f*b by the recursion's
     # sums, b*f by the full product
@@ -1012,8 +1015,7 @@ def test_one_sided_constant_inverse_fails_the_certificate(monkeypatch, lost):
     table = [[list(cell) for cell in row] for row in A.table]
     for (i, j), d in (((0, 1), d1), ((1, 0), d2), ((1, 1), d3)):
         table[i][j][0] = (table[i][j][0] + d) % 3
-    monkeypatch.setattr(A, "_cells", _sparse_cells(table, 2))
-    vars(A).pop("_product", None)
+    monkeypatch.setattr(A, "mult", Multilinear(table, 3, 2))
     monkeypatch.setattr(A, "inverse", lambda x, cap=None: (1, 2))
     assert A.mul(*lost) != A.one()
     assert A.mul(*reversed(lost)) == A.one()
@@ -1037,13 +1039,11 @@ def test_correction_perturbed_after_validation_fails_the_self_check():
             continue  # seed 8 draws the zero gauge map: nothing to perturb
         rng = random.Random(seed)
         m = rng.choice(D._support[1:])
-        cells = [[list(cell) for cell in row] for row in D._cells[m]]
+        table = [[list(cell) for cell in row] for row in D.alphas[m].dense]
         i, j = rng.randrange(3), rng.randrange(3)
-        cell = dict(cells[i][j])
         k = rng.randrange(3)
-        cell[k] = (cell.get(k, 0) + 1) % 2
-        cells[i][j] = tuple((t, v) for t, v in sorted(cell.items()) if v)
-        D._cells[m] = tuple(map(tuple, cells))
+        table[i][j][k] = (table[i][j][k] + 1) % 2
+        D.alphas[m] = Multilinear(table, 2, 2)
         for _ in range(4):
             f = list(random_def_element(D, rng.randrange(1 << 30)))
             f[0] = T2.one()
