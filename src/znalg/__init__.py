@@ -31,7 +31,6 @@ from .hochschild import (
     Bimodule,
     Cochain,
     coboundary,
-    cochain_from_table,
     cohomology_dims,
     is_cocycle2,
     regular_bimodule,

@@ -24,12 +24,16 @@ a Newton lift refuses on the slot visits of its products
 _refuse_above_cap; None means DEFAULT_CAP.
 
 Every structure table is a multilinear map over Z_n on basis tuples, held
-as one Multilinear: an algebra's product (FiniteAlgebra.mult), the sides of
-a bimodule, a cochain, each deformation correction, each presheaf
-restriction and a gauge map.  It checks and reduces its table once and
-keeps dense, the nested tuples that equality, hashing, reports and
-documents read, and cells, the (k, v) pairs with v != 0 of each cell, which
-every kernel walks.  Its product is its compiled kernel: _compile_bilinear
+as one Multilinear: an algebra's product (FiniteAlgebra.mult) and its unit,
+the sides of a bimodule, a cochain, each deformation correction, each
+presheaf restriction and a gauge map.  Its owner declares the shape, the
+index range of each argument and the width, and the one walk that reads
+the table checks every level's type and length and every entry's type
+against it, so a table built in code is refused with BadShape exactly as
+one read from a document is.  It reduces the table once and keeps dense,
+the nested tuples that equality, hashing, reports and documents read,
+flat, and cells, the (k, v) pairs with v != 0 of each cell, which every
+kernel walks.  Its product is its compiled kernel: _compile_bilinear
 writes it, on first use, as one straight-line function with the entries
 and the modulus as literals, so a product runs no loop and reduces each
 coordinate once.  An owner given an existing map keeps it, so the regular
@@ -122,14 +126,16 @@ class _ZnModule:
 class FiniteAlgebra(_ZnModule):
     """A finite associative unital algebra over Z_n, given by its table.
 
-    The constructor only normalizes and stores; validate_algebra certifies
-    the result, as the helper constructors below do.
+    The constructor checks the table against the shape (rank, rank, rank)
+    and the unit against (rank,), and reduces both; validate_algebra
+    certifies the result, as the helper constructors below do.
     """
 
     def __init__(self, modulus, rank, table, unit, name=""):
         super().__init__(modulus, rank)
-        self.mult = _multilinear(table, self.n, 2)
-        self.unit = tuple(v % self.n for v in unit)
+        r = self.rank
+        self.mult = _multilinear(table, self.n, (r, r, r), "structure table")
+        self.unit = Multilinear(unit, self.n, (r,), "unit vector").dense
         self.name = name or f"algebra(n={self.n},r={self.rank})"
         self._certified = None  # the map validate_algebra certified
 
@@ -246,19 +252,21 @@ def _refuse_above_cap(count, cap, what, shown=None, error=CapExceeded):
 
 
 class Multilinear:
-    """A multilinear map over Z_n, given by its table on basis tuples: depth
-    arrays, one per argument, above its cells (2 for a bilinear table, 0
-    for one vector).  An entry that is not an int (a float, a bool, a
-    string) or a level that is not an array is refused with BadShape.  flat
-    is the entries in row-major order, delta_matrix's coordinates."""
+    """A multilinear map over Z_n, given by its table on basis tuples and
+    the shape its owner declares: the index range of each argument, then
+    the width of a cell ((r, r, r) for an algebra's product, (r,) for one
+    vector).  The one walk that reduces and sparsifies the table checks it
+    against the shape: a level that is not an array, an array of another
+    length or an entry that is not an int (a float, a bool, a string) is
+    refused with BadShape, naming what, the depth and the lengths; depths
+    count from top, the depth of the table's top level in the array that
+    what names.  flat is the entries in row-major order, delta_matrix's
+    coordinates."""
 
-    def __init__(self, table, n, depth):
-        self.n, self.depth = n, depth
-        (self.dense,), (self.cells,) = _ingest((table,), n, depth + 1)
-        node = self.dense
-        for _ in range(depth):
-            node = node[0] if node else ()
-        self.width = len(node)
+    def __init__(self, table, n, shape, what="table", top=0):
+        self.n, self.shape, self.width = n, tuple(shape), shape[-1]
+        self.dense, self.cells, self.flat, self.nnz = _ingest(
+            table, n, self.shape, what, top)
 
     @classmethod
     def from_flat(cls, vec, n, shape):
@@ -269,21 +277,11 @@ class Multilinear:
         for size in reversed(ranges):
             table = [table[i * size:(i + 1) * size]
                      for i in range(len(table) // size)]
-        return cls(table[0], n, len(ranges))
-
-    @cached_property
-    def flat(self):
-        entries = self.dense
-        for _ in range(self.depth):
-            entries = chain.from_iterable(entries)
-        return tuple(entries)
-
-    @cached_property
-    def nnz(self):
-        return len(self.flat) - self.flat.count(0)
+        return cls(table[0], n, shape)
 
     def evaluate(self, *args):
-        """The map on one element per argument; at depth 0, its vector."""
+        """The map on one element per argument; with no argument, the
+        vector of a map of shape (width,)."""
         return _contract(self.cells, args, self.n, self.width) if args \
             else self.dense
 
@@ -293,36 +291,70 @@ class Multilinear:
         return _compile_bilinear(self.cells, self.n, self.width)
 
 
-def _multilinear(table, n, depth):
-    """The map of a table at modulus n and depth; a Multilinear built there
-    already is kept as it is, so its owners share its kernel."""
+def _multilinear(table, n, shape, what, top=0):
+    """The map of a table at modulus n and shape; a Multilinear of that
+    modulus and shape is kept as it is, so its owners share its kernel."""
     if isinstance(table, Multilinear):
-        if (table.n, table.depth) == (n, depth):
+        if (table.n, table.shape) == (n, shape):
             return table
         table = table.dense
-    return Multilinear(table, n, depth)
+    return Multilinear(table, n, shape, what, top)
 
 
 _ARRAYS, _INT = {list, tuple}, {int}  # a bool is not of type int
+_flatten = chain.from_iterable
 
 
-def _ingest(table, n, depth):
-    """(dense, cells) of a table nested depth >= 1 levels above its cells:
-    per row one type check of its cells and one of their entries, then the
-    row reduced mod n and each cell sparsified, an all-zero one to () after
-    one any(cell)."""
-    if type(table) not in _ARRAYS:
-        raise BadShape("table levels must be arrays")
-    if depth > 1:
-        parts = [_ingest(sub, n, depth - 1) for sub in table]
-        return tuple([d for d, _ in parts]), tuple([c for _, c in parts])
-    if not set(map(type, table)) <= _ARRAYS:
-        raise BadShape("table levels must be arrays")
-    if not set(map(type, chain.from_iterable(table))) <= _INT:
-        raise BadShape("table entries must be integers")
-    dense = tuple([tuple([v % n for v in cell]) for cell in table])
-    return dense, tuple([tuple([(k, v) for k, v in enumerate(cell) if v])
-                         if any(cell) else () for cell in dense])
+_ZEROS = {}  # shape -> (its zero table as lists, its ingest), 64 at most
+
+
+def _ingest(table, n, shape, what, depth):
+    """(dense, cells, flat, nnz) of a table of shape whose top level lies at
+    depth, in one walk down its levels: at each level one type check of its
+    arrays and one length check, then one type check of the entries, which
+    are reduced mod n into flat, cut into cells, each sparsified (an
+    all-zero one to () after one any(cell)), and regrouped level by level.
+    Once a table of zeros of a shape has been walked, a table equal to its
+    zero table, with int entries, is known by that one comparison."""
+    known = _ZEROS.get(shape)
+    if known and table == known[0]:
+        entries = table
+        for _ in shape[1:]:
+            entries = _flatten(entries)
+        if _INT.issuperset(map(type, entries)):
+            return known[1]
+    level, counts = [table], []
+    for size in shape:
+        if not _ARRAYS.issuperset(map(type, level)):
+            raise BadShape(f"{what} is not an array at depth {depth}")
+        if not {size}.issuperset(map(len, level)):
+            length = next(len(node) for node in level if len(node) != size)
+            raise BadShape(f"{what} has an array of length {length} at "
+                           f"depth {depth}, expected {size}")
+        counts.append(len(level))
+        level = list(_flatten(level))
+        depth += 1
+    if not _INT.issuperset(map(type, level)):
+        raise BadShape(f"{what} entries must be integers")
+    flat = tuple([v % n for v in level])
+    dense = _group(flat, shape[-1], counts[-1])
+    cells = [tuple([(k, v) for k, v in enumerate(cell) if v])
+             if any(cell) else () for cell in dense]
+    for size, count in zip(reversed(shape[:-1]), reversed(counts[:-1])):
+        dense, cells = _group(dense, size, count), _group(cells, size, count)
+    ingest = dense[0], cells[0], flat, len(flat) - flat.count(0)
+    if flat and not ingest[3] and len(_ZEROS) < 64:
+        # every length of shape was read off this table, none of them 0
+        zero = [0] * shape[-1]
+        for size in reversed(shape[:-1]):
+            zero = [zero] * size
+        _ZEROS[shape] = zero, ingest
+    return ingest
+
+
+def _group(items, size, count):
+    """items cut, in order, into count tuples of size items each."""
+    return list(zip(*[iter(items)] * size)) if items else [()] * count
 
 
 def _bilinear(cells, x, y, n, width):
@@ -497,26 +529,6 @@ def _triple_defects(terms, n, width):
                 d = defects[triple] = [0] * width
             d[t] = v
     return {triple: tuple(d) for triple, d in defects.items()}
-
-
-def _check_table(table, shape, what):
-    """Require nested arrays of exactly the given shape with integer entries;
-    returns the entries in row-major order."""
-    level = [table]
-    for depth, size in enumerate(shape):
-        below = []
-        for node in level:
-            if not isinstance(node, (list, tuple)):
-                raise BadShape(f"{what} is not an array at depth {depth}")
-            if len(node) != size:
-                raise BadShape(
-                    f"{what} has an array of length {len(node)} at depth "
-                    f"{depth}, expected {size}")
-            below.extend(node)
-        level = below
-    if not all(type(v) is int for v in level):  # bool is an int subclass
-        raise BadShape(f"{what} entries must be integers")
-    return level
 
 
 def _check_int(value, what):

@@ -28,9 +28,10 @@ call no public function, so the benchmark tracer never nests a span in
 def_mul.
 
 A deformation holds alphas, the algebra.Multilinear map of alpha_m at each
-order m whose correction is not all zero mod n (a zero table is dropped,
-its entry types checked, before a map is built); with order 0, the base's
-mult, they are its support.  Every deformation is built as a
+order m whose correction is not all zero mod n: each correction is checked
+against the shape (r, r, r), its depths counted in the dense list of
+corrections, and dropped when its map has no nonzero entry; with order 0,
+the base's mult, they are its support.  Every deformation is built as a
 TruncatedDeformation, in code or by documents.Workspace from a document's
 dense list of corrections, and certified by validate_deformation, which
 takes only the object.  Both kernels run over the support only, and
@@ -77,15 +78,19 @@ from .hochschild import Cochain, is_cocycle2, regular_bimodule
 class TruncatedDeformation:
     """Multiplication deformed by cochain corrections, modulo t^order: the
     base and corrections, a mapping from each corrected order m to the
-    table of alpha_m or to its map, which is kept as it is."""
+    table of alpha_m or to its map, which is kept as it is.  A table is
+    named "deformation cochains" and its depths counted from the dense
+    list of corrections that cochains returns and documents hold."""
 
     def __init__(self, base: FiniteAlgebra, order, corrections, name=""):
         self.base = base
         self.order = int(order)
         self.name = name or f"{base.name} deformed (N={self.order})"
-        alphas = ((m, _correction(table, base.n))
+        shape = (base.rank,) * 3
+        alphas = ((m, _multilinear(table, base.n, shape,
+                                   "deformation cochains", 1))
                   for m, table in sorted(corrections.items()))
-        self.alphas = {m: alpha for m, alpha in alphas if alpha is not None}
+        self.alphas = {m: alpha for m, alpha in alphas if alpha.nnz}
         # the orders m whose alpha_m is not identically zero, increasing;
         # order 0, the base multiplication, always counts
         self._support = (0, *self.alphas)
@@ -120,23 +125,6 @@ class TruncatedDeformation:
         if m not in self.alphas:
             return A.zero()
         return _bilinear(self.alphas[m].cells, x, y, A.n, A.rank)
-
-
-def _correction(table, n):
-    """The map of a correction table at modulus n, or None when it is all
-    zero.  A table of int entries, all 0 mod n, is dropped before any map
-    is built; any other goes to Multilinear, which refuses a malformed one
-    with BadShape."""
-    if not isinstance(table, Multilinear):
-        try:
-            entries = [v for row in table for cell in row for v in cell]
-        except TypeError:  # a level that is not an array
-            entries = [None]
-        if set(map(type, entries)) <= {int} and not any(
-                v % n for v in entries):
-            return None
-    alpha = _multilinear(table, n, 2)
-    return alpha if alpha.nnz else None
 
 
 def validate_deformation(D) -> TruncatedDeformation:
@@ -671,9 +659,7 @@ def gauge_deformation(A, gmap, order, name=None) -> TruncatedDeformation:
     """Pull the base multiplication back through the invertible coordinate
     change 1 - t*g; the first-order cochain is then a coboundary."""
     r = A.rank
-    g = Multilinear(gmap, A.n, 1)
-    if len(g.dense) != r or any(len(row) != r for row in g.dense):
-        raise BadShape("gauge map must be a rank x rank matrix")
+    g = Multilinear(gmap, A.n, (r, r), "gauge map")
     apply_g = g.evaluate
     if any(apply_g(A.one())):
         raise BadShape("gauge map must vanish on the unit")

@@ -2,15 +2,17 @@
 cochains, deformations, posets, presheaves, and jobs referencing them.
 
 This is the one module that reads or writes the document format.  A
-Workspace hands out certified objects by name: it checks a spec's fields,
-integers and table shapes where they enter, builds the object, and has the
-library certify it (validate_algebra, validate_bimodule,
-validate_deformation, which take only objects).  algebra_to_doc and
-builtin_catalog_document write the same format back.  Workspace.load
-decodes each document text once per process: it reads the file on every
-call and reuses the decoded dict while the text equals the last text it
-decoded.  Only the decoded dict is shared, never a built object, so every
-job still builds and validates what it uses.
+Workspace hands out certified objects by name: it checks what belongs to
+the format, a spec's fields, its integers and their ranges, and that a
+deformation's cochains is an array of order - 1 tables, hands each table
+straight to its object's constructor, whose algebra.Multilinear checks the
+table's shape, and has the library certify the object (validate_algebra,
+validate_bimodule, validate_deformation, which take only objects).
+algebra_to_doc and builtin_catalog_document write the same format back.
+Workspace.load decodes each document text once per process: it reads the
+file on every call and reuses the decoded dict while the text equals the
+last text it decoded.  Only the decoded dict is shared, never a built
+object, so every job still builds and validates what it uses.
 
 Reports are plain dicts with deterministic content; timing lives under a
 separate key so golden-file comparisons can drop it.  dump_report writes
@@ -26,7 +28,7 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring_ascii as _quote
 
-from .algebra import FiniteAlgebra, _check_int, _check_table, validate_algebra
+from .algebra import FiniteAlgebra, _check_int, validate_algebra
 from .catalog import catalog_algebras, twisted_projection_module, z2xz2
 from .deformation import (
     TruncatedDeformation,
@@ -34,12 +36,8 @@ from .deformation import (
     validate_deformation,
 )
 from .errors import BadShape, ParseError
-from .hochschild import (
-    Bimodule,
-    cochain_from_table,
-    regular_bimodule,
-    validate_bimodule,
-)
+from .hochschild import (MAX_COCHAIN_DEGREE, Bimodule, Cochain,
+                         regular_bimodule, validate_bimodule)
 from .poset import (
     Poset,
     Presheaf,
@@ -122,8 +120,6 @@ class Workspace:
                 raise BadShape(f"modulus must be >= 2, got {modulus}")
             if rank < 1:
                 raise BadShape(f"rank must be >= 1, got {rank}")
-            _check_table(structure, (rank, rank, rank), "structure table")
-            _check_table(unit, (rank,), "unit vector")
             return validate_algebra(FiniteAlgebra(
                 modulus, rank, structure, unit, name or spec.get("name")))
         return self._object("algebras", "algebra", name, build)
@@ -134,18 +130,20 @@ class Workspace:
             if spec.get("regular"):
                 return regular_bimodule(A)
             rank = _check_int(spec["rank"], "bimodule rank")
-            left, right = spec["left_action"], spec["right_action"]
-            _check_table(left, (A.rank, rank, rank), "left action table")
-            _check_table(right, (rank, A.rank, rank), "right action table")
             return validate_bimodule(Bimodule(
-                A, rank, left, right, name=name or spec.get("name", "")))
+                A, rank, spec["left_action"], spec["right_action"],
+                name=name or spec.get("name", "")))
         return self._object("bimodules", "bimodule", name, build)
 
     def cochain(self, name):
         def build(spec):
-            return cochain_from_table(
-                self.bimodule(spec["bimodule"]),
-                integer_field(spec, "degree"), spec["values"])
+            M = self.bimodule(spec["bimodule"])
+            degree = integer_field(spec, "degree")
+            if not 0 <= degree <= MAX_COCHAIN_DEGREE:
+                raise BadShape(
+                    f"cochain degree must be 0 to {MAX_COCHAIN_DEGREE} "
+                    f"(the coboundary's inputs), got {degree}")
+            return Cochain(degree, M, spec["values"])
         return self._object("cochains", "cochain", name, build)
 
     def deformation(self, name):
@@ -155,8 +153,13 @@ class Workspace:
             cochains = spec["cochains"]
             if order < 1:
                 raise BadShape("truncation order must be at least 1")
-            _check_table(cochains, (order - 1, A.rank, A.rank, A.rank),
-                         "deformation cochains")
+            if not isinstance(cochains, list):
+                raise BadShape("deformation cochains is not an array at "
+                               "depth 0")
+            if len(cochains) != order - 1:
+                raise BadShape(
+                    f"deformation cochains has an array of length "
+                    f"{len(cochains)} at depth 0, expected {order - 1}")
             return validate_deformation(TruncatedDeformation(
                 A, order, dict(enumerate(cochains, 1)),
                 name=name or spec.get("name", "")))

@@ -38,12 +38,12 @@ from .linal import _solve
 class ExtensionAlgebra:
     """The twisted sum A + M realized as a rank r+s FiniteAlgebra."""
 
-    def __init__(self, base, module, cocycle, carrier):
+    def __init__(self, base, module, cocycle, carrier, f11):
         self.base = base
         self.module = module
         self.cocycle = cocycle
         self.carrier = carrier
-        self.f11 = cocycle.evaluate(base.one(), base.one())
+        self.f11 = f11  # f(1, 1), whose negative is the carrier unit's M part
 
     def pair(self, a, m):
         return tuple(a) + tuple(m)
@@ -86,22 +86,15 @@ def build_extension(A: FiniteAlgebra, M: Bimodule, f: Cochain,
     f11 = f.evaluate(A.one(), A.one())
     unit = A.one() + M.neg(f11)
     label = name or f"ext({A.name}; {M.name})"
+    # the carrier's associativity follows from what is certified above; it
+    # is walked again as a run-time re-check of the assembled table
     try:
         carrier = validate_algebra(
             FiniteAlgebra(A.n, rank, structure, unit, label))
     except NonAssociative as exc:
         raise NotACocycle(
             f"carrier not associative at {exc.triple}") from exc
-
-    ext = ExtensionAlgebra(A, M, f, carrier)
-    # the square-zero ideal: products of module basis vectors vanish
-    for i in range(s):
-        for j in range(s):
-            if any(carrier.table[r + i][r + j]):
-                raise SelfCheckFailed("module ideal fails to square to zero")
-    if carrier.unit != ext.pair(A.one(), M.neg(f11)):
-        raise SelfCheckFailed("carrier unit differs from (1, -f(1,1))")
-    return ext
+    return ExtensionAlgebra(A, M, f, carrier, f11)
 
 
 def idempotent_equation_solutions(B: ExtensionAlgebra, e, cap=None):

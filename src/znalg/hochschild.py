@@ -1,16 +1,18 @@
 """Bimodules, cochains, coboundaries, and low-degree cohomology dimensions.
 
-The two sides of a bimodule and a cochain are algebra.Multilinear maps.
-A bimodule is built as a Bimodule object, in code or by documents.Workspace,
-which checks a document's action tables with algebra._check_table first,
-and validate_bimodule certifies it.  The regular bimodule's sides are its
-algebra's mult, so lact and ract run the algebra's kernel, and the laws
-of a certified algebra's regular bimodule are not walked again.  A Cochain
-ingests its table when built (cochain_from_table checks its shape first);
-its map evaluates it, one argument at a time from degree 3 on, and its
-map's flat is its coordinate vector in delta_matrix.  Multilinearity makes
-the table a lossless representation and turns cocycle/coboundary
-questions into exact linear algebra over Z_p.
+The two sides of a bimodule and a cochain are algebra.Multilinear maps,
+whose walk checks each table against the shape its owner declares: (r, s, s)
+and (s, r, s) for the sides of a bimodule of rank s over an algebra of rank
+r, and (r,) * degree + (s,) for a cochain.  A bimodule is built as a
+Bimodule object, in code or by documents.Workspace, and validate_bimodule
+certifies it.  The regular bimodule's sides are its algebra's mult, so lact
+and ract run the algebra's kernel, and the laws of a certified algebra's
+regular bimodule are not walked again.  A Cochain refuses a degree outside
+0 to MAX_COCHAIN_DEGREE + 1 before it reads its table, and ingests the
+table when built; its map evaluates it, one argument at a time from degree
+3 on, and its map's flat is its coordinate vector in delta_matrix.
+Multilinearity makes the table a lossless representation and turns
+cocycle/coboundary questions into exact linear algebra over Z_p.
 The coboundary of a table is evaluated directly from the alternating-sum
 formula; for rank, kernel and span questions the same map is materialized
 as sparse rows over the cochain coordinate spaces and eliminated by linal
@@ -30,8 +32,6 @@ Every solver gets its eliminations from _sieve, the one place that refuses:
 a non-prime modulus (NonPrimeModulus) and a coboundary whose templates
 would place more entries than the cap of every scan (LinAlgCapExceeded),
 counted by _coboundary_entries from the maps' nnz before any row is built.
-cochain_from_table refuses a degree above MAX_COCHAIN_DEGREE, the highest
-the coboundary takes, before it reads the table.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .algebra import (
     FiniteAlgebra,
     Multilinear,
     _ZnModule,
-    _check_table,
     _multilinear,
     _preimages,
     _refuse_above_cap,
@@ -80,8 +79,11 @@ class Bimodule(_ZnModule):
     def __init__(self, algebra: FiniteAlgebra, rank, left, right, name=""):
         super().__init__(algebra.n, rank)
         self.algebra = algebra
-        self.left_map = _multilinear(left, self.n, 2)
-        self.right_map = _multilinear(right, self.n, 2)
+        r, s = algebra.rank, self.rank
+        self.left_map = _multilinear(left, self.n, (r, s, s),
+                                     "left action table")
+        self.right_map = _multilinear(right, self.n, (s, r, s),
+                                      "right action table")
         self.name = name or f"bimodule(s={self.rank}) over {algebra.name}"
 
     @property
@@ -147,12 +149,20 @@ def regular_bimodule(A: FiniteAlgebra) -> Bimodule:
 
 
 class Cochain:
-    """A multilinear map A^degree -> M; values is its map's dense table."""
+    """A multilinear map A^degree -> M; values is its map's dense table, of
+    shape (r,) * degree + (s,).  A degree outside 0 to
+    MAX_COCHAIN_DEGREE + 1, the coboundary's inputs and values, is refused
+    before the table is read."""
 
     def __init__(self, degree, module: Bimodule, values):
+        if not 0 <= degree <= MAX_COCHAIN_DEGREE + 1:
+            raise BadShape(f"cochain degree must be 0 to "
+                           f"{MAX_COCHAIN_DEGREE + 1} (the coboundary's "
+                           f"inputs and values), got {degree}")
         self.degree = degree
         self.module = module
-        self.map = _multilinear(values, module.n, degree)
+        shape = (module.algebra.rank,) * degree + (module.rank,)
+        self.map = _multilinear(values, module.n, shape, "cochain values")
 
     @property
     def values(self):
@@ -170,16 +180,6 @@ class Cochain:
     def __eq__(self, other):
         return (isinstance(other, Cochain) and self.degree == other.degree
                 and self.values == other.values)
-
-
-def cochain_from_table(M, degree, values) -> Cochain:
-    """Normalize a nested table into a Cochain, checking its shape.  A
-    degree no consumer takes is refused before the table is read."""
-    if not 0 <= degree <= MAX_COCHAIN_DEGREE:
-        raise BadShape(f"cochain degree must be 0 to {MAX_COCHAIN_DEGREE} "
-                       f"(the coboundary's inputs), got {degree}")
-    shape = (M.algebra.rank,) * degree + (M.rank,)
-    return vec_to_cochain(M, degree, _check_table(values, shape, "cochain values"))
 
 
 def zero_cochain(M, degree) -> Cochain:

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from .algebra import (
     FiniteAlgebra,
     Multilinear,
-    _check_table,
     validate_algebra,
     zn,
     zn_poly_x2,
@@ -117,8 +116,10 @@ class Presheaf:
 
     maps[(h, i)] for h <= i is the image table of a unital homomorphism from
     stalk i to stalk h, one coordinate tuple per basis element of stalk i;
-    restriction reduces its entries mod n.  A map's Multilinear is built
-    on its first use, after validate_presheaf has checked its shape.
+    restriction reduces its entries mod n.  A map's Multilinear, of shape
+    (rank of stalk i, rank of stalk h), is built on its first restriction,
+    which validate_presheaf makes, so a table of another shape is refused
+    there.
     """
 
     def __init__(self, poset: Poset, stalks, maps, name=""):
@@ -135,7 +136,9 @@ class Presheaf:
         f = self._restrictions.get((h, i))
         if f is None:
             f = self._restrictions[(h, i)] = Multilinear(
-                self.maps[(h, i)], self.stalks[h].n, 1)
+                self.maps[(h, i)], self.stalks[h].n,
+                (self.stalks[i].rank, self.stalks[h].rank),
+                f"map table for ({h},{i})")
         return f.evaluate(x)
 
     def __repr__(self):
@@ -163,8 +166,7 @@ def validate_presheaf(F: Presheaf) -> Presheaf:
             if (h, i) not in F.maps:
                 raise PresheafInvalid(f"missing restriction map for {h} <= {i}")
             src, dst = F.stalks[i], F.stalks[h]
-            table = F.maps[(h, i)]
-            _check_table(table, (src.rank, dst.rank), f"map table for ({h},{i})")
+            table = [F.restrict(h, i, src.basis(a)) for a in range(src.rank)]
             if F.restrict(h, i, src.one()) != dst.one():
                 raise PresheafInvalid(f"map for ({h},{i}) does not send 1 to 1")
             for a in range(src.rank):

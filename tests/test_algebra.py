@@ -362,7 +362,7 @@ def test_compiled_kernel_matches_bilinear(n, rows, cols, width, density,
     # reduce mod n the same way
     rng = random.Random(seed)
     cells = Multilinear(random_table(rng, rows, cols, width, n, density), n,
-                        2).cells
+                        (rows, cols, width)).cells
     product = _compile_bilinear(cells, n, width)
     for trial in range(8):
         low = -3 * n if trial % 4 == 3 else 0
@@ -422,14 +422,12 @@ def random_terms(rng, forms, dims, n, density):
     for form in forms:
         U = rng.randint(1, 5)
         if form == "(xy)z":
-            inner = random_table(rng, X, Y, U, n, density)
-            outer = random_table(rng, U, Z, W, n, density)
+            inner, outer = (X, Y, U), (U, Z, W)
         else:
-            inner = random_table(rng, Y, Z, U, n, density)
-            outer = random_table(rng, X, U, W, n, density)
-        terms.append((rng.choice((1, -1)), form,
-                      Multilinear(outer, n, 2).cells,
-                      Multilinear(inner, n, 2).cells))
+            inner, outer = (Y, Z, U), (X, U, W)
+        inner = Multilinear(random_table(rng, *inner, n, density), n, inner)
+        outer = Multilinear(random_table(rng, *outer, n, density), n, outer)
+        terms.append((rng.choice((1, -1)), form, outer.cells, inner.cells))
     return terms
 
 
@@ -452,7 +450,7 @@ def test_triple_kernel_matches_the_dense_oracle(n, density, law, r, more,
 
     def table(rows, cols, width):
         return Multilinear(random_table(rng, rows, cols, width, n, density),
-                           n, 2).cells
+                           n, (rows, cols, width)).cells
     T = table(r, r, r)
     L, R, F = table(r, s, s), table(s, r, s), table(r, r, s)
     if law == "associativity":
@@ -522,10 +520,10 @@ def test_sparse_cells_skip_empty_cells_as_the_recursion_does(
     table = random_table(rng, rows, cols, width, n, density)
     table[rng.randrange(rows)][rng.randrange(cols)] = [0] * width
     for depth, sub in ((2, table), (1, table[-1]), (0, table[-1][-1])):
-        assert Multilinear(sub, n, depth).cells == recursive_sparse_cells(
-            sub, depth)
+        assert Multilinear(sub, n, shape[2 - depth:]).cells == \
+            recursive_sparse_cells(sub, depth)
     if density == 0:
-        assert Multilinear(table, n, 2).cells == (((),) * cols,) * rows
+        assert Multilinear(table, n, shape).cells == (((),) * cols,) * rows
 
 
 def random_nested(rng, shape, n, density):
@@ -564,8 +562,8 @@ def test_multilinear_map_matches_its_dense_table(n, density, shape, seed):
     depth, width = len(shape) - 1, shape[-1]
     table = random_nested(rng, shape, n, density)
     dense = reduced(table, n)
-    f = Multilinear(table, n, depth)
-    assert (f.n, f.depth, f.width) == (n, depth, width)
+    f = Multilinear(table, n, shape)
+    assert (f.n, f.shape, f.width) == (n, tuple(shape), width)
     assert f.dense == dense
     assert f.cells == recursive_sparse_cells(dense, depth)
     assert f.flat == tuple(row_major(dense))
@@ -611,7 +609,7 @@ def test_multilinear_refuses_what_is_not_an_int_table(shape, bad, seed):
     if level == len(shape) and type(bad) is int:
         return  # an int entry is well formed
     with pytest.raises(BadShape):
-        Multilinear(table, 5, len(shape) - 1)
+        Multilinear(table, 5, shape)
 
 
 def test_kernel_of_a_rank_100_table_with_dense_rows_compiles():
@@ -621,7 +619,7 @@ def test_kernel_of_a_rank_100_table_with_dense_rows_compiles():
     r, n = 100, 5
     table = [[[1 if k in (0, (i + j) % r) else 0 for k in range(r)]
               for j in range(r)] for i in range(r)]
-    cells = Multilinear(table, n, 2).cells
+    cells = Multilinear(table, n, (r, r, r)).cells
     product = _compile_bilinear(cells, n, r)
     rng = random.Random(100)
     for _ in range(3):

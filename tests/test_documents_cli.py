@@ -104,7 +104,8 @@ def table_document():
             "f": {"kind": "extend", "algebra": "D", "bimodule": "reg",
                   "cochain": "f"},
             "x2t": {"kind": "deform-validate", "deformation": "x2t"},
-            "chain": {"kind": "shriek", "presheaf": "chain"}},
+            "chain": {"kind": "shriek", "presheaf": "chain"},
+            "D": {"kind": "classify", "algebra": "D"}},
     }
 
 
@@ -115,25 +116,57 @@ def _cells_parent(table):
     return table
 
 
-def _set_entry(make):
+def _on_cell(change):
+    """The mutation that replaces the first cell of a table, its innermost
+    array of integers, by change(cell); a vector is its own first cell."""
     def mutate(table):
-        cell = _cells_parent(table)[0]
-        cell[0] = make(cell[0])
-        return table
-    return mutate
-
-
-def _set_cell(make):
-    def mutate(table):
+        if not isinstance(table[0], list):
+            return change(table)
         cells = _cells_parent(table)
-        cells[0] = make(cells[0])
+        cells[0] = change(cells[0])
         return table
     return mutate
+
+
+def _set_entry(make):
+    return _on_cell(lambda cell: [make(cell[0])] + cell[1:])
+
+
+def _ragged(table):
+    """The first row of cells one cell short; a vector one entry short."""
+    if not isinstance(table[0], list):
+        return table[:-1]
+    _cells_parent(table).pop()
+    return table
+
+
+def _two_faults(table):
+    """A string first entry and a cell one entry too long at the end."""
+    table = _set_entry(str)(table)
+    node = table
+    while isinstance(node[-1], list):
+        node = node[-1]
+    node.append(0)
+    return table
+
+
+def _long_then_scalar(table):
+    """The first cell one entry too long and the last cell a scalar."""
+    if not isinstance(table[0], list):
+        return 1
+    table = _on_cell(lambda cell: cell + [0])(table)
+    node = table
+    while isinstance(node[-1][-1], list):
+        node = node[-1]
+    node[-1] = 1
+    return table
 
 
 # table name -> path to it in table_document(); the second step names the
 # object and the job that loads it
 TABLES = {
+    "structure": ("algebras", "D", "structure"),
+    "unit": ("algebras", "D", "unit"),
     "left_action": ("bimodules", "twist", "left_action"),
     "right_action": ("bimodules", "twist", "right_action"),
     "values": ("cochains", "f", "values"),
@@ -142,31 +175,190 @@ TABLES = {
 }
 
 MUTATIONS = {
-    "intact": (lambda table: table, 0),
+    "intact": lambda table: table,
     # an entry that would read back as the same integer if coerced
-    "string-entry": (_set_entry(str), 3),
-    "float-entry": (_set_entry(lambda v: v + 0.5), 3),
+    "string-entry": _set_entry(str),
+    "float-entry": _set_entry(lambda v: v + 0.5),
     # JSON true and false are not the integers 1 and 0
-    "bool-entry": (_set_entry(bool), 3),
-    "scalar-cell": (_set_cell(lambda cell: 1), 3),
-    "long-cell": (_set_cell(lambda cell: cell + [0]), 3),
-    "non-array": (lambda table: "0", 3),
+    "bool-entry": _set_entry(bool),
+    "scalar-cell": _on_cell(lambda cell: 1),
+    "long-cell": _on_cell(lambda cell: cell + [0]),
+    "non-array": lambda table: "0",
+    # an array above the cells one item short, every row alike
+    "short-row": lambda table: table[1:],
+    "ragged": _ragged,
+    "two-faults": _two_faults,
+    "long-then-scalar": _long_then_scalar,
+}
+
+# (table, mutation) -> the message of the refused job, exit 3, whose whole
+# stderr is "validation error: <message>\n"
+TABLE_REFUSALS = {
+    ("structure", "string-entry"):
+        "structure table entries must be integers",
+    ("structure", "float-entry"):
+        "structure table entries must be integers",
+    ("structure", "bool-entry"):
+        "structure table entries must be integers",
+    ("structure", "scalar-cell"):
+        "structure table is not an array at depth 2",
+    ("structure", "long-cell"):
+        "structure table has an array of length 3 at depth 2, expected 2",
+    ("structure", "non-array"):
+        "structure table is not an array at depth 0",
+    ("structure", "short-row"):
+        "structure table has an array of length 1 at depth 0, expected 2",
+    ("structure", "ragged"):
+        "structure table has an array of length 1 at depth 1, expected 2",
+    ("structure", "two-faults"):
+        "structure table has an array of length 3 at depth 2, expected 2",
+    ("unit", "string-entry"):
+        "unit vector entries must be integers",
+    ("unit", "float-entry"):
+        "unit vector entries must be integers",
+    ("unit", "bool-entry"):
+        "unit vector entries must be integers",
+    ("unit", "scalar-cell"):
+        "unit vector is not an array at depth 0",
+    ("unit", "long-cell"):
+        "unit vector has an array of length 3 at depth 0, expected 2",
+    ("unit", "non-array"):
+        "unit vector is not an array at depth 0",
+    ("unit", "short-row"):
+        "unit vector has an array of length 1 at depth 0, expected 2",
+    ("unit", "ragged"):
+        "unit vector has an array of length 1 at depth 0, expected 2",
+    ("unit", "two-faults"):
+        "unit vector has an array of length 3 at depth 0, expected 2",
+    ("left_action", "string-entry"):
+        "left action table entries must be integers",
+    ("left_action", "float-entry"):
+        "left action table entries must be integers",
+    ("left_action", "bool-entry"):
+        "left action table entries must be integers",
+    ("left_action", "scalar-cell"):
+        "left action table is not an array at depth 2",
+    ("left_action", "long-cell"):
+        "left action table has an array of length 2 at depth 2, expected 1",
+    ("left_action", "non-array"):
+        "left action table is not an array at depth 0",
+    ("left_action", "short-row"):
+        "left action table has an array of length 1 at depth 0, expected 2",
+    ("left_action", "ragged"):
+        "left action table has an array of length 0 at depth 1, expected 1",
+    ("left_action", "two-faults"):
+        "left action table has an array of length 2 at depth 2, expected 1",
+    ("right_action", "string-entry"):
+        "right action table entries must be integers",
+    ("right_action", "float-entry"):
+        "right action table entries must be integers",
+    ("right_action", "bool-entry"):
+        "right action table entries must be integers",
+    ("right_action", "scalar-cell"):
+        "right action table is not an array at depth 2",
+    ("right_action", "long-cell"):
+        "right action table has an array of length 2 at depth 2, expected 1",
+    ("right_action", "non-array"):
+        "right action table is not an array at depth 0",
+    ("right_action", "short-row"):
+        "right action table has an array of length 0 at depth 0, expected 1",
+    ("right_action", "ragged"):
+        "right action table has an array of length 1 at depth 1, expected 2",
+    ("right_action", "two-faults"):
+        "right action table has an array of length 2 at depth 2, expected 1",
+    ("values", "string-entry"):
+        "cochain values entries must be integers",
+    ("values", "float-entry"):
+        "cochain values entries must be integers",
+    ("values", "bool-entry"):
+        "cochain values entries must be integers",
+    ("values", "scalar-cell"):
+        "cochain values is not an array at depth 2",
+    ("values", "long-cell"):
+        "cochain values has an array of length 3 at depth 2, expected 2",
+    ("values", "non-array"):
+        "cochain values is not an array at depth 0",
+    ("values", "short-row"):
+        "cochain values has an array of length 1 at depth 0, expected 2",
+    ("values", "ragged"):
+        "cochain values has an array of length 1 at depth 1, expected 2",
+    ("values", "two-faults"):
+        "cochain values has an array of length 3 at depth 2, expected 2",
+    ("cochains", "string-entry"):
+        "deformation cochains entries must be integers",
+    ("cochains", "float-entry"):
+        "deformation cochains entries must be integers",
+    ("cochains", "bool-entry"):
+        "deformation cochains entries must be integers",
+    ("cochains", "scalar-cell"):
+        "deformation cochains is not an array at depth 3",
+    ("cochains", "long-cell"):
+        "deformation cochains has an array of length 3 at depth 3, expected 2",
+    ("cochains", "non-array"):
+        "deformation cochains is not an array at depth 0",
+    ("cochains", "short-row"):
+        "deformation cochains has an array of length 0 at depth 0, expected 1",
+    ("cochains", "ragged"):
+        "deformation cochains has an array of length 1 at depth 2, expected 2",
+    ("cochains", "two-faults"):
+        "deformation cochains has an array of length 3 at depth 3, expected 2",
+    ("maps", "string-entry"):
+        "map table for (0,1) entries must be integers",
+    ("maps", "float-entry"):
+        "map table for (0,1) entries must be integers",
+    ("maps", "bool-entry"):
+        "map table for (0,1) entries must be integers",
+    ("maps", "scalar-cell"):
+        "map table for (0,1) is not an array at depth 1",
+    ("maps", "long-cell"):
+        "map table for (0,1) has an array of length 2 at depth 1, expected 1",
+    ("maps", "non-array"):
+        "map table for (0,1) is not an array at depth 0",
+    ("maps", "short-row"):
+        "map table for (0,1) has an array of length 0 at depth 0, expected 1",
+    ("maps", "ragged"):
+        "map table for (0,1) has an array of length 0 at depth 0, expected 1",
+    ("maps", "two-faults"):
+        "map table for (0,1) has an array of length 2 at depth 1, expected 1",
+    # two faults on one level, a cell one entry too long before a scalar
+    # cell: a level's types are checked before its lengths, so the scalar
+    # is named, also for structure, left_action, right_action, values and
+    # cochains, where a check of each array's type and length together
+    # would name the long cell
+    ("structure", "long-then-scalar"):
+        "structure table is not an array at depth 2",
+    ("unit", "long-then-scalar"):
+        "unit vector is not an array at depth 0",
+    ("left_action", "long-then-scalar"):
+        "left action table is not an array at depth 2",
+    ("right_action", "long-then-scalar"):
+        "right action table is not an array at depth 2",
+    ("values", "long-then-scalar"):
+        "cochain values is not an array at depth 2",
+    ("cochains", "long-then-scalar"):
+        "deformation cochains is not an array at depth 3",
+    ("maps", "long-then-scalar"):
+        "map table for (0,1) is not an array at depth 1",
 }
 
 
-@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+@pytest.mark.parametrize("mutation", list(MUTATIONS))
 @pytest.mark.parametrize("table", list(TABLES))
 def test_malformed_table_is_validation_error(tmp_path, capsys, table,
                                              mutation):
-    mutate, expected = MUTATIONS[mutation]
     doc = table_document()
     *path, key = TABLES[table]
     owner = doc
     for step in path:
         owner = owner[step]
-    owner[key] = mutate(copy.deepcopy(owner[key]))
-    assert run_document(tmp_path, doc, path[1]) == expected
-    assert "Traceback" not in capsys.readouterr().err
+    owner[key] = MUTATIONS[mutation](copy.deepcopy(owner[key]))
+    code = run_document(tmp_path, doc, path[1])
+    err = capsys.readouterr().err
+    if mutation == "intact":
+        assert (code, err) == (0, "")
+    else:
+        assert (code, err) == (
+            3, f"validation error: {TABLE_REFUSALS[table, mutation]}\n")
 
 
 def _set(*path, value):
@@ -350,6 +542,47 @@ def test_malformed_catalog_document_exit_code(tmp_path, capsys, case):
     # every refusal comes before the work it refuses
     assert time.monotonic() - start < TIME_LIMITS.get(case, 2)
     assert "Traceback" not in capsys.readouterr().err
+
+
+def _cochain_of_degree(degree):
+    return _then(
+        _set("cochains", value={"c": {"bimodule": "twisted projection",
+                                      "degree": degree, "values": [[[0]]]}}),
+        _set("jobs", EXTEND, "cochain", value="c"))
+
+
+# case -> (mutation of the catalog document, job to run, whole stderr of
+# the refusal, exit 3): a rank far beyond any table is refused at the
+# table's first short array, and a cochain degree no job reads before its
+# table is read
+DOCUMENT_RANGE_REFUSALS = {
+    "algebra-rank-10**20": (
+        _set("algebras", "Z2[X]/(X^2)", value={
+            "modulus": 2, "rank": 10 ** 20, "structure": [], "unit": []}),
+        CLASSIFY, "structure table has an array of length 0 at depth 0, "
+                  "expected 100000000000000000000"),
+    "bimodule-rank-10**20": (
+        _set("bimodules", "twisted projection", value={
+            "algebra": "Z2 x Z2", "rank": 10 ** 20, "left_action": [[], []],
+            "right_action": []}),
+        EXTEND, "left action table has an array of length 0 at depth 1, "
+                "expected 100000000000000000000"),
+    "cochain-degree-4": (
+        _cochain_of_degree(4), EXTEND,
+        "cochain degree must be 0 to 3 (the coboundary's inputs), got 4"),
+    "cochain-degree-5": (
+        _cochain_of_degree(5), EXTEND,
+        "cochain degree must be 0 to 3 (the coboundary's inputs), got 5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DOCUMENT_RANGE_REFUSALS))
+def test_document_range_refusals_are_pinned(tmp_path, capsys, case):
+    mutate, job, message = DOCUMENT_RANGE_REFUSALS[case]
+    doc = builtin_catalog_document()
+    mutate(doc)
+    assert run_document(tmp_path, doc, job) == 3
+    assert capsys.readouterr().err == f"validation error: {message}\n"
 
 
 def _run_bytes(content):

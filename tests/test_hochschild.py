@@ -33,7 +33,6 @@ from znalg.hochschild import (
     _coboundary_entries,
     Cochain,
     coboundary,
-    cochain_from_table,
     cocycle_space,
     cohomology_dims,
     delta_matrix,
@@ -282,7 +281,7 @@ def test_identity_map_coboundary_table():
     # g(x) = x on Z2[X]/(X^2): dg(a,b) = a g(b) - g(ab) + g(a) b = ab
     A = zn_poly_x2(2)
     M = regular_bimodule(A)
-    g = cochain_from_table(M, 1, [[1, 0], [0, 1]])
+    g = Cochain(1, M, [[1, 0], [0, 1]])
     dg = coboundary(g)
     for i in range(2):
         for j in range(2):
