@@ -294,10 +294,8 @@ class Multilinear:
 def _multilinear(table, n, shape, what, top=0):
     """The map of a table at modulus n and shape; a Multilinear of that
     modulus and shape is kept as it is, so its owners share its kernel."""
-    if isinstance(table, Multilinear):
-        if (table.n, table.shape) == (n, shape):
-            return table
-        table = table.dense
+    if isinstance(table, Multilinear) and (table.n, table.shape) == (n, shape):
+        return table
     return Multilinear(table, n, shape, what, top)
 
 
@@ -305,24 +303,12 @@ _ARRAYS, _INT = {list, tuple}, {int}  # a bool is not of type int
 _flatten = chain.from_iterable
 
 
-_ZEROS = {}  # shape -> (its zero table as lists, its ingest), 64 at most
-
-
 def _ingest(table, n, shape, what, depth):
     """(dense, cells, flat, nnz) of a table of shape whose top level lies at
     depth, in one walk down its levels: at each level one type check of its
     arrays and one length check, then one type check of the entries, which
     are reduced mod n into flat, cut into cells, each sparsified (an
-    all-zero one to () after one any(cell)), and regrouped level by level.
-    Once a table of zeros of a shape has been walked, a table equal to its
-    zero table, with int entries, is known by that one comparison."""
-    known = _ZEROS.get(shape)
-    if known and table == known[0]:
-        entries = table
-        for _ in shape[1:]:
-            entries = _flatten(entries)
-        if _INT.issuperset(map(type, entries)):
-            return known[1]
+    all-zero one to () after one any(cell)), and regrouped level by level."""
     level, counts = [table], []
     for size in shape:
         if not _ARRAYS.issuperset(map(type, level)):
@@ -342,14 +328,7 @@ def _ingest(table, n, shape, what, depth):
              if any(cell) else () for cell in dense]
     for size, count in zip(reversed(shape[:-1]), reversed(counts[:-1])):
         dense, cells = _group(dense, size, count), _group(cells, size, count)
-    ingest = dense[0], cells[0], flat, len(flat) - flat.count(0)
-    if flat and not ingest[3] and len(_ZEROS) < 64:
-        # every length of shape was read off this table, none of them 0
-        zero = [0] * shape[-1]
-        for size in reversed(shape[:-1]):
-            zero = [zero] * size
-        _ZEROS[shape] = zero, ingest
-    return ingest
+    return dense[0], cells[0], flat, len(flat) - flat.count(0)
 
 
 def _group(items, size, count):

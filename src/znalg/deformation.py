@@ -30,18 +30,19 @@ def_mul.
 A deformation holds alphas, the algebra.Multilinear map of alpha_m at each
 order m whose correction is not all zero mod n: each correction is checked
 against the shape (r, r, r), its depths counted in the dense list of
-corrections, and dropped when its map has no nonzero entry; with order 0,
-the base's mult, they are its support.  Every deformation is built as a
-TruncatedDeformation, in code or by documents.Workspace from a document's
-dense list of corrections, and certified by validate_deformation, which
-takes only the object.  Both kernels run over the support only, and
-validate_deformation sums order-k associativity, on the maps' cells by
-algebra._triple_defects, only at the k that two supported orders add up
-to: every term they skip is exactly zero.  So at_order, which passes the
-maps below a new order on as they are and certifies the result, costs the
-support, not N.  flatten assembles the same sum over every order into a
-plain structure table on its own, so the flattened model is the
-independent oracle for all of them.
+corrections.  A correction is dropped by documents.Workspace when its table
+is the all-int zero table, and by the constructor when its map has no
+nonzero entry; with order 0, the base's mult, they are its support.  Every
+deformation is built as a TruncatedDeformation, in code or by
+documents.Workspace from a document's dense list of corrections, and
+certified by validate_deformation, which takes only the object.  Both
+kernels run over the support only, and validate_deformation sums order-k
+associativity, on the maps' cells by algebra._triple_defects, only at the
+k that two supported orders add up to: every term they skip is exactly
+zero.  So at_order, which passes the maps below a new order on as they are
+and certifies the result, costs the support, not N.  flatten assembles the
+same sum over every order into a plain structure table on its own, so the
+flattened model is the independent oracle for all of them.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from math import gcd
 from .algebra import (
     FiniteAlgebra,
     Multilinear,
-    _bilinear,
     _cap_limit,
     _multilinear,
     _refuse_above_cap,
@@ -124,7 +124,7 @@ class TruncatedDeformation:
             return A.mul(x, y)
         if m not in self.alphas:
             return A.zero()
-        return _bilinear(self.alphas[m].cells, x, y, A.n, A.rank)
+        return self.alphas[m].evaluate(x, y)
 
 
 def validate_deformation(D) -> TruncatedDeformation:

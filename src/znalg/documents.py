@@ -4,9 +4,10 @@ cochains, deformations, posets, presheaves, and jobs referencing them.
 This is the one module that reads or writes the document format.  A
 Workspace hands out certified objects by name: it checks what belongs to
 the format, a spec's fields, its integers and their ranges, and that a
-deformation's cochains is an array of order - 1 tables, hands each table
-straight to its object's constructor, whose algebra.Multilinear checks the
-table's shape, and has the library certify the object (validate_algebra,
+deformation's cochains is an array of order - 1 tables, of which it drops
+the all-int zero tables of the algebra's rank, hands each table straight to
+its object's constructor, whose algebra.Multilinear checks the table's
+shape, and has the library certify the object (validate_algebra,
 validate_bimodule, validate_deformation, which take only objects).
 algebra_to_doc and builtin_catalog_document write the same format back.
 Workspace.load decodes each document text once per process: it reads the
@@ -130,6 +131,8 @@ class Workspace:
             if spec.get("regular"):
                 return regular_bimodule(A)
             rank = _check_int(spec["rank"], "bimodule rank")
+            if rank < 0:
+                raise BadShape(f"bimodule rank must be >= 0, got {rank}")
             return validate_bimodule(Bimodule(
                 A, rank, spec["left_action"], spec["right_action"],
                 name=name or spec.get("name", "")))
@@ -160,8 +163,11 @@ class Workspace:
                 raise BadShape(
                     f"deformation cochains has an array of length "
                     f"{len(cochains)} at depth 0, expected {order - 1}")
+            r = A.rank
+            zero = [[[0] * r] * r] * r
             return validate_deformation(TruncatedDeformation(
-                A, order, dict(enumerate(cochains, 1)),
+                A, order, {m: table for m, table in enumerate(cochains, 1)
+                           if not _is_int_zero(table, zero)},
                 name=name or spec.get("name", "")))
         return self._object("deformations", "deformation", name, build)
 
@@ -218,6 +224,13 @@ def integer_field(spec, key, default=None):
         raise ParseError(f"{spec.what} field {key!r} must be a number, "
                          f"got {value!r}")
     return _check_int(value, f"{spec.what} field {key!r}")
+
+
+def _is_int_zero(table, zero):
+    """Whether a correction table is zero, the all-int zero table of its
+    rank; one equal to it that holds a false or a 0.0 is not."""
+    return table == zero and all(
+        type(v) is int for row in table for cell in row for v in cell)
 
 
 def builtin_catalog_document() -> dict:

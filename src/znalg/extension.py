@@ -291,35 +291,16 @@ def verify_extension_theorems(A, M, f, cap=None) -> ExtensionTheoremReport:
 
     central = _commute_with_module(M, rep_a.idempotents)
 
+    a, b = rep_a.flags, rep_b.flags
     clauses = [
-        TheoremClause(
-            "nil-clean-transfer",
-            rep_b.flags["nil_clean"] == rep_a.flags["nil_clean"],
-            {"base": rep_a.flags["nil_clean"],
-             "carrier": rep_b.flags["nil_clean"]}),
-        TheoremClause(
-            "clean-transfer",
-            rep_b.flags["clean"] == rep_a.flags["clean"],
-            {"base": rep_a.flags["clean"], "carrier": rep_b.flags["clean"]}),
-        TheoremClause(
-            "exchange-transfer",
-            rep_b.flags["exchange"] == rep_a.flags["exchange"],
-            {"base": rep_a.flags["exchange"],
-             "carrier": rep_b.flags["exchange"]}),
-        TheoremClause(
-            "uniquely-nil-clean-criterion",
-            rep_b.flags["uniquely_nil_clean"]
-            == (rep_a.flags["uniquely_nil_clean"] and central),
-            {"base": rep_a.flags["uniquely_nil_clean"],
-             "carrier": rep_b.flags["uniquely_nil_clean"],
-             "idempotents_commute_with_module": central}),
-        TheoremClause(
-            "uniquely-clean-criterion",
-            rep_b.flags["uniquely_clean"]
-            == (rep_a.flags["uniquely_clean"] and central),
-            {"base": rep_a.flags["uniquely_clean"],
-             "carrier": rep_b.flags["uniquely_clean"],
-             "idempotents_commute_with_module": central}),
+        *(TheoremClause(f"{key.replace('_', '-')}-transfer", b[key] == a[key],
+                        {"base": a[key], "carrier": b[key]})
+          for key in ("nil_clean", "clean", "exchange")),
+        *(TheoremClause(f"{key.replace('_', '-')}-criterion",
+                        b[key] == (a[key] and central),
+                        {"base": a[key], "carrier": b[key],
+                         "idempotents_commute_with_module": central})
+          for key in ("uniquely_nil_clean", "uniquely_clean")),
     ]
     report = ExtensionTheoremReport(B.carrier.name, clauses)
     if not report.all_passed:

@@ -307,31 +307,20 @@ def triangular_ideal_facts(PA: PosetAlgebra, cap=None) -> TriangularIdealReport:
         strict_coords.update(range(start, start + width))
 
     # two-sidedness on basis pairs: any product touching a strict block stays
-    # inside the strict coordinates
-    is_ideal = True
-    basis_block = []
-    for pair in PA.blocks:
-        for _ in range(F.stalks[pair[0]].rank):
-            basis_block.append(pair)
-    for a_idx in range(carrier.rank):
-        for b_idx in range(carrier.rank):
-            if (basis_block[a_idx][0] != basis_block[a_idx][1]
-                    or basis_block[b_idx][0] != basis_block[b_idx][1]):
-                cell = carrier.table[a_idx][b_idx]
-                if any(c and k not in strict_coords
-                       for k, c in enumerate(cell)):
-                    is_ideal = False
+    # inside the strict coordinates; the sparse cells hold the nonzero entries
+    cells = carrier.mult.cells
+    is_ideal = all(k in strict_coords
+                   for a, row in enumerate(cells) for b, cell in enumerate(row)
+                   if a in strict_coords or b in strict_coords
+                   for k, _ in cell)
 
     # nilpotency through coordinate support of iterated products
     support = set(strict_coords)
     index = 1
     while support:
         index += 1
-        nxt = set()
-        for a_idx in support:
-            for b_idx in strict_coords:
-                cell = carrier.table[a_idx][b_idx]
-                nxt.update(k for k, c in enumerate(cell) if c)
+        nxt = {k for a in support for b in strict_coords
+               for k, _ in cells[a][b]}
         if nxt == support:
             raise SelfCheckFailed("strict-block support failed to shrink")
         support = nxt

@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from znalg.algebra import Multilinear
 from znalg.cli import main
+from znalg.deformation import x_squared_t_deformation
 from znalg.documents import Workspace, builtin_catalog_document, dump_report
 from znalg.errors import ParseError
 
@@ -553,8 +555,8 @@ def _cochain_of_degree(degree):
 
 # case -> (mutation of the catalog document, job to run, whole stderr of
 # the refusal, exit 3): a rank far beyond any table is refused at the
-# table's first short array, and a cochain degree no job reads before its
-# table is read
+# table's first short array, and a negative bimodule rank and a cochain
+# degree no job reads before its table is read
 DOCUMENT_RANGE_REFUSALS = {
     "algebra-rank-10**20": (
         _set("algebras", "Z2[X]/(X^2)", value={
@@ -567,6 +569,9 @@ DOCUMENT_RANGE_REFUSALS = {
             "right_action": []}),
         EXTEND, "left action table has an array of length 0 at depth 1, "
                 "expected 100000000000000000000"),
+    "bimodule-rank--1": (
+        _set("bimodules", "twisted projection", "rank", value=-1), EXTEND,
+        "bimodule rank must be >= 0, got -1"),
     "cochain-degree-4": (
         _cochain_of_degree(4), EXTEND,
         "cochain degree must be 0 to 3 (the coboundary's inputs), got 4"),
@@ -583,6 +588,57 @@ def test_document_range_refusals_are_pinned(tmp_path, capsys, case):
     mutate(doc)
     assert run_document(tmp_path, doc, job) == 3
     assert capsys.readouterr().err == f"validation error: {message}\n"
+
+
+N32 = "x^2=t over Z2 (N=32)"
+
+
+def _order_32_document(order_2=None):
+    """The catalog document with x^2=t over Z2 at order 32 written out as
+    its dense list of 31 correction tables, 30 of them zero, and
+    optionally another table at order 2."""
+    cochains = json.loads(json.dumps(x_squared_t_deformation(2, 32).cochains))
+    if order_2 is not None:
+        cochains[1] = order_2
+    doc = builtin_catalog_document()
+    doc["deformations"][N32] = {"algebra": "Z2[X]/(X^2)", "order": 32,
+                                "cochains": cochains}
+    return doc
+
+
+# a zero table at order 2 that is not the all-int zero table of rank 2 ->
+# the whole stderr of its refusal (exit 3), as before the reader dropped
+# zero tables
+NEAR_ZERO_TABLES = {
+    "false": ([[[0, 0], [0, 0]], [[0, 0], [False, 0]]],
+              "deformation cochains entries must be integers"),
+    "float": ([[[0, 0], [0.0, 0]], [[0, 0], [0, 0]]],
+              "deformation cochains entries must be integers"),
+    "short-row": ([[[0, 0], [0, 0]], [[0, 0]]],
+                  "deformation cochains has an array of length 1 at depth 2, "
+                  "expected 2"),
+}
+
+
+def test_a_document_deformation_maps_only_its_nonzero_corrections(
+        tmp_path, capsys, monkeypatch):
+    ws, built, init = Workspace(_order_32_document()), [], Multilinear.__init__
+
+    def counting(self, table, n, shape, what="table", top=0):
+        built.append(what)
+        init(self, table, n, shape, what, top)
+    monkeypatch.setattr(Multilinear, "__init__", counting)
+    D = ws.deformation(N32)
+    monkeypatch.undo()
+    assert built.count("deformation cochains") == 1
+    expected = x_squared_t_deformation(2, 32)
+    assert (D.corrections, D.cochains) == (expected.corrections,
+                                           expected.cochains)
+    for case, (table, message) in NEAR_ZERO_TABLES.items():
+        doc = _order_32_document(table)
+        _deform_job(None, deformation=N32)(doc)
+        assert run_document(tmp_path, doc, DEFORM) == 3, case
+        assert capsys.readouterr().err == f"validation error: {message}\n"
 
 
 def _run_bytes(content):

@@ -75,13 +75,14 @@ def test_a_rank_beyond_every_table_is_refused_at_its_first_short_array():
         Bimodule(zn(2), rank, [[]], [])
 
 
-def test_a_zero_table_is_known_only_in_its_full_shape():
+def test_a_table_of_zeros_is_certified_only_in_its_full_shape():
     zero = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
     M = Multilinear(zero, 3, (2, 2, 2))
     assert M.dense == (((0, 0), (0, 0)), ((0, 0), (0, 0)))
     assert (M.flat, M.nnz) == ((0,) * 8, 0)
-    # after the zero table of (2, 2, 2) is known, a table of zeros that
-    # differs from it in one length or one entry type is walked and refused
+    # a table of zeros is walked like any other table, so one that differs
+    # from the zero table of (2, 2, 2) in one length or one entry type is
+    # refused even after that zero table was certified
     for table, message in (
             ([[[0, 0], [0, 0]], [[0, 0]]],
              "has an array of length 1 at depth 1, expected 2"),
