@@ -41,16 +41,15 @@ bimodule's sides are its algebra's mult and share its kernel.  mul, lact
 and ract stay plain methods that call the kernel; the certificates read
 the cells, so a table that is only certified is never compiled.
 
-Every identity certified on basis triples (associativity here, the bimodule
-laws, the cocycle identity and order-k associativity of a deformation) goes
-through _triple_defects.  It reads the sparse cells of two tables composed
-as outer(inner(x, y), z) or outer(x, inner(y, z)) and walks only the nonzero
-paths of the composition; it evaluates no product.  The walk adds each
-nonzero entry on a path, as an integer, into one flat accumulator keyed by
-the triple and the output coordinate, and reduces mod n only the entries it
-touched; a defect vector is built only for a triple that fails.  So a
-certificate costs the nonzero entries on its paths, neither r^3 products
-of basis vectors nor width reductions for every triple a path touches.
+Every identity certified on basis tuples, and every coboundary, is a signed
+sum of Gerstenhaber's circle products f ∘_i g, f's argument i filled with
+g's value: associativity here is μ ∘_0 μ - μ ∘_1 μ.  Each sum is one call
+of _compose, which joins the nonzero entries of the two maps of each term,
+read off their cells, and so walks only the nonzero paths; it evaluates no
+product.  Each path adds its term, as an integer, into one flat
+accumulator keyed in Multilinear.flat's order, and only the keys touched
+are reduced mod n, so a sum costs its maps' cells and the nonzero entries
+on its paths, and the first failing tuple is the least key.
 The kernels stay private so that they are never timed as spans of their
 own when the hot methods built on them are traced.  For the same reason
 _refuse_above_cap, the one refusal behind every scan and walk, is private.
@@ -438,76 +437,59 @@ def _preimages(cells):
     return pre
 
 
-def _triple_defects(terms, n, width):
-    """{(x, y, z): defect} for every basis triple whose defect is nonzero
-    mod n, the defect being the signed sum of the terms on e_x, e_y, e_z.
+def _compose(terms, n):
+    """{key: residue != 0} of the signed sum of circle products, the keys
+    flat indices in row-major (argument tuple, coordinate) order, the order
+    of Multilinear.flat and of delta_matrix's columns, so the first failing
+    tuple is min(keys).
 
-    A term is (sign, form, outer, inner) over the sparse cells of two
-    bilinear tables: form "(xy)z" is outer(inner(x, y), z) and "x(yz)" is
-    outer(x, inner(y, z)).  Only nonzero paths are walked: "(xy)z" goes from
-    each entry (l, v) of an inner cell along the nonempty cells of outer's
-    row l, and "x(yz)" goes from each nonempty outer cell (x, l) along the
-    preimages of l in inner.  No product is evaluated.
-
-    Each nonzero entry on a path is added, as an integer, into one flat
-    accumulator keyed by ((x*Y + y)*Z + z)*width + t, where Y and Z are the
-    largest y and z index ranges of the terms' tables.  Only the entries
-    touched are reduced mod n, and a width-tuple is built only for a
-    triple that fails, so a walk costs the nonzero entries on its paths,
-    not width reductions for every triple it touches."""
-    Y = Z = 0
-    for _, form, outer, inner in terms:
-        if form == "(xy)z":
-            Y = max(Y, len(inner[0]) if inner else 0)
-            Z = max(Z, len(outer[0]) if outer else 0)
-        else:
-            Y = max(Y, len(inner))
-            Z = max(Z, len(inner[0]) if inner else 0)
-    ZW = Z * width
-    YZW = Y * ZW
+    A term is (sign, outer, i, inner) over two Multilinear maps of any
+    arity: outer's argument i is filled with inner's value, so the term
+    takes outer's arguments before i, then inner's, then outer's after i,
+    and the terms of one call compose to one shape.  Only nonzero paths are
+    walked: each nonzero entry (l, v) of inner meets the nonzero entries of
+    outer whose argument i is l, and no product is evaluated.  The entries
+    are read off the cells on each call, at the cost of the cells and their
+    nonzero entries: inner's are grouped by l, and outer's are walked past
+    them.  Each path adds its term, as an integer, into one flat
+    accumulator, and only the keys touched are reduced mod n."""
     acc = defaultdict(int)
-    for sign, form, outer, inner in terms:
-        if form == "(xy)z":
-            # outer's row l as its entries' offsets z*width + t
-            rows = [[(z * width + t, w) for z, cell in enumerate(row)
-                     for t, w in cell] for row in outer]
-            for x, irow in enumerate(inner):
-                xbase = x * YZW
-                for y, icell in enumerate(irow):
-                    if icell:
-                        base = xbase + y * ZW
-                        for l, v in icell:
-                            c = sign * v
-                            for offset, w in rows[l]:
-                                acc[base + offset] += c * w
-        else:
-            # the preimages of l in inner as offsets (y*Z + z)*width
-            pre = defaultdict(list)
-            for y, row in enumerate(inner):
-                for z, cell in enumerate(row):
-                    offset = y * ZW + z * width
-                    for l, v in cell:
-                        pre[l].append((offset, sign * v))
-            for x, row in enumerate(outer):
-                xbase = x * YZW
-                for l, cell in enumerate(row):
-                    if cell and l in pre:
-                        for offset, c in pre[l]:
-                            base = xbase + offset
-                            for t, w in cell:
-                                acc[base + t] += c * w
-    defects = {}
-    for key, v in acc.items():
-        v %= n
-        if v:
-            triple, t = divmod(key, width)
-            x, yz = divmod(triple, Y * Z)
-            triple = (x, *divmod(yz, Z))
-            d = defects.get(triple)
-            if d is None:
-                d = defects[triple] = [0] * width
-            d[t] = v
-    return {triple: tuple(d) for triple, d in defects.items()}
+    for sign, outer, i, inner in terms:
+        *ranges, width = outer.shape
+        size, after = ranges[i], prod(ranges[i + 1:])
+        # key = (outer's arguments before i) * block + (inner's) * span
+        # + (outer's after i) * width + coordinate
+        span = after * width
+        block = prod(inner.shape[:-1]) * span
+        at = [[] for _ in range(size)]
+        for y, cell in enumerate(_cells(inner)):
+            for l, v in cell:
+                at[l].append((y * span, sign * v))
+        for x, cell in enumerate(_cells(outer)):
+            for t, w in cell:
+                b = x // after // size * block + x % after * width + t
+                for a, c in at[x // after % size]:
+                    acc[a + b] += c * w
+    return {key: y for key, x in acc.items() if (y := x % n)}
+
+
+def _cells(m):
+    """The cells of a Multilinear map, one per argument tuple in order."""
+    cells = [m.cells]
+    for _ in m.shape[:-1]:
+        cells = _flatten(cells)
+    return cells
+
+
+def _position(key, shape):
+    """(argument tuple, coordinate) of a flat index into a table of shape."""
+    *ranges, width = shape
+    key, t = divmod(key, width)
+    args = ()
+    for size in reversed(ranges):
+        key, a = divmod(key, size)
+        args = (a, *args)
+    return args, t
 
 
 def _check_int(value, what):
@@ -525,19 +507,18 @@ def validate_algebra(alg) -> FiniteAlgebra:
     both sides.  Every product here is the map's evaluate on the cells,
     so a table that is certified and never multiplied has no compiled
     kernel.  The certified map is recorded as alg._certified."""
-    r, n, cells = alg.rank, alg.n, alg.mult.cells
-    mul = alg.mult.evaluate
+    r, mu = alg.rank, alg.mult
+    mul = mu.evaluate
     for i in range(r):
         ei = alg.basis(i)
         if mul(alg.unit, ei) != ei or mul(ei, alg.unit) != ei:
             raise BadUnit(f"{alg.name}: unit law fails on basis element {i}")
-    defects = _triple_defects(
-        [(1, "(xy)z", cells, cells), (-1, "x(yz)", cells, cells)], n, r)
+    defects = _compose([(1, mu, 0, mu), (-1, mu, 1, mu)], alg.n)
     if defects:
-        i, j, k = min(defects)
+        (i, j, k), _ = _position(min(defects), (r,) * 4)
         raise NonAssociative((i, j, k), mul(alg.table[i][j], alg.basis(k)),
                              mul(alg.basis(i), alg.table[j][k]))
-    alg._certified = alg.mult
+    alg._certified = mu
     return alg
 
 

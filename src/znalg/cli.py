@@ -154,6 +154,8 @@ def build_parser():
 
 
 def dispatch(args):
+    if args.cap < 0:
+        raise ParseError(f"--cap must be >= 0, got {args.cap}")
     if args.command == "catalog":
         doc = builtin_catalog_document()
         text = dump_report(doc)

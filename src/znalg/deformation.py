@@ -37,12 +37,13 @@ deformation is built as a TruncatedDeformation, in code or by
 documents.Workspace from a document's dense list of corrections, and
 certified by validate_deformation, which takes only the object.  Both
 kernels run over the support only, and validate_deformation sums order-k
-associativity, on the maps' cells by algebra._triple_defects, only at the
-k that two supported orders add up to: every term they skip is exactly
-zero.  So at_order, which passes the maps below a new order on as they are
-and certifies the result, costs the support, not N.  flatten assembles the
-same sum over every order into a plain structure table on its own, so the
-flattened model is the independent oracle for all of them.
+associativity, Σ α_m ∘_0 α_(k-m) - α_m ∘_1 α_(k-m), in one call of
+algebra._compose on the maps' cells, only at the k that two supported
+orders add up to: every term it skips is exactly zero.  So at_order, which
+passes the maps below a new order on as they are and certifies the result,
+costs the support, not N.  flatten assembles the same sum over every
+order into a plain structure table on its own, so the flattened model is
+the independent oracle for all of them.
 """
 
 from __future__ import annotations
@@ -55,9 +56,10 @@ from .algebra import (
     FiniteAlgebra,
     Multilinear,
     _cap_limit,
+    _compose,
     _multilinear,
+    _position,
     _refuse_above_cap,
-    _triple_defects,
     validate_algebra,
     zn_poly_x2,
 )
@@ -148,17 +150,16 @@ def validate_deformation(D) -> TruncatedDeformation:
                 raise UnitChanged(
                     f"order-{m} cochain moves the unit on basis element {j}")
 
-    cells = {m: alpha.cells for m, alpha in D._supported()}
+    alphas = dict(D._supported())
     N = D.order
-    for k in sorted({a + b for a in cells for b in cells if a + b < N}):
+    for k in sorted({a + b for a in alphas for b in alphas if a + b < N}):
         # only the orders m with both alpha_m and alpha_(k-m) nonzero
-        terms = [m for m in cells if k - m in cells]
-        defects = _triple_defects(
-            [(sign, form, cells[m], cells[k - m]) for m in terms
-             for sign, form in ((1, "(xy)z"), (-1, "x(yz)"))],
-            A.n, A.rank)
+        terms = [m for m in alphas if k - m in alphas]
+        defects = _compose(
+            [(sign, alphas[m], i, alphas[k - m]) for m in terms
+             for sign, i in ((1, 0), (-1, 1))], A.n)
         if defects:
-            i, j, l = min(defects)
+            (i, j, l), _ = _position(min(defects), (A.rank,) * 4)
             ei, ej, el = A.basis(i), A.basis(j), A.basis(l)
             lhs = rhs = zero
             for m in terms:

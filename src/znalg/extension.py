@@ -6,8 +6,8 @@ is materialized as a plain FiniteAlgebra of rank r + s so every exhaustive
 classifier runs on it unchanged; associativity of the assembled table is
 re-certified mechanically, which is exactly the cocycle condition.  The
 carrier's f-block is copied from the cochain's table cells, and both the
-cocycle identity and the carrier's associativity are certified by
-algebra._triple_defects, which reads the sparse cells of the tables and
+cocycle identity (δf = 0) and the carrier's associativity are certified by
+algebra._compose, which composes the sparse cells of the tables and
 evaluates no product.  The lifting and inversion formulas coerce every base
 and module argument (FiniteAlgebra.coerce, Bimodule.coerce), so an entry
 that is not an integer or an element of the wrong length is refused with

@@ -13,20 +13,20 @@ table when built; its map evaluates it, one argument at a time from degree
 3 on, and its map's flat is its coordinate vector in delta_matrix.
 Multilinearity makes the table a lossless representation and turns
 cocycle/coboundary questions into exact linear algebra over Z_p.
-The coboundary of a table is evaluated directly from the alternating-sum
-formula; for rank, kernel and span questions the same map is materialized
-as sparse rows over the cochain coordinate spaces and eliminated by linal
-for any prime p.  delta_matrix assembles those rows from shifted templates
-built once with their signs: the left and right actions per module
-coordinate and, per tuple position and basis index, the merged pairs (u, v)
-from one preimage list per basis index (algebra._preimages) instead of a
-scan over all r^2 pairs, each reduced mod n.  A row adds offsets from the
-flat index of its source tuple to those templates; it is kept as built
-when no two entries land on one column, and only a row with merged entries
-is summed and reduced mod n again.
-The bimodule laws and the cocycle identity are certified on basis triples
-by algebra._triple_defects, which composes the sparse cells of the action,
-algebra and cochain maps and evaluates no product.
+The coboundary δg is L ∘_1 g + Σ (-1)^i g ∘_(i-1) μ + (-1)^(ν+1) R ∘_0 g
+(_delta_terms), summed by one call of algebra._compose on the sparse
+cells; is_cocycle2 reads its violations off the same sum, and
+validate_bimodule sums each of its three laws the same way.  For rank,
+kernel and span questions the map is materialized as sparse rows over the
+cochain coordinate spaces and eliminated by linal for any prime p.
+delta_matrix assembles them on its own, never through the kernel, so
+solve_coboundary's re-check coboundary(g) == f compares two routes: from
+shifted templates built once with their signs, the left and right actions
+per module coordinate and, per tuple position and basis index, the merged
+pairs (u, v) from one preimage list per basis index (algebra._preimages),
+each reduced mod n.  A row adds offsets from the flat index of its source
+tuple to those templates; it is kept as built when no two entries share a
+column, and only a row with merged entries is reduced mod n again.
 
 Every solver gets its eliminations from _sieve, the one place that refuses:
 a non-prime modulus (NonPrimeModulus) and a coboundary whose templates
@@ -37,16 +37,17 @@ counted by _coboundary_entries from the maps' nnz before any row is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import product
 
 from .algebra import (
     FiniteAlgebra,
     Multilinear,
     _ZnModule,
+    _compose,
     _multilinear,
+    _position,
     _preimages,
     _refuse_above_cap,
-    _triple_defects,
 )
 from .errors import (
     ActionNotAssociative,
@@ -116,23 +117,25 @@ def validate_bimodule(M) -> Bimodule:
     tie."""
     A = M.algebra
     one = A.one()
-    n, s = M.n, M.rank
-    L, R, T = M.left_map.cells, M.right_map.cells, A.mult.cells
+    r, s = A.rank, M.rank
+    L, R, T = M.left_map, M.right_map, A.mult
     for j in range(s):
         m = M.basis(j)
-        if M.left_map.evaluate(one, m) != m:
+        if L.evaluate(one, m) != m:
             raise UnitActsBadly(f"{M.name}: 1*m != m on module basis {j}")
-        if M.right_map.evaluate(m, one) != m:
+        if R.evaluate(m, one) != m:
             raise UnitActsBadly(f"{M.name}: m*1 != m on module basis {j}")
-    # (law, positions of a, b and m among the arguments x, y, z, terms)
+    # (law, its arguments' shape, positions of a, b and m among them, terms)
     laws = (
-        ("(ab)m = a(bm)", (0, 1, 2), [(1, "(xy)z", L, T), (-1, "x(yz)", L, L)]),
-        ("m(ab) = (ma)b", (1, 2, 0), [(1, "x(yz)", R, T), (-1, "(xy)z", R, R)]),
-        ("(am)b = a(mb)", (0, 2, 1), [(1, "(xy)z", R, L), (-1, "x(yz)", L, R)]),
+        ("(ab)m = a(bm)", (r, r, s), (0, 1, 2), [(1, L, 0, T), (-1, L, 1, L)]),
+        ("m(ab) = (ma)b", (s, r, r), (1, 2, 0), [(1, R, 1, T), (-1, R, 0, R)]),
+        ("(am)b = a(mb)", (r, s, r), (0, 2, 1), [(1, R, 0, L), (-1, L, 1, R)]),
     )
-    failures = [((t[p[0]], t[p[1]], t[p[2]]), rank, law)
-                for rank, (law, p, terms) in enumerate(laws)
-                for t in _triple_defects(terms, n, s)]
+    failures = []
+    for rank, (law, ranges, p, terms) in enumerate(laws):
+        for key in _compose(terms, M.n):
+            t, _ = _position(key, (*ranges, s))
+            failures.append((tuple(t[q] for q in p), rank, law))
     if failures:
         triple, _, law = min(failures)
         raise ActionNotAssociative(law, triple)
@@ -186,30 +189,28 @@ def zero_cochain(M, degree) -> Cochain:
     return vec_to_cochain(M, degree, M.zero() * M.algebra.rank ** degree)
 
 
+def _delta_terms(g):
+    """The terms of δg as circle products: L∘_1 g, then (-1)^i g∘_(i-1) μ
+    for i = 1..ν, then (-1)^(ν+1) R∘_0 g, ν the degree of g."""
+    M, nu = g.module, g.degree
+    return [(1, M.left_map, 1, g.map),
+            *(((-1) ** i, g.map, i - 1, M.algebra.mult)
+              for i in range(1, nu + 1)),
+            ((-1) ** (nu + 1), M.right_map, 0, g.map)]
+
+
 def coboundary(g: Cochain) -> Cochain:
-    """The alternating-sum coboundary, tabulated on basis tuples."""
+    """The alternating-sum coboundary, composed from the sparse cells of g,
+    the actions and the multiplication (algebra._compose)."""
     M = g.module
-    A = M.algebra
-    r = A.rank
     nu = g.degree
     if nu > MAX_COCHAIN_DEGREE:
         raise BadShape("coboundary evaluation is supported through degree "
                        f"{MAX_COCHAIN_DEGREE}")
-
-    def value(T):
-        args = [A.basis(i) for i in T]
-        acc = M.lact(args[0], g.evaluate(*args[1:]))
-        sign = 1
-        for i in range(1, nu + 1):
-            sign = -sign
-            merged = args[:i - 1] + [A.table[T[i - 1]][T[i]]] + args[i + 1:]
-            acc = M.add(acc, M.smul(sign, g.evaluate(*merged)))
-        sign = -sign
-        acc = M.add(acc, M.smul(sign, M.ract(g.evaluate(*args[:-1]), args[-1])))
-        return acc
-
-    flat = chain.from_iterable(map(value, product(range(r), repeat=nu + 1)))
-    return vec_to_cochain(M, nu + 1, tuple(flat))
+    vec = [0] * (M.rank * M.algebra.rank ** (nu + 1))
+    for key, v in _compose(_delta_terms(g), M.n).items():
+        vec[key] = v
+    return vec_to_cochain(M, nu + 1, vec)
 
 
 def is_cocycle2(f: Cochain):
@@ -223,13 +224,14 @@ def is_cocycle2(f: Cochain):
         raise BadShape("cocycle check expects a degree-2 cochain")
     M = f.module
     A = M.algebra
-    r = A.rank
-    F, T = f.map.cells, A.mult.cells
-    # a f(b, c) - f(ab, c) + f(a, bc) - f(a, b) c on every basis triple
-    violations = sorted(_triple_defects(
-        [(1, "x(yz)", M.left_map.cells, F), (-1, "(xy)z", F, T),
-         (1, "x(yz)", F, T), (-1, "(xy)z", M.right_map.cells, F)],
-        A.n, M.rank).items())
+    r, s = A.rank, M.rank
+    # δf = a f(b, c) - f(ab, c) + f(a, bc) - f(a, b) c on every basis triple
+    delta = _compose(_delta_terms(f), A.n)
+    defects = {}
+    for key in sorted(delta):
+        triple, t = _position(key, (r, r, r, s))
+        defects.setdefault(triple, [0] * s)[t] = delta[key]
+    violations = [(triple, tuple(d)) for triple, d in defects.items()]
     if violations:
         return False, violations
 

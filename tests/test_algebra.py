@@ -12,8 +12,7 @@ from znalg.algebra import (
     Multilinear,
     _bilinear,
     _compile_bilinear,
-    _preimages,
-    _triple_defects,
+    _compose,
     direct_product,
     matrix_algebra,
     triangular_algebra,
@@ -371,106 +370,101 @@ def test_compiled_kernel_matches_bilinear(n, rows, cols, width, density,
         assert product(x, y) == _bilinear(cells, x, y, n, width)
 
 
-# The triple kernel before its flat accumulator, kept as the oracle: a
-# dense list of width integers per touched triple, every coordinate reduced.
-def dense_triple_defects(terms, n, width):
-    """{(x, y, z): defect} for every basis triple whose defect is nonzero
-    mod n, the defect being the signed sum of the terms on e_x, e_y, e_z.
-
-    A term is (sign, form, outer, inner) over the sparse cells of two
-    bilinear tables: form "(xy)z" is outer(inner(x, y), z) and "x(yz)" is
-    outer(x, inner(y, z)).  Only nonzero paths are walked: "(xy)z" goes from
-    each entry (l, v) of an inner cell along the nonempty cells of outer's
-    row l, and "x(yz)" goes from each nonempty outer cell (x, l) along the
-    preimage list of l in inner.  No product is evaluated."""
+# The composition kernel's oracle: every basis tuple evaluated through the
+# maps' own products, no path walked.
+def dense_compose(terms, n):
+    """{key: residue != 0} of the signed sum of the terms on every basis
+    tuple, keyed in row-major (argument tuple, coordinate) order.  A term
+    (sign, outer, i, inner) is outer evaluated on basis vectors with
+    inner's value (Multilinear.evaluate) on its own basis vectors
+    substituted at argument i."""
     acc = {}
-    for sign, form, outer, inner in terms:
-        if form == "(xy)z":
-            rows = [[(z, cell) for z, cell in enumerate(row) if cell]
-                    for row in outer]
-            paths = (((x, y, z), sign * v, cell)
-                     for x, irow in enumerate(inner)
-                     for y, icell in enumerate(irow)
-                     for l, v in icell
-                     for z, cell in rows[l])
-        else:
-            pre = _preimages(inner)
-            paths = (((x, y, z), sign * v, cell)
-                     for x, row in enumerate(outer)
-                     for l, cell in enumerate(row) if cell
-                     for y, z, v in pre.get(l, ()))
-        for key, c, cell in paths:
-            d = acc.get(key)
-            if d is None:
-                d = acc[key] = [0] * width
-            for t, w in cell:
-                d[t] += c * w
-    defects = {}
-    for key, d in acc.items():
-        d = tuple(v % n for v in d)
-        if any(d):
-            defects[key] = d
-    return defects
+    for sign, outer, i, inner in terms:
+        *ranges, width = outer.shape
+        q = len(inner.shape) - 1
+        shape = (*ranges[:i], *inner.shape[:-1], *ranges[i + 1:])
+        for idx, T in enumerate(product(*map(range, shape))):
+            args = [tuple(int(a == b) for b in range(size))
+                    for size, a in zip(shape, T)]
+            value = inner.evaluate(*args[i:i + q])
+            out = outer.evaluate(*args[:i], value, *args[i + q:])
+            for t, v in enumerate(out):
+                acc[idx * width + t] = acc.get(idx * width + t, 0) + sign * v
+    return {key: v % n for key, v in acc.items() if v % n}
 
 
-def random_terms(rng, forms, dims, n, density):
-    """Signed terms of the given forms over fresh random tables, all on the
-    index ranges X, Y, Z into width W; the middle index of each term has a
-    range of its own (U), so no two tables need be square."""
-    X, Y, Z, W = dims
+def random_terms(rng, positions, inner_arity, dims, n, density):
+    """Signed terms over fresh random maps, one per position i of outer,
+    all composing to the argument ranges dims and the width W = dims[-1]:
+    inner takes the inner_arity ranges from position i on and outer the
+    rest, and the range of the argument inner fills (U) is drawn per term,
+    so no two maps need be square."""
+    *ranges, W = dims
     terms = []
-    for form in forms:
-        U = rng.randint(1, 5)
-        if form == "(xy)z":
-            inner, outer = (X, Y, U), (U, Z, W)
-        else:
-            inner, outer = (Y, Z, U), (X, U, W)
-        inner = Multilinear(random_table(rng, *inner, n, density), n, inner)
-        outer = Multilinear(random_table(rng, *outer, n, density), n, outer)
-        terms.append((rng.choice((1, -1)), form, outer.cells, inner.cells))
+    for i in positions:
+        U = rng.randint(0, 5)
+        inner = (*ranges[i:i + inner_arity], U)
+        outer = (*ranges[:i], U, *ranges[i + inner_arity:], W)
+        inner = Multilinear(random_nested(rng, inner, n, density), n, inner)
+        outer = Multilinear(random_nested(rng, outer, n, density), n, outer)
+        terms.append((rng.choice((1, -1)), outer, i, inner))
     return terms
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@st.composite
+def circle_products(draw):
+    """(outer arity, inner arity, the position i of each term): outer of
+    arity 1 to 3, the arities with an argument to fill, inner of arity 0
+    to 3, and one to four positions among outer's arguments."""
+    p, q = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    return p, q, draw(st.lists(st.integers(0, p - 1), min_size=1,
+                               max_size=4))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(n=st.sampled_from((2, 3, 4, 6, 9, 257)),
        density=st.sampled_from((0, 0.15, 0.5, 1)),
        law=st.sampled_from(("associativity", "bimodule", "cocycle",
-                            "rectangular")),
+                            "rectangular", "arities")),
        r=st.integers(1, 5), more=st.integers(1, 3),
-       seed=st.integers(0, 2 ** 32 - 1))
+       arities=circle_products(), seed=st.integers(0, 2 ** 32 - 1))
 def test_triple_kernel_matches_the_dense_oracle(n, density, law, r, more,
-                                                seed):
-    # the flat accumulator returns the dense kernel's dict: on the 2-term
+                                                arities, seed):
+    # the composition kernel returns the dense oracle's dict: on the 2-term
     # associativity of a square table, the three bimodule laws and the
     # 4-term cocycle identity over an algebra of rank r and a module of
-    # rank s > r, and on 2- and 4-term mixes of both forms whose X, Y, Z
-    # and width all differ
+    # rank s > r, on 2- and 4-term mixes of both positions of bilinear
+    # maps whose argument ranges and width all differ, and on sums of
+    # circle products of every arity 1 to 3 of outer, 0 to 3 of inner and
+    # every position i
     rng = random.Random(seed)
     s = r + more
 
-    def table(rows, cols, width):
-        return Multilinear(random_table(rng, rows, cols, width, n, density),
-                           n, (rows, cols, width)).cells
+    def table(*shape):
+        return Multilinear(random_nested(rng, shape, n, density), n, shape)
     T = table(r, r, r)
     L, R, F = table(r, s, s), table(s, r, s), table(r, r, s)
     if law == "associativity":
-        cases = [([(1, "(xy)z", T, T), (-1, "x(yz)", T, T)], r)]
+        cases = [[(1, T, 0, T), (-1, T, 1, T)]]
     elif law == "bimodule":
-        cases = [([(1, "(xy)z", L, T), (-1, "x(yz)", L, L)], s),
-                 ([(1, "x(yz)", R, T), (-1, "(xy)z", R, R)], s),
-                 ([(1, "(xy)z", R, L), (-1, "x(yz)", L, R)], s)]
+        cases = [[(1, L, 0, T), (-1, L, 1, L)],
+                 [(1, R, 1, T), (-1, R, 0, R)],
+                 [(1, R, 0, L), (-1, L, 1, R)]]
     elif law == "cocycle":
-        cases = [([(1, "x(yz)", L, F), (-1, "(xy)z", F, T),
-                   (1, "x(yz)", F, T), (-1, "(xy)z", R, F)], s)]
+        cases = [[(1, L, 1, F), (-1, F, 0, T), (1, F, 1, T), (-1, R, 0, F)]]
+    elif law == "rectangular":
+        positions = [rng.randrange(2) for _ in range(2 if more == 1 else 4)]
+        cases = [random_terms(rng, positions, 2, rng.sample(range(1, 7), 4),
+                              n, density)]
     else:
-        dims = rng.sample(range(1, 7), 4)
-        forms = [rng.choice(("(xy)z", "x(yz)"))
-                 for _ in range(2 if more == 1 else 4)]
-        cases = [(random_terms(rng, forms, dims, n, density), dims[3])]
-    for terms, width in cases:
-        got = _triple_defects(terms, n, width)
-        assert got == dense_triple_defects(terms, n, width)
-        assert all(len(d) == width and any(d) for d in got.values())
+        p, q, positions = arities
+        dims = [rng.randint(1, 3) for _ in range(p - 1 + q)]
+        cases = [random_terms(rng, positions, q, dims + [rng.randint(0, 3)],
+                              n, density)]
+    for terms in cases:
+        got = _compose(terms, n)
+        assert got == dense_compose(terms, n)
+        assert all(0 < v < n for v in got.values())
         if density == 0:
             assert got == {}
 
@@ -479,21 +473,18 @@ def test_triple_kernel_cancels_sums_that_are_multiples_of_n():
     # on (e0 e0) e0 the two terms sum to 4 and 5 over the integers: over
     # Z4 the first coordinate cancels and the second is 1, over Z5 the
     # other way round, and over Z2 only the first is left
-    inner = ((((0, 1),),),)
-    terms = [(1, "(xy)z", ((((0, 3), (1, 2)),),), inner),
-             (1, "x(yz)", ((((0, 1), (1, 3)),),), inner)]
-    assert dense_triple_defects(terms, 10 ** 9, 2) == {(0, 0, 0): (4, 5)}
-    for n, want in ((4, {(0, 0, 0): (0, 1)}), (5, {(0, 0, 0): (4, 0)}),
-                    (2, {(0, 0, 0): (0, 1)})):
-        assert _triple_defects(terms, n, 2) == want
-        assert dense_triple_defects(terms, n, 2) == want
+    def terms(n, second=1):
+        inner = Multilinear([[[1]]], n, (1, 1, 1))
+        return [(1, Multilinear([[[3, 2]]], n, (1, 1, 2)), 0, inner),
+                (second, Multilinear([[[1, 3]]], n, (1, 1, 2)), 1, inner)]
+    assert dense_compose(terms(10 ** 9), 10 ** 9) == {0: 4, 1: 5}
+    for n, want in ((4, {1: 1}), (5, {0: 4}), (2, {1: 1})):
+        assert _compose(terms(n), n) == want
+        assert dense_compose(terms(n), n) == want
     # with the second term taken -3 times the sums are 3 - 3 and 2 - 9:
     # the first cancels over the integers, the second only mod 7
-    terms[1] = (-3, "x(yz)", ((((0, 1), (1, 3)),),), inner)
-    assert dense_triple_defects(terms, 10 ** 9, 2) == {
-        (0, 0, 0): (0, 10 ** 9 - 7)}
-    assert _triple_defects(terms, 7, 2) == dense_triple_defects(
-        terms, 7, 2) == {}
+    assert dense_compose(terms(10 ** 9, -3), 10 ** 9) == {1: 10 ** 9 - 7}
+    assert _compose(terms(7, -3), 7) == dense_compose(terms(7, -3), 7) == {}
 
 
 def recursive_sparse_cells(table, depth):
@@ -646,17 +637,17 @@ def test_non_int_entries_are_refused_before_any_kernel(monkeypatch, entry):
 def test_regular_bimodule_reuses_the_algebra_kernel(monkeypatch):
     # both sides of the regular bimodule are A.mult itself, so lact and
     # ract run A's kernel; for a certified algebra, building it compiles
-    # nothing and walks no triple.  The same table in an algebra that was
-    # never certified is walked once per bimodule law
+    # nothing and composes nothing.  The same table in an algebra that was
+    # never certified is composed once per bimodule law
     import znalg.hochschild
     from znalg.hochschild import regular_bimodule
     A = triangular_algebra(2, 3)
     kernel = A.mult.product
     built, walks = [], []
-    walk = znalg.hochschild._triple_defects
+    walk = znalg.hochschild._compose
     monkeypatch.setattr(znalg.algebra, "_compile_bilinear",
                         lambda *args: built.append(args))
-    monkeypatch.setattr(znalg.hochschild, "_triple_defects",
+    monkeypatch.setattr(znalg.hochschild, "_compose",
                         lambda *args: walks.append(args) or walk(*args))
     M = regular_bimodule(A)
     assert M.left_map is A.mult and M.right_map is A.mult

@@ -1056,6 +1056,14 @@ REFUSALS = {
     "element-cap": (
         ["--cap", "2", "classify", "--doc", "DOC", "--algebra", "Z4"], 4,
         "cap exceeded: Z4: 4 elements exceeds cap 2\n"),
+    # a cap of 0 is valid and refuses every scan; a negative one is refused
+    # before any job runs
+    "zero-cap": (
+        ["--cap", "0", "classify", "--doc", "DOC", "--algebra", "Z2"], 4,
+        "cap exceeded: Z2: 2 elements exceeds cap 0\n"),
+    "negative-cap": (
+        ["--cap", "-1", "classify", "--doc", "DOC", "--algebra", "Z2"], 2,
+        "parse error: --cap must be >= 0, got -1\n"),
     "linalg-cap": (
         ["cohomology", "--doc", "DOC", "--presheaf", "example-2-sphere",
          "--degree", "3"], 4,

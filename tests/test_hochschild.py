@@ -472,11 +472,48 @@ def test_refusal_counts_the_entries_delta_matrix_assembles():
         == [76, 2052, 49248, 1108080]
 
 
+def element_coboundary(g):
+    """The flat of δg tabulated one basis tuple at a time by element
+    arithmetic: a_0 g(a_1, ..) + sum over i of (-1)^i g(.., a_(i-1) a_i, ..)
+    + (-1)^(ν+1) g(.., a_(ν-1)) a_ν on basis vectors, each term evaluated
+    through the cochain and the actions."""
+    M = g.module
+    A = M.algebra
+    nu = g.degree
+
+    def value(T):
+        args = [A.basis(i) for i in T]
+        acc = M.lact(args[0], g.evaluate(*args[1:]))
+        sign = 1
+        for i in range(1, nu + 1):
+            sign = -sign
+            merged = args[:i - 1] + [A.table[T[i - 1]][T[i]]] + args[i + 1:]
+            acc = M.add(acc, M.smul(sign, g.evaluate(*merged)))
+        sign = -sign
+        return M.add(acc, M.smul(sign, M.ract(g.evaluate(*args[:-1]),
+                                              args[-1])))
+
+    return tuple(v for T in product(range(A.rank), repeat=nu + 1)
+                 for v in value(T))
+
+
 def test_delta_matrix_matches_dense_coboundary():
-    for A in (zn(3), zn_poly_x2(2)):
-        M = regular_bimodule(A)
-        p = A.n
-        for degree in (0, 1, 2, 3):
+    # three routes to δg agree: coboundary (the composition kernel), the
+    # element formula and the rows of delta_matrix applied to g, all
+    # reduced mod n, which need not be prime (Z4); on regular bimodules,
+    # the twisted projection module (s != r, left != right), a rank-0
+    # bimodule (width 0) and the sphere carrier in degree 1
+    from znalg.poset import build_shriek, sphere_presheaf
+    T2 = triangular_algebra(2, 2)
+    cases = [(regular_bimodule(A), range(4))
+             for A in (zn(3), zn(4), zn_poly_x2(2), T2)]
+    cases += [
+        (twisted_projection_module(direct_product([zn(2), zn(2)])), range(4)),
+        (validate_bimodule(Bimodule(T2, 0, [[]] * 3, [], "zero")), range(4)),
+        (regular_bimodule(build_shriek(sphere_presheaf(2)).carrier), (1,))]
+    for M, degrees in cases:
+        n = M.n
+        for degree in degrees:
             rows, src, dst = delta_matrix(M, degree)
             for seed in range(3):
                 g = random_cochain(M, degree, seed)
@@ -485,8 +522,9 @@ def test_delta_matrix_matches_dense_coboundary():
                 for pos_src, coeff in enumerate(vec):
                     if coeff:
                         for pos, c in rows[pos_src].items():
-                            out[pos] = (out[pos] + coeff * c) % p
-                assert tuple(out) == coboundary(g).map.flat
+                            out[pos] = (out[pos] + coeff * c) % n
+                assert tuple(out) == coboundary(g).map.flat \
+                    == element_coboundary(g), (M.name, degree, seed)
 
 
 def test_vec_cochain_roundtrip():
