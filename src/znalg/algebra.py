@@ -10,18 +10,17 @@ triples (bilinearity extends both to all elements).
 Units and nilpotents are decided by one walk over the powers of an element
 (FiniteAlgebra.inverse and nilpotency_index).
 
-Work is refused, never sampled, by one rule with five measures, each
+Work is refused, never sampled, by one rule with four measures, each
 applied once, by the function that does the work: a scan over elements
 refuses on the count it would list (FiniteAlgebra.within_cap, |xA| + |Ax|
 in classify.in_radical, an ideal's product of n/d_i, a flattened
 deformation's n^(r*N)); a power walk refuses after cap powers, so an
 algebra within the cap never refuses a walk and a larger one still
 answers every short walk; a coboundary matrix refuses on the entries it
-would assemble (hochschild._sieve); a deformation's series recursion
-refuses on the cell visits it would make (deformation._series_work); and
-a Newton lift refuses on the slot visits of its products
-(deformation._newton_work).  All raise CapExceeded through
-_refuse_above_cap; None means DEFAULT_CAP.
+would assemble (hochschild._sieve); and a deformation's series job (an
+inverse, a Newton lift, an obstruction probe) refuses on the slot visits
+of the products it would form (deformation._slot_visits).  All raise
+CapExceeded through _refuse_above_cap; None means DEFAULT_CAP.
 
 Every structure table is a multilinear map over Z_n on basis tuples, held
 as one Multilinear: an algebra's product (FiniteAlgebra.mult) and its unit,
@@ -33,13 +32,15 @@ against it, so a table built in code is refused with BadShape exactly as
 one read from a document is.  It reduces the table once and keeps dense,
 the nested tuples that equality, hashing, reports and documents read,
 flat, and cells, the (k, v) pairs with v != 0 of each cell, which every
-kernel walks.  Its product is its compiled kernel: _compile_bilinear
-writes it, on first use, as one straight-line function with the entries
-and the modulus as literals, so a product runs no loop and reduces each
-coordinate once.  An owner given an existing map keeps it, so the regular
-bimodule's sides are its algebra's mult and share its kernel.  mul, lact
-and ract stay plain methods that call the kernel; the certificates read
-the cells, so a table that is only certified is never compiled.
+kernel walks; Multilinear.from_flat hands a flat vector, such as a
+coboundary's, to the same assembly without nesting it first.  Its product
+is its compiled kernel: _compile_bilinear writes it, on first use, as one
+straight-line function with the entries and the modulus as literals, so a
+product runs no loop and reduces each coordinate once.  An owner given an
+existing map keeps it, so the regular bimodule's sides are its algebra's
+mult and share its kernel.  mul, lact and ract stay plain methods that
+call the kernel; the certificates read the cells, so a table that is only
+certified is never compiled.
 
 Every identity certified on basis tuples, and every coboundary, is a signed
 sum of Gerstenhaber's circle products f ∘_i g, f's argument i filled with
@@ -254,29 +255,47 @@ class Multilinear:
     """A multilinear map over Z_n, given by its table on basis tuples and
     the shape its owner declares: the index range of each argument, then
     the width of a cell ((r, r, r) for an algebra's product, (r,) for one
-    vector).  The one walk that reduces and sparsifies the table checks it
-    against the shape: a level that is not an array, an array of another
-    length or an entry that is not an int (a float, a bool, a string) is
-    refused with BadShape, naming what, the depth and the lengths; depths
-    count from top, the depth of the table's top level in the array that
-    what names.  flat is the entries in row-major order, delta_matrix's
-    coordinates."""
+    vector).  The one walk that reads the table checks it against the
+    shape before it is reduced and sparsified: a level that is not an
+    array, an array of another length or an entry that is not an int (a
+    float, a bool, a string) is refused with BadShape, naming what, the
+    depth and the lengths; depths count from top, the depth of the table's
+    top level in the array that what names.  flat is the entries in
+    row-major order, delta_matrix's coordinates."""
 
     def __init__(self, table, n, shape, what="table", top=0):
-        self.n, self.shape, self.width = n, tuple(shape), shape[-1]
-        self.dense, self.cells, self.flat, self.nnz = _ingest(
-            table, n, self.shape, what, top)
+        self._assemble(_entries(table, shape, what, top), n, shape)
 
     @classmethod
     def from_flat(cls, vec, n, shape):
         """The map whose table has shape, its index ranges then its width,
-        and whose flat is vec reduced mod n."""
-        *ranges, width = shape
-        table = [vec[i * width:(i + 1) * width] for i in range(prod(ranges))]
-        for size in reversed(ranges):
-            table = [table[i * size:(i + 1) * size]
-                     for i in range(len(table) // size)]
-        return cls(table[0], n, shape)
+        and whose flat is vec reduced mod n: vec's length and the type of
+        its entries are checked, and no nested table is formed."""
+        if len(vec) != prod(shape):
+            raise BadShape(f"flat table has length {len(vec)}, expected "
+                           f"{prod(shape)}")
+        if not _INT.issuperset(map(type, vec)):
+            raise BadShape("table entries must be integers")
+        m = cls.__new__(cls)
+        m._assemble(vec, n, shape)
+        return m
+
+    def _assemble(self, entries, n, shape):
+        """Every field from the entries in row-major order: reduced mod n
+        into flat, cut into cells, each sparsified (an all-zero one to ()
+        after one any(cell)), and regrouped level by level into dense and
+        cells."""
+        self.n, self.shape, self.width = n, tuple(shape), shape[-1]
+        flat = tuple([v % n for v in entries])
+        dense = _group(flat, shape[-1], prod(shape[:-1]))
+        cells = [tuple([(k, v) for k, v in enumerate(cell) if v])
+                 if any(cell) else () for cell in dense]
+        for i in reversed(range(len(shape) - 1)):
+            count = prod(shape[:i])
+            dense = _group(dense, shape[i], count)
+            cells = _group(cells, shape[i], count)
+        self.dense, self.cells, self.flat = dense[0], cells[0], flat
+        self.nnz = len(flat) - flat.count(0)
 
     def evaluate(self, *args):
         """The map on one element per argument; with no argument, the
@@ -302,13 +321,12 @@ _ARRAYS, _INT = {list, tuple}, {int}  # a bool is not of type int
 _flatten = chain.from_iterable
 
 
-def _ingest(table, n, shape, what, depth):
-    """(dense, cells, flat, nnz) of a table of shape whose top level lies at
-    depth, in one walk down its levels: at each level one type check of its
-    arrays and one length check, then one type check of the entries, which
-    are reduced mod n into flat, cut into cells, each sparsified (an
-    all-zero one to () after one any(cell)), and regrouped level by level."""
-    level, counts = [table], []
+def _entries(table, shape, what, depth):
+    """The entries of a table of shape whose top level lies at depth, in
+    row-major order, from one walk down its levels: at each level one type
+    check of its arrays and one length check, then one type check of the
+    entries."""
+    level = [table]
     for size in shape:
         if not _ARRAYS.issuperset(map(type, level)):
             raise BadShape(f"{what} is not an array at depth {depth}")
@@ -316,18 +334,11 @@ def _ingest(table, n, shape, what, depth):
             length = next(len(node) for node in level if len(node) != size)
             raise BadShape(f"{what} has an array of length {length} at "
                            f"depth {depth}, expected {size}")
-        counts.append(len(level))
         level = list(_flatten(level))
         depth += 1
     if not _INT.issuperset(map(type, level)):
         raise BadShape(f"{what} entries must be integers")
-    flat = tuple([v % n for v in level])
-    dense = _group(flat, shape[-1], counts[-1])
-    cells = [tuple([(k, v) for k, v in enumerate(cell) if v])
-             if any(cell) else () for cell in dense]
-    for size, count in zip(reversed(shape[:-1]), reversed(counts[:-1])):
-        dense, cells = _group(dense, size, count), _group(cells, size, count)
-    return dense[0], cells[0], flat, len(flat) - flat.count(0)
+    return level
 
 
 def _group(items, size, count):

@@ -28,7 +28,7 @@ from .classify import decomposition_report, search_exchange_counterexample
 from .deformation import (
     _newton_bound,
     _noncommuting_basis,
-    _series_work,
+    _slot_visits,
     at_order,
     clean_decompose_def,
     flatten,
@@ -70,7 +70,8 @@ EXIT_CAP = 4
 # order).  An option of a job subcommand is the job-spec field of the same
 # name (dashes as underscores), so a command line runs exactly as the
 # document job with those fields; --doc names the document, and deform's
-# action is part of the job kind.
+# action is part of the job kind: its choices are the <action> of every
+# deform-<action> kind of JOB_HANDLERS, in their order.
 _DOC = ("--doc", {"required": True})
 _EXTENSION = [_DOC, ("--algebra", {"required": True}),
               ("--bimodule", {"required": True}), ("--cochain", {})]
@@ -85,8 +86,7 @@ SUBCOMMANDS = {
     "extend": ("build an extension carrier", _EXTENSION),
     "extend-verify": ("run the transfer suites", _EXTENSION),
     "deform": ("deformation operations", [
-        ("action", {"choices": ["validate", "invert", "lift", "probe",
-                                "flatten", "clean-decompose"]}),
+        ("action", {}),
         _DOC,
         ("--deformation", {"required": True}),
         ("--element", {"help": "JSON coefficient list"}),
@@ -140,7 +140,7 @@ def build_parser():
         description="exact verification workbench for finite Z_n-algebras")
     parser.add_argument("--cap", type=int, default=DEFAULT_CAP,
                         help="refusal threshold on elements, powers, entries "
-                             "and series cell visits")
+                             "and series slot visits")
     parser.add_argument("--report", help="write the JSON report to this path")
     parser.add_argument("--modulus-override", type=int, default=None,
                         help="reinterpret loaded algebras over this modulus "
@@ -149,6 +149,11 @@ def build_parser():
     for command, (help_text, arguments) in SUBCOMMANDS.items():
         cmd = sub.add_parser(command, help=help_text)
         for name, kwargs in arguments:
+            if name == "action":
+                prefix = f"{command}-"
+                kwargs = {"choices": [kind.removeprefix(prefix)
+                                      for kind in JOB_HANDLERS
+                                      if kind.startswith(prefix)]}
             cmd.add_argument(name, **kwargs)
     return parser
 
@@ -311,9 +316,9 @@ def job_deform_lift(ws, spec, cap, report):
         spec, "idempotent", "lift needs --idempotent", D.base.coerce))
     central = _noncommuting_basis(D.base, e) is None
     if central:
-        # the central recursion is quadratic in the order: its work is
-        # refused before the Newton lift runs
-        _series_work(D, D.order - 1, cap)
+        # the central lift runs the probe to full depth, whose work is
+        # quadratic in the order: it is refused before the Newton lift runs
+        _slot_visits(D, "obstruction probe", cap, D.order - 1)
     g, iterations = lift_idempotent_newton(D, e, cap)
     bound = _newton_bound(D)
     report["results"]["lift"] = [list(c) for c in g]

@@ -7,25 +7,21 @@ triples and that the unit is undeformed; both extend to all elements by
 multilinearity.  Since t is nilpotent here, every lifting argument for
 complete rings applies verbatim to the truncation.
 
-def_mul forms a full product by Kronecker substitution
-(_kronecker_product): each coordinate's N coefficients are packed into one
-integer, one big-integer product per pair of coordinates holds every
-convolution sum, and the sparse cells of each supported order add it in,
-shifted by that order, so a product costs O(r^2 M(N)) rather than
-O(N^2 nnz).  _coefficient is the kernel of the online recursions, the
-inverse and the idempotent probe, which need coefficient k before
-coefficient k + 1 is known: the sum of alpha_m(f_a, g_b) over
-m + a + b = k, accumulated in one list over the sparse cells of the base
-table and of each correction, with one reduction mod n and no product or
-tuple per term; the recursions pass partial series whose unknown
-coefficients are still zero.  invert_def certifies f*b = 1 from the
-partial sums its recursion already formed, since no later coefficient
-enters coefficient k, and b*f = 1 with one full product.  Each recursion
-is quadratic in N, so _series_work bounds its cell visits from N, r and
-the cells' nnz and refuses above the cap before it starts; the Newton lift
-bounds its products' slot visits the same way (_newton_work).  The kernels
-call no public function, so the benchmark tracer never nests a span in
-def_mul.
+Every series product is one Kronecker substitution (_kronecker_product):
+each coordinate's coefficients are packed into one integer, one
+big-integer product per pair of coordinates holds every convolution sum,
+and the sparse cells of each supported order add it in, shifted by that
+order, so a product of length L costs O(r^2 M(L)) rather than
+O(L^2 nnz).  def_mul forms full products, of length N.  invert_def is
+Newton's iteration b <- b(2 - fb), certified by its last f*b = 1 and one
+b*f = 1; the Newton lift squares and multiplies full series the same way;
+obstruction_probe, which needs coefficient k before coefficient k + 1 is
+known, reads it off the product of its partial series truncated at order
+k + 1, whose unknown coefficient is still zero.  Each job's work is one
+measure, the slot visits of the products it will form (_slot_visits),
+summed from N, r and the cells' nnz and refused above the cap before the
+first product.  The kernels call no public function, so the benchmark
+tracer never nests a span in def_mul.
 
 A deformation holds alphas, the algebra.Multilinear map of alpha_m at each
 order m whose correction is not all zero mod n: each correction is checked
@@ -35,8 +31,8 @@ is the all-int zero table, and by the constructor when its map has no
 nonzero entry; with order 0, the base's mult, they are its support.  Every
 deformation is built as a TruncatedDeformation, in code or by
 documents.Workspace from a document's dense list of corrections, and
-certified by validate_deformation, which takes only the object.  Both
-kernels run over the support only, and validate_deformation sums order-k
+certified by validate_deformation, which takes only the object.  The
+product runs over the support only, and validate_deformation sums order-k
 associativity, Σ α_m ∘_0 α_(k-m) - α_m ∘_1 α_(k-m), in one call of
 algebra._compose on the maps' cells, only at the k that two supported
 orders add up to: every term it skips is exactly zero.  So at_order, which
@@ -235,67 +231,24 @@ def _check_order(D, *fs):
                 f"{D.order}")
 
 
-def _coefficient(D, f, g, k):
-    """Coefficient k of f*g: alpha_m(f_a, g_b) summed over m + a + b = k,
-    for the orders m that carry a correction.  One accumulator of width r
-    collects c * v over the sparse cells of every term, reduced mod n once
-    at the end; zero coordinates are skipped, so a recursion may pass a
-    partial series whose unknown coefficients are still zero."""
-    A = D.base
-    acc = [0] * A.rank
-    for m, alpha in D._supported():
-        if m > k:
-            break
-        cells = alpha.cells
-        for a in range(k - m + 1):
-            gb = g[k - m - a]
-            for i, x in enumerate(f[a]):
-                if x:
-                    row = cells[i]
-                    for j, y in enumerate(gb):
-                        if y:
-                            c = x * y
-                            for t, v in row[j]:
-                                acc[t] += c * v
-    n = A.n
-    return tuple(v % n for v in acc)
-
-
-def _series_work(D, depth, cap=None):
-    """E, the cell visits of one _coefficient recursion through orders
-    1..depth, refused with CapExceeded above cap before any of it runs.
-    Coefficient k reads, for each supported order m <= k and each of its
-    k - m + 1 coefficient pairs, at most the r^2 cells of alpha_m and
-    their nnz_m entries; E sums that over k, so it bounds the recursion's
-    work from N, r and the cells alone, at the cost of the support."""
-    r2 = D.base.rank ** 2
-    work = 0
-    for m, alpha in D._supported():
-        if m > depth:
-            break
-        pairs = depth - m + 1
-        work += (r2 + alpha.nnz) * pairs * (pairs + 1) // 2
-    _refuse_above_cap(work, cap, f"series recursion at order {D.order}",
-                      shown=f"{work} cell visits")
-    return work
-
-
 def _kronecker_product(D, f, g):
-    """f*g mod t^order by Kronecker substitution.  Coordinate i of f packs
-    into one integer F_i whose slot a, of wb bytes, holds f_a[i]; likewise
-    G_j.  One big-integer product F_i G_j then holds every convolution sum
-    of f[i] and g[j], and for each order m and each entry (t, v) of cell
-    (i, j) of alpha_m it is added, weighted by v and shifted m slots, into
-    coordinate t.  Slot k < N of coordinate t sums at most (n-1)^2 v over
-    N - m coefficient pairs per entry, so its largest value is (n-1)^2
-    times the (N - m)-weighted sum of the entries of t; wb holds that, no
-    kept slot spills into the next, slots N and up are dropped, and each
-    kept slot is reduced mod n once.  Packing and unpacking walk bytes, so
-    both are linear in N; a coefficient of one byte (n <= 256) is packed
-    with bytes(column) itself.  Coordinates must be reduced mod n."""
+    """f*g mod t^N, N the length of f and g, by Kronecker substitution.
+    Coordinate i of f packs into one integer F_i whose slot a, of wb
+    bytes, holds f_a[i]; likewise G_j.  One big-integer product F_i G_j
+    then holds every convolution sum of f[i] and g[j], and for each
+    supported order m < N and each entry (t, v) of cell (i, j) of alpha_m
+    it is added, weighted by v and shifted m slots, into coordinate t; an
+    order m >= N reaches no kept slot and is skipped.  Slot k < N of
+    coordinate t sums at most (n-1)^2 v over N - m coefficient pairs per
+    entry, so its largest value is (n-1)^2 times the (N - m)-weighted sum of
+    the entries of t; wb holds that, no kept slot spills into the next,
+    slots N and up are dropped, and each kept slot is reduced mod n once.
+    Packing and unpacking walk bytes, so both are linear in N; a
+    coefficient of one byte (n <= 256) is packed with bytes(column)
+    itself.  Coordinates must be reduced mod n."""
     A = D.base
-    n, r, N = A.n, A.rank, D.order
-    tables = [(m, alpha.cells) for m, alpha in D._supported()]
+    n, r, N = A.n, A.rank, len(f)
+    tables = [(m, alpha.cells) for m, alpha in D._supported() if m < N]
     weight = [0] * r
     for m, cells in tables:
         for row in cells:
@@ -358,33 +311,28 @@ def def_mul(D, f, g):
 def invert_def(D, f, cap=None):
     """Two-sided inverse mod t^order; the constant term must be a unit.
 
-    Coefficients are solved inductively (each order is linear in the next
-    unknown), and the recursion's work is refused above cap before it
-    starts (_series_work).  Coefficient k of f*b is the recursion's
-    partial sum p_k plus f_0 b_k, since no b_j with j > k enters it, so
-    the sums certify f*b = 1; one full product certifies b*f = 1.  That is
-    the left recursion's certificate too: over a validated base f_0 is a
-    unit, so c*f = 1 fixes each c_k in turn, and b*f = 1 holds exactly when
-    b solves the left recursion.  The work is refused before f is read.
+    Newton's iteration b <- b(2 - fb) from b = f_0^-1: when fb = 1 - d
+    with d = 0 mod t^k, the next fb is (1 - d)(1 + d) = 1 - d^2, so the
+    defect order at least doubles and _newton_bound(D) steps reach every
+    order.  The loop stops at the first f*b = 1, and one more full product
+    certifies b*f = 1; an inverse on both sides is the inverse.  The work
+    of the products is refused above cap before f is read (_slot_visits).
     """
-    _series_work(D, D.order - 1, cap)
+    _slot_visits(D, "inverse", cap)
     _check_order(D, f)
     A = D.base
-    a0 = f[0]
-    a0inv = A.inverse(a0)
+    a0inv = A.inverse(f[0])
     if a0inv is None:
-        raise ConstantTermNotUnit(f"constant term {a0} is not a unit")
-
-    b = [a0inv] + [A.zero()] * (D.order - 1)
-    fb = [A.mul(a0, a0inv)]
-    for k in range(1, D.order):
-        p = _coefficient(D, f, b, k)
-        b[k] = A.mul(a0inv, A.neg(p))
-        fb.append(A.add(p, A.mul(a0, b[k])))
-    b = tuple(b)
-
+        raise ConstantTermNotUnit(f"constant term {f[0]} is not a unit")
     one = def_one(D)
-    if tuple(fb) != one or def_mul(D, b, f) != one:
+    two = def_smul(D, 2, one)
+    b = def_from_constant(D, a0inv)
+    for _ in range(_newton_bound(D)):
+        fb = def_mul(D, f, b)
+        if fb == one:
+            break
+        b = def_mul(D, b, def_sub(D, two, fb))
+    if fb != one or def_mul(D, b, f) != one:
         raise SelfCheckFailed("inverse failed to certify by multiplication")
     return b
 
@@ -469,34 +417,45 @@ def _newton_bound(D):
     return (D.order - 1).bit_length() + 1
 
 
+def _slot_visits(D, job, cap=None, depth=None):
+    """W, the slot visits of the products a series job will form, refused
+    with CapExceeded above cap before the first of them.  A product of
+    series of length L visits, for each supported order m, the r^2 cells
+    of alpha_m and their nnz_m entries at each of its L slots, and with
+    bound = _newton_bound(D) the jobs form
+      inverse: at most bound products f*b, as many updates and one b*f,
+        2 bound + 1 products of length N;
+      Newton lift: one square, then at most bound steps of three products,
+        3 bound + 1 products of length N;
+      obstruction probe: to depth d, one product of length k + 1 for each
+        k = 1..d, (k + 1) slots summed over k."""
+    N = D.order
+    if job == "obstruction probe":
+        slots = depth * (depth + 3) // 2
+    else:
+        products = {"inverse": 2, "Newton lift": 3}[job] * _newton_bound(D)
+        slots = (products + 1) * N
+    r2 = D.base.rank ** 2
+    work = slots * sum(r2 + alpha.nnz for _, alpha in D._supported())
+    _refuse_above_cap(work, cap, f"{job} at order {N}",
+                      shown=f"{work} slot visits")
+    return work
+
+
 def _noncommuting_basis(A, e):
     """The first basis index not commuting with e; None when e is central."""
     return next((i for i in range(A.rank)
                  if A.mul(e, A.basis(i)) != A.mul(A.basis(i), e)), None)
 
 
-def _newton_work(D, cap=None):
-    """The slot visits of a Newton lift, refused with CapExceeded above cap
-    before its first product: it forms at most 3·_newton_bound(D) + 1
-    products, and a product visits, for each supported order m, the r^2
-    cells of alpha_m and its nnz_m entries, each across N coefficient
-    slots."""
-    r2 = D.base.rank ** 2
-    per_product = D.order * sum(r2 + alpha.nnz
-                                for _, alpha in D._supported())
-    work = (3 * _newton_bound(D) + 1) * per_product
-    _refuse_above_cap(work, cap, f"Newton lift at order {D.order}",
-                      shown=f"{work} slot visits")
-
-
 def lift_idempotent_newton(D, e, cap=None):
     """Lift an idempotent of the base through the quadratic fixed-point
     iteration; the iteration count stays within _newton_bound(D), and the
     work of that many steps is refused above cap before the first product
-    (_newton_work)."""
+    (_slot_visits)."""
     A = D.base
     e = A.require_idempotent(e)
-    _newton_work(D, cap)
+    _slot_visits(D, "Newton lift", cap)
     bound = _newton_bound(D)
     one = def_one(D)
     g = def_from_constant(D, e)
@@ -553,14 +512,15 @@ def obstruction_probe(D, e, depth=None, cap=None) -> ObstructionReport:
     """Run the central-style recursion for a possibly noncentral idempotent,
     recording at each order whether the candidate coefficient commutes with e
     and solves the order equation.  Orders 1 and 2 are proved to work and are
-    asserted; deeper orders are evidence only.  The recursion's work is
-    refused above cap before it starts (_series_work) and before e is
-    checked."""
+    asserted; deeper orders are evidence only.  Coefficient k of the
+    square is read off the product of the series truncated at order k + 1;
+    the work of those products is refused above cap before the first
+    (_slot_visits) and before e is checked."""
     A = D.base
     if depth is not None and depth < 1:
         raise BadShape(f"probe depth must be >= 1, got {depth}")
     depth = D.order - 1 if depth is None else min(depth, D.order - 1)
-    _series_work(D, depth, cap)
+    _slot_visits(D, "obstruction probe", cap, depth)
     e = A.require_idempotent(e)
     one_minus_2e = A.sub(A.one(), A.smul(2, e))
     report = ObstructionReport(coefficients=[e])
@@ -568,7 +528,7 @@ def obstruction_probe(D, e, depth=None, cap=None) -> ObstructionReport:
         # the unknown coefficient k enters as zero, so coefficient k of the
         # square is exactly the sum of the terms that do not involve it
         partial = report.coefficients + [A.zero()]
-        beta = _coefficient(D, partial, partial, k)
+        beta = _kronecker_product(D, partial, partial)[k]
         commutes = A.mul(e, beta) == A.mul(beta, e)
         ak = A.mul(one_minus_2e, beta)
         solves = A.add(A.add(A.mul(e, ak), A.mul(ak, e)), beta) == ak
@@ -618,12 +578,12 @@ def clean_decompose_def(D, h, cap=None):
     first clean witness; when the base is uniquely clean the decomposition is
     also certified unique in the flattened model, which is built (or refused
     on its element count) before any lifting; the work of the unit part's
-    inverse recursion is refused above cap before the lift too, and both
-    before h is read.  The Newton lift refuses its own work above cap
+    inverse is refused above cap before the lift too, and both before h is
+    read.  The Newton lift refuses its own work above cap
     before its first product."""
     rep = decomposition_report(D.base, cap)
     F = flatten(D, cap) if rep.flags["uniquely_clean"] else None
-    _series_work(D, D.order - 1, cap)  # the inverse's recursion, up front
+    _slot_visits(D, "inverse", cap)  # the unit part's inverse, up front
     _check_order(D, h)
     e, u = rep.witnesses[h[0]]["clean"]
     e_t, _ = lift_idempotent_newton(D, e, cap)

@@ -561,6 +561,12 @@ def test_multilinear_map_matches_its_dense_table(n, density, shape, seed):
     assert f.nnz == sum(1 for v in row_major(dense) if v)
     g = Multilinear.from_flat(f.flat, n, shape)
     assert (g.dense, g.cells, g.width) == (f.dense, f.cells, f.width)
+    assert (g.n, g.shape, g.flat, g.nnz) == (f.n, f.shape, f.flat, f.nnz)
+    # a flat vector one entry long or short, or with a non-int entry, is
+    # refused rather than cut into a ragged table
+    for vec in (f.flat + (0,), f.flat[1:], (0.0,) + f.flat[1:]):
+        with pytest.raises(BadShape):
+            Multilinear.from_flat(vec, n, shape)
     for _ in range(3):
         args = [tuple(rng.randrange(-n, 2 * n) for _ in range(size))
                 for size in shape[:-1]]

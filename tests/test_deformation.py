@@ -732,7 +732,7 @@ def test_flatten_clean_transfer_catalog():
 
 def oracle_coefficient(D, f, g, k):
     """Coefficient k of f*g summed as one alpha call and one tuple add per
-    pair of nonzero coefficients: the oracle for the fused kernel."""
+    pair of nonzero coefficients: the oracle for the Kronecker kernel."""
     A = D.base
     acc = A.zero()
     for m in D._support:
@@ -747,13 +747,13 @@ def oracle_coefficient(D, f, g, k):
 
 
 def oracle_mul(D, f, g):
-    return tuple(oracle_coefficient(D, f, g, k) for k in range(D.order))
+    """f*g mod t^L, L the length of f and g, one coefficient at a time."""
+    return tuple(oracle_coefficient(D, f, g, k) for k in range(len(f)))
 
 
 def oracle_invert_def(D, f):
     """Both recursions through the oracle coefficient, then both products
-    with f recomputed in full: the oracle for the recursion-sum
-    certificate."""
+    with f recomputed in full: the oracle for the Newton inverse."""
     from znalg.errors import SelfCheckFailed
     A = D.base
     a0inv = A.inverse(f[0])
@@ -795,33 +795,14 @@ def result_or_error(run, *args):
 
 
 def with_oracle_kernel(monkeypatch, run, *args):
-    """result_or_error of run(*args) with the fused kernel, then with the
-    oracle kernel in its place."""
+    """result_or_error of run(*args) with the Kronecker kernel, then with
+    the oracle product in its place."""
     import znalg.deformation as deformation
-    fused = result_or_error(run, *args)
+    kronecker = result_or_error(run, *args)
     with monkeypatch.context() as patch:
-        patch.setattr(deformation, "_coefficient", oracle_coefficient)
+        patch.setattr(deformation, "_kronecker_product", oracle_mul)
         oracle = result_or_error(run, *args)
-    return fused, oracle
-
-
-def test_fused_coefficient_matches_the_oracle():
-    # every coefficient of full and partial series, so zero coefficients
-    # in any position are covered
-    from znalg.deformation import _coefficient
-    for D in kernel_deformations():
-        rng = random.Random(D.order * 31 + D.base.n)
-        for _ in range(4):
-            f = list(random_def_element(D, rng.randrange(1 << 30)))
-            g = list(random_def_element(D, rng.randrange(1 << 30)))
-            for k in rng.sample(range(D.order), D.order // 3):
-                g[k] = D.base.zero()
-            f[rng.randrange(D.order)] = D.base.zero()
-            for k in range(D.order):
-                assert _coefficient(D, f, g, k) \
-                    == oracle_coefficient(D, f, g, k), (D.name, k)
-            assert def_mul(D, tuple(f), tuple(g)) \
-                == oracle_mul(D, tuple(f), tuple(g))
+    return kronecker, oracle
 
 
 def kernel_series(D, kind, rng):
@@ -872,7 +853,10 @@ def test_kronecker_product_matches_the_oracle_on_any_tables(
     # given, so the corrections are not validated: bit m - 1 of support
     # says whether order m carries one (gapped supports included), and
     # "full" tables, every entry n - 1, give the largest slot sums; over
-    # Z257 a coefficient takes two bytes
+    # Z257 a coefficient takes two bytes.  The series truncated at each
+    # length L multiply to the full product cut at L: the supported orders
+    # L and up, which the width must not count, reach no kept slot
+    from znalg.deformation import _kronecker_product
     rng = random.Random(seed)
     A = KERNEL_BASES[rank](n)
     r = A.rank
@@ -884,7 +868,11 @@ def test_kronecker_product_matches_the_oracle_on_any_tables(
                   for _ in range(r)] for _ in range(r)] for _ in range(r)]
     D = TruncatedDeformation(A, order, {m: table(m) for m in range(1, order)})
     f, g = (kernel_series(D, kind, rng) for kind in kinds)
-    assert def_mul(D, f, g) == oracle_mul(D, f, g)
+    full = oracle_mul(D, f, g)
+    assert def_mul(D, f, g) == full
+    for length in range(1, order + 1):
+        assert _kronecker_product(D, f[:length], g[:length]) \
+            == full[:length], length
 
 
 def test_recursion_sum_inverse_matches_the_oracle():
@@ -903,87 +891,135 @@ def test_recursion_sum_inverse_matches_the_oracle():
         assert inverted, D.name
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(n=st.sampled_from((2, 3, 4, 9)), rank=st.integers(1, 3),
+       order=st.integers(1, 40),
+       kind=st.sampled_from(("trivial", "gauge", "x^2=t")),
+       seed=st.integers(0, 2 ** 32))
+def test_newton_inverse_matches_the_oracle_on_validated_deformations(
+        n, rank, order, kind, seed):
+    # x^2=t has rank 2 whatever rank is drawn.  The constant term is drawn
+    # from every element of the base, so both must refuse a non-unit with
+    # ConstantTermNotUnit and agree on every unit
+    rng = random.Random(seed)
+    if kind == "x^2=t":
+        D = at_order(x_squared_t_deformation(n, 2), order)
+    else:
+        A = KERNEL_BASES[rank](n)
+        D = trivial_deformation(A, order) if kind == "trivial" \
+            else gauge_deformation(A, seeded_gauge_map(A, seed), order)
+    A = D.base
+    f = tuple(tuple(rng.randrange(n) for _ in range(A.rank))
+              for _ in range(order))
+    if A.inverse(f[0]) is None:
+        for run in (invert_def, oracle_invert_def):
+            with pytest.raises(ConstantTermNotUnit):
+                run(D, f)
+    else:
+        assert invert_def(D, f) == oracle_invert_def(D, f)
+
+
 def test_lifts_and_probes_match_the_oracle_kernel(monkeypatch):
     for D in kernel_deformations():
         for e in D.base.idempotents():
-            fused, oracle = with_oracle_kernel(
+            kronecker, oracle = with_oracle_kernel(
                 monkeypatch, lift_idempotent_newton, D, e)
-            assert fused == oracle, (D.name, e)
-            fused, oracle = with_oracle_kernel(
+            assert kronecker == oracle, (D.name, e)
+            kronecker, oracle = with_oracle_kernel(
                 monkeypatch, obstruction_probe, D, e)
-            assert fused == oracle, (D.name, e)
+            assert kronecker == oracle, (D.name, e)
 
 
-def counting_visits(visits):
-    """_coefficient, with every cell it reads at a pair of nonzero
-    coordinates and every entry of that cell added to visits[0]."""
-    from znalg.deformation import _coefficient
-
-    def counted(D, f, g, k):
-        for m, alpha in D._supported():
-            if m > k:
-                break
-            cells = alpha.cells
-            for a in range(k - m + 1):
-                for i, x in enumerate(f[a]):
-                    for j, y in enumerate(g[k - m - a]):
-                        if x and y:
-                            visits[0] += 1 + len(cells[i][j])
-        return _coefficient(D, f, g, k)
-    return counted
-
-
-def test_series_work_bounds_the_recursions_it_refuses(monkeypatch):
-    # E is at least the cell visits the inverse and the probe make, on
-    # full series; at cap E - 1 each refuses before summing a coefficient,
-    # and so does the central lift through its probe
+def test_slot_visits_bound_the_products_of_the_jobs_they_refuse(
+        monkeypatch):
+    # W, the estimate of each series job, is at least the slot visits of
+    # the products it forms, on full series: a product of length L visits
+    # L slots for each supported order below L.  At cap W - 1 each job
+    # refuses before its first product, and so does the central lift
+    # through its probe
     import znalg.deformation as deformation
-    from znalg.deformation import _series_work
+    from znalg.deformation import _slot_visits
+    kernel = deformation._kronecker_product
     visits = [0]
-    monkeypatch.setattr(deformation, "_coefficient", counting_visits(visits))
 
-    def refused(run, *args, **kwargs):
-        with pytest.raises(CapExceeded, match="cell visits"):
-            run(*args, **kwargs)
+    def counted(D, f, g):
+        r2 = D.base.rank ** 2
+        visits[0] += len(f) * sum(r2 + alpha.nnz for m, alpha
+                                  in D._supported() if m < len(f))
+        return kernel(D, f, g)
+    monkeypatch.setattr(deformation, "_kronecker_product", counted)
+
+    def bounded(work, run, *args):
+        visits[0] = 0
+        run(*args, cap=work)
+        assert 0 < visits[0] <= work, (run.__name__, args)
+        assert refused(work, run, *args)
+
+    def refused(work, run, *args):
+        visits[0] = 0
+        with pytest.raises(CapExceeded, match=" slot visits exceeds cap"):
+            run(*args, cap=work - 1)
         return visits[0] == 0
 
+    big = 10 ** 9
     for D in kernel_deformations():
         A = D.base
-        E = {d: _series_work(D, d, cap=10 ** 9)
-             for d in {D.order - 1, min(2, D.order - 1)}}
-        full = E[D.order - 1]
         f = (A.one(),) + kernel_series(D, "full", None)[1:]
-        visits[0] = 0
-        invert_def(D, f, cap=full)
-        assert 0 < visits[0] <= full, D.name
-        visits[0] = 0
-        assert refused(invert_def, D, f, cap=full - 1)
+        bounded(_slot_visits(D, "inverse", big), invert_def, D, f)
         for e in A.idempotents():
-            for d, work in E.items():
-                visits[0] = 0
-                obstruction_probe(D, e, d, cap=work)
-                assert visits[0] <= work, (D.name, e, d)
-                visits[0] = 0
-                assert refused(obstruction_probe, D, e, d, cap=work - 1)
-            if all(A.mul(e, A.basis(i)) == A.mul(A.basis(i), e)
-                   for i in range(A.rank)):
-                assert refused(lift_idempotent_central, D, e, cap=full - 1)
+            bounded(_slot_visits(D, "Newton lift", big),
+                    lift_idempotent_newton, D, e)
+            for d in {D.order - 1, min(2, D.order - 1)}:
+                bounded(_slot_visits(D, "obstruction probe", big, d),
+                        obstruction_probe, D, e, d)
+            if deformation._noncommuting_basis(A, e) is None:
+                assert refused(
+                    _slot_visits(D, "obstruction probe", big, D.order - 1),
+                    lift_idempotent_central, D, e)
+
+
+def certified_or_refused(D, f, got):
+    """got, the outcome of invert_def(D, f), is an inverse that the oracle
+    product certifies on both sides, or SelfCheckFailed naming
+    multiplication; True when it is an inverse."""
+    from znalg.errors import SelfCheckFailed
+    if got[0] is SelfCheckFailed:
+        assert got[2] == "inverse failed to certify by multiplication"
+        return False
+    one = def_one(D)
+    assert oracle_mul(D, f, got) == one == oracle_mul(D, got, f)
+    return True
 
 
 def test_wrong_constant_inverse_fails_the_certificate(monkeypatch):
-    # (1 + x)^-1 = 1 + 2x in Z3[X]/(X^2); a base that answers 1 + x passes
-    # the recursions, which agree, and only the certificate sees it
+    # (1 + x)^-1 = 1 + 2x in Z3[X]/(X^2).  Newton's iteration from a base
+    # that answers 1 + x either recovers the inverse, which both products
+    # certify, or refuses naming multiplication; on the trivial
+    # deformation it recovers, while the oracle's recursions go wrong from
+    # that start.  From a base that answers 0 it never leaves 0, and both
+    # refuse naming multiplication
     from znalg.errors import SelfCheckFailed
     from test_algebra import outcome
+    recovered = 0
     for D in (x_squared_t_deformation(3, 6),
               trivial_deformation(zn_poly_x2(3), 6)):
         f = def_from_constant(D, (1, 1))
-        assert invert_def(D, f)[0] == (1, 2)
-        monkeypatch.setattr(D.base, "inverse", lambda x, cap=None: (1, 1))
-        got = outcome(invert_def, D, f)
-        assert got == outcome(oracle_invert_def, D, f)
-        assert got[0] is SelfCheckFailed
-        assert "certify by multiplication" in got[2]
+        inverse = invert_def(D, f)
+        assert inverse[0] == (1, 2)
+        with monkeypatch.context() as patch:
+            patch.setattr(D.base, "inverse", lambda x, cap=None: (1, 1))
+            got = result_or_error(invert_def, D, f)
+            if certified_or_refused(D, f, got):
+                assert got == inverse
+                recovered += 1
+            assert outcome(oracle_invert_def, D, f)[0] is SelfCheckFailed
+        with monkeypatch.context() as patch:
+            patch.setattr(D.base, "inverse", lambda x, cap=None: (0, 0))
+            got = outcome(invert_def, D, f)
+            assert got == outcome(oracle_invert_def, D, f)
+            assert got[0] is SelfCheckFailed
+            assert "certify by multiplication" in got[2]
+    assert recovered
 
 
 @pytest.mark.parametrize("lost", [((1, 1), (1, 2)), ((1, 2), (1, 1))])
@@ -1018,12 +1054,36 @@ def test_one_sided_constant_inverse_fails_the_certificate(monkeypatch, lost):
     assert "certify by multiplication" in got[2]
 
 
+def test_newton_stalled_at_a_left_inverse_fails_the_certificate(monkeypatch):
+    # the x-coordinates of cells (1, x), (x, 1) and (x, x) of Z3[X]/(X^2)
+    # are moved by 2, 1 and 1, and the base answers 1 + 2x as the inverse
+    # of 1 + x.  Then b = 1 + 2x has b(1 + x) = 1 but (1 + x)b = 1 + x, and
+    # b(2 - (1 + x)b) = b: Newton's iteration for the constant f = 1 + x
+    # stays at b, a left inverse, which only the f*b half of the
+    # certificate refuses
+    from znalg.errors import SelfCheckFailed
+    from test_algebra import outcome
+    D = trivial_deformation(zn_poly_x2(3), 6)
+    A = D.base
+    table = [[list(cell) for cell in row] for row in A.table]
+    for (i, j), d in (((0, 1), 2), ((1, 0), 1), ((1, 1), 1)):
+        table[i][j][1] = (table[i][j][1] + d) % 3
+    monkeypatch.setattr(A, "mult", Multilinear(table, 3, A.mult.shape))
+    monkeypatch.setattr(A, "inverse", lambda x, cap=None: (1, 2))
+    f, b = def_from_constant(D, (1, 1)), def_from_constant(D, (1, 2))
+    assert def_mul(D, b, f) == def_one(D) != def_mul(D, f, b)
+    got = outcome(invert_def, D, f)
+    assert got[0] is SelfCheckFailed
+    assert got[2] == "inverse failed to certify by multiplication"
+    assert outcome(oracle_invert_def, D, f)[0] is SelfCheckFailed
+
+
 def test_correction_perturbed_after_validation_fails_the_self_check():
     # one coordinate of one cell of a validated correction is changed: the
-    # series product is then no longer associative.  The oracle refuses
-    # where its two recursions disagree or a product is not 1; the inverse
-    # must refuse exactly there, with the same class, and its certificate
-    # (the recursion's sums and one product) then names multiplication
+    # series product is then no longer associative.  The inverse returns
+    # only what both oracle products certify, and then the oracle's
+    # recursions, whose solutions f*b = 1 and b*f = 1 fix, return it too;
+    # otherwise its certificate names multiplication.  Both outcomes occur
     T2 = triangular_algebra(2, 2)
     refused = passed = 0
     for seed in range(12):
@@ -1042,51 +1102,39 @@ def test_correction_perturbed_after_validation_fails_the_self_check():
             f[0] = T2.one()
             f = tuple(f)
             got = result_or_error(invert_def, D, f)
-            want = result_or_error(oracle_invert_def, D, f)
-            if isinstance(want[0], type):
-                assert want[0] is got[0] is SelfCheckFailed
-                assert got[2] == "inverse failed to certify by multiplication"
-                refused += 1
-            else:
-                assert got == want
+            if certified_or_refused(D, f, got):
+                assert got == result_or_error(oracle_invert_def, D, f)
                 passed += 1
+            else:
+                refused += 1
     assert refused and passed
 
 
-def test_inverse_sums_each_recursion_once(monkeypatch):
-    # N - 1 coefficients and one full product; the kernel itself calls
-    # neither alpha nor a tuple add, and the full product sums no
-    # coefficient
+def test_inverse_forms_at_most_its_estimated_products(monkeypatch):
+    # at most 2 * _newton_bound(D) + 1 products, each through def_mul, and
+    # neither alpha nor a tuple add
     import znalg.deformation as deformation
     from znalg.algebra import FiniteAlgebra
-    counts = {"_coefficient": 0, "def_mul": 0, "alpha": 0, "add": 0}
+    from znalg.deformation import _newton_bound
+    counts = {"_kronecker_product": 0, "def_mul": 0, "alpha": 0, "add": 0}
 
     def counted(name, fn):
         def wrapper(*args):
             counts[name] += 1
             return fn(*args)
         return wrapper
-    for name in ("_coefficient", "def_mul"):
+    for name in ("_kronecker_product", "def_mul"):
         monkeypatch.setattr(deformation, name,
                             counted(name, getattr(deformation, name)))
-    for D in (x_squared_t_deformation(2, 32), gapped_deformations(6)[2]):
-        f = def_add(D, def_one(D), def_t(D))
-        counts.update(dict.fromkeys(counts, 0))
-        invert_def(D, f)
-        assert counts["_coefficient"] == D.order - 1
-        assert counts["def_mul"] == 1
-        counts.update(dict.fromkeys(counts, 0))
-        deformation.def_mul(D, f, f)
-        assert counts["_coefficient"] == 0
-    deformations = kernel_deformations()
     monkeypatch.setattr(TruncatedDeformation, "alpha",
                         counted("alpha", TruncatedDeformation.alpha))
     monkeypatch.setattr(FiniteAlgebra, "add",
                         counted("add", FiniteAlgebra.add))
-    counts.update(dict.fromkeys(counts, 0))
-    for D in deformations:
-        f = random_def_element(D, 3)
-        for k in range(D.order):
-            deformation._coefficient(D, f, f, k)
-    assert counts["alpha"] == counts["add"] == 0
-    assert counts["_coefficient"] > 0
+    for D in kernel_deformations():
+        f = (D.base.one(),) + random_def_element(D, 3)[1:]
+        counts.update(dict.fromkeys(counts, 0))
+        invert_def(D, f)
+        products = counts["_kronecker_product"]
+        assert 2 <= products <= 2 * _newton_bound(D) + 1, D.name
+        assert counts["def_mul"] == products
+        assert counts["alpha"] == counts["add"] == 0

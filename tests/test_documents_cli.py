@@ -490,9 +490,8 @@ MALFORMED = {
         200, "deform-clean-decompose",
         element=json.dumps([[1, 1]] + [[0, 0]] * 199)), DEFORM, 4),
     # Z3 is not uniquely clean, so it never flattens: 3^20 elements above
-    # the cap are no reason to refuse, while the 420 cell visits of the
-    # unit part's inverse recursion and the 760 slot visits of the Newton
-    # lift are (see CAPS)
+    # the cap are no reason to refuse, while the 520 slot visits of the
+    # unit part's inverse and the 760 of the Newton lift are (see CAPS)
     "clean-decompose-z3-order-20": (_trivial_z3_clean_decompose(20),
                                     DEFORM, 0),
     "clean-decompose-z3-order-20-over-work": (
@@ -524,10 +523,10 @@ MALFORMED = {
 # seconds; every other case must finish in under 2 s
 TIME_LIMITS = {"clean-decompose-order-200": 0.5}
 # --cap for the cases that are not run under 64: the Z3 decomposition at
-# order 20 estimates 420 cell visits for its series recursion and 760 slot
-# visits for its Newton lift
+# order 20 estimates 520 slot visits for its inverse and 760 for its Newton
+# lift
 CAPS = {"clean-decompose-z3-order-20": 760,
-        "clean-decompose-z3-order-20-over-work": 419,
+        "clean-decompose-z3-order-20-over-work": 519,
         "clean-decompose-z3-order-20-over-newton": 759}
 
 
@@ -839,22 +838,23 @@ def test_lift_job_runs_newton_once(catalog_doc, tmp_path, monkeypatch):
     assert passed["central-recursion-matches-newton"] is True
 
 
-@pytest.mark.parametrize("action, field, value", [
-    ("invert", "--element", json.dumps([[1, 1]] * 10000)),
-    ("lift", "--idempotent", "[1, 0]"),
-    ("probe", "--idempotent", "[1, 0]"),
+@pytest.mark.parametrize("action, field, value, job", [
+    ("invert", "--element", json.dumps([[1, 1]] * 10000), "inverse"),
+    ("lift", "--idempotent", "[1, 0]", "obstruction probe"),
+    ("probe", "--idempotent", "[1, 0]", "obstruction probe"),
 ], ids=["invert", "lift", "probe"])
 def test_series_jobs_refuse_their_work_before_any_product(
-        catalog_doc, capsys, monkeypatch, action, field, value):
-    # x^2=t at order 10000: the recursion's estimate, about 6e8 cell
-    # visits, is refused at the default cap, naming the order and the
-    # estimate, before a coefficient is summed or a product formed
+        catalog_doc, capsys, monkeypatch, action, field, value, job):
+    # x^2=t at order 10000: the estimated slot visits of the job's products
+    # (3.7e6 for the inverse, 6e8 for the probe, which the lift of a
+    # central idempotent runs) are refused at the default cap, naming the
+    # order and the estimate, before a product is formed
     import znalg.cli as cli
     import znalg.deformation as deformation
 
     def ran(*args, **kwargs):
         raise AssertionError("series work ran before the refusal")
-    for module, name in ((deformation, "_coefficient"),
+    for module, name in ((deformation, "_kronecker_product"),
                          (deformation, "def_mul"),
                          (cli, "lift_idempotent_newton")):
         monkeypatch.setattr(module, name, ran)
@@ -862,29 +862,32 @@ def test_series_jobs_refuse_their_work_before_any_product(
                  "--deformation", X2T, "--order", "10000",
                  field, value]) == 4
     err = capsys.readouterr().err
-    assert "series recursion at order 10000:" in err
-    assert " cell visits exceeds cap 1048576" in err
+    assert f"{job} at order 10000:" in err
+    assert " slot visits exceeds cap 1048576" in err
 
 
-@pytest.mark.parametrize("action, field, value", [
-    ("invert", "--element", "[[1, 1]]"),
-    ("lift", "--idempotent", "[1, 0]"),
-    ("probe", "--idempotent", "[1, 0]"),
+@pytest.mark.parametrize("action, field, value, refusal", [
+    ("invert", "--element", "[[1, 1]]", "inverse at order 1000000: "
+     "516000000"),
+    ("lift", "--idempotent", "[1, 0]", "obstruction probe at order 1000000: "
+     "6000005999988"),
+    ("probe", "--idempotent", "[1, 0]", "obstruction probe at order "
+     "1000000: 6000005999988"),
 ], ids=["invert", "lift", "probe"])
 def test_series_jobs_refuse_before_padding_to_the_order(
-        catalog_doc, capsys, action, field, value):
+        catalog_doc, capsys, action, field, value, refusal):
     # x^2=t is stored at order 4 and the job runs at order 10^6: moving it
     # there costs its two supported orders, not 10^6 zero tables, and the
-    # recursion's estimate is refused before any series work, naming it.
-    # The inverse refuses its work before it reads the element, whose
-    # length is not the order here
+    # estimated slot visits of the job's products are refused before any
+    # series work, naming them.  The inverse refuses its work before it
+    # reads the element, whose length is not the order here
     start = time.monotonic()
     assert main(["deform", action, "--doc", str(catalog_doc),
                  "--deformation", X2T, "--order", "1000000",
                  field, value]) == 4
     assert time.monotonic() - start < 1
-    assert ("series recursion at order 1000000: 6000001000000 cell visits "
-            "exceeds cap 1048576") in capsys.readouterr().err
+    assert (f"{refusal} slot visits exceeds cap 1048576"
+            in capsys.readouterr().err)
 
 
 def test_lift_refuses_the_newton_estimate_and_admits_small_orders(

@@ -7,7 +7,7 @@ without its timing block (whose digits vary from run to run) as
 The cases are every job of the catalog document, the document itself, and
 each deform action on each catalog deformation, with refusals among them:
 a constant term that is not a unit, an element that is not idempotent, a
-series recursion above the cap and an unknown deformation.
+series job above the cap and an unknown deformation.
 
 Running this file as a script rewrites the golden files from the current
 code; do that only for a report change that is meant and declared.
@@ -62,7 +62,7 @@ def cases():
                 out[f"deform-{action}{suffix}-{label}"] = [
                     "deform", action, "--doc", "DOC", "--deformation", name,
                     *extra]
-    # refusals: a series recursion over the cap, and an unknown name
+    # refusals: a series job over the cap, and an unknown name
     out["deform-invert-cap-x2t"] = [
         "--cap", "20", "deform", "invert", "--doc", "DOC", "--deformation",
         DEFORMATIONS["x2t"], "--element", "[[1,0],[0,0],[0,0],[0,0]]"]
