@@ -60,6 +60,7 @@ from .deformation import (
     gauge_deformation,
     invert_def,
     lift_idempotent_central,
+    lift_idempotent_def,
     lift_idempotent_newton,
     obstruction_probe,
     remark2_series,

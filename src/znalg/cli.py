@@ -26,15 +26,11 @@ import time
 from .algebra import DEFAULT_CAP
 from .classify import decomposition_report, search_exchange_counterexample
 from .deformation import (
-    _newton_bound,
-    _noncommuting_basis,
-    _slot_visits,
     at_order,
     clean_decompose_def,
     flatten,
     invert_def,
-    lift_idempotent_central,
-    lift_idempotent_newton,
+    lift_idempotent_def,
     obstruction_probe,
     t_in_radical_check,
 )
@@ -312,22 +308,15 @@ def job_deform_invert(ws, spec, cap, report):
 
 def job_deform_lift(ws, spec, cap, report):
     D = _job_deformation(ws, spec)
-    e = D.base.require_idempotent(_json_field(
-        spec, "idempotent", "lift needs --idempotent", D.base.coerce))
-    central = _noncommuting_basis(D.base, e) is None
-    if central:
-        # the central lift runs the probe to full depth, whose work is
-        # quadratic in the order: it is refused before the Newton lift runs
-        _slot_visits(D, "obstruction probe", cap, D.order - 1)
-    g, iterations = lift_idempotent_newton(D, e, cap)
-    bound = _newton_bound(D)
-    report["results"]["lift"] = [list(c) for c in g]
-    report["results"]["iterations"] = iterations
-    _assert(report, "newton-within-bound", iterations <= bound,
-            iterations=iterations, bound=bound)
-    if central:
-        _assert(report, "central-recursion-matches-newton",
-                lift_idempotent_central(D, e, g, cap) == g)
+    lift = lift_idempotent_def(D, _json_field(
+        spec, "idempotent", "lift needs --idempotent", D.base.coerce), cap)
+    report["results"]["lift"] = [list(c) for c in lift.lift]
+    report["results"]["iterations"] = lift.iterations
+    _assert(report, "newton-within-bound", lift.iterations <= lift.bound,
+            iterations=lift.iterations, bound=lift.bound)
+    if lift.central:
+        # a central recursion that disagrees raises SelfCheckFailed
+        _assert(report, "central-recursion-matches-newton", True)
 
 
 def job_deform_probe(ws, spec, cap, report):

@@ -2,44 +2,33 @@
 corrections at each power of t, with everything cut off at order N.
 
 Elements are N-tuples of base-algebra elements (the coefficients of
-t^0 .. t^{N-1}).  Validation certifies associativity order by order on basis
-triples and that the unit is undeformed; both extend to all elements by
-multilinearity.  Since t is nilpotent here, every lifting argument for
+t^0 .. t^{N-1}).  Since t is nilpotent here, every lifting argument for
 complete rings applies verbatim to the truncation.
 
-Every series product is one Kronecker substitution (_kronecker_product):
-each coordinate's coefficients are packed into one integer, one
-big-integer product per pair of coordinates holds every convolution sum,
-and the sparse cells of each supported order add it in, shifted by that
-order, so a product of length L costs O(r^2 M(L)) rather than
-O(L^2 nnz).  def_mul forms full products, of length N.  invert_def is
-Newton's iteration b <- b(2 - fb), certified by its last f*b = 1 and one
-b*f = 1; the Newton lift squares and multiplies full series the same way;
-obstruction_probe, which needs coefficient k before coefficient k + 1 is
-known, reads it off the product of its partial series truncated at order
-k + 1, whose unknown coefficient is still zero.  Each job's work is one
-measure, the slot visits of the products it will form (_slot_visits),
-summed from N, r and the cells' nnz and refused above the cap before the
-first product.  The kernels call no public function, so the benchmark
-tracer never nests a span in def_mul.
-
 A deformation holds alphas, the algebra.Multilinear map of alpha_m at each
-order m whose correction is not all zero mod n: each correction is checked
-against the shape (r, r, r), its depths counted in the dense list of
-corrections.  A correction is dropped by documents.Workspace when its table
-is the all-int zero table, and by the constructor when its map has no
-nonzero entry; with order 0, the base's mult, they are its support.  Every
-deformation is built as a TruncatedDeformation, in code or by
-documents.Workspace from a document's dense list of corrections, and
-certified by validate_deformation, which takes only the object.  The
-product runs over the support only, and validate_deformation sums order-k
-associativity, Σ α_m ∘_0 α_(k-m) - α_m ∘_1 α_(k-m), in one call of
-algebra._compose on the maps' cells, only at the k that two supported
-orders add up to: every term it skips is exactly zero.  So at_order, which
-passes the maps below a new order on as they are and certifies the result,
-costs the support, not N.  flatten assembles the same sum over every
-order into a plain structure table on its own, so the flattened model is
-the independent oracle for all of them.
+order m whose correction is not zero mod n; with order 0, the base's mult,
+they are its support.  It is built as a TruncatedDeformation, in code or by
+documents.Workspace, and certified once by validate_deformation: the unit
+is undeformed, and order-k associativity, Σ α_m ∘_0 α_(k-m) - α_m ∘_1
+α_(k-m), is summed in one call of algebra._compose on the maps' cells only
+at the k that two supported orders add up to, since every term it skips
+is zero.  The order-1 sum is δα_1 with every sign flipped, so alpha_1 is
+then a 2-cocycle, and only the identities that follow are re-checked.
+at_order, which passes the maps below a new order on as they are, costs
+the support, not N.  flatten assembles the same sums into a plain
+structure table on its own, so the flattened model is the independent
+oracle for all of them.
+
+Every series product is one Kronecker substitution (_kronecker_product),
+which costs O(r^2 M(L)) at length L.  def_mul forms full products.
+invert_def is Newton's iteration b <- b(2 - fb), certified by its last
+f*b = 1 and one b*f = 1.  lift_idempotent_def lifts an idempotent by
+Newton and, when it is central, re-derives the lift by obstruction_probe,
+which reads coefficient k off the product of its partial series truncated
+at order k + 1.  Each job's work, the slot visits of the products it will
+form (_slot_visits), is refused above the cap before the first product.
+The kernels call no public function, so the benchmark tracer never nests
+a span in def_mul.
 """
 
 from __future__ import annotations
@@ -70,7 +59,7 @@ from .errors import (
     SelfCheckFailed,
     UnitChanged,
 )
-from .hochschild import Cochain, is_cocycle2, regular_bimodule
+from .hochschild import Cochain, _cocycle_consequences, regular_bimodule
 
 
 class TruncatedDeformation:
@@ -129,7 +118,8 @@ def validate_deformation(D) -> TruncatedDeformation:
     """Certify a TruncatedDeformation and return it: its corrections lie at
     orders 1..N-1, the unit is undeformed, and associativity holds at every
     order, which is checked where two supported orders sum to it: any
-    other order has no nonzero term."""
+    other order has no nonzero term.  Order 1 certifies that alpha_1 is a
+    2-cocycle, whose derived identities are then re-checked."""
     if D.order < 1:
         raise BadShape("truncation order must be at least 1")
     for m in D.alphas:
@@ -164,13 +154,8 @@ def validate_deformation(D) -> TruncatedDeformation:
             raise NotAssociativeAtOrder(k, (i, j, l), lhs, rhs)
 
     if 1 in D.alphas:
-        M = regular_bimodule(A)
-        alpha1 = Cochain(2, M, D.alphas[1])
-        ok, violations = is_cocycle2(alpha1)
-        if not ok:
-            raise SelfCheckFailed(
-                f"first-order cochain is not a cocycle despite associativity: "
-                f"{violations[0]}")
+        # order 1 was alpha_1's cocycle identity: re-check what follows
+        _cocycle_consequences(Cochain(2, regular_bimodule(A), D.alphas[1]))
     return D
 
 
@@ -476,29 +461,45 @@ def lift_idempotent_newton(D, e, cap=None):
     return g, iterations
 
 
-def lift_idempotent_central(D, e, newton=None, cap=None):
-    """Unique lift of a central idempotent: the obstruction probe run to full
-    depth, which must solve every order; certified idempotent and equal to
-    the Newton lift, which a caller that already holds it passes as newton.
-    The probe's work, and the Newton lift's when it runs here, is refused
-    above cap before it starts."""
+@dataclass
+class IdempotentLift:
+    lift: tuple
+    iterations: int
+    bound: int  # _newton_bound(D)
+    central: bool  # the central recursion re-derived the lift
+
+
+def lift_idempotent_def(D, e, cap=None) -> IdempotentLift:
+    """The Newton lift of an idempotent of the base and, when it is
+    central, the central recursion: the obstruction probe run to full
+    depth, which must solve every order and give the Newton lift, itself
+    certified idempotent.  The probe's work, quadratic in the order, is
+    refused above cap before the Newton lift's, both before any product."""
     A = D.base
     e = A.require_idempotent(e)
-    i = _noncommuting_basis(A, e)
+    central = _noncommuting_basis(A, e) is None
+    if central:
+        _slot_visits(D, "obstruction probe", cap, D.order - 1)
+    g, iterations = lift_idempotent_newton(D, e, cap)
+    if central:
+        probe = obstruction_probe(D, e, cap=cap)
+        if probe.first_failure is not None:
+            raise SelfCheckFailed(
+                f"central recursion fails at order {probe.first_failure}")
+        if tuple(probe.coefficients) != g:
+            raise SelfCheckFailed(
+                "central recursion disagrees with Newton lift")
+    return IdempotentLift(g, iterations, _newton_bound(D), central)
+
+
+def lift_idempotent_central(D, e, cap=None):
+    """Unique lift of a central idempotent, derived both ways and certified
+    by lift_idempotent_def; a noncentral one raises NotCentral first."""
+    e = D.base.require_idempotent(e)
+    i = _noncommuting_basis(D.base, e)
     if i is not None:
         raise NotCentral(f"{e} does not commute with basis element {i}")
-    probe = obstruction_probe(D, e, cap=cap)
-    if probe.first_failure is not None:
-        raise SelfCheckFailed(
-            f"central recursion fails at order {probe.first_failure}")
-    g = tuple(probe.coefficients)
-    if def_mul(D, g, g) != g:
-        raise SelfCheckFailed("central recursion produced a non-idempotent")
-    if newton is None:
-        newton, _ = lift_idempotent_newton(D, e, cap)
-    if g != newton:
-        raise SelfCheckFailed("central recursion disagrees with Newton lift")
-    return g
+    return lift_idempotent_def(D, e, cap).lift
 
 
 @dataclass
@@ -609,11 +610,13 @@ def trivial_deformation(A, order, name=None) -> TruncatedDeformation:
 
 
 def x_squared_t_deformation(n, order) -> TruncatedDeformation:
-    """Deform Z_n[X]/(X^2) by making the square of x equal to t."""
+    """Deform Z_n[X]/(X^2) by making the square of x equal to t; at order
+    1, where t vanishes, this is the base itself."""
     A = zn_poly_x2(n)
     table1 = [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]
     return validate_deformation(TruncatedDeformation(
-        A, order, {1: table1}, name=f"x^2=t over Z{n} (N={order})"))
+        A, order, {1: table1} if order > 1 else {},
+        name=f"x^2=t over Z{n} (N={order})"))
 
 
 def gauge_deformation(A, gmap, order, name=None) -> TruncatedDeformation:

@@ -217,8 +217,8 @@ def is_cocycle2(f: Cochain):
     """Check the degree-2 cocycle identity on all basis triples.
 
     Returns (verdict, violations).  When the verdict is true the derived
-    identities (idempotent commutation and the unit-argument reductions) are
-    re-checked; those are consequences, so a failure raises SelfCheckFailed.
+    identities are re-checked (_cocycle_consequences), as
+    validate_deformation re-checks them for alpha_1.
     """
     if f.degree != 2:
         raise BadShape("cocycle check expects a degree-2 cochain")
@@ -234,10 +234,18 @@ def is_cocycle2(f: Cochain):
     violations = [(triple, tuple(d)) for triple, d in defects.items()]
     if violations:
         return False, violations
+    _cocycle_consequences(f)
+    return True, []
 
+
+def _cocycle_consequences(f):
+    """Re-check what a degree-2 cocycle f satisfies: the unit-argument
+    reductions and idempotent commutation; a failure raises SelfCheckFailed."""
+    M = f.module
+    A = M.algebra
     one = A.one()
     f11 = f.evaluate(one, one)
-    for i in range(r):
+    for i in range(A.rank):
         d = A.basis(i)
         if f.evaluate(d, one) != M.lact(d, f11):
             raise SelfCheckFailed("cocycle consequence f(d,1) = d f(1,1) failed")
@@ -252,7 +260,6 @@ def is_cocycle2(f: Cochain):
         if M.lact(e, fee) != M.ract(fee, e):
             raise SelfCheckFailed(
                 "cocycle consequence e f(e,e) = f(e,e) e failed")
-    return True, []
 
 
 def delta_matrix(M: Bimodule, degree):

@@ -6,11 +6,15 @@ matrices: entry (i, j) lives in the stalk at i when i <= j, and products
 twist through the restriction maps.  Choosing a linear extension of the
 poset makes every matrix upper triangular, which is what the structural
 clean/nil-clean/exchange decompositions exploit.
+
+Each poset and presheaf is certified once, where it is built
+(Poset.from_covers, validate_presheaf), and trusted from then on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 from .algebra import (
     FiniteAlgebra,
@@ -146,53 +150,45 @@ class Presheaf:
 
 
 def validate_presheaf(F: Presheaf) -> Presheaf:
+    """Certify a Presheaf over a certified poset and return it: a unital
+    ring map for each h < i, composing along every chain h <= i <= j."""
     P = F.poset
-    validate_poset(P)
+    nodes = range(P.size)
     if len(F.stalks) != P.size:
         raise PresheafInvalid("one stalk per node required")
-    n = F.stalks[0].n
-    for S in F.stalks:
-        if S.n != n:
-            raise PresheafInvalid("stalks must share one modulus")
+    if len({S.n for S in F.stalks}) > 1:
+        raise PresheafInvalid("stalks must share one modulus")
+    # the pairs h < i in order, looked up in constant time
+    arrows = dict.fromkeys((h, i) for h in nodes for i in nodes
+                           if h != i and P.leq[h][i])
     for h, i in F.maps:
-        if not (0 <= h < P.size and 0 <= i < P.size and h != i
-                and P.leq[h][i]):
+        if (h, i) not in arrows:
             raise PresheafInvalid(
                 f"restriction map for ({h},{i}) is not between nodes h < i")
-    for h in range(P.size):
-        for i in range(P.size):
-            if h == i or not P.leq[h][i]:
-                continue
-            if (h, i) not in F.maps:
-                raise PresheafInvalid(f"missing restriction map for {h} <= {i}")
-            src, dst = F.stalks[i], F.stalks[h]
-            table = [F.restrict(h, i, src.basis(a)) for a in range(src.rank)]
-            if F.restrict(h, i, src.one()) != dst.one():
-                raise PresheafInvalid(f"map for ({h},{i}) does not send 1 to 1")
-            for a in range(src.rank):
-                for b in range(src.rank):
-                    lhs = F.restrict(h, i, src.table[a][b])
-                    rhs = dst.mul(table[a], table[b])
-                    if lhs != rhs:
-                        raise PresheafInvalid(
-                            f"map for ({h},{i}) is not multiplicative at "
-                            f"basis pair ({a},{b})")
+    for h, i in arrows:
+        if (h, i) not in F.maps:
+            raise PresheafInvalid(f"missing restriction map for {h} <= {i}")
+        src, dst = F.stalks[i], F.stalks[h]
+        table = [F.restrict(h, i, src.basis(a)) for a in range(src.rank)]
+        if F.restrict(h, i, src.one()) != dst.one():
+            raise PresheafInvalid(f"map for ({h},{i}) does not send 1 to 1")
+        for a in range(src.rank):
+            for b in range(src.rank):
+                if (F.restrict(h, i, src.table[a][b])
+                        != dst.mul(table[a], table[b])):
+                    raise PresheafInvalid(
+                        f"map for ({h},{i}) is not multiplicative at "
+                        f"basis pair ({a},{b})")
     # functoriality on chains h <= i <= j
-    for h in range(P.size):
-        for i in range(P.size):
-            if not P.leq[h][i]:
-                continue
-            for j in range(P.size):
-                if not P.leq[i][j]:
-                    continue
-                src = F.stalks[j]
-                for b in range(src.rank):
-                    x = src.basis(b)
-                    if (F.restrict(h, j, x)
-                            != F.restrict(h, i, F.restrict(i, j, x))):
-                        raise PresheafInvalid(
-                            f"restriction maps fail to compose along "
-                            f"{h} <= {i} <= {j}")
+    for h, i, j in product(nodes, repeat=3):
+        if P.leq[h][i] and P.leq[i][j]:
+            for b in range(F.stalks[j].rank):
+                x = F.stalks[j].basis(b)
+                if (F.restrict(h, j, x)
+                        != F.restrict(h, i, F.restrict(i, j, x))):
+                    raise PresheafInvalid(
+                        f"restriction maps fail to compose along "
+                        f"{h} <= {i} <= {j}")
     return F
 
 
@@ -238,8 +234,8 @@ class PosetAlgebra:
 
 
 def build_shriek(F: Presheaf) -> PosetAlgebra:
-    """Assemble the poset-matrix algebra and certify it as a FiniteAlgebra."""
-    validate_presheaf(F)
+    """Assemble the poset-matrix algebra of a certified presheaf and
+    certify it as a FiniteAlgebra."""
     P = F.poset
     blocks = P.pairs()
     offsets = {}
@@ -421,10 +417,12 @@ class ShriekReport:
 
 def classify_shriek(PA: PosetAlgebra, cap=None) -> ShriekReport:
     """Brute-force the carrier when enumerable and cross-check the transfer
-    biconditionals against the stalks' flags, in both directions."""
+    biconditionals against the stalks' flags, in both directions; a stalk
+    on several nodes is classified once."""
     F = PA.presheaf
-    stalk_reports = [decomposition_report(S, cap) for S in F.stalks]
-    stalk_flags = [r.flags for r in stalk_reports]
+    flags = {S: decomposition_report(S, cap).flags
+             for S in dict.fromkeys(F.stalks)}
+    stalk_flags = [flags[S] for S in F.stalks]
 
     carrier_flags = None
     if PA.carrier.within_cap(cap):

@@ -76,6 +76,20 @@ def test_x_squared_t_validates_at_various_orders():
         assert len(D.cochains) == order - 1
 
 
+def test_x_squared_t_at_order_one_is_its_base():
+    # t vanishes at order 1, so the correction at order 1 is dropped and
+    # the truncation is the base, as trivial_deformation(A, 1) and the
+    # order-1 truncation of a higher order are
+    for n in (2, 3):
+        D = x_squared_t_deformation(n, 1)
+        assert (D.order, D.corrections, D._support) == (1, {}, (0,))
+        assert D.name == f"x^2=t over Z{n} (N=1)"
+        assert flatten(D).table == flatten(
+            trivial_deformation(zn_poly_x2(n), 1)).table
+        E = at_order(x_squared_t_deformation(n, 4), 1)
+        assert (E.corrections, E._support) == (D.corrections, D._support)
+
+
 def test_unit_changed_rejected():
     A = zn_poly_x2(2)
     bad = [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]  # alpha1(1, x) = 1
@@ -431,17 +445,22 @@ def test_central_lift_order1_matches_extension_lift():
         assert flatten_element(D, g) == lift_idempotent(B, e)
 
 
-def test_central_lift_compares_against_the_lift_it_is_given():
-    # the Newton lift a caller passes is compared, not recomputed: the
-    # right one is accepted and one wrong coefficient is refused
+def test_central_lift_compares_against_the_lift_it_is_given(monkeypatch):
+    # the central lift compares the recursion with the Newton lift it is
+    # given by lift_idempotent_newton: the right one is accepted, and one
+    # wrong coefficient is refused
+    import znalg.deformation as deformation
     for D in catalog_deformations(4):
         A = D.base
         for e in A.idempotents():
-            newton, _ = lift_idempotent_newton(D, e)
-            assert lift_idempotent_central(D, e, newton) == newton
+            newton, iterations = lift_idempotent_newton(D, e)
+            assert lift_idempotent_central(D, e) == newton
             wrong = newton[:-1] + (A.add(newton[-1], A.one()),)
+            monkeypatch.setattr(deformation, "lift_idempotent_newton",
+                                lambda *args: (wrong, iterations))
             with pytest.raises(SelfCheckFailed, match="disagrees with Newton"):
-                lift_idempotent_central(D, e, wrong)
+                lift_idempotent_central(D, e)
+            monkeypatch.undo()
 
 
 def test_obstruction_probe_central_succeeds():
@@ -903,7 +922,7 @@ def test_newton_inverse_matches_the_oracle_on_validated_deformations(
     # ConstantTermNotUnit and agree on every unit
     rng = random.Random(seed)
     if kind == "x^2=t":
-        D = at_order(x_squared_t_deformation(n, 2), order)
+        D = x_squared_t_deformation(n, order)
     else:
         A = KERNEL_BASES[rank](n)
         D = trivial_deformation(A, order) if kind == "trivial" \
@@ -931,12 +950,13 @@ def test_lifts_and_probes_match_the_oracle_kernel(monkeypatch):
 
 
 def test_slot_visits_bound_the_products_of_the_jobs_they_refuse(
-        monkeypatch):
+        monkeypatch, tmp_path, capsys):
     # W, the estimate of each series job, is at least the slot visits of
     # the products it forms, on full series: a product of length L visits
     # L slots for each supported order below L.  At cap W - 1 each job
     # refuses before its first product, and so does the central lift
-    # through its probe
+    # through its probe.  `deform lift` of a central idempotent refuses on
+    # the probe's estimate first, then on the Newton lift's
     import znalg.deformation as deformation
     from znalg.deformation import _slot_visits
     kernel = deformation._kronecker_product
@@ -976,6 +996,31 @@ def test_slot_visits_bound_the_products_of_the_jobs_they_refuse(
                 assert refused(
                     _slot_visits(D, "obstruction probe", big, D.order - 1),
                     lift_idempotent_central, D, e)
+
+    import json
+    from znalg.cli import EXIT_CAP, EXIT_OK, main
+    from znalg.documents import builtin_catalog_document
+    doc = tmp_path / "ws.json"
+    doc.write_text(json.dumps(builtin_catalog_document()))
+    D = x_squared_t_deformation(2, 32)
+    probe = _slot_visits(D, "obstruction probe", big, D.order - 1)
+    newton = _slot_visits(D, "Newton lift", big)
+    assert probe < newton
+    for cap, job, work in ((probe - 1, "obstruction probe", probe),
+                           (probe, "Newton lift", newton),
+                           (newton - 1, "Newton lift", newton),
+                           (newton, None, None)):
+        visits[0] = 0
+        code = main(["--cap", str(cap), "deform", "lift", "--doc", str(doc),
+                     "--deformation", "x^2=t over Z2 (N=4)",
+                     "--idempotent", "[1, 0]", "--order", "32"])
+        err = capsys.readouterr().err
+        if job is None:
+            assert (code, err) == (EXIT_OK, "") and visits[0] > 0
+        else:
+            assert (code, visits[0]) == (EXIT_CAP, 0), cap
+            assert err == (f"cap exceeded: {job} at order 32: {work} slot "
+                           f"visits exceeds cap {cap}\n")
 
 
 def certified_or_refused(D, f, got):

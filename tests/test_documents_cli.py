@@ -818,7 +818,6 @@ def test_wrong_coefficient_count_stays_order_mismatch(catalog_doc, capsys):
 
 def test_lift_job_runs_newton_once(catalog_doc, tmp_path, monkeypatch):
     # the central recursion is compared against the job's own Newton lift
-    import znalg.cli as cli
     import znalg.deformation as deformation
     calls = []
     newton = deformation.lift_idempotent_newton
@@ -826,7 +825,6 @@ def test_lift_job_runs_newton_once(catalog_doc, tmp_path, monkeypatch):
     def counted(*args):
         calls.append(args)
         return newton(*args)
-    monkeypatch.setattr(cli, "lift_idempotent_newton", counted)
     monkeypatch.setattr(deformation, "lift_idempotent_newton", counted)
     report = tmp_path / "lift.json"
     assert main(["--report", str(report), "deform", "lift", "--doc",
@@ -849,15 +847,12 @@ def test_series_jobs_refuse_their_work_before_any_product(
     # (3.7e6 for the inverse, 6e8 for the probe, which the lift of a
     # central idempotent runs) are refused at the default cap, naming the
     # order and the estimate, before a product is formed
-    import znalg.cli as cli
     import znalg.deformation as deformation
 
     def ran(*args, **kwargs):
         raise AssertionError("series work ran before the refusal")
-    for module, name in ((deformation, "_kronecker_product"),
-                         (deformation, "def_mul"),
-                         (cli, "lift_idempotent_newton")):
-        monkeypatch.setattr(module, name, ran)
+    for name in ("_kronecker_product", "def_mul", "lift_idempotent_newton"):
+        monkeypatch.setattr(deformation, name, ran)
     assert main(["deform", action, "--doc", str(catalog_doc),
                  "--deformation", X2T, "--order", "10000",
                  field, value]) == 4
@@ -1378,3 +1373,100 @@ def test_dump_report_refuses_what_json_cannot_write(value):
         json.dumps(value, indent=2, sort_keys=True)
     with pytest.raises(TypeError):
         dump_report(value)
+
+
+CERTIFICATES = ("validate_poset", "validate_presheaf", "validate_deformation",
+                "decomposition_report")
+
+
+def _wrap_everywhere(monkeypatch, name, wrapper):
+    """Rebind every module-level binding of the package function name to
+    wrapper(original)."""
+    import importlib
+    import inspect
+    modules = [importlib.import_module(f"znalg.{m}") for m in (
+        "algebra", "classify", "cli", "deformation", "documents",
+        "extension", "hochschild", "poset")]
+    original = next(getattr(m, name) for m in modules if hasattr(m, name))
+    new = wrapper(original)
+    for mod in modules:
+        if inspect.isfunction(getattr(mod, name, None)) and \
+                getattr(mod, name) is original:
+            monkeypatch.setattr(mod, name, new)
+
+
+def test_each_object_is_certified_once_per_job(tmp_path, monkeypatch):
+    # Over every catalog job and each deform case on x^2=t, each poset,
+    # presheaf and deformation is certified once and each algebra
+    # classified once; validate_deformation sums one _compose walk per
+    # order it certifies, and a lift runs Newton and the probe once
+    from test_golden import CASES, run_case
+    (tmp_path / "catalog.json").write_text(
+        json.dumps(builtin_catalog_document()))
+    calls = {name: [] for name in (*CERTIFICATES, "_compose",
+                                   "lift_idempotent_newton",
+                                   "obstruction_probe")}
+    walks = []  # per validate_deformation call: [D, _compose calls]
+    active = []  # the validate_deformation call that is running
+
+    def recorder(name):
+        def wrapper(fn):
+            def recorded(*args, **kwargs):
+                calls[name].append(args[0])
+                if name == "_compose" and active:
+                    active[-1][1] += 1
+                if name != "validate_deformation":
+                    return fn(*args, **kwargs)
+                walks.append([args[0], 0])
+                active.append(walks[-1])
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    active.pop()
+            return recorded
+        return wrapper
+    for name in calls:
+        _wrap_everywhere(monkeypatch, name, recorder(name))
+
+    ran = []
+    for case, argv in CASES.items():
+        if not (case.startswith("job-") or case.endswith("-x2t")):
+            continue
+        for recorded in calls.values():
+            recorded.clear()
+        walks.clear()
+        run_case(argv, tmp_path)
+        ran.append(case)
+        per_object = {name: [calls[name].count(obj) for obj in
+                             {id(o): o for o in calls[name]}.values()]
+                      for name in CERTIFICATES}
+        assert all(c == [1] * len(c) for c in per_object.values()), \
+            (case, per_object)
+        for D, composed in walks:
+            orders = {a + b for a in D._support for b in D._support
+                      if a + b < D.order}
+            assert composed == len(orders), (case, D.name, composed)
+        if argv[0] == "run" and argv[2] in ("shriek-example-1",
+                                           "cohomology-circle",
+                                           "cohomology-sphere"):
+            assert len(calls["validate_poset"]) == 1, case
+            assert len(calls["validate_presheaf"]) == 1, case
+        if case == "job-shriek-example-1":
+            # the stalks Z2[X]/(X^2) and Z2, then the carrier
+            assert len(calls["decomposition_report"]) == 3
+        if case.startswith("deform-lift-"):
+            assert len(calls["lift_idempotent_newton"]) == 1, case
+            assert len(calls["obstruction_probe"]) == 1, case
+    assert len(ran) == 6 + 11 and "deform-lift-order-9-x2t" in ran
+
+
+def test_cli_imports_no_private_name():
+    # the CLI handlers read their job and call public library functions
+    import ast
+    import znalg.cli
+    tree = ast.parse(Path(znalg.cli.__file__).read_text())
+    names = [alias.name for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             for alias in node.names]
+    assert names and not [n for n in names
+                          if n.rsplit(".", 1)[-1].startswith("_")]
