@@ -76,7 +76,6 @@ from .poset import (
     build_shriek,
     classify_shriek,
     constant_presheaf,
-    example_catalog,
     linear_extension,
     structural_decompose,
     triangular_ideal_facts,

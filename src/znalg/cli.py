@@ -5,11 +5,13 @@ SUBCOMMANDS is the one place a subcommand, its help and its arguments are
 declared.  The parser is built from it once, at import, and a job
 subcommand's options are the fields of the document job it runs.
 
-A handler reads its job and calls the library, which refuses work above
---cap before doing it; deformation.at_order moves a deformation job's
-deformation to its order, at the cost of its support.  Documents are read
-and written only by documents.py: a handler asks its Workspace for
-certified objects by name (Workspace.with_modulus under
+A handler reads its job and calls the library, which makes every refusal
+(work above --cap before doing it, a deformation order where t vanishes)
+as an error that main maps to an exit code; a handler raises only
+ParseError, for a job it cannot read.  deformation.at_order moves a
+deformation job's deformation to its order, at the cost of its support.
+Documents are read and written only by documents.py: a handler asks its
+Workspace for certified objects by name (Workspace.with_modulus under
 --modulus-override) and writes a carrier with documents.algebra_to_doc.
 
 Exit codes: 0 all assertions pass, 1 an assertion failed, 2 parse error,
@@ -45,7 +47,6 @@ from .documents import (
 )
 from .errors import (
     CapExceeded,
-    OrderMismatch,
     ParseError,
     SelfCheckFailed,
     ValidationFailure,
@@ -323,9 +324,6 @@ def job_deform_probe(ws, spec, cap, report):
     D = _job_deformation(ws, spec)
     depth = (None if spec.get("depth") is None
              else integer_field(spec, "depth"))
-    # order 1 leaves no order to probe, so the verdict would be vacuous
-    if D.order < 2:
-        raise OrderMismatch("t vanishes at truncation order 1")
     e = _json_field(spec, "idempotent", "probe needs --idempotent",
                     D.base.coerce)
     rep = obstruction_probe(D, e, depth, cap)

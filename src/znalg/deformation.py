@@ -22,11 +22,14 @@ oracle for all of them.
 Every series product is one Kronecker substitution (_kronecker_product),
 which costs O(r^2 M(L)) at length L.  def_mul forms full products.
 invert_def is Newton's iteration b <- b(2 - fb), certified by its last
-f*b = 1 and one b*f = 1.  lift_idempotent_def lifts an idempotent by
-Newton and, when it is central, re-derives the lift by obstruction_probe,
-which reads coefficient k off the product of its partial series truncated
-at order k + 1.  Each job's work, the slot visits of the products it will
-form (_slot_visits), is refused above the cap before the first product.
+f*b = 1 and one b*f = 1.  t_in_radical_check proves t central and
+nilpotent, hence in the radical, with 2 r N + N - 1 products.
+lift_idempotent_def lifts an idempotent by Newton and, when it is central
+and N > 1, re-derives the lift by obstruction_probe, which reads
+coefficient k off the product of its partial series truncated at order
+k + 1; the probe and the radical check refuse order 1, where t vanishes
+(def_t).  Each job's work, the slot visits of the products it will form
+(_slot_visits), is refused above the cap before the first product.
 The kernels call no public function, so the benchmark tracer never nests
 a span in def_mul.
 """
@@ -48,6 +51,7 @@ from .algebra import (
     validate_algebra,
     zn_poly_x2,
 )
+from .catalog import z2xz2
 from .classify import decomposition_report, in_radical
 from .errors import (
     BadShape,
@@ -77,18 +81,12 @@ class TruncatedDeformation:
         alphas = ((m, _multilinear(table, base.n, shape,
                                    "deformation cochains", 1))
                   for m, table in sorted(corrections.items()))
+        # {m: the map of alpha_m} over the orders m, increasing, whose
+        # alpha_m is not identically zero
         self.alphas = {m: alpha for m, alpha in alphas if alpha.nnz}
-        # the orders m whose alpha_m is not identically zero, increasing;
-        # order 0, the base multiplication, always counts
-        self._support = (0, *self.alphas)
 
     def __repr__(self):
         return f"TruncatedDeformation({self.name!r})"
-
-    @property
-    def corrections(self):
-        """{m: the dense table of alpha_m} over the corrected orders."""
-        return {m: alpha.dense for m, alpha in self.alphas.items()}
 
     @property
     def cochains(self):
@@ -129,7 +127,7 @@ def validate_deformation(D) -> TruncatedDeformation:
     A = D.base
     one = A.one()
     zero = A.zero()
-    for m in D._support[1:]:
+    for m in D.alphas:
         for j in range(A.rank):
             ej = A.basis(j)
             if D.alpha(m, one, ej) != zero or D.alpha(m, ej, one) != zero:
@@ -330,33 +328,24 @@ class RadicalCheck:
 
 
 def t_in_radical_check(D, cap=None) -> RadicalCheck:
-    """t is quasi-regular: 1 - t*g always has constant term 1, hence is
-    invertible; cross-checked against the flattened model's radical.
-
-    The truncation must be enumerable: refuses with CapExceeded otherwise.
-    """
-    if D.order < 2:
-        raise OrderMismatch("t vanishes at truncation order 1")
-    A = D.base
-    F = flatten(D, cap)
+    """t is in the Jacobson radical: t*g = g*t on each basis element
+    g = e_i t^j, so t is central, and t^N = 0, so (tg)^N = t^N g^N = 0 for
+    every g; 2 r N + N - 1 products, cross-checked by in_radical on the
+    flattened model.  Order 1, where t vanishes, is refused (def_t) before
+    the truncation, which must be enumerable (CapExceeded otherwise)."""
     t = def_t(D)
-    one = def_one(D)
-    structural_ok = True
-    checked = 0
-    for i in range(A.rank):
-        for j in range(D.order):
-            coeffs = [A.zero()] * D.order
-            coeffs[j] = A.basis(i)
-            g = tuple(coeffs)
-            prod = def_mul(D, t, g)
-            if any(prod[0]):
-                structural_ok = False
-            invert_def(D, def_sub(D, one, prod))  # certifies invertibility
-            checked += 1
-
+    F = flatten(D, cap)
+    A = D.base
+    zero = (A.zero(),) * D.order
+    basis = [zero[:j] + (A.basis(i),) + zero[j + 1:]
+             for i in range(A.rank) for j in range(D.order)]
+    central = all([def_mul(D, t, g) == def_mul(D, g, t) for g in basis])
+    power = t
+    for _ in range(D.order - 1):
+        power = def_mul(D, power, t)
     brute_ok = in_radical(F, flatten_element(D, t), cap)
-    return RadicalCheck(structural_ok, brute_ok,
-                        {"basis_elements_checked": checked})
+    return RadicalCheck(central and power == zero, brute_ok,
+                        {"basis_elements_checked": len(basis)})
 
 
 def flatten(D, cap=None) -> FiniteAlgebra:
@@ -473,15 +462,18 @@ def lift_idempotent_def(D, e, cap=None) -> IdempotentLift:
     """The Newton lift of an idempotent of the base and, when it is
     central, the central recursion: the obstruction probe run to full
     depth, which must solve every order and give the Newton lift, itself
-    certified idempotent.  The probe's work, quadratic in the order, is
-    refused above cap before the Newton lift's, both before any product."""
+    certified idempotent.  At order 1 the lift is e and the recursion has
+    no order to derive, so no probe runs.  The probe's work, quadratic in
+    the order, is refused above cap before the Newton lift's, both before
+    any product."""
     A = D.base
     e = A.require_idempotent(e)
     central = _noncommuting_basis(A, e) is None
-    if central:
+    derive = central and D.order > 1
+    if derive:
         _slot_visits(D, "obstruction probe", cap, D.order - 1)
     g, iterations = lift_idempotent_newton(D, e, cap)
-    if central:
+    if derive:
         probe = obstruction_probe(D, e, cap=cap)
         if probe.first_failure is not None:
             raise SelfCheckFailed(
@@ -513,11 +505,13 @@ def obstruction_probe(D, e, depth=None, cap=None) -> ObstructionReport:
     """Run the central-style recursion for a possibly noncentral idempotent,
     recording at each order whether the candidate coefficient commutes with e
     and solves the order equation.  Orders 1 and 2 are proved to work and are
-    asserted; deeper orders are evidence only.  Coefficient k of the
-    square is read off the product of the series truncated at order k + 1;
-    the work of those products is refused above cap before the first
-    (_slot_visits) and before e is checked."""
+    asserted; deeper orders are evidence only.  Order 1, where t vanishes
+    and no order is left to probe, is refused first (def_t).  Coefficient
+    k of the square is read off the product of the series truncated at
+    order k + 1; the work of those products is refused above cap before
+    the first (_slot_visits) and before e is checked."""
     A = D.base
+    def_t(D)  # refuses order 1, where t vanishes
     if depth is not None and depth < 1:
         raise BadShape(f"probe depth must be >= 1, got {depth}")
     depth = D.order - 1 if depth is None else min(depth, D.order - 1)
@@ -675,7 +669,6 @@ def seeded_gauge_map(A, seed):
 
 def catalog_deformations(order=4):
     """The three fixed deformations every suite runs against."""
-    from .catalog import z2xz2
     P = z2xz2()
     return [
         trivial_deformation(zn_poly_x2(2), order),

@@ -237,7 +237,8 @@ def builtin_catalog_document() -> dict:
     """Every built-in example as a plain document, ready to re-ingest."""
     doc = {"algebras": {}, "bimodules": {}, "deformations": {},
            "posets": {}, "presheaves": {}, "jobs": {}}
-    for A in catalog_algebras():
+    algebras = catalog_algebras()
+    for A in algebras:
         doc["algebras"][A.name] = algebra_to_doc(A)
 
     P = z2xz2()
@@ -249,7 +250,7 @@ def builtin_catalog_document() -> dict:
         "left_action": [[list(c) for c in row] for row in T.left],
         "right_action": [[list(c) for c in row] for row in T.right],
     }
-    for A in catalog_algebras():
+    for A in algebras:
         doc["bimodules"][f"{A.name} regular"] = {
             "algebra": A.name, "regular": True, "rank": A.rank}
 

@@ -11,7 +11,8 @@ algebra._compose, which composes the sparse cells of the tables and
 evaluates no product.  The lifting and inversion formulas coerce every base
 and module argument (FiniteAlgebra.coerce, Bimodule.coerce), so an entry
 that is not an integer or an element of the wrong length is refused with
-BadShape.
+BadShape.  The clean and nil-clean lifts share one body; the second-half
+probe lifts e through the exchange factorization's own x.
 """
 
 from __future__ import annotations
@@ -175,54 +176,45 @@ def invert_extension_element(B: ExtensionAlgebra, d, p):
 
 def lift_clean_decomposition(B: ExtensionAlgebra, am, e, u):
     """Lift a = e + u to a clean decomposition of (a, m) in the carrier."""
-    A, M = B.base, B.module
-    a, m = am
-    a, m = A.coerce(a), M.coerce(m)
-    e = A.coerce(e)
-    u = A.coerce(u)
-    if A.mul(e, e) != e:
-        raise BadDecomposition(f"{e} is not idempotent")
-    if A.inverse(u) is None:
-        raise BadDecomposition(f"{u} is not a unit")
-    if A.add(e, u) != a:
-        raise BadDecomposition("e + u != a")
-    first = lift_idempotent(B, e)
-    t = B.split(first)[1]
-    second = B.pair(u, M.sub(m, t))
-    _certify_sum(B, B.pair(a, m), first, second)
-    invert_extension_element(B, u, M.sub(m, t))  # certifies unit
-    return first, second
+    return _lift_decomposition(
+        B, am, e, u, "u", "a unit", B.base.inverse,
+        lambda second, _: invert_extension_element(B, *B.split(second)))
 
 
 def lift_nil_clean_decomposition(B: ExtensionAlgebra, am, e, x):
     """Lift a = e + x (x nilpotent) to a nil-clean decomposition of (a, m)."""
+    def certify(second, index):
+        carrier_index = B.carrier.nilpotency_index(second)
+        if carrier_index is None or carrier_index > 2 * index:
+            raise SelfCheckFailed(
+                f"lifted nilpotent part has index {carrier_index}, above "
+                f"twice the base index {index}")
+    return _lift_decomposition(B, am, e, x, "x", "nilpotent",
+                               B.base.nilpotency_index, certify)
+
+
+def _lift_decomposition(B, am, e, part, name, kind, witness, certify):
+    """(a, m) = (e, t) + (part, m - t), (e, t) the lift of e, refused with
+    BadDecomposition unless e is idempotent, witness(part) is not None and
+    e + part = a; certify(second, witness(part)) checks the second part."""
     A, M = B.base, B.module
     a, m = am
     a, m = A.coerce(a), M.coerce(m)
     e = A.coerce(e)
-    x = A.coerce(x)
+    part = A.coerce(part)
     if A.mul(e, e) != e:
         raise BadDecomposition(f"{e} is not idempotent")
-    index = A.nilpotency_index(x)
-    if index is None:
-        raise BadDecomposition(f"{x} is not nilpotent")
-    if A.add(e, x) != a:
-        raise BadDecomposition("e + x != a")
+    found = witness(part)
+    if found is None:
+        raise BadDecomposition(f"{part} is not {kind}")
+    if A.add(e, part) != a:
+        raise BadDecomposition(f"e + {name} != a")
     first = lift_idempotent(B, e)
-    t = B.split(first)[1]
-    second = B.pair(x, M.sub(m, t))
-    _certify_sum(B, B.pair(a, m), first, second)
-    carrier_index = B.carrier.nilpotency_index(second)
-    if carrier_index is None or carrier_index > 2 * index:
-        raise SelfCheckFailed(
-            f"lifted nilpotent part has index {carrier_index}, above twice "
-            f"the base index {index}")
-    return first, second
-
-
-def _certify_sum(B, target, first, second):
-    if B.carrier.add(first, second) != target:
+    second = B.pair(part, M.sub(m, B.split(first)[1]))
+    if B.carrier.add(first, second) != B.pair(a, m):
         raise SelfCheckFailed("lifted parts do not sum to the element")
+    certify(second, found)
+    return first, second
 
 
 @dataclass
@@ -317,9 +309,10 @@ class SecondHalfProbe:
 
 
 def probe_remark_second_half(B: ExtensionAlgebra, cap=None) -> SecondHalfProbe:
-    """Evidence-only probe: for each (a, m) with an exchange witness e = ar,
-    solve (1-e, -f(1,1)-t) = (1-a, -f(1,1)-m)(p, q) over the carrier's
-    basis (linal._solve).  Reports what it finds; the question stays open."""
+    """Evidence-only probe: for each (a, m) with an exchange witness e = ar
+    and (e, t) its half witness's lift, solve (1-e, -f(1,1)-t) =
+    (1-a, -f(1,1)-m)(p, q) over the carrier's basis (linal._solve).
+    Reports what it finds; the question stays open."""
     A, M = B.base, B.module
     carrier = B.carrier
     carrier.require_within_cap(cap)
@@ -328,12 +321,10 @@ def probe_remark_second_half(B: ExtensionAlgebra, cap=None) -> SecondHalfProbe:
     probe = SecondHalfProbe(carrier.name)
     one = A.one()
     neg_f11 = M.neg(B.f11)
-    f = B.cocycle
     for a, rec in sorted(witnesses.items()):
         e, r, _s = rec["exchange"]
         for m in product(range(M.n), repeat=M.rank):
-            x = M.neg(M.add(f.evaluate(a, r), M.ract(m, r)))
-            t = B.split(lift_idempotent(B, e, x))[1]
+            t = B.split(exchange_half_witness(B, (a, m), e, r).idempotent)[1]
             target = B.pair(A.sub(one, e), M.sub(neg_f11, t))
             left = B.pair(A.sub(one, a), M.sub(neg_f11, m))
             found = _solve([carrier.mul(left, b) for b in basis], target, A.n)

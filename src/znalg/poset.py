@@ -375,16 +375,17 @@ def _verify_quotient_is_product(PA: PosetAlgebra):
 
 def structural_decompose(PA: PosetAlgebra, z, mode="clean"):
     """Split z as a diagonal idempotent plus a triangular remainder using the
-    stalks' decompositions of the diagonal entries; both parts re-certified
-    by carrier arithmetic."""
+    stalks' decompositions of the diagonal entries, each distinct stalk
+    classified once; both parts re-certified by carrier arithmetic."""
     F = PA.presheaf
     carrier = PA.carrier
     z = carrier.coerce(z)
+    reports = {S: decomposition_report(S) for S in dict.fromkeys(F.stalks)}
     diag_parts = {}
     for i in range(F.poset.size):
         S = F.stalks[i]
         xi = PA.block(z, (i, i))
-        rep = decomposition_report(S)
+        rep = reports[S]
         if mode == "clean":
             e, _u = rep.witnesses[xi]["clean"]
         elif mode == "nil-clean":
@@ -493,13 +494,3 @@ def antichain_presheaf(length, stalk, name=None) -> Presheaf:
     return constant_presheaf(P, stalk,
                              name=name or f"antichain({length}) {stalk.name}")
 
-
-def example_catalog():
-    """Named builders for every ready-made presheaf."""
-    return {
-        "example-1": example_one_presheaf,
-        "example-2-sphere": sphere_presheaf,
-        "square-circle": square_presheaf,
-        "chain": chain_presheaf,
-        "antichain": antichain_presheaf,
-    }

@@ -56,6 +56,16 @@ from znalg.extension import build_extension, lift_idempotent
 from znalg.hochschild import Cochain, regular_bimodule
 
 
+def corrections(D):
+    """{m: the dense table of alpha_m} over D's corrected orders."""
+    return {m: alpha.dense for m, alpha in D.alphas.items()}
+
+
+def support(D):
+    """The orders whose component is not zero: 0 and the corrected ones."""
+    return (0, *D.alphas)
+
+
 def random_def_element(D, seed):
     rng = random.Random(seed)
     A = D.base
@@ -82,12 +92,12 @@ def test_x_squared_t_at_order_one_is_its_base():
     # order-1 truncation of a higher order are
     for n in (2, 3):
         D = x_squared_t_deformation(n, 1)
-        assert (D.order, D.corrections, D._support) == (1, {}, (0,))
+        assert (D.order, corrections(D), support(D)) == (1, {}, (0,))
         assert D.name == f"x^2=t over Z{n} (N=1)"
         assert flatten(D).table == flatten(
             trivial_deformation(zn_poly_x2(n), 1)).table
         E = at_order(x_squared_t_deformation(n, 4), 1)
-        assert (E.corrections, E._support) == (D.corrections, D._support)
+        assert (corrections(E), support(E)) == (corrections(D), support(D))
 
 
 def test_unit_changed_rejected():
@@ -257,6 +267,75 @@ def test_flatten_refuses_without_forming_its_element_count():
     assert flatten(x_squared_t_deformation(2, 2), cap=16).size == 16
 
 
+def _faulty_def_mul(monkeypatch, D, fault):
+    """Patch deformation.def_mul on x^2=t so that one product of the radical
+    check is wrong: t*x at t^0 ("noncentral"), or t^(N-1)*t and t*t^(N-1)
+    ("nonnilpotent").  The wrong value gains the nilpotent x as its
+    constant term, so 1 - t*g stays a unit."""
+    import znalg.deformation as deformation
+    t, zero, x = def_t(D), (0, 0), (0, 1)
+    if fault == "noncentral":
+        wrong = {(t, (x,) + (zero,) * (D.order - 1))}
+    else:
+        power = t
+        for _ in range(D.order - 2):
+            power = def_mul(D, power, t)
+        wrong = {(power, t), (t, power)}
+
+    def faulty(D, f, g):
+        product = def_mul(D, f, g)
+        if (f, g) in wrong:
+            product = (D.base.add(product[0], x),) + product[1:]
+        return product
+    monkeypatch.setattr(deformation, "def_mul", faulty)
+
+
+@pytest.mark.parametrize("fault", ["noncentral", "nonnilpotent"])
+def test_t_in_radical_structural_half_can_fail(fault, monkeypatch, tmp_path,
+                                               capsys):
+    # with t*g != g*t on one basis element, or with t^N != 0, the structural
+    # clause fails and deform validate exits 1; the flattened model, which
+    # forms no series product, still puts t in the radical
+    import json
+    from znalg.cli import EXIT_ASSERTION, main
+    from znalg.documents import builtin_catalog_document
+    doc = tmp_path / "ws.json"
+    doc.write_text(json.dumps(builtin_catalog_document()))
+    D = x_squared_t_deformation(2, 4)
+    _faulty_def_mul(monkeypatch, D, fault)
+    check = t_in_radical_check(D)
+    assert (check.structural_ok, check.brute_ok) == (False, True)
+    code = main(["deform", "validate", "--doc", str(doc),
+                 "--deformation", "x^2=t over Z2 (N=4)"])
+    out = capsys.readouterr().out
+    assert code == EXIT_ASSERTION
+    assert "[FAIL] t-in-radical-structural" in out
+    assert "[PASS] t-in-radical-brute-force" in out
+
+
+def test_t_in_radical_forms_no_inverse(monkeypatch):
+    # the structural half proves t central and nilpotent: 2 products per
+    # basis element g = e_i t^j and N - 1 for t^N, and no inversion
+    import znalg.deformation as deformation
+    kernel, products = deformation._kronecker_product, []
+
+    def counted(D, f, g):
+        products.append(len(f))
+        return kernel(D, f, g)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the radical check inverts nothing")
+    monkeypatch.setattr(deformation, "_kronecker_product", counted)
+    monkeypatch.setattr(deformation, "invert_def", refused)
+    T2 = triangular_algebra(2, 2)
+    for D in (*catalog_deformations(2), *catalog_deformations(5),
+              gauge_deformation(T2, seeded_gauge_map(T2, 5), 4)):
+        products.clear()
+        assert t_in_radical_check(D).structural_ok
+        r, N = D.base.rank, D.order
+        assert 0 < len(products) <= 2 * r * N + N - 1, D.name
+
+
 def radical_square_zero_deformation():
     """<1, x, y> over Z2, every product of x and y zero, deformed at order
     1 by alpha_1(x, x) = y and alpha_1(y, x) = x: a cocycle, so valid at
@@ -281,9 +360,9 @@ def test_at_order_certifies_the_orders_it_adds():
     got = outcome(at_order, D, 3)
     assert got[0] is NotAssociativeAtOrder and got[3]["order"] == 2
     assert got == outcome(dense_validate_deformation, TruncatedDeformation(
-        D.base, 3, D.corrections, D.name))
+        D.base, 3, corrections(D), D.name))
     E = at_order(at_order(x_squared_t_deformation(2, 4), 8), 1)
-    assert (E.order, E.corrections, E._support) == (1, {}, (0,))
+    assert (E.order, corrections(E), support(E)) == (1, {}, (0,))
 
 
 def test_at_order_costs_the_support_not_the_order():
@@ -294,8 +373,8 @@ def test_at_order_costs_the_support_not_the_order():
     start = time.monotonic()
     E = at_order(D, 10 ** 6)
     assert time.monotonic() - start < 0.25
-    assert E.order == 10 ** 6 and E.corrections == D.corrections
-    assert E._support == (0, 1)
+    assert E.order == 10 ** 6 and corrections(E) == corrections(D)
+    assert support(E) == (0, 1)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 9])
@@ -310,8 +389,8 @@ def test_a_correction_that_reduces_to_zero_is_dropped(n):
     x_squared = [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]
     D = validate_deformation(TruncatedDeformation(
         A, 4, {2: multiples, 3: x_squared}))
-    assert list(D.corrections) == list(D.alphas) == [3]
-    assert D._support == (0, 3)
+    assert list(corrections(D)) == list(D.alphas) == [3]
+    assert support(D) == (0, 3)
     assert D.alphas[3].cells == (((), ()), ((), ((0, 1),)))
     zero = (((0, 0), (0, 0)), ((0, 0), (0, 0)))
     assert D.cochains == (zero, zero, (((0, 0), (0, 0)), ((0, 0), (1, 0))))
@@ -609,10 +688,10 @@ def correction_orders(D):
 def substitute_t_squared(D, order):
     """D with t replaced by t^2, cut at the given order: the correction at
     order 2m is D's at order m, and every odd order carries none."""
-    corrections = {2 * m: table for m, table in D.corrections.items()
-                   if 2 * m < order}
+    doubled = {2 * m: table for m, table in corrections(D).items()
+               if 2 * m < order}
     return validate_deformation(TruncatedDeformation(
-        D.base, order, corrections, name=f"{D.name} at t^2"))
+        D.base, order, doubled, name=f"{D.name} at t^2"))
 
 
 def gapped_deformations(order):
@@ -754,7 +833,7 @@ def oracle_coefficient(D, f, g, k):
     pair of nonzero coefficients: the oracle for the Kronecker kernel."""
     A = D.base
     acc = A.zero()
-    for m in D._support:
+    for m in support(D):
         if m > k:
             break
         for a in range(k - m + 1):
@@ -1133,10 +1212,10 @@ def test_correction_perturbed_after_validation_fails_the_self_check():
     refused = passed = 0
     for seed in range(12):
         D = gauge_deformation(T2, seeded_gauge_map(T2, seed), 4 + seed % 3)
-        if D._support == (0,):
+        if not D.alphas:
             continue  # seed 8 draws the zero gauge map: nothing to perturb
         rng = random.Random(seed)
-        m = rng.choice(D._support[1:])
+        m = rng.choice(list(D.alphas))
         table = [[list(cell) for cell in row] for row in D.alphas[m].dense]
         i, j = rng.randrange(3), rng.randrange(3)
         k = rng.randrange(3)

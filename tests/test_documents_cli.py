@@ -480,8 +480,8 @@ MALFORMED = {
                         DEFORM, 3),
     "probe-order-one-depth-5": (_deform_job(
         1, "deform-probe", idempotent="[1, 0]", depth=5), DEFORM, 3),
-    # the lift reaches the probe through the central recursion and still
-    # decides order 1
+    # the lift of a central idempotent at order 1 is e itself: there is no
+    # order for the central recursion to derive, so no probe runs
     "lift-order-one": (_deform_job(1, "deform-lift", idempotent="[1, 0]"),
                        DEFORM, 0),
     # the uniquely clean base flattens: 2^(2*200) elements are refused
@@ -631,8 +631,8 @@ def test_a_document_deformation_maps_only_its_nonzero_corrections(
     monkeypatch.undo()
     assert built.count("deformation cochains") == 1
     expected = x_squared_t_deformation(2, 32)
-    assert (D.corrections, D.cochains) == (expected.corrections,
-                                           expected.cochains)
+    assert ({m: a.dense for m, a in D.alphas.items()}, D.cochains) == (
+        {m: a.dense for m, a in expected.alphas.items()}, expected.cochains)
     for case, (table, message) in NEAR_ZERO_TABLES.items():
         doc = _order_32_document(table)
         _deform_job(None, deformation=N32)(doc)
@@ -1443,7 +1443,8 @@ def test_each_object_is_certified_once_per_job(tmp_path, monkeypatch):
         assert all(c == [1] * len(c) for c in per_object.values()), \
             (case, per_object)
         for D, composed in walks:
-            orders = {a + b for a in D._support for b in D._support
+            support = (0, *D.alphas)
+            orders = {a + b for a in support for b in support
                       if a + b < D.order}
             assert composed == len(orders), (case, D.name, composed)
         if argv[0] == "run" and argv[2] in ("shriek-example-1",
@@ -1470,3 +1471,22 @@ def test_cli_imports_no_private_name():
              for alias in node.names]
     assert names and not [n for n in names
                           if n.rsplit(".", 1)[-1].startswith("_")]
+
+
+def test_cli_imports_only_the_errors_main_catches():
+    # the library makes every refusal: cli.py imports an error class only
+    # for an except clause of main, and raises only ParseError itself
+    import ast
+    import znalg.cli
+    tree = ast.parse(Path(znalg.cli.__file__).read_text())
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "errors"
+                for alias in node.names}
+    main = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    caught = {handler.type.id for handler in ast.walk(main)
+              if isinstance(handler, ast.ExceptHandler)}
+    raised = {node.exc.func.id for node in ast.walk(tree)
+              if isinstance(node, ast.Raise) and node.exc is not None}
+    assert "ParseError" in imported and imported <= caught, imported - caught
+    assert raised == {"ParseError"}, raised

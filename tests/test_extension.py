@@ -259,6 +259,29 @@ def test_bad_decomposition_rejected():
         lift_clean_decomposition(B, (e, A.zero()), e, A.zero())
 
 
+@pytest.mark.parametrize("lift, a, e, part, message", [
+    # e is checked first, then its partner, then the sum
+    (lift_clean_decomposition, (1, 0), (0, 1), (0, 0),
+     "(0, 1) is not idempotent"),
+    (lift_clean_decomposition, (1, 0), (1, 0), (0, 0),
+     "(0, 0) is not a unit"),
+    (lift_clean_decomposition, (1, 0), (1, 0), (1, 0), "e + u != a"),
+    (lift_nil_clean_decomposition, (1, 0), (0, 1), (1, 0),
+     "(0, 1) is not idempotent"),
+    (lift_nil_clean_decomposition, (1, 0), (0, 0), (1, 0),
+     "(1, 0) is not nilpotent"),
+    (lift_nil_clean_decomposition, (1, 0), (1, 0), (0, 1), "e + x != a"),
+])
+def test_decomposition_lifts_refuse_by_type_and_message(lift, a, e, part,
+                                                        message):
+    A = zn_poly_x2(2)
+    B = trivial_self_extension(A)
+    with pytest.raises(BadDecomposition) as err:
+        lift(B, (a, A.zero()), e, part)
+    assert type(err.value) is BadDecomposition
+    assert str(err.value) == message
+
+
 def test_half_witness_unit_case():
     A = zn(2)
     M = regular_bimodule(A)

@@ -19,7 +19,6 @@ from znalg.poset import (
     chain_presheaf,
     classify_shriek,
     constant_presheaf,
-    example_catalog,
     example_one_presheaf,
     linear_extension,
     poset_sphere,
@@ -310,6 +309,24 @@ def test_structural_decompose_example_one_nil_clean():
     assert not any(p)
 
 
+def test_structural_decompose_classifies_each_distinct_stalk_once(
+        monkeypatch):
+    # example-1's two nodes above the root share one Z2 stalk
+    import znalg.poset as poset
+    classified, report = [], poset.decomposition_report
+
+    def counted(A, *args, **kwargs):
+        classified.append(A.name)
+        return report(A, *args, **kwargs)
+    monkeypatch.setattr(poset, "decomposition_report", counted)
+    PA = build_shriek(example_one_presheaf())
+    z = PA.inject({(0, 0): (0, 1), (1, 1): (1,), (2, 2): (0,)})
+    for mode in ("clean", "nil-clean"):
+        classified.clear()
+        structural_decompose(PA, z, mode=mode)
+        assert classified == ["Z2[X]/(X^2)", "Z2"], mode
+
+
 def test_structural_decompose_chain_z3_clean():
     F = chain_presheaf(2, zn(3))
     PA = build_shriek(F)
@@ -426,8 +443,8 @@ def test_build_shriek_refuses_above_max_carrier_rank():
 
 
 def test_example_catalog_builders():
-    cat = example_catalog()
-    assert set(cat) == {"example-1", "example-2-sphere", "square-circle",
-                        "chain", "antichain"}
-    assert build_shriek(cat["example-1"]()).carrier.size == 256
-    assert build_shriek(cat["chain"](1, zn(2))).carrier.table == zn(2).table
+    # each ready-made presheaf builds, certified where it is built
+    assert [F.poset.size for F in (sphere_presheaf(), square_presheaf(),
+                                   antichain_presheaf(2, zn(2)))] == [6, 4, 2]
+    assert build_shriek(example_one_presheaf()).carrier.size == 256
+    assert build_shriek(chain_presheaf(1, zn(2))).carrier.table == zn(2).table
