@@ -8,7 +8,8 @@ document by documents.Workspace, and certified by validate_algebra, which
 takes only the object and checks associativity and the unit laws on basis
 triples (bilinearity extends both to all elements).
 Units and nilpotents are decided by one walk over the powers of an element
-(FiniteAlgebra.inverse and nilpotency_index).
+(FiniteAlgebra.inverse_and_index; inverse and nilpotency_index are its two
+halves).
 
 Work is refused, never sampled, by one rule with four measures, each
 applied once, by the function that does the work: a scan over elements
@@ -40,7 +41,12 @@ product runs no loop and reduces each coordinate once.  An owner given an
 existing map keeps it, so the regular bimodule's sides are its algebra's
 mult and share its kernel.  mul, lact and ract stay plain methods that
 call the kernel; the certificates read the cells, so a table that is only
-certified is never compiled.
+certified is never compiled.  The coordinate arithmetic that algebras and
+bimodules share (add, sub, neg, smul) runs on coordinate kernels:
+_coordinate_kernels writes each as one straight-line function with n and
+the rank as its only literals, memoized on (n, rank) and nothing else, and
+each module binds its four kernels once its tables are checked.  The
+methods stay plain methods that call their kernel.
 
 Every identity certified on basis tuples, and every coboundary, is a signed
 sum of Gerstenhaber's circle products f ∘_i g, f's argument i filled with
@@ -58,9 +64,8 @@ _refuse_above_cap, the one refusal behind every scan and walk, is private.
 
 from __future__ import annotations
 
-import operator
 from collections import defaultdict
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain, product
 from math import prod
 
@@ -88,6 +93,13 @@ class _ZnModule:
         self.n = int(modulus)
         self.rank = int(rank)
 
+    def _bind_kernels(self):
+        """Bind the coordinate kernels of (n, rank).  The owner calls it
+        last, once its tables are checked, so a rank that no table fits is
+        refused before any source is written."""
+        self._add, self._sub, self._neg, self._smul = _coordinate_kernels(
+            self.n, self.rank)
+
     def zero(self):
         return (0,) * self.rank
 
@@ -106,21 +118,16 @@ class _ZnModule:
         return tuple(1 if j == i else 0 for j in range(self.rank))
 
     def add(self, x, y):
-        n = self.n
-        return tuple([c % n for c in map(operator.add, x, y)])
+        return self._add(x, y)
 
     def sub(self, x, y):
-        n = self.n
-        return tuple([c % n for c in map(operator.sub, x, y)])
+        return self._sub(x, y)
 
     def neg(self, x):
-        n = self.n
-        return tuple([-c % n for c in x])
+        return self._neg(x)
 
     def smul(self, c, x):
-        n = self.n
-        c = c % n
-        return tuple((c * a) % n for a in x)
+        return self._smul(c, x)
 
 
 class FiniteAlgebra(_ZnModule):
@@ -138,6 +145,7 @@ class FiniteAlgebra(_ZnModule):
         self.unit = Multilinear(unit, self.n, (r,), "unit vector").dense
         self.name = name or f"algebra(n={self.n},r={self.rank})"
         self._certified = None  # the map validate_algebra certified
+        self._bind_kernels()
 
     @property
     def table(self):
@@ -192,26 +200,32 @@ class FiniteAlgebra(_ZnModule):
         """Every e with e*e = e, in lexicographic order."""
         return [x for x in self.elements(cap) if self.mul(x, x) == x]
 
-    def inverse(self, x, cap=None):
-        """The inverse of x, or None when x is not a unit.  In a finite ring
-        x is a unit exactly when some power x^k is 1, and then x^(k-1) is
-        its inverse; the other side x*x^(k-1) = 1 is re-checked, and a
-        failure raises SelfCheckFailed.  A walk longer than cap powers is
-        refused."""
-        y, last, _ = self._power_walk(x, cap)
+    def inverse_and_index(self, x, cap=None):
+        """(inverse of x or None, nilpotency index of x or None) from one
+        walk over the powers of x.  In a finite ring x is a unit exactly
+        when some power x^k is 1, and then x^(k-1) is its inverse; the
+        other side x*x^(k-1) = 1 is re-checked, and a failure raises
+        SelfCheckFailed.  x is nilpotent exactly when the walk ends at 0,
+        and k is then the least power that vanishes.  A walk longer than
+        cap powers is refused."""
+        y, last, k = self._power_walk(x, cap)
         if last != self.unit:
-            return None
-        if self.mul(x, y) != self.unit:
+            y = None
+        elif self.mul(x, y) != self.unit:
             raise SelfCheckFailed(
                 f"{self.name}: {y} is a left inverse of {x} but not a right "
                 "inverse")
-        return y
+        return y, (None if any(last) else k)
+
+    def inverse(self, x, cap=None):
+        """The inverse of x, or None when x is not a unit
+        (inverse_and_index)."""
+        return self.inverse_and_index(x, cap)[0]
 
     def nilpotency_index(self, x, cap=None):
-        """The least k with x^k = 0, or None when x is not nilpotent.  A
-        walk longer than cap powers is refused."""
-        _, last, k = self._power_walk(x, cap)
-        return None if any(last) else k
+        """The least k with x^k = 0, or None when x is not nilpotent
+        (inverse_and_index)."""
+        return self.inverse_and_index(x, cap)[1]
 
     def _power_walk(self, x, cap=None):
         """(x^(k-1), x^k, k) for the first power x^k that is 0 or 1 or, for
@@ -408,6 +422,40 @@ def _compile_bilinear(cells, n, width):
     namespace = {}
     exec(source, namespace)
     return namespace["product"]
+
+
+def _coordinate_kernels(n, rank):
+    """(add, sub, neg, smul) of Z_n^rank as compiled straight-line
+    functions, each unpacking its arguments into one name per coordinate
+    and reducing each result coordinate once: add(x, y) is
+    ((x0+y0)%n, ...), neg(x) is (-x0%n, ...) and smul(c, x) is
+    (c*x0%n, ...).  An argument of another length than rank raises
+    ValueError, and at rank 0 every kernel returns ().  Only n and rank
+    are written into the source, each checked to be an int first, so the
+    kernels are memoized on (n, rank) alone and are shared by every module
+    of that modulus and rank."""
+    if type(n) is not int or type(rank) is not int:
+        raise BadShape("kernel modulus and rank must be integers")
+    return _compile_coordinates(n, rank)
+
+
+@cache
+def _compile_coordinates(n, rank):
+    xs = "".join(f"x{i}," for i in range(rank)) or "()"
+    ys = xs.replace("x", "y")
+
+    def result(term):  # term at each coordinate i, # standing for i
+        return "".join(term.replace("#", str(i)) + "," for i in range(rank))
+
+    source = (f"def add(x, y):\n {xs} = x\n {ys} = y\n"
+              f" return ({result(f'(x#+y#)%{n}')})\n"
+              f"def sub(x, y):\n {xs} = x\n {ys} = y\n"
+              f" return ({result(f'(x#-y#)%{n}')})\n"
+              f"def neg(x):\n {xs} = x\n return ({result(f'-x#%{n}')})\n"
+              f"def smul(c, x):\n {xs} = x\n return ({result(f'c*x#%{n}')})\n")
+    namespace = {}
+    exec(source, namespace)
+    return tuple(namespace[name] for name in ("add", "sub", "neg", "smul"))
 
 
 def _contract(cells, args, n, width):

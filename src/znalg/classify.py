@@ -4,17 +4,17 @@ The scans here enumerate elements in lexicographic coordinate order and
 read off definitions directly: idempotents satisfy a^2 = a, and units and
 nilpotents come from one walk over the powers of each element, which stops
 at 1 for a unit (the previous power is its inverse) and at 0 for a
-nilpotent (FiniteAlgebra.inverse and nilpotency_index); a unit is never
-nilpotent, so units skip the second walk.  The decompositions a = e + u
-(u a unit) and a = e + x (x nilpotent) are formed forward, by adding each
-idempotent, in order, to every unit and every nilpotent: |E|(|U| + |Nil|)
-additions, and each element's pairs come out in idempotent order.  The
-nil-clean flags and unique cleanness are read off the pair counts.  Every
-finite ring is strongly clean and exchange (Camillo-Yu 1994, Nicholson
-1977), so the clean, strongly clean and exchange flags are self-checks:
-each element's clean witnesses come from the same pairing, and a missing
-one raises SelfCheckFailed.  The exchange witness is built from the strongly
-clean pair as in Nicholson's proof and re-checked by exact arithmetic.  Every
+nilpotent (FiniteAlgebra.inverse_and_index); each element is walked once.
+The decompositions a = e + u (u a unit) and a = e + x (x nilpotent) are
+formed forward, by adding each idempotent, in order, to every unit and
+every nilpotent: |E|(|U| + |Nil|) additions, and each element's pairs come
+out in idempotent order.  The nil-clean flags and unique cleanness are read
+off the pair counts.  Every finite ring is strongly clean and exchange
+(Camillo-Yu 1994, Nicholson 1977), so the clean, strongly clean and
+exchange flags are self-checks: each element's clean witnesses come from
+the same pairing, and a missing one raises SelfCheckFailed.  The exchange
+witness is built from the strongly clean pair as in Nicholson's proof and
+re-checked by exact arithmetic.  Every
 ideal question is answered from the Smith form over Z_n of the ideal's span
 (linal._smith), xA being the span of the x·e_i: membership, a factor y with
 x·y = t, freeness of A/I and the projection onto it.  Radical membership is
@@ -52,18 +52,19 @@ class ClassificationReport:
 
 
 def classify_elements(A: FiniteAlgebra, cap=None) -> ClassificationReport:
-    """Idempotents, units (with inverses), and nilpotents (with index).  A
-    unit of a nonzero ring is never nilpotent (validate_algebra certifies
-    1 != 0), so only non-units walk again for their nilpotency index."""
+    """Idempotents, units (with inverses), and nilpotents (with index),
+    each element decided by one walk over its powers
+    (FiniteAlgebra.inverse_and_index).  A unit of a nonzero ring is never
+    nilpotent (validate_algebra certifies 1 != 0), so a unit is listed only
+    as a unit."""
     rep = ClassificationReport(A.name)
     rep.idempotents = A.idempotents(cap)
+    decide = A.inverse_and_index
     for x in A.elements(cap):
-        y = A.inverse(x, cap)
+        y, index = decide(x, cap)
         if y is not None:
             rep.units.append((x, y))
-            continue
-        index = A.nilpotency_index(x, cap)
-        if index is not None:
+        elif index is not None:
             rep.nilpotents.append((x, index))
     return rep
 

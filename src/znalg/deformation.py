@@ -466,9 +466,13 @@ def lift_idempotent_def(D, e, cap=None) -> IdempotentLift:
     no order to derive, so no probe runs.  The probe's work, quadratic in
     the order, is refused above cap before the Newton lift's, both before
     any product."""
-    A = D.base
-    e = A.require_idempotent(e)
-    central = _noncommuting_basis(A, e) is None
+    e = D.base.require_idempotent(e)
+    return _lift_idempotent(D, e, _noncommuting_basis(D.base, e) is None, cap)
+
+
+def _lift_idempotent(D, e, central, cap):
+    """lift_idempotent_def's body for an idempotent e already checked,
+    central as its one walk over the basis found it."""
     derive = central and D.order > 1
     if derive:
         _slot_visits(D, "obstruction probe", cap, D.order - 1)
@@ -486,12 +490,13 @@ def lift_idempotent_def(D, e, cap=None) -> IdempotentLift:
 
 def lift_idempotent_central(D, e, cap=None):
     """Unique lift of a central idempotent, derived both ways and certified
-    by lift_idempotent_def; a noncentral one raises NotCentral first."""
+    as lift_idempotent_def does; a noncentral one raises NotCentral first,
+    from the one walk over the basis that finds e central."""
     e = D.base.require_idempotent(e)
     i = _noncommuting_basis(D.base, e)
     if i is not None:
         raise NotCentral(f"{e} does not commute with basis element {i}")
-    return lift_idempotent_def(D, e, cap).lift
+    return _lift_idempotent(D, e, True, cap).lift
 
 
 @dataclass

@@ -86,6 +86,7 @@ class Bimodule(_ZnModule):
         self.right_map = _multilinear(right, self.n, (s, r, s),
                                       "right action table")
         self.name = name or f"bimodule(s={self.rank}) over {algebra.name}"
+        self._bind_kernels()
 
     @property
     def left(self):

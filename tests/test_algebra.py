@@ -1,5 +1,6 @@
 """Structure-table validation, element arithmetic, and constructors."""
 
+import operator
 import random
 from itertools import product
 
@@ -13,6 +14,7 @@ from znalg.algebra import (
     _bilinear,
     _compile_bilinear,
     _compose,
+    _coordinate_kernels,
     direct_product,
     matrix_algebra,
     triangular_algebra,
@@ -638,6 +640,78 @@ def test_non_int_entries_are_refused_before_any_kernel(monkeypatch, entry):
         Bimodule(zn(2), 1, [[[entry]]], [[[1]]])
     with pytest.raises(BadShape):
         _compile_bilinear(((((0, entry),),),), 2, 1)
+
+
+# The coordinate kernels' oracle: the comprehensions they replaced.
+def oracle_coordinates(n):
+    return {
+        "add": lambda x, y: tuple([c % n for c in map(operator.add, x, y)]),
+        "sub": lambda x, y: tuple([c % n for c in map(operator.sub, x, y)]),
+        "neg": lambda x: tuple([-c % n for c in x]),
+        "smul": lambda c, x: tuple((c % n * a) % n for a in x),
+    }
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(n=st.sampled_from((2, 3, 4, 6, 9, 2 ** 31 - 1)),
+       rank=st.integers(0, 8), seed=st.integers(0, 2 ** 32 - 1))
+def test_coordinate_kernels_match_the_comprehensions(n, rank, seed):
+    # unreduced and negative coordinates and scalars, as the callers pass
+    # them, must come out reduced exactly as the comprehensions reduce them
+    rng = random.Random(seed)
+    add, sub, neg, smul = _coordinate_kernels(n, rank)
+    oracle = oracle_coordinates(n)
+    for trial in range(6):
+        low = -3 * n if trial % 2 else 0
+        x, y = (tuple(rng.randrange(low, 3 * n) for _ in range(rank))
+                for _ in range(2))
+        c = rng.randrange(-3 * n, 3 * n)
+        assert add(x, y) == oracle["add"](x, y)
+        assert sub(x, y) == oracle["sub"](x, y)
+        assert neg(x) == oracle["neg"](x)
+        assert smul(c, x) == oracle["smul"](c, x)
+        # lists are unpacked like tuples, and results are always tuples
+        assert add(list(x), list(y)) == add(x, y)
+    assert (add, sub, neg, smul) == _coordinate_kernels(n, rank)
+
+
+def test_module_methods_run_the_shared_kernels(monkeypatch):
+    from znalg.hochschild import regular_bimodule
+    A = zn_poly_x2(6)
+    M = regular_bimodule(A)
+    assert (A._add, A._sub, A._neg, A._smul) == _coordinate_kernels(6, 2)
+    assert (M._add, M._neg) == (A._add, A._neg)
+    # the methods stay on the class, so a class-level patch sees each call
+    calls = []
+    add = FiniteAlgebra.add
+    monkeypatch.setattr(FiniteAlgebra, "add",
+                        lambda self, x, y: calls.append(x) or add(self, x, y))
+    assert A.add((5, 5), (2, -1)) == (1, 4) and calls == [(5, 5)]
+
+
+@pytest.mark.parametrize("rank, wrong", [(0, (1,)), (1, ()), (1, (1, 1)),
+                                         (3, (1, 1)), (3, (1, 1, 1, 1))])
+def test_coordinate_kernels_refuse_the_wrong_length(rank, wrong):
+    # the comprehensions' map stopped at the shorter argument
+    add, sub, neg, smul = _coordinate_kernels(5, rank)
+    x = (1,) * rank
+    for call in (lambda: add(x, wrong), lambda: add(wrong, x),
+                 lambda: sub(wrong, x), lambda: neg(wrong),
+                 lambda: smul(2, wrong)):
+        with pytest.raises(ValueError):
+            call()
+
+
+@pytest.mark.parametrize("n, rank", [(2.0, 3), (2, 3.0), (True, 3), (2, True),
+                                     ("2", 3), (2, None)])
+def test_coordinate_kernels_refuse_non_int_shapes_before_any_source(
+        monkeypatch, n, rank):
+    def compiled(*args):
+        raise AssertionError("kernel source was written")
+    _coordinate_kernels(2, 3)  # memoized: (2.0, 3) must not find it
+    monkeypatch.setattr(znalg.algebra, "_compile_coordinates", compiled)
+    with pytest.raises(BadShape, match="modulus and rank must be integers"):
+        _coordinate_kernels(n, rank)
 
 
 def test_regular_bimodule_reuses_the_algebra_kernel(monkeypatch):

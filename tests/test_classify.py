@@ -659,8 +659,12 @@ def test_cap_refusal():
 def test_missing_unit_fails_the_clean_self_check(monkeypatch):
     from znalg.algebra import FiniteAlgebra
     from znalg.errors import SelfCheckFailed
-    monkeypatch.setattr(FiniteAlgebra, "inverse",
-                        lambda self, x, cap=None: None)
+    decide = FiniteAlgebra.inverse_and_index
+
+    # no element is reported a unit; nilpotents stay nilpotent
+    def no_unit(self, x, cap=None):
+        return None, decide(self, x, cap)[1]
+    monkeypatch.setattr(FiniteAlgebra, "inverse_and_index", no_unit)
     with pytest.raises(SelfCheckFailed, match="strongly clean"):
         decomposition_report(zn(3))
 
@@ -668,12 +672,13 @@ def test_missing_unit_fails_the_clean_self_check(monkeypatch):
 def test_wrong_inverse_fails_the_exchange_self_check(monkeypatch):
     from znalg.algebra import FiniteAlgebra
     from znalg.errors import SelfCheckFailed
-    inverse = FiniteAlgebra.inverse
+    decide = FiniteAlgebra.inverse_and_index
 
     # units stay units, but 1 is reported as every unit's inverse
     def one_as_inverse(self, x, cap=None):
-        return None if inverse(self, x, cap) is None else self.one()
-    monkeypatch.setattr(FiniteAlgebra, "inverse", one_as_inverse)
+        y, index = decide(self, x, cap)
+        return (None if y is None else self.one()), index
+    monkeypatch.setattr(FiniteAlgebra, "inverse_and_index", one_as_inverse)
     with pytest.raises(SelfCheckFailed, match="exchange witness"):
         decomposition_report(zn(3))
 
@@ -804,6 +809,21 @@ def test_units_skip_the_nilpotency_walk(monkeypatch):
     assert (len(rep.idempotents), len(rep.units), len(rep.nilpotents)) \
         == (14, 48, 9)
     assert counts["mul"] <= 388
+
+
+def test_classification_walks_each_element_once(monkeypatch):
+    for A in (matrix_algebra(3, 2), zn_poly_x2(16), z2_power(6),
+              sheared(triangular_algebra(4, 2), 5)):
+        counts = _count_calls(monkeypatch, "_power_walk")
+        rep = classify_elements(A)
+        monkeypatch.undo()
+        assert counts["_power_walk"] == A.size, A.name
+        assert rep.units == [(x, y) for x in A.elements()
+                             if (y := A.inverse(x)) is not None]
+        assert rep.nilpotents == [
+            (x, k) for x in A.elements()
+            if A.inverse(x) is None
+            and (k := A.nilpotency_index(x)) is not None]
 
 
 def test_nilpotency_walk_takes_the_callers_cap(monkeypatch):

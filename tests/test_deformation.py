@@ -508,6 +508,34 @@ def test_central_recursion_rejects_noncentral():
         lift_idempotent_central(D, (1, 0, 0))
 
 
+def test_central_lift_walks_the_basis_once(monkeypatch):
+    # one walk per call, for a central idempotent and a refused noncentral
+    # one alike; the refusal still names the index before any work is
+    # estimated
+    import znalg.deformation as deformation
+    walk, walks, estimates = deformation._noncommuting_basis, [], []
+    estimate = deformation._slot_visits
+    monkeypatch.setattr(deformation, "_noncommuting_basis",
+                        lambda A, e: walks.append(e) or walk(A, e))
+    monkeypatch.setattr(deformation, "_slot_visits",
+                        lambda *args: estimates.append(args) or estimate(*args))
+    T2 = triangular_algebra(2, 2)
+    D = trivial_deformation(T2, 4)
+    central = 0
+    for e in T2.idempotents():
+        i = walk(T2, e)
+        walks.clear(), estimates.clear()
+        if i is None:
+            assert lift_idempotent_central(D, e)[0] == e
+            assert len(walks) == 1 and estimates
+            central += 1
+        else:
+            with pytest.raises(NotCentral, match=f"basis element {i}$"):
+                lift_idempotent_central(D, e)
+            assert (len(walks), estimates) == (1, [])
+    assert 0 < central < len(T2.idempotents())
+
+
 def test_central_lift_order1_matches_extension_lift():
     # at N = 2 the flattened deformation is the self-extension by alpha1, and
     # the two canonical idempotent lifts must coincide coordinatewise
