@@ -23,8 +23,6 @@ from .classify import (
     decomposition_report,
     in_radical,
     jacobson_radical,
-    check_lifting_proposition,
-    quotient_by_ideal,
     search_exchange_counterexample,
 )
 from .hochschild import (
@@ -59,7 +57,6 @@ from .deformation import (
     flatten,
     gauge_deformation,
     invert_def,
-    lift_idempotent_central,
     lift_idempotent_def,
     lift_idempotent_newton,
     obstruction_probe,

@@ -14,13 +14,13 @@ halves).
 Work is refused, never sampled, by one rule with four measures, each
 applied once, by the function that does the work: a scan over elements
 refuses on the count it would list (FiniteAlgebra.within_cap, |xA| + |Ax|
-in classify.in_radical, an ideal's product of n/d_i, a flattened
-deformation's n^(r*N)); a power walk refuses after cap powers, so an
-algebra within the cap never refuses a walk and a larger one still
-answers every short walk; a coboundary matrix refuses on the entries it
-would assemble (hochschild._sieve); and a deformation's series job (an
-inverse, a Newton lift, an obstruction probe) refuses on the slot visits
-of the products it would form (deformation._slot_visits).  All raise
+in classify.in_radical, a flattened deformation's n^(r*N)); a power walk
+refuses after cap powers, so an algebra within the cap never refuses a
+walk and a larger one still answers every short walk; a coboundary
+matrix refuses on the entries it would assemble (hochschild._sieve); and
+a deformation's series job (an inverse, a Newton lift, an obstruction
+probe) refuses on the slot visits of the products it would form
+(deformation._slot_visits).  All raise
 CapExceeded through _refuse_above_cap; None means DEFAULT_CAP.
 
 Every structure table is a multilinear map over Z_n on basis tuples, held
@@ -90,8 +90,8 @@ class _ZnModule:
     """Coordinate arithmetic of Z_n^rank, shared by algebras and bimodules."""
 
     def __init__(self, modulus, rank):
-        self.n = int(modulus)
-        self.rank = int(rank)
+        self.n = _check_int(modulus, "modulus")
+        self.rank = _check_int(rank, "rank")
 
     def _bind_kernels(self):
         """Bind the coordinate kernels of (n, rank).  The owner calls it

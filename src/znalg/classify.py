@@ -14,29 +14,22 @@ off the pair counts.  Every finite ring is strongly clean and exchange
 exchange flags are self-checks: each element's clean witnesses come from
 the same pairing, and a missing one raises SelfCheckFailed.  The exchange
 witness is built from the strongly clean pair as in Nicholson's proof and
-re-checked by exact arithmetic.  Every
-ideal question is answered from the Smith form over Z_n of the ideal's span
-(linal._smith), xA being the span of the x·e_i: membership, a factor y with
-x·y = t, freeness of A/I and the projection onto it.  Radical membership is
-asked per element (in_radical: 1 - y is a unit for every y in xA and for
-every y in Ax), each side listed lazily from its Smith form, never A.
-Callers test the few elements they care about, and jacobson_radical is the
-same test on every element.  Scans refuse with CapExceeded, never sample.
+re-checked by exact arithmetic.  The one-sided ideal xA, the span of the
+x·e_i, is read from its Smith form over Z_n (linal._smith): the search asks
+membership in it (linal._in_span), and radical membership is asked per
+element (in_radical: 1 - y is a unit for every y in xA and for every y in
+Ax), each side listed lazily from its Smith form, never A.  Callers test
+the few elements they care about, and jacobson_radical is the same test on
+every element.  Scans refuse with CapExceeded, never sample.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 from math import prod
 
-from .algebra import FiniteAlgebra, _refuse_above_cap, validate_algebra
-from .errors import (
-    CapExceeded,
-    IdealNotInRadical,
-    QuotientNotFree,
-    SelfCheckFailed,
-)
+from .algebra import FiniteAlgebra, _refuse_above_cap
+from .errors import CapExceeded, SelfCheckFailed
 from .linal import _in_span, _smith
 
 
@@ -192,38 +185,6 @@ def jacobson_radical(A: FiniteAlgebra, cap=None) -> list:
     return [x for x in A.elements(cap) if in_radical(A, x, cap)]
 
 
-def _ideal_lattice(A: FiniteAlgebra, gens):
-    """(d, V, W, X): the Smith form over Z_n (linal._smith) of the two-sided
-    ideal generated by gens, and its module generators X, the d_i W_i with
-    d_i < n.  X is closed under b·x and x·b for every basis element b until
-    each product lies in the span (bilinearity extends this to all of A);
-    nothing is listed, so nothing is refused."""
-    n, r = A.n, A.rank
-    basis = [A.basis(i) for i in range(r)]
-    rows = [A.coerce(g) for g in gens]
-    while True:
-        d, V, W, _ = _smith(rows, n, r)
-        rows = [A.smul(di, w) for di, w in zip(d, W) if di < n]
-        new = [y for x in rows for b in basis for y in (A.mul(b, x), A.mul(x, b))
-               if not _in_span(d, V, y)]
-        if not new:
-            return d, V, W, rows
-        rows += new
-
-
-def saturate_ideal(A: FiniteAlgebra, gens, cap=None) -> set:
-    """The two-sided ideal generated by gens, as the set of its elements."""
-    d, _, W, _ = _ideal_lattice(A, gens)
-    return _ideal_elements(A, d, W, cap)
-
-
-def _ideal_elements(A, d, W, cap):
-    """The ideal's elements (_span), refused if the product of n/d_i > cap."""
-    _refuse_above_cap(prod(A.n // di for di in d), cap,
-                      f"{A.name}: generated ideal")
-    return set(_span(A, d, W))
-
-
 def _span(A, d, W):
     """Every sum of c_i d_i W_i over 0 <= c_i < n / d_i, lazily and one
     addition apart; no two coincide.  The c_i count like the digits of an
@@ -243,87 +204,6 @@ def _span(A, d, W):
             digits[i] = 0
         else:
             return
-
-
-def quotient_by_ideal(A: FiniteAlgebra, gens, cap=None):
-    """(Q, project, ideal) for the two-sided ideal I generated by gens: Q
-    the validated quotient algebra over Z_d, project the map from A onto its
-    coordinates, and ideal the element set of I, the one set enumerated.
-    _quotient says when QuotientNotFree is raised."""
-    d, V, W, _ = _ideal_lattice(A, gens)
-    return (*_quotient(A, d, V, W), _ideal_elements(A, d, W, cap))
-
-
-def _quotient(A, d, V, W):
-    """(Q, project) for the ideal I with I·V = ⊕ d_i Z_n e_i.  A table
-    carries A/I = ⊕ Z_(d_i) only as Z_d^s, so QuotientNotFree is raised
-    unless d = max d_i >= 2 and every other d_i is 1 or d.  Q has basis the
-    W_i with d_i = d, project(x) is (x·V)_i mod d there, and project must be
-    multiplicative on basis pairs of A (else SelfCheckFailed)."""
-    q = d[-1]
-    if q == 1 or any(1 < di < q for di in d):
-        raise QuotientNotFree(
-            f"{A.name}: the quotient's additive group has invariant factors "
-            f"{[di for di in d if di > 1]}, not one repeated factor d >= 2")
-    axes = [i for i, di in enumerate(d) if di == q]
-
-    def project(x):
-        x = A.coerce(x)
-        return tuple(sum(a * row[i] for a, row in zip(x, V)) % q for i in axes)
-
-    basis = [W[i] for i in axes]
-    Q = FiniteAlgebra(q, len(axes),
-                      [[project(A.mul(u, v)) for v in basis] for u in basis],
-                      project(A.one()), name=f"{A.name}/I")
-    images = [project(A.basis(i)) for i in range(A.rank)]
-    for i, j in product(range(A.rank), repeat=2):
-        if project(A.table[i][j]) != Q.mul(images[i], images[j]):
-            raise SelfCheckFailed(
-                f"{A.name}: the projection onto A/I is not multiplicative "
-                f"on basis pair {(i, j)}")
-    return validate_algebra(Q), project
-
-
-@dataclass
-class LiftingReport:
-    algebra_name: str
-    base_clean: bool
-    quotient_clean: bool
-    idempotents_lift: bool
-    biconditional_holds: bool
-    lift_witnesses: dict = field(default_factory=dict)
-
-
-def check_lifting_proposition(A: FiniteAlgebra, gens, cap=None) -> LiftingReport:
-    """For an ideal I inside the radical: A clean iff A/I is clean and every
-    idempotent of A/I has an idempotent preimage.  I lies in the radical J
-    exactly when its module generators do, J being a Z_n-submodule."""
-    d, V, W, generators = _ideal_lattice(A, gens)
-    for x in generators:
-        if not in_radical(A, x, cap):
-            raise IdealNotInRadical(
-                f"{A.name}: generated ideal has the module generator {x} "
-                "outside the radical")
-
-    base = decomposition_report(A, cap)
-    Q, project = _quotient(A, d, V, W)
-    quotient = decomposition_report(Q, cap)
-    base_clean = base.flags["clean"]
-    quotient_clean = quotient.flags["clean"]
-
-    preimages = {}
-    for e in base.idempotents:
-        preimages.setdefault(project(e), e)
-    lift_witnesses = {q: preimages.get(q) for q in quotient.idempotents}
-    lifts = None not in lift_witnesses.values()
-
-    holds = base_clean == (quotient_clean and lifts)
-    if not holds:
-        raise SelfCheckFailed(
-            f"{A.name}: clean lifting biconditional failed "
-            f"(A clean={base_clean}, A/I clean={quotient_clean}, lifts={lifts})")
-    return LiftingReport(A.name, base_clean, quotient_clean, lifts, holds,
-                         lift_witnesses)
 
 
 @dataclass

@@ -44,6 +44,7 @@ from .algebra import (
     FiniteAlgebra,
     Multilinear,
     _cap_limit,
+    _check_int,
     _compose,
     _multilinear,
     _position,
@@ -58,7 +59,6 @@ from .errors import (
     ConstantTermNotUnit,
     NoConvergence,
     NotAssociativeAtOrder,
-    NotCentral,
     OrderMismatch,
     SelfCheckFailed,
     UnitChanged,
@@ -75,7 +75,7 @@ class TruncatedDeformation:
 
     def __init__(self, base: FiniteAlgebra, order, corrections, name=""):
         self.base = base
-        self.order = int(order)
+        self.order = _check_int(order, "truncation order")
         self.name = name or f"{base.name} deformed (N={self.order})"
         shape = (base.rank,) * 3
         alphas = ((m, _multilinear(table, base.n, shape,
@@ -186,11 +186,6 @@ def def_t(D):
 
 def def_from_constant(D, a):
     return (D.base.coerce(a),) + (D.base.zero(),) * (D.order - 1)
-
-
-def def_add(D, f, g):
-    _check_order(D, f, g)
-    return tuple(D.base.add(x, y) for x, y in zip(f, g))
 
 
 def def_sub(D, f, g):
@@ -324,7 +319,6 @@ def invert_def(D, f, cap=None):
 class RadicalCheck:
     structural_ok: bool
     brute_ok: bool
-    details: dict = field(default_factory=dict)
 
 
 def t_in_radical_check(D, cap=None) -> RadicalCheck:
@@ -344,8 +338,7 @@ def t_in_radical_check(D, cap=None) -> RadicalCheck:
     for _ in range(D.order - 1):
         power = def_mul(D, power, t)
     brute_ok = in_radical(F, flatten_element(D, t), cap)
-    return RadicalCheck(central and power == zero, brute_ok,
-                        {"basis_elements_checked": len(basis)})
+    return RadicalCheck(central and power == zero, brute_ok)
 
 
 def flatten(D, cap=None) -> FiniteAlgebra:
@@ -467,12 +460,7 @@ def lift_idempotent_def(D, e, cap=None) -> IdempotentLift:
     the order, is refused above cap before the Newton lift's, both before
     any product."""
     e = D.base.require_idempotent(e)
-    return _lift_idempotent(D, e, _noncommuting_basis(D.base, e) is None, cap)
-
-
-def _lift_idempotent(D, e, central, cap):
-    """lift_idempotent_def's body for an idempotent e already checked,
-    central as its one walk over the basis found it."""
+    central = _noncommuting_basis(D.base, e) is None
     derive = central and D.order > 1
     if derive:
         _slot_visits(D, "obstruction probe", cap, D.order - 1)
@@ -486,17 +474,6 @@ def _lift_idempotent(D, e, central, cap):
             raise SelfCheckFailed(
                 "central recursion disagrees with Newton lift")
     return IdempotentLift(g, iterations, _newton_bound(D), central)
-
-
-def lift_idempotent_central(D, e, cap=None):
-    """Unique lift of a central idempotent, derived both ways and certified
-    as lift_idempotent_def does; a noncentral one raises NotCentral first,
-    from the one walk over the basis that finds e central."""
-    e = D.base.require_idempotent(e)
-    i = _noncommuting_basis(D.base, e)
-    if i is not None:
-        raise NotCentral(f"{e} does not commute with basis element {i}")
-    return _lift_idempotent(D, e, True, cap).lift
 
 
 @dataclass

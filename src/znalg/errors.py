@@ -50,14 +50,6 @@ class ModulusMismatch(ValidationFailure):
     pass
 
 
-class IdealNotInRadical(ValidationFailure):
-    pass
-
-
-class QuotientNotFree(ZnAlgError):
-    """The quotient's additive group is not a free module over any single Z_d."""
-
-
 # bimodules / cochains
 
 class ActionNotAssociative(ValidationFailure):
@@ -86,10 +78,6 @@ class NotIdempotent(ValidationFailure):
 
 
 class NotAUnit(ValidationFailure):
-    pass
-
-
-class NotCentral(ValidationFailure):
     pass
 
 

@@ -13,7 +13,7 @@ below width lies in the row span, with the negated tag part of the residue
 as its combination.
 
 _smith is the dense Smith form over any Z_n: it decides membership in a
-span (_in_span) and the quotient by it, and solves for combinations (_solve).
+span (_in_span) and solves for combinations (_solve).
 """
 
 from __future__ import annotations

@@ -19,6 +19,7 @@ from itertools import product
 from .algebra import (
     FiniteAlgebra,
     Multilinear,
+    _check_int,
     validate_algebra,
     zn,
     zn_poly_x2,
@@ -42,7 +43,7 @@ class Poset:
     """A finite partial order on {0, .., size-1}, stored as a leq matrix."""
 
     def __init__(self, size, leq):
-        self.size = int(size)
+        self.size = _check_int(size, "poset size")
         self.leq = tuple(tuple(bool(v) for v in row) for row in leq)
 
     @classmethod
@@ -51,7 +52,7 @@ class Poset:
         closure is computed and the result validated.  Each node adds a
         diagonal block of rank at least 1 to the poset algebra, so a size
         above MAX_CARRIER_RANK is refused before the closure."""
-        if size < 1:
+        if _check_int(size, "poset size") < 1:
             raise BadShape(f"a poset needs at least one node, got {size}")
         if size > MAX_CARRIER_RANK:
             raise CapExceeded(

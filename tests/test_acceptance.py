@@ -23,7 +23,7 @@ from znalg.deformation import (
     flatten,
     flatten_element,
     invert_def,
-    lift_idempotent_central,
+    lift_idempotent_def,
     lift_idempotent_newton,
     remark2_series,
     t_in_radical_check,
@@ -159,9 +159,9 @@ def test_criterion_07_central_recursion_agreement():
         for e in _idempotents(A):
             central = all(A.mul(e, A.basis(i)) == A.mul(A.basis(i), e)
                           for i in range(A.rank))
-            if central:
-                # equality with Newton is certified inside the recursion
-                lift_idempotent_central(D, e)
+            # equality with Newton is certified inside the recursion, which
+            # runs exactly for a central idempotent
+            assert lift_idempotent_def(D, e).central is central
     # order-2 bridge: flattening equals the self-extension by the first
     # cochain, and the canonical lifts coincide coordinatewise
     for D in catalog_deformations(2):
@@ -175,9 +175,10 @@ def test_criterion_07_central_recursion_agreement():
         for e in _idempotents(A):
             central = all(A.mul(e, A.basis(i)) == A.mul(A.basis(i), e)
                           for i in range(A.rank))
+            lift = lift_idempotent_def(D, e)
+            assert lift.central is central
             if central:
-                g = lift_idempotent_central(D, e)
-                assert flatten_element(D, g) == lift_idempotent(B, e)
+                assert flatten_element(D, lift.lift) == lift_idempotent(B, e)
     _report(7, started)
 
 

@@ -2,7 +2,6 @@
 enumeration from the definitions (the rings are small enough to do by hand)
 and are frozen; the library must reproduce them exactly."""
 
-import random
 import time
 from math import lcm
 
@@ -22,21 +21,13 @@ from znalg.algebra import (
 )
 from znalg.classify import (
     ClassificationReport,
-    check_lifting_proposition,
     classify_elements,
     decomposition_report,
     in_radical,
     jacobson_radical,
-    quotient_by_ideal,
-    saturate_ideal,
     search_exchange_counterexample,
 )
-from znalg.errors import (
-    CapExceeded,
-    IdealNotInRadical,
-    QuotientNotFree,
-    SelfCheckFailed,
-)
+from znalg.errors import CapExceeded, SelfCheckFailed
 
 
 def brute_idempotents(A):
@@ -283,26 +274,6 @@ def test_in_radical_refuses_on_its_two_one_sided_ideals():
         in_radical(carrier, carrier.one(), cap=1000)
 
 
-def test_ideals_refuse_on_their_own_size():
-    """saturate_ideal and quotient_by_ideal refuse on the elements of the
-    ideal they list, the product of n/d_i, not on the 2^18 elements of the
-    sphere carrier: the ideal of e_1 has 8.  check_lifting_proposition
-    still refuses through the scans it runs on A."""
-    from znalg.poset import build_shriek, sphere_presheaf
-    carrier = build_shriek(sphere_presheaf(2)).carrier
-    e1 = carrier.basis(1)
-    ideal = saturate_ideal(carrier, [e1], cap=8)
-    assert len(ideal) == 8 and e1 in ideal
-    assert quotient_by_ideal(carrier, [e1], cap=1000)[2] == ideal
-    for run in (saturate_ideal, quotient_by_ideal):
-        with pytest.raises(CapExceeded,
-                           match="generated ideal: 8 elements exceeds cap 7"):
-            run(carrier, [e1], cap=7)
-    with pytest.raises(CapExceeded,
-                       match="262144 elements exceeds cap 1000"):
-        check_lifting_proposition(carrier, [e1], cap=1000)
-
-
 def test_strict_blocks_of_the_sphere_lie_in_the_radical_within_budget():
     """Each strict basis element's one-sided ideals are small, so the 12
     in_radical calls walk them and never the 2^18-element carrier."""
@@ -313,70 +284,15 @@ def test_strict_blocks_of_the_sphere_lie_in_the_radical_within_budget():
     assert time.monotonic() - start < 2
 
 
-def test_quotient_z4_by_two():
-    Q, project, ideal = quotient_by_ideal(zn(4), [(2,)])
-    assert ideal == {(0,), (2,)}
-    assert Q.size == 2 and Q.n == 2
-    assert project((3,)) == project((1,))
-    assert project(Q and (1,)) == Q.one()
+# Enumerated oracle for the quotient by an ideal: element-set closure, coset
+# table, greedy basis and coordinate walk.  test_poset checks the poset
+# carriers' table certificate of A/I against it, and the frozen cases below
+# check the oracle itself.
 
 
-def test_quotient_by_zero_is_identity():
-    A = zn_poly_x2(2)
-    Q, project, ideal = quotient_by_ideal(A, [])
-    assert ideal == {A.zero()}
-    assert Q.table == A.table and Q.unit == A.unit
-    for x in A.elements():
-        assert project(x) == x
+class QuotientNotFree(Exception):
+    """The quotient's additive group is not a free module over any single Z_d."""
 
-
-def test_quotient_t2_by_strict_upper():
-    A = triangular_algebra(2, 2)
-    e01 = (0, 1, 0)
-    Q, project, ideal = quotient_by_ideal(A, [e01])
-    assert len(ideal) == 2
-    assert Q.size == 4
-    # isomorphic to Z2 x Z2: every element idempotent
-    assert all(Q.mul(q, q) == q for q in Q.elements())
-
-
-def test_quotient_projection_is_ring_map():
-    A = zn(4)
-    Q, project, ideal = quotient_by_ideal(A, [(2,)])
-    for x in A.elements():
-        for y in A.elements():
-            assert project(A.mul(x, y)) == Q.mul(project(x), project(y))
-            assert project(A.add(x, y)) == Q.add(project(x), project(y))
-    assert project(A.one()) == Q.one()
-    # fibers all have size |I|
-    from collections import Counter
-    sizes = Counter(project(x) for x in A.elements())
-    assert set(sizes.values()) == {len(ideal)}
-
-
-def test_quotient_represents_over_smaller_modulus():
-    # (Z4 x Z4) / ((2,2)) has additive exponent 2: the quotient drops to a
-    # rank-2 table over Z2 isomorphic to Z2 x Z2
-    A = direct_product([zn(4), zn(4)])
-    Q, project, ideal = quotient_by_ideal(A, [(2, 2)])
-    assert sorted(ideal) == [(0, 0), (0, 2), (2, 0), (2, 2)]
-    assert Q.n == 2 and Q.rank == 2
-    assert all(Q.mul(q, q) == q for q in Q.elements())
-    for x in A.elements():
-        for y in A.elements():
-            assert project(A.mul(x, y)) == Q.mul(project(x), project(y))
-
-
-def test_quotient_not_free_detected():
-    # Z4[x]/(x^2) has the ideal {0, 2x}; the quotient has additive group
-    # Z4 x Z2, which no single-modulus table can carry
-    A = zn_poly_x2(4)
-    with pytest.raises(QuotientNotFree):
-        quotient_by_ideal(A, [(0, 2)])
-
-
-# Enumerated oracle for saturate_ideal and quotient_by_ideal: element-set
-# closure, coset table, greedy basis and coordinate walk.
 
 def enumerated_saturate_ideal(A: FiniteAlgebra, gens, cap=None) -> set:
     """Close gens under addition and one-sided basis multiplications: the
@@ -518,104 +434,117 @@ def enumerated_quotient_by_ideal(A: FiniteAlgebra, gens, cap=None):
     return Q, project, ideal
 
 
-def _differential_algebras():
-    from znalg.poset import build_shriek, example_one_presheaf
-    return ([zn(4), zn(6), zn(8), zn(12)]
-            + [zn_poly_x2(n) for n in (2, 4, 6, 9)]
-            + [direct_product([zn(4)] * 2), direct_product([zn(6)] * 2)]
-            + [triangular_algebra(n, 2) for n in (2, 4, 6)]
-            + [triangular_algebra(2, 3), matrix_algebra(2, 2),
-               matrix_algebra(3, 2),
-               build_shriek(example_one_presheaf()).carrier])
+def test_quotient_z4_by_two():
+    Q, project, ideal = enumerated_quotient_by_ideal(zn(4), [(2,)])
+    assert ideal == {(0,), (2,)}
+    assert Q.size == 2 and Q.n == 2
+    assert project((3,)) == project((1,))
+    assert project(Q and (1,)) == Q.one()
 
 
-def _is_onto_ring_map(A, Q, project, ideal):
-    """project is additive (on x + e_i for every x and i, which forces
-    linearity), multiplicative on basis pairs, unital and onto Q, and its
-    kernel is ideal; each is read off the images of every element of A."""
-    images = {x: project(x) for x in A.elements()}
-    basis = [A.basis(i) for i in range(A.rank)]
-    return ({x for x, q in images.items() if q == Q.zero()} == ideal
-            and set(images.values()) == set(Q.elements())
-            and images[A.one()] == Q.one()
-            and all(images[A.add(x, b)] == Q.add(q, images[b])
-                    for x, q in images.items() for b in basis)
-            and all(images[A.mul(a, b)] == Q.mul(images[a], images[b])
-                    for a in basis for b in basis))
+def test_quotient_by_zero_is_identity():
+    A = zn_poly_x2(2)
+    Q, project, ideal = enumerated_quotient_by_ideal(A, [])
+    assert ideal == {A.zero()}
+    assert Q.table == A.table and Q.unit == A.unit
+    for x in A.elements():
+        assert project(x) == x
 
 
-def test_quotient_matches_the_enumerated_oracle():
-    rng = random.Random(15)
-    verdicts = []
-    for A in _differential_algebras():
-        elements = list(A.elements())
-        cases = ([[rng.choice(elements)] for _ in range(4)]
-                 + [rng.sample(elements, 2) for _ in range(4)])
-        for gens in cases:
-            try:
-                expected, _, ideal = enumerated_quotient_by_ideal(A, gens)
-            except QuotientNotFree:
-                verdicts.append(False)
-                assert saturate_ideal(A, gens) == \
-                    enumerated_saturate_ideal(A, gens), (A.name, gens)
-                with pytest.raises(QuotientNotFree):
-                    quotient_by_ideal(A, gens)
-                continue
-            verdicts.append(True)
-            assert saturate_ideal(A, gens) == ideal, (A.name, gens)
-            Q, project, got = quotient_by_ideal(A, gens)
-            assert got == ideal, (A.name, gens)
-            assert (Q.n, Q.rank) == (expected.n, expected.rank), (A.name, gens)
-            assert _is_onto_ring_map(A, Q, project, ideal), (A.name, gens)
-    # both verdicts occur, so neither side can pass by always refusing
-    assert 0 < sum(verdicts) < len(verdicts)
+def test_quotient_t2_by_strict_upper():
+    A = triangular_algebra(2, 2)
+    e01 = (0, 1, 0)
+    Q, project, ideal = enumerated_quotient_by_ideal(A, [e01])
+    assert len(ideal) == 2
+    assert Q.size == 4
+    # isomorphic to Z2 x Z2: every element idempotent
+    assert all(Q.mul(q, q) == q for q in Q.elements())
+
+
+def test_quotient_projection_is_ring_map():
+    A = zn(4)
+    Q, project, ideal = enumerated_quotient_by_ideal(A, [(2,)])
+    for x in A.elements():
+        for y in A.elements():
+            assert project(A.mul(x, y)) == Q.mul(project(x), project(y))
+            assert project(A.add(x, y)) == Q.add(project(x), project(y))
+    assert project(A.one()) == Q.one()
+    # fibers all have size |I|
+    from collections import Counter
+    sizes = Counter(project(x) for x in A.elements())
+    assert set(sizes.values()) == {len(ideal)}
+
+
+def test_quotient_represents_over_smaller_modulus():
+    # (Z4 x Z4) / ((2,2)) has additive exponent 2: the quotient drops to a
+    # rank-2 table over Z2 isomorphic to Z2 x Z2
+    A = direct_product([zn(4), zn(4)])
+    Q, project, ideal = enumerated_quotient_by_ideal(A, [(2, 2)])
+    assert sorted(ideal) == [(0, 0), (0, 2), (2, 0), (2, 2)]
+    assert Q.n == 2 and Q.rank == 2
+    assert all(Q.mul(q, q) == q for q in Q.elements())
+    for x in A.elements():
+        for y in A.elements():
+            assert project(A.mul(x, y)) == Q.mul(project(x), project(y))
+
+
+def test_quotient_not_free_detected():
+    # Z4[x]/(x^2) has the ideal {0, 2x}; the quotient has additive group
+    # Z4 x Z2, which no single-modulus table can carry
+    A = zn_poly_x2(4)
+    with pytest.raises(QuotientNotFree):
+        enumerated_quotient_by_ideal(A, [(0, 2)])
 
 
 def test_sphere_quotient_by_strict_blocks_is_the_stalk_product():
-    from znalg.poset import build_shriek, sphere_presheaf
+    """shriek's certificate (triangular_ideal_facts) proves A/I = Z2^6 from
+    the table of the 2^18-element sphere carrier, I its strict span;
+    diagonal extraction, the isomorphism, is a unital ring map on the
+    images of all 2^6 diagonal elements."""
+    from znalg.poset import build_shriek, sphere_presheaf, triangular_ideal_facts
     PA = build_shriek(sphere_presheaf(2))
     carrier, size = PA.carrier, PA.presheaf.poset.size
-    strict = [carrier.basis(PA.offsets[pair][0] + k)
-              for pair in PA.blocks if pair[0] != pair[1]
-              for k in range(PA.offsets[pair][1])]
     start = time.monotonic()
-    Q, project, ideal = quotient_by_ideal(carrier, strict)
+    facts = triangular_ideal_facts(PA)
     assert time.monotonic() - start < 2
-    assert carrier.size == 2 ** 18 and len(ideal) == 2 ** 12
-    # the stalks are Z2: s -> project(s on the diagonal blocks) is a
-    # bijective unital ring map from Z2^6 onto Q
-    prod = direct_product([zn(2)] * size)
-    psi = {s: project(PA.inject({(i, i): (s[i],) for i in range(size)}))
-           for s in prod.elements()}
-    assert (Q.n, Q.rank) == (2, size)
-    assert len(set(psi.values())) == Q.size and psi[prod.one()] == Q.one()
-    for s in prod.elements():
-        for t in prod.elements():
-            assert psi[prod.mul(s, t)] == Q.mul(psi[s], psi[t])
-            assert psi[prod.add(s, t)] == Q.add(psi[s], psi[t])
+    assert carrier.size == 2 ** 18
+    assert facts.is_ideal and facts.quotient_matches_product
+
+    def diagonal(z):
+        return tuple(PA.block(z, (i, i))[0] for i in range(size))
+
+    stalks = direct_product([zn(2)] * size)
+    lift = {s: PA.inject({(i, i): (s[i],) for i in range(size)})
+            for s in stalks.elements()}
+    assert diagonal(carrier.one()) == stalks.one()
+    for s, x in lift.items():
+        assert diagonal(x) == s
+        for t, y in lift.items():
+            assert diagonal(carrier.mul(x, y)) == stalks.mul(s, t)
+
+
+def lifting_proposition(A, gens):
+    """(A clean, A/I clean, every idempotent of A/I lifts) for the ideal I
+    generated by gens, which must lie in the radical; A/I is the enumerated
+    quotient.  A is clean exactly when the other two hold."""
+    Q, project, ideal = enumerated_quotient_by_ideal(A, gens)
+    assert all(in_radical(A, x) for x in ideal)
+    base, quotient = decomposition_report(A), decomposition_report(Q)
+    lifted = {project(e) for e in base.idempotents}
+    return (base.flags["clean"], quotient.flags["clean"],
+            all(q in lifted for q in quotient.idempotents))
 
 
 def test_lifting_proposition_z4():
-    rep = check_lifting_proposition(zn(4), [(2,)])
-    assert rep.base_clean and rep.quotient_clean and rep.idempotents_lift
-    assert rep.biconditional_holds
+    assert lifting_proposition(zn(4), [(2,)]) == (True, True, True)
 
 
 def test_lifting_proposition_z2x():
-    rep = check_lifting_proposition(zn_poly_x2(2), [(0, 1)])
-    assert rep.biconditional_holds
+    assert lifting_proposition(zn_poly_x2(2), [(0, 1)]) == (True, True, True)
 
 
 def test_lifting_proposition_zero_ideal_degenerates():
-    rep = check_lifting_proposition(zn(3), [])
-    assert rep.base_clean == rep.quotient_clean
-    assert rep.idempotents_lift
-
-
-def test_lifting_proposition_rejects_non_radical_ideal():
-    # the ideal generated by 1 is everything, never inside the radical
-    with pytest.raises(IdealNotInRadical):
-        check_lifting_proposition(zn(4), [(1,)])
+    assert lifting_proposition(zn(3), []) == (True, True, True)
 
 
 def test_counterexample_search_frozen_hits():

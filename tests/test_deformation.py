@@ -24,16 +24,16 @@ from znalg.deformation import (
     at_order,
     catalog_deformations,
     clean_decompose_def,
-    def_add,
     def_from_constant,
     def_mul,
     def_one,
+    def_sub,
     def_t,
     flatten,
     flatten_element,
     gauge_deformation,
     invert_def,
-    lift_idempotent_central,
+    lift_idempotent_def,
     lift_idempotent_newton,
     obstruction_probe,
     remark2_series,
@@ -47,7 +47,6 @@ from znalg.errors import (
     CapExceeded,
     ConstantTermNotUnit,
     NotAssociativeAtOrder,
-    NotCentral,
     NotIdempotent,
     SelfCheckFailed,
     UnitChanged,
@@ -169,7 +168,7 @@ def test_def_mul_associative_on_random_triples(seed):
 def test_invert_geometric_series():
     D = trivial_deformation(zn(2), 8)
     A = D.base
-    f = def_add(D, def_one(D), def_t(D))  # 1 + t
+    f = def_sub(D, def_one(D), def_t(D))  # 1 - t = 1 + t over Z2
     g = invert_def(D, f)
     assert g == tuple([A.one()] * 8)      # 1 + t + ... + t^7
 
@@ -495,23 +494,29 @@ def test_central_recursion_matches_newton():
     for D in catalog_deformations(4):
         A = D.base
         for e in (x for x in A.elements() if A.mul(x, x) == x):
-            if all(A.mul(e, A.basis(i)) == A.mul(A.basis(i), e)
-                   for i in range(A.rank)):
-                g = lift_idempotent_central(D, e)
-                assert def_mul(D, g, g) == g
+            lift = lift_idempotent_def(D, e)
+            assert lift.central is all(
+                A.mul(e, A.basis(i)) == A.mul(A.basis(i), e)
+                for i in range(A.rank))
+            g = lift.lift
+            assert def_mul(D, g, g) == g
 
 
-def test_central_recursion_rejects_noncentral():
+def test_central_recursion_rejects_noncentral(monkeypatch):
+    # a noncentral idempotent gets the Newton lift alone: the lift reports
+    # it noncentral, and the central recursion is never run
+    import znalg.deformation as deformation
+    monkeypatch.setattr(deformation, "obstruction_probe", None)
     T2 = triangular_algebra(2, 2)
     D = trivial_deformation(T2, 4)
-    with pytest.raises(NotCentral):
-        lift_idempotent_central(D, (1, 0, 0))
+    lift = lift_idempotent_def(D, (1, 0, 0))
+    assert lift.central is False
+    assert lift.lift == lift_idempotent_newton(D, (1, 0, 0))[0]
 
 
 def test_central_lift_walks_the_basis_once(monkeypatch):
-    # one walk per call, for a central idempotent and a refused noncentral
-    # one alike; the refusal still names the index before any work is
-    # estimated
+    # one walk per call, for a central idempotent and a noncentral one
+    # alike; only the central one has the probe's work estimated
     import znalg.deformation as deformation
     walk, walks, estimates = deformation._noncommuting_basis, [], []
     estimate = deformation._slot_visits
@@ -525,14 +530,15 @@ def test_central_lift_walks_the_basis_once(monkeypatch):
     for e in T2.idempotents():
         i = walk(T2, e)
         walks.clear(), estimates.clear()
+        lift = lift_idempotent_def(D, e)
+        assert lift.lift[0] == e and lift.central is (i is None)
+        jobs = [args[1] for args in estimates]
         if i is None:
-            assert lift_idempotent_central(D, e)[0] == e
-            assert len(walks) == 1 and estimates
+            assert len(walks) == 1
+            assert jobs[:2] == ["obstruction probe", "Newton lift"]
             central += 1
         else:
-            with pytest.raises(NotCentral, match=f"basis element {i}$"):
-                lift_idempotent_central(D, e)
-            assert (len(walks), estimates) == (1, [])
+            assert (len(walks), jobs) == (1, ["Newton lift"])
     assert 0 < central < len(T2.idempotents())
 
 
@@ -548,8 +554,9 @@ def test_central_lift_order1_matches_extension_lift():
     assert F.table == B.carrier.table
     assert F.unit == B.carrier.unit
     for e in (x for x in P.elements() if P.mul(x, x) == x):
-        g = lift_idempotent_central(D, e)
-        assert flatten_element(D, g) == lift_idempotent(B, e)
+        lift = lift_idempotent_def(D, e)
+        assert lift.central
+        assert flatten_element(D, lift.lift) == lift_idempotent(B, e)
 
 
 def test_central_lift_compares_against_the_lift_it_is_given(monkeypatch):
@@ -561,12 +568,12 @@ def test_central_lift_compares_against_the_lift_it_is_given(monkeypatch):
         A = D.base
         for e in A.idempotents():
             newton, iterations = lift_idempotent_newton(D, e)
-            assert lift_idempotent_central(D, e) == newton
+            assert lift_idempotent_def(D, e).lift == newton
             wrong = newton[:-1] + (A.add(newton[-1], A.one()),)
             monkeypatch.setattr(deformation, "lift_idempotent_newton",
                                 lambda *args: (wrong, iterations))
             with pytest.raises(SelfCheckFailed, match="disagrees with Newton"):
-                lift_idempotent_central(D, e)
+                lift_idempotent_def(D, e)
             monkeypatch.undo()
 
 
@@ -625,7 +632,7 @@ def test_clean_decompose_trivial_t():
     e_t, u_t = clean_decompose_def(D, h)
     # base witness for 0 is 0 = 1 + 1 over Z2 (first idempotent with unit
     # complement in lex order): whatever the witness, parts recombine
-    assert def_add(D, e_t, u_t) == h
+    assert def_sub(D, h, u_t) == e_t
     assert def_mul(D, e_t, e_t) == e_t
 
 
@@ -634,7 +641,7 @@ def test_clean_decompose_x_squared_t():
     A = D.base
     h = def_from_constant(D, (0, 1))
     e_t, u_t = clean_decompose_def(D, h)
-    assert def_add(D, e_t, u_t) == h
+    assert def_sub(D, h, u_t) == e_t
     invert_def(D, u_t)
 
 
@@ -696,7 +703,7 @@ def assert_matches_flatten(D):
         lifts.setdefault(z[:A.rank], []).append(z)
     for e in A.idempotents():
         assert len(lifts[e]) == 1
-        assert flatten_element(D, lift_idempotent_central(D, e)) \
+        assert flatten_element(D, lift_idempotent_def(D, e).lift) \
             == lifts[e][0]
         newton, _ = lift_idempotent_newton(D, e)
         assert flatten_element(D, newton) == lifts[e][0]
@@ -1102,7 +1109,7 @@ def test_slot_visits_bound_the_products_of_the_jobs_they_refuse(
             if deformation._noncommuting_basis(A, e) is None:
                 assert refused(
                     _slot_visits(D, "obstruction probe", big, D.order - 1),
-                    lift_idempotent_central, D, e)
+                    lift_idempotent_def, D, e)
 
     import json
     from znalg.cli import EXIT_CAP, EXIT_OK, main

@@ -63,6 +63,32 @@ def test_a_negative_rank_is_refused():
         Bimodule(zn(2), -1, [[]], [])
 
 
+def test_a_non_int_modulus_or_rank_is_refused():
+    # never truncated: over 2.5 the table would be certified over Z2
+    with pytest.raises(BadShape, match="modulus must be an integer, got 2.5"):
+        FiniteAlgebra(2.5, 1, [[[1]]], [1])
+    with pytest.raises(BadShape, match="rank must be an integer, got 1.9"):
+        FiniteAlgebra(2, 1.9, [[[1]]], [1])
+    with pytest.raises(BadShape, match="rank must be an integer, got True"):
+        Bimodule(zn(2), True, [[[1]]], [[[1]]])
+
+
+def test_a_non_int_truncation_order_is_refused():
+    with pytest.raises(BadShape,
+                       match="truncation order must be an integer, got 3.7"):
+        TruncatedDeformation(zn_poly_x2(2), 3.7, {})
+
+
+def test_a_non_int_poset_size_is_refused():
+    for size in (2.5, True):
+        with pytest.raises(BadShape,
+                           match=f"poset size must be an integer, got {size}"):
+            Poset.from_covers(size, [])
+        with pytest.raises(BadShape,
+                           match=f"poset size must be an integer, got {size}"):
+            Poset(size, [[True]])
+
+
 def test_a_rank_beyond_every_table_is_refused_at_its_first_short_array():
     # nothing of the declared size is built: an array of 10**20 items
     # fits in no index
