@@ -42,11 +42,10 @@ existing map keeps it, so the regular bimodule's sides are its algebra's
 mult and share its kernel.  mul, lact and ract stay plain methods that
 call the kernel; the certificates read the cells, so a table that is only
 certified is never compiled.  The coordinate arithmetic that algebras and
-bimodules share (add, sub, neg, smul) runs on coordinate kernels:
-_coordinate_kernels writes each as one straight-line function with n and
-the rank as its only literals, memoized on (n, rank) and nothing else, and
-each module binds its four kernels once its tables are checked.  The
-methods stay plain methods that call their kernel.
+bimodules share (add, sub, neg, smul) runs on coordinate kernels, which
+the plain methods call: _coordinate_kernels writes each as one
+straight-line function with n and the rank as its only literals, memoized
+on (n, rank), and each module binds its four once its tables are checked.
 
 Every identity certified on basis tuples, and every coboundary, is a signed
 sum of Gerstenhaber's circle products f ∘_i g, f's argument i filled with
@@ -83,15 +82,18 @@ from .errors import (
 # n**rank elements, and power walks, raise CapExceeded above this.
 DEFAULT_CAP = 2 ** 20
 
-Coords = tuple  # element of an algebra: tuple of rank residues mod n
-
 
 class _ZnModule:
-    """Coordinate arithmetic of Z_n^rank, shared by algebras and bimodules."""
+    """Coordinate arithmetic of Z_n^rank, shared by algebras and bimodules;
+    a modulus below 2 or a rank, named what, below least is refused."""
 
-    def __init__(self, modulus, rank):
+    def __init__(self, modulus, rank, least, what):
         self.n = _check_int(modulus, "modulus")
-        self.rank = _check_int(rank, "rank")
+        self.rank = _check_int(rank, what)
+        if self.n < 2:
+            raise BadShape(f"modulus must be >= 2, got {self.n}")
+        if self.rank < least:
+            raise BadShape(f"{what} must be >= {least}, got {self.rank}")
 
     def _bind_kernels(self):
         """Bind the coordinate kernels of (n, rank).  The owner calls it
@@ -133,13 +135,13 @@ class _ZnModule:
 class FiniteAlgebra(_ZnModule):
     """A finite associative unital algebra over Z_n, given by its table.
 
-    The constructor checks the table against the shape (rank, rank, rank)
-    and the unit against (rank,), and reduces both; validate_algebra
-    certifies the result, as the helper constructors below do.
+    The constructor refuses a modulus below 2 or a rank below 1, checks and
+    reduces the table, of shape (rank, rank, rank), and the unit, (rank,);
+    validate_algebra certifies it, as the helper constructors below do.
     """
 
     def __init__(self, modulus, rank, table, unit, name=""):
-        super().__init__(modulus, rank)
+        super().__init__(modulus, rank, 1, "rank")
         r = self.rank
         self.mult = _multilinear(table, self.n, (r, r, r), "structure table")
         self.unit = Multilinear(unit, self.n, (r,), "unit vector").dense
@@ -424,6 +426,7 @@ def _compile_bilinear(cells, n, width):
     return namespace["product"]
 
 
+@cache
 def _coordinate_kernels(n, rank):
     """(add, sub, neg, smul) of Z_n^rank as compiled straight-line
     functions, each unpacking its arguments into one name per coordinate
@@ -431,16 +434,9 @@ def _coordinate_kernels(n, rank):
     ((x0+y0)%n, ...), neg(x) is (-x0%n, ...) and smul(c, x) is
     (c*x0%n, ...).  An argument of another length than rank raises
     ValueError, and at rank 0 every kernel returns ().  Only n and rank
-    are written into the source, each checked to be an int first, so the
-    kernels are memoized on (n, rank) alone and are shared by every module
-    of that modulus and rank."""
-    if type(n) is not int or type(rank) is not int:
-        raise BadShape("kernel modulus and rank must be integers")
-    return _compile_coordinates(n, rank)
-
-
-@cache
-def _compile_coordinates(n, rank):
+    are written into the source, which _ZnModule, its one caller, has
+    checked to be ints, so the kernels are memoized on (n, rank) alone and
+    are shared by every module of that modulus and rank."""
     xs = "".join(f"x{i}," for i in range(rank)) or "()"
     ys = xs.replace("x", "y")
 
@@ -560,12 +556,12 @@ def _check_int(value, what):
 
 def validate_algebra(alg) -> FiniteAlgebra:
     """Certify a FiniteAlgebra and return it: the two-sided unit laws
-    (which give 1 != 0 at rank >= 1), then associativity on all basis
-    triples as the defect (e_i e_j) e_k - e_i (e_j e_k) of the sparse
-    cells; the first failing triple in lexicographic order is reported with
-    both sides.  Every product here is the map's evaluate on the cells,
-    so a table that is certified and never multiplied has no compiled
-    kernel.  The certified map is recorded as alg._certified."""
+    (which give 1 != 0, as the rank is at least 1), then associativity on
+    all basis triples as the defect (e_i e_j) e_k - e_i (e_j e_k) of the
+    sparse cells; the first failing triple in lexicographic order is
+    reported with both sides.  Every product here is the map's evaluate on
+    the cells, so a table that is certified and never multiplied has no
+    compiled kernel.  The certified map is recorded as alg._certified."""
     r, mu = alg.rank, alg.mult
     mul = mu.evaluate
     for i in range(r):

@@ -48,8 +48,8 @@ def classify_elements(A: FiniteAlgebra, cap=None) -> ClassificationReport:
     """Idempotents, units (with inverses), and nilpotents (with index),
     each element decided by one walk over its powers
     (FiniteAlgebra.inverse_and_index).  A unit of a nonzero ring is never
-    nilpotent (validate_algebra certifies 1 != 0), so a unit is listed only
-    as a unit."""
+    nilpotent (the constructor refuses rank 0, so the unit laws give
+    1 != 0), so a unit is listed only as a unit."""
     rep = ClassificationReport(A.name)
     rep.idempotents = A.idempotents(cap)
     decide = A.inverse_and_index

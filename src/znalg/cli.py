@@ -315,7 +315,7 @@ def job_deform_lift(ws, spec, cap, report):
     report["results"]["iterations"] = lift.iterations
     _assert(report, "newton-within-bound", lift.iterations <= lift.bound,
             iterations=lift.iterations, bound=lift.bound)
-    if lift.central:
+    if lift.recursed:
         # a central recursion that disagrees raises SelfCheckFailed
         _assert(report, "central-recursion-matches-newton", True)
 

@@ -8,16 +8,17 @@ complete rings applies verbatim to the truncation.
 A deformation holds alphas, the algebra.Multilinear map of alpha_m at each
 order m whose correction is not zero mod n; with order 0, the base's mult,
 they are its support.  It is built as a TruncatedDeformation, in code or by
-documents.Workspace, and certified once by validate_deformation: the unit
-is undeformed, and order-k associativity, Σ α_m ∘_0 α_(k-m) - α_m ∘_1
-α_(k-m), is summed in one call of algebra._compose on the maps' cells only
-at the k that two supported orders add up to, since every term it skips
-is zero.  The order-1 sum is δα_1 with every sign flipped, so alpha_1 is
-then a 2-cocycle, and only the identities that follow are re-checked.
-at_order, which passes the maps below a new order on as they are, costs
-the support, not N.  flatten assembles the same sums into a plain
-structure table on its own, so the flattened model is the independent
-oracle for all of them.
+documents.Workspace, whose constructor refuses an order below 1 and a
+correction outside orders 1..N-1, and certified once by
+validate_deformation: the unit is undeformed, and order-k associativity,
+Σ α_m ∘_0 α_(k-m) - α_m ∘_1 α_(k-m), is summed in one call of
+algebra._compose on the maps' cells only at the k that two supported
+orders add up to, since every term it skips is zero.  The order-1 sum is
+δα_1 with every sign flipped, so alpha_1 is then a 2-cocycle, and only the
+identities that follow are re-checked.  at_order, which passes the maps
+below a new order on as they are, costs the support, not N.  flatten
+assembles the same sums into a plain structure table on its own, so the
+flattened model is the independent oracle for all of them.
 
 Every series product is one Kronecker substitution (_kronecker_product),
 which costs O(r^2 M(L)) at length L.  def_mul forms full products.
@@ -25,13 +26,14 @@ invert_def is Newton's iteration b <- b(2 - fb), certified by its last
 f*b = 1 and one b*f = 1.  t_in_radical_check proves t central and
 nilpotent, hence in the radical, with 2 r N + N - 1 products.
 lift_idempotent_def lifts an idempotent by Newton and, when it is central
-and N > 1, re-derives the lift by obstruction_probe, which reads
+and N > 1, re-derives the lift by the obstruction probe, which reads
 coefficient k off the product of its partial series truncated at order
 k + 1; the probe and the radical check refuse order 1, where t vanishes
-(def_t).  Each job's work, the slot visits of the products it will form
-(_slot_visits), is refused above the cap before the first product.
-The kernels call no public function, so the benchmark tracer never nests
-a span in def_mul.
+(def_t).  Each series job checks its inputs and refuses its work above the
+cap, the slot visits of its products (_slot_visits), once, at its entry;
+the work runs in a private body (_invert, _newton_lift, _probe), which the
+composite jobs call.  The kernels call no public function, so the
+benchmark tracer never nests a span in def_mul.
 """
 
 from __future__ import annotations
@@ -71,11 +73,14 @@ class TruncatedDeformation:
     base and corrections, a mapping from each corrected order m to the
     table of alpha_m or to its map, which is kept as it is.  A table is
     named "deformation cochains" and its depths counted from the dense
-    list of corrections that cochains returns and documents hold."""
+    list of corrections that cochains returns and documents hold; an order
+    below 1, or a nonzero correction outside 1..order-1, is refused."""
 
     def __init__(self, base: FiniteAlgebra, order, corrections, name=""):
         self.base = base
         self.order = _check_int(order, "truncation order")
+        if self.order < 1:
+            raise BadShape("truncation order must be at least 1")
         self.name = name or f"{base.name} deformed (N={self.order})"
         shape = (base.rank,) * 3
         alphas = ((m, _multilinear(table, base.n, shape,
@@ -84,6 +89,10 @@ class TruncatedDeformation:
         # {m: the map of alpha_m} over the orders m, increasing, whose
         # alpha_m is not identically zero
         self.alphas = {m: alpha for m, alpha in alphas if alpha.nnz}
+        for m in self.alphas:
+            if not 0 < m < self.order:
+                raise BadShape(
+                    f"correction at order {m} outside 1..{self.order - 1}")
 
     def __repr__(self):
         return f"TruncatedDeformation({self.name!r})"
@@ -113,20 +122,13 @@ class TruncatedDeformation:
 
 
 def validate_deformation(D) -> TruncatedDeformation:
-    """Certify a TruncatedDeformation and return it: its corrections lie at
-    orders 1..N-1, the unit is undeformed, and associativity holds at every
-    order, which is checked where two supported orders sum to it: any
-    other order has no nonzero term.  Order 1 certifies that alpha_1 is a
-    2-cocycle, whose derived identities are then re-checked."""
-    if D.order < 1:
-        raise BadShape("truncation order must be at least 1")
-    for m in D.alphas:
-        if not 0 < m < D.order:
-            raise BadShape(f"correction at order {m} outside 1..{D.order - 1}")
-
+    """Certify a TruncatedDeformation and return it: the unit is
+    undeformed, and associativity holds at every order, which is checked
+    where two supported orders sum to it: any other order has no nonzero
+    term.  Order 1 certifies that alpha_1 is a 2-cocycle, whose derived
+    identities are then re-checked."""
     A = D.base
-    one = A.one()
-    zero = A.zero()
+    one, zero = A.one(), A.zero()
     for m in D.alphas:
         for j in range(A.rank):
             ej = A.basis(j)
@@ -294,12 +296,16 @@ def invert_def(D, f, cap=None):
     defect order at least doubles and _newton_bound(D) steps reach every
     order.  The loop stops at the first f*b = 1, and one more full product
     certifies b*f = 1; an inverse on both sides is the inverse.  The work
-    of the products is refused above cap before f is read (_slot_visits).
-    """
+    of the products is refused above cap before f is read (_slot_visits),
+    and the walk over the powers of f_0 after cap powers."""
     _slot_visits(D, "inverse", cap)
     _check_order(D, f)
-    A = D.base
-    a0inv = A.inverse(f[0])
+    return _invert(D, f, cap)
+
+
+def _invert(D, f, cap):
+    """invert_def after its checks and its estimate."""
+    a0inv = D.base.inverse(f[0], cap)
     if a0inv is None:
         raise ConstantTermNotUnit(f"constant term {f[0]} is not a unit")
     one = def_one(D)
@@ -420,9 +426,13 @@ def lift_idempotent_newton(D, e, cap=None):
     iteration; the iteration count stays within _newton_bound(D), and the
     work of that many steps is refused above cap before the first product
     (_slot_visits)."""
-    A = D.base
-    e = A.require_idempotent(e)
+    e = D.base.require_idempotent(e)
     _slot_visits(D, "Newton lift", cap)
+    return _newton_lift(D, e)
+
+
+def _newton_lift(D, e):
+    """lift_idempotent_newton after its checks and its estimate."""
     bound = _newton_bound(D)
     one = def_one(D)
     g = def_from_constant(D, e)
@@ -448,7 +458,7 @@ class IdempotentLift:
     lift: tuple
     iterations: int
     bound: int  # _newton_bound(D)
-    central: bool  # the central recursion re-derived the lift
+    recursed: bool  # the central recursion ran: e is central and N > 1
 
 
 def lift_idempotent_def(D, e, cap=None) -> IdempotentLift:
@@ -460,20 +470,20 @@ def lift_idempotent_def(D, e, cap=None) -> IdempotentLift:
     the order, is refused above cap before the Newton lift's, both before
     any product."""
     e = D.base.require_idempotent(e)
-    central = _noncommuting_basis(D.base, e) is None
-    derive = central and D.order > 1
-    if derive:
+    recursed = D.order > 1 and _noncommuting_basis(D.base, e) is None
+    if recursed:
         _slot_visits(D, "obstruction probe", cap, D.order - 1)
-    g, iterations = lift_idempotent_newton(D, e, cap)
-    if derive:
-        probe = obstruction_probe(D, e, cap=cap)
+    _slot_visits(D, "Newton lift", cap)
+    g, iterations = _newton_lift(D, e)
+    if recursed:
+        probe = _probe(D, e, D.order - 1)
         if probe.first_failure is not None:
             raise SelfCheckFailed(
                 f"central recursion fails at order {probe.first_failure}")
         if tuple(probe.coefficients) != g:
             raise SelfCheckFailed(
                 "central recursion disagrees with Newton lift")
-    return IdempotentLift(g, iterations, _newton_bound(D), central)
+    return IdempotentLift(g, iterations, _newton_bound(D), recursed)
 
 
 @dataclass
@@ -492,13 +502,17 @@ def obstruction_probe(D, e, depth=None, cap=None) -> ObstructionReport:
     k of the square is read off the product of the series truncated at
     order k + 1; the work of those products is refused above cap before
     the first (_slot_visits) and before e is checked."""
-    A = D.base
     def_t(D)  # refuses order 1, where t vanishes
     if depth is not None and depth < 1:
         raise BadShape(f"probe depth must be >= 1, got {depth}")
     depth = D.order - 1 if depth is None else min(depth, D.order - 1)
     _slot_visits(D, "obstruction probe", cap, depth)
-    e = A.require_idempotent(e)
+    return _probe(D, D.base.require_idempotent(e), depth)
+
+
+def _probe(D, e, depth):
+    """obstruction_probe after its checks and its estimate."""
+    A = D.base
     one_minus_2e = A.sub(A.one(), A.smul(2, e))
     report = ObstructionReport(coefficients=[e])
     for k in range(1, depth + 1):
@@ -553,19 +567,18 @@ def remark2_series(A, e, x, order=4) -> SeriesVerdict:
 def clean_decompose_def(D, h, cap=None):
     """Split h into a lifted idempotent plus a unit, using the base algebra's
     first clean witness; when the base is uniquely clean the decomposition is
-    also certified unique in the flattened model, which is built (or refused
-    on its element count) before any lifting; the work of the unit part's
-    inverse is refused above cap before the lift too, and both before h is
-    read.  The Newton lift refuses its own work above cap
-    before its first product."""
+    also certified unique in the flattened model.  That model is built (or
+    refused on its element count) and the inverse's work refused above cap
+    before h is read, the Newton lift's after, and all before any product."""
     rep = decomposition_report(D.base, cap)
     F = flatten(D, cap) if rep.flags["uniquely_clean"] else None
     _slot_visits(D, "inverse", cap)  # the unit part's inverse, up front
     _check_order(D, h)
-    e, u = rep.witnesses[h[0]]["clean"]
-    e_t, _ = lift_idempotent_newton(D, e, cap)
+    e, u = rep.witnesses[h[0]]["clean"]  # e certified idempotent there
+    _slot_visits(D, "Newton lift", cap)
+    e_t, _ = _newton_lift(D, e)
     u_t = def_sub(D, h, e_t)
-    invert_def(D, u_t, cap)  # certifies invertibility; constant term is u
+    _invert(D, u_t, cap)  # certifies invertibility; constant term is u
 
     if F is not None:
         z = flatten_element(D, h)

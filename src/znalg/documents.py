@@ -3,12 +3,12 @@ cochains, deformations, posets, presheaves, and jobs referencing them.
 
 This is the one module that reads or writes the document format.  A
 Workspace hands out certified objects by name: it checks what belongs to
-the format, a spec's fields, its integers and their ranges, and that a
-deformation's cochains is an array of order - 1 tables, of which it drops
-the all-int zero tables of the algebra's rank, hands each table straight to
-its object's constructor, whose algebra.Multilinear checks the table's
-shape, and has the library certify the object (validate_algebra,
-validate_bimodule, validate_deformation, which take only objects).
+the format, a spec's fields, a cochain's degree, and a deformation's order
+and its cochains, an array of order - 1 tables, of which it drops the
+all-int zero tables of the algebra's rank; it hands each number and table
+straight to its object's constructor, which refuses a bad range and,
+through algebra.Multilinear, a bad shape; and it has the library certify
+the object (validate_algebra, validate_bimodule, validate_deformation).
 algebra_to_doc and builtin_catalog_document write the same format back.
 Workspace.load decodes each document text once per process: it reads the
 file on every call and reuses the decoded dict while the text equals the
@@ -114,15 +114,9 @@ class Workspace:
 
     def algebra(self, name):
         def build(spec):
-            modulus = _check_int(spec["modulus"], "modulus")
-            rank = _check_int(spec["rank"], "rank")
-            structure, unit = spec["structure"], spec["unit"]
-            if modulus < 2:
-                raise BadShape(f"modulus must be >= 2, got {modulus}")
-            if rank < 1:
-                raise BadShape(f"rank must be >= 1, got {rank}")
             return validate_algebra(FiniteAlgebra(
-                modulus, rank, structure, unit, name or spec.get("name")))
+                spec["modulus"], spec["rank"], spec["structure"],
+                spec["unit"], name or spec.get("name")))
         return self._object("algebras", "algebra", name, build)
 
     def bimodule(self, name):
@@ -130,11 +124,8 @@ class Workspace:
             A = self.algebra(spec["algebra"])
             if spec.get("regular"):
                 return regular_bimodule(A)
-            rank = _check_int(spec["rank"], "bimodule rank")
-            if rank < 0:
-                raise BadShape(f"bimodule rank must be >= 0, got {rank}")
             return validate_bimodule(Bimodule(
-                A, rank, spec["left_action"], spec["right_action"],
+                A, spec["rank"], spec["left_action"], spec["right_action"],
                 name=name or spec.get("name", "")))
         return self._object("bimodules", "bimodule", name, build)
 

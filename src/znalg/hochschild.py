@@ -74,11 +74,11 @@ class Bimodule(_ZnModule):
     left[i][j] is basis element i of the algebra acting on module basis
     element j; right[j][i] is module basis j acted on by algebra basis i.
     The sides are held as Multilinear maps, left_map and right_map, and an
-    existing map is kept as it is.
+    existing map is kept as it is; a rank below 0 is refused.
     """
 
     def __init__(self, algebra: FiniteAlgebra, rank, left, right, name=""):
-        super().__init__(algebra.n, rank)
+        super().__init__(algebra.n, rank, 0, "bimodule rank")
         self.algebra = algebra
         r, s = algebra.rank, self.rank
         self.left_map = _multilinear(left, self.n, (r, s, s),
@@ -365,7 +365,7 @@ def _sieve(M, degree, cap=None, tagged=False):
 def cohomology_dims(M: Bimodule, degree, cap=None) -> CohomologyDims:
     """Exact dimensions of Z, B, and H in the requested degree over Z_p,
     for cochains of M.algebra with values in M."""
-    if degree < 1 or degree > 3:
+    if not 1 <= degree <= MAX_COCHAIN_DEGREE:
         raise BadShape("cohomology degree must be 1, 2, or 3")
     rank_out, _, dim_src, _ = _sieve(M, degree, cap)
     rank_in = _sieve(M, degree - 1, cap)[0]

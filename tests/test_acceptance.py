@@ -160,8 +160,8 @@ def test_criterion_07_central_recursion_agreement():
             central = all(A.mul(e, A.basis(i)) == A.mul(A.basis(i), e)
                           for i in range(A.rank))
             # equality with Newton is certified inside the recursion, which
-            # runs exactly for a central idempotent
-            assert lift_idempotent_def(D, e).central is central
+            # runs exactly for a central idempotent at order N > 1
+            assert lift_idempotent_def(D, e).recursed is central
     # order-2 bridge: flattening equals the self-extension by the first
     # cochain, and the canonical lifts coincide coordinatewise
     for D in catalog_deformations(2):
@@ -176,7 +176,7 @@ def test_criterion_07_central_recursion_agreement():
             central = all(A.mul(e, A.basis(i)) == A.mul(A.basis(i), e)
                           for i in range(A.rank))
             lift = lift_idempotent_def(D, e)
-            assert lift.central is central
+            assert lift.recursed is central
             if central:
                 assert flatten_element(D, lift.lift) == lift_idempotent(B, e)
     _report(7, started)

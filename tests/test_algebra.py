@@ -706,12 +706,22 @@ def test_coordinate_kernels_refuse_the_wrong_length(rank, wrong):
                                      ("2", 3), (2, None)])
 def test_coordinate_kernels_refuse_non_int_shapes_before_any_source(
         monkeypatch, n, rank):
+    # the kernels' one caller, the module constructor, refuses a modulus
+    # or rank that is not an int before a kernel is looked up, so (2.0, 3)
+    # never finds the memoized kernels of (2, 3)
+    from znalg.hochschild import Bimodule
+
     def compiled(*args):
         raise AssertionError("kernel source was written")
-    _coordinate_kernels(2, 3)  # memoized: (2.0, 3) must not find it
-    monkeypatch.setattr(znalg.algebra, "_compile_coordinates", compiled)
-    with pytest.raises(BadShape, match="modulus and rank must be integers"):
-        _coordinate_kernels(n, rank)
+    _coordinate_kernels(2, 3)
+    Z2 = zn(2)
+    monkeypatch.setattr(znalg.algebra, "_coordinate_kernels", compiled)
+    with pytest.raises(BadShape, match="must be an integer, got"):
+        FiniteAlgebra(n, rank, [[[0] * 3] * 3] * 3, [1, 0, 0])
+    if type(n) is int:
+        with pytest.raises(BadShape, match="^bimodule rank must be an "
+                                           "integer, got"):
+            Bimodule(Z2, rank, [[[0] * 3] * 3], [[[0] * 3]] * 3)
 
 
 def test_regular_bimodule_reuses_the_algebra_kernel(monkeypatch):

@@ -495,7 +495,7 @@ def test_central_recursion_matches_newton():
         A = D.base
         for e in (x for x in A.elements() if A.mul(x, x) == x):
             lift = lift_idempotent_def(D, e)
-            assert lift.central is all(
+            assert lift.recursed is all(
                 A.mul(e, A.basis(i)) == A.mul(A.basis(i), e)
                 for i in range(A.rank))
             g = lift.lift
@@ -504,42 +504,55 @@ def test_central_recursion_matches_newton():
 
 def test_central_recursion_rejects_noncentral(monkeypatch):
     # a noncentral idempotent gets the Newton lift alone: the lift reports
-    # it noncentral, and the central recursion is never run
+    # that the central recursion did not run, and it never runs
     import znalg.deformation as deformation
-    monkeypatch.setattr(deformation, "obstruction_probe", None)
+    monkeypatch.setattr(deformation, "_probe", None)
     T2 = triangular_algebra(2, 2)
     D = trivial_deformation(T2, 4)
     lift = lift_idempotent_def(D, (1, 0, 0))
-    assert lift.central is False
+    assert lift.recursed is False
     assert lift.lift == lift_idempotent_newton(D, (1, 0, 0))[0]
 
 
 def test_central_lift_walks_the_basis_once(monkeypatch):
     # one walk per call, for a central idempotent and a noncentral one
-    # alike; only the central one has the probe's work estimated
+    # alike; each job's work is estimated once, the probe's only for the
+    # central one, and e is checked once
     import znalg.deformation as deformation
+    from znalg.algebra import FiniteAlgebra
     walk, walks, estimates = deformation._noncommuting_basis, [], []
     estimate = deformation._slot_visits
+    check, checks = FiniteAlgebra.require_idempotent, []
     monkeypatch.setattr(deformation, "_noncommuting_basis",
                         lambda A, e: walks.append(e) or walk(A, e))
     monkeypatch.setattr(deformation, "_slot_visits",
                         lambda *args: estimates.append(args) or estimate(*args))
+    monkeypatch.setattr(FiniteAlgebra, "require_idempotent",
+                        lambda A, e: checks.append(e) or check(A, e))
     T2 = triangular_algebra(2, 2)
     D = trivial_deformation(T2, 4)
     central = 0
     for e in T2.idempotents():
         i = walk(T2, e)
-        walks.clear(), estimates.clear()
+        walks.clear(), estimates.clear(), checks.clear()
         lift = lift_idempotent_def(D, e)
-        assert lift.lift[0] == e and lift.central is (i is None)
+        assert lift.lift[0] == e and lift.recursed is (i is None)
         jobs = [args[1] for args in estimates]
+        assert (len(walks), checks) == (1, [e])
         if i is None:
-            assert len(walks) == 1
-            assert jobs[:2] == ["obstruction probe", "Newton lift"]
+            assert jobs == ["obstruction probe", "Newton lift"]
             central += 1
         else:
-            assert (len(walks), jobs) == (1, ["Newton lift"])
+            assert jobs == ["Newton lift"]
     assert 0 < central < len(T2.idempotents())
+
+
+def test_order_one_lift_runs_no_recursion():
+    # at order 1 the lift of a central idempotent is e itself, and the
+    # central recursion, with no order to derive, does not run
+    D = x_squared_t_deformation(2, 1)
+    lift = lift_idempotent_def(D, (1, 0))
+    assert (lift.lift, lift.iterations, lift.recursed) == (((1, 0),), 0, False)
 
 
 def test_central_lift_order1_matches_extension_lift():
@@ -555,14 +568,14 @@ def test_central_lift_order1_matches_extension_lift():
     assert F.unit == B.carrier.unit
     for e in (x for x in P.elements() if P.mul(x, x) == x):
         lift = lift_idempotent_def(D, e)
-        assert lift.central
+        assert lift.recursed
         assert flatten_element(D, lift.lift) == lift_idempotent(B, e)
 
 
 def test_central_lift_compares_against_the_lift_it_is_given(monkeypatch):
     # the central lift compares the recursion with the Newton lift it is
-    # given by lift_idempotent_newton: the right one is accepted, and one
-    # wrong coefficient is refused
+    # given by the Newton body: the right one is accepted, and one wrong
+    # coefficient is refused
     import znalg.deformation as deformation
     for D in catalog_deformations(4):
         A = D.base
@@ -570,7 +583,7 @@ def test_central_lift_compares_against_the_lift_it_is_given(monkeypatch):
             newton, iterations = lift_idempotent_newton(D, e)
             assert lift_idempotent_def(D, e).lift == newton
             wrong = newton[:-1] + (A.add(newton[-1], A.one()),)
-            monkeypatch.setattr(deformation, "lift_idempotent_newton",
+            monkeypatch.setattr(deformation, "_newton_lift",
                                 lambda *args: (wrong, iterations))
             with pytest.raises(SelfCheckFailed, match="disagrees with Newton"):
                 lift_idempotent_def(D, e)
@@ -643,6 +656,32 @@ def test_clean_decompose_x_squared_t():
     e_t, u_t = clean_decompose_def(D, h)
     assert def_sub(D, h, u_t) == e_t
     invert_def(D, u_t)
+
+
+def test_clean_decompose_estimates_each_job_once(monkeypatch):
+    # the unit part's inverse and the Newton lift each have their work
+    # estimated once, the inverse's first
+    import znalg.deformation as deformation
+    estimate, jobs = deformation._slot_visits, []
+    monkeypatch.setattr(deformation, "_slot_visits", lambda D, job, *rest:
+                        jobs.append(job) or estimate(D, job, *rest))
+    for D in (x_squared_t_deformation(2, 3), trivial_deformation(zn(3), 5)):
+        for h in (def_one(D), def_from_constant(D, D.base.zero())):
+            jobs.clear()
+            clean_decompose_def(D, h)
+            assert jobs == ["inverse", "Newton lift"], (D.name, h)
+
+
+def test_inverse_walks_the_constant_term_under_the_job_cap():
+    # over Z101 at order 1 the inverse's products cost 6 slot visits, but
+    # the walk to the inverse of 2 takes 100 powers: the job's cap refuses
+    # it exactly as Z101's own inverse does
+    D = trivial_deformation(zn(101), 1)
+    for invert in (lambda cap: zn(101).inverse((2,), cap),
+                   lambda cap: invert_def(D, ((2,),), cap)):
+        with pytest.raises(CapExceeded, match="11 powers exceeds cap 10$"):
+            invert(10)
+    assert invert_def(D, ((2,),), cap=100) == ((51,),)
 
 
 def test_clean_decompose_constant_one():

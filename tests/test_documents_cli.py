@@ -453,7 +453,8 @@ MALFORMED = {
     "cover-bool": (_set("posets", "example-1", "covers", 0,
                         value=[0, True]), SHRIEK, 3),
     "deform-order-zero": (_deform_job(0), DEFORM, 3),
-    # the ranges of a document's own integers are checked before its tables
+    # the ranges of a document's own integers are checked, by the objects'
+    # constructors, before its tables
     "algebra-rank-zero": (_set("algebras", "Z2[X]/(X^2)", "rank", value=0),
                           CLASSIFY, 3),
     "algebra-modulus-one": (_set("algebras", "Z2[X]/(X^2)", "modulus",
@@ -820,12 +821,12 @@ def test_lift_job_runs_newton_once(catalog_doc, tmp_path, monkeypatch):
     # the central recursion is compared against the job's own Newton lift
     import znalg.deformation as deformation
     calls = []
-    newton = deformation.lift_idempotent_newton
+    newton = deformation._newton_lift
 
     def counted(*args):
         calls.append(args)
         return newton(*args)
-    monkeypatch.setattr(deformation, "lift_idempotent_newton", counted)
+    monkeypatch.setattr(deformation, "_newton_lift", counted)
     report = tmp_path / "lift.json"
     assert main(["--report", str(report), "deform", "lift", "--doc",
                  str(catalog_doc), "--deformation", GAUGE, "--idempotent",
@@ -834,6 +835,16 @@ def test_lift_job_runs_newton_once(catalog_doc, tmp_path, monkeypatch):
     passed = {a["clause"]: a["passed"]
               for a in json.loads(report.read_text())["assertions"]}
     assert passed["central-recursion-matches-newton"] is True
+
+
+def test_order_one_lift_reports_no_recursion(catalog_doc, capsys):
+    # at order 1 no central recursion runs, so none is reported as passed
+    assert main(["deform", "lift", "--doc", str(catalog_doc),
+                 "--deformation", X2T, "--idempotent", "[1, 0]",
+                 "--order", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "[PASS] newton-within-bound" in out
+    assert "central-recursion-matches-newton" not in out
 
 
 @pytest.mark.parametrize("action, field, value, job", [
@@ -1399,13 +1410,12 @@ def test_each_object_is_certified_once_per_job(tmp_path, monkeypatch):
     # Over every catalog job and each deform case on x^2=t, each poset,
     # presheaf and deformation is certified once and each algebra
     # classified once; validate_deformation sums one _compose walk per
-    # order it certifies, and a lift runs Newton and the probe once
+    # order it certifies, and a lift runs the Newton and probe bodies once
     from test_golden import CASES, run_case
     (tmp_path / "catalog.json").write_text(
         json.dumps(builtin_catalog_document()))
     calls = {name: [] for name in (*CERTIFICATES, "_compose",
-                                   "lift_idempotent_newton",
-                                   "obstruction_probe")}
+                                   "_newton_lift", "_probe")}
     walks = []  # per validate_deformation call: [D, _compose calls]
     active = []  # the validate_deformation call that is running
 
@@ -1456,8 +1466,8 @@ def test_each_object_is_certified_once_per_job(tmp_path, monkeypatch):
             # the stalks Z2[X]/(X^2) and Z2, then the carrier
             assert len(calls["decomposition_report"]) == 3
         if case.startswith("deform-lift-"):
-            assert len(calls["lift_idempotent_newton"]) == 1, case
-            assert len(calls["obstruction_probe"]) == 1, case
+            assert len(calls["_newton_lift"]) == 1, case
+            assert len(calls["_probe"]) == 1, case
     assert len(ran) == 6 + 11 and "deform-lift-order-9-x2t" in ran
 
 

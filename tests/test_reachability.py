@@ -31,6 +31,9 @@ UNREACHED = {
         "runs once, when cli is imported, before any job",
     "cli.job_extend":
         "the extend job kind and subcommand; no catalog job is one",
+    "deformation.lift_idempotent_newton":
+        "the Newton lift alone, acceptance criterion 06; the lift and "
+        "clean-decompose jobs run its body after their own checks",
     "deformation.remark2_series":
         "the paper's noncentral lifting series, acceptance criterion 09",
     "extension.exchange_half_witness":

@@ -22,6 +22,7 @@ from znalg.deformation import (
     seeded_gauge_map,
     validate_deformation,
 )
+from znalg.documents import Workspace, algebra_to_doc
 from znalg.errors import BadShape
 from znalg.hochschild import Bimodule, Cochain, validate_bimodule
 from znalg.poset import Poset, Presheaf, validate_presheaf
@@ -53,13 +54,12 @@ def test_a_right_action_row_short_of_the_rank_is_refused():
 
 
 def test_a_negative_rank_is_refused():
-    # no array has a negative length, so no table, however empty, has
-    # the shape a negative rank declares
-    with pytest.raises(BadShape, match="structure table has an array of "
-                                       "length 0 at depth 0, expected -1"):
+    # the constructors own the rank's range and refuse it before any table
+    # is read, with the messages a document's reader prints
+    with pytest.raises(BadShape, match="^rank must be >= 1, got -1$"):
         FiniteAlgebra(2, -1, [], [])
-    with pytest.raises(BadShape, match="left action table has an array of "
-                                       "length 0 at depth 1, expected -1"):
+    with pytest.raises(BadShape,
+                       match="^bimodule rank must be >= 0, got -1$"):
         Bimodule(zn(2), -1, [[]], [])
 
 
@@ -71,6 +71,71 @@ def test_a_non_int_modulus_or_rank_is_refused():
         FiniteAlgebra(2, 1.9, [[[1]]], [1])
     with pytest.raises(BadShape, match="rank must be an integer, got True"):
         Bimodule(zn(2), True, [[[1]]], [[[1]]])
+
+
+X2 = zn_poly_x2(2)
+X2_DOC = algebra_to_doc(X2)
+ALPHA_1 = [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]  # x^2 = t
+
+
+def _x2_with(**sections):
+    return {"algebras": {"A": X2_DOC}, **sections}
+
+
+# case -> (the object built in code, a document holding it as "A", the
+# kind the workspace builds, the message of both refusals).  A document
+# cannot hold a correction at order N, whose array it reads as N - 1
+# tables, so that case's document has one table too many and is refused
+# on its length with the same exception; its message is given second.
+RANGE_PARITY = {
+    "modulus-1": (
+        lambda: FiniteAlgebra(1, 2, X2.table, X2.unit),
+        {"algebras": {"A": dict(X2_DOC, modulus=1)}}, "algebra",
+        "modulus must be >= 2, got 1"),
+    "rank-0": (
+        lambda: FiniteAlgebra(2, 0, [], []),
+        {"algebras": {"A": dict(X2_DOC, rank=0, structure=[], unit=[])}},
+        "algebra", "rank must be >= 1, got 0"),
+    "rank--1": (
+        lambda: FiniteAlgebra(2, -1, [], []),
+        {"algebras": {"A": dict(X2_DOC, rank=-1, structure=[], unit=[])}},
+        "algebra", "rank must be >= 1, got -1"),
+    "bimodule-rank--1": (
+        lambda: Bimodule(X2, -1, [[], []], []),
+        _x2_with(bimodules={"A": {"algebra": "A", "rank": -1,
+                                  "left_action": [[], []],
+                                  "right_action": []}}),
+        "bimodule", "bimodule rank must be >= 0, got -1"),
+    "order-0": (
+        lambda: TruncatedDeformation(X2, 0, {}),
+        _x2_with(deformations={"A": {"algebra": "A", "order": 0,
+                                     "cochains": []}}),
+        "deformation", "truncation order must be at least 1"),
+    "correction-at-order-N": (
+        lambda: TruncatedDeformation(X2, 2, {2: ALPHA_1}),
+        _x2_with(deformations={"A": {"algebra": "A", "order": 2,
+                                     "cochains": [ALPHA_1, ALPHA_1]}}),
+        "deformation", ("correction at order 2 outside 1..1",
+                        "deformation cochains has an array of length 2 at "
+                        "depth 0, expected 1")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RANGE_PARITY))
+def test_a_range_is_refused_in_code_as_in_a_document(case):
+    # the constructor owns each range: the object is refused when it is
+    # built, before any validator, and the document's reader, which hands
+    # the spec's numbers straight to it, prints the same refusal
+    build, doc, kind, message = RANGE_PARITY[case]
+    code_message, doc_message = (message if isinstance(message, tuple)
+                                 else (message, message))
+    with pytest.raises(BadShape) as in_code:
+        build()
+    with pytest.raises(BadShape) as in_document:
+        getattr(Workspace(doc), kind)("A")
+    assert type(in_code.value) is type(in_document.value)
+    assert (str(in_code.value), str(in_document.value)) == (
+        code_message, doc_message)
 
 
 def test_a_non_int_truncation_order_is_refused():
