@@ -190,7 +190,7 @@ def execute_job(ws, name, spec, args):
     kind = spec["kind"]
     if not isinstance(kind, str) or kind not in JOB_HANDLERS:
         raise ParseError(f"unknown job kind {kind!r}")
-    cap = getattr(args, "cap", DEFAULT_CAP)
+    cap = args.cap
     report = {
         "job": name,
         "kind": kind,
@@ -198,7 +198,7 @@ def execute_job(ws, name, spec, args):
         "assertions": [],
         "results": {},
     }
-    if getattr(args, "modulus_override", None) is not None:
+    if args.modulus_override is not None:
         ws = ws.with_modulus(args.modulus_override)
     JOB_HANDLERS[kind](ws, spec, cap, report)
     report["timing"] = {"elapsed_s": round(time.monotonic() - start, 3)}
@@ -431,7 +431,7 @@ JOB_HANDLERS = {
 
 
 def emit(report, args):
-    if report.get("kind") == "catalog" and not getattr(args, "out", None):
+    if report.get("kind") == "catalog" and not args.out:
         return  # document already printed
     for entry in report.get("assertions", []):
         mark = "PASS" if entry["passed"] else "FAIL"
@@ -443,9 +443,8 @@ def emit(report, args):
         value = results[key]
         if isinstance(value, (str, int, float, bool)) or value is None:
             print(f"{key}: {value}")
-    path = getattr(args, "report", None)
-    if path:
-        _write(path, dump_report(report))
+    if args.report:
+        _write(args.report, dump_report(report))
 
 
 def _write(path, text):

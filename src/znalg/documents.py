@@ -8,7 +8,8 @@ and its cochains, an array of order - 1 tables, of which it drops the
 all-int zero tables of the algebra's rank; it hands each number and table
 straight to its object's constructor, which refuses a bad range and,
 through algebra.Multilinear, a bad shape; and it has the library certify
-the object (validate_algebra, validate_bimodule, validate_deformation).
+the object (validate_algebra, validate_bimodule, validate_deformation,
+validate_presheaf, and Poset.from_covers for a poset).
 algebra_to_doc and builtin_catalog_document write the same format back.
 Workspace.load decodes each document text once per process: it reads the
 file on every call and reuses the decoded dict while the text equals the
@@ -269,8 +270,8 @@ def builtin_catalog_document() -> dict:
         doc["presheaves"][label] = {
             "poset": label,
             "stalks": stalk_names,
-            "maps": {f"{h},{i}": [list(v) for v in table]
-                     for (h, i), table in F.maps.items()},
+            "maps": {f"{h},{i}": [list(v) for v in f.dense]
+                     for (h, i), f in F.maps.items()},
         }
 
     doc["jobs"] = {

@@ -28,7 +28,6 @@ from .errors import (
     NonAssociative,
     NotACocycle,
     NotAUnit,
-    NotIdempotent,
     SelfCheckFailed,
     WitnessMismatch,
 )
@@ -57,14 +56,14 @@ class ExtensionAlgebra:
         return f"ExtensionAlgebra({self.carrier.name!r})"
 
 
-def build_extension(A: FiniteAlgebra, M: Bimodule, f: Cochain,
-                    name=None) -> ExtensionAlgebra:
+def build_extension(A: FiniteAlgebra, M: Bimodule,
+                    f: Cochain) -> ExtensionAlgebra:
     """Assemble and certify the extension algebra defined by the cocycle f."""
     if M.algebra is not A and M.algebra != A:
         raise BadShape("bimodule is not over the given algebra")
-    if f.degree != 2 or f.module is not M:
+    if f.module is not M:
         raise BadShape("cocycle must be a degree-2 cochain valued in M")
-    ok, violations = is_cocycle2(f)
+    ok, violations = is_cocycle2(f)  # refuses a degree other than 2
     if not ok:
         raise NotACocycle(f"first violating triple: {violations[0]}")
 
@@ -86,12 +85,12 @@ def build_extension(A: FiniteAlgebra, M: Bimodule, f: Cochain,
 
     f11 = f.evaluate(A.one(), A.one())
     unit = A.one() + M.neg(f11)
-    label = name or f"ext({A.name}; {M.name})"
     # the carrier's associativity follows from what is certified above; it
     # is walked again as a run-time re-check of the assembled table
     try:
         carrier = validate_algebra(
-            FiniteAlgebra(A.n, rank, structure, unit, label))
+            FiniteAlgebra(A.n, rank, structure, unit,
+                          f"ext({A.name}; {M.name})"))
     except NonAssociative as exc:
         raise NotACocycle(
             f"carrier not associative at {exc.triple}") from exc
@@ -230,10 +229,8 @@ def exchange_half_witness(B: ExtensionAlgebra, am, e, r) -> HalfWitness:
     A, M = B.base, B.module
     a, m = am
     a, m = A.coerce(a), M.coerce(m)
-    e = A.coerce(e)
-    r = A.coerce(r)
-    if A.mul(e, e) != e:
-        raise NotIdempotent(f"{e} is not idempotent")
+    e, r = A.coerce(e), A.coerce(r)
+    A.require_idempotent(e)
     if A.mul(a, r) != e:
         raise BadDecomposition("e != a r in the base algebra")
     f = B.cocycle

@@ -7,14 +7,17 @@ twist through the restriction maps.  Choosing a linear extension of the
 poset makes every matrix upper triangular, which is what the structural
 clean/nil-clean/exchange decompositions exploit.
 
-Each poset and presheaf is certified once, where it is built
-(Poset.from_covers, validate_presheaf), and trusted from then on.
+Posets and presheaves keep the contract of every object kind: the
+constructor refuses every bad shape and range, and the validator
+certifies only laws (validate_poset: a partial order; validate_presheaf:
+unital, multiplicative and composing maps).  Each poset and presheaf is
+certified once, where it is built (Poset.from_covers, validate_presheaf),
+and trusted from then on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 
 from .algebra import (
     FiniteAlgebra,
@@ -40,11 +43,17 @@ MAX_CARRIER_RANK = 64
 
 
 class Poset:
-    """A finite partial order on {0, .., size-1}, stored as a leq matrix."""
+    """A finite relation on {0, .., size-1}, stored as a leq matrix; a size
+    below 1 or a leq that is not size x size is refused, and
+    validate_poset certifies that it is a partial order."""
 
     def __init__(self, size, leq):
         self.size = _check_int(size, "poset size")
+        if size < 1:
+            raise BadShape(f"a poset needs at least one node, got {size}")
         self.leq = tuple(tuple(bool(v) for v in row) for row in leq)
+        if len(self.leq) != size or any(len(row) != size for row in self.leq):
+            raise BadShape("leq relation is not size x size")
 
     @classmethod
     def from_covers(cls, size, covers):
@@ -52,9 +61,7 @@ class Poset:
         closure is computed and the result validated.  Each node adds a
         diagonal block of rank at least 1 to the poset algebra, so a size
         above MAX_CARRIER_RANK is refused before the closure."""
-        if _check_int(size, "poset size") < 1:
-            raise BadShape(f"a poset needs at least one node, got {size}")
-        if size > MAX_CARRIER_RANK:
+        if _check_int(size, "poset size") > MAX_CARRIER_RANK:
             raise CapExceeded(
                 f"poset size {size} exceeds the assembly limit "
                 f"{MAX_CARRIER_RANK}")
@@ -87,9 +94,8 @@ class Poset:
 
 
 def validate_poset(P: Poset) -> Poset:
+    """Certify that a Poset's relation is a partial order and return it."""
     n = P.size
-    if len(P.leq) != n or any(len(row) != n for row in P.leq):
-        raise BadShape("leq relation is not size x size")
     for i in range(n):
         if not P.leq[i][i]:
             raise BadShape(f"relation is not reflexive at {i}")
@@ -119,32 +125,43 @@ def linear_extension(P: Poset):
 class Presheaf:
     """Stalk algebras on nodes plus restriction maps toward smaller nodes.
 
-    maps[(h, i)] for h <= i is the image table of a unital homomorphism from
-    stalk i to stalk h, one coordinate tuple per basis element of stalk i;
-    restriction reduces its entries mod n.  A map's Multilinear, of shape
-    (rank of stalk i, rank of stalk h), is built on its first restriction,
-    which validate_presheaf makes, so a table of another shape is refused
-    there.
+    maps[(h, i)] for each arrow h < i is the image table of a unital
+    homomorphism from stalk i to stalk h, one coordinate tuple per basis
+    element of stalk i.  The constructor refuses a stalk count other than
+    the poset's size, stalks of two moduli, a map key that is not an arrow
+    and an arrow without a map, and ingests each table once, in arrow
+    order, as a Multilinear of shape (rank of stalk i, rank of stalk h), so
+    a table of another shape is refused there; validate_presheaf certifies
+    the maps' laws.
     """
 
     def __init__(self, poset: Poset, stalks, maps, name=""):
-        self.poset = poset
+        P = self.poset = poset
         self.stalks = list(stalks)
-        self.maps = dict(maps)
         self.name = name or "presheaf"
-        self._restrictions = {}
+        nodes = range(P.size)
+        if len(self.stalks) != P.size:
+            raise PresheafInvalid("one stalk per node required")
+        if len({S.n for S in self.stalks}) > 1:
+            raise PresheafInvalid("stalks must share one modulus")
+        # the arrows h < i in order, looked up in constant time
+        arrows = dict.fromkeys((h, i) for h in nodes for i in nodes
+                               if h != i and P.leq[h][i])
+        for h, i in maps:
+            if (h, i) not in arrows:
+                raise PresheafInvalid(
+                    f"restriction map for ({h},{i}) is not between nodes h < i")
+        for h, i in arrows:
+            if (h, i) not in maps:
+                raise PresheafInvalid(f"missing restriction map for {h} <= {i}")
+        self.maps = {(h, i): Multilinear(
+            maps[(h, i)], self.stalks[h].n,
+            (self.stalks[i].rank, self.stalks[h].rank),
+            f"map table for ({h},{i})") for h, i in arrows}
 
     def restrict(self, h, i, x):
         """Apply the restriction map from stalk i into stalk h <= i."""
-        if h == i:
-            return tuple(x)
-        f = self._restrictions.get((h, i))
-        if f is None:
-            f = self._restrictions[(h, i)] = Multilinear(
-                self.maps[(h, i)], self.stalks[h].n,
-                (self.stalks[i].rank, self.stalks[h].rank),
-                f"map table for ({h},{i})")
-        return f.evaluate(x)
+        return tuple(x) if h == i else self.maps[(h, i)].evaluate(x)
 
     def __repr__(self):
         return f"Presheaf({self.name!r})"
@@ -152,44 +169,28 @@ class Presheaf:
 
 def validate_presheaf(F: Presheaf) -> Presheaf:
     """Certify a Presheaf over a certified poset and return it: a unital
-    ring map for each h < i, composing along every chain h <= i <= j."""
+    ring map for each h < i, composing along every chain h < i < j."""
     P = F.poset
-    nodes = range(P.size)
-    if len(F.stalks) != P.size:
-        raise PresheafInvalid("one stalk per node required")
-    if len({S.n for S in F.stalks}) > 1:
-        raise PresheafInvalid("stalks must share one modulus")
-    # the pairs h < i in order, looked up in constant time
-    arrows = dict.fromkeys((h, i) for h in nodes for i in nodes
-                           if h != i and P.leq[h][i])
-    for h, i in F.maps:
-        if (h, i) not in arrows:
-            raise PresheafInvalid(
-                f"restriction map for ({h},{i}) is not between nodes h < i")
-    for h, i in arrows:
-        if (h, i) not in F.maps:
-            raise PresheafInvalid(f"missing restriction map for {h} <= {i}")
+    for (h, i), f in F.maps.items():
         src, dst = F.stalks[i], F.stalks[h]
-        table = [F.restrict(h, i, src.basis(a)) for a in range(src.rank)]
-        if F.restrict(h, i, src.one()) != dst.one():
+        table = f.dense
+        if f.evaluate(src.one()) != dst.one():
             raise PresheafInvalid(f"map for ({h},{i}) does not send 1 to 1")
         for a in range(src.rank):
             for b in range(src.rank):
-                if (F.restrict(h, i, src.table[a][b])
-                        != dst.mul(table[a], table[b])):
+                if f.evaluate(src.table[a][b]) != dst.mul(table[a], table[b]):
                     raise PresheafInvalid(
                         f"map for ({h},{i}) is not multiplicative at "
                         f"basis pair ({a},{b})")
-    # functoriality on chains h <= i <= j
-    for h, i, j in product(nodes, repeat=3):
-        if P.leq[h][i] and P.leq[i][j]:
-            for b in range(F.stalks[j].rank):
-                x = F.stalks[j].basis(b)
-                if (F.restrict(h, j, x)
-                        != F.restrict(h, i, F.restrict(i, j, x))):
-                    raise PresheafInvalid(
-                        f"restriction maps fail to compose along "
-                        f"{h} <= {i} <= {j}")
+    # functoriality on chains h < i < j; a chain with an equality composes
+    # with an identity
+    for (h, i), f in F.maps.items():
+        for j in range(P.size):
+            if i != j and P.leq[i][j] and F.maps[(h, j)].dense != tuple(
+                    map(f.evaluate, F.maps[(i, j)].dense)):
+                raise PresheafInvalid(
+                    f"restriction maps fail to compose along "
+                    f"{h} <= {i} <= {j}")
     return F
 
 
@@ -485,13 +486,12 @@ def square_presheaf(p=2) -> Presheaf:
                              name=f"circle constant Z{p}")
 
 
-def chain_presheaf(length, stalk, name=None) -> Presheaf:
+def chain_presheaf(length, stalk) -> Presheaf:
     P = Poset.from_covers(length, [(i, i + 1) for i in range(length - 1)])
-    return constant_presheaf(P, stalk, name=name or f"chain({length}) {stalk.name}")
+    return constant_presheaf(P, stalk, name=f"chain({length}) {stalk.name}")
 
 
-def antichain_presheaf(length, stalk, name=None) -> Presheaf:
+def antichain_presheaf(length, stalk) -> Presheaf:
     P = Poset.from_covers(length, [])
-    return constant_presheaf(P, stalk,
-                             name=name or f"antichain({length}) {stalk.name}")
+    return constant_presheaf(P, stalk, name=f"antichain({length}) {stalk.name}")
 

@@ -18,6 +18,7 @@ from znalg.algebra import (
     zn,
     zn_poly_x2,
 )
+from znalg.catalog import z2xz2
 from znalg.classify import decomposition_report, jacobson_radical
 from znalg.deformation import (
     TruncatedDeformation,
@@ -44,6 +45,7 @@ from znalg.deformation import (
     x_squared_t_deformation,
 )
 from znalg.errors import (
+    BadShape,
     CapExceeded,
     ConstantTermNotUnit,
     NotAssociativeAtOrder,
@@ -637,6 +639,31 @@ def test_remark2_series_t2z4():
     T2 = triangular_algebra(4, 2)
     verdict = remark2_series(T2, (1, 0, 0), (0, 1, 0))
     assert verdict.idempotent and verdict.nontrivial
+
+
+def test_remark2_series_refuses_an_order_outside_1_to_4():
+    # the constructor owns the order's lower bound, the series its upper
+    # one: the cubic term is the last it spells out
+    A = zn_poly_x2(2)
+    with pytest.raises(BadShape,
+                       match="^truncation order must be at least 1$"):
+        remark2_series(A, (1, 0), (0, 1), order=0)
+    with pytest.raises(BadShape, match="^the displayed series stops at the "
+                                       "cubic term$"):
+        remark2_series(A, (1, 0), (0, 1), order=5)
+
+
+@pytest.mark.parametrize("A", [zn_poly_x2(2), z2xz2(),
+                               triangular_algebra(2, 2)],
+                         ids=lambda A: A.name)
+def test_a_gauge_map_that_moves_the_unit_is_refused_by_the_certificate(A):
+    # g = id has g(1) = 1, so alpha_1(1, e_j) = -g(1) e_j = -e_j is not
+    # zero at j = 0, and the unit certificate refuses the deformation
+    identity = [[int(i == j) for j in range(A.rank)] for i in range(A.rank)]
+    with pytest.raises(UnitChanged) as refused:
+        gauge_deformation(A, identity, 3)
+    assert str(refused.value) == (
+        "order-1 cochain moves the unit on basis element 0")
 
 
 def test_clean_decompose_trivial_t():

@@ -282,6 +282,33 @@ def test_decomposition_lifts_refuse_by_type_and_message(lift, a, e, part,
     assert str(err.value) == message
 
 
+def test_build_extension_leaves_the_degree_to_the_cocycle_check():
+    A = zn_poly_x2(2)
+    M = regular_bimodule(A)
+    with pytest.raises(BadShape) as refused:
+        build_extension(A, M, zero_cochain(M, 3))
+    assert str(refused.value) == "cocycle check expects a degree-2 cochain"
+
+
+def test_build_extension_refuses_a_cochain_of_another_bimodule():
+    # valued in an equal bimodule over A, but not in M itself
+    A = zn_poly_x2(2)
+    M, other = regular_bimodule(A), regular_bimodule(A)
+    assert other is not M
+    with pytest.raises(BadShape) as refused:
+        build_extension(A, M, zero_cochain(other, 2))
+    assert str(refused.value) == (
+        "cocycle must be a degree-2 cochain valued in M")
+
+
+def test_half_witness_refuses_an_element_that_is_not_idempotent():
+    A = zn_poly_x2(2)
+    B = trivial_self_extension(A)
+    with pytest.raises(NotIdempotent) as refused:
+        exchange_half_witness(B, (A.one(), A.zero()), (0, 1), A.one())
+    assert str(refused.value) == "(0, 1) is not idempotent in Z2[X]/(X^2)"
+
+
 def test_half_witness_unit_case():
     A = zn(2)
     M = regular_bimodule(A)

@@ -79,6 +79,18 @@ def test_poset_validation():
     assert P.leq[0][2]  # transitive closure
 
 
+def test_from_covers_checks_its_covers_and_the_constructor_the_size():
+    # a cover is checked against the nodes before the constructor sees the
+    # size, so with no nodes a cover is named first
+    with pytest.raises(BadShape, match=r"^cover \(0, 1\) is not a pair of "
+                                       r"nodes 0\.\.-1$"):
+        Poset.from_covers(0, [(0, 1)])
+    for size in (0, -2):
+        with pytest.raises(BadShape, match="^a poset needs at least one "
+                                           f"node, got {size}$"):
+            Poset.from_covers(size, [])
+
+
 def test_linear_extension_antichain():
     P = Poset.from_covers(3, [])
     assert linear_extension(P) == [0, 1, 2]

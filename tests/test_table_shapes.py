@@ -4,6 +4,7 @@ BadShape when its object is built or validated, never certified."""
 
 import copy
 import random
+import sys
 
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
@@ -23,8 +24,9 @@ from znalg.deformation import (
     validate_deformation,
 )
 from znalg.documents import Workspace, algebra_to_doc
-from znalg.errors import BadShape
-from znalg.hochschild import Bimodule, Cochain, validate_bimodule
+from znalg.errors import BadShape, PresheafInvalid
+from znalg.hochschild import (MAX_COCHAIN_DEGREE, Bimodule, Cochain,
+                              regular_bimodule, validate_bimodule)
 from znalg.poset import Poset, Presheaf, validate_presheaf
 
 
@@ -136,6 +138,95 @@ def test_a_range_is_refused_in_code_as_in_a_document(case):
     assert type(in_code.value) is type(in_document.value)
     assert (str(in_code.value), str(in_document.value)) == (
         code_message, doc_message)
+
+
+Z2, Z3 = zn(2), zn(3)
+X2_REGULAR = regular_bimodule(X2)
+CHAIN_2 = Poset.from_covers(2, [(0, 1)])
+CHAIN_3 = Poset.from_covers(3, [(0, 1), (1, 2)])
+ONE = ((1,),)  # the identity restriction of Z2
+RAGGED = [[[1, 0], [0, 1]], [[0, 1]]]  # row 1 one cell short of rank 2
+
+# case -> (a constructor call with one shape or range fault, or two where
+# the case pins which is named first, the exception and its message)
+CONTRACT = {
+    "algebra-modulus": (lambda: FiniteAlgebra(1, 2, X2.table, X2.unit),
+                        BadShape, "modulus must be >= 2, got 1"),
+    "algebra-rank": (lambda: FiniteAlgebra(2, 0, [], []),
+                     BadShape, "rank must be >= 1, got 0"),
+    "algebra-table": (lambda: FiniteAlgebra(2, 2, RAGGED, [1, 0]),
+                      BadShape, "structure table has an array of length 1 "
+                                "at depth 1, expected 2"),
+    "bimodule-rank": (lambda: Bimodule(X2, -1, [[], []], []),
+                      BadShape, "bimodule rank must be >= 0, got -1"),
+    "bimodule-table": (lambda: Bimodule(X2, 2, X2.table, RAGGED),
+                       BadShape, "right action table has an array of "
+                                 "length 1 at depth 1, expected 2"),
+    "cochain-degree": (lambda: Cochain(MAX_COCHAIN_DEGREE + 2, X2_REGULAR,
+                                       []),
+                       BadShape, "cochain degree must be 0 to "
+                                 f"{MAX_COCHAIN_DEGREE + 1} (the "
+                                 "coboundary's inputs and values), got "
+                                 f"{MAX_COCHAIN_DEGREE + 2}"),
+    "cochain-table": (lambda: Cochain(2, X2_REGULAR, RAGGED),
+                      BadShape, "cochain values has an array of length 1 "
+                                "at depth 1, expected 2"),
+    "deformation-order": (lambda: TruncatedDeformation(X2, 0, {}),
+                          BadShape, "truncation order must be at least 1"),
+    "deformation-correction": (
+        lambda: TruncatedDeformation(X2, 2, {2: ALPHA_1}),
+        BadShape, "correction at order 2 outside 1..1"),
+    "deformation-table": (lambda: TruncatedDeformation(X2, 2, {1: RAGGED}),
+                          BadShape, "deformation cochains has an array of "
+                                    "length 1 at depth 2, expected 2"),
+    "poset-size": (lambda: Poset(0, []),
+                   BadShape, "a poset needs at least one node, got 0"),
+    "poset-leq": (lambda: Poset(2, [[True]]),
+                  BadShape, "leq relation is not size x size"),
+    "poset-row": (lambda: Poset(2, [[True, True], [True]]),
+                  BadShape, "leq relation is not size x size"),
+    "presheaf-stalks": (lambda: Presheaf(CHAIN_2, [Z2], {(0, 1): ONE}),
+                        PresheafInvalid, "one stalk per node required"),
+    "presheaf-moduli": (lambda: Presheaf(CHAIN_2, [Z2, Z3], {(0, 1): ONE}),
+                        PresheafInvalid, "stalks must share one modulus"),
+    "presheaf-stray-key": (
+        lambda: Presheaf(CHAIN_2, [Z2, Z2], {(0, 1): ONE, (1, 0): ONE}),
+        PresheafInvalid,
+        "restriction map for (1,0) is not between nodes h < i"),
+    "presheaf-missing-key": (lambda: Presheaf(CHAIN_2, [Z2, Z2], {}),
+                             PresheafInvalid,
+                             "missing restriction map for 0 <= 1"),
+    "presheaf-table": (lambda: Presheaf(CHAIN_2, [Z2, Z2], {(0, 1): [[1, 0]]}),
+                       BadShape, "map table for (0,1) has an array of "
+                                 "length 2 at depth 1, expected 1"),
+    # every key is checked before any table is read
+    "presheaf-missing-key-then-table": (
+        lambda: Presheaf(CHAIN_3, [Z2] * 3, {(0, 1): [[1, 0]], (1, 2): ONE}),
+        PresheafInvalid, "missing restriction map for 0 <= 2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONTRACT))
+def test_a_constructor_refuses_every_shape_and_range_fault(case,
+                                                           monkeypatch):
+    # every object kind's constructor owns its shapes and ranges: the fault
+    # is refused while every validator of the package fails if it is called
+    def certify(*args):
+        raise AssertionError("a validator ran before the constructor refused")
+    patched = set()
+    for module in [m for name, m in sys.modules.items()
+                   if name.split(".")[0] == "znalg"]:
+        for name in dir(module):
+            if name.startswith("validate_"):
+                monkeypatch.setattr(module, name, certify)
+                patched.add(name)
+    assert patched == {"validate_algebra", "validate_bimodule",
+                       "validate_deformation", "validate_poset",
+                       "validate_presheaf"}
+    build, error, message = CONTRACT[case]
+    with pytest.raises(error) as refused:
+        build()
+    assert (type(refused.value), str(refused.value)) == (error, message)
 
 
 def test_a_non_int_truncation_order_is_refused():
