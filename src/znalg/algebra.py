@@ -3,10 +3,10 @@
 An algebra of rank r over Z_n stores an r x r table whose (i, j) entry is the
 coordinate vector of the product of basis elements i and j.  Elements are
 plain tuples of r residues mod n; all arithmetic is exact.  Every algebra is
-built as a FiniteAlgebra, from a table spelled out in code or read from a
-document by documents.Workspace, and certified by validate_algebra, which
-takes only the object and checks associativity and the unit laws on basis
-triples (bilinearity extends both to all elements).
+a FiniteAlgebra, from a table spelled out in code, read from a document by
+documents.Workspace or assembled by a builder, and certified by
+validate_algebra, which takes only the object and checks associativity and
+the unit laws on basis triples (bilinearity extends both to all elements).
 Units and nilpotents are decided by one walk over the powers of an element
 (FiniteAlgebra.inverse_and_index; inverse and nilpotency_index are its two
 halves).
@@ -27,25 +27,28 @@ Every structure table is a multilinear map over Z_n on basis tuples, held
 as one Multilinear: an algebra's product (FiniteAlgebra.mult) and its unit,
 the sides of a bimodule, a cochain, each deformation correction, each
 presheaf restriction and a gauge map.  Its owner declares the shape, the
-index range of each argument and the width, and the one walk that reads
-the table checks every level's type and length and every entry's type
-against it, so a table built in code is refused with BadShape exactly as
-one read from a document is.  It reduces the table once and keeps dense,
-the nested tuples that equality, hashing, reports and documents read,
-flat, and cells, the (k, v) pairs with v != 0 of each cell, which every
-kernel walks; Multilinear.from_flat hands a flat vector, such as a
-coboundary's, to the same assembly without nesting it first.  Its product
-is its compiled kernel: _compile_bilinear writes it, on first use, as one
-straight-line function with the entries and the modulus as literals, so a
-product runs no loop and reduces each coordinate once.  An owner given an
-existing map keeps it, so the regular bimodule's sides are its algebra's
-mult and share its kernel.  mul, lact and ract stay plain methods that
-call the kernel; the certificates read the cells, so a table that is only
-certified is never compiled.  The coordinate arithmetic that algebras and
-bimodules share (add, sub, neg, smul) runs on coordinate kernels, which
-the plain methods call: _coordinate_kernels writes each as one
-straight-line function with n and the rank as its only literals, memoized
-on (n, rank), and each module binds its four once its tables are checked.
+index range of each argument and the width.  A nested table, spelled out
+in code or read from a document, is read by one walk (_entries) that
+checks every level's type and length and every entry's type against it,
+so both are refused with BadShape alike.  A builder (direct_product, the
+matrix-unit algebras, extension.build_extension, poset.build_shriek,
+deformation.flatten) instead places its inputs' cells into a dict of
+nonzero entries by flat index (_place) and hands it, with its unit, to
+Multilinear.from_entries, which checks each index's range and each
+entry's type, so no builder forms a nested table (_built_algebra).  Every
+map keeps dense, the nested tuples that equality, hashing, reports and
+documents read, flat, and cells, the (k, v) pairs with v != 0 of each
+cell, which every kernel walks.  Its product is its compiled kernel:
+_compile_bilinear writes it, on first use, as one straight-line function
+with the entries and the modulus as literals, so a product runs no loop
+and reduces each coordinate once.  An owner given an existing map keeps
+it, so the regular bimodule's sides are its algebra's mult and share its
+kernel.  mul, lact and ract call the kernel; the certificates read the
+cells, so a table that is only certified is never compiled.  The
+coordinate arithmetic of algebras and bimodules (add, sub, neg, smul)
+runs on kernels that _coordinate_kernels writes as straight-line
+functions with n and the rank as their only literals, memoized on (n,
+rank); each module binds its four once its tables are checked.
 
 Every identity certified on basis tuples, and every coboundary, is a signed
 sum of Gerstenhaber's circle products f ∘_i g, f's argument i filled with
@@ -144,7 +147,7 @@ class FiniteAlgebra(_ZnModule):
         super().__init__(modulus, rank, 1, "rank")
         r = self.rank
         self.mult = _multilinear(table, self.n, (r, r, r), "structure table")
-        self.unit = Multilinear(unit, self.n, (r,), "unit vector").dense
+        self.unit = _multilinear(unit, self.n, (r,), "unit vector").dense
         self.name = name or f"algebra(n={self.n},r={self.rank})"
         self._certified = None  # the map validate_algebra certified
         self._bind_kernels()
@@ -271,38 +274,54 @@ class Multilinear:
     """A multilinear map over Z_n, given by its table on basis tuples and
     the shape its owner declares: the index range of each argument, then
     the width of a cell ((r, r, r) for an algebra's product, (r,) for one
-    vector).  The one walk that reads the table checks it against the
-    shape before it is reduced and sparsified: a level that is not an
-    array, an array of another length or an entry that is not an int (a
-    float, a bool, a string) is refused with BadShape, naming what, the
-    depth and the lengths; depths count from top, the depth of the table's
-    top level in the array that what names.  flat is the entries in
-    row-major order, delta_matrix's coordinates."""
+    vector).  The constructor reads a nested table in one walk that checks
+    it against the shape before it is reduced and sparsified: a level that
+    is not an array, an array of another length or an entry that is not
+    an int (a float, a bool, a string) is refused with BadShape, naming
+    what, the depth and the lengths; depths count from top, the depth of
+    the table's top level in the array that what names.  from_entries, the
+    builders' constructor, takes the nonzero entries by flat index and
+    from_flat a flat vector.  flat is the entries in row-major order,
+    delta_matrix's coordinates."""
 
     def __init__(self, table, n, shape, what="table", top=0):
-        self._assemble(_entries(table, shape, what, top), n, shape)
+        self._assemble([v % n for v in _entries(table, shape, what, top)],
+                       n, shape)
 
     @classmethod
     def from_flat(cls, vec, n, shape):
-        """The map whose table has shape, its index ranges then its width,
-        and whose flat is vec reduced mod n: vec's length and the type of
-        its entries are checked, and no nested table is formed."""
+        """The map of shape whose flat is vec reduced mod n: vec's length
+        and the type of its entries are checked (from_entries)."""
         if len(vec) != prod(shape):
             raise BadShape(f"flat table has length {len(vec)}, expected "
                            f"{prod(shape)}")
-        if not _INT.issuperset(map(type, vec)):
-            raise BadShape("table entries must be integers")
+        return cls.from_entries(dict(enumerate(vec)), n, shape)
+
+    @classmethod
+    def from_entries(cls, entries, n, shape, what="table"):
+        """The map of shape whose flat holds entries[key] mod n at each
+        index key and 0 elsewhere; a key that is not an index of flat, or
+        an entry that is not an int, is refused with BadShape."""
+        if not _INT.issuperset(map(type, entries.values())):
+            raise BadShape(f"{what} entries must be integers")
+        size = prod(shape)
+        flat = [0] * size
+        for key, v in entries.items():
+            if type(key) is not int or not 0 <= key < size:
+                raise BadShape(f"{what} has no flat index {key!r}, expected "
+                               f"0 to {size - 1}")
+            flat[key] = v % n
         m = cls.__new__(cls)
-        m._assemble(vec, n, shape)
+        m._assemble(flat, n, shape)
         return m
 
-    def _assemble(self, entries, n, shape):
-        """Every field from the entries in row-major order: reduced mod n
-        into flat, cut into cells, each sparsified (an all-zero one to ()
-        after one any(cell)), and regrouped level by level into dense and
+    def _assemble(self, flat, n, shape):
+        """Every field from flat, the entries in row-major order reduced
+        mod n: cut into cells, each sparsified (an all-zero one to () after
+        one any(cell)), and regrouped level by level into dense and
         cells."""
         self.n, self.shape, self.width = n, tuple(shape), shape[-1]
-        flat = tuple([v % n for v in entries])
+        flat = tuple(flat)
         dense = _group(flat, shape[-1], prod(shape[:-1]))
         cells = [tuple([(k, v) for k, v in enumerate(cell) if v])
                  if any(cell) else () for cell in dense]
@@ -609,13 +628,12 @@ def triangular_algebra(n, size) -> FiniteAlgebra:
 def _matrix_units_algebra(n, pairs, name):
     index = {p: i for i, p in enumerate(pairs)}
     rank = len(pairs)
-    structure = [[[0] * rank for _ in range(rank)] for _ in range(rank)]
-    for (a, b), i in index.items():
-        for (c, d), j in index.items():
-            if b == c and (a, d) in index:
-                structure[i][j][index[(a, d)]] = 1
-    unit = [int(a == b) for a, b in pairs]
-    return validate_algebra(FiniteAlgebra(n, rank, structure, unit, name))
+    # e_ab e_bd = e_ad, at the flat index of (e_ab, e_bd, coordinate ad)
+    entries = {(i * rank + index[(b, d)]) * rank + index[(a, d)]: 1
+               for (a, b), i in index.items() for c, d in pairs
+               if c == b and (a, d) in index}
+    return _built_algebra(n, rank, entries, [int(a == b) for a, b in pairs],
+                          name)
 
 
 def direct_product(factors) -> FiniteAlgebra:
@@ -631,14 +649,30 @@ def direct_product(factors) -> FiniteAlgebra:
     if len(factors) == 1:
         return factors[0]
     rank = sum(f.rank for f in factors)
-    structure = [[[0] * rank for _ in range(rank)] for _ in range(rank)]
-    unit = []
-    off = 0
+    entries, off = {}, 0
     for f in factors:
-        for i in range(f.rank):
-            for j in range(f.rank):
-                structure[off + i][off + j][off:off + f.rank] = f.table[i][j]
-        unit += f.unit
+        _place(entries, f.mult, rank, off, off, off)
         off += f.rank
-    name = " x ".join(f.name for f in factors)
-    return validate_algebra(FiniteAlgebra(n, rank, structure, unit, name))
+    return _built_algebra(n, rank, entries, sum((f.unit for f in factors), ()),
+                          " x ".join(f.name for f in factors))
+
+
+def _place(entries, m, rank, i, j, k):
+    """Put the cells of the bilinear map m into entries, the flat entries
+    of a rank-rank algebra's table by index, as a block that moves m's
+    arguments a, b and coordinate c to i + a, j + b and k + c."""
+    for a, row in enumerate(m.cells, i):
+        for b, cell in enumerate(row, j):
+            at = (a * rank + b) * rank + k
+            for c, v in cell:
+                entries[at + c] = v
+
+
+def _built_algebra(n, rank, entries, unit, name):
+    """The end of every builder: the certified algebra whose table holds
+    the flat entries, a dict by index, and whose unit is the sequence unit."""
+    return validate_algebra(FiniteAlgebra(
+        n, rank,
+        Multilinear.from_entries(entries, n, (rank,) * 3, "structure table"),
+        Multilinear.from_entries(dict(enumerate(unit)), n, (rank,),
+                                 "unit vector"), name))

@@ -17,8 +17,8 @@ orders add up to, since every term it skips is zero.  The order-1 sum is
 δα_1 with every sign flipped, so alpha_1 is then a 2-cocycle, and only the
 identities that follow are re-checked.  at_order, which passes the maps
 below a new order on as they are, costs the support, not N.  flatten
-assembles the same sums into a plain structure table on its own, so the
-flattened model is the independent oracle for all of them.
+places each alpha_m's cells in a plain structure table, whose own kernel
+makes the flattened model the independent oracle for the series product.
 
 Every series product is one Kronecker substitution (_kronecker_product),
 which costs O(r^2 M(L)) at length L.  def_mul forms full products.
@@ -45,13 +45,14 @@ from math import gcd
 from .algebra import (
     FiniteAlgebra,
     Multilinear,
+    _built_algebra,
     _cap_limit,
     _check_int,
     _compose,
     _multilinear,
+    _place,
     _position,
     _refuse_above_cap,
-    validate_algebra,
     zn_poly_x2,
 )
 from .catalog import z2xz2
@@ -353,28 +354,18 @@ def flatten(D, cap=None) -> FiniteAlgebra:
     elements are refused above cap, and the power is formed with its
     exponent cut at the cap's bit length plus one, which already exceeds
     the cap."""
-    A = D.base
-    r = A.rank
-    N = D.order
-    rank = r * N
+    A, N = D.base, D.order
+    r, rank = A.rank, A.rank * N
     _refuse_above_cap(A.n ** min(rank, _cap_limit(cap).bit_length() + 1), cap,
                       "flattened model", shown=f"{A.n}^({r}*{N}) elements")
-    structure = [[[0] * rank for _ in range(rank)] for _ in range(rank)]
-    for j in range(N):
-        for i in range(r):
-            ei = A.basis(i)
-            for l in range(N):
-                for k in range(r):
-                    ek = A.basis(k)
-                    cell = structure[j * r + i][l * r + k]
-                    for m in range(N - j - l):
-                        q = j + l + m
-                        vec = D.alpha(m, ei, ek)
-                        for w, v in enumerate(vec):
-                            cell[q * r + w] = (cell[q * r + w] + v) % A.n
-    unit = A.one() + (0,) * (rank - r)
-    return validate_algebra(
-        FiniteAlgebra(A.n, rank, structure, unit, f"{D.name} flattened"))
+    # e_i t^j times e_k t^l is the sum of alpha_m(e_i, e_k) t^(j+l+m)
+    entries = {}
+    for m, alpha in D._supported():
+        for j in range(N - m):
+            for l in range(N - m - j):
+                _place(entries, alpha, rank, j * r, l * r, (j + l + m) * r)
+    return _built_algebra(A.n, rank, entries, A.one() + (0,) * (rank - r),
+                          f"{D.name} flattened")
 
 
 def flatten_element(D, f):
@@ -621,23 +612,15 @@ def gauge_deformation(A, gmap, order, name=None) -> TruncatedDeformation:
             x = apply_g(x)
         return x
 
-    corrections = {}
-    for k in range(1, order):
-        table = []
-        for i in range(r):
-            ei = A.basis(i)
-            row = []
-            for j in range(r):
-                ej = A.basis(j)
-                val = g_power(A.mul(ei, ej), k)
-                cross = A.add(A.mul(apply_g(ei), ej), A.mul(ei, apply_g(ej)))
-                val = A.sub(val, g_power(cross, k - 1))
-                if k >= 2:
-                    val = A.add(val, g_power(A.mul(apply_g(ei), apply_g(ej)),
-                                             k - 2))
-                row.append(val)
-            table.append(row)
-        corrections[k] = table
+    def alpha(k, x, y):  # g^k(xy) - g^(k-1)(g(x)y + xg(y)) + g^(k-2)(g(x)g(y))
+        gx, gy = apply_g(x), apply_g(y)
+        val = A.sub(g_power(A.mul(x, y), k),
+                    g_power(A.add(A.mul(gx, y), A.mul(x, gy)), k - 1))
+        return A.add(val, g_power(A.mul(gx, gy), k - 2)) if k >= 2 else val
+
+    basis = [A.basis(i) for i in range(r)]
+    corrections = {k: [[alpha(k, x, y) for y in basis] for x in basis]
+                   for k in range(1, order)}
     return validate_deformation(TruncatedDeformation(
         A, order, corrections, name=name or f"{A.name} gauge (N={order})"))
 

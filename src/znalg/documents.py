@@ -18,11 +18,13 @@ object, so every job still builds and validates what it uses.
 
 Reports are plain dicts with deterministic content; timing lives under a
 separate key so golden-file comparisons can drop it.  dump_report writes
-the bytes of json.dumps(report, indent=2, sort_keys=True) through the
-private writer _emit, which joins an array of integers in one call and
-quotes strings with the C string encoder; json.dumps with an indent would
-run the pure-Python encoder.  The helpers stay private so that a tracer
-timing the public functions sees one span per report.
+the bytes of json.dumps(report, indent=2, sort_keys=True), whose indent
+would run the pure-Python encoder, through the private writer _emit: it
+joins an array of integers in one call, quotes strings with the C string
+encoder and, with one memo per report, writes the text of a repeated int
+array and the heads of a repeated key set once per depth.  The helpers
+stay private so that a tracer timing the public functions sees one span
+per report.
 """
 
 from __future__ import annotations
@@ -307,17 +309,54 @@ def dump_report(report: dict) -> str:
     bytes of json.dumps(report, indent=2, sort_keys=True), which with an
     indent runs the pure-Python encoder, written by _emit instead."""
     parts = []
-    _emit(report, parts, "\n")
+    _emit(report, parts, "\n", {})
     return "".join(parts)
 
 
-def _emit(value, parts, newline):
+def _emit(value, parts, newline, memo):
     """Append the indent-2, sorted-key JSON text of value to parts; newline
     is a line break plus the indent of the line value starts on.  An array
     of plain integers or of plain strings is one join, strings go through
     the C string encoder, and a key that is not a string or a value JSON
-    has no form for raises TypeError."""
-    if isinstance(value, str):
+    has no form for raises TypeError.  memo keeps the text of each int
+    array and the sorted key heads of each dict by newline and contents."""
+    if isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        kinds = set(map(type, value))  # a bool is not of type int
+        if kinds == {int}:
+            text = memo.get(key := (newline, *value))
+            if text is None:
+                text = memo[key] = "[" + inner + ("," + inner).join(
+                    map(int.__repr__, value)) + newline + "]"
+            parts.append(text)
+            return
+        if kinds == {str}:
+            parts.append("[" + inner + ("," + inner).join(
+                map(_quote, value)) + newline + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            parts.append(sep)
+            _emit(item, parts, inner, memo)
+            sep = "," + inner
+        parts.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        key = ("{", newline, *value)  # an array's key starts with a newline
+        if key not in memo:
+            memo[key] = [(k, ("," if i else "{") + inner + _quote(k) + ": ")
+                         for i, k in enumerate(sorted(value))]
+        for k, head in memo[key]:
+            parts.append(head)
+            _emit(value[k], parts, inner, memo)
+        parts.append(newline + "}")
+    elif isinstance(value, str):
         parts.append(_quote(value))
     elif value is None:
         parts.append("null")
@@ -329,35 +368,6 @@ def _emit(value, parts, newline):
         parts.append(int.__repr__(value))
     elif isinstance(value, float):
         parts.append(json.dumps(value))
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            parts.append("[]")
-            return
-        inner = newline + "  "
-        kinds = set(map(type, value))  # a bool is not of type int
-        show = (int.__repr__ if kinds == {int}
-                else _quote if kinds == {str} else None)
-        if show:
-            parts.append("[" + inner + ("," + inner).join(
-                map(show, value)) + newline + "]")
-            return
-        sep = "[" + inner
-        for item in value:
-            parts.append(sep)
-            _emit(item, parts, inner)
-            sep = "," + inner
-        parts.append(newline + "]")
-    elif isinstance(value, dict):
-        if not value:
-            parts.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key in sorted(value):
-            parts.append(sep + _quote(key) + ": ")
-            _emit(value[key], parts, inner)
-            sep = "," + inner
-        parts.append(newline + "}")
     else:
         raise TypeError(f"Object of type {type(value).__name__} "
                         "is not JSON serializable")

@@ -1,18 +1,18 @@
 """Singular extension algebras twisted by a 2-cocycle.
 
 Given an algebra A, a bimodule M, and a 2-cocycle f, the extension carrier is
-A + M with product (a, m)(a', m') = (aa', am' + ma' + f(a, a')).  The carrier
-is materialized as a plain FiniteAlgebra of rank r + s so every exhaustive
-classifier runs on it unchanged; associativity of the assembled table is
-re-certified mechanically, which is exactly the cocycle condition.  The
-carrier's f-block is copied from the cochain's table cells, and both the
-cocycle identity (δf = 0) and the carrier's associativity are certified by
-algebra._compose, which composes the sparse cells of the tables and
-evaluates no product.  The lifting and inversion formulas coerce every base
-and module argument (FiniteAlgebra.coerce, Bimodule.coerce), so an entry
-that is not an integer or an element of the wrong length is refused with
-BadShape.  The clean and nil-clean lifts share one body; the second-half
-probe lifts e through the exchange factorization's own x.
+A + M with product (a, m)(a', m') = (aa', am' + ma' + f(a, a')), a plain
+FiniteAlgebra of rank r + s, so every exhaustive classifier runs on it
+unchanged.  build_extension places the cells of A's product, of f and of
+M's two actions as the blocks of the carrier's table (algebra._place) and
+forms no nested table.  The cocycle identity (δf = 0) is certified, and the
+carrier's associativity, which is exactly that identity, is walked again
+as a re-check, both by algebra._compose on the sparse cells, evaluating no
+product.  The lifting and inversion formulas coerce every base and module
+argument (FiniteAlgebra.coerce, Bimodule.coerce), so an entry that is not
+an integer or an element of the wrong length is refused with BadShape.
+The clean and nil-clean lifts share one body; the second-half probe lifts
+e through the exchange factorization's own x.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 
-from .algebra import FiniteAlgebra, _refuse_above_cap, validate_algebra
+from .algebra import FiniteAlgebra, _built_algebra, _place, _refuse_above_cap
 from .classify import decomposition_report
 from .errors import (
     BadDecomposition,
@@ -67,30 +67,17 @@ def build_extension(A: FiniteAlgebra, M: Bimodule,
     if not ok:
         raise NotACocycle(f"first violating triple: {violations[0]}")
 
-    r, s = A.rank, M.rank
-    rank = r + s
-    zero_a = [0] * r
-    structure = [[None] * rank for _ in range(rank)]
-    for i in range(r):
-        for j in range(r):
-            # f on a basis pair is its table cell
-            structure[i][j] = list(A.table[i][j]) + list(f.values[i][j])
-        for j in range(s):
-            structure[i][r + j] = zero_a + list(M.left[i][j])
-    for i in range(s):
-        for j in range(r):
-            structure[r + i][j] = zero_a + list(M.right[i][j])
-        for j in range(s):
-            structure[r + i][r + j] = [0] * rank
-
+    r, rank = A.rank, A.rank + M.rank
+    entries = {}  # the blocks of (a, m)(a', m') = (aa', am' + ma' + f(a, a'))
+    for m, at in ((A.mult, (0, 0, 0)), (f.map, (0, 0, r)),
+                  (M.left_map, (0, r, r)), (M.right_map, (r, 0, r))):
+        _place(entries, m, rank, *at)
     f11 = f.evaluate(A.one(), A.one())
-    unit = A.one() + M.neg(f11)
     # the carrier's associativity follows from what is certified above; it
     # is walked again as a run-time re-check of the assembled table
     try:
-        carrier = validate_algebra(
-            FiniteAlgebra(A.n, rank, structure, unit,
-                          f"ext({A.name}; {M.name})"))
+        carrier = _built_algebra(A.n, rank, entries, A.one() + M.neg(f11),
+                                 f"ext({A.name}; {M.name})")
     except NonAssociative as exc:
         raise NotACocycle(
             f"carrier not associative at {exc.triple}") from exc

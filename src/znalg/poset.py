@@ -22,8 +22,10 @@ from dataclasses import dataclass, field
 from .algebra import (
     FiniteAlgebra,
     Multilinear,
+    _built_algebra,
     _check_int,
-    validate_algebra,
+    _compose,
+    _place,
     zn,
     zn_poly_x2,
 )
@@ -159,10 +161,6 @@ class Presheaf:
             (self.stalks[i].rank, self.stalks[h].rank),
             f"map table for ({h},{i})") for h, i in arrows}
 
-    def restrict(self, h, i, x):
-        """Apply the restriction map from stalk i into stalk h <= i."""
-        return tuple(x) if h == i else self.maps[(h, i)].evaluate(x)
-
     def __repr__(self):
         return f"Presheaf({self.name!r})"
 
@@ -186,6 +184,9 @@ def validate_presheaf(F: Presheaf) -> Presheaf:
     # with an identity
     for (h, i), f in F.maps.items():
         for j in range(P.size):
+            if i != j and P.leq[i][j] and (h, j) not in F.maps:
+                raise PresheafInvalid(f"no restriction map for {h} <= {j} "
+                                      f"closes the chain {h} <= {i} <= {j}")
             if i != j and P.leq[i][j] and F.maps[(h, j)].dense != tuple(
                     map(f.evaluate, F.maps[(i, j)].dense)):
                 raise PresheafInvalid(
@@ -238,44 +239,29 @@ class PosetAlgebra:
 def build_shriek(F: Presheaf) -> PosetAlgebra:
     """Assemble the poset-matrix algebra of a certified presheaf and
     certify it as a FiniteAlgebra."""
-    P = F.poset
-    blocks = P.pairs()
-    offsets = {}
-    pos = 0
+    blocks = F.poset.pairs()
+    offsets, rank = {}, 0
     for (i, j) in blocks:
-        offsets[(i, j)] = (pos, F.stalks[i].rank)
-        pos += F.stalks[i].rank
-    rank = pos
+        offsets[(i, j)] = (rank, F.stalks[i].rank)
+        rank += F.stalks[i].rank
     if rank > MAX_CARRIER_RANK:
         raise CapExceeded(
             f"carrier rank {rank} exceeds the assembly limit "
             f"{MAX_CARRIER_RANK}")
-    n = F.stalks[0].n
-
-    basis_index = []
-    for pair in blocks:
-        for u in range(F.stalks[pair[0]].rank):
-            basis_index.append((pair, u))
-
-    structure = [[[0] * rank for _ in range(rank)] for _ in range(rank)]
-    for a_idx, ((h, i), u) in enumerate(basis_index):
+    n, entries = F.stalks[0].n, {}
+    for h, i in blocks:
+        # the (h, i) block times the (i, j) block lands in (h, j): stalk
+        # h's product with its second argument restricted from stalk i
         Sh = F.stalks[h]
-        for b_idx, ((i2, j), v) in enumerate(basis_index):
-            if i2 != i:
-                continue
-            # (h, i) block times (i, j) block lands in (h, j)
-            img = F.restrict(h, i, F.stalks[i2].basis(v))
-            val = Sh.mul(Sh.basis(u), img)
-            start, _ = offsets[(h, j)]
-            cell = structure[a_idx][b_idx]
-            for k, c in enumerate(val):
-                cell[start + k] = c
-    unit = [0] * rank
-    for i in range(P.size):
-        start, width = offsets[(i, i)]
-        unit[start:start + width] = F.stalks[i].one()
-    carrier = validate_algebra(
-        FiniteAlgebra(n, rank, structure, unit, f"{F.name}!"))
+        mu = Sh.mult if h == i else Multilinear.from_entries(
+            _compose([(1, Sh.mult, 1, F.maps[(h, i)])], n), n,
+            (Sh.rank, F.stalks[i].rank, Sh.rank))
+        for j in [j for i2, j in blocks if i2 == i]:
+            _place(entries, mu, rank, offsets[(h, i)][0], offsets[(i, j)][0],
+                   offsets[(h, j)][0])
+    unit = sum((F.stalks[h].one() if h == i else F.stalks[h].zero()
+                for h, i in blocks), ())
+    carrier = _built_algebra(n, rank, entries, unit, f"{F.name}!")
     return PosetAlgebra(F, carrier, blocks, offsets)
 
 

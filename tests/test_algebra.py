@@ -564,6 +564,11 @@ def test_multilinear_map_matches_its_dense_table(n, density, shape, seed):
     g = Multilinear.from_flat(f.flat, n, shape)
     assert (g.dense, g.cells, g.width) == (f.dense, f.cells, f.width)
     assert (g.n, g.shape, g.flat, g.nnz) == (f.n, f.shape, f.flat, f.nnz)
+    # the sparse constructor, from the table's nonzero entries, unreduced
+    h = Multilinear.from_entries(
+        {k: v for k, v in enumerate(row_major(table)) if v}, n, shape)
+    assert (h.dense, h.cells, h.width) == (f.dense, f.cells, f.width)
+    assert (h.n, h.shape, h.flat, h.nnz) == (f.n, f.shape, f.flat, f.nnz)
     # a flat vector one entry long or short, or with a non-int entry, is
     # refused rather than cut into a ragged table
     for vec in (f.flat + (0,), f.flat[1:], (0.0,) + f.flat[1:]):

@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from znalg.algebra import Multilinear
 from znalg.cli import main
 from znalg.deformation import x_squared_t_deformation
-from znalg.documents import Workspace, builtin_catalog_document, dump_report
+from znalg.documents import (JobSpec, Workspace, builtin_catalog_document,
+                              dump_report)
 from znalg.errors import ParseError
 
 
@@ -1373,6 +1374,35 @@ REPORT_VALUES = _nested(_nested(_nested(REPORT_LEAVES)))
 @given(report=st.dictionaries(st.text(max_size=6), REPORT_VALUES,
                               max_size=4))
 def test_dump_report_matches_json_dumps(report):
+    assert dump_report(report) == json.dumps(report, indent=2,
+                                             sort_keys=True)
+
+
+# dump_report keeps one memo per report of the text of each int array and
+# the key heads of each key set, by indent and contents; each case below
+# repeats what a memo keyed without the indent or without the element
+# types would write wrongly, or what it must write alike
+MEMO_CASES = {
+    "int array at two depths": {
+        "a": [0, 0, 1], "b": {"c": [0, 0, 1]}, "d": [[0, 0, 1], [0, 0, 1]]},
+    "key set at two depths": {
+        "a": {"x": 1, "y": [0]}, "b": {"c": {"x": 1, "y": [0]}},
+        "d": [{"y": [0], "x": 1}, {"x": 2, "y": [1]}]},
+    "ints beside bools": {"a": [1, 0], "b": [True, False], "c": [1, 0]},
+    "bools beside ints": {"a": [True, False], "b": [1, 0],
+                          "c": [True, False]},
+    "tuple beside list": {"a": (1, 2), "b": [[1, 2], (1, 2)],
+                          "c": ((0, 1), [0, 1])},
+    "dict subclass": {"a": JobSpec({"x": 1, "y": 2}),
+                      "b": [{"x": 1, "y": 2}, JobSpec({"y": 2, "x": 1})]},
+    "empty containers": {"a": [], "b": {}, "c": [[], {}, (), [0]],
+                         "d": {"e": [], "f": {}, "g": [0]}, "h": [0]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MEMO_CASES))
+def test_dump_report_writes_repeated_arrays_and_key_sets_alike(case):
+    report = MEMO_CASES[case]
     assert dump_report(report) == json.dumps(report, indent=2,
                                              sort_keys=True)
 

@@ -4,10 +4,11 @@ Each case runs the public entry point against the built-in catalog document
 and compares what it wrote with the files under tests/golden/: the report
 without its timing block (whose digits vary from run to run) as
 <case>.report.json, and the exit code, stdout and stderr as <case>.log.
-The cases are every job of the catalog document, the document itself, and
-each deform action on each catalog deformation, with refusals among them:
-a constant term that is not a unit, an element that is not idempotent, a
-series job above the cap and an unknown deformation.
+The cases are every job of the catalog document, the document itself,
+each deform action on each catalog deformation, with refusals among them
+(a constant term that is not a unit, an element that is not idempotent, a
+series job above the cap and an unknown deformation), and one extend
+subcommand, whose report holds its carrier's table.
 
 Running this file as a script rewrites the golden files from the current
 code; do that only for a report change that is meant and declared.
@@ -68,6 +69,11 @@ def cases():
         DEFORMATIONS["x2t"], "--element", "[[1,0],[0,0],[0,0],[0,0]]"]
     out["deform-validate-unknown"] = [
         "deform", "validate", "--doc", "DOC", "--deformation", "nope"]
+    # the extend subcommand writes its carrier, here Z2 x Z2 + the twisted
+    # projection module by the zero cocycle, into the report
+    out["extend-twisted"] = [
+        "extend", "--doc", "DOC", "--algebra", "Z2 x Z2", "--bimodule",
+        "twisted projection"]
     return out
 
 

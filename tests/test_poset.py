@@ -114,6 +114,16 @@ def test_presheaf_validation_catches_bad_map():
         validate_presheaf(Presheaf(P, [A, A], {(0, 1): ((0,),)}))
 
 
+def test_presheaf_over_a_non_transitive_relation_names_the_open_chain():
+    # 0 <= 1 <= 2 without 0 <= 2: the uncertified relation has no arrow
+    # for the restriction maps of the chain to compose into, which the
+    # presheaf's certificate names instead of failing on the lookup
+    P = Poset(3, [[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+    with pytest.raises(PresheafInvalid, match=r"no restriction map for "
+                       r"0 <= 2 closes the chain 0 <= 1 <= 2"):
+        constant_presheaf(P, zn(2))
+
+
 def test_antichain_shriek_is_direct_product():
     F = antichain_presheaf(3, zn(2))
     PA = build_shriek(F)

@@ -29,8 +29,6 @@ UNREACHED = {
         "criterion 08, and a traced benchmark metric",
     "cli.build_parser":
         "runs once, when cli is imported, before any job",
-    "cli.job_extend":
-        "the extend job kind and subcommand; no catalog job is one",
     "deformation.lift_idempotent_newton":
         "the Newton lift alone, acceptance criterion 06; the lift and "
         "clean-decompose jobs run its body after their own checks",
